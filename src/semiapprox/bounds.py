@@ -7,9 +7,9 @@ Naming convention for the distance inputs, shared with the test-suite:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, DomainError
@@ -60,6 +60,14 @@ def cbrt_norm_bound(n: int, norm_one_minus_c: float) -> float:
     return 1.5 * n ** (1.0 / 3.0) * (2.0 * norm_one_minus_c) ** (2.0 / 3.0)
 
 
+def cbrt_closed_bound(n: int, nx: float, d1: float) -> float:
+    """Two-term bound at eps = epsilon_star: (3/2) n^(1/3) (4 ||x||)^(1/3) ||(1-C)x||^(2/3)."""
+    _check_n(n)
+    if nx < 0.0 or d1 < 0.0:
+        raise DomainError("nx, d1 must be nonnegative")
+    return 1.5 * n ** (1.0 / 3.0) * (4.0 * nx) ** (1.0 / 3.0) * d1 ** (2.0 / 3.0)
+
+
 def telescopic_bound(n: int, d2: float, d3: float) -> float:
     """(n/2) (||(C-1)^2 x|| + (e^2/3) ||(C-1)^3 x||)."""
     _check_n(n)
@@ -88,11 +96,13 @@ class KAlpha(NamedTuple):
     alpha_prime: float
 
 
+@functools.lru_cache(maxsize=128)
 def k_alpha(alpha: float, grid: int = 2048) -> KAlpha:
     """min over alpha' in (alpha, pi/2) of ritt_constant, grid + golden-section.
 
     The 2048-point scan brackets the single interior minimum; golden-section
-    then refines the minimizer to 1e-8 absolute in alpha'.
+    then refines the minimizer to 1e-8 absolute in alpha'.  Results are cached:
+    a sweep evaluates the bounds below once per record.
     """
     if not 0.0 <= alpha < math.pi / 2:
         raise DomainError(f"alpha must lie in [0, pi/2), got {alpha}")
@@ -119,6 +129,12 @@ def k_alpha(alpha: float, grid: int = 2048) -> KAlpha:
             fd = ritt_constant(alpha, d)
     x_min = 0.5 * (a + b)
     return KAlpha(ritt_constant(alpha, x_min), x_min)
+
+
+def ritt_bound(n: int, alpha: float) -> float:
+    """K_alpha / (n+1): the Ritt decay of ||C^n (1 - C)|| for C quasi-sectorial."""
+    _check_n(n)
+    return k_alpha(alpha).value / (n + 1)
 
 
 def l_alpha(alpha: float) -> float:
@@ -178,80 +194,8 @@ def euler_bound(n: int, alpha: float) -> float:
     return euler_upper_constant(alpha) / (math.cos(alpha) ** 2 * n)
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """One evaluated bound instance, serializable for reports."""
-
-    name: str
-    inputs: dict
-    value: float
-    paper_tag: str
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "paper_tag": self.paper_tag,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundSpec":
-        return cls(
-            name=obj["name"],
-            inputs=dict(obj["inputs"]),
-            value=float(obj["value"]),
-            paper_tag=obj["paper_tag"],
-        )
-
-
-_BOUND_TABLE = {
-    "sqrt_n": (lambda p: sqrt_n_bound(int(p["n"]), p["d1"]), "sqrt-n estimate"),
-    "cbrt_vector": (
-        lambda p: cbrt_vector_bound(int(p["n"]), p["eps"], p["nx"], p["d1"]),
-        "cbrt-n two-term estimate",
-    ),
-    "cbrt_norm": (
-        lambda p: cbrt_norm_bound(int(p["n"]), p["norm_one_minus_c"]),
-        "cbrt-n operator-norm estimate",
-    ),
-    "telescopic": (
-        lambda p: telescopic_bound(int(p["n"]), p["d2"], p["d3"]),
-        "telescopic estimate",
-    ),
-    "ritt": (
-        lambda p: k_alpha(p["alpha"]).value / (int(p["n"]) + 1),
-        "Ritt power decay",
-    ),
-    "norm_chernoff": (
-        lambda p: norm_chernoff_bound(int(p["n"]), p["alpha"]),
-        "operator-norm n^(-1/3) estimate",
-    ),
-    "selfadjoint_ritt": (
-        lambda p: selfadjoint_ritt_bound(int(p["n"])),
-        "self-adjoint Ritt bound",
-    ),
-    "selfadjoint_chernoff": (
-        lambda p: selfadjoint_chernoff_bound(int(p["n"])),
-        "self-adjoint power-vs-exponential bound",
-    ),
-    "euler": (
-        lambda p: euler_bound(int(p["n"]), p["alpha"]),
-        "resolvent-power (Euler) bound",
-    ),
-}
-
-BOUND_NAMES = tuple(_BOUND_TABLE)
-
-
-def evaluate_bound(name: str, **inputs) -> BoundSpec:
-    """Evaluate a named bound into a BoundSpec."""
-    if name not in _BOUND_TABLE:
-        raise DomainError(f"unknown bound name {name!r}")
-    fn, tag = _BOUND_TABLE[name]
-    return BoundSpec(name=name, inputs=inputs, value=float(fn(inputs)), paper_tag=tag)
-
-
 def _check_n(n: int) -> None:
-    if not isinstance(n, numbers.Integral) or n < 1:
+    # a plain int skips the abstract-base-class check, which costs more than
+    # the bound itself in a sweep that evaluates one bound per record
+    if not (type(n) is int or isinstance(n, numbers.Integral)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")

@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands:
-    verify <kind>    run a registered experiment and emit a report
-    rate <kind>      same, with rate fitting over the sweep (--fit-min-n)
+    verify <kind>    run a registered experiment and emit a report; rate fits
+                     in the summary use the cells with n >= --fit-min-n
     numrange         certify a matrix from a JSON file against D(alpha)
     constants        print the contour constants for a semi-angle
     report           merge previously emitted report files
 
 Exit codes: 0 all bound checks passed, 1 some bound violated or a
-certification failed, 2 usage or I/O error.
+certification failed, 2 usage or I/O error, or an argument outside the
+domain of a formula (e.g. alpha >= pi/2, t < 0).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 
 from . import bounds, linalg, numrange, report
-from .errors import InvalidInputError
+from .errors import DomainError, InsufficientDataError, InvalidInputError, SingularityError
 from .harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .tolerances import ABS_SLACK, REL_SLACK
 
@@ -56,10 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an experiment and check its bounds")
     _add_experiment_flags(p_verify)
-
-    p_rate = sub.add_parser("rate", help="run an experiment and fit convergence rates")
-    _add_experiment_flags(p_rate)
-    p_rate.add_argument("--fit-min-n", dest="fit_min_n", type=float, default=1.0)
+    p_verify.add_argument("--fit-min-n", dest="fit_min_n", type=float, default=1.0,
+                          help="smallest n used by the rate fits in the summary")
 
     p_nr = sub.add_parser("numrange", help="certify a matrix against D(alpha)")
     p_nr.add_argument("--input", required=True, help="JSON file {dim, re, im}")
@@ -91,7 +90,7 @@ def _emit(records, summary, args) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_experiment(args, with_rates: bool) -> int:
+def _cmd_verify(args) -> int:
     config = ExperimentConfig(
         kind=args.kind,
         dim=args.dim,
@@ -100,11 +99,9 @@ def _cmd_experiment(args, with_rates: bool) -> int:
         trials=args.trials,
         nmax=args.nmax,
         ts=args.ts,
-        fit_min_n=getattr(args, "fit_min_n", 1.0),
+        fit_min_n=args.fit_min_n,
     )
     result = run_experiment(config)
-    if with_rates:
-        result.summary["fit_min_n"] = config.fit_min_n
     return _emit(result.records, result.summary, args)
 
 
@@ -166,16 +163,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_experiment(args, with_rates=False)
-        if args.command == "rate":
-            return _cmd_experiment(args, with_rates=True)
+            return _cmd_verify(args)
         if args.command == "numrange":
             return _cmd_numrange(args)
         if args.command == "constants":
             return _cmd_constants(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (OSError, json.JSONDecodeError, InvalidInputError) as exc:
+    except (
+        OSError, json.JSONDecodeError, InvalidInputError,
+        DomainError, SingularityError, InsufficientDataError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
-from .tolerances import CONTRACTION_TOL
 
 _MASK64 = (1 << 64) - 1
 
@@ -183,12 +182,3 @@ def build_operator(spec: EnsembleSpec) -> np.ndarray:
         a = random_m_sectorial(spec.dim, spec.alpha, spec.seed)
         return semigroup_step(a, float(params.get("t", 1.0)), int(params.get("n", 1)))
     raise InvalidInputError(f"unknown ensemble kind {spec.kind!r}")
-
-
-def assert_contraction(c, tol: float = CONTRACTION_TOL) -> np.ndarray:
-    """Validate op_norm(C) <= 1 + tol and return C."""
-    c = linalg.as_operator(c)
-    norm = linalg.op_norm(c)
-    if norm > 1.0 + tol:
-        raise InvalidInputError(f"not a contraction: op_norm = {norm!r}")
-    return c

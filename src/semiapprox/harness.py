@@ -10,7 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,15 +32,7 @@ class ErrorRecord:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "n": self.n,
-            "t": self.t,
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErrorRecord":
@@ -133,20 +125,12 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
+        if self.kind == "tnk_equivalence" and self.n_mode == "all":
+            # this kind sweeps the step s = 2^-k, not n
+            raise InvalidInputError("tnk_equivalence has no n-grid; n_mode must be 'pow2'")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "trials": self.trials,
-            "nmax": self.nmax,
-            "ts": list(self.ts),
-            "vectors": self.vectors,
-            "fit_min_n": self.fit_min_n,
-            "n_mode": self.n_mode,
-        }
+        return {**asdict(self), "ts": list(self.ts)}
 
 
 @dataclass
@@ -164,10 +148,12 @@ def pow2_grid(nmax: int) -> list[int]:
     return grid
 
 
-def _n_grid(config: ExperimentConfig) -> list[int]:
+def _n_grid(config: ExperimentConfig, cap: int | None = None) -> list[int]:
+    """The n values a sweep visits: powers of two, or every n with n_mode="all"."""
+    nmax = config.nmax if cap is None else min(config.nmax, cap)
     if config.n_mode == "all":
-        return list(range(1, config.nmax + 1))
-    return pow2_grid(config.nmax)
+        return list(range(1, nmax + 1))
+    return pow2_grid(nmax)
 
 
 def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
@@ -176,17 +162,78 @@ def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _power_pairs(c: np.ndarray, e: np.ndarray, ns: list[int]):
-    """Yield (n, C^n, E^n) for a power-of-two grid by repeated squaring."""
-    cn, en, cur = c.copy(), e.copy(), 1
+def _powers(bases, ns, step: bool = False):
+    """Yield (n, [B^n for B in bases], ahead) for the increasing grid ns.
+
+    Squares while 2 cur <= n and otherwise multiplies by the base once, so a
+    power-of-two grid costs one squaring per n and the full grid one product
+    per n.  With ``step``, ``ahead`` is [B^(n+1) for B in bases]; it is reused
+    as the next powers when the grid asks for n + 1, else ``ahead`` is None.
+    """
+    pw, cur, ahead = list(bases), 1, None
     for n in ns:
+        if ahead is not None and n == cur + 1:
+            pw, cur = ahead, n
         while cur < n:
-            cn = cn @ cn
-            en = en @ en
-            cur *= 2
-        if cur != n:
-            raise InvalidInputError("power grid must be powers of two")
-        yield n, cn, en
+            if 2 * cur <= n:
+                pw, cur = [p @ p for p in pw], 2 * cur
+            else:
+                pw, cur = [p @ b for p, b in zip(pw, bases)], cur + 1
+        ahead = [p @ b for p, b in zip(pw, bases)] if step else None
+        yield n, pw, ahead
+
+
+def _sectorial(config: ExperimentConfig, i: int) -> np.ndarray:
+    """The m-sectorial generator of draw i."""
+    seed = ensembles.child_seed(config.seed, i)
+    return ensembles.random_m_sectorial(config.dim, config.alpha, seed)
+
+
+def _resolvent_draws(config: ExperimentConfig):
+    """Resolvent contractions (i, C, t) whose numerical range certifies in D(alpha).
+
+    Returns the certified draws and the number of draws that failed.
+    """
+    draws = []
+    for i in range(config.trials):
+        t_res = config.ts[i % len(config.ts)]
+        c = ensembles.resolvent_contraction(_sectorial(config, i), t_res)
+        if numrange.certify_quasi_sectorial(c, config.alpha, 256).passed:
+            draws.append((i, c, t_res))
+    return draws, config.trials - len(draws)
+
+
+def _sector_draws(config: ExperimentConfig):
+    """m-sectorial generators (i, A) whose sampled numerical range lies in the sector.
+
+    Returns the certified draws and the number of draws that failed.
+    """
+    draws = []
+    for i in range(config.trials):
+        a = _sectorial(config, i)
+        if np.all(numrange.in_sector(numrange.numerical_range_boundary(a, 256), config.alpha)):
+            draws.append((i, a))
+    return draws, config.trials - len(draws)
+
+
+def _cells(records: list[ErrorRecord], marker: str = "") -> dict[str, list[tuple[int, float]]]:
+    """(n, empirical) cells of the records whose id contains ``marker``, by id."""
+    groups: dict[str, list[tuple[int, float]]] = {}
+    for r in records:
+        if marker in r.experiment_id:
+            groups.setdefault(r.experiment_id, []).append((r.n, r.empirical))
+    return groups
+
+
+def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) -> dict:
+    fits = {}
+    for rid, cells in groups.items():
+        try:
+            est = fit_rate(cells, fit_min_n=fit_min_n)
+        except InsufficientDataError:
+            continue
+        fits[rid] = {**asdict(est), "n_range": list(est.n_range)}
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -195,71 +242,55 @@ def _power_pairs(c: np.ndarray, e: np.ndarray, ns: list[int]):
 
 def _run_vector_bounds(config: ExperimentConfig):
     """Shared sweep for the sqrt_n / cbrt_n / telescopic vector estimates."""
-    ns = pow2_grid(config.nmax)
     records = []
+    eye = np.eye(config.dim)
     for i in range(config.trials):
         c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
-        eye = np.eye(config.dim)
         e = linalg.expm(c - eye)
-        xs = _unit_vectors(config.dim, config.vectors, ensembles.child_seed(config.seed, 10_000 + i))
-        dx1 = ((c - eye) @ xs.T).T
-        dx2 = ((c - eye) @ dx1.T).T
-        dx3 = ((c - eye) @ dx2.T).T
-        d1 = np.linalg.norm(dx1, axis=1)
-        d2 = np.linalg.norm(dx2, axis=1)
-        d3 = np.linalg.norm(dx3, axis=1)
-        for n, cn, en in _power_pairs(c, e, ns):
+        seed = ensembles.child_seed(config.seed, 10_000 + i)
+        xs = _unit_vectors(config.dim, config.vectors, seed)
+        dx = [xs.T]  # columns (C - 1)^k x for k = 0..3
+        for _ in range(3):
+            dx.append((c - eye) @ dx[-1])
+        d1, d2, d3 = (np.linalg.norm(v.T, axis=1) for v in dx[1:])
+        for n, (cn, en), _ in _powers((c, e), _n_grid(config)):
             gap = np.linalg.norm(((cn - en) @ xs.T).T, axis=1)
             for j in range(config.vectors):
                 rid = f"{config.kind}/d{i:03d}/x{j:02d}"
-                emp = float(gap[j])
+                emp, dj = float(gap[j]), float(d1[j])
                 if config.kind == "sqrt_n":
-                    records.append(
-                        make_record(rid, n, 0.0, emp, bounds.sqrt_n_bound(n, float(d1[j])))
-                    )
+                    records.append(make_record(rid, n, 0.0, emp, bounds.sqrt_n_bound(n, dj)))
                 elif config.kind == "telescopic":
-                    records.append(
-                        make_record(
-                            rid, n, 0.0, emp,
-                            bounds.telescopic_bound(n, float(d2[j]), float(d3[j])),
-                        )
-                    )
-                else:  # cbrt_n
-                    # closed form at the optimal split: (3/2) n^(1/3) (4 nx)^(1/3) d1^(2/3)
-                    closed = 1.5 * n ** (1.0 / 3.0) * 4.0 ** (1.0 / 3.0) * float(d1[j]) ** (2.0 / 3.0)
-                    records.append(make_record(f"{rid}/closed", n, 0.0, emp, closed))
-                    if d1[j] > 0.0:
-                        eps = bounds.epsilon_star(n, 1.0, float(d1[j]))
-                        records.append(
-                            make_record(
-                                f"{rid}/two_term", n, 0.0, emp,
-                                bounds.cbrt_vector_bound(n, eps, 1.0, float(d1[j])),
-                            )
-                        )
+                    bound = bounds.telescopic_bound(n, float(d2[j]), float(d3[j]))
+                    records.append(make_record(rid, n, 0.0, emp, bound))
+                else:  # cbrt_n: the closed form at the optimal split, then the split itself
+                    bound = bounds.cbrt_closed_bound(n, 1.0, dj)
+                    records.append(make_record(f"{rid}/closed", n, 0.0, emp, bound))
+                    if dj > 0.0:
+                        eps = bounds.epsilon_star(n, 1.0, dj)
+                        bound = bounds.cbrt_vector_bound(n, eps, 1.0, dj)
+                        records.append(make_record(f"{rid}/two_term", n, 0.0, emp, bound))
     return records, {}
 
 
 def _run_chernoff_product(config: ExperimentConfig):
-    ns = pow2_grid(config.nmax)
     records = []
     product_cells: dict[str, list[tuple[int, float]]] = {}
+    eye = np.eye(config.dim)
     for i in range(config.trials):
-        a = ensembles.random_m_sectorial(config.dim, config.alpha, ensembles.child_seed(config.seed, i))
+        a = _sectorial(config, i)
         phi = approximants.resolvent_family(a)
-        eye = np.eye(config.dim)
         for t in config.ts:
             rid = f"chernoff_product/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(a, t)
-            cells = []
-            for n in ns:
+            cells = product_cells[rid] = []
+            for n in _n_grid(config):
                 step = phi(t / n)
                 power = linalg.mat_pow(step, n)
-                partner = linalg.expm(n * (step - eye))
-                emp = linalg.op_norm(power - partner)
+                emp = linalg.op_norm(power - linalg.expm(n * (step - eye)))
                 bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
                 records.append(make_record(rid, n, t, emp, bound))
                 cells.append((n, linalg.op_norm(power - ref)))
-            product_cells[rid] = cells
     extras = {"product_error_final": {k: v[-1][1] for k, v in product_cells.items()}}
     fits = _fit_groups(product_cells, config.fit_min_n)
     if fits:
@@ -268,9 +299,7 @@ def _run_chernoff_product(config: ExperimentConfig):
 
 
 def _run_trotter_product(config: ExperimentConfig):
-    ns = pow2_grid(config.nmax)
     records = []
-    slopes: dict[str, list[tuple[int, float]]] = {}
     for i in range(config.trials):
         seed = ensembles.child_seed(config.seed, i)
         rng = np.random.default_rng(seed & ((1 << 64) - 1))
@@ -281,92 +310,47 @@ def _run_trotter_product(config: ExperimentConfig):
             label = "commuting"
         else:
             a = ensembles.random_m_sectorial(config.dim, 0.0, seed)
-            b = ensembles.random_m_sectorial(config.dim, 0.0, ensembles.child_seed(config.seed, 10_000 + i))
+            seed_b = ensembles.child_seed(config.seed, 10_000 + i)
+            b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
             label = "noncommuting"
         pair = approximants.GeneratorPair(a, b)
         for t in config.ts:
             rid = f"trotter_product/{label}/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(pair.sum, t)
-            cells = []
-            for n in ns:
+            for n in _n_grid(config):
                 emp = approximants.approx_error(approximants.trotter_approx(pair, t, n), ref)
                 # commuting factors make the product exact; otherwise only the
                 # trivial contraction-difference bound 2 is available here
-                bound = 0.0 if commuting else 2.0
-                records.append(make_record(rid, n, t, emp, bound))
-                cells.append((n, emp))
-            if not commuting:
-                slopes[rid] = cells
-    extras = {"noncommuting_rate_fits": _fit_groups(slopes, config.fit_min_n)}
-    return records, extras
+                records.append(make_record(rid, n, t, emp, 0.0 if commuting else 2.0))
+    fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
+    return records, {"noncommuting_rate_fits": fits}
 
 
-def _certified_resolvent_draw(config: ExperimentConfig, i: int):
-    """One resolvent contraction with its certification outcome."""
-    seed = ensembles.child_seed(config.seed, i)
-    a = ensembles.random_m_sectorial(config.dim, config.alpha, seed)
-    t_res = config.ts[i % len(config.ts)]
-    c = ensembles.resolvent_contraction(a, t_res)
-    cert = numrange.certify_quasi_sectorial(c, config.alpha, 256)
-    return c, t_res, cert
-
-
-def _run_ritt(config: ExperimentConfig):
-    k_val = bounds.k_alpha(config.alpha).value
+def _run_power_norms(config: ExperimentConfig):
+    """ritt: ||C^n - C^(n+1)|| <= K/(n+1); norm_chernoff: ||C^n - e^{n(C-1)}|| <= L n^(-1/3)."""
+    ritt = config.kind == "ritt"
+    draws, failures = _resolvent_draws(config)
     records = []
-    failures = 0
-    for i in range(config.trials):
-        c, t_res, cert = _certified_resolvent_draw(config, i)
-        if not cert.passed:
-            failures += 1
-            continue
-        rid = f"ritt/d{i:03d}/t{t_res:g}"
-        eye = np.eye(config.dim)
-        if config.n_mode == "all":
-            power = c.copy()
-            for n in range(1, config.nmax + 1):
-                nxt = power @ c
-                records.append(make_record(rid, n, t_res, linalg.op_norm(power - nxt), k_val / (n + 1)))
-                power = nxt
+    for i, c, t_res in draws:
+        rid = f"{config.kind}/d{i:03d}/t{t_res:g}"
+        if ritt:
+            for n, (cn,), (nxt,) in _powers((c,), _n_grid(config), step=True):
+                bound = bounds.ritt_bound(n, config.alpha)
+                records.append(make_record(rid, n, t_res, linalg.op_norm(cn - nxt), bound))
         else:
-            for n, cn, _ in _power_pairs(c, c, pow2_grid(config.nmax)):
-                emp = linalg.op_norm(cn - cn @ c)
-                records.append(make_record(rid, n, t_res, emp, k_val / (n + 1)))
-    return records, {"k_alpha": k_val, "certification_failures": failures}
-
-
-def _run_norm_chernoff(config: ExperimentConfig):
-    l_val = bounds.l_alpha(config.alpha)
-    records = []
-    failures = 0
-    flagged = []
-    for i in range(config.trials):
-        c, t_res, cert = _certified_resolvent_draw(config, i)
-        if not cert.passed:
-            failures += 1
-            continue
-        rid = f"norm_chernoff/d{i:03d}/t{t_res:g}"
-        e = linalg.expm(c - np.eye(config.dim))
-        if config.n_mode == "all":
-            cn, en = c.copy(), e.copy()
-            for n in range(1, config.nmax + 1):
-                rec = make_record(rid, n, t_res, linalg.op_norm(cn - en), l_val / n ** (1.0 / 3.0))
-                records.append(rec)
-                if not rec.passed and n < 8:
-                    flagged.append((rid, n))
-                cn, en = cn @ c, en @ e
-        else:
-            for n, cn, en in _power_pairs(c, e, pow2_grid(config.nmax)):
-                rec = make_record(rid, n, t_res, linalg.op_norm(cn - en), l_val / n ** (1.0 / 3.0))
-                records.append(rec)
-                if not rec.passed and n < 8:
-                    flagged.append((rid, n))
-    extras = {
-        "l_alpha": l_val,
+            e = linalg.expm(c - np.eye(config.dim))
+            for n, (cn, en), _ in _powers((c, e), _n_grid(config)):
+                bound = bounds.norm_chernoff_bound(n, config.alpha)
+                records.append(make_record(rid, n, t_res, linalg.op_norm(cn - en), bound))
+    if ritt:
+        k_val = bounds.k_alpha(config.alpha).value
+        return records, {"k_alpha": k_val, "certification_failures": failures}
+    flagged = [(r.experiment_id, r.n) for r in records if not r.passed and r.n < 8]
+    return records, {
+        "l_alpha": bounds.l_alpha(config.alpha),
         "certification_failures": failures,
         "flagged_below_threshold": flagged,
     }
-    return records, extras
 
 
 def _run_selfadjoint(config: ExperimentConfig):
@@ -375,195 +359,133 @@ def _run_selfadjoint(config: ExperimentConfig):
         spectrum = np.linspace(0.0, 1.0, config.dim)
         c = ensembles.self_adjoint_contraction(spectrum, ensembles.child_seed(config.seed, i))
         e = linalg.expm(c - np.eye(config.dim))
-        for n, cn, en in _power_pairs(c, e, pow2_grid(config.nmax)):
-            records.append(
-                make_record(
-                    f"selfadjoint/d{i:03d}/ritt", n, 0.0,
-                    linalg.op_norm(cn - cn @ c), bounds.selfadjoint_ritt_bound(n),
-                )
-            )
-            records.append(
-                make_record(
-                    f"selfadjoint/d{i:03d}/chernoff", n, 0.0,
-                    linalg.op_norm(cn - en), bounds.selfadjoint_chernoff_bound(n),
-                )
-            )
+        rid = f"selfadjoint/d{i:03d}"
+        for n, (cn, en), (nxt, _) in _powers((c, e), _n_grid(config), step=True):
+            bound = bounds.selfadjoint_ritt_bound(n)
+            records.append(make_record(f"{rid}/ritt", n, 0.0, linalg.op_norm(cn - nxt), bound))
+            bound = bounds.selfadjoint_chernoff_bound(n)
+            records.append(make_record(f"{rid}/chernoff", n, 0.0, linalg.op_norm(cn - en), bound))
     return records, {}
 
 
-def _sector_certified_generator(config: ExperimentConfig, i: int):
-    a = ensembles.random_m_sectorial(config.dim, config.alpha, ensembles.child_seed(config.seed, i))
-    pts = numrange.numerical_range_boundary(a, 256)
-    ok = bool(np.all(numrange.in_sector(pts, config.alpha)))
-    return a, ok
-
-
-def _run_euler(config: ExperimentConfig, rate_focus: bool = False):
+def _run_euler(config: ExperimentConfig):
+    """euler and euler_rate: the resolvent powers (1 + tA/n)^(-n) against e^{-tA}."""
+    draws, failures = _sector_draws(config)
     records = []
-    failures = 0
-    cells: dict[str, list[tuple[int, float]]] = {}
-    nonmonotone = 0
-    ns = pow2_grid(config.nmax)
-    for i in range(config.trials):
-        a, ok = _sector_certified_generator(config, i)
-        if not ok:
-            failures += 1
-            continue
+    for i, a in draws:
         for t in config.ts:
-            rid = f"{'euler_rate' if rate_focus else 'euler'}/d{i:03d}/t{t:g}"
+            rid = f"{config.kind}/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(a, t)
-            group = []
-            for n in ns:
+            for n in _n_grid(config):
                 emp = approximants.approx_error(approximants.euler_approx(a, t, n), ref)
                 records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
-                if group and emp > group[-1][1] + 1e-12:
-                    nonmonotone += 1
-                group.append((n, emp))
-            cells[rid] = group
-    extras = {
+    cells = _cells(records)
+    nonmonotone = sum(
+        e1 > e0 + 1e-12 for group in cells.values() for (_, e0), (_, e1) in zip(group, group[1:])
+    )
+    return records, {
         "euler_upper_constant": bounds.euler_upper_constant(config.alpha),
         "certification_failures": failures,
         "rate_fits": _fit_groups(cells, config.fit_min_n),
         # monotone decay in n is observed and reported, never asserted
         "monotonicity_violations": nonmonotone,
     }
-    return records, extras
 
 
 def _run_dunford_segal(config: ExperimentConfig):
-    l_val = bounds.l_alpha(config.alpha)
-    cos2 = math.cos(config.alpha) ** 2
+    draws, failures = _sector_draws(config)
     records = []
-    failures = 0
-    n_hat = 0.0
-    cells: dict[str, list[tuple[int, float]]] = {}
     two_step: dict[str, list[tuple[int, float, float]]] = {}
-    for i in range(config.trials):
-        a, ok = _sector_certified_generator(config, i)
-        if not ok:
-            failures += 1
-            continue
+    for i, a in draws:
         for t in config.ts:
             rid = f"dunford_segal/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(a, t)
-            group = []
-            steps = []
-            for n in pow2_grid(config.nmax):
+            steps = two_step[rid] = []
+            for n in _n_grid(config):
                 step = ensembles.semigroup_step(a, t, n)
-                cert = numrange.certify_quasi_sectorial(step, config.alpha, 64)
-                if not cert.passed:
+                if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
                     failures += 1
                     continue
                 ds = approximants.dunford_segal_approx(a, t, n)
                 emp = approximants.approx_error(ds, ref)
-                records.append(make_record(rid, n, t, emp, l_val / n ** (1.0 / 3.0)))
-                group.append((n, emp))
-                term1 = linalg.op_norm(linalg.mat_pow(step, n) - ds)
-                steps.append((n, term1, emp))
-                n_hat = max(n_hat, n * cos2 * emp)
-            cells[rid] = group
-            two_step[rid] = steps
-    extras = {
-        "l_alpha": l_val,
+                bound = bounds.norm_chernoff_bound(n, config.alpha)
+                records.append(make_record(rid, n, t, emp, bound))
+                steps.append((n, linalg.op_norm(linalg.mat_pow(step, n) - ds), emp))
+    cos2 = math.cos(config.alpha) ** 2
+    return records, {
+        "l_alpha": bounds.l_alpha(config.alpha),
         "certification_failures": failures,
-        "empirical_N_hat": n_hat,
-        "rate_fits": _fit_groups(cells, config.fit_min_n),
+        "empirical_N_hat": max([0.0] + [r.n * cos2 * r.empirical for r in records]),
+        "rate_fits": _fit_groups(_cells(records), config.fit_min_n),
         "two_step_terms": two_step,
     }
-    return records, extras
 
 
 def _run_tnk_equivalence(config: ExperimentConfig):
+    """Resolvent and semigroup of the discrete generator at s = 2^-k, k = 1..k_max."""
     records = []
-    res_cells: dict[str, list[tuple[int, float]]] = {}
     k_max = min(12, max(5, int(math.log2(max(config.nmax, 32)))))
     t_semi = config.ts[0]
+    eye = np.eye(config.dim)
     for i in range(config.trials):
-        a = ensembles.random_m_sectorial(config.dim, config.alpha, ensembles.child_seed(config.seed, i))
+        a = _sectorial(config, i)
         phi = approximants.resolvent_family(a)
-        eye = np.eye(config.dim)
         norm_a_sq = linalg.op_norm(a) ** 2
         res_ref = linalg.inverse(eye + a)
         semi_ref = approximants.reference_semigroup(a, t_semi)
-        rid_res = f"tnk/d{i:03d}/resolvent"
-        rid_semi = f"tnk/d{i:03d}/semigroup"
-        group = []
         for k in range(1, k_max + 1):
             s = 2.0 ** (-k)
             x_s = approximants.discrete_generator(phi, s, 1)
-            emp_res = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
-            records.append(make_record(rid_res, 2**k, s, emp_res, s * norm_a_sq))
-            emp_semi = linalg.op_norm(linalg.expm(-t_semi * x_s) - semi_ref)
-            records.append(make_record(rid_semi, 2**k, s, emp_semi, t_semi * s * norm_a_sq))
-            group.append((2**k, emp_res))
-        res_cells[rid_res] = group
-    return records, {"resolvent_rate_fits": _fit_groups(res_cells, config.fit_min_n)}
+            emp = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
+            records.append(make_record(f"tnk/d{i:03d}/resolvent", 2**k, s, emp, s * norm_a_sq))
+            emp = linalg.op_norm(linalg.expm(-t_semi * x_s) - semi_ref)
+            bound = t_semi * s * norm_a_sq
+            records.append(make_record(f"tnk/d{i:03d}/semigroup", 2**k, s, emp, bound))
+    fits = _fit_groups(_cells(records, "/resolvent"), config.fit_min_n)
+    return records, {"resolvent_rate_fits": fits}
 
 
 def _run_contour_reconstruction(config: ExperimentConfig):
+    draws, failures = _resolvent_draws(config)
     records = []
-    failures = 0
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)
     windings = []
     majorant_worst = 0.0
-    for i in range(config.trials):
-        c, t_res, cert = _certified_resolvent_draw(config, i)
-        if not cert.passed:
-            failures += 1
-            continue
+    eye = np.eye(config.dim)
+    ns = _n_grid(config, cap=16)
+    fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
+    fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
+    for i, c, t_res in draws:
         nodes = contour.build_contour(alpha_prime)
         windings.append(abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0))
-        eye = np.eye(config.dim)
-        ns_here = pow2_grid(min(config.nmax, 16))
-        fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns_here]
-        fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns_here]
         got_all = contour.riesz_dunford_many(fs, c, nodes)
-        for idx, n in enumerate(ns_here):
+        for idx, n in enumerate(ns):
             cn = linalg.mat_pow(c, n)
-            records.append(
-                make_record(
-                    f"contour/d{i:03d}/ritt", n, t_res,
-                    linalg.op_norm(got_all[idx] - cn @ (eye - c)), 1e-7,
-                )
-            )
-            records.append(
-                make_record(
-                    f"contour/d{i:03d}/gap", n, t_res,
-                    linalg.op_norm(got_all[idx + len(ns_here)] - (cn - linalg.expm(n * (c - eye)))), 1e-7,
-                )
-            )
+            emp = linalg.op_norm(got_all[idx] - cn @ (eye - c))
+            records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, emp, 1e-7))
+            emp = linalg.op_norm(got_all[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
+            records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, emp, 1e-7))
         report = contour.contour_norm_bound_check(c, config.alpha, alpha_prime, 4)
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
-    extras = {
+    return records, {
         "alpha_prime": alpha_prime,
         "certification_failures": failures,
         "max_winding_error": max(windings) if windings else 0.0,
         "worst_majorant_ratio": majorant_worst,
     }
-    return records, extras
 
 
 def _run_poisson_split(config: ExperimentConfig):
     records = []
-    ns = [n for n in pow2_grid(min(config.nmax, 128))]
+    ns = _n_grid(config, cap=128)
     for n in ns:
-        second = poisson.poisson_second_moment(n)
-        records.append(
-            make_record("poisson_split/second_moment", n, 0.0, abs(second - n), 1e-8 * n)
-        )
-        records.append(
-            make_record(
-                "poisson_split/first_abs_moment", n, 0.0,
-                poisson.poisson_first_abs_moment(n), math.sqrt(n),
-            )
-        )
+        emp = abs(poisson.poisson_second_moment(n) - n)
+        records.append(make_record("poisson_split/second_moment", n, 0.0, emp, 1e-8 * n))
+        emp = poisson.poisson_first_abs_moment(n)
+        records.append(make_record("poisson_split/first_abs_moment", n, 0.0, emp, math.sqrt(n)))
         for eps in config.ts:
-            records.append(
-                make_record(
-                    "poisson_split/tail", n, eps,
-                    poisson.poisson_tail(n, eps), poisson.tchebychev_bound(n, eps),
-                )
-            )
+            emp, bound = poisson.poisson_tail(n, eps), poisson.tchebychev_bound(n, eps)
+            records.append(make_record("poisson_split/tail", n, eps, emp, bound))
     for i in range(config.trials):
         c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
         x = _unit_vectors(config.dim, 1, ensembles.child_seed(config.seed, 10_000 + i))[0]
@@ -577,34 +499,17 @@ def _run_poisson_split(config: ExperimentConfig):
     return records, {}
 
 
-def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) -> dict:
-    fits = {}
-    for rid, cells in groups.items():
-        try:
-            est = fit_rate(cells, fit_min_n=fit_min_n)
-        except InsufficientDataError:
-            continue
-        fits[rid] = {
-            "exponent_p": est.exponent_p,
-            "prefactor": est.prefactor,
-            "r_squared": est.r_squared,
-            "n_range": list(est.n_range),
-            "dropped": est.dropped,
-        }
-    return fits
-
-
 _RUNNERS = {
     "sqrt_n": _run_vector_bounds,
     "cbrt_n": _run_vector_bounds,
     "telescopic": _run_vector_bounds,
     "chernoff_product": _run_chernoff_product,
     "trotter_product": _run_trotter_product,
-    "ritt": _run_ritt,
-    "norm_chernoff": _run_norm_chernoff,
+    "ritt": _run_power_norms,
+    "norm_chernoff": _run_power_norms,
     "selfadjoint": _run_selfadjoint,
     "euler": _run_euler,
-    "euler_rate": lambda config: _run_euler(config, rate_focus=True),
+    "euler_rate": _run_euler,
     "dunford_segal": _run_dunford_segal,
     "tnk_equivalence": _run_tnk_equivalence,
     "contour_reconstruction": _run_contour_reconstruction,

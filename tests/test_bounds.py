@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -177,15 +176,19 @@ def test_bounds_monotone_in_distance_arguments():
         assert bounds.cbrt_vector_bound(n, eps, d + step, d) >= bounds.cbrt_vector_bound(n, eps, d, d)
 
 
-def test_bound_spec_serialization():
-    spec = bounds.evaluate_bound("sqrt_n", n=4, d1=0.5)
-    assert spec.value == pytest.approx(1.0)
-    blob = json.dumps(spec.to_json())
-    again = bounds.BoundSpec.from_json(json.loads(blob))
-    assert again == spec
-    assert set(spec.to_json()) == {"name", "inputs", "value", "paper_tag"}
-    for name in bounds.BOUND_NAMES:
-        assert isinstance(name, str)
+def test_closed_forms_match_their_definitions():
+    for n in (1, 7, 64, 4096):
+        for d1 in (1e-3, 0.4, 2.0):
+            eps = bounds.epsilon_star(n, 1.0, d1)
+            split = bounds.cbrt_vector_bound(n, eps, 1.0, d1)
+            assert bounds.cbrt_closed_bound(n, 1.0, d1) == pytest.approx(split, rel=1e-12)
+        for alpha in (0.0, math.pi / 8, 1.2):
+            k = bounds.k_alpha(alpha).value
+            assert bounds.ritt_bound(n, alpha) == k / (n + 1)
+    with pytest.raises(DomainError):
+        bounds.cbrt_closed_bound(4, 1.0, -0.1)
+    with pytest.raises(DomainError):
+        bounds.ritt_bound(0, 0.3)
 
 
 def test_bounds_nonnegative_and_finite():

@@ -48,10 +48,10 @@ def test_verify_reproducible_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_rate_subcommand(tmp_path):
+def test_verify_fit_min_n(tmp_path):
     out = tmp_path / "rate.json"
     proc = run_cli(
-        "rate", "euler_rate", "--dim", "3", "--trials", "2", "--nmax", "1024",
+        "verify", "euler_rate", "--dim", "3", "--trials", "2", "--nmax", "1024",
         "--alpha", str(math.pi / 16), "--fit-min-n", "2", "--format", "json",
         "--out", str(out),
     )
@@ -107,10 +107,13 @@ def test_usage_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("numrange", "--input", str(bad), "--alpha", "0.1").returncode == 2
+    # arguments outside a formula's domain are usage errors, not violated bounds
+    assert run_cli("constants", "--alpha", "2").returncode == 2
+    assert run_cli("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
 
 
 def test_console_help():
     proc = run_cli("--help")
     assert proc.returncode == 0
-    for sub in ("verify", "rate", "numrange", "constants", "report"):
+    for sub in ("verify", "numrange", "constants", "report"):
         assert sub in proc.stdout

@@ -1,0 +1,59 @@
+"""Golden reports: the CSV and JSON bytes of every experiment kind are pinned.
+
+The files under ``tests/golden/`` hold the reports of small configs, one per
+kind plus the full n-grid of ``ritt`` and ``norm_chernoff``.  A change to the
+harness that alters any verdict, number, record order or summary key shows up
+here as a byte difference.  Rewrite the files only when a report is meant to
+change, with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import math
+import pathlib
+
+import pytest
+
+from semiapprox import report
+from semiapprox.harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _config(kind, **kw):
+    ts = (1.5, 3.0) if kind == "poisson_split" else (0.5, 2.0)
+    base = dict(kind=kind, dim=4, alpha=math.pi / 8, seed=20_240_517, trials=2,
+                nmax=16, ts=ts, vectors=3)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+CASES = {kind: _config(kind) for kind in EXPERIMENT_KINDS}
+CASES["ritt_all"] = _config("ritt", dim=3, n_mode="all")
+CASES["norm_chernoff_all"] = _config("norm_chernoff", dim=3, n_mode="all")
+
+
+def _reports(config):
+    result = run_experiment(config)
+    return {
+        fmt: report.emit_report(result.records, fmt, summary=result.summary)
+        for fmt in ("csv", "json")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name):
+    for fmt, data in _reports(CASES[name]).items():
+        assert data == (GOLDEN / f"{name}.{fmt}").read_bytes(), f"{name}.{fmt}"
+
+
+def test_selfadjoint_full_grid():
+    result = run_experiment(_config("selfadjoint", n_mode="all"))
+    for suffix in ("ritt", "chernoff"):
+        ns = [r.n for r in result.records if r.experiment_id == f"selfadjoint/d000/{suffix}"]
+        assert ns == list(range(1, 17))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, config in sorted(CASES.items()):
+        for fmt, data in _reports(config).items():
+            (GOLDEN / f"{name}.{fmt}").write_bytes(data)

@@ -88,6 +88,8 @@ def test_config_validation():
         ExperimentConfig(kind="not_a_kind")
     with pytest.raises(InvalidInputError):
         ExperimentConfig(kind="sqrt_n", n_mode="weird")
+    with pytest.raises(InvalidInputError):
+        ExperimentConfig(kind="tnk_equivalence", n_mode="all")
 
 
 def small_config(kind, **kw):
