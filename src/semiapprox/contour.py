@@ -24,6 +24,7 @@ from .errors import ContourTooCloseError, DomainError, InvalidInputError
 from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_BLOCK = 64  # contour nodes per stacked resolvent solve
 
 SEGMENT_LINE_MINUS = "line_minus"
 SEGMENT_ARC = "arc"
@@ -122,63 +123,63 @@ def winding_number(contour: ContourNodes, z0: complex) -> complex:
     return complex(np.sum(contour.dz_weight / (contour.z - z0)) / (2j * math.pi))
 
 
-def _resolvent(z: complex, c: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    try:
-        r = np.linalg.solve(z * eye - c, eye)
-    except np.linalg.LinAlgError as exc:
-        raise ContourTooCloseError(f"resolvent singular at contour node z={z}") from exc
-    if not np.all(np.isfinite(r)) or np.linalg.norm(r) > 1e15:
-        raise ContourTooCloseError(f"resolvent blow-up at contour node z={z}")
-    return r
+def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
+    """Yield (nodes, (z - C)^{-1} stacked over them) for consecutive node blocks.
+
+    Each block is one stacked solve; a block of _BLOCK nodes holds 1 MiB of
+    resolvents at dimension 32.
+    """
+    eye = np.eye(c.shape[0], dtype=np.complex128)
+    for start in range(0, len(contour), _BLOCK):
+        nodes = slice(start, start + _BLOCK)
+        z = contour.z[nodes]
+        try:
+            r = np.linalg.solve(z[:, None, None] * eye - c, eye)
+        except np.linalg.LinAlgError as exc:
+            raise ContourTooCloseError(
+                f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
+            ) from exc
+        # a non-finite resolvent has a NaN or infinite norm, which fails <=
+        bad = np.flatnonzero(~(np.linalg.norm(r, axis=(1, 2)) <= 1e15))
+        if bad.size:
+            raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
+        yield nodes, r
 
 
 def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes) -> list[np.ndarray]:
-    eye = np.eye(c.shape[0], dtype=np.complex128)
-    accs = [np.zeros_like(eye) for _ in fs]
-    for z, w in zip(contour.z, contour.dz_weight):
-        res = _resolvent(z, c, eye)
-        for f, acc in zip(fs, accs):
-            acc += (f(z) * w) * res
+    accs = [np.zeros(c.shape, dtype=np.complex128) for _ in fs]
+    for nodes, block in _resolvent_blocks(c, contour):
+        for z, w, res in zip(contour.z[nodes], contour.dz_weight[nodes], block):
+            for f, acc in zip(fs, accs):
+                acc += (f(z) * w) * res
     return [acc / (2j * math.pi) for acc in accs]
 
 
-def riesz_dunford_many(
-    fs,
-    c,
-    contour: ContourNodes,
-    tol: float = CONTOUR_QUAD_TOL,
-    node_cap: int = CONTOUR_NODE_CAP,
-) -> list[np.ndarray]:
+def riesz_dunford_many(fs, c, contour: ContourNodes) -> list[np.ndarray]:
     """Evaluate several functions of C on a shared resolvent sweep.
 
     The node set is doubled until every result agrees with its previous
-    refinement to ``tol`` in spectral norm (or the node budget is exhausted,
-    in which case the last refinement is returned).
+    refinement to CONTOUR_QUAD_TOL in spectral norm.  Raises
+    ContourTooCloseError when that takes more than CONTOUR_NODE_CAP nodes.
     """
     a = linalg.as_operator(c)
-    current = contour
-    results = _evaluate_many(fs, a, current)
+    results = _evaluate_many(fs, a, contour)
     while True:
-        refined = build_contour(current.alpha_prime, 2 * current.k_arc, 2 * current.k_line)
-        results2 = _evaluate_many(fs, a, refined)
-        if all(
-            linalg.op_norm(r2 - r1) < tol for r1, r2 in zip(results, results2)
-        ):
-            return results2
-        if len(refined) * 2 > node_cap:
-            return results2
-        current, results = refined, results2
+        contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
+        refined = _evaluate_many(fs, a, contour)
+        if all(linalg.op_norm(r2 - r1) < CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
+            return refined
+        if len(contour) * 2 > CONTOUR_NODE_CAP:
+            raise ContourTooCloseError(
+                f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
+                f"after {len(contour)} nodes (budget {CONTOUR_NODE_CAP})"
+            )
+        results = refined
 
 
-def riesz_dunford(
-    f,
-    c,
-    contour: ContourNodes,
-    tol: float = CONTOUR_QUAD_TOL,
-    node_cap: int = CONTOUR_NODE_CAP,
-) -> np.ndarray:
+def riesz_dunford(f, c, contour: ContourNodes) -> np.ndarray:
     """f(C) = (1/2 pi i) * contour integral of f(z) (z - C)^{-1} dz."""
-    return riesz_dunford_many([f], c, contour, tol=tol, node_cap=node_cap)[0]
+    return riesz_dunford_many([f], c, contour)[0]
 
 
 @dataclass
@@ -196,9 +197,7 @@ class ContourCheckReport:
     passed: bool
 
 
-def contour_norm_bound_check(
-    c, alpha: float, alpha_prime: float, n: int, k_arc: int = 32, k_line: int = 16
-) -> ContourCheckReport:
+def contour_norm_bound_check(c, alpha: float, alpha_prime: float, n: int) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
     On the arc the majorant is 1/(cos(alpha') sin(alpha' - alpha)); on the
@@ -210,24 +209,21 @@ def contour_norm_bound_check(
     if not 0.0 <= alpha < alpha_prime < math.pi / 2:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
     a = linalg.as_operator(c)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    contour = build_contour(alpha_prime, k_arc, k_line)
-
+    contour = build_contour(alpha_prime)
+    rnorm = np.concatenate(
+        [np.linalg.norm(r, 2, axis=(1, 2)) for _, r in _resolvent_blocks(a, contour)]
+    )
+    z = contour.z
+    arc = contour.segments == SEGMENT_ARC
     sin_gap = math.sin(alpha_prime - alpha)
     arc_major = 1.0 / (math.cos(alpha_prime) * sin_gap)
-    worst_arc = 0.0
-    worst_lines = 0.0
-    worst_dist = 0.0
-    max_gap = 0.0
-    for z, seg in zip(contour.z, contour.segments):
-        rnorm = linalg.op_norm(_resolvent(z, a, eye))
-        if seg == SEGMENT_ARC:
-            worst_arc = max(worst_arc, rnorm / arc_major)
-        else:
-            worst_lines = max(worst_lines, rnorm * abs(1.0 - z) * sin_gap)
-        dist = float(numrange.distance_to_D_alpha(z, alpha))
-        worst_dist = max(worst_dist, rnorm * dist)
-        max_gap = max(max_gap, abs(z**n - np.exp(n * (z - 1.0))))
+    # np.hypot, not np.abs: it rounds |w| as the scalar abs does
+    w = (1.0 - z)[~arc]
+    worst_arc = float(np.max(rnorm[arc] / arc_major))
+    worst_lines = float(np.max(rnorm[~arc] * np.hypot(w.real, w.imag) * sin_gap))
+    worst_dist = float(np.max(rnorm * numrange.distance_to_D_alpha(z, alpha)))
+    gap = z**n - np.exp(n * (z - 1.0))
+    max_gap = float(np.max(np.hypot(gap.real, gap.imag)))
 
     passed = max(worst_arc, worst_lines) <= 1.0 + 1e-8 and worst_dist <= 1.0 + 1e-6
     return ContourCheckReport(

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from semiapprox import report
+from semiapprox import cli, contour, report
 
 CLI = [sys.executable, "-m", "semiapprox"]
 
@@ -110,6 +110,15 @@ def test_usage_errors_exit_two(tmp_path):
     # arguments outside a formula's domain are usage errors, not violated bounds
     assert run_cli("constants", "--alpha", "2").returncode == 2
     assert run_cli("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
+
+
+def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
+    # a zero tolerance never converges, so the node budget runs out
+    monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
+    monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
+    argv = ["verify", "contour_reconstruction", "--dim", "2", "--trials", "1", "--nmax", "2",
+            "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 2
 
 
 def test_console_help():

@@ -138,3 +138,12 @@ def test_spectrum_on_node_raises_too_close():
     c = z0 * np.eye(2, dtype=complex)
     with pytest.raises(contour.ContourTooCloseError):
         contour.riesz_dunford(lambda z: 1.0, c, nodes)
+
+
+def test_unconverged_quadrature_raises(monkeypatch):
+    # a zero tolerance never converges, so the node budget runs out
+    monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
+    monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
+    c = certified_resolvent(3, math.pi / 8, 3000)
+    with pytest.raises(contour.ContourTooCloseError, match="4096 nodes"):
+        contour.riesz_dunford(lambda z: z, c, contour.build_contour(1.0))
