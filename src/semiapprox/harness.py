@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
+        if not all(math.isfinite(t) for t in self.ts):
+            raise InvalidInputError(f"t values must be finite, got {self.ts}")
         if self.kind == "tnk_equivalence" and self.n_mode == "all":
             # this kind sweeps the step s = 2^-k, not n
             raise InvalidInputError("tnk_equivalence has no n-grid; n_mode must be 'pow2'")

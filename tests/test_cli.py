@@ -110,6 +110,9 @@ def test_usage_errors_exit_two(tmp_path):
     # arguments outside a formula's domain are usage errors, not violated bounds
     assert run_cli("constants", "--alpha", "2").returncode == 2
     assert run_cli("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
+    for bad_t in ("nan", "inf"):
+        proc = run_cli("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
+        assert proc.returncode == 2, bad_t
 
 
 def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):

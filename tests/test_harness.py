@@ -90,6 +90,9 @@ def test_config_validation():
         ExperimentConfig(kind="sqrt_n", n_mode="weird")
     with pytest.raises(InvalidInputError):
         ExperimentConfig(kind="tnk_equivalence", n_mode="all")
+    for bad_t in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(kind="poisson_split", ts=(1.0, bad_t))
 
 
 def small_config(kind, **kw):
