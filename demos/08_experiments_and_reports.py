@@ -4,7 +4,7 @@ The same sweeps are reachable from the command line, e.g.:
 
     semiapprox verify ritt --dim 8 --alpha 0.3926990816987241 --trials 20 \
         --nmax 1024 --out ritt.csv
-    semiapprox rate euler_rate --nmax 1024 --fit-min-n 4 --format json
+    semiapprox verify euler_rate --nmax 1024 --fit-min-n 4 --format json
     semiapprox constants --alpha 0.0
 """
 
