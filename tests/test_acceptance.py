@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from semiapprox import approximants, bounds, contour, ensembles, linalg, numrange, poisson, report
-from semiapprox.harness import ExperimentConfig, fit_rate, pow2_grid, run_experiment
-from semiapprox.tolerances import ABS_SLACK, REL_SLACK
+from semiapprox.harness import ExperimentConfig, _powers, fit_rate, pow2_grid, run_experiment
+from semiapprox.tolerances import ABS_SLACK, passes
 
 SEED = 902_114_400
-
-
-def within_slack(empirical, bound):
-    return empirical <= bound * (1 + REL_SLACK) + ABS_SLACK
 
 
 def crit(number, ok, detail):
@@ -53,10 +49,7 @@ def contraction_sweep():
         d1 = np.linalg.norm(dx1, axis=1)
         d2 = np.linalg.norm(dx2, axis=1)
         d3 = np.linalg.norm(dx3, axis=1)
-        cn, en, cur = c, e, 1
-        for n in ns:
-            while cur < n:
-                cn, en, cur = cn @ cn, en @ en, cur * 2
+        for n, (cn, en), _ in _powers([c, e], ns):
             gaps = np.linalg.norm(((cn - en) @ xs.T).T, axis=1)
             for j in range(20):
                 cells.append((n, float(gaps[j]), float(d1[j]), float(d2[j]), float(d3[j])))
@@ -87,22 +80,17 @@ def sectorial_sweep():
             continue
         eye = np.eye(dim)
         e = linalg.expm(c - eye)
-        p, q = c.copy(), e.copy()
         worst_ritt = 0.0
         worst_gap = 0.0
         gap_violations_low = []  # n < 8
         gap_violations_high = []
-        for n in range(1, 4097):
-            p_next = p @ c
+        for n, (p, q), (p_next, _) in _powers([c, e], range(1, 4097), step=True):
             ritt_val = (n + 1) * linalg.op_norm(p - p_next)
             worst_ritt = max(worst_ritt, ritt_val)
             gap = linalg.op_norm(p - q)
-            bound = (2 * k_vals[alpha] + 2) / n ** (1.0 / 3.0)
-            if not within_slack(gap, bound):
+            if not passes(gap, bounds.norm_chernoff_bound(n, alpha)):
                 (gap_violations_low if n < 8 else gap_violations_high).append(n)
             worst_gap = max(worst_gap, gap * n ** (1.0 / 3.0))
-            p = p_next
-            q = q @ e
         draws.append(
             {
                 "alpha": alpha,
@@ -139,7 +127,7 @@ def test_criterion_01_sqrt_n(contraction_sweep):
     bad = 0
     for n, gap, d1, _, _ in contraction_sweep:
         bound = bounds.sqrt_n_bound(n, d1)
-        if not within_slack(gap, bound):
+        if not passes(gap, bound):
             bad += 1
         if bound > 0:
             worst = max(worst, gap / bound)
@@ -155,15 +143,15 @@ def test_criterion_02_cbrt_n(contraction_sweep):
     worst_closed = worst_two = 0.0
     bad = 0
     for n, gap, d1, _, _ in contraction_sweep:
-        closed = 1.5 * n ** (1 / 3) * (4.0 * 1.0) ** (1 / 3) * d1 ** (2 / 3)
-        if not within_slack(gap, closed):
+        closed = bounds.cbrt_closed_bound(n, 1.0, d1)
+        if not passes(gap, closed):
             bad += 1
         if closed > 0:
             worst_closed = max(worst_closed, gap / closed)
         if d1 > 0:
             star = bounds.epsilon_star(n, 1.0, d1)
             two = bounds.cbrt_vector_bound(n, star, 1.0, d1)
-            if not within_slack(gap, two):
+            if not passes(gap, two):
                 bad += 1
             worst_two = max(worst_two, gap / two)
     # optimality of the split parameter on a sampled sub-grid
@@ -191,7 +179,7 @@ def test_criterion_03_telescopic(contraction_sweep):
     bad = 0
     for n, gap, _, d2, d3 in contraction_sweep:
         bound = bounds.telescopic_bound(n, d2, d3)
-        if not within_slack(gap, bound):
+        if not passes(gap, bound):
             bad += 1
         if bound > 0:
             worst = max(worst, gap / bound)
@@ -229,7 +217,7 @@ def test_criterion_05_ritt(sectorial_sweep):
         if abs(k - float(np.min(vals))) > 1e-6 * k:
             oracle_ok = False
     bad = [
-        d for d in sectorial_sweep["draws"] if not within_slack(d["worst_ritt"], d["k"])
+        d for d in sectorial_sweep["draws"] if not passes(d["worst_ritt"], d["k"])
     ]
     worst = max(d["worst_ritt"] / d["k"] for d in sectorial_sweep["draws"])
     crit(
@@ -245,7 +233,7 @@ def test_criterion_06_norm_chernoff(sectorial_sweep):
     high = [n for d in sectorial_sweep["draws"] for n in d["violations_high"]]
     flagged = [n for d in sectorial_sweep["draws"] for n in d["flagged_low"]]
     worst = max(
-        d["worst_gap_scaled"] / (2 * d["k"] + 2) for d in sectorial_sweep["draws"]
+        d["worst_gap_scaled"] / bounds.l_alpha(d["alpha"]) for d in sectorial_sweep["draws"]
     )
     crit(
         6,
@@ -263,9 +251,7 @@ def test_criterion_07_selfadjoint_rates():
             np.linspace(0.0, 1.0, dim), ensembles.child_seed(SEED, 9000 + i)
         )
         e = linalg.expm(c - np.eye(dim))
-        p, q = c.copy(), e.copy()
-        for n in range(1, 1025):
-            p_next = p @ c
+        for n, (p, q), (p_next, _) in _powers([c, e], range(1, 1025), step=True):
             ritt = linalg.op_norm(p - p_next)
             gap = linalg.op_norm(p - q)
             if ritt > bounds.selfadjoint_ritt_bound(n) + 1e-12:
@@ -274,7 +260,6 @@ def test_criterion_07_selfadjoint_rates():
                 bad += 1
             worst_ritt = max(worst_ritt, ritt * (n + 1))
             worst_gap = max(worst_gap, gap * n * math.e)
-            p, q = p_next, q @ e
     # brute-force scalar maximizer oracle: max_c c^n(1-c) at c = n/(n+1)
     cs = np.linspace(0.0, 1.0, 1_000_001)
     oracle_bad = 0
@@ -304,7 +289,7 @@ def test_criterion_08_euler(m_sectorial_draws):
             for n in pow2_grid(1024):
                 err = approximants.approx_error(approximants.euler_approx(a, t, n), ref)
                 bound = bounds.euler_bound(n, alpha)
-                if not within_slack(err, bound):
+                if not passes(err, bound):
                     bad += 1
                 worst = max(worst, err / bound)
                 if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
@@ -327,7 +312,6 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
     n_hat = 0.0
     cert_failures = 0
     for alpha, a in m_sectorial_draws:
-        l_val = 2 * bounds.k_alpha(alpha).value + 2
         cos2 = math.cos(alpha) ** 2
         for t in (0.5, 1.0, 2.0):
             ref = approximants.reference_semigroup(a, t)
@@ -340,7 +324,7 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
                 err = approximants.approx_error(
                     approximants.dunford_segal_approx(a, t, n), ref
                 )
-                if not within_slack(err, l_val / n ** (1 / 3)):
+                if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
                     bad += 1
                 n_hat = max(n_hat, n * cos2 * err)
                 cells.append((n, err))
