@@ -8,8 +8,9 @@ Subcommands:
     report           merge previously emitted report files
 
 Exit codes: 0 all bound checks passed, 1 some bound violated or a
-certification failed, 2 usage or I/O error, or an argument outside the
-domain of a formula (e.g. alpha >= pi/2, t < 0).
+certification failed, 2 usage or I/O error, an argument outside the domain
+of a formula (e.g. alpha >= pi/2, t < 0, t non-finite), or a numerical
+failure (singular resolvent, unconverged contour quadrature).
 """
 
 from __future__ import annotations
