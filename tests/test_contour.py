@@ -147,3 +147,21 @@ def test_unconverged_quadrature_raises(monkeypatch):
     c = certified_resolvent(3, math.pi / 8, 3000)
     with pytest.raises(contour.ContourTooCloseError, match="4096 nodes"):
         contour.riesz_dunford(lambda z: z, c, contour.build_contour(1.0))
+
+
+def test_resolvent_blocks_match_per_node_solves():
+    # the stacked solves round exactly as one solve per node does
+    c = certified_resolvent(3, math.pi / 8, 3000)
+    nodes = contour.build_contour(1.0)
+    eye = np.eye(3, dtype=complex)
+    got = np.concatenate([r for _, r in contour._resolvent_blocks(c, nodes)])
+    want = np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z])
+    assert np.array_equal(got, want)
+
+
+def test_resolvent_blow_up_raises_too_close():
+    nodes = contour.build_contour(1.0)
+    z0 = complex(nodes.z[100])
+    c = np.diag([z0 + 4e-16, 0.1])
+    with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
+        contour.riesz_dunford(lambda z: 1.0, c, nodes)
