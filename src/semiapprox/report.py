@@ -3,7 +3,8 @@
 CSV columns are exactly ``experiment_id,n,t,empirical,bound,ratio,passed``
 with a header row; JSON reports hold the record array plus a summary object.
 All floats are rendered with 17 significant digits, which round-trips IEEE
-doubles exactly, so identical runs produce identical bytes.
+doubles exactly, so identical runs produce identical bytes.  In JSON an
+integral float keeps a fractional part (``2.0``), so it parses back as a float.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ def _fmt_float(x: float, json_mode: bool = False) -> str:
     if math.isinf(x):
         sign = "-" if x < 0 else ""
         return f"{sign}Infinity" if json_mode else f"{sign}inf"
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    # JSON readers take "2" for an int; integral floats keep a fraction part
+    if json_mode and text.lstrip("-").isdigit():
+        text += ".0"
+    return text
 
 
 def _json_dump(value, parts: list[str]) -> None:

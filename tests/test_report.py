@@ -59,6 +59,20 @@ def test_json_handles_infinite_ratio():
     assert math.isinf(parsed[0].ratio)
 
 
+def test_json_integral_floats_parse_as_floats():
+    rec = make_record("x", 4, 2.0, 0.0, 1.0)
+    data = report.emit_report([rec], "json", summary={"ts": [0.5, 2.0], "count": 1})
+    assert b'"t":2.0' in data and b'"ts":[0.5,2.0]' in data
+    payload = json.loads(data)
+    row = payload["records"][0]
+    assert type(row["n"]) is int
+    assert all(type(row[k]) is float for k in ("t", "empirical", "bound", "ratio"))
+    assert type(payload["summary"]["ts"][1]) is float
+    assert type(payload["summary"]["count"]) is int
+    # CSV keeps the shortest form
+    assert report.emit_report([rec], "csv").decode().splitlines()[1] == "x,4,2,0,1,0,true"
+
+
 def test_empty_records_rejected():
     with pytest.raises(InvalidInputError):
         report.emit_report([], "csv")
