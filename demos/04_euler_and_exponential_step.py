@@ -1,6 +1,8 @@
 """Euler (resolvent-power) and Dunford-Segal (exponential-step) approximants.
 
-Both converge to e^{-tA} at first order in 1/n for sector-confined A; the
+Both are Chernoff pairs: Euler is the power Phi(t/n)^n of the resolvent family
+Phi(s) = (1 + sA)^{-1}, Dunford-Segal the exponential partner e^{n(Phi(t/n)-1)}
+of the semigroup family Phi(s) = e^{-sA}.  Both converge to e^{-tA} at first order in 1/n for sector-confined A; the
 script measures the errors, compares them against the certified ceilings,
 and fits the observed convergence rates.
 """
@@ -15,13 +17,17 @@ a = ensembles.random_m_sectorial(6, alpha, seed=31)
 t = 1.0
 ref = approximants.reference_semigroup(a, t)
 l_val = bounds.l_alpha(alpha)
+resolvent = approximants.resolvent_family(a)
+semigroup = approximants.semigroup_family(a)
 
 print(f"sector semi-angle alpha = pi/4, t = {t}")
 print(f"{'n':>6} {'euler err':>12} {'euler bound':>12} {'ds err':>12} {'L/n^(1/3)':>12}")
 euler_cells, ds_cells = [], []
 for n in pow2_grid(1024):
-    e_err = approximants.approx_error(approximants.euler_approx(a, t, n), ref)
-    d_err = approximants.approx_error(approximants.dunford_segal_approx(a, t, n), ref)
+    euler = approximants.chernoff_power(resolvent(t / n), n)
+    ds = approximants.chernoff_exp(semigroup(t / n), n)
+    e_err = approximants.approx_error(euler, ref)
+    d_err = approximants.approx_error(ds, ref)
     euler_cells.append((n, e_err))
     ds_cells.append((n, d_err))
     print(f"{n:>6} {e_err:>12.2e} {bounds.euler_bound(n, alpha):>12.2e} "

@@ -9,7 +9,6 @@ random ensembles, emitting machine-readable reports.
 """
 
 from . import approximants, bounds, contour, ensembles, harness, linalg, numrange, poisson, report
-from .ensembles import EnsembleSpec
 from .harness import ErrorRecord, ExperimentConfig, RateEstimate, run_experiment
 
 __version__ = "0.1.0"
@@ -24,7 +23,6 @@ __all__ = [
     "numrange",
     "poisson",
     "report",
-    "EnsembleSpec",
     "ErrorRecord",
     "ExperimentConfig",
     "RateEstimate",

@@ -1,9 +1,13 @@
 """Approximation schemes for the matrix semigroup e^{-tA} and their errors.
 
-A ContractionFamily is a closure s -> Phi(s), kept as an evaluator rather
-than a sampled table so that t/n stays exact for large n.  The families
-provided here (exact semigroup steps, resolvents, split-step products) are
-the ones whose powers the bound modules certify.
+Every scheme is a Chernoff pair of one contraction family Phi: the power
+Phi(t/n)^n and its exponential partner e^{n(Phi(t/n) - 1)}.  Euler is the
+power of the resolvent family, Dunford-Segal the partner of the semigroup
+family, Lie-Trotter the power of the split-step family.  A ContractionFamily
+is a closure s -> Phi(s), kept as an evaluator rather than a sampled table so
+that t/n stays exact for large n.  The pair is formed from one evaluated step
+Phi(t/n), so a caller that needs the power and the partner evaluates the step
+once.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ class ContractionFamily:
     """Map s >= 0 -> contraction Phi(s) with Phi(0) = identity."""
 
     evaluator: Callable[[float], np.ndarray]
-    descriptor: str
-    dim: int
 
     def __call__(self, s: float) -> np.ndarray:
         if s < 0.0:
@@ -34,11 +36,7 @@ class ContractionFamily:
 def semigroup_family(a) -> ContractionFamily:
     """Phi(s) = e^{-sA}: the exact semigroup itself."""
     a = linalg.as_operator(a)
-    return ContractionFamily(
-        evaluator=lambda s: linalg.expm(-s * a),
-        descriptor="exp(-sA)",
-        dim=a.shape[0],
-    )
+    return ContractionFamily(lambda s: linalg.expm(-s * a))
 
 
 def resolvent_family(a) -> ContractionFamily:
@@ -46,9 +44,7 @@ def resolvent_family(a) -> ContractionFamily:
     a = linalg.as_operator(a)
     eye = np.eye(a.shape[0])
     return ContractionFamily(
-        evaluator=lambda s: linalg.inverse(eye + s * a) if s > 0.0 else eye.astype(complex),
-        descriptor="(1+sA)^-1",
-        dim=a.shape[0],
+        lambda s: linalg.inverse(eye + s * a) if s > 0.0 else eye.astype(complex)
     )
 
 
@@ -57,16 +53,7 @@ def trotter_family(a, b) -> ContractionFamily:
     a = linalg.as_operator(a)
     b = linalg.as_operator(b)
     linalg.check_same_dim(a, b)
-    return ContractionFamily(
-        evaluator=lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b),
-        descriptor="exp(-sA)exp(-sB)",
-        dim=a.shape[0],
-    )
-
-
-def identity_family(dim: int) -> ContractionFamily:
-    eye = np.eye(dim, dtype=np.complex128)
-    return ContractionFamily(evaluator=lambda s: eye.copy(), descriptor="identity", dim=dim)
+    return ContractionFamily(lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b))
 
 
 @dataclass
@@ -91,32 +78,15 @@ def reference_semigroup(a, t: float) -> np.ndarray:
     return linalg.expm(-t * linalg.as_operator(a))
 
 
-def euler_approx(a, t: float, n: int) -> np.ndarray:
-    """(1 + (t/n) A)^{-n}: the resolvent-power (Euler) approximant."""
-    a = linalg.as_operator(a)
-    _check_tn(t, n)
-    step = linalg.inverse(np.eye(a.shape[0]) + (t / n) * a)
+def chernoff_power(step, n: int) -> np.ndarray:
+    """Phi(t/n)^n from the step Phi(t/n)."""
+    _check_n(n)
     return linalg.mat_pow(step, n)
 
 
-def dunford_segal_approx(a, t: float, n: int) -> np.ndarray:
-    """exp(-n (1 - e^{-tA/n})): the exponential-of-semigroup-step approximant."""
-    a = linalg.as_operator(a)
-    _check_tn(t, n)
-    step = linalg.expm(-(t / n) * a)
-    return linalg.expm(-n * (np.eye(a.shape[0]) - step))
-
-
-def chernoff_power(phi: ContractionFamily, t: float, n: int) -> np.ndarray:
-    """Phi(t/n)^n."""
-    _check_tn(t, n)
-    return linalg.mat_pow(phi(t / n), n)
-
-
-def chernoff_exp(phi: ContractionFamily, t: float, n: int) -> np.ndarray:
-    """exp(n (Phi(t/n) - 1)), the exponential partner of Phi(t/n)^n."""
-    _check_tn(t, n)
-    step = phi(t / n)
+def chernoff_exp(step, n: int) -> np.ndarray:
+    """exp(n (Phi(t/n) - 1)) from the step Phi(t/n): the exponential partner."""
+    _check_n(n)
     return linalg.expm(n * (step - np.eye(step.shape[0])))
 
 
@@ -124,19 +94,10 @@ def discrete_generator(phi: ContractionFamily, s: float, n: int) -> np.ndarray:
     """(1 - Phi(s/n)) / (s/n), the bounded approximation of the generator."""
     if s <= 0.0:
         raise DomainError(f"s must be positive, got {s}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_n(n)
     h = s / n
     step = phi(h)
     return (np.eye(step.shape[0]) - step) / h
-
-
-def trotter_approx(pair: GeneratorPair, t: float, n: int) -> np.ndarray:
-    """(e^{-tA/n} e^{-tB/n})^n."""
-    _check_tn(t, n)
-    h = t / n
-    step = linalg.expm(-h * pair.a) @ linalg.expm(-h * pair.b)
-    return linalg.mat_pow(step, n)
 
 
 def approx_error(approx, reference) -> float:
@@ -147,8 +108,6 @@ def approx_error(approx, reference) -> float:
     return linalg.op_norm(x - y)
 
 
-def _check_tn(t: float, n: int) -> None:
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+def _check_n(n: int) -> None:
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")

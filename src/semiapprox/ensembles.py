@@ -1,30 +1,22 @@
 """Seeded, reproducible operator ensembles.
 
 All randomness flows through numpy's PCG64 generator (``default_rng``), so a
-given (kind, dim, alpha, seed, params) tuple always produces the bit-identical
-matrix.  Independent draws inside an experiment derive their seeds through
-``child_seed``: a splitmix64 hash of the trial index XORed into the base seed.
+factory called with the same arguments and seed always produces the
+bit-identical matrix.  Independent draws inside an experiment derive their
+seeds through ``child_seed``: a splitmix64 hash of the trial index XORed into
+the base seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import approximants, linalg
 from .errors import InvalidInputError
 
 _MASK64 = (1 << 64) - 1
-
-ENSEMBLE_KINDS = (
-    "contraction",
-    "self_adjoint_contraction",
-    "m_sectorial",
-    "resolvent_contraction",
-    "semigroup_step",
-)
 
 
 def splitmix64(x: int) -> int:
@@ -109,76 +101,7 @@ def random_m_sectorial(dim: int, alpha: float, seed: int) -> np.ndarray:
 
 
 def resolvent_contraction(a, t: float) -> np.ndarray:
-    """(1 + tA)^{-1}; a contraction whenever A is accretive."""
-    a = linalg.as_operator(a)
+    """(1 + tA)^{-1}, the resolvent family at t; a contraction whenever A is accretive."""
     if t <= 0.0:
         raise InvalidInputError(f"t must be positive, got {t}")
-    return linalg.inverse(np.eye(a.shape[0]) + t * a)
-
-
-def semigroup_step(a, t: float, n: int) -> np.ndarray:
-    """exp(-(t/n) A); a contraction whenever A is accretive."""
-    a = linalg.as_operator(a)
-    if t <= 0.0 or n < 1:
-        raise InvalidInputError(f"need t > 0 and n >= 1, got t={t}, n={n}")
-    return linalg.expm(-(t / n) * a)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Serializable recipe for one operator draw."""
-
-    kind: str
-    dim: int
-    seed: int
-    alpha: float = 0.0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
-            raise InvalidInputError(f"unknown ensemble kind {self.kind!r}")
-        if self.dim < 1:
-            raise InvalidInputError(f"dim must be >= 1, got {self.dim}")
-        if self.kind in ("m_sectorial", "resolvent_contraction", "semigroup_step"):
-            if not 0.0 <= self.alpha < math.pi / 2:
-                raise InvalidInputError("sectorial kinds need alpha in [0, pi/2)")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EnsembleSpec":
-        return cls(
-            kind=obj["kind"],
-            dim=int(obj["dim"]),
-            seed=int(obj["seed"]),
-            alpha=float(obj.get("alpha", 0.0)),
-            params=dict(obj.get("params", {})),
-        )
-
-
-def build_operator(spec: EnsembleSpec) -> np.ndarray:
-    """Materialize the operator an EnsembleSpec describes."""
-    params = spec.params
-    if spec.kind == "contraction":
-        return random_contraction(spec.dim, spec.seed)
-    if spec.kind == "self_adjoint_contraction":
-        lo = float(params.get("spec_lo", 0.0))
-        hi = float(params.get("spec_hi", 1.0))
-        spectrum = np.linspace(lo, hi, spec.dim)
-        return self_adjoint_contraction(spectrum, spec.seed)
-    if spec.kind == "m_sectorial":
-        return random_m_sectorial(spec.dim, spec.alpha, spec.seed)
-    if spec.kind == "resolvent_contraction":
-        a = random_m_sectorial(spec.dim, spec.alpha, spec.seed)
-        return resolvent_contraction(a, float(params.get("t", 1.0)))
-    if spec.kind == "semigroup_step":
-        a = random_m_sectorial(spec.dim, spec.alpha, spec.seed)
-        return semigroup_step(a, float(params.get("t", 1.0)), int(params.get("n", 1)))
-    raise InvalidInputError(f"unknown ensemble kind {spec.kind!r}")
+    return approximants.resolvent_family(a)(t)

@@ -288,8 +288,8 @@ def _run_chernoff_product(config: ExperimentConfig):
             cells = product_cells[rid] = []
             for n in _n_grid(config):
                 step = phi(t / n)
-                power = linalg.mat_pow(step, n)
-                emp = linalg.op_norm(power - linalg.expm(n * (step - eye)))
+                power = approximants.chernoff_power(step, n)
+                emp = linalg.op_norm(power - approximants.chernoff_exp(step, n))
                 bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
                 records.append(make_record(rid, n, t, emp, bound))
                 cells.append((n, linalg.op_norm(power - ref)))
@@ -315,12 +315,13 @@ def _run_trotter_product(config: ExperimentConfig):
             seed_b = ensembles.child_seed(config.seed, 10_000 + i)
             b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
             label = "noncommuting"
-        pair = approximants.GeneratorPair(a, b)
+        phi = approximants.trotter_family(a, b)
         for t in config.ts:
             rid = f"trotter_product/{label}/d{i:03d}/t{t:g}"
-            ref = approximants.reference_semigroup(pair.sum, t)
+            ref = approximants.reference_semigroup(a + b, t)
             for n in _n_grid(config):
-                emp = approximants.approx_error(approximants.trotter_approx(pair, t, n), ref)
+                power = approximants.chernoff_power(phi(t / n), n)
+                emp = approximants.approx_error(power, ref)
                 # commuting factors make the product exact; otherwise only the
                 # trivial contraction-difference bound 2 is available here
                 records.append(make_record(rid, n, t, emp, 0.0 if commuting else 2.0))
@@ -375,11 +376,13 @@ def _run_euler(config: ExperimentConfig):
     draws, failures = _sector_draws(config)
     records = []
     for i, a in draws:
+        phi = approximants.resolvent_family(a)
         for t in config.ts:
             rid = f"{config.kind}/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(a, t)
             for n in _n_grid(config):
-                emp = approximants.approx_error(approximants.euler_approx(a, t, n), ref)
+                power = approximants.chernoff_power(phi(t / n), n)
+                emp = approximants.approx_error(power, ref)
                 records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
     nonmonotone = sum(
@@ -399,20 +402,22 @@ def _run_dunford_segal(config: ExperimentConfig):
     records = []
     two_step: dict[str, list[tuple[int, float, float]]] = {}
     for i, a in draws:
+        phi = approximants.semigroup_family(a)
         for t in config.ts:
             rid = f"dunford_segal/d{i:03d}/t{t:g}"
             ref = approximants.reference_semigroup(a, t)
             steps = two_step[rid] = []
             for n in _n_grid(config):
-                step = ensembles.semigroup_step(a, t, n)
+                step = phi(t / n)
                 if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
                     failures += 1
                     continue
-                ds = approximants.dunford_segal_approx(a, t, n)
+                ds = approximants.chernoff_exp(step, n)
                 emp = approximants.approx_error(ds, ref)
                 bound = bounds.norm_chernoff_bound(n, config.alpha)
                 records.append(make_record(rid, n, t, emp, bound))
-                steps.append((n, linalg.op_norm(linalg.mat_pow(step, n) - ds), emp))
+                power = approximants.chernoff_power(step, n)
+                steps.append((n, linalg.op_norm(power - ds), emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),

@@ -283,11 +283,12 @@ def test_criterion_08_euler(m_sectorial_draws):
     rates = []
     worst = 0.0
     for alpha, a in m_sectorial_draws:
+        phi = approximants.resolvent_family(a)
         for t in (0.5, 1.0, 2.0):
             ref = approximants.reference_semigroup(a, t)
             cells = []
             for n in pow2_grid(1024):
-                err = approximants.approx_error(approximants.euler_approx(a, t, n), ref)
+                err = approximants.approx_error(approximants.chernoff_power(phi(t / n), n), ref)
                 bound = bounds.euler_bound(n, alpha)
                 if not passes(err, bound):
                     bad += 1
@@ -313,17 +314,16 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
     cert_failures = 0
     for alpha, a in m_sectorial_draws:
         cos2 = math.cos(alpha) ** 2
+        phi = approximants.semigroup_family(a)
         for t in (0.5, 1.0, 2.0):
             ref = approximants.reference_semigroup(a, t)
             cells = []
             for n in pow2_grid(1024):
-                step = ensembles.semigroup_step(a, t, n)
+                step = phi(t / n)
                 if not numrange.certify_quasi_sectorial(step, alpha, 64).passed:
                     cert_failures += 1
                     continue
-                err = approximants.approx_error(
-                    approximants.dunford_segal_approx(a, t, n), ref
-                )
+                err = approximants.approx_error(approximants.chernoff_exp(step, n), ref)
                 if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
                     bad += 1
                 n_hat = max(n_hat, n * cos2 * err)
@@ -348,19 +348,22 @@ def test_criterion_10_trotter():
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         pair = approximants.GeneratorPair(a, b)
+        phi = approximants.trotter_family(pair.a, pair.b)
         for t in (0.5, 1.0, 2.0):
             ref = approximants.reference_semigroup(pair.sum, t)
             for n in pow2_grid(1024):
-                if approximants.approx_error(approximants.trotter_approx(pair, t, n), ref) > 1e-10:
+                power = approximants.chernoff_power(phi(t / n), n)
+                if approximants.approx_error(power, ref) > 1e-10:
                     bad_commuting += 1
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
     pair = approximants.GeneratorPair(
         np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
         np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
     )
+    phi = approximants.trotter_family(pair.a, pair.b)
     ref = approximants.reference_semigroup(pair.sum, 1.0)
     cells = [
-        (n, approximants.approx_error(approximants.trotter_approx(pair, 1.0, n), ref))
+        (n, approximants.approx_error(approximants.chernoff_power(phi(1.0 / n), n), ref))
         for n in pow2_grid(512)
     ]
     est = fit_rate(cells)

@@ -1,11 +1,10 @@
-import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from semiapprox import ensembles, linalg, numrange
+from semiapprox import approximants, ensembles, linalg, numrange
 from semiapprox.errors import InvalidInputError
 
 
@@ -78,19 +77,15 @@ def test_resolvent_contraction_examples():
     )
 
 
-def test_semigroup_step_examples():
-    npt.assert_allclose(ensembles.semigroup_step(np.zeros((2, 2)), 1.0, 1), np.eye(2), atol=1e-14)
-    npt.assert_allclose(
-        ensembles.semigroup_step(np.diag([1.0]), 2.0, 2), np.diag([math.exp(-1.0)]), rtol=1e-13
-    )
-
-
-def test_semigroup_step_product_property():
-    a = ensembles.random_m_sectorial(5, math.pi / 8, 17)
-    for t, n in ((1.0, 4), (2.0, 7)):
-        step = ensembles.semigroup_step(a, t, n)
-        whole = linalg.expm(-t * a)
-        assert linalg.op_norm(linalg.mat_pow(step, n) - whole) <= 1e-9
+def test_resolvent_contraction_is_the_resolvent_family():
+    a = ensembles.random_m_sectorial(5, math.pi / 8, 19)
+    for t in (0.5, 2.0):
+        npt.assert_array_equal(
+            ensembles.resolvent_contraction(a, t), approximants.resolvent_family(a)(t)
+        )
+    for t in (0.0, -1.0):
+        with pytest.raises(InvalidInputError):
+            ensembles.resolvent_contraction(a, t)
 
 
 def test_all_factories_produce_contractions():
@@ -116,7 +111,7 @@ def test_all_factories_produce_contractions():
         dim = 2 + i % 31
         seed = ensembles.child_seed(2**43 + 5, i)
         a = ensembles.random_m_sectorial(dim, math.pi / 4 * (i % 4) / 3.0, seed)
-        c = ensembles.semigroup_step(a, 0.5 + (i % 5), 1 + i % 9)
+        c = approximants.semigroup_family(a)((0.5 + (i % 5)) / (1 + i % 9))
         assert linalg.op_norm(c) <= 1 + 1e-10
 
 
@@ -127,31 +122,3 @@ def test_one_minus_contraction_is_accretive():
         c = ensembles.random_contraction(dim, ensembles.child_seed(7**7, i))
         pts = numrange.numerical_range_boundary(np.eye(dim) - c, 64)
         assert np.min(pts.real) >= -1e-9
-
-
-def test_ensemble_spec_roundtrip_and_determinism():
-    spec = ensembles.EnsembleSpec(
-        kind="resolvent_contraction", dim=6, seed=41, alpha=math.pi / 8, params={"t": 2.0}
-    )
-    obj = spec.to_json()
-    assert set(obj) == {"kind", "dim", "alpha", "seed", "params"}
-    blob = json.dumps(obj)
-    again = ensembles.EnsembleSpec.from_json(json.loads(blob))
-    assert again == spec
-    npt.assert_array_equal(ensembles.build_operator(spec), ensembles.build_operator(again))
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(InvalidInputError):
-        ensembles.EnsembleSpec(kind="nope", dim=3, seed=1)
-    with pytest.raises(InvalidInputError):
-        ensembles.EnsembleSpec(kind="m_sectorial", dim=3, seed=1, alpha=2.0)
-
-
-def test_build_operator_all_kinds():
-    for kind in ensembles.ENSEMBLE_KINDS:
-        spec = ensembles.EnsembleSpec(
-            kind=kind, dim=4, seed=11, alpha=math.pi / 8, params={"t": 1.0, "n": 2}
-        )
-        m = ensembles.build_operator(spec)
-        assert m.shape == (4, 4)
