@@ -13,7 +13,6 @@ import numbers
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, DomainError
-from .poisson import poisson_second_moment
 
 EULER_UPPER_M = 2.0 + 2.0 / math.sqrt(3.0)
 
@@ -24,12 +23,6 @@ def sqrt_n_bound(n: int, d1: float) -> float:
     if d1 < 0.0:
         raise DomainError("d1 must be nonnegative")
     return math.sqrt(n) * d1
-
-
-def poisson_abs_moment_identity(n: int) -> float:
-    """Second central moment of Poisson(n), summed directly; equals n."""
-    _check_n(n)
-    return poisson_second_moment(n)
 
 
 def epsilon_star(n: int, nx: float, d1: float) -> float:

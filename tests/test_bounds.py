@@ -13,12 +13,6 @@ def test_sqrt_n_bound():
     assert bounds.sqrt_n_bound(1, 2.0) == pytest.approx(2.0)
 
 
-def test_poisson_abs_moment_identity():
-    assert abs(bounds.poisson_abs_moment_identity(1) - 1.0) <= 1e-8
-    assert abs(bounds.poisson_abs_moment_identity(10) - 10.0) <= 1e-7
-    assert abs(bounds.poisson_abs_moment_identity(100) - 100.0) <= 1e-6
-
-
 def test_epsilon_star():
     assert bounds.epsilon_star(2, 1.0, 1.0) == pytest.approx(2.0)
     assert bounds.epsilon_star(1, 1.0, 4.0) == pytest.approx(1.0)
