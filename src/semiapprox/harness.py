@@ -456,15 +456,15 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     draws, failures = _resolvent_draws(config)
     records = []
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)
-    windings = []
+    nodes = contour.build_contour(alpha_prime)
+    winding = abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0)
     majorant_worst = 0.0
+    majorant_failures = 0
     eye = np.eye(config.dim)
     ns = _n_grid(config, cap=16)
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     for i, c, t_res in draws:
-        nodes = contour.build_contour(alpha_prime)
-        windings.append(abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0))
         got_all = contour.riesz_dunford_many(fs, c, nodes)
         for idx, n in enumerate(ns):
             cn = linalg.mat_pow(c, n)
@@ -474,11 +474,13 @@ def _run_contour_reconstruction(config: ExperimentConfig):
             records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, emp, 1e-7))
         report = contour.contour_norm_bound_check(c, config.alpha, alpha_prime, 4)
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
+        majorant_failures += not report.passed
     return records, {
         "alpha_prime": alpha_prime,
         "certification_failures": failures,
-        "max_winding_error": max(windings) if windings else 0.0,
+        "max_winding_error": winding if draws else 0.0,
         "worst_majorant_ratio": majorant_worst,
+        "majorant_failures": majorant_failures,
     }
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from semiapprox import contour
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     EXPERIMENT_KINDS,
@@ -146,6 +148,24 @@ def test_dunford_segal_summary_constants():
     assert math.isfinite(result.summary["empirical_N_hat"])
     assert result.summary["l_alpha"] > 2.0
     assert result.summary["two_step_terms"]
+
+
+def test_contour_majorant_failures_are_counted(monkeypatch):
+    cfg = small_config("contour_reconstruction", trials=1, nmax=2)
+    result = run_experiment(cfg)
+    assert result.summary["certification_failures"] == 0
+    assert result.summary["majorant_failures"] == 0
+
+    check = contour.contour_norm_bound_check
+
+    def failing_check(*args):
+        return dataclasses.replace(check(*args), passed=False)
+
+    monkeypatch.setattr(contour, "contour_norm_bound_check", failing_check)
+    failed = run_experiment(cfg)
+    assert failed.summary["majorant_failures"] == 1
+    # the verdict is reported in the summary; the records are unchanged
+    assert failed.records == result.records
 
 
 def test_selfadjoint_records_meet_tight_tolerance():
