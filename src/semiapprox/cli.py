@@ -7,10 +7,13 @@ Subcommands:
     constants        print the contour constants for a semi-angle
     report           merge previously emitted report files
 
-Exit codes: 0 all bound checks passed, 1 some bound violated or a
-certification failed, 2 usage or I/O error, an argument outside the domain
-of a formula (e.g. alpha >= pi/2, t < 0, t non-finite), or a numerical
-failure (singular resolvent, unconverged contour quadrature).
+Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
+certificate failed), 2 usage or I/O error, an argument outside the domain
+of a formula (e.g. alpha >= pi/2, t < 0, t non-finite, t = 0 for ritt,
+norm_chernoff and contour_reconstruction), or a numerical failure (singular
+resolvent, unconverged contour quadrature).  verify leaves draws or steps
+that fail certification out of the records and counts them in the summary;
+they do not change the exit code.
 """
 
 from __future__ import annotations

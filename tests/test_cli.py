@@ -115,6 +115,19 @@ def test_usage_errors_exit_two(tmp_path):
         assert proc.returncode == 2, bad_t
 
 
+def test_t_zero_domain(tmp_path):
+    # Phi(0) = 1 in every contraction family, so the Chernoff-pair kinds accept t = 0
+    for kind in ("chernoff_product", "trotter_product", "euler", "euler_rate", "dunford_segal"):
+        argv = ["verify", kind, "--t", "0", "--dim", "3", "--trials", "1", "--nmax", "4",
+                "--out", str(tmp_path / f"{kind}.csv")]
+        assert cli.main(argv) == 0, kind
+    # the resolvent draws (1 + tA)^{-1} of these kinds need t > 0
+    for kind in ("ritt", "norm_chernoff", "contour_reconstruction"):
+        argv = ["verify", kind, "--t", "0", "--dim", "3", "--trials", "1", "--nmax", "4",
+                "--out", str(tmp_path / f"{kind}.csv")]
+        assert cli.main(argv) == 2, kind
+
+
 def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
     # a zero tolerance never converges, so the node budget runs out
     monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
