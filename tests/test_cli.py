@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,10 +11,15 @@ import pytest
 from semiapprox import cli, contour, report
 
 CLI = [sys.executable, "-m", "semiapprox"]
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        CLI + list(args), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_verify_writes_csv_and_exits_zero(tmp_path):
