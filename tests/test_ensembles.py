@@ -77,17 +77,6 @@ def test_resolvent_contraction_examples():
     )
 
 
-def test_resolvent_contraction_is_the_resolvent_family():
-    a = ensembles.random_m_sectorial(5, math.pi / 8, 19)
-    for t in (0.5, 2.0):
-        npt.assert_array_equal(
-            ensembles.resolvent_contraction(a, t), approximants.resolvent_family(a)(t)
-        )
-    for t in (0.0, -1.0):
-        with pytest.raises(InvalidInputError):
-            ensembles.resolvent_contraction(a, t)
-
-
 def test_all_factories_produce_contractions():
     # 1000 draws per kind across dims 2..32
     for i in range(1000):
