@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import bounds
+from semiapprox import bounds, poisson
 from semiapprox.errors import DegenerateInputError, DomainError
 
 
@@ -11,6 +11,13 @@ def test_sqrt_n_bound():
     assert bounds.sqrt_n_bound(4, 0.5) == pytest.approx(1.0)
     assert bounds.sqrt_n_bound(17, 0.0) == 0.0
     assert bounds.sqrt_n_bound(1, 2.0) == pytest.approx(2.0)
+
+
+def test_poisson_abs_moment_identity():
+    # sum_m pmf(n, m) |m - n|^2 = n, the identity behind the sqrt(n) bound
+    assert abs(poisson.poisson_second_moment(1) - 1.0) <= 1e-8
+    assert abs(poisson.poisson_second_moment(10) - 10.0) <= 1e-7
+    assert abs(poisson.poisson_second_moment(100) - 100.0) <= 1e-6
 
 
 def test_epsilon_star():
