@@ -25,7 +25,6 @@ e = linalg.expm(c - eye)
 
 print(f"\n{'n':>6} {'(n+1)||C^n(1-C)||':>20} {'K_alpha':>10} "
       f"{'||C^n-e^..||':>14} {'L/n^(1/3)':>12}")
-p, q = c.copy(), e.copy()
 for n in (1, 2, 4, 16, 64, 256, 1024, 4096):
     p_cur = linalg.mat_pow(c, n)
     q_cur = linalg.mat_pow(e, n)

@@ -9,7 +9,7 @@ and fits the observed convergence rates.
 
 import math
 
-from semiapprox import approximants, bounds, ensembles
+from semiapprox import approximants, bounds, ensembles, linalg
 from semiapprox.harness import fit_rate, pow2_grid
 
 alpha = math.pi / 4
@@ -26,8 +26,8 @@ euler_cells, ds_cells = [], []
 for n in pow2_grid(1024):
     euler = approximants.chernoff_power(resolvent(t / n), n)
     ds = approximants.chernoff_exp(semigroup(t / n), n)
-    e_err = approximants.approx_error(euler, ref)
-    d_err = approximants.approx_error(ds, ref)
+    e_err = linalg.op_norm(euler - ref)
+    d_err = linalg.op_norm(ds - ref)
     euler_cells.append((n, e_err))
     ds_cells.append((n, d_err))
     print(f"{n:>6} {e_err:>12.2e} {bounds.euler_bound(n, alpha):>12.2e} "

@@ -1,4 +1,4 @@
-"""Approximation schemes for the matrix semigroup e^{-tA} and their errors.
+"""Approximation schemes for the matrix semigroup e^{-tA}.
 
 Every scheme is a Chernoff pair of one contraction family Phi: the power
 Phi(t/n)^n and its exponential partner e^{n(Phi(t/n) - 1)}.  Euler is the
@@ -12,7 +12,7 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,21 +56,6 @@ def trotter_family(a, b) -> ContractionFamily:
     return ContractionFamily(lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b))
 
 
-@dataclass
-class GeneratorPair:
-    """A pair of generators together with their algebraic sum."""
-
-    a: np.ndarray
-    b: np.ndarray
-    sum: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.a = linalg.as_operator(self.a)
-        self.b = linalg.as_operator(self.b)
-        linalg.check_same_dim(self.a, self.b)
-        self.sum = self.a + self.b
-
-
 def reference_semigroup(a, t: float) -> np.ndarray:
     """e^{-tA}, the exact target every approximant is compared against."""
     if t < 0.0:
@@ -98,14 +83,6 @@ def discrete_generator(phi: ContractionFamily, s: float, n: int) -> np.ndarray:
     h = s / n
     step = phi(h)
     return (np.eye(step.shape[0]) - step) / h
-
-
-def approx_error(approx, reference) -> float:
-    """Spectral-norm distance between an approximant and its target."""
-    x = linalg.as_operator(approx)
-    y = linalg.as_operator(reference)
-    linalg.check_same_dim(x, y)
-    return linalg.op_norm(x - y)
 
 
 def _check_n(n: int) -> None:

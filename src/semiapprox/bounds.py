@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .errors import DegenerateInputError, DomainError
 
 EULER_UPPER_M = 2.0 + 2.0 / math.sqrt(3.0)
+_K_ALPHA_GRID = 2048  # alpha' scan points that bracket the minimum of ritt_constant
 
 
 def sqrt_n_bound(n: int, d1: float) -> float:
@@ -90,7 +91,7 @@ class KAlpha(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def k_alpha(alpha: float, grid: int = 2048) -> KAlpha:
+def k_alpha(alpha: float) -> KAlpha:
     """min over alpha' in (alpha, pi/2) of ritt_constant, grid + golden-section.
 
     The 2048-point scan brackets the single interior minimum; golden-section
@@ -100,11 +101,11 @@ def k_alpha(alpha: float, grid: int = 2048) -> KAlpha:
     if not 0.0 <= alpha < math.pi / 2:
         raise DomainError(f"alpha must lie in [0, pi/2), got {alpha}")
     hi = math.pi / 2
-    xs = [alpha + (hi - alpha) * (j + 1) / (grid + 1) for j in range(grid)]
+    xs = [alpha + (hi - alpha) * (j + 1) / (_K_ALPHA_GRID + 1) for j in range(_K_ALPHA_GRID)]
     vals = [ritt_constant(alpha, x) for x in xs]
-    i = min(range(grid), key=vals.__getitem__)
+    i = min(range(_K_ALPHA_GRID), key=vals.__getitem__)
     lo_b = xs[i - 1] if i > 0 else alpha + 1e-12 * (hi - alpha)
-    hi_b = xs[i + 1] if i < grid - 1 else hi - 1e-12 * (hi - alpha)
+    hi_b = xs[i + 1] if i < _K_ALPHA_GRID - 1 else hi - 1e-12 * (hi - alpha)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo_b, hi_b

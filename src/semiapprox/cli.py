@@ -8,19 +8,19 @@ Subcommands:
     report           merge previously emitted report files
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
-certificate failed), 2 usage or I/O error, an argument outside the domain
-of a formula (e.g. alpha >= pi/2, t < 0, t non-finite, t = 0 for ritt,
-norm_chernoff and contour_reconstruction), or a numerical failure (singular
-resolvent, unconverged contour quadrature).  verify leaves draws or steps
-that fail certification out of the records and counts them in the summary;
-they do not change the exit code.
+certificate failed), 2 usage or I/O error (also dim, trials or nmax below
+1), an argument outside the domain of a formula (e.g. alpha >= pi/2, t < 0,
+t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction), or
+a numerical failure (singular resolvent, unconverged contour quadrature).
+verify leaves draws or steps that fail certification out of the records and
+counts them in the summary; they do not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import bounds, linalg, numrange, report
@@ -41,12 +41,12 @@ def _parse_ts(text: str) -> tuple[float, ...]:
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=EXPERIMENT_KINDS)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=math.pi / 8)
-    p.add_argument("--seed", type=int, default=123456789)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=256)
-    p.add_argument("--t", dest="ts", type=_parse_ts, default=(1.0,),
+    p.add_argument("--dim", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--t", dest="ts", type=_parse_ts,
                    help="comma-separated t values (epsilon grid for poisson_split)")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
@@ -59,9 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run an experiment and check its bounds")
+    # flags left unset are absent, so the ExperimentConfig defaults apply
+    p_verify = sub.add_parser("verify", help="run an experiment and check its bounds",
+                              argument_default=argparse.SUPPRESS)
     _add_experiment_flags(p_verify)
-    p_verify.add_argument("--fit-min-n", dest="fit_min_n", type=float, default=1.0,
+    p_verify.add_argument("--fit-min-n", dest="fit_min_n", type=float,
                           help="smallest n used by the rate fits in the summary")
 
     p_nr = sub.add_parser("numrange", help="certify a matrix against D(alpha)")
@@ -95,16 +97,8 @@ def _emit(records, summary, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = ExperimentConfig(
-        kind=args.kind,
-        dim=args.dim,
-        alpha=args.alpha,
-        seed=args.seed,
-        trials=args.trials,
-        nmax=args.nmax,
-        ts=args.ts,
-        fit_min_n=args.fit_min_n,
-    )
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
     result = run_experiment(config)
     return _emit(result.records, result.summary, args)
 
@@ -138,7 +132,7 @@ def _cmd_constants(args) -> int:
         "alpha": args.alpha,
         "k_alpha": k.value,
         "argmin_alpha_prime": k.alpha_prime,
-        "l_alpha": 2.0 * k.value + 2.0,
+        "l_alpha": bounds.l_alpha(args.alpha),
         "euler_upper_constant": bounds.euler_upper_constant(args.alpha),
     }
     json.dump(out, sys.stdout, indent=2)

@@ -123,6 +123,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
+        if min(self.dim, self.trials, self.nmax) < 1:
+            raise InvalidInputError(
+                f"dim, trials and nmax must be >= 1, got {self.dim}, {self.trials}, {self.nmax}"
+            )
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
         if not all(math.isfinite(t) for t in self.ts):
@@ -206,7 +210,7 @@ def _resolvent_draws(config: ExperimentConfig):
 
 
 def _sector_draws(config: ExperimentConfig):
-    """m-sectorial generators (i, A) whose sampled numerical range lies in the sector.
+    """m-sectorial generators (id, A) whose sampled numerical range lies in the sector.
 
     Returns the certified draws and the number of draws that failed.
     """
@@ -214,7 +218,7 @@ def _sector_draws(config: ExperimentConfig):
     for i in range(config.trials):
         a = _sectorial(config, i)
         if np.all(numrange.in_sector(numrange.numerical_range_boundary(a, 256), config.alpha)):
-            draws.append((i, a))
+            draws.append((f"{config.kind}/d{i:03d}", a))
     return draws, config.trials - len(draws)
 
 
@@ -275,24 +279,51 @@ def _run_vector_bounds(config: ExperimentConfig):
     return records, {}
 
 
+def _trotter_draws(config: ExperimentConfig):
+    """Split-step draws (id, A + B, Phi): commuting diagonal pairs for even i."""
+    for i in range(config.trials):
+        seed = ensembles.child_seed(config.seed, i)
+        if i % 2 == 0:
+            rng = np.random.default_rng(seed & ((1 << 64) - 1))
+            a = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
+            b = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
+            label = "commuting"
+        else:
+            a = ensembles.random_m_sectorial(config.dim, 0.0, seed)
+            seed_b = ensembles.child_seed(config.seed, 10_000 + i)
+            b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
+            label = "noncommuting"
+        yield f"trotter_product/{label}/d{i:03d}", a + b, approximants.trotter_family(a, b)
+
+
+def _pair_sweep(config: ExperimentConfig, draws):
+    """Yield (id/t, t, n, Phi(t/n), e^{-tA}) for the draws (id, A, Phi) in (draw, t, n) order.
+
+    e^{-tA} is evaluated once per (draw, t) and the step Phi(t/n) once per
+    (draw, t, n); the caller forms the Chernoff pair from that one step.
+    """
+    ns = _n_grid(config)
+    for rid, a, phi in draws:
+        for t in config.ts:
+            ref = approximants.reference_semigroup(a, t)
+            for n in ns:
+                yield f"{rid}/t{t:g}", t, n, phi(t / n), ref
+
+
 def _run_chernoff_product(config: ExperimentConfig):
     records = []
     product_cells: dict[str, list[tuple[int, float]]] = {}
     eye = np.eye(config.dim)
-    for i in range(config.trials):
-        a = _sectorial(config, i)
-        phi = approximants.resolvent_family(a)
-        for t in config.ts:
-            rid = f"chernoff_product/d{i:03d}/t{t:g}"
-            ref = approximants.reference_semigroup(a, t)
-            cells = product_cells[rid] = []
-            for n in _n_grid(config):
-                step = phi(t / n)
-                power = approximants.chernoff_power(step, n)
-                emp = linalg.op_norm(power - approximants.chernoff_exp(step, n))
-                bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
-                records.append(make_record(rid, n, t, emp, bound))
-                cells.append((n, linalg.op_norm(power - ref)))
+    generators = [(i, _sectorial(config, i)) for i in range(config.trials)]
+    draws = (
+        (f"chernoff_product/d{i:03d}", a, approximants.resolvent_family(a)) for i, a in generators
+    )
+    for rid, t, n, step, ref in _pair_sweep(config, draws):
+        power = approximants.chernoff_power(step, n)
+        emp = linalg.op_norm(power - approximants.chernoff_exp(step, n))
+        bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
+        records.append(make_record(rid, n, t, emp, bound))
+        product_cells.setdefault(rid, []).append((n, linalg.op_norm(power - ref)))
     extras = {"product_error_final": {k: v[-1][1] for k, v in product_cells.items()}}
     fits = _fit_groups(product_cells, config.fit_min_n)
     if fits:
@@ -302,29 +333,11 @@ def _run_chernoff_product(config: ExperimentConfig):
 
 def _run_trotter_product(config: ExperimentConfig):
     records = []
-    for i in range(config.trials):
-        seed = ensembles.child_seed(config.seed, i)
-        rng = np.random.default_rng(seed & ((1 << 64) - 1))
-        commuting = i % 2 == 0
-        if commuting:
-            a = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
-            b = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
-            label = "commuting"
-        else:
-            a = ensembles.random_m_sectorial(config.dim, 0.0, seed)
-            seed_b = ensembles.child_seed(config.seed, 10_000 + i)
-            b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
-            label = "noncommuting"
-        phi = approximants.trotter_family(a, b)
-        for t in config.ts:
-            rid = f"trotter_product/{label}/d{i:03d}/t{t:g}"
-            ref = approximants.reference_semigroup(a + b, t)
-            for n in _n_grid(config):
-                power = approximants.chernoff_power(phi(t / n), n)
-                emp = approximants.approx_error(power, ref)
-                # commuting factors make the product exact; otherwise only the
-                # trivial contraction-difference bound 2 is available here
-                records.append(make_record(rid, n, t, emp, 0.0 if commuting else 2.0))
+    for rid, t, n, step, ref in _pair_sweep(config, _trotter_draws(config)):
+        emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
+        # commuting factors make the product exact; otherwise only the
+        # trivial contraction-difference bound 2 is available here
+        records.append(make_record(rid, n, t, emp, 2.0 if "/noncommuting/" in rid else 0.0))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
     return records, {"noncommuting_rate_fits": fits}
 
@@ -373,17 +386,12 @@ def _run_selfadjoint(config: ExperimentConfig):
 
 def _run_euler(config: ExperimentConfig):
     """euler and euler_rate: the resolvent powers (1 + tA/n)^(-n) against e^{-tA}."""
-    draws, failures = _sector_draws(config)
+    generators, failures = _sector_draws(config)
+    draws = ((rid, a, approximants.resolvent_family(a)) for rid, a in generators)
     records = []
-    for i, a in draws:
-        phi = approximants.resolvent_family(a)
-        for t in config.ts:
-            rid = f"{config.kind}/d{i:03d}/t{t:g}"
-            ref = approximants.reference_semigroup(a, t)
-            for n in _n_grid(config):
-                power = approximants.chernoff_power(phi(t / n), n)
-                emp = approximants.approx_error(power, ref)
-                records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
+    for rid, t, n, step, ref in _pair_sweep(config, draws):
+        emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
+        records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
     nonmonotone = sum(
         e1 > e0 + 1e-12 for group in cells.values() for (_, e0), (_, e1) in zip(group, group[1:])
@@ -398,26 +406,21 @@ def _run_euler(config: ExperimentConfig):
 
 
 def _run_dunford_segal(config: ExperimentConfig):
-    draws, failures = _sector_draws(config)
+    generators, failures = _sector_draws(config)
+    draws = ((rid, a, approximants.semigroup_family(a)) for rid, a in generators)
     records = []
     two_step: dict[str, list[tuple[int, float, float]]] = {}
-    for i, a in draws:
-        phi = approximants.semigroup_family(a)
-        for t in config.ts:
-            rid = f"dunford_segal/d{i:03d}/t{t:g}"
-            ref = approximants.reference_semigroup(a, t)
-            steps = two_step[rid] = []
-            for n in _n_grid(config):
-                step = phi(t / n)
-                if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
-                    failures += 1
-                    continue
-                ds = approximants.chernoff_exp(step, n)
-                emp = approximants.approx_error(ds, ref)
-                bound = bounds.norm_chernoff_bound(n, config.alpha)
-                records.append(make_record(rid, n, t, emp, bound))
-                power = approximants.chernoff_power(step, n)
-                steps.append((n, linalg.op_norm(power - ds), emp))
+    for rid, t, n, step, ref in _pair_sweep(config, draws):
+        steps = two_step.setdefault(rid, [])
+        if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
+            failures += 1
+            continue
+        ds = approximants.chernoff_exp(step, n)
+        emp = linalg.op_norm(ds - ref)
+        bound = bounds.norm_chernoff_bound(n, config.alpha)
+        records.append(make_record(rid, n, t, emp, bound))
+        power = approximants.chernoff_power(step, n)
+        steps.append((n, linalg.op_norm(power - ds), emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),

@@ -38,15 +38,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def operators_close(a, b, tol: float = 1e-12) -> bool:
-    """Entrywise tolerance comparison; operators are never compared bitwise."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= tol))
-
-
 def op_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     a = as_operator(m)
@@ -95,11 +86,6 @@ def inverse(m) -> np.ndarray:
     if not np.isfinite(c) or c > MAX_CONDITION:
         raise SingularityError(f"condition number {c:g} exceeds {MAX_CONDITION:g}")
     return np.asarray(np.linalg.solve(a, identity(a.shape[0])), dtype=np.complex128)
-
-
-def hermitian_part(m) -> np.ndarray:
-    a = as_operator(m)
-    return (a + a.conj().T) / 2.0
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

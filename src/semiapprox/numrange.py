@@ -115,12 +115,11 @@ class SectorCertificate:
     """Outcome of a quasi-sectoriality check.
 
     ``passed`` is False when some boundary point of W(C) sits further than
-    the geometric tolerance outside D(alpha_hat); ``worst_point`` and
+    the geometric tolerance outside D(alpha); ``worst_point`` and
     ``max_violation`` then describe the worst offender, so a failed
     certificate doubles as the failure report.
     """
 
-    alpha_hat: float
     boundary_points: np.ndarray = field(repr=False)
     max_violation: float = 0.0
     passed: bool = True
@@ -134,7 +133,6 @@ def certify_quasi_sectorial(c, alpha: float, k: int = 256) -> SectorCertificate:
     worst = int(np.argmax(dists))
     max_violation = float(dists[worst])
     return SectorCertificate(
-        alpha_hat=float(alpha),
         boundary_points=points,
         max_violation=max_violation,
         passed=max_violation <= TOL_GEO,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -110,28 +109,6 @@ def poisson_first_abs_moment(n: int) -> float:
     m_lo, pmf, _ = _pmf_window(n)
     ms = np.arange(m_lo, m_lo + pmf.size)
     return float(np.sum(pmf * np.abs(ms - n)))
-
-
-@dataclass(frozen=True)
-class PoissonSplit:
-    """Probability mass split at |m - n| <= epsilon, with the dropped mass."""
-
-    rate_n: int
-    epsilon: float
-    central_mass: float
-    tail_mass: float
-    truncation_error: float
-
-
-def split_masses(n: int, epsilon: float) -> PoissonSplit:
-    _check_rate(n)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    m_lo, pmf, omitted = _pmf_window(n)
-    ms = np.arange(m_lo, m_lo + pmf.size)
-    central = float(np.sum(pmf[np.abs(ms - n) <= epsilon]))
-    tail = float(np.sum(pmf[np.abs(ms - n) > epsilon]))
-    return PoissonSplit(n, epsilon, central, tail, omitted)
 
 
 def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:

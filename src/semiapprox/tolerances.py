@@ -12,9 +12,6 @@ TOL_GEO = 1e-9
 REL_SLACK = 1e-8
 ABS_SLACK = 1e-10
 
-# Operators produced by the ensembles must satisfy op_norm <= 1 + CONTRACTION_TOL.
-CONTRACTION_TOL = 1e-10
-
 # Inputs to routines that require a contraction may exceed norm 1 by this much.
 CONTRACTION_INPUT_TOL = 1e-9
 

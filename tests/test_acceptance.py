@@ -288,7 +288,7 @@ def test_criterion_08_euler(m_sectorial_draws):
             ref = approximants.reference_semigroup(a, t)
             cells = []
             for n in pow2_grid(1024):
-                err = approximants.approx_error(approximants.chernoff_power(phi(t / n), n), ref)
+                err = linalg.op_norm(approximants.chernoff_power(phi(t / n), n) - ref)
                 bound = bounds.euler_bound(n, alpha)
                 if not passes(err, bound):
                     bad += 1
@@ -323,7 +323,7 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
                 if not numrange.certify_quasi_sectorial(step, alpha, 64).passed:
                     cert_failures += 1
                     continue
-                err = approximants.approx_error(approximants.chernoff_exp(step, n), ref)
+                err = linalg.op_norm(approximants.chernoff_exp(step, n) - ref)
                 if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
                     bad += 1
                 n_hat = max(n_hat, n * cos2 * err)
@@ -347,23 +347,20 @@ def test_criterion_10_trotter():
         dim = 2 + i % 7
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
-        pair = approximants.GeneratorPair(a, b)
-        phi = approximants.trotter_family(pair.a, pair.b)
+        phi = approximants.trotter_family(a, b)
         for t in (0.5, 1.0, 2.0):
-            ref = approximants.reference_semigroup(pair.sum, t)
+            ref = approximants.reference_semigroup(a + b, t)
             for n in pow2_grid(1024):
                 power = approximants.chernoff_power(phi(t / n), n)
-                if approximants.approx_error(power, ref) > 1e-10:
+                if linalg.op_norm(power - ref) > 1e-10:
                     bad_commuting += 1
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
-    pair = approximants.GeneratorPair(
-        np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-        np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    )
-    phi = approximants.trotter_family(pair.a, pair.b)
-    ref = approximants.reference_semigroup(pair.sum, 1.0)
+    a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    phi = approximants.trotter_family(a, b)
+    ref = approximants.reference_semigroup(a + b, 1.0)
     cells = [
-        (n, approximants.approx_error(approximants.chernoff_power(phi(1.0 / n), n), ref))
+        (n, linalg.op_norm(approximants.chernoff_power(phi(1.0 / n), n) - ref))
         for n in pow2_grid(512)
     ]
     est = fit_rate(cells)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from semiapprox import approximants, bounds, ensembles, linalg
-from semiapprox.errors import DimensionMismatchError, DomainError, InvalidInputError
+from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.harness import fit_rate
 
 
@@ -67,7 +67,7 @@ def test_dunford_segal_scalar_rate_bounded():
     products = []
     for k in range(11):
         n = 2**k
-        err = approximants.approx_error(dunford_segal(a, 1.0, n), ref)
+        err = linalg.op_norm(dunford_segal(a, 1.0, n) - ref)
         products.append(n * err)
     assert max(products) <= 0.5
     est = fit_rate([(2**k, products[k] / 2**k) for k in range(11)])
@@ -178,21 +178,13 @@ def test_chernoff_pair_domain():
             pair_member(phi(0.5), 0)
 
 
-def test_generator_pair_sum():
-    a = np.diag([1.0, 2.0])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pair = approximants.GeneratorPair(a, b)
-    npt.assert_array_equal(pair.sum, a + b)
-
-
 def test_trotter_commuting_is_exact():
     a = np.diag([1.0, 0.3]).astype(complex)
     b = np.diag([0.2, 2.0]).astype(complex)
-    pair = approximants.GeneratorPair(a, b)
     for t in (0.5, 1.0, 3.0):
-        ref = approximants.reference_semigroup(pair.sum, t)
+        ref = approximants.reference_semigroup(a + b, t)
         for n in (1, 2, 64):
-            assert approximants.approx_error(trotter(a, b, t, n), ref) <= 1e-10
+            assert linalg.op_norm(trotter(a, b, t, n) - ref) <= 1e-10
 
 
 def test_trotter_n1_definition():
@@ -206,21 +198,11 @@ def test_trotter_n1_definition():
 def test_trotter_noncommuting_first_order_rate():
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    pair = approximants.GeneratorPair(a, b)
-    ref = approximants.reference_semigroup(pair.sum, 1.0)
+    ref = approximants.reference_semigroup(a + b, 1.0)
     points = []
     for k in range(10):
         n = 2**k
-        points.append((n, approximants.approx_error(trotter(a, b, 1.0, n), ref)))
+        points.append((n, linalg.op_norm(trotter(a, b, 1.0, n) - ref)))
     est = fit_rate(points)
     assert 0.9 <= est.exponent_p <= 1.1
     assert points[-1][1] < points[0][1] / 100
-
-
-def test_approx_error_basics():
-    assert approximants.approx_error(np.diag([0.5]), np.diag([0.3])) == pytest.approx(0.2)
-    assert approximants.approx_error(np.eye(3), np.eye(3)) == 0.0
-    x, y = np.diag([0.9, 0.1]), np.diag([0.2, 0.4])
-    assert approximants.approx_error(x, y) == approximants.approx_error(y, x)
-    with pytest.raises(DimensionMismatchError):
-        approximants.approx_error(np.eye(2), np.eye(3))

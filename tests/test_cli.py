@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from semiapprox import cli, contour, report
+from semiapprox import cli, contour, harness, report
 
 CLI = [sys.executable, "-m", "semiapprox"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -68,6 +68,13 @@ def test_verify_fit_min_n(tmp_path):
     assert fits and all(0.8 <= f["exponent_p"] <= 1.2 for f in fits.values())
 
 
+def test_verify_defaults_are_the_config_defaults(tmp_path):
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "sqrt_n", "--out", str(out)]) == 0
+    result = harness.run_experiment(harness.ExperimentConfig("sqrt_n"))
+    assert out.read_bytes() == report.emit_report(result.records, "csv", summary=result.summary)
+
+
 def test_numrange_subcommand(tmp_path):
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.2, 0.8]))))
@@ -120,6 +127,10 @@ def test_usage_errors_exit_two(tmp_path):
     for bad_t in ("nan", "inf"):
         proc = run_cli("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, bad_t
+    # an empty n-grid is a usage error, not a traceback
+    proc = run_cli("verify", "chernoff_product", "--nmax", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_t_zero_domain(tmp_path):

@@ -95,6 +95,9 @@ def test_config_validation():
     for bad_t in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(kind="poisson_split", ts=(1.0, bad_t))
+    for field in ("dim", "trials", "nmax"):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(kind="sqrt_n", **{field: 0})
 
 
 def small_config(kind, **kw):

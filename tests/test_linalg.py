@@ -149,10 +149,3 @@ def test_expm_normal_matrix_oracle():
         m = (q * lam) @ q.conj().T
         oracle = (q * np.exp(lam)) @ q.conj().T
         assert linalg.op_norm(linalg.expm(m) - oracle) <= 1e-10
-
-
-def test_operators_close_uses_tolerance():
-    a = np.eye(2)
-    assert linalg.operators_close(a, a + 1e-14)
-    assert not linalg.operators_close(a, a + 1e-6)
-    assert not linalg.operators_close(a, np.eye(3))

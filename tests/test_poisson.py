@@ -57,14 +57,6 @@ def test_moment_identities():
         assert poisson.poisson_first_abs_moment(n) <= math.sqrt(n) + 1e-10
 
 
-def test_split_masses():
-    sp = poisson.split_masses(9, 3.0)
-    assert sp.truncation_error <= 1e-14
-    assert sp.central_mass + sp.tail_mass == pytest.approx(1.0, abs=1e-12)
-    assert sp.tail_mass <= poisson.tchebychev_bound(9, 3.0)
-    assert 1.0 - sp.truncation_error - 1e-12 <= sp.central_mass + sp.tail_mass <= 1.0 + 1e-12
-
-
 def test_chernoff_split_identity_contraction():
     central, tail = poisson.chernoff_split_sum(np.eye(3, dtype=complex), np.array([1, 0, 0]), 4, 2.0)
     assert central == 0.0
