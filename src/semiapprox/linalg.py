@@ -22,16 +22,21 @@ from .errors import (
 from .tolerances import HERMITIAN_TOL, MAX_CONDITION, MAX_EXPM_NORM
 
 
+def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Return ``a`` if it has ``ndim`` axes, square finite trailing matrices of dim >= 1."""
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise InvalidInputError(f"operator must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise InvalidInputError("operator entries must be finite")
+    return a
+
+
 def as_operator(m) -> np.ndarray:
     """Validate and return ``m`` as a square complex128 matrix."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InvalidInputError(f"operator must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise InvalidInputError("operator entries must be finite")
-    return a
+    return _checked(a, 2)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -42,6 +47,16 @@ def op_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     a = as_operator(m)
     return float(np.linalg.norm(a, 2))
+
+
+def op_norms(stack) -> list[float]:
+    """Spectral norms of a (k, d, d) stack, one SVD call for the whole stack.
+
+    Each norm equals ``op_norm`` of its matrix bit for bit: both take the
+    largest singular value of the same LAPACK routine.
+    """
+    a = _checked(np.asarray(stack, dtype=np.complex128), 3)
+    return np.linalg.svd(a, compute_uv=False)[:, 0].tolist()
 
 
 def condition(m) -> float:

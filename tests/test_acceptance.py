@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from semiapprox import approximants, bounds, contour, ensembles, linalg, numrange, poisson, report
-from semiapprox.harness import ExperimentConfig, _powers, fit_rate, pow2_grid, run_experiment
+from semiapprox.harness import (
+    ExperimentConfig,
+    _powers,
+    _stacked_norms,
+    fit_rate,
+    pow2_grid,
+    run_experiment,
+)
 from semiapprox.tolerances import ABS_SLACK, passes
 
 SEED = 902_114_400
@@ -84,10 +91,10 @@ def sectorial_sweep():
         worst_gap = 0.0
         gap_violations_low = []  # n < 8
         gap_violations_high = []
-        for n, (p, q), (p_next, _) in _powers([c, e], range(1, 4097), step=True):
-            ritt_val = (n + 1) * linalg.op_norm(p - p_next)
-            worst_ritt = max(worst_ritt, ritt_val)
-            gap = linalg.op_norm(p - q)
+        powers = _powers([c, e], range(1, 4097), step=True)
+        diffs = ((n, [p - p_next, p - q]) for n, (p, q), (p_next, _) in powers)
+        for n, (ritt, gap) in _stacked_norms(diffs):
+            worst_ritt = max(worst_ritt, (n + 1) * ritt)
             if not passes(gap, bounds.norm_chernoff_bound(n, alpha)):
                 (gap_violations_low if n < 8 else gap_violations_high).append(n)
             worst_gap = max(worst_gap, gap * n ** (1.0 / 3.0))
@@ -251,9 +258,9 @@ def test_criterion_07_selfadjoint_rates():
             np.linspace(0.0, 1.0, dim), ensembles.child_seed(SEED, 9000 + i)
         )
         e = linalg.expm(c - np.eye(dim))
-        for n, (p, q), (p_next, _) in _powers([c, e], range(1, 1025), step=True):
-            ritt = linalg.op_norm(p - p_next)
-            gap = linalg.op_norm(p - q)
+        powers = _powers([c, e], range(1, 1025), step=True)
+        diffs = ((n, [p - p_next, p - q]) for n, (p, q), (p_next, _) in powers)
+        for n, (ritt, gap) in _stacked_norms(diffs):
             if ritt > bounds.selfadjoint_ritt_bound(n) + 1e-12:
                 bad += 1
             if gap > bounds.selfadjoint_chernoff_bound(n) + 1e-12:

@@ -127,6 +127,11 @@ def test_usage_errors_exit_two(tmp_path):
     for bad_t in ("nan", "inf"):
         proc = run_cli("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, bad_t
+    # every kind rejects a negative t and an alpha outside [0, pi/2), even where unused
+    for argv in (("selfadjoint", "--t", "-1"), ("sqrt_n", "--alpha", "-3")):
+        proc = run_cli("verify", *argv, "--trials", "1", "--nmax", "4")
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     # an empty n-grid is a usage error, not a traceback
     proc = run_cli("verify", "chernoff_product", "--nmax", "0")
     assert proc.returncode == 2

@@ -1,14 +1,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from semiapprox import contour
+from semiapprox import contour, linalg
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
+    _NORM_CHUNK,
     EXPERIMENT_KINDS,
     ErrorRecord,
     ExperimentConfig,
+    _stacked_norms,
     fit_rate,
     make_record,
     run_experiment,
@@ -92,9 +95,16 @@ def test_config_validation():
         ExperimentConfig(kind="sqrt_n", n_mode="weird")
     with pytest.raises(InvalidInputError):
         ExperimentConfig(kind="tnk_equivalence", n_mode="all")
-    for bad_t in (math.nan, math.inf):
+    for bad_t in (math.nan, math.inf, -1.0):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(kind="poisson_split", ts=(1.0, bad_t))
+    with pytest.raises(InvalidInputError):
+        ExperimentConfig(kind="selfadjoint", ts=(-1.0,))
+    for bad_alpha in (-3.0, math.pi / 2, math.nan):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(kind="sqrt_n", alpha=bad_alpha)
+    # the closed ends of the ranges stay valid
+    ExperimentConfig(kind="selfadjoint", ts=(0.0,), alpha=0.0)
     for field in ("dim", "trials", "nmax"):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(kind="sqrt_n", **{field: 0})
@@ -175,6 +185,29 @@ def test_selfadjoint_records_meet_tight_tolerance():
     result = run_experiment(small_config("selfadjoint", trials=3, nmax=256))
     for r in result.records:
         assert r.empirical <= r.bound + 1e-12
+
+
+def test_stacked_norms_keep_order_across_chunks(monkeypatch):
+    # 130 values of n make chunks of 64 + 64 + 2 items with two matrices each
+    assert _NORM_CHUNK == 64
+    rng = np.random.default_rng(7)
+    items = [
+        (n, [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)])
+        for n in range(1, 131)
+    ]
+    expected = [(n, [linalg.op_norm(m) for m in ms]) for n, ms in items]
+    stack_sizes = []
+    op_norms = linalg.op_norms
+
+    def counting_op_norms(stack):
+        stack_sizes.append(len(stack))
+        return op_norms(stack)
+
+    monkeypatch.setattr(linalg, "op_norms", counting_op_norms)
+    assert list(_stacked_norms(iter(items))) == expected
+    assert stack_sizes == [128, 128, 4]
+    assert list(_stacked_norms([])) == []
+    assert stack_sizes == [128, 128, 4]
 
 
 def test_error_record_json_roundtrip():

@@ -29,6 +29,26 @@ def test_op_norm_rejects_nonfinite():
         linalg.op_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32])
+def test_op_norms_equal_op_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    stack = rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim))
+    assert linalg.op_norms(stack) == [linalg.op_norm(m) for m in stack]
+
+
+def test_op_norms_rejects_bad_stacks():
+    good = np.zeros((3, 2, 2), dtype=complex)
+    for bad in (np.nan, np.inf):
+        stack = good.copy()
+        stack[1, 0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            linalg.op_norms(stack)
+    with pytest.raises(InvalidInputError):
+        linalg.op_norms(np.eye(2))  # one matrix, not a stack
+    with pytest.raises(InvalidInputError):
+        linalg.op_norms(np.zeros((3, 2, 3)))
+
+
 def test_expm_zero_is_exact_identity():
     npt.assert_array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
 
