@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below
-1), an argument outside the domain of a formula (e.g. alpha >= pi/2, t < 0,
+1), an argument outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
 t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction), or
 a numerical failure (singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
