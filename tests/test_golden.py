@@ -1,11 +1,12 @@
 """Golden reports: the CSV and JSON bytes of every experiment kind are pinned.
 
 The files under ``tests/golden/`` hold the reports of small configs, one per
-kind plus the full n-grid of ``ritt`` and ``norm_chernoff`` and a wider
-``contour_reconstruction`` (dim 8, alpha = pi/4).  A change to the
-harness that alters any verdict, number, record order or summary key shows up
-here as a byte difference.  Rewrite the files only when a report is meant to
-change, with ``PYTHONPATH=src python tests/test_golden.py``.
+kind plus the full n-grid of ``ritt`` and ``norm_chernoff`` (dim 3) and of
+``contour_reconstruction`` (dim 5), and a wider ``contour_reconstruction``
+(dim 8, alpha = pi/4).  A change to the harness that alters any verdict,
+number, record order or summary key shows up here as a byte difference.
+Rewrite the files only when a report is meant to change, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import math
@@ -30,6 +31,7 @@ def _config(kind, **kw):
 CASES = {kind: _config(kind) for kind in EXPERIMENT_KINDS}
 CASES["ritt_all"] = _config("ritt", dim=3, n_mode="all")
 CASES["norm_chernoff_all"] = _config("norm_chernoff", dim=3, n_mode="all")
+CASES["contour_reconstruction_all"] = _config("contour_reconstruction", dim=5, n_mode="all")
 CASES["contour_reconstruction_wide"] = _config("contour_reconstruction", dim=8, alpha=math.pi / 4)
 
 
