@@ -10,6 +10,10 @@ Quadrature is composite 16-point Gauss-Legendre.  Arc panels are uniform;
 line panels are geometrically graded toward the vertex, where the resolvent
 may grow while the integrands of interest vanish.  Gauss nodes are interior,
 so the vertex z = 1 itself is never sampled.
+
+Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks.  The
+quadrature's base pass also returns the resolvent norms at its nodes, and
+the majorant check reads those norms instead of solving again.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 64  # contour nodes per stacked resolvent solve
 
-SEGMENT_LINE_MINUS = "line_minus"
-SEGMENT_ARC = "arc"
-SEGMENT_LINE_PLUS = "line_plus"
-
 
 @dataclass
 class ContourNodes:
@@ -38,7 +38,7 @@ class ContourNodes:
     alpha_prime: float
     z: np.ndarray
     dz_weight: np.ndarray
-    segments: np.ndarray
+    on_arc: np.ndarray  # True on the arc, False on the two straight sides
     k_arc: int
     k_line: int
 
@@ -71,7 +71,7 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
 
     radius = math.sin(alpha_prime)
     length = math.cos(alpha_prime)
-    zs, ws, labels = [], [], []
+    zs, ws = [], []
 
     # vertex -> A
     edges = _line_edges(length, k_line)
@@ -80,7 +80,6 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         s, w = _panel_nodes(a, b)
         zs.append(1.0 + s * direction)
         ws.append(w * direction)
-        labels.append([SEGMENT_LINE_MINUS] * s.size)
 
     # A -> B, counterclockwise
     t0, t1 = math.pi / 2 - alpha_prime, 3 * math.pi / 2 + alpha_prime
@@ -91,7 +90,6 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         z = radius * np.exp(1j * t)
         zs.append(z)
         ws.append(w * 1j * z)
-        labels.append([SEGMENT_ARC] * t.size)
 
     # B -> vertex: s runs cos(alpha') -> 0, i.e. minus the 0 -> cos(alpha') integral
     direction = -np.exp(1j * alpha_prime)
@@ -99,23 +97,15 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         s, w = _panel_nodes(a, b)
         zs.append(1.0 + s[::-1] * direction)
         ws.append(-w[::-1] * direction)
-        labels.append([SEGMENT_LINE_PLUS] * s.size)
 
     return ContourNodes(
         alpha_prime=alpha_prime,
         z=np.concatenate(zs),
         dz_weight=np.concatenate(ws),
-        segments=np.asarray([l for chunk in labels for l in chunk]),
+        on_arc=np.repeat([False, True, False], _GL_NODES.size * np.array([k_line, k_arc, k_line])),
         k_arc=k_arc,
         k_line=k_line,
     )
-
-
-def segment_endpoints(alpha_prime: float) -> tuple[complex, complex]:
-    """The junction points A (top) and B (bottom) of arc and lines."""
-    a = np.exp(1j * (math.pi / 2 - alpha_prime)) * math.sin(alpha_prime)
-    b = np.exp(1j * (3 * math.pi / 2 + alpha_prime)) * math.sin(alpha_prime)
-    return complex(a), complex(b)
 
 
 def winding_number(contour: ContourNodes, z0: complex) -> complex:
@@ -146,29 +136,36 @@ def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
         yield nodes, r
 
 
-def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes) -> list[np.ndarray]:
-    accs = [np.zeros(c.shape, dtype=np.complex128) for _ in fs]
+def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, norms: bool = False):
+    """The quadrature sums of fs on one node set, and ||(z - C)^{-1}|| per node if asked."""
+    acc = np.zeros((len(fs),) + c.shape, dtype=np.complex128)
+    rnorm = []
     for nodes, block in _resolvent_blocks(c, contour):
+        if norms:
+            rnorm += linalg.op_norms(block)
         for z, w, res in zip(contour.z[nodes], contour.dz_weight[nodes], block):
-            for f, acc in zip(fs, accs):
-                acc += (f(z) * w) * res
-    return [acc / (2j * math.pi) for acc in accs]
+            coef = np.array([f(z) * w for f in fs], dtype=np.complex128)
+            acc += coef[:, None, None] * res
+    return list(acc / (2j * math.pi)), np.asarray(rnorm)
 
 
-def riesz_dunford_many(fs, c, contour: ContourNodes) -> list[np.ndarray]:
+def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], np.ndarray]:
     """Evaluate several functions of C on a shared resolvent sweep.
 
-    The node set is doubled until every result agrees with its previous
-    refinement to CONTOUR_QUAD_TOL in spectral norm.  Raises
-    ContourTooCloseError when that takes more than CONTOUR_NODE_CAP nodes.
+    Returns (values, rnorm): values[i] approximates fs[i](C), and rnorm[j] is
+    ||(z_j - C)^{-1}|| at node j of the given contour, the input of
+    contour_norm_bound_check.  The node set is doubled until every value
+    agrees with its previous refinement to CONTOUR_QUAD_TOL in spectral norm.
+    Raises ContourTooCloseError when that takes more than CONTOUR_NODE_CAP
+    nodes.
     """
     a = linalg.as_operator(c)
-    results = _evaluate_many(fs, a, contour)
+    results, rnorm = _evaluate_many(fs, a, contour, norms=True)
     while True:
         contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
-        refined = _evaluate_many(fs, a, contour)
+        refined, _ = _evaluate_many(fs, a, contour)
         if all(linalg.op_norm(r2 - r1) < CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
-            return refined
+            return refined, rnorm
         if len(contour) * 2 > CONTOUR_NODE_CAP:
             raise ContourTooCloseError(
                 f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
@@ -179,42 +176,43 @@ def riesz_dunford_many(fs, c, contour: ContourNodes) -> list[np.ndarray]:
 
 def riesz_dunford(f, c, contour: ContourNodes) -> np.ndarray:
     """f(C) = (1/2 pi i) * contour integral of f(z) (z - C)^{-1} dz."""
-    return riesz_dunford_many([f], c, contour)[0]
+    return riesz_dunford_many([f], c, contour)[0][0]
 
 
 @dataclass
 class ContourCheckReport:
     """Node-wise resolvent-majorant ratios along the contour."""
 
-    alpha: float
-    alpha_prime: float
-    n: int
     worst_ratio_arc: float
     worst_ratio_lines: float
     worst_dist_ratio: float
     max_integrand_gap: float
-    node_count: int
     passed: bool
 
 
-def contour_norm_bound_check(c, alpha: float, alpha_prime: float, n: int) -> ContourCheckReport:
+def contour_norm_bound_check(
+    contour: ContourNodes, rnorm, alpha: float, n: int
+) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
-    On the arc the majorant is 1/(cos(alpha') sin(alpha' - alpha)); on the
-    lines it is 1/(|1 - z| sin(alpha' - alpha)).  The report also carries the
-    distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)) and the
-    largest pointwise value of |z^n - e^{n(z-1)}| along the contour (the
-    quantity whose nodewise decay drives the no-rate convergence argument).
+    rnorm holds ||(z - C)^{-1}|| at every node of the contour, as
+    riesz_dunford_many returns it; nothing is solved here.  With alpha' the
+    contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
+    alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
+    carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha))
+    and the largest pointwise value of |z^n - e^{n(z-1)}| along the contour
+    (the quantity whose nodewise decay drives the no-rate convergence
+    argument).
     """
-    if not 0.0 <= alpha < alpha_prime < math.pi / 2:
+    alpha_prime = contour.alpha_prime
+    if not 0.0 <= alpha < alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
-    a = linalg.as_operator(c)
-    contour = build_contour(alpha_prime)
-    rnorm = np.concatenate(
-        [np.linalg.norm(r, 2, axis=(1, 2)) for _, r in _resolvent_blocks(a, contour)]
-    )
-    z = contour.z
-    arc = contour.segments == SEGMENT_ARC
+    rnorm = np.asarray(rnorm, dtype=float)
+    if rnorm.shape != (len(contour),):
+        raise InvalidInputError(
+            f"need one resolvent norm per contour node ({len(contour)}), got shape {rnorm.shape}"
+        )
+    z, arc = contour.z, contour.on_arc
     sin_gap = math.sin(alpha_prime - alpha)
     arc_major = 1.0 / (math.cos(alpha_prime) * sin_gap)
     # np.hypot, not np.abs: it rounds |w| as the scalar abs does
@@ -227,13 +225,9 @@ def contour_norm_bound_check(c, alpha: float, alpha_prime: float, n: int) -> Con
 
     passed = max(worst_arc, worst_lines) <= 1.0 + 1e-8 and worst_dist <= 1.0 + 1e-6
     return ContourCheckReport(
-        alpha=alpha,
-        alpha_prime=alpha_prime,
-        n=n,
         worst_ratio_arc=worst_arc,
         worst_ratio_lines=worst_lines,
         worst_dist_ratio=worst_dist,
         max_integrand_gap=max_gap,
-        node_count=len(contour),
         passed=passed,
     )

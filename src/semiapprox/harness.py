@@ -490,14 +490,14 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     for i, c, t_res in draws:
-        got_all = contour.riesz_dunford_many(fs, c, nodes)
+        got_all, rnorm = contour.riesz_dunford_many(fs, c, nodes)
         for idx, n in enumerate(ns):
             cn = linalg.mat_pow(c, n)
             emp = linalg.op_norm(got_all[idx] - cn @ (eye - c))
             records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, emp, 1e-7))
             emp = linalg.op_norm(got_all[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
             records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, emp, 1e-7))
-        report = contour.contour_norm_bound_check(c, config.alpha, alpha_prime, 4)
+        report = contour.contour_norm_bound_check(nodes, rnorm, config.alpha, 4)
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
         majorant_failures += not report.passed
     return records, {

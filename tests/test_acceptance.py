@@ -427,7 +427,7 @@ def test_criterion_12_contour_calculus():
         ns = (1, 2, 4, 8, 16)
         fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
         fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
-        got = contour.riesz_dunford_many(fs, c, nodes)
+        got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
         eye = np.eye(dim)
         for idx, n in enumerate(ns):
             cn = linalg.mat_pow(c, n)
@@ -435,7 +435,7 @@ def test_criterion_12_contour_calculus():
             err2 = linalg.op_norm(got[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
             worst_recon = max(worst_recon, err1, err2)
             bad_recon += (err1 > 1e-7) + (err2 > 1e-7)
-        if not contour.contour_norm_bound_check(c, alpha, alpha_prime, 4).passed:
+        if not contour.contour_norm_bound_check(nodes, rnorm, alpha, 4).passed:
             bad_majorant += 1
     crit(
         12,

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from semiapprox import contour, ensembles, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
+from semiapprox.harness import ExperimentConfig, run_experiment
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
@@ -15,26 +15,20 @@ def certified_resolvent(dim, alpha, seed, t=1.0):
     return c
 
 
+def majorant_report(c, alpha, nodes, n):
+    _, rnorm = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+    return contour.contour_norm_bound_check(nodes, rnorm, alpha, n)
+
+
 def test_contour_geometry():
     ap = math.pi / 4
     nodes = contour.build_contour(ap)
-    arc = nodes.z[nodes.segments == contour.SEGMENT_ARC]
+    arc = nodes.z[nodes.on_arc]
     assert np.max(np.abs(np.abs(arc) - math.sin(ap))) <= 1e-12
-    for seg in (contour.SEGMENT_LINE_MINUS, contour.SEGMENT_LINE_PLUS):
-        line = nodes.z[nodes.segments == seg]
-        dist = np.abs(line - 1.0)
-        assert dist.max() <= math.cos(ap) + 1e-12
-        assert dist.min() > 0.0  # vertex itself is never a node
-
-
-def test_segment_endpoints_chain():
-    ap = 0.9
-    a_pt, b_pt = contour.segment_endpoints(ap)
-    # line_minus runs from the vertex to A, the arc from A to B, line_plus back
-    assert a_pt == pytest.approx(1.0 - math.cos(ap) * cmath.exp(-1j * ap), abs=1e-12)
-    assert b_pt == pytest.approx(1.0 - math.cos(ap) * cmath.exp(1j * ap), abs=1e-12)
-    assert abs(a_pt) == pytest.approx(math.sin(ap), abs=1e-12)
-    assert abs(b_pt) == pytest.approx(math.sin(ap), abs=1e-12)
+    line = nodes.z[~nodes.on_arc]
+    dist = np.abs(line - 1.0)
+    assert dist.max() <= math.cos(ap) + 1e-12
+    assert dist.min() > 0.0  # vertex itself is never a node
 
 
 def test_nodes_outside_smaller_region():
@@ -94,15 +88,14 @@ def test_riesz_dunford_many_matches_single():
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     fs = [lambda z: 1.0, lambda z: z * (1 - z)]
-    batch = contour.riesz_dunford_many(fs, c, nodes)
+    batch, _ = contour.riesz_dunford_many(fs, c, nodes)
     for f, got in zip(fs, batch):
-        single = contour.riesz_dunford(f, c, nodes)
-        assert linalg.op_norm(got - single) <= 1e-12
+        assert np.array_equal(got, contour.riesz_dunford(f, c, nodes))
 
 
 def test_majorants_hold_selfadjoint_example():
     c = np.diag([0.2, 0.8]).astype(complex)
-    report = contour.contour_norm_bound_check(c, 0.01, math.pi / 4, 4)
+    report = majorant_report(c, 0.01, contour.build_contour(math.pi / 4), 4)
     assert report.passed
     assert report.worst_ratio_arc <= 1 + 1e-8
     assert report.worst_ratio_lines <= 1 + 1e-8
@@ -114,22 +107,56 @@ def test_majorants_hold_random_certified():
         c = certified_resolvent(4, alpha, 4000 + i)
         for ap_frac in (0.35, 0.6, 0.85):
             ap = alpha + (math.pi / 2 - alpha) * ap_frac
-            report = contour.contour_norm_bound_check(c, alpha, ap, 8)
+            report = majorant_report(c, alpha, contour.build_contour(ap), 8)
             assert report.passed, (alpha, ap_frac)
 
 
 def test_integrand_gap_decays_with_n():
     c = certified_resolvent(4, math.pi / 8, 5000)
+    nodes = contour.build_contour(1.0)
+    _, rnorm = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
     gaps = [
-        contour.contour_norm_bound_check(c, math.pi / 8, 1.0, n).max_integrand_gap
+        contour.contour_norm_bound_check(nodes, rnorm, math.pi / 8, n).max_integrand_gap
         for n in (4, 64, 1024)
     ]
     assert gaps[2] < gaps[1] < gaps[0]
 
 
 def test_contour_check_validation():
+    nodes = contour.build_contour(0.4)
     with pytest.raises(InvalidInputError):
-        contour.contour_norm_bound_check(np.eye(2), 0.5, 0.4, 1)
+        contour.contour_norm_bound_check(nodes, np.ones(len(nodes)), 0.5, 1)
+    for size in (len(nodes) - 1, len(nodes) + 1, 0):
+        with pytest.raises(InvalidInputError):
+            contour.contour_norm_bound_check(nodes, np.ones(size), 0.1, 1)
+
+
+def test_rnorm_is_op_norm_of_per_node_solves():
+    c = certified_resolvent(3, math.pi / 8, 3000)
+    nodes = contour.build_contour(1.0)
+    _, rnorm = contour.riesz_dunford_many([lambda z: z], c, nodes)
+    eye = np.eye(3, dtype=complex)
+    want = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
+    assert np.array_equal(rnorm, want)
+
+
+def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
+    # one base pass and one refinement at twice the nodes; the majorant
+    # check reads the base pass's norms and solves nothing
+    solved = []
+    blocks = contour._resolvent_blocks
+
+    def counting_blocks(c, nodes):
+        for sl, r in blocks(c, nodes):
+            solved.append(len(r))
+            yield sl, r
+
+    monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
+    config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
+    result = run_experiment(config)
+    assert result.summary["certification_failures"] == 0
+    base = contour.build_contour(result.summary["alpha_prime"])
+    assert sum(solved) == 3 * len(base)
 
 
 def test_spectrum_on_node_raises_too_close():
