@@ -188,6 +188,19 @@ def euler_bound(n: int, alpha: float) -> float:
     return euler_upper_constant(alpha) / (math.cos(alpha) ** 2 * n)
 
 
+def trotter_bound(n: int, t: float, comm: float) -> float:
+    """t^2 ||AB - BA|| / (2n): the Lie-Trotter error ||(e^{-tA/n} e^{-tB/n})^n - e^{-t(A+B)}||.
+
+    One split step of length h = t/n is off by at most h^2 ||[A, B]|| / 2,
+    and the n step errors add up over contractions (Chernoff, J. Funct.
+    Anal. 2, 1968); comm = ||AB - BA||.
+    """
+    _check_n(n)
+    if t < 0.0 or comm < 0.0:
+        raise DomainError("t and comm must be nonnegative")
+    return t**2 * comm / (2.0 * n)
+
+
 def _check_n(n: int) -> None:
     # a plain int skips the abstract-base-class check, which costs more than
     # the bound itself in a sweep that evaluates one bound per record

@@ -299,7 +299,7 @@ def _run_vector_bounds(config: ExperimentConfig):
 
 
 def _trotter_draws(config: ExperimentConfig):
-    """Split-step draws (id, A + B, Phi): commuting diagonal pairs for even i."""
+    """Split-step draws (id, A + B, Phi, ||AB - BA||): commuting diagonal pairs for even i."""
     for i in range(config.trials):
         seed = ensembles.child_seed(config.seed, i)
         if i % 2 == 0:
@@ -312,7 +312,8 @@ def _trotter_draws(config: ExperimentConfig):
             seed_b = ensembles.child_seed(config.seed, 10_000 + i)
             b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
             label = "noncommuting"
-        yield f"trotter_product/{label}/d{i:03d}", a + b, approximants.trotter_family(a, b)
+        comm = linalg.op_norm(a @ b - b @ a)
+        yield f"trotter_product/{label}/d{i:03d}", a + b, approximants.trotter_family(a, b), comm
 
 
 def _pair_sweep(config: ExperimentConfig, draws):
@@ -352,11 +353,11 @@ def _run_chernoff_product(config: ExperimentConfig):
 
 def _run_trotter_product(config: ExperimentConfig):
     records = []
-    for rid, t, n, step, ref in _pair_sweep(config, _trotter_draws(config)):
-        emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
-        # commuting factors make the product exact; otherwise only the
-        # trivial contraction-difference bound 2 is available here
-        records.append(make_record(rid, n, t, emp, 2.0 if "/noncommuting/" in rid else 0.0))
+    for rid, a, phi, comm in _trotter_draws(config):
+        # commuting factors (comm = 0) make the product exact
+        for rid_t, t, n, step, ref in _pair_sweep(config, [(rid, a, phi)]):
+            emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
+            records.append(make_record(rid_t, n, t, emp, bounds.trotter_bound(n, t, comm)))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
     return records, {"noncommuting_rate_fits": fits}
 

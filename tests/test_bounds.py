@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semiapprox import bounds, poisson
 from semiapprox.errors import DegenerateInputError, DomainError
@@ -133,6 +134,27 @@ def test_euler_bound():
     # self-adjoint consistency: the optimal e^{-1}/n lies below the generic bound
     for n in (1, 10, 100):
         assert bounds.selfadjoint_chernoff_bound(n) <= bounds.euler_bound(n, 0.0)
+
+
+def test_trotter_bound():
+    assert bounds.trotter_bound(4, 2.0, 3.0) == 1.5
+    assert bounds.trotter_bound(1, 0.5, 1.0) == 0.125
+    assert bounds.trotter_bound(7, 10.0, 0.0) == 0.0  # commuting factors: exact
+    assert bounds.trotter_bound(3, 0.0, 2.0) == 0.0
+    # two projections: A = diag(1, 0) and B onto (1, 1)/sqrt(2),
+    # whose commutator [[0, 1/2], [-1/2, 0]] has norm 1/2
+    a = np.diag([1.0, 0.0])
+    b = np.full((2, 2), 0.5)
+    assert np.linalg.norm(a @ b - b @ a, 2) == pytest.approx(0.5, rel=1e-15)
+    for t in (0.5, 2.0):
+        ref = scipy.linalg.expm(-t * (a + b))
+        for n in (1, 4, 64):
+            step = scipy.linalg.expm(-t / n * a) @ scipy.linalg.expm(-t / n * b)
+            err = np.linalg.norm(np.linalg.matrix_power(step, n) - ref, 2)
+            assert err <= bounds.trotter_bound(n, t, 0.5)
+    for args in ((0, 1.0, 1.0), (2, -1.0, 1.0), (2, 1.0, -0.5)):
+        with pytest.raises(DomainError):
+            bounds.trotter_bound(*args)
 
 
 def test_epsilon_star_optimality_sampled():
