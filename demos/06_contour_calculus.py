@@ -34,7 +34,7 @@ for n, recon in zip(ns, recons):
           f"{linalg.op_norm(recon - direct):.2e}")
 
 report = contour.contour_norm_bound_check(nodes, rnorm, alpha, 16)
-print(f"\nresolvent majorants at {len(rnorm)} nodes:")
+print(f"\nresolvent majorants at {len(nodes)} nodes:")
 print(f"  arc ratio   <= {report.worst_ratio_arc:.6f}")
 print(f"  line ratio  <= {report.worst_ratio_lines:.6f}")
 print(f"  dist ratio  <= {report.worst_dist_ratio:.6f}")
