@@ -49,18 +49,23 @@ class ErrorRecord:
 
 
 def make_record(experiment_id: str, n: int, t: float, empirical: float, bound: float) -> ErrorRecord:
-    """Build a record with the package-wide pass rule and ratio convention."""
+    """Build a record with the package-wide pass rule and ratio convention.
+
+    ``empirical`` and ``bound`` are converted to Python floats first, so that
+    ``ratio`` and ``passed`` are a Python float and bool even for NumPy input.
+    """
+    empirical, bound = float(empirical), float(bound)
     if bound > 0.0:
         ratio = empirical / bound
     else:
-        ratio = 0.0 if empirical == 0.0 else float("inf")
+        ratio = 0.0 if empirical == 0.0 else math.inf
     return ErrorRecord(
         experiment_id=experiment_id,
         n=int(n),
         t=float(t),
-        empirical=float(empirical),
-        bound=float(bound),
-        ratio=float(ratio),
+        empirical=empirical,
+        bound=bound,
+        ratio=ratio,
         passed=passes(empirical, bound),
     )
 

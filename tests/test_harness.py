@@ -50,6 +50,14 @@ def test_make_record_pass_rule():
     assert not r.passed
 
 
+def test_make_record_fields_are_python_scalars():
+    # NumPy inputs (as chernoff_split_sum returns) must not leak into records
+    r = make_record("x", np.int64(4), np.float64(0.5), np.float64(1.0), np.float64(2.0))
+    assert type(r.n) is int and type(r.passed) is bool
+    assert all(type(v) is float for v in (r.t, r.empirical, r.bound, r.ratio))
+    assert type(make_record("x", 4, 0.0, np.float64(1.0), np.float64(0.0)).ratio) is float
+
+
 def test_fit_rate_exact_power_laws():
     points = [(n, 1.0 / n) for n in (1, 2, 4, 8, 16, 32)]
     est = fit_rate(points)
