@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
     except (
-        OSError, json.JSONDecodeError, InvalidInputError,
+        OSError, UnicodeDecodeError, json.JSONDecodeError, InvalidInputError,
         DomainError, SingularityError, InsufficientDataError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,21 +32,6 @@ class ErrorRecord:
     ratio: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ErrorRecord":
-        return cls(
-            experiment_id=obj["experiment_id"],
-            n=int(obj["n"]),
-            t=float(obj["t"]),
-            empirical=float(obj["empirical"]),
-            bound=float(obj["bound"]),
-            ratio=float(obj["ratio"]),
-            passed=bool(obj["passed"]),
-        )
-
 
 def make_record(experiment_id: str, n: int, t: float, empirical: float, bound: float) -> ErrorRecord:
     """Build a record with the package-wide pass rule and ratio convention.

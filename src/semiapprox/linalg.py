@@ -3,9 +3,8 @@
 An "operator" throughout the package is a square complex ``numpy.ndarray``
 (row-major, dimension >= 1, all entries finite).  These wrappers pin down the
 conventions the rest of the library relies on: the operator norm is always the
-spectral norm, eigenvalues of Hermitian matrices come back sorted descending,
-and inversion refuses matrices whose condition number makes the result
-meaningless.
+spectral norm, and inversion refuses matrices whose condition number makes the
+result meaningless.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .errors import (
     OverflowRiskError,
     SingularityError,
 )
-from .tolerances import HERMITIAN_TOL, MAX_CONDITION, MAX_EXPM_NORM
+from .tolerances import MAX_CONDITION, MAX_EXPM_NORM
 
 
 def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
@@ -101,17 +100,6 @@ def inverse(m) -> np.ndarray:
     if not np.isfinite(c) or c > MAX_CONDITION:
         raise SingularityError(f"condition number {c:g} exceeds {MAX_CONDITION:g}")
     return np.asarray(np.linalg.solve(a, identity(a.shape[0])), dtype=np.complex128)
-
-
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and orthonormal eigenvectors of Hermitian h."""
-    a = as_operator(h)
-    scale = op_norm(a)
-    if op_norm(a - a.conj().T) > HERMITIAN_TOL * max(scale, 1e-300):
-        raise InvalidInputError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order].real, v[:, order]
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

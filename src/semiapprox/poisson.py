@@ -5,8 +5,9 @@ The representation
     C^n - e^{n(C-1)} = sum_m P{X_n = m} (C^n - C^m),   X_n ~ Poisson(n),
 
 turns the power-vs-exponential discrepancy into a Poisson average.  This
-module owns the pmf (in log space), exact tail masses, the Tchebychev bound,
-and the weighted-norm split itself.  Infinite sums are truncated once the
+module owns the pmf, evaluated in log space on one certified window of m by
+``_pmf_window``, exact tail masses, the Tchebychev bound, and the
+weighted-norm split itself.  Infinite sums are truncated once the
 omitted probability mass drops below POISSON_MASS_TOL; the dropped mass is
 reported, never ignored.
 """
@@ -22,18 +23,6 @@ from scipy.special import gammaln
 from . import linalg
 from .errors import DomainError, InvalidInputError
 from .tolerances import CONTRACTION_INPUT_TOL, POISSON_MASS_TOL
-
-
-def poisson_log_pmf(n: int, m: int) -> float:
-    _check_rate(n)
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
-    return -n + m * math.log(n) - math.lgamma(m + 1)
-
-
-def poisson_pmf(n: int, m: int) -> float:
-    """P{X_n = m} = e^{-n} n^m / m!, evaluated in log space."""
-    return math.exp(poisson_log_pmf(n, m))
 
 
 def _dropped_mass_bound(n: int, m_lo: int, m_hi: int, pmf: np.ndarray) -> float:
@@ -56,8 +45,8 @@ def _dropped_mass_bound(n: int, m_lo: int, m_hi: int, pmf: np.ndarray) -> float:
     return dropped
 
 
-def _pmf_window(n: int) -> tuple[int, np.ndarray, float]:
-    """(m_lo, pmf values on [m_lo, m_hi], dropped-mass bound), widened as needed.
+def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(ms = [m_lo, ..., m_hi], P{X_n = m} on ms, dropped-mass bound), widened as needed.
 
     The window grows until the certified dropped mass is below
     POISSON_MASS_TOL.  Terms outside the certified window contribute less
@@ -73,7 +62,7 @@ def _pmf_window(n: int) -> tuple[int, np.ndarray, float]:
         pmf = np.exp(logs)
         dropped = _dropped_mass_bound(n, m_lo, m_hi, pmf)
         if dropped <= POISSON_MASS_TOL:
-            return m_lo, pmf, dropped
+            return ms, pmf, dropped
         width *= 2.0
 
 
@@ -82,8 +71,7 @@ def poisson_tail(n: int, epsilon: float) -> float:
     _check_rate(n)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    m_lo, pmf, _ = _pmf_window(n)
-    ms = np.arange(m_lo, m_lo + pmf.size)
+    ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf[np.abs(ms - n) > epsilon]))
 
 
@@ -98,16 +86,14 @@ def tchebychev_bound(n: int, epsilon: float) -> float:
 def poisson_second_moment(n: int) -> float:
     """sum_m pmf(n, m) (m - n)^2; equals Var(X_n) = n."""
     _check_rate(n)
-    m_lo, pmf, _ = _pmf_window(n)
-    ms = np.arange(m_lo, m_lo + pmf.size)
+    ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf * (ms - n) ** 2))
 
 
 def poisson_first_abs_moment(n: int) -> float:
     """sum_m pmf(n, m) |m - n|; at most sqrt(n) by Cauchy-Schwarz."""
     _check_rate(n)
-    m_lo, pmf, _ = _pmf_window(n)
-    ms = np.arange(m_lo, m_lo + pmf.size)
+    ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf * np.abs(ms - n)))
 
 
@@ -130,8 +116,8 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
     if abs(np.linalg.norm(x) - 1.0) > 1e-12:
         raise InvalidInputError("x must be a unit vector")
 
-    m_lo, pmf, _ = _pmf_window(n)
-    m_hi = m_lo + pmf.size - 1
+    ms, pmf, _ = _pmf_window(n)
+    m_hi = int(ms[-1])
 
     # iterate y_m = C^m x once up to the window edge
     powers = np.empty((m_hi + 1, x.size), dtype=np.complex128)
@@ -142,13 +128,12 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
 
     central = 0.0
     tail = 0.0
-    for idx in range(pmf.size):
-        m = m_lo + idx
+    for m, p in zip(ms.tolist(), pmf):
         dist = float(np.linalg.norm(x_n - powers[m]))
         if abs(m - n) <= epsilon:
-            central += pmf[idx] * dist
+            central += p * dist
         else:
-            tail += pmf[idx] * dist
+            tail += p * dist
     return central, tail
 
 

@@ -1,23 +1,30 @@
-"""Deterministic CSV/JSON report emission and parsing.
+"""Deterministic CSV/JSON report emission and strict parsing.
 
-CSV columns are exactly ``experiment_id,n,t,empirical,bound,ratio,passed``
-with a header row; JSON reports hold the record array plus a summary object.
-All floats are rendered with 17 significant digits, which round-trips IEEE
-doubles exactly, so identical runs produce identical bytes.  In JSON an
-integral float keeps a fractional part (``2.0``), so it parses back as a float.
+CSV columns are the ``ErrorRecord`` fields in order,
+``experiment_id,n,t,empirical,bound,ratio,passed``, with a header row; JSON
+reports hold the record array plus a summary object.  All floats are rendered
+with 17 significant digits, which round-trips IEEE doubles exactly, so
+identical runs produce identical bytes.  In JSON an integral float keeps a
+fractional part (``2.0``), so it parses back as a float.
+
+Parsing is strict: every record field must have its declared type (``n`` an
+integer, ``passed`` ``true``/``false``), or ``InvalidInputError`` is raised.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .harness import ErrorRecord, summarize
 
-CSV_HEADER = "experiment_id,n,t,empirical,bound,ratio,passed"
+_FIELD_TYPES = typing.get_type_hints(ErrorRecord)
+CSV_HEADER = ",".join(_FIELD_TYPES)
 
 
 def _fmt_float(x: float, json_mode: bool = False) -> str:
@@ -52,14 +59,16 @@ def _json_dump(value, parts: list[str]) -> None:
         parts.append("]")
     elif isinstance(value, bool):
         parts.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        parts.append(_fmt_float(float(value), json_mode=True))
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, float):
+        parts.append(_fmt_float(value, json_mode=True))
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
     elif value is None:
         parts.append("null")
     else:
-        parts.append(json.dumps(str(value)))
+        raise TypeError(f"cannot write {type(value).__name__} {value!r} to a JSON report")
 
 
 def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = None) -> bytes:
@@ -69,23 +78,12 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in records:
-            lines.append(
-                ",".join(
-                    (
-                        r.experiment_id,
-                        str(r.n),
-                        _fmt_float(r.t),
-                        _fmt_float(r.empirical),
-                        _fmt_float(r.bound),
-                        _fmt_float(r.ratio),
-                        "true" if r.passed else "false",
-                    )
-                )
-            )
+            floats = (_fmt_float(x) for x in (r.t, r.empirical, r.bound, r.ratio))
+            lines.append(",".join((r.experiment_id, str(r.n), *floats, "true" if r.passed else "false")))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = {
-            "records": [r.to_json() for r in records],
+            "records": [asdict(r) for r in records],
             "summary": summary if summary is not None else summarize(records),
         }
         parts: list[str] = []
@@ -93,6 +91,31 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
         parts.append("\n")
         return "".join(parts).encode()
     raise InvalidInputError(f"unknown report format {fmt!r}")
+
+
+def _field(name: str, value, text: bool):
+    """Record field ``name`` from a CSV cell (``text``) or a JSON value.
+
+    The value must have the field's type: ``passed`` is ``true``/``false`` in
+    CSV and a JSON boolean, ``n`` an integer.  A float field also takes a JSON
+    integer, as reports written before integral floats kept ``.0`` have them.
+    """
+    kind = _FIELD_TYPES[name]
+    try:
+        if text and kind is bool:
+            if value in ("true", "false"):
+                return value == "true"
+        elif text or type(value) is kind or (kind is float and type(value) is int):
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"record field {name!r} must be a {kind.__name__}, got {value!r}")
+
+
+def _record(obj, text: bool) -> ErrorRecord:
+    if not isinstance(obj, dict) or obj.keys() != _FIELD_TYPES.keys():
+        raise InvalidInputError(f"a record must have exactly the fields {CSV_HEADER}, got {obj!r}")
+    return ErrorRecord(**{name: _field(name, obj[name], text) for name in _FIELD_TYPES})
 
 
 def parse_report(data: bytes, fmt: str) -> tuple[list[ErrorRecord], dict | None]:
@@ -105,23 +128,15 @@ def parse_report(data: bytes, fmt: str) -> tuple[list[ErrorRecord], dict | None]
         records = []
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) != 7:
+            if len(cells) != len(_FIELD_TYPES):
                 raise InvalidInputError(f"malformed CSV row: {ln!r}")
-            records.append(
-                ErrorRecord(
-                    experiment_id=cells[0],
-                    n=int(cells[1]),
-                    t=float(cells[2]),
-                    empirical=float(cells[3]),
-                    bound=float(cells[4]),
-                    ratio=float(cells[5]),
-                    passed=cells[6] == "true",
-                )
-            )
+            records.append(_record(dict(zip(_FIELD_TYPES, cells)), text=True))
         return records, None
     if fmt == "json":
         payload = json.loads(text)
-        records = [ErrorRecord.from_json(obj) for obj in payload["records"]]
+        if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
+            raise InvalidInputError("a JSON report must be an object with a records array")
+        records = [_record(obj, text=False) for obj in payload["records"]]
         return records, payload.get("summary")
     raise InvalidInputError(f"unknown report format {fmt!r}")
 

@@ -15,9 +15,6 @@ ABS_SLACK = 1e-10
 # Inputs to routines that require a contraction may exceed norm 1 by this much.
 CONTRACTION_INPUT_TOL = 1e-9
 
-# Hermitian check: ||H - H*|| <= HERMITIAN_TOL * ||H||.
-HERMITIAN_TOL = 1e-10
-
 # Matrix inversion refuses condition numbers above this.
 MAX_CONDITION = 1e14
 

@@ -9,7 +9,6 @@ from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
-    ErrorRecord,
     ExperimentConfig,
     _stacked_norms,
     fit_rate,
@@ -216,8 +215,3 @@ def test_stacked_norms_keep_order_across_chunks(monkeypatch):
     assert stack_sizes == [128, 128, 4]
     assert list(_stacked_norms([])) == []
     assert stack_sizes == [128, 128, 4]
-
-
-def test_error_record_json_roundtrip():
-    r = make_record("abc/d000", 16, 0.5, 1e-3, 2e-3)
-    assert ErrorRecord.from_json(r.to_json()) == r

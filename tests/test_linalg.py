@@ -98,34 +98,6 @@ def test_inverse_singular():
         linalg.inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_hermitian_eig_examples():
-    w, v = linalg.hermitian_eig(np.diag([3.0, 1.0]))
-    npt.assert_allclose(w, [3.0, 1.0])
-    npt.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-    w, v = linalg.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    npt.assert_allclose(w, [1.0, -1.0], atol=1e-14)
-    npt.assert_allclose(np.abs(v[:, 0]), [1 / math.sqrt(2)] * 2, rtol=1e-12)
-    npt.assert_allclose(np.abs(v[:, 1]), [1 / math.sqrt(2)] * 2, rtol=1e-12)
-
-    w, v = linalg.hermitian_eig(np.zeros((4, 4)))
-    npt.assert_array_equal(w, np.zeros(4))
-    npt.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-13)
-
-
-def test_hermitian_eig_residuals_and_rejection():
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (g + g.conj().T) / 2
-    w, v = linalg.hermitian_eig(h)
-    scale = linalg.op_norm(h)
-    for k in range(6):
-        assert np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) <= 1e-10 * scale
-    assert np.all(np.diff(w) <= 1e-12)
-    with pytest.raises(InvalidInputError):
-        linalg.hermitian_eig(g)
-
-
 def test_submultiplicativity_sampled():
     rng = np.random.default_rng(3)
     for trial in range(1000):

@@ -1,31 +1,51 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from scipy import stats
 
 from semiapprox import ensembles, linalg, poisson
 from semiapprox.errors import DomainError, InvalidInputError
+from semiapprox.tolerances import POISSON_MASS_TOL
+
+
+def _pmf(n, m):
+    """P{X_n = m} as the library computes it: the value of the pmf window at m."""
+    ms, pmf, _ = poisson._pmf_window(n)
+    assert ms[0] <= m <= ms[-1], (n, m)
+    return float(pmf[m - ms[0]])
+
+
+def test_pmf_window_layout():
+    for n in (1, 7, 100, 3000):
+        ms, pmf, dropped = poisson._pmf_window(n)
+        npt.assert_array_equal(ms, np.arange(ms[0], ms[-1] + 1))
+        assert pmf.shape == ms.shape and ms[0] <= n < ms[-1]
+        assert 0.0 <= dropped <= POISSON_MASS_TOL
 
 
 def test_pmf_examples():
-    assert poisson.poisson_pmf(1, 0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert poisson.poisson_pmf(1, 1) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert _pmf(1, 0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert _pmf(1, 1) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_pmf_against_scipy():
     for n in (1, 7, 100, 3000):
-        ms = [0, 1, n // 2, n, n + 1, n + 50]
-        for m in ms:
-            assert poisson.poisson_pmf(n, m) == pytest.approx(
-                float(stats.poisson.pmf(m, n)), rel=1e-12
-            )
+        ms, _, dropped = poisson._pmf_window(n)
+        for m in (0, 1, n // 2, n, n + 1, n + 50, int(ms[0]), int(ms[-1])):
+            oracle = float(stats.poisson.pmf(m, n))
+            if ms[0] <= m <= ms[-1]:
+                assert _pmf(n, m) == pytest.approx(oracle, rel=1e-12)
+            else:
+                # left out of the window: covered by the certified dropped mass
+                assert oracle <= dropped
 
 
 def test_pmf_normalization():
     for n in (1, 10, 100, 1000):
-        total = sum(poisson.poisson_pmf(n, m) for m in range(0, n + max(200, 30 * int(n**0.5))))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        _, pmf, _ = poisson._pmf_window(n)
+        assert sum(pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tail_examples():
