@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below
-1), an argument outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
+1, or a report --merge input that is not a well-formed report), an argument outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
 t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction), or
 a numerical failure (singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
@@ -23,8 +23,10 @@ import dataclasses
 import json
 import sys
 
-from . import bounds, linalg, numrange, report
-from .errors import DomainError, InsufficientDataError, InvalidInputError, SingularityError
+from . import bounds, numrange, report
+from .errors import (
+    DomainError, InsufficientDataError, InvalidInputError, NotAContractionError, SingularityError,
+)
 from .harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .tolerances import ABS_SLACK, REL_SLACK
 
@@ -107,9 +109,10 @@ def _cmd_numrange(args) -> int:
     with open(args.input) as fh:
         matrix = report.load_matrix_json(json.load(fh))
     cert = numrange.certify_quasi_sectorial(matrix, args.alpha, args.points)
-    est = None
-    if linalg.op_norm(matrix) <= 1.0 + 1e-9:
+    try:
         est = numrange.min_semi_angle(matrix, args.points)
+    except NotAContractionError:
+        est = None
     out = {
         "alpha": args.alpha,
         "points": args.points,

@@ -120,8 +120,8 @@ class ExperimentConfig:
             )
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
-        if not all(math.isfinite(t) and t >= 0.0 for t in self.ts):
-            raise InvalidInputError(f"t values must be finite and >= 0, got {self.ts}")
+        if not self.ts or not all(math.isfinite(t) and t >= 0.0 for t in self.ts):
+            raise InvalidInputError(f"need at least one t, each finite and >= 0, got {self.ts}")
         if not 0.0 <= self.alpha < math.pi / 2:
             raise InvalidInputError(f"alpha must lie in [0, pi/2), got {self.alpha}")
         if self.kind == "tnk_equivalence" and self.n_mode == "all":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -90,6 +91,13 @@ def test_numrange_subcommand(tmp_path):
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["passed"] is False
 
+    # not a contraction: the certificate fails and there is no semi-angle to report
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([2.0, 0.5]))))
+    proc = run_cli("numrange", "--input", str(matrix), "--alpha", "0.1", "--points", "32")
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is False and payload["min_semi_angle"] is None
+
 
 def test_constants_subcommand():
     proc = run_cli("constants", "--alpha", "0.0")
@@ -112,6 +120,45 @@ def test_report_merge(tmp_path):
     n1 = len(f1.read_text().splitlines()) - 1
     n2 = len(f2.read_text().splitlines()) - 1
     assert len(records) == n1 + n2
+
+
+def _one_record_report(fmt, **fields):
+    rec = dataclasses.replace(harness.make_record("x/d000", 4, 0.5, 0.25, 1.0), **fields)
+    return report.emit_report([rec], fmt)
+
+
+def test_report_merge_rejects_malformed_input(tmp_path):
+    good_csv = _one_record_report("csv").decode()
+    good_json = json.loads(_one_record_report("json"))
+    no_n = json.loads(_one_record_report("json"))
+    del no_n["records"][0]["n"]
+    # a failed record whose flag is a string: it must not merge as passed
+    string_flag = json.loads(_one_record_report("json", empirical=2.0, ratio=2.0, passed=False))
+    string_flag["records"][0]["passed"] = "False"
+    cases = {
+        "bad_n.csv": good_csv.replace("x/d000,4,", "x/d000,abc,"),
+        "no_n.json": json.dumps(no_n),
+        "string_flag.json": json.dumps(string_flag),
+    }
+    for name, text in cases.items():
+        bad, merged = tmp_path / name, tmp_path / f"merged_{name}"
+        bad.write_text(text)
+        good = tmp_path / f"good{bad.suffix}"
+        good.write_text(good_csv if bad.suffix == ".csv" else json.dumps(good_json))
+        proc = run_cli("report", "--merge", str(good), str(bad), "--out", str(merged))
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, name
+        assert not merged.exists(), name
+
+
+def test_report_merge_keeps_failed_records_failed(tmp_path):
+    failed = tmp_path / "failed.json"
+    failed.write_bytes(_one_record_report("json", empirical=2.0, ratio=2.0, passed=False))
+    merged = tmp_path / "merged.json"
+    assert cli.main(["report", "--merge", str(failed), "--out", str(merged)]) == 1
+    payload = json.loads(merged.read_text())
+    assert payload["records"][0]["passed"] is False
+    assert payload["summary"]["all_passed"] is False
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -107,6 +107,10 @@ def test_config_validation():
             ExperimentConfig(kind="poisson_split", ts=(1.0, bad_t))
     with pytest.raises(InvalidInputError):
         ExperimentConfig(kind="selfadjoint", ts=(-1.0,))
+    # an empty t-grid used to fail later, inside the runners
+    for kind in ("ritt", "tnk_equivalence", "poisson_split"):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(kind=kind, ts=())
     for bad_alpha in (-3.0, math.pi / 2, math.nan):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(kind="sqrt_n", alpha=bad_alpha)

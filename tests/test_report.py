@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiapprox import report
 from semiapprox.errors import InvalidInputError
-from semiapprox.harness import ExperimentConfig, make_record, run_experiment
+from semiapprox.harness import ErrorRecord, ExperimentConfig, make_record, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,75 @@ def test_json_integral_floats_parse_as_floats():
     assert type(payload["summary"]["count"]) is int
     # CSV keeps the shortest form
     assert report.emit_report([rec], "csv").decode().splitlines()[1] == "x,4,2,0,1,0,true"
+
+
+def test_json_rejects_unsupported_types():
+    rec = make_record("x", 4, 2.0, 0.5, 1.0)
+    for bad in (
+        dataclasses.replace(rec, n=np.int64(4)),
+        dataclasses.replace(rec, passed=np.True_),
+        dataclasses.replace(rec, bound=1 + 0j),
+    ):
+        with pytest.raises(TypeError):
+            report.emit_report([bad], "json")
+    with pytest.raises(TypeError):
+        report.emit_report([rec], "json", summary={"count": np.int64(1)})
+
+
+def test_csv_parse_is_strict():
+    good = report.emit_report([make_record("x", 4, 2.0, 0.5, 1.0)], "csv").decode()
+    assert good.splitlines()[1] == "x,4,2,0.5,1,0.5,true"
+    assert report.parse_report(good.encode(), "csv")[0][0].passed is True
+    for row in ("x,abc,2,0.5,1,0.5,true", "x,4.0,2,0.5,1,0.5,true", "x,4,two,0.5,1,0.5,true",
+                "x,4,2,0.5,1,0.5,True", "x,4,2,0.5,1,0.5,1", "x,4,2,0.5,1,0.5,"):
+        with pytest.raises(InvalidInputError):
+            report.parse_report(good.replace("x,4,2,0.5,1,0.5,true", row).encode(), "csv")
+
+
+def test_json_parse_is_strict():
+    payload = json.loads(report.emit_report([make_record("x", 4, 2.0, 0.5, 1.0)], "json"))
+    row = payload["records"][0]
+    # integral floats written as ints, as reports did before they kept ".0", still parse
+    old = {**row, "t": 2, "bound": 1}
+    (parsed,), _ = report.parse_report(json.dumps({"records": [old]}).encode(), "json")
+    assert parsed == make_record("x", 4, 2.0, 0.5, 1.0) and type(parsed.t) is float
+    bad_rows = [
+        {**row, "passed": "True"}, {**row, "passed": 1}, {**row, "n": 4.0}, {**row, "n": "4"},
+        {**row, "n": True}, {**row, "t": "2.0"}, {**row, "t": None}, {**row, "bound": 10**400},
+        {**row, "experiment_id": 7}, {k: v for k, v in row.items() if k != "n"},
+        {**row, "extra": 1}, [row],
+    ]
+    for bad in bad_rows:
+        with pytest.raises(InvalidInputError):
+            report.parse_report(json.dumps({"records": [bad]}).encode(), "json")
+    for bad in ([row], {"records": row}, {"summary": {}}):
+        with pytest.raises(InvalidInputError):
+            report.parse_report(json.dumps(bad).encode(), "json")
+
+
+_records = st.lists(
+    st.builds(
+        ErrorRecord,
+        experiment_id=st.text("abcdefghijklmnopqrstuvwxyz0123456789_/", min_size=1),
+        n=st.integers(min_value=1),
+        t=st.floats(),
+        empirical=st.floats(),
+        bound=st.floats(),
+        ratio=st.floats(),
+        passed=st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(_records)
+def test_parse_inverts_emit(records):
+    for fmt in ("csv", "json"):
+        parsed, _ = report.parse_report(report.emit_report(records, fmt), fmt)
+        # repr tells NaN from NaN as equal and 0.0 from -0.0 as different
+        assert repr(parsed) == repr(records), fmt
 
 
 def test_empty_records_rejected():
