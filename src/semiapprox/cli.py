@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below
-1, or a report --merge input that is not a well-formed report), an argument outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
+1, or a report --merge input that is not a well-formed report), an argument
+outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
 t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction), or
 a numerical failure (singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
@@ -146,8 +147,7 @@ def _cmd_constants(args) -> int:
 def _cmd_report(args) -> int:
     fmts = {("json" if name.endswith(".json") else "csv") for name in args.merge}
     if len(fmts) != 1:
-        print("report --merge requires a single input format", file=sys.stderr)
-        return 2
+        raise InvalidInputError("report --merge requires a single input format")
     fmt = fmts.pop()
     chunks = []
     for name in args.merge:

@@ -128,24 +128,24 @@ def _one_record_report(fmt, **fields):
 
 
 def test_report_merge_rejects_malformed_input(tmp_path):
-    good_csv = _one_record_report("csv").decode()
-    good_json = json.loads(_one_record_report("json"))
-    no_n = json.loads(_one_record_report("json"))
+    good_csv, good_json = _one_record_report("csv").decode(), _one_record_report("json").decode()
+    (tmp_path / "good.csv").write_text(good_csv)
+    (tmp_path / "good.json").write_text(good_json)
+    no_n = json.loads(good_json)
     del no_n["records"][0]["n"]
     # a failed record whose flag is a string: it must not merge as passed
     string_flag = json.loads(_one_record_report("json", empirical=2.0, ratio=2.0, passed=False))
     string_flag["records"][0]["passed"] = "False"
-    cases = {
-        "bad_n.csv": good_csv.replace("x/d000,4,", "x/d000,abc,"),
-        "no_n.json": json.dumps(no_n),
-        "string_flag.json": json.dumps(string_flag),
-    }
-    for name, text in cases.items():
+    cases = [
+        ("good.csv", "bad_n.csv", good_csv.replace("x/d000,4,", "x/d000,abc,")),
+        ("good.json", "no_n.json", json.dumps(no_n)),
+        ("good.json", "string_flag.json", json.dumps(string_flag)),
+        ("good.csv", "mixed_formats.json", good_json),
+    ]
+    for good, name, text in cases:
         bad, merged = tmp_path / name, tmp_path / f"merged_{name}"
         bad.write_text(text)
-        good = tmp_path / f"good{bad.suffix}"
-        good.write_text(good_csv if bad.suffix == ".csv" else json.dumps(good_json))
-        proc = run_cli("report", "--merge", str(good), str(bad), "--out", str(merged))
+        proc = run_cli("report", "--merge", str(tmp_path / good), str(bad), "--out", str(merged))
         assert proc.returncode == 2, (name, proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, name
         assert not merged.exists(), name
