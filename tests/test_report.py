@@ -141,7 +141,7 @@ _records = st.lists(
 def test_parse_inverts_emit(records):
     for fmt in ("csv", "json"):
         parsed, _ = report.parse_report(report.emit_report(records, fmt), fmt)
-        # repr tells NaN from NaN as equal and 0.0 from -0.0 as different
+        # repr reads every NaN as equal and tells 0.0 from -0.0
         assert repr(parsed) == repr(records), fmt
 
 
