@@ -38,6 +38,36 @@ def test_boundary_identity():
 def test_boundary_needs_16_angles():
     with pytest.raises(InvalidInputError):
         numrange.numerical_range_boundary(np.eye(2), 8)
+    with pytest.raises(InvalidInputError):
+        numrange.numerical_range_boundary(np.array([[0.5, np.nan], [0.0, 0.5]]), 64)
+
+
+def per_angle_boundary(c, k):
+    """Reference sweep: one eigh per angle."""
+    points = np.empty(k, dtype=np.complex128)
+    for j in range(k):
+        rotated = np.exp(1j * (2.0 * math.pi * j / k)) * c
+        herm = (rotated + rotated.conj().T) / 2.0
+        x = np.linalg.eigh(herm)[1][:, -1]
+        points[j] = x.conj() @ c @ x
+    return points
+
+
+def test_boundary_matches_per_angle_sweep():
+    # k covers one partial chunk, non-multiples of the chunk and several chunks
+    for i, dim in enumerate((1, 2, 3, 8, 32)):
+        c = ensembles.random_contraction(dim, ensembles.child_seed(909, i))
+        for k in (16, 33, 64, 100, 256):
+            got = numrange.numerical_range_boundary(c, k)
+            assert np.array_equal(got, per_angle_boundary(c, k)), (dim, k)
+
+
+def test_boundary_takes_one_eigh_per_32_angles(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    numrange.numerical_range_boundary(np.eye(3), 100)
+    assert shapes == [(32, 3, 3)] * 3 + [(4, 3, 3)]
 
 
 def test_in_D_alpha_examples():
