@@ -5,7 +5,9 @@ Subcommands:
                      in the summary use the cells with n >= --fit-min-n
     numrange         certify a matrix from a JSON file against D(alpha)
     constants        print the contour constants for a semi-angle
-    report           merge previously emitted report files
+    report           merge previously emitted report files; a JSON merge
+                     sums the inputs' certification_failures and
+                     majorant_failures
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below

@@ -25,6 +25,8 @@ from .harness import ErrorRecord, summarize
 
 _FIELD_TYPES = typing.get_type_hints(ErrorRecord)
 CSV_HEADER = ",".join(_FIELD_TYPES)
+# the cell separator and every line boundary of str.splitlines, which parse_report reads rows with
+_CSV_REFUSED = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _fmt_float(x: float, json_mode: bool = False) -> str:
@@ -78,6 +80,10 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in records:
+            if not _CSV_REFUSED.isdisjoint(r.experiment_id):
+                raise InvalidInputError(
+                    f"experiment_id {r.experiment_id!r} holds ',' or a line break, which CSV cannot carry"
+                )
             floats = (_fmt_float(x) for x in (r.t, r.empirical, r.bound, r.ratio))
             lines.append(",".join((r.experiment_id, str(r.n), *floats, "true" if r.passed else "false")))
         return ("\n".join(lines) + "\n").encode()
@@ -137,16 +143,31 @@ def parse_report(data: bytes, fmt: str) -> tuple[list[ErrorRecord], dict | None]
         if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
             raise InvalidInputError("a JSON report must be an object with a records array")
         records = [_record(obj, text=False) for obj in payload["records"]]
-        return records, payload.get("summary")
+        summary = payload.get("summary")
+        if summary is not None and not isinstance(summary, dict):
+            raise InvalidInputError(f"a JSON report summary must be an object, got {summary!r}")
+        return records, summary
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
 def merge_reports(chunks: list[tuple[list[ErrorRecord], dict | None]]) -> tuple[list[ErrorRecord], dict]:
-    """Concatenate record lists and recompute the summary."""
+    """Concatenate record lists and recompute the summary.
+
+    ``certification_failures`` and ``majorant_failures`` are summed over the
+    input summaries that carry them; a counter no input has stays absent.
+    """
     records: list[ErrorRecord] = []
     for recs, _ in chunks:
         records.extend(recs)
-    return records, summarize(records, {"merged_from": len(chunks)})
+    extras = {"merged_from": len(chunks)}
+    for key in ("certification_failures", "majorant_failures"):
+        counts = [summary[key] for _, summary in chunks if summary and key in summary]
+        for count in counts:
+            if type(count) is not int or count < 0:
+                raise InvalidInputError(f"summary {key!r} must be a count, got {count!r}")
+        if counts:
+            extras[key] = sum(counts)
+    return records, summarize(records, extras)
 
 
 def load_matrix_json(obj: dict) -> np.ndarray:

@@ -122,6 +122,19 @@ def test_report_merge(tmp_path):
     assert len(records) == n1 + n2
 
 
+def test_report_merge_sums_certification_failures(tmp_path):
+    f1, f2, merged = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+    base = ["--dim", "3", "--trials", "2", "--nmax", "4", "--t", "1", "--format", "json"]
+    assert cli.main(["verify", "euler", *base, "--seed", "1", "--out", str(f1)]) == 0
+    assert cli.main(["verify", "euler", *base, "--seed", "2", "--out", str(f2)]) == 0
+    assert cli.main(["report", "--merge", str(f1), str(f2), "--out", str(merged)]) == 0
+    inputs = [json.loads(f.read_text())["summary"] for f in (f1, f2)]
+    summary = json.loads(merged.read_text())["summary"]
+    assert summary["certification_failures"] == sum(s["certification_failures"] for s in inputs)
+    assert "majorant_failures" not in summary
+    assert summary["merged_from"] == 2
+
+
 def _one_record_report(fmt, **fields):
     rec = dataclasses.replace(harness.make_record("x/d000", 4, 0.5, 0.25, 1.0), **fields)
     return report.emit_report([rec], fmt)

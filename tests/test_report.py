@@ -115,7 +115,7 @@ def test_json_parse_is_strict():
     for bad in bad_rows:
         with pytest.raises(InvalidInputError):
             report.parse_report(json.dumps({"records": [bad]}).encode(), "json")
-    for bad in ([row], {"records": row}, {"summary": {}}):
+    for bad in ([row], {"records": row}, {"summary": {}}, {"records": [row], "summary": [1]}):
         with pytest.raises(InvalidInputError):
             report.parse_report(json.dumps(bad).encode(), "json")
 
@@ -123,7 +123,7 @@ def test_json_parse_is_strict():
 _records = st.lists(
     st.builds(
         ErrorRecord,
-        experiment_id=st.text("abcdefghijklmnopqrstuvwxyz0123456789_/", min_size=1),
+        experiment_id=st.text("abcdefghijklmnopqrstuvwxyz0123456789_/,\n\x85", min_size=1),
         n=st.integers(min_value=1),
         t=st.floats(),
         empirical=st.floats(),
@@ -139,7 +139,14 @@ _records = st.lists(
 @settings(deadline=None)
 @given(_records)
 def test_parse_inverts_emit(records):
-    for fmt in ("csv", "json"):
+    # CSV cannot carry a ',' or a line break in an id, so emission refuses one
+    if any(set(",\n\x85") & set(r.experiment_id) for r in records):
+        with pytest.raises(InvalidInputError):
+            report.emit_report(records, "csv")
+        formats = ("json",)
+    else:
+        formats = ("csv", "json")
+    for fmt in formats:
         parsed, _ = report.parse_report(report.emit_report(records, fmt), fmt)
         # repr reads every NaN as equal and tells 0.0 from -0.0
         assert repr(parsed) == repr(records), fmt
@@ -176,6 +183,23 @@ def test_merge_reports(sample_records):
     assert summary["merged_from"] == 2
     finite = [r.ratio for r in sample_records if math.isfinite(r.ratio)]
     assert summary["max_ratio"] == max(finite)
+
+
+def test_merge_reports_sums_failure_counters(sample_records):
+    chunks = [
+        (sample_records, {"certification_failures": 2, "majorant_failures": 0}),
+        (sample_records, {"certification_failures": 1}),
+        (sample_records, None),
+    ]
+    _, summary = report.merge_reports(chunks)
+    assert summary["certification_failures"] == 3
+    assert summary["majorant_failures"] == 0
+    # CSV reports carry no summary, so the merge writes no counter
+    _, summary = report.merge_reports([(sample_records, None), (sample_records, None)])
+    assert "certification_failures" not in summary and "majorant_failures" not in summary
+    for bad in (True, -1, 1.0, "2", None):
+        with pytest.raises(InvalidInputError):
+            report.merge_reports([(sample_records, {"majorant_failures": bad})])
 
 
 def test_matrix_json_roundtrip():
