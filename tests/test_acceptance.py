@@ -6,6 +6,7 @@ criterion finishes desk-fast.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,12 +23,16 @@ from semiapprox.harness import (
 from semiapprox.tolerances import ABS_SLACK, passes
 
 SEED = 902_114_400
+# the 13 PASS lines, one per criterion; a change to any figure in them shows here
+PINNED = (pathlib.Path(__file__).parent / "golden" / "acceptance.txt").read_text().splitlines()
 
 
 def crit(number, ok, detail):
     status = "PASS" if ok else "FAIL"
-    print(f"[{status}] criterion {number:02d}: {detail}")
+    line = f"[{status}] criterion {number:02d}: {detail}"
+    print(line)
     assert ok, f"criterion {number}: {detail}"
+    assert line == PINNED[number - 1]
 
 
 # -- shared sweeps ----------------------------------------------------------
