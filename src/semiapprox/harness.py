@@ -252,24 +252,93 @@ def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) ->
 
 
 # ---------------------------------------------------------------------------
+# per-draw sweeps: the runners and the acceptance suite share them
+
+
+def _vector_sweep(c, xs, ns):
+    """Yield (n, gaps, d1, d2, d3) over the increasing grid ns for the unit vectors xs (rows).
+
+    gaps[j] is ||(C^n - e^{n(C-1)}) x_j|| and dk[j] is ||(C - 1)^k x_j||.
+    """
+    eye = np.eye(c.shape[0])
+    e = linalg.expm(c - eye)
+    dx = [xs.T]  # columns (C - 1)^k x for k = 0..3
+    for _ in range(3):
+        dx.append((c - eye) @ dx[-1])
+    d1, d2, d3 = (np.linalg.norm(v.T, axis=1) for v in dx[1:])
+    for n, (cn, en), _ in _powers((c, e), ns):
+        yield n, np.linalg.norm(((cn - en) @ xs.T).T, axis=1), d1, d2, d3
+
+
+def _ritt_gap_sweep(c, ns):
+    """Yield (n, [||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||]) over the increasing grid ns."""
+    e = linalg.expm(c - np.eye(c.shape[0]))
+    powers = _powers((c, e), ns, step=True)
+    return _stacked_norms((n, [cn - nxt, cn - en]) for n, (cn, en), (nxt, _) in powers)
+
+
+def _pair_sweep(draws, ts, ns):
+    """Yield (id/t, t, n, Phi(t/n), e^{-tA}) for the draws (id, A, Phi) in (draw, t, n) order.
+
+    e^{-tA} is evaluated once per (draw, t) and the step Phi(t/n) once per
+    (draw, t, n); the caller forms the Chernoff pair from that one step.
+    """
+    for rid, a, phi in draws:
+        for t in ts:
+            ref = approximants.reference_semigroup(a, t)
+            for n in ns:
+                yield f"{rid}/t{t:g}", t, n, phi(t / n), ref
+
+
+def _tnk_sweep(a, k_max, t):
+    """Yield (k, s, ||(1 + X_s)^-1 - (1 + A)^-1||, ||e^{-t X_s} - e^{-tA}||) for k = 1..k_max.
+
+    s = 2^-k, and X_s = (1 - Phi(s))/s is the discrete generator of the
+    resolvent family Phi of A.
+    """
+    eye = np.eye(a.shape[0])
+    phi = approximants.resolvent_family(a)
+    res_ref = linalg.inverse(eye + a)
+    semi_ref = approximants.reference_semigroup(a, t)
+    for k in range(1, k_max + 1):
+        s = 2.0 ** (-k)
+        x_s = approximants.discrete_generator(phi, s, 1)
+        res = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
+        yield k, s, res, linalg.op_norm(linalg.expm(-t * x_s) - semi_ref)
+
+
+def _contour_sweep(c, nodes, ns, alpha):
+    """Contour reconstructions of C^n(1 - C) and C^n - e^{n(C-1)}, and the resolvent majorants.
+
+    Returns ([(n, ritt_error, gap_error) for n in ns], report), where the
+    errors are spectral norms against the direct matrix functions and report
+    is contour_norm_bound_check at n = 4 on the quadrature's resolvent norms.
+    """
+    eye = np.eye(c.shape[0])
+    fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
+    fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
+    got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
+    errors = []
+    for idx, n in enumerate(ns):
+        cn = linalg.mat_pow(c, n)
+        ritt = linalg.op_norm(got[idx] - cn @ (eye - c))
+        gap = linalg.op_norm(got[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
+        errors.append((n, ritt, gap))
+    return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha, 4)
+
+
+# ---------------------------------------------------------------------------
 # experiment runners
 
 
 def _run_vector_bounds(config: ExperimentConfig):
     """Shared sweep for the sqrt_n / cbrt_n / telescopic vector estimates."""
     records = []
-    eye = np.eye(config.dim)
     for i in range(config.trials):
         c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
-        e = linalg.expm(c - eye)
         seed = ensembles.child_seed(config.seed, 10_000 + i)
         xs = _unit_vectors(config.dim, config.vectors, seed)
-        dx = [xs.T]  # columns (C - 1)^k x for k = 0..3
-        for _ in range(3):
-            dx.append((c - eye) @ dx[-1])
-        d1, d2, d3 = (np.linalg.norm(v.T, axis=1) for v in dx[1:])
-        for n, (cn, en), _ in _powers((c, e), _n_grid(config)):
-            gap = np.linalg.norm(((cn - en) @ xs.T).T, axis=1)
+        for n, gap, d1, d2, d3 in _vector_sweep(c, xs, _n_grid(config)):
             for j in range(config.vectors):
                 rid = f"{config.kind}/d{i:03d}/x{j:02d}"
                 emp, dj = float(gap[j]), float(d1[j])
@@ -306,20 +375,6 @@ def _trotter_draws(config: ExperimentConfig):
         yield f"trotter_product/{label}/d{i:03d}", a + b, approximants.trotter_family(a, b), comm
 
 
-def _pair_sweep(config: ExperimentConfig, draws):
-    """Yield (id/t, t, n, Phi(t/n), e^{-tA}) for the draws (id, A, Phi) in (draw, t, n) order.
-
-    e^{-tA} is evaluated once per (draw, t) and the step Phi(t/n) once per
-    (draw, t, n); the caller forms the Chernoff pair from that one step.
-    """
-    ns = _n_grid(config)
-    for rid, a, phi in draws:
-        for t in config.ts:
-            ref = approximants.reference_semigroup(a, t)
-            for n in ns:
-                yield f"{rid}/t{t:g}", t, n, phi(t / n), ref
-
-
 def _run_chernoff_product(config: ExperimentConfig):
     records = []
     product_cells: dict[str, list[tuple[int, float]]] = {}
@@ -328,7 +383,7 @@ def _run_chernoff_product(config: ExperimentConfig):
     draws = (
         (f"chernoff_product/d{i:03d}", a, approximants.resolvent_family(a)) for i, a in generators
     )
-    for rid, t, n, step, ref in _pair_sweep(config, draws):
+    for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
         power = approximants.chernoff_power(step, n)
         emp = linalg.op_norm(power - approximants.chernoff_exp(step, n))
         bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
@@ -345,7 +400,7 @@ def _run_trotter_product(config: ExperimentConfig):
     records = []
     for rid, a, phi, comm in _trotter_draws(config):
         # commuting factors (comm = 0) make the product exact
-        for rid_t, t, n, step, ref in _pair_sweep(config, [(rid, a, phi)]):
+        for rid_t, t, n, step, ref in _pair_sweep([(rid, a, phi)], config.ts, _n_grid(config)):
             emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
             records.append(make_record(rid_t, n, t, emp, bounds.trotter_bound(n, t, comm)))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
@@ -385,11 +440,8 @@ def _run_selfadjoint(config: ExperimentConfig):
     for i in range(config.trials):
         spectrum = np.linspace(0.0, 1.0, config.dim)
         c = ensembles.self_adjoint_contraction(spectrum, ensembles.child_seed(config.seed, i))
-        e = linalg.expm(c - np.eye(config.dim))
         rid = f"selfadjoint/d{i:03d}"
-        powers = _powers((c, e), _n_grid(config), step=True)
-        diffs = ((n, [cn - nxt, cn - en]) for n, (cn, en), (nxt, _) in powers)
-        for n, (ritt, gap) in _stacked_norms(diffs):
+        for n, (ritt, gap) in _ritt_gap_sweep(c, _n_grid(config)):
             bound = bounds.selfadjoint_ritt_bound(n)
             records.append(make_record(f"{rid}/ritt", n, 0.0, ritt, bound))
             bound = bounds.selfadjoint_chernoff_bound(n)
@@ -402,7 +454,7 @@ def _run_euler(config: ExperimentConfig):
     generators, failures = _sector_draws(config)
     draws = ((rid, a, approximants.resolvent_family(a)) for rid, a in generators)
     records = []
-    for rid, t, n, step, ref in _pair_sweep(config, draws):
+    for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
         emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
         records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
@@ -423,7 +475,7 @@ def _run_dunford_segal(config: ExperimentConfig):
     draws = ((rid, a, approximants.semigroup_family(a)) for rid, a in generators)
     records = []
     two_step: dict[str, list[tuple[int, float, float]]] = {}
-    for rid, t, n, step, ref in _pair_sweep(config, draws):
+    for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
         steps = two_step.setdefault(rid, [])
         if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
             failures += 1
@@ -449,21 +501,13 @@ def _run_tnk_equivalence(config: ExperimentConfig):
     records = []
     k_max = min(12, max(5, int(math.log2(max(config.nmax, 32)))))
     t_semi = config.ts[0]
-    eye = np.eye(config.dim)
     for i in range(config.trials):
         a = _sectorial(config, i)
-        phi = approximants.resolvent_family(a)
         norm_a_sq = linalg.op_norm(a) ** 2
-        res_ref = linalg.inverse(eye + a)
-        semi_ref = approximants.reference_semigroup(a, t_semi)
-        for k in range(1, k_max + 1):
-            s = 2.0 ** (-k)
-            x_s = approximants.discrete_generator(phi, s, 1)
-            emp = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
-            records.append(make_record(f"tnk/d{i:03d}/resolvent", 2**k, s, emp, s * norm_a_sq))
-            emp = linalg.op_norm(linalg.expm(-t_semi * x_s) - semi_ref)
+        for k, s, res, semi in _tnk_sweep(a, k_max, t_semi):
+            records.append(make_record(f"tnk/d{i:03d}/resolvent", 2**k, s, res, s * norm_a_sq))
             bound = t_semi * s * norm_a_sq
-            records.append(make_record(f"tnk/d{i:03d}/semigroup", 2**k, s, emp, bound))
+            records.append(make_record(f"tnk/d{i:03d}/semigroup", 2**k, s, semi, bound))
     fits = _fit_groups(_cells(records, "/resolvent"), config.fit_min_n)
     return records, {"resolvent_rate_fits": fits}
 
@@ -476,19 +520,12 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     winding = abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0)
     majorant_worst = 0.0
     majorant_failures = 0
-    eye = np.eye(config.dim)
     ns = _n_grid(config, cap=16)
-    fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
-    fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     for i, c, t_res in draws:
-        got_all, rnorm = contour.riesz_dunford_many(fs, c, nodes)
-        for idx, n in enumerate(ns):
-            cn = linalg.mat_pow(c, n)
-            emp = linalg.op_norm(got_all[idx] - cn @ (eye - c))
-            records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, emp, 1e-7))
-            emp = linalg.op_norm(got_all[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
-            records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, emp, 1e-7))
-        report = contour.contour_norm_bound_check(nodes, rnorm, config.alpha, 4)
+        errors, report = _contour_sweep(c, nodes, ns, config.alpha)
+        for n, ritt, gap in errors:
+            records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, ritt, 1e-7))
+            records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, gap, 1e-7))
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
         majorant_failures += not report.passed
     return records, {

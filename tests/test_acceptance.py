@@ -1,8 +1,14 @@
 """Acceptance suite: every certified bound at its stated scale and tolerance.
 
+The criteria draw their own matrices on their own seeds and grids, but each
+power, Chernoff-pair, discrete-generator and contour-reconstruction sweep is
+the per-draw sweep in ``harness`` that the ``verify`` runners call too, so the
+suite checks the code that issues the verdicts.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  Scales follow the contract: dims <= 32, n <= 4096, and each
-criterion finishes desk-fast.
+per criterion; ``tests/golden/acceptance.txt`` pins the 13 PASS lines.  Scales
+follow the contract: dims <= 32, n <= 4096, and each criterion finishes
+desk-fast.
 """
 
 import math
@@ -14,8 +20,12 @@ import pytest
 from semiapprox import approximants, bounds, contour, ensembles, linalg, numrange, poisson, report
 from semiapprox.harness import (
     ExperimentConfig,
-    _powers,
-    _stacked_norms,
+    _contour_sweep,
+    _pair_sweep,
+    _ritt_gap_sweep,
+    _tnk_sweep,
+    _unit_vectors,
+    _vector_sweep,
     fit_rate,
     pow2_grid,
     run_experiment,
@@ -50,19 +60,8 @@ def contraction_sweep():
     for i in range(200):
         dim = 2 + i % 15
         c = ensembles.random_contraction(dim, ensembles.child_seed(SEED, i))
-        eye = np.eye(dim)
-        e = linalg.expm(c - eye)
-        rng = np.random.default_rng(ensembles.child_seed(SEED, 50_000 + i))
-        xs = rng.standard_normal((20, dim)) + 1j * rng.standard_normal((20, dim))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        dx1 = ((c - eye) @ xs.T).T
-        dx2 = ((c - eye) @ dx1.T).T
-        dx3 = ((c - eye) @ dx2.T).T
-        d1 = np.linalg.norm(dx1, axis=1)
-        d2 = np.linalg.norm(dx2, axis=1)
-        d3 = np.linalg.norm(dx3, axis=1)
-        for n, (cn, en), _ in _powers([c, e], ns):
-            gaps = np.linalg.norm(((cn - en) @ xs.T).T, axis=1)
+        xs = _unit_vectors(dim, 20, ensembles.child_seed(SEED, 50_000 + i))
+        for n, gaps, d1, d2, d3 in _vector_sweep(c, xs, ns):
             for j in range(20):
                 cells.append((n, float(gaps[j]), float(d1[j]), float(d2[j]), float(d3[j])))
     return cells
@@ -90,15 +89,11 @@ def sectorial_sweep():
         if not cert.passed:
             cert_failures += 1
             continue
-        eye = np.eye(dim)
-        e = linalg.expm(c - eye)
         worst_ritt = 0.0
         worst_gap = 0.0
         gap_violations_low = []  # n < 8
         gap_violations_high = []
-        powers = _powers([c, e], range(1, 4097), step=True)
-        diffs = ((n, [p - p_next, p - q]) for n, (p, q), (p_next, _) in powers)
-        for n, (ritt, gap) in _stacked_norms(diffs):
+        for n, (ritt, gap) in _ritt_gap_sweep(c, range(1, 4097)):
             worst_ritt = max(worst_ritt, (n + 1) * ritt)
             if not passes(gap, bounds.norm_chernoff_bound(n, alpha)):
                 (gap_violations_low if n < 8 else gap_violations_high).append(n)
@@ -262,10 +257,7 @@ def test_criterion_07_selfadjoint_rates():
         c = ensembles.self_adjoint_contraction(
             np.linspace(0.0, 1.0, dim), ensembles.child_seed(SEED, 9000 + i)
         )
-        e = linalg.expm(c - np.eye(dim))
-        powers = _powers([c, e], range(1, 1025), step=True)
-        diffs = ((n, [p - p_next, p - q]) for n, (p, q), (p_next, _) in powers)
-        for n, (ritt, gap) in _stacked_norms(diffs):
+        for n, (ritt, gap) in _ritt_gap_sweep(c, range(1, 1025)):
             if ritt > bounds.selfadjoint_ritt_bound(n) + 1e-12:
                 bad += 1
             if gap > bounds.selfadjoint_chernoff_bound(n) + 1e-12:
@@ -295,20 +287,18 @@ def test_criterion_08_euler(m_sectorial_draws):
     rates = []
     worst = 0.0
     for alpha, a in m_sectorial_draws:
-        phi = approximants.resolvent_family(a)
-        for t in (0.5, 1.0, 2.0):
-            ref = approximants.reference_semigroup(a, t)
-            cells = []
-            for n in pow2_grid(1024):
-                err = linalg.op_norm(approximants.chernoff_power(phi(t / n), n) - ref)
-                bound = bounds.euler_bound(n, alpha)
-                if not passes(err, bound):
-                    bad += 1
-                worst = max(worst, err / bound)
-                if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
-                    bad_selfadjoint += 1
-                cells.append((n, err))
-            rates.append(fit_rate(cells).exponent_p)
+        draws = [("", a, approximants.resolvent_family(a))]
+        cells = {}
+        for rid, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            err = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
+            bound = bounds.euler_bound(n, alpha)
+            if not passes(err, bound):
+                bad += 1
+            worst = max(worst, err / bound)
+            if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
+                bad_selfadjoint += 1
+            cells.setdefault(rid, []).append((n, err))
+        rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
         8,
@@ -326,21 +316,18 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
     cert_failures = 0
     for alpha, a in m_sectorial_draws:
         cos2 = math.cos(alpha) ** 2
-        phi = approximants.semigroup_family(a)
-        for t in (0.5, 1.0, 2.0):
-            ref = approximants.reference_semigroup(a, t)
-            cells = []
-            for n in pow2_grid(1024):
-                step = phi(t / n)
-                if not numrange.certify_quasi_sectorial(step, alpha, 64).passed:
-                    cert_failures += 1
-                    continue
-                err = linalg.op_norm(approximants.chernoff_exp(step, n) - ref)
-                if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
-                    bad += 1
-                n_hat = max(n_hat, n * cos2 * err)
-                cells.append((n, err))
-            rates.append(fit_rate(cells).exponent_p)
+        draws = [("", a, approximants.semigroup_family(a))]
+        cells = {}
+        for rid, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            if not numrange.certify_quasi_sectorial(step, alpha, 64).passed:
+                cert_failures += 1
+                continue
+            err = linalg.op_norm(approximants.chernoff_exp(step, n) - ref)
+            if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
+                bad += 1
+            n_hat = max(n_hat, n * cos2 * err)
+            cells.setdefault(rid, []).append((n, err))
+        rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
         9,
@@ -359,21 +346,17 @@ def test_criterion_10_trotter():
         dim = 2 + i % 7
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
-        phi = approximants.trotter_family(a, b)
-        for t in (0.5, 1.0, 2.0):
-            ref = approximants.reference_semigroup(a + b, t)
-            for n in pow2_grid(1024):
-                power = approximants.chernoff_power(phi(t / n), n)
-                if linalg.op_norm(power - ref) > 1e-10:
-                    bad_commuting += 1
+        draws = [("", a + b, approximants.trotter_family(a, b))]
+        for _, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            if linalg.op_norm(approximants.chernoff_power(step, n) - ref) > 1e-10:
+                bad_commuting += 1
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    phi = approximants.trotter_family(a, b)
-    ref = approximants.reference_semigroup(a + b, 1.0)
+    draws = [("", a + b, approximants.trotter_family(a, b))]
     cells = [
-        (n, linalg.op_norm(approximants.chernoff_power(phi(1.0 / n), n) - ref))
-        for n in pow2_grid(512)
+        (n, linalg.op_norm(approximants.chernoff_power(step, n) - ref))
+        for _, _, n, step, ref in _pair_sweep(draws, (1.0,), pow2_grid(512))
     ]
     est = fit_rate(cells)
     decayed = cells[-1][1] < 1e-2 * cells[0][1]
@@ -391,17 +374,9 @@ def test_criterion_11_trotter_neveu_kato():
     for i in range(8):
         alpha = (0.0, math.pi / 16, math.pi / 8, math.pi / 4)[i % 4]
         a = ensembles.random_m_sectorial(2 + i, alpha, ensembles.child_seed(SEED, 12_000 + i))
-        phi = approximants.resolvent_family(a)
-        eye = np.eye(a.shape[0])
-        res_ref = linalg.inverse(eye + a)
-        semi_ref = approximants.reference_semigroup(a, 1.0)
-        res_cells = []
-        semi_errs = []
-        for k in range(1, 13):
-            s = 2.0**-k
-            x_s = approximants.discrete_generator(phi, s, 1)
-            res_cells.append((2**k, linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)))
-            semi_errs.append(linalg.op_norm(linalg.expm(-x_s) - semi_ref))
+        sweep = list(_tnk_sweep(a, 12, 1.0))
+        res_cells = [(2**k, res) for k, _, res, _ in sweep]
+        semi_errs = [semi for _, _, _, semi in sweep]
         slopes.append(fit_rate(res_cells).exponent_p)
         if semi_errs[-1] > 1e-2 * semi_errs[0]:
             semi_ok = False
@@ -429,18 +404,11 @@ def test_criterion_12_contour_calculus():
         nodes = contour.build_contour(alpha_prime)
         if abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0) > 1e-8:
             bad_winding += 1
-        ns = (1, 2, 4, 8, 16)
-        fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
-        fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
-        got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
-        eye = np.eye(dim)
-        for idx, n in enumerate(ns):
-            cn = linalg.mat_pow(c, n)
-            err1 = linalg.op_norm(got[idx] - cn @ (eye - c))
-            err2 = linalg.op_norm(got[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
+        errors, majorant = _contour_sweep(c, nodes, (1, 2, 4, 8, 16), alpha)
+        for _, err1, err2 in errors:
             worst_recon = max(worst_recon, err1, err2)
             bad_recon += (err1 > 1e-7) + (err2 > 1e-7)
-        if not contour.contour_norm_bound_check(nodes, rnorm, alpha, 4).passed:
+        if not majorant.passed:
             bad_majorant += 1
     crit(
         12,
