@@ -156,6 +156,24 @@ def test_trotter_commuting_cells_are_exact():
     assert result.summary["noncommuting_rate_fits"]
 
 
+def test_slack_only_passes_are_counted_at_the_default_config():
+    # the commuting draws have bound 0.0, and the selfadjoint chernoff bound is
+    # met with equality at n = 1; both pass only through the slack
+    trotter = run_experiment(ExperimentConfig("trotter_product"))
+    slack_only = [r for r in trotter.records if r.passed and r.empirical > r.bound]
+    assert len(trotter.records) == 90
+    assert trotter.summary["slack_only_passes"] == len(slack_only) == 45
+    assert all("/commuting/" in r.experiment_id and r.ratio == math.inf for r in slack_only)
+    selfadjoint = run_experiment(ExperimentConfig("selfadjoint"))
+    slack_only = [r for r in selfadjoint.records if r.passed and r.empirical > r.bound]
+    assert len(selfadjoint.records) == 180
+    assert selfadjoint.summary["slack_only_passes"] == len(slack_only) == 5
+    assert all(r.experiment_id.endswith("/chernoff") and r.n == 1 for r in slack_only)
+    # no verdict changes, and a run without such records writes no key
+    assert trotter.summary["all_passed"] and selfadjoint.summary["all_passed"]
+    assert "slack_only_passes" not in run_experiment(ExperimentConfig("ritt")).summary
+
+
 def test_euler_rate_summary_fits():
     result = run_experiment(small_config("euler_rate", nmax=1024, trials=3))
     fits = result.summary["rate_fits"]

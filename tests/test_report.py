@@ -202,6 +202,19 @@ def test_merge_reports_sums_failure_counters(sample_records):
             report.merge_reports([(sample_records, {"majorant_failures": bad})])
 
 
+def test_merge_recounts_slack_only_passes():
+    chunks = []
+    for seed in (1, 2):
+        cfg = ExperimentConfig(kind="trotter_product", dim=3, trials=2, nmax=8, seed=seed)
+        result = run_experiment(cfg)
+        data = report.emit_report(result.records, "json", summary=result.summary)
+        chunks.append(report.parse_report(data, "json"))
+    counts = [summary["slack_only_passes"] for _, summary in chunks]
+    assert min(counts) > 0
+    _, summary = report.merge_reports(chunks)
+    assert summary["slack_only_passes"] == sum(counts)
+
+
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
