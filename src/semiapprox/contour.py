@@ -174,11 +174,6 @@ def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], 
         results = refined
 
 
-def riesz_dunford(f, c, contour: ContourNodes) -> np.ndarray:
-    """f(C) = (1/2 pi i) * contour integral of f(z) (z - C)^{-1} dz."""
-    return riesz_dunford_many([f], c, contour)[0][0]
-
-
 @dataclass
 class ContourCheckReport:
     """Node-wise resolvent-majorant ratios along the contour."""

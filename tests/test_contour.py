@@ -59,13 +59,14 @@ def test_build_contour_validation():
 def test_cauchy_formula_identity():
     c = certified_resolvent(4, math.pi / 8, 1001)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
-    got = contour.riesz_dunford(lambda z: 1.0, c, nodes)
+    (got,), _ = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
     assert linalg.op_norm(got - np.eye(4)) <= 1e-8
 
 
 def test_scalar_ritt_reconstruction():
     nodes = contour.build_contour(math.pi / 4)
-    got = contour.riesz_dunford(lambda z: z * (1.0 - z), np.array([[0.5]], dtype=complex), nodes)
+    c = np.array([[0.5]], dtype=complex)
+    (got,), _ = contour.riesz_dunford_many([lambda z: z * (1.0 - z)], c, nodes)
     assert abs(got[0, 0] - 0.25) <= 1e-8
 
 
@@ -77,10 +78,12 @@ def test_matrix_reconstruction_oracle():
         eye = np.eye(5)
         for n in (1, 4, 16):
             direct = linalg.mat_pow(c, n) @ (eye - c)
-            got = contour.riesz_dunford(lambda z, n=n: z**n * (1.0 - z), c, nodes)
+            (got,), _ = contour.riesz_dunford_many([lambda z, n=n: z**n * (1.0 - z)], c, nodes)
             assert linalg.op_norm(got - direct) <= 1e-7
             direct = linalg.mat_pow(c, n) - linalg.expm(n * (c - eye))
-            got = contour.riesz_dunford(lambda z, n=n: z**n - np.exp(n * (z - 1.0)), c, nodes)
+            (got,), _ = contour.riesz_dunford_many(
+                [lambda z, n=n: z**n - np.exp(n * (z - 1.0))], c, nodes
+            )
             assert linalg.op_norm(got - direct) <= 1e-7
 
 
@@ -90,7 +93,8 @@ def test_riesz_dunford_many_matches_single():
     fs = [lambda z: 1.0, lambda z: z * (1 - z)]
     batch, _ = contour.riesz_dunford_many(fs, c, nodes)
     for f, got in zip(fs, batch):
-        assert np.array_equal(got, contour.riesz_dunford(f, c, nodes))
+        (single,), _ = contour.riesz_dunford_many([f], c, nodes)
+        assert np.array_equal(got, single)
 
 
 def test_majorants_hold_selfadjoint_example():
@@ -164,7 +168,7 @@ def test_spectrum_on_node_raises_too_close():
     z0 = complex(nodes.z[len(nodes) // 2])
     c = z0 * np.eye(2, dtype=complex)
     with pytest.raises(contour.ContourTooCloseError):
-        contour.riesz_dunford(lambda z: 1.0, c, nodes)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
 
 
 def test_unconverged_quadrature_raises(monkeypatch):
@@ -173,7 +177,7 @@ def test_unconverged_quadrature_raises(monkeypatch):
     monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
     c = certified_resolvent(3, math.pi / 8, 3000)
     with pytest.raises(contour.ContourTooCloseError, match="4096 nodes"):
-        contour.riesz_dunford(lambda z: z, c, contour.build_contour(1.0))
+        contour.riesz_dunford_many([lambda z: z], c, contour.build_contour(1.0))
 
 
 def test_resolvent_blocks_match_per_node_solves():
@@ -191,4 +195,4 @@ def test_resolvent_blow_up_raises_too_close():
     z0 = complex(nodes.z[100])
     c = np.diag([z0 + 4e-16, 0.1])
     with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
-        contour.riesz_dunford(lambda z: 1.0, c, nodes)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
