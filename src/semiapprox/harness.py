@@ -582,11 +582,6 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def summarize(records: list[ErrorRecord], extras: dict | None = None) -> dict:
-    """Counts, the largest finite ratio and the verdict of the records, then ``extras``.
-
-    ``slack_only_passes`` counts the records that pass with empirical > bound,
-    that is only through the slack; the key is written only when some do.
-    """
     finite = [r.ratio for r in records if math.isfinite(r.ratio)]
     summary = {
         "slack": {"relative": REL_SLACK, "absolute": ABS_SLACK},
@@ -594,6 +589,7 @@ def summarize(records: list[ErrorRecord], extras: dict | None = None) -> dict:
         "max_ratio": max(finite) if finite else 0.0,
         "all_passed": all(r.passed for r in records),
     }
+    # records that pass only through the slack; the key is written only when some do
     slack_only = sum(r.passed and r.empirical > r.bound for r in records)
     if slack_only:
         summary["slack_only_passes"] = slack_only
