@@ -7,7 +7,7 @@ Subcommands:
     constants        print the contour constants for a semi-angle
     report           merge previously emitted report files; a JSON merge
                      sums the inputs' certification_failures and
-                     majorant_failures
+                     majorant_failures, and recounts slack_only_passes
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below

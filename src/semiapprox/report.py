@@ -155,6 +155,7 @@ def merge_reports(chunks: list[tuple[list[ErrorRecord], dict | None]]) -> tuple[
 
     ``certification_failures`` and ``majorant_failures`` are summed over the
     input summaries that carry them; a counter no input has stays absent.
+    ``slack_only_passes`` is recounted from the merged records.
     """
     records: list[ErrorRecord] = []
     for recs, _ in chunks:
