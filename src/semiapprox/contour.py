@@ -11,9 +11,12 @@ line panels are geometrically graded toward the vertex, where the resolvent
 may grow while the integrands of interest vanish.  Gauss nodes are interior,
 so the vertex z = 1 itself is never sampled.
 
-Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks.  The
-quadrature's base pass also returns the resolvent norms at its nodes, and
-the majorant check reads those norms instead of solving again.
+Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks of 64
+nodes.  Each function is called once per block, on the 1-D array of its
+nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
+allowed); its weighted resolvents are summed over the block in one array
+operation.  The quadrature's base pass also returns the resolvent norms at
+its nodes, and the majorant check reads those norms instead of solving again.
 """
 
 from __future__ import annotations
@@ -143,17 +146,23 @@ def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, norms: bool = False
     for nodes, block in _resolvent_blocks(c, contour):
         if norms:
             rnorm += linalg.op_norms(block)
-        for z, w, res in zip(contour.z[nodes], contour.dz_weight[nodes], block):
-            coef = np.array([f(z) * w for f in fs], dtype=np.complex128)
-            acc += coef[:, None, None] * res
+        z, w = contour.z[nodes], contour.dz_weight[nodes]
+        # one function at a time: the temporary stays one block in size, and
+        # an elementwise sum over the nodes never mixes two functions
+        for j, f in enumerate(fs):
+            acc[j] += ((f(z) * w)[:, None, None] * block).sum(axis=0)
     return list(acc / (2j * math.pi)), np.asarray(rnorm)
 
 
 def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], np.ndarray]:
     """Evaluate several functions of C on a shared resolvent sweep.
 
-    Returns (values, rnorm): values[i] approximates fs[i](C), and rnorm[j] is
-    ||(z_j - C)^{-1}|| at node j of the given contour, the input of
+    Each f in fs is called once per block of 64 nodes with a 1-D complex
+    array of nodes, and must return an array of that shape or a scalar
+    constant, as a NumPy ufunc does.
+
+    Returns (values, rnorm): values[i] approximates fs[i](C), and rnorm[j]
+    is ||(z_j - C)^{-1}|| at node j of the given contour, the input of
     contour_norm_bound_check.  The node set is doubled until every value
     agrees with its previous refinement to CONTOUR_QUAD_TOL in spectral norm.
     Raises ContourTooCloseError when that takes more than CONTOUR_NODE_CAP
