@@ -196,3 +196,70 @@ def test_resolvent_blow_up_raises_too_close():
     c = np.diag([z0 + 4e-16, 0.1])
     with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
         contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+
+
+def test_each_function_runs_once_per_block(monkeypatch):
+    # one base pass of 1024 nodes and one refinement of 2048: 3072 / 64 = 48
+    # blocks, and each function sees every block once, as one node array
+    blocks = []
+    resolvent_blocks = contour._resolvent_blocks
+
+    def counting_blocks(c, nodes):
+        for sl, r in resolvent_blocks(c, nodes):
+            blocks.append(len(r))
+            yield sl, r
+
+    calls = [[], []]
+
+    def counted(j, f):
+        def g(z):
+            calls[j].append(np.shape(z))
+            return f(z)
+
+        return g
+
+    monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
+    c = certified_resolvent(4, math.pi / 8, 3000)
+    nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
+    fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
+    contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes)
+    assert sum(blocks) == 3 * len(nodes) == 3072
+    for shapes in calls:
+        assert shapes == [(contour._BLOCK,)] * len(blocks) == [(64,)] * 48
+
+
+def _reference_many(fs, c, nodes):
+    # the per-node formula: a scalar f(z) * w times the resolvent, summed in
+    # node order, with riesz_dunford_many's refinement loop around it
+    eye = np.eye(c.shape[0], dtype=complex)
+
+    def quadrature(nodes):
+        acc = [np.zeros(c.shape, dtype=complex) for _ in fs]
+        for z, w in zip(nodes.z, nodes.dz_weight):
+            res = np.linalg.solve(z * eye - c, eye)
+            for a, f in zip(acc, fs):
+                a += (f(z) * w) * res
+        return [a / (2j * math.pi) for a in acc]
+
+    results = quadrature(nodes)
+    while True:
+        nodes = contour.build_contour(nodes.alpha_prime, 2 * nodes.k_arc, 2 * nodes.k_line)
+        refined = quadrature(nodes)
+        if all(linalg.op_norm(r2 - r1) < contour.CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
+            return refined
+        results = refined
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])
+def test_block_sums_match_per_node_formula(dim):
+    alpha = math.pi / 8
+    c = certified_resolvent(dim, alpha, 6000 + dim)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    fs = [
+        lambda z: 1.0,
+        lambda z: z**3 * (1.0 - z),
+        lambda z: np.exp(4.0 * (z - 1.0)),
+    ]
+    got, _ = contour.riesz_dunford_many(fs, c, nodes)
+    for g, want in zip(got, _reference_many(fs, c, nodes)):
+        assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))
