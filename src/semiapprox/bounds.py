@@ -201,6 +201,63 @@ def trotter_bound(n: int, t: float, comm: float) -> float:
     return t**2 * comm / (2.0 * n)
 
 
+def tnk_resolvent_bound(s: float, norm_a: float) -> float:
+    """s ||A||^2: ||(1 + X_s)^{-1} - (1 + A)^{-1}|| for the discrete generator X_s.
+
+    X_s = (1 - (1 + sA)^{-1}) / s = A (1 + sA)^{-1}, so A - X_s = sA^2 (1 + sA)^{-1}
+    has norm at most s ||A||^2, and both resolvents are contractions.
+    """
+    if s < 0.0 or norm_a < 0.0:
+        raise DomainError("s and norm_a must be nonnegative")
+    return s * norm_a**2
+
+
+def tnk_semigroup_bound(t: float, s: float, norm_a: float) -> float:
+    """t s ||A||^2: ||e^{-t X_s} - e^{-tA}||, by Duhamel over two contraction semigroups."""
+    if t < 0.0 or s < 0.0 or norm_a < 0.0:
+        raise DomainError("t, s and norm_a must be nonnegative")
+    return t * s * norm_a**2
+
+
+def contour_reconstruction_bound() -> float:
+    """1e-7: the allowed error of a contour reconstruction of f(C) in spectral norm.
+
+    The quadrature is refined to CONTOUR_QUAD_TOL = 1e-10 between node sets,
+    so a correct reconstruction stays well inside this tolerance.
+    """
+    return 1e-7
+
+
+def poisson_variance_tolerance(n: int) -> float:
+    """1e-8 n: the allowed rounding in the computed Var(X_n) = n, X_n ~ Poisson(n)."""
+    _check_n(n)
+    return 1e-8 * n
+
+
+def poisson_abs_moment_bound(n: int) -> float:
+    """sqrt(n): E|X_n - n| <= sqrt(Var(X_n)) by Cauchy-Schwarz, X_n ~ Poisson(n)."""
+    _check_n(n)
+    return math.sqrt(n)
+
+
+def split_central_bound(eps: float, d1: float) -> float:
+    """eps ||(1-C)x||: the central part, |m - n| <= eps, of the Poisson split.
+
+    Each ||(C^n - C^m) x|| there is at most |n - m| ||(1-C)x||.
+    """
+    if eps < 0.0 or d1 < 0.0:
+        raise DomainError("eps, d1 must be nonnegative")
+    return eps * d1
+
+
+def split_tail_bound(n: int, eps: float) -> float:
+    """2n / eps^2: the tail part, 2 P(|X_n - n| > eps) by Tchebychev, of the split at ||x|| = 1."""
+    _check_n(n)
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    return 2.0 * n / eps**2
+
+
 def _check_n(n: int) -> None:
     # a plain int skips the abstract-base-class check, which costs more than
     # the bound itself in a sweep that evaluates one bound per record

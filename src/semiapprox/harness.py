@@ -503,10 +503,11 @@ def _run_tnk_equivalence(config: ExperimentConfig):
     t_semi = config.ts[0]
     for i in range(config.trials):
         a = _sectorial(config, i)
-        norm_a_sq = linalg.op_norm(a) ** 2
+        norm_a = linalg.op_norm(a)
         for k, s, res, semi in _tnk_sweep(a, k_max, t_semi):
-            records.append(make_record(f"tnk/d{i:03d}/resolvent", 2**k, s, res, s * norm_a_sq))
-            bound = t_semi * s * norm_a_sq
+            bound = bounds.tnk_resolvent_bound(s, norm_a)
+            records.append(make_record(f"tnk/d{i:03d}/resolvent", 2**k, s, res, bound))
+            bound = bounds.tnk_semigroup_bound(t_semi, s, norm_a)
             records.append(make_record(f"tnk/d{i:03d}/semigroup", 2**k, s, semi, bound))
     fits = _fit_groups(_cells(records, "/resolvent"), config.fit_min_n)
     return records, {"resolvent_rate_fits": fits}
@@ -521,11 +522,12 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     majorant_worst = 0.0
     majorant_failures = 0
     ns = _n_grid(config, cap=16)
+    bound = bounds.contour_reconstruction_bound()
     for i, c, t_res in draws:
         errors, report = _contour_sweep(c, nodes, ns, config.alpha)
         for n, ritt, gap in errors:
-            records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, ritt, 1e-7))
-            records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, gap, 1e-7))
+            records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, ritt, bound))
+            records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, gap, bound))
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
         majorant_failures += not report.passed
     return records, {
@@ -542,9 +544,10 @@ def _run_poisson_split(config: ExperimentConfig):
     ns = _n_grid(config, cap=128)
     for n in ns:
         emp = abs(poisson.poisson_second_moment(n) - n)
-        records.append(make_record("poisson_split/second_moment", n, 0.0, emp, 1e-8 * n))
-        emp = poisson.poisson_first_abs_moment(n)
-        records.append(make_record("poisson_split/first_abs_moment", n, 0.0, emp, math.sqrt(n)))
+        bound = bounds.poisson_variance_tolerance(n)
+        records.append(make_record("poisson_split/second_moment", n, 0.0, emp, bound))
+        emp, bound = poisson.poisson_first_abs_moment(n), bounds.poisson_abs_moment_bound(n)
+        records.append(make_record("poisson_split/first_abs_moment", n, 0.0, emp, bound))
         for eps in config.ts:
             emp, bound = poisson.poisson_tail(n, eps), poisson.tchebychev_bound(n, eps)
             records.append(make_record("poisson_split/tail", n, eps, emp, bound))
@@ -556,8 +559,10 @@ def _run_poisson_split(config: ExperimentConfig):
             for eps in config.ts:
                 central, tail = poisson.chernoff_split_sum(c, x, n, eps)
                 rid = f"poisson_split/split/d{i:03d}"
-                records.append(make_record(f"{rid}/central", n, eps, central, eps * d1))
-                records.append(make_record(f"{rid}/tail", n, eps, tail, 2.0 * n / eps**2))
+                bound = bounds.split_central_bound(eps, d1)
+                records.append(make_record(f"{rid}/central", n, eps, central, bound))
+                bound = bounds.split_tail_bound(n, eps)
+                records.append(make_record(f"{rid}/tail", n, eps, tail, bound))
     return records, {}
 
 

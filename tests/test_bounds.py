@@ -157,6 +157,50 @@ def test_trotter_bound():
             bounds.trotter_bound(*args)
 
 
+def test_tnk_bounds():
+    assert bounds.tnk_resolvent_bound(0.25, 2.0) == 1.0
+    assert bounds.tnk_resolvent_bound(0.5, 0.0) == 0.0
+    assert bounds.tnk_semigroup_bound(3.0, 0.25, 2.0) == 3.0
+    assert bounds.tnk_semigroup_bound(0.0, 0.5, 4.0) == 0.0
+    # scalar A = a > 0: X_s = a / (1 + s a), and both errors meet their bounds
+    for a in (0.5, 2.0, 10.0):
+        for s in (0.5, 2.0**-4, 2.0**-10):
+            x_s = a / (1.0 + s * a)
+            assert abs(1 / (1 + x_s) - 1 / (1 + a)) <= bounds.tnk_resolvent_bound(s, a)
+            err = abs(math.exp(-1.5 * x_s) - math.exp(-1.5 * a))
+            assert err <= bounds.tnk_semigroup_bound(1.5, s, a)
+    with pytest.raises(DomainError):
+        bounds.tnk_resolvent_bound(-0.5, 1.0)
+    with pytest.raises(DomainError):
+        bounds.tnk_semigroup_bound(-1.0, 0.5, 1.0)
+
+
+def test_contour_reconstruction_bound():
+    assert bounds.contour_reconstruction_bound() == 1e-7
+
+
+def test_poisson_split_bounds():
+    assert bounds.poisson_variance_tolerance(1) == 1e-8
+    assert bounds.poisson_variance_tolerance(100) == pytest.approx(1e-6, rel=1e-15)
+    assert bounds.poisson_abs_moment_bound(16) == 4.0
+    assert bounds.poisson_abs_moment_bound(2) == math.sqrt(2.0)
+    assert bounds.split_central_bound(3.0, 0.5) == 1.5
+    assert bounds.split_central_bound(2.0, 0.0) == 0.0
+    assert bounds.split_tail_bound(8, 2.0) == 4.0
+    for n, eps in ((1, 0.5), (16, 3.0), (64, 1.5)):
+        assert bounds.split_tail_bound(n, eps) == 2.0 * poisson.tchebychev_bound(n, eps)
+        # E|X_n - n| <= sqrt(n), and the computed moment agrees
+        assert poisson.poisson_first_abs_moment(n) <= bounds.poisson_abs_moment_bound(n)
+    for call in (
+        lambda: bounds.poisson_variance_tolerance(0),
+        lambda: bounds.poisson_abs_moment_bound(0),
+        lambda: bounds.split_central_bound(-1.0, 1.0),
+        lambda: bounds.split_tail_bound(4, 0.0),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_epsilon_star_optimality_sampled():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
