@@ -222,8 +222,8 @@ def tnk_semigroup_bound(t: float, s: float, norm_a: float) -> float:
 def contour_reconstruction_bound() -> float:
     """1e-7: the allowed error of a contour reconstruction of f(C) in spectral norm.
 
-    The quadrature is refined to CONTOUR_QUAD_TOL = 1e-10 between node sets,
-    so a correct reconstruction stays well inside this tolerance.
+    That is ten times CONTOUR_QUAD_TOL = 1e-8, the agreement the quadrature
+    asks of two successive node sets before it stops refining.
     """
     return 1e-7
 

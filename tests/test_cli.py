@@ -25,19 +25,24 @@ def run_cli(*args):
     )
 
 
-def run_main(capsys, *args):
+@pytest.fixture
+def run_main(capsys):
     """cli.main in this process, with run_cli's returncode, stdout and stderr.
 
     argparse exits with SystemExit(2) on a usage error; its code counts as
     the return code, as it does for the process.
     """
-    capsys.readouterr()
-    try:
-        code = cli.main(list(args))
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return types.SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return types.SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
 
 
 def test_verify_writes_csv_and_exits_zero(tmp_path):
@@ -69,9 +74,8 @@ def test_bad_input_exits_two(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_verify_stdout_json(capsys, tmp_path):
+def test_verify_stdout_json(run_main, tmp_path):
     proc = run_main(
-        capsys,
         "verify", "poisson_split", "--trials", "1", "--nmax", "8",
         "--t", "1.0,2.0", "--format", "json",
     )
@@ -80,21 +84,20 @@ def test_verify_stdout_json(capsys, tmp_path):
     assert payload["summary"]["all_passed"] is True
 
 
-def test_verify_reproducible_bytes(capsys, tmp_path):
+def test_verify_reproducible_bytes(run_main, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [
         "verify", "ritt", "--dim", "4", "--trials", "3", "--nmax", "64",
         "--alpha", str(math.pi / 8), "--seed", "99", "--format", "json",
     ]
-    assert run_main(capsys, *args, "--out", str(out1)).returncode == 0
-    assert run_main(capsys, *args, "--out", str(out2)).returncode == 0
+    assert run_main(*args, "--out", str(out1)).returncode == 0
+    assert run_main(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_fit_min_n(capsys, tmp_path):
+def test_verify_fit_min_n(run_main, tmp_path):
     out = tmp_path / "rate.json"
     proc = run_main(
-        capsys,
         "verify", "euler_rate", "--dim", "3", "--trials", "2", "--nmax", "1024",
         "--alpha", str(math.pi / 16), "--fit-min-n", "2", "--format", "json",
         "--out", str(out),
@@ -112,10 +115,10 @@ def test_verify_defaults_are_the_config_defaults(tmp_path):
     assert out.read_bytes() == report.emit_report(result.records, "csv", summary=result.summary)
 
 
-def test_numrange_subcommand(capsys, tmp_path):
+def test_numrange_subcommand(run_main, tmp_path):
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.2, 0.8]))))
-    proc = run_main(capsys, "numrange", "--input", str(matrix), "--alpha", "0.0", "--points", "32")
+    proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.0", "--points", "32")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["passed"] is True
@@ -123,20 +126,20 @@ def test_numrange_subcommand(capsys, tmp_path):
     assert len(payload["boundary_points"]) == 32
 
     matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([-0.5]))))
-    proc = run_main(capsys, "numrange", "--input", str(matrix), "--alpha", "0.1")
+    proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["passed"] is False
 
     # not a contraction: the certificate fails and there is no semi-angle to report
     matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([2.0, 0.5]))))
-    proc = run_main(capsys, "numrange", "--input", str(matrix), "--alpha", "0.1", "--points", "32")
+    proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1", "--points", "32")
     assert proc.returncode == 1, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["passed"] is False and payload["min_semi_angle"] is None
 
 
-def test_constants_subcommand(capsys):
-    proc = run_main(capsys, "constants", "--alpha", "0.0")
+def test_constants_subcommand(run_main):
+    proc = run_main("constants", "--alpha", "0.0")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["k_alpha"] == pytest.approx(3.877007477771478, rel=1e-6)
@@ -145,12 +148,12 @@ def test_constants_subcommand(capsys):
     assert 0.0 < payload["argmin_alpha_prime"] < math.pi / 2
 
 
-def test_report_merge(capsys, tmp_path):
+def test_report_merge(run_main, tmp_path):
     f1, f2, merged = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "m.csv"
     base = ["--dim", "3", "--trials", "1", "--nmax", "8"]
-    assert run_main(capsys, "verify", "sqrt_n", *base, "--seed", "1", "--out", str(f1)).returncode == 0
-    assert run_main(capsys, "verify", "telescopic", *base, "--seed", "2", "--out", str(f2)).returncode == 0
-    proc = run_main(capsys, "report", "--merge", str(f1), str(f2), "--out", str(merged))
+    assert run_main("verify", "sqrt_n", *base, "--seed", "1", "--out", str(f1)).returncode == 0
+    assert run_main("verify", "telescopic", *base, "--seed", "2", "--out", str(f2)).returncode == 0
+    proc = run_main("report", "--merge", str(f1), str(f2), "--out", str(merged))
     assert proc.returncode == 0, proc.stderr
     records, _ = report.parse_report(merged.read_bytes(), "csv")
     n1 = len(f1.read_text().splitlines()) - 1
@@ -176,7 +179,7 @@ def _one_record_report(fmt, **fields):
     return report.emit_report([rec], fmt)
 
 
-def test_report_merge_rejects_malformed_input(capsys, tmp_path):
+def test_report_merge_rejects_malformed_input(run_main, tmp_path):
     good_csv, good_json = _one_record_report("csv").decode(), _one_record_report("json").decode()
     (tmp_path / "good.csv").write_text(good_csv)
     (tmp_path / "good.json").write_text(good_json)
@@ -194,7 +197,7 @@ def test_report_merge_rejects_malformed_input(capsys, tmp_path):
     for good, name, text in cases:
         bad, merged = tmp_path / name, tmp_path / f"merged_{name}"
         bad.write_text(text)
-        proc = run_main(capsys, "report", "--merge", str(tmp_path / good), str(bad), "--out", str(merged))
+        proc = run_main("report", "--merge", str(tmp_path / good), str(bad), "--out", str(merged))
         assert proc.returncode == 2, (name, proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, name
         assert not merged.exists(), name
@@ -210,26 +213,26 @@ def test_report_merge_keeps_failed_records_failed(tmp_path):
     assert payload["summary"]["all_passed"] is False
 
 
-def test_usage_errors_exit_two(capsys, tmp_path):
-    assert run_main(capsys, "verify", "not_a_kind").returncode == 2
-    assert run_main(capsys, "nonsense").returncode == 2
-    assert run_main(capsys, "numrange", "--input", str(tmp_path / "missing.json"), "--alpha", "0.1").returncode == 2
+def test_usage_errors_exit_two(run_main, tmp_path):
+    assert run_main("verify", "not_a_kind").returncode == 2
+    assert run_main("nonsense").returncode == 2
+    assert run_main("numrange", "--input", str(tmp_path / "missing.json"), "--alpha", "0.1").returncode == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run_main(capsys, "numrange", "--input", str(bad), "--alpha", "0.1").returncode == 2
+    assert run_main("numrange", "--input", str(bad), "--alpha", "0.1").returncode == 2
     # arguments outside a formula's domain are usage errors, not violated bounds
-    assert run_main(capsys, "constants", "--alpha", "2").returncode == 2
-    assert run_main(capsys, "verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
+    assert run_main("constants", "--alpha", "2").returncode == 2
+    assert run_main("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
     for bad_t in ("nan", "inf"):
-        proc = run_main(capsys, "verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
+        proc = run_main("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, bad_t
     # every kind rejects a negative t and an alpha outside [0, pi/2), even where unused
     for argv in (("selfadjoint", "--t", "-1"), ("sqrt_n", "--alpha", "-3")):
-        proc = run_main(capsys, "verify", *argv, "--trials", "1", "--nmax", "4")
+        proc = run_main("verify", *argv, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     # an empty n-grid is a usage error, not a traceback
-    proc = run_main(capsys, "verify", "chernoff_product", "--nmax", "0")
+    proc = run_main("verify", "chernoff_product", "--nmax", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

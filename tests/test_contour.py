@@ -245,7 +245,8 @@ def _reference_many(fs, c, nodes):
     while True:
         nodes = contour.build_contour(nodes.alpha_prime, 2 * nodes.k_arc, 2 * nodes.k_line)
         refined = quadrature(nodes)
-        if all(linalg.op_norm(r2 - r1) < contour.CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
+        tol = contour.CONTOUR_QUAD_TOL
+        if all(linalg.op_norm(r2 - r1) < tol for r1, r2 in zip(results, refined)):
             return refined
         results = refined
 
