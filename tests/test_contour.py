@@ -198,17 +198,9 @@ def test_resolvent_blow_up_raises_too_close():
         contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
 
 
-def test_each_function_runs_once_per_block(monkeypatch):
+def test_each_function_runs_once_per_block():
     # one base pass of 1024 nodes and one refinement of 2048: 3072 / 64 = 48
     # blocks, and each function sees every block once, as one node array
-    blocks = []
-    resolvent_blocks = contour._resolvent_blocks
-
-    def counting_blocks(c, nodes):
-        for sl, r in resolvent_blocks(c, nodes):
-            blocks.append(len(r))
-            yield sl, r
-
     calls = [[], []]
 
     def counted(j, f):
@@ -218,14 +210,12 @@ def test_each_function_runs_once_per_block(monkeypatch):
 
         return g
 
-    monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
     c = certified_resolvent(4, math.pi / 8, 3000)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
     contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes)
-    assert sum(blocks) == 3 * len(nodes) == 3072
-    for shapes in calls:
-        assert shapes == [(contour._BLOCK,)] * len(blocks) == [(64,)] * 48
+    assert 3 * len(nodes) == 3072
+    assert calls == [[(64,)] * 48] * 2
 
 
 def _reference_many(fs, c, nodes):
