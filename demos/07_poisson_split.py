@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 
-from semiapprox import ensembles, linalg, poisson
+from semiapprox import bounds, ensembles, linalg, poisson
 
 print("exact tails vs the Tchebychev ceiling n/eps^2:")
 for n in (1, 4, 16, 64):
     eps = math.sqrt(n)
     tail = poisson.poisson_tail(n, eps)
-    print(f"  n={n:>3}, eps=sqrt(n): exact tail = {tail:.6f} <= {poisson.tchebychev_bound(n, eps):.1f}")
+    print(f"  n={n:>3}, eps=sqrt(n): exact tail = {tail:.6f} <= {bounds.tchebychev_bound(n, eps):.1f}")
 
 print("\nmoment identities (variance = n, first absolute moment <= sqrt(n)):")
 for n in (1, 10, 100):

@@ -75,14 +75,12 @@ def chernoff_exp(step, n: int) -> np.ndarray:
     return linalg.expm(n * (step - np.eye(step.shape[0])))
 
 
-def discrete_generator(phi: ContractionFamily, s: float, n: int) -> np.ndarray:
-    """(1 - Phi(s/n)) / (s/n), the bounded approximation of the generator."""
+def discrete_generator(phi: ContractionFamily, s: float) -> np.ndarray:
+    """(1 - Phi(s)) / s, the bounded approximation of the generator."""
     if s <= 0.0:
         raise DomainError(f"s must be positive, got {s}")
-    _check_n(n)
-    h = s / n
-    step = phi(h)
-    return (np.eye(step.shape[0]) - step) / h
+    step = phi(s)
+    return (np.eye(step.shape[0]) - step) / s
 
 
 def _check_n(n: int) -> None:

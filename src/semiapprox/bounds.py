@@ -142,25 +142,6 @@ def norm_chernoff_bound(n: int, alpha: float) -> float:
     return l_alpha(alpha) / n ** (1.0 / 3.0)
 
 
-class TwoParamBound(NamedTuple):
-    value: float
-    threshold_cleared: bool
-
-
-def two_param_bound(n: int, delta: float, k_alpha_value: float) -> TwoParamBound:
-    """2/n^(2 delta) + 2 K / n^(1/2 - delta), with its applicability flag.
-
-    The derivation needs n > 2 ([n^(delta + 1/2)] - 1); the flag reports
-    whether n clears that threshold (at delta = 1/6 every n >= 1 does).
-    """
-    _check_n(n)
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
-    value = 2.0 / n ** (2.0 * delta) + 2.0 * k_alpha_value / n ** (0.5 - delta)
-    cleared = n > 2 * (math.floor(n ** (delta + 0.5)) - 1)
-    return TwoParamBound(value, cleared)
-
-
 def selfadjoint_ritt_bound(n: int) -> float:
     """1/(n+1): the optimal self-adjoint bound for ||C^n (1-C)||."""
     _check_n(n)
@@ -250,12 +231,17 @@ def split_central_bound(eps: float, d1: float) -> float:
     return eps * d1
 
 
-def split_tail_bound(n: int, eps: float) -> float:
-    """2n / eps^2: the tail part, 2 P(|X_n - n| > eps) by Tchebychev, of the split at ||x|| = 1."""
+def tchebychev_bound(n: int, eps: float) -> float:
+    """n / eps^2: P(|X_n - n| > eps) <= Var(X_n) / eps^2 by Tchebychev, X_n ~ Poisson(n)."""
     _check_n(n)
     if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    return 2.0 * n / eps**2
+        raise DomainError(f"eps must be positive, got {eps}")
+    return n / eps**2
+
+
+def split_tail_bound(n: int, eps: float) -> float:
+    """2n / eps^2: the tail part, 2 P(|X_n - n| > eps), of the Poisson split at ||x|| = 1."""
+    return 2.0 * tchebychev_bound(n, eps)
 
 
 def _check_n(n: int) -> None:

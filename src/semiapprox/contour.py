@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, numrange
 from .errors import ContourTooCloseError, DomainError, InvalidInputError
-from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL
+from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 64  # contour nodes per stacked resolvent solve
@@ -227,7 +227,8 @@ def contour_norm_bound_check(
     gap = z**n - np.exp(n * (z - 1.0))
     max_gap = float(np.max(np.hypot(gap.real, gap.imag)))
 
-    passed = max(worst_arc, worst_lines) <= 1.0 + 1e-8 and worst_dist <= 1.0 + 1e-6
+    majorant_ok = max(worst_arc, worst_lines) <= 1.0 + MAJORANT_TOL
+    passed = majorant_ok and worst_dist <= 1.0 + MAJORANT_DIST_TOL
     return ContourCheckReport(
         worst_ratio_arc=worst_arc,
         worst_ratio_lines=worst_lines,

@@ -302,7 +302,7 @@ def _tnk_sweep(a, k_max, t):
     semi_ref = approximants.reference_semigroup(a, t)
     for k in range(1, k_max + 1):
         s = 2.0 ** (-k)
-        x_s = approximants.discrete_generator(phi, s, 1)
+        x_s = approximants.discrete_generator(phi, s)
         res = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
         yield k, s, res, linalg.op_norm(linalg.expm(-t * x_s) - semi_ref)
 
@@ -549,7 +549,7 @@ def _run_poisson_split(config: ExperimentConfig):
         emp, bound = poisson.poisson_first_abs_moment(n), bounds.poisson_abs_moment_bound(n)
         records.append(make_record("poisson_split/first_abs_moment", n, 0.0, emp, bound))
         for eps in config.ts:
-            emp, bound = poisson.poisson_tail(n, eps), poisson.tchebychev_bound(n, eps)
+            emp, bound = poisson.poisson_tail(n, eps), bounds.tchebychev_bound(n, eps)
             records.append(make_record("poisson_split/tail", n, eps, emp, bound))
     for i in range(config.trials):
         c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))

@@ -6,21 +6,20 @@ The representation
 
 turns the power-vs-exponential discrepancy into a Poisson average.  This
 module owns the pmf, evaluated in log space on one certified window of m by
-``_pmf_window``, exact tail masses, the Tchebychev bound, and the
-weighted-norm split itself.  Infinite sums are truncated once the
-omitted probability mass drops below POISSON_MASS_TOL; the dropped mass is
-reported, never ignored.
+``_pmf_window``, exact tail masses, and the weighted-norm split itself.
+Infinite sums are truncated once the omitted probability mass drops below
+POISSON_MASS_TOL; the dropped mass is reported, never ignored.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import linalg
+from .bounds import _check_n
 from .errors import DomainError, InvalidInputError
 from .tolerances import CONTRACTION_INPUT_TOL, POISSON_MASS_TOL
 
@@ -68,31 +67,23 @@ def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def poisson_tail(n: int, epsilon: float) -> float:
     """Exact P{|X_n - n| > epsilon} (strict inequality), truncated to 1e-14."""
-    _check_rate(n)
+    _check_n(n)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf[np.abs(ms - n) > epsilon]))
 
 
-def tchebychev_bound(n: int, epsilon: float) -> float:
-    """Var(X_n)/epsilon^2 = n/epsilon^2."""
-    _check_rate(n)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    return n / epsilon**2
-
-
 def poisson_second_moment(n: int) -> float:
     """sum_m pmf(n, m) (m - n)^2; equals Var(X_n) = n."""
-    _check_rate(n)
+    _check_n(n)
     ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf * (ms - n) ** 2))
 
 
 def poisson_first_abs_moment(n: int) -> float:
     """sum_m pmf(n, m) |m - n|; at most sqrt(n) by Cauchy-Schwarz."""
-    _check_rate(n)
+    _check_n(n)
     ms, pmf, _ = _pmf_window(n)
     return float(np.sum(pmf * np.abs(ms - n)))
 
@@ -104,7 +95,7 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
     |m - n| <= epsilon, the tail the strict complement; the series is
     truncated at cumulative pmf mass POISSON_MASS_TOL.
     """
-    _check_rate(n)
+    _check_n(n)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     a = linalg.as_operator(c)
@@ -135,8 +126,3 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
         else:
             tail += p * dist
     return central, tail
-
-
-def _check_rate(n: int) -> None:
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"rate n must be a positive integer, got {n!r}")

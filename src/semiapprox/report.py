@@ -171,19 +171,26 @@ def merge_reports(chunks: list[tuple[list[ErrorRecord], dict | None]]) -> tuple[
     return records, summarize(records, extras)
 
 
-def load_matrix_json(obj: dict) -> np.ndarray:
-    """Matrix wire format: {dim: int, re: [[...]], im: [[...]]}, row-major."""
+def load_matrix_json(obj) -> np.ndarray:
+    """Matrix wire format: {dim: int, re: [[...]], im: [[...]]}, row-major.
+
+    ``dim`` must be a JSON integer >= 1 and ``re`` and ``im`` each ``dim`` rows
+    of ``dim`` JSON numbers; a bool or a string is refused, not converted.
+    """
+    dim = obj.get("dim") if isinstance(obj, dict) else None
+    if type(dim) is not int or dim < 1:
+        raise InvalidInputError(f"matrix dim must be an integer >= 1, got {dim!r}")
+    re, im = obj.get("re"), obj.get("im")
+    for key, rows in (("re", re), ("im", im)):
+        if not (type(rows) is list and len(rows) == dim and all(
+            type(row) is list and len(row) == dim and all(type(x) in (int, float) for x in row)
+            for row in rows
+        )):
+            raise InvalidInputError(f"matrix {key!r} must be {dim} rows of {dim} JSON numbers")
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed matrix object: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise InvalidInputError(
-            f"matrix shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"
-        )
-    return re + 1j * im
+        return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    except OverflowError as exc:
+        raise InvalidInputError(f"matrix entry out of float range: {exc}") from exc
 
 
 def dump_matrix_json(m: np.ndarray) -> dict:

@@ -28,6 +28,11 @@ POISSON_MASS_TOL = 1e-14
 CONTOUR_QUAD_TOL = 1e-8
 CONTOUR_NODE_CAP = 200_000
 
+# Contour resolvent majorants: ||(z - C)^{-1}|| over the majorant on the arc and
+# lines, and times dist(z, D(alpha)), may exceed 1 by at most these.
+MAJORANT_TOL = 1e-8
+MAJORANT_DIST_TOL = 1e-6
+
 # Bisection tolerance for the smallest certified semi-angle.
 SEMI_ANGLE_TOL = 1e-6
 

@@ -199,11 +199,15 @@ def test_criterion_04_poisson_machinery():
         1
         for n in range(1, 101)
         for eps in eps_grid
-        if poisson.poisson_tail(n, float(eps)) > poisson.tchebychev_bound(n, float(eps))
+        if poisson.poisson_tail(n, float(eps)) > bounds.tchebychev_bound(n, float(eps))
     )
-    mom2_bad = sum(1 for n in range(1, 101) if abs(poisson.poisson_second_moment(n) - n) > 1e-8 * n)
+    mom2_bad = sum(
+        1 for n in range(1, 101)
+        if abs(poisson.poisson_second_moment(n) - n) > bounds.poisson_variance_tolerance(n)
+    )
     mom1_bad = sum(
-        1 for n in range(1, 101) if poisson.poisson_first_abs_moment(n) > math.sqrt(n) + 1e-10
+        1 for n in range(1, 101)
+        if poisson.poisson_first_abs_moment(n) > bounds.poisson_abs_moment_bound(n) + ABS_SLACK
     )
     crit(
         4,
@@ -394,6 +398,7 @@ def test_criterion_12_contour_calculus():
     bad_winding = 0
     bad_majorant = 0
     worst_recon = 0.0
+    recon_bound = bounds.contour_reconstruction_bound()
     for i in range(50):
         alpha = (math.pi / 16, math.pi / 8, math.pi / 4)[i % 3]
         dim = 2 + i % 15
@@ -407,7 +412,7 @@ def test_criterion_12_contour_calculus():
         errors, majorant = _contour_sweep(c, nodes, (1, 2, 4, 8, 16), alpha)
         for _, err1, err2 in errors:
             worst_recon = max(worst_recon, err1, err2)
-            bad_recon += (err1 > 1e-7) + (err2 > 1e-7)
+            bad_recon += (err1 > recon_bound) + (err2 > recon_bound)
         if not majorant.passed:
             bad_majorant += 1
     crit(

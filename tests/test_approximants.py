@@ -147,7 +147,7 @@ def test_discrete_generator_semigroup_taylor_remainder():
     norm_a = linalg.op_norm(a)
     for s, n in ((1.0, 1), (1.0, 8), (0.25, 64)):
         h = s / n
-        gen = approximants.discrete_generator(phi, s, n)
+        gen = approximants.discrete_generator(phi, h)
         assert linalg.op_norm(gen - a) <= norm_a**2 * h * math.exp(h * norm_a) / 2 + 1e-12
 
 
@@ -157,16 +157,16 @@ def test_discrete_generator_resolvent_identity():
     phi = approximants.resolvent_family(a)
     for s, n in ((0.5, 1), (2.0, 4)):
         h = s / n
-        got = approximants.discrete_generator(phi, s, n)
+        got = approximants.discrete_generator(phi, h)
         expected = a @ linalg.inverse(np.eye(5) + h * a)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_discrete_generator_of_zero_generator_is_zero():
     phi = approximants.semigroup_family(np.zeros((3, 3)))
-    npt.assert_allclose(approximants.discrete_generator(phi, 1.0, 4), np.zeros((3, 3)), atol=1e-14)
+    npt.assert_allclose(approximants.discrete_generator(phi, 0.25), np.zeros((3, 3)), atol=1e-14)
     with pytest.raises(DomainError):
-        approximants.discrete_generator(phi, 0.0, 4)
+        approximants.discrete_generator(phi, 0.0)
 
 
 def test_chernoff_pair_domain():

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ import scipy.linalg
 
 from semiapprox import bounds, poisson
 from semiapprox.errors import DegenerateInputError, DomainError
+from semiapprox.harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_sqrt_n_bound():
@@ -94,21 +100,14 @@ def test_l_alpha_and_norm_chernoff():
         assert bounds.norm_chernoff_bound(1000, alpha) == pytest.approx(l / 10)
 
 
-def test_two_param_bound():
-    value, cleared = bounds.two_param_bound(64, 1 / 6, 1.0)
-    assert value == pytest.approx(1.0, rel=1e-12)
-    assert cleared
-    # algebraic identity with the n^(-1/3) form at delta = 1/6
-    for n in (8, 64, 512):
-        k = 3.3
-        v, _ = bounds.two_param_bound(n, 1 / 6, k)
-        assert v == pytest.approx((2 + 2 * k) / n ** (1 / 3), rel=1e-12)
-    # at delta = 1/6 the threshold is vacuous for every n >= 1
-    assert all(bounds.two_param_bound(n, 1 / 6, 1.0).threshold_cleared for n in range(1, 200))
-    # close to delta = 1/2 the threshold does bite
-    assert not bounds.two_param_bound(100, 0.4, 1.0).threshold_cleared
-    with pytest.raises(DomainError):
-        bounds.two_param_bound(10, 0.6, 1.0)
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 8, math.pi / 4, 1.3])
+def test_norm_chernoff_is_the_delta_sixth_split(alpha):
+    # the split 2/n^(2 delta) + 2 K_alpha/n^(1/2 - delta) at delta = 1/6
+    k = bounds.k_alpha(alpha).value
+    for n in (1, 8, 64, 512, 4096):
+        assert bounds.norm_chernoff_bound(n, alpha) == pytest.approx(
+            (2 + 2 * k) / n ** (1 / 3), rel=1e-12
+        )
 
 
 def test_selfadjoint_bounds():
@@ -179,6 +178,16 @@ def test_contour_reconstruction_bound():
     assert bounds.contour_reconstruction_bound() == 1e-7
 
 
+def test_tchebychev_bound_values():
+    assert bounds.tchebychev_bound(1, 1.0) == pytest.approx(1.0)
+    assert bounds.tchebychev_bound(4, 2.0) == pytest.approx(1.0)
+    for n in (1, 9, 64):
+        assert bounds.tchebychev_bound(n, math.sqrt(n)) == pytest.approx(1.0)
+    for n, eps in ((0, 1.0), (1.5, 1.0), (4, 0.0), (4, -1.0)):
+        with pytest.raises(DomainError):
+            bounds.tchebychev_bound(n, eps)
+
+
 def test_poisson_split_bounds():
     assert bounds.poisson_variance_tolerance(1) == 1e-8
     assert bounds.poisson_variance_tolerance(100) == pytest.approx(1e-6, rel=1e-15)
@@ -188,7 +197,7 @@ def test_poisson_split_bounds():
     assert bounds.split_central_bound(2.0, 0.0) == 0.0
     assert bounds.split_tail_bound(8, 2.0) == 4.0
     for n, eps in ((1, 0.5), (16, 3.0), (64, 1.5)):
-        assert bounds.split_tail_bound(n, eps) == 2.0 * poisson.tchebychev_bound(n, eps)
+        assert bounds.split_tail_bound(n, eps) == 2.0 * bounds.tchebychev_bound(n, eps)
         # E|X_n - n| <= sqrt(n), and the computed moment agrees
         assert poisson.poisson_first_abs_moment(n) <= bounds.poisson_abs_moment_bound(n)
     for call in (
@@ -213,20 +222,6 @@ def test_epsilon_star_optimality_sampled():
         assert best == pytest.approx(closed, rel=1e-10)
         for eps in rng.uniform(0.05, 10.0, 100) * star:
             assert bounds.cbrt_vector_bound(n, float(eps), nx, d1) >= best - 1e-12
-
-
-def test_delta_sixth_is_optimal_exponent():
-    # at delta = 1/6 both terms decay like n^(-1/3); other deltas lose on one side
-    k = 2.0
-    n_lo, n_hi = 64, 4096
-    def decay(delta):
-        v_lo = bounds.two_param_bound(n_lo, delta, k).value
-        v_hi = bounds.two_param_bound(n_hi, delta, k).value
-        return math.log(v_lo / v_hi) / math.log(n_hi / n_lo)
-    best = decay(1 / 6)
-    assert best == pytest.approx(1 / 3, abs=1e-9)
-    for delta in (0.05, 0.1, 0.25, 0.4):
-        assert decay(delta) <= best + 1e-9
 
 
 def test_bounds_monotone_in_distance_arguments():
@@ -271,3 +266,36 @@ def test_bounds_nonnegative_and_finite():
             bounds.euler_bound(n, rng.uniform(0, math.pi / 2 - 0.01)),
         ]
         assert all(v >= 0 and math.isfinite(v) for v in vals)
+
+
+def _golden_config(kind):
+    """The config of the golden report of ``kind``, read from its summary."""
+    config = json.loads((GOLDEN / f"{kind}.json").read_text())["summary"]["config"]
+    return ExperimentConfig(**{**config, "ts": tuple(config["ts"])})
+
+
+def test_every_record_bound_comes_from_bounds(monkeypatch):
+    # bounds.py is the one home of every record bound: each public function
+    # there passes its result through a recorder, and every record's bound
+    # must be, bit for bit, a float some bounds call returned in that run
+    returned = set()
+
+    def recorder(fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            if isinstance(value, float):
+                returned.add(float(value).hex())
+            return value
+
+        return wrapped
+
+    for name, obj in list(vars(bounds).items()):
+        public = callable(obj) and not name.startswith("_") and not isinstance(obj, type)
+        if public and obj.__module__ == bounds.__name__:
+            monkeypatch.setattr(bounds, name, recorder(obj))
+    for kind in EXPERIMENT_KINDS:
+        returned.clear()
+        records = run_experiment(_golden_config(kind)).records
+        stray = sorted({r.experiment_id for r in records if r.bound.hex() not in returned})
+        assert records and not stray, f"{kind}: bounds not from bounds.py in {stray}"

@@ -137,6 +137,18 @@ def test_numrange_subcommand(run_main, tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["passed"] is False and payload["min_semi_angle"] is None
 
+    # a dim or an entry that is not a JSON number is bad input, not converted
+    for obj in (
+        {"dim": 2.7, "re": [[0.5]], "im": [[0.0]]},
+        {"dim": True, "re": [[0.5]], "im": [[0.0]]},
+        {"dim": "1", "re": [["0.5"]], "im": [[False]]},
+        {"dim": 1, "re": [[0.5]], "im": [[False]]},
+    ):
+        matrix.write_text(json.dumps(obj))
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: matrix ")
+
 
 def test_constants_subcommand(run_main):
     proc = run_main("constants", "--alpha", "0.0")

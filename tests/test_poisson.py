@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from semiapprox import ensembles, linalg, poisson
+from semiapprox import bounds, ensembles, linalg, poisson
 from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.tolerances import POISSON_MASS_TOL
 
@@ -56,19 +56,12 @@ def test_tail_examples():
     assert poisson.poisson_tail(4, 2.0) == pytest.approx(oracle, rel=1e-10)
 
 
-def test_tchebychev_bound_values():
-    assert poisson.tchebychev_bound(1, 1.0) == pytest.approx(1.0)
-    assert poisson.tchebychev_bound(4, 2.0) == pytest.approx(1.0)
-    for n in (1, 9, 64):
-        assert poisson.tchebychev_bound(n, math.sqrt(n)) == pytest.approx(1.0)
-
-
 def test_tchebychev_dominates_exact_tail():
     # exact inequality, no slack
     eps_grid = np.logspace(-1, 2, 50)
     for n in range(1, 101):
         for eps in eps_grid:
-            assert poisson.poisson_tail(n, float(eps)) <= poisson.tchebychev_bound(n, float(eps))
+            assert poisson.poisson_tail(n, float(eps)) <= bounds.tchebychev_bound(n, float(eps))
 
 
 def test_moment_identities():

@@ -222,10 +222,28 @@ def test_matrix_json_roundtrip():
     assert set(obj) == {"dim", "re", "im"}
     back = report.load_matrix_json(json.loads(json.dumps(obj)))
     np.testing.assert_allclose(back, m)
+    # JSON integers are numbers too
+    m = report.load_matrix_json({"dim": 2, "re": [[1, 0.5], [0, 2]], "im": [[0, -1], [1, 0]]})
+    np.testing.assert_array_equal(m, np.array([[1, 0.5 - 1j], [1j, 2]]))
 
 
 def test_matrix_json_validation():
-    with pytest.raises(InvalidInputError):
-        report.load_matrix_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
-    with pytest.raises(InvalidInputError):
-        report.load_matrix_json({"re": [[1.0]], "im": [[0.0]]})
+    # dim must be a JSON integer >= 1 and every entry a JSON number: bools and
+    # strings are refused, not converted
+    for obj in (
+        {"dim": 2, "re": [[1.0]], "im": [[0.0]]},
+        {"re": [[1.0]], "im": [[0.0]]},
+        {"dim": 2.7, "re": [[0.5]], "im": [[0.0]]},
+        {"dim": True, "re": [[0.5]], "im": [[0.0]]},
+        {"dim": "1", "re": [["0.5"]], "im": [[False]]},
+        {"dim": 0, "re": [], "im": []},
+        {"dim": 1, "re": [["0.5"]], "im": [[0.0]]},
+        {"dim": 1, "re": [[0.5]], "im": [[False]]},
+        {"dim": 1, "re": [[None]], "im": [[0.0]]},
+        {"dim": 1, "re": [0.5], "im": [[0.0]]},
+        {"dim": 2, "re": [[1, 2], [3]], "im": [[0, 0], [0, 0]]},
+        {"dim": 1, "re": [[10**400]], "im": [[0]]},
+        [[0.5]],
+    ):
+        with pytest.raises(InvalidInputError):
+            report.load_matrix_json(obj)
