@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from semiapprox import ensembles, linalg, numrange
+from semiapprox import approximants, ensembles, linalg, numrange
 
 alpha = math.pi / 8
 a = ensembles.random_m_sectorial(6, alpha, seed=7)
@@ -19,7 +19,7 @@ pts = numrange.numerical_range_boundary(a, 64)
 print(f"  boundary arg range: [{np.angle(pts).min():+.4f}, {np.angle(pts).max():+.4f}]")
 
 for t in (0.1, 1.0, 10.0):
-    f = ensembles.resolvent_contraction(a, t)
+    f = approximants.resolvent_family(a)(t)
     cert = numrange.certify_quasi_sectorial(f, alpha, 256)
     est = numrange.min_semi_angle(f, 256)
     print(

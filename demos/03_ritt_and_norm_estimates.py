@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from semiapprox import bounds, ensembles, linalg
+from semiapprox import approximants, bounds, ensembles, linalg
 
 alpha = math.pi / 8
 k = bounds.k_alpha(alpha)
@@ -19,7 +19,7 @@ print(f"alpha = pi/8: K_alpha = {k.value:.6f} at alpha' = {k.alpha_prime:.6f}, "
       f"L_alpha = 2K+2 = {l_val:.6f}")
 
 a = ensembles.random_m_sectorial(8, alpha, seed=99)
-c = ensembles.resolvent_contraction(a, 1.0)
+c = approximants.resolvent_family(a)(1.0)
 eye = np.eye(8)
 e = linalg.expm(c - eye)
 

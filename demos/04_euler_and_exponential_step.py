@@ -15,10 +15,10 @@ from semiapprox.harness import fit_rate, pow2_grid
 alpha = math.pi / 4
 a = ensembles.random_m_sectorial(6, alpha, seed=31)
 t = 1.0
-ref = approximants.reference_semigroup(a, t)
 l_val = bounds.l_alpha(alpha)
 resolvent = approximants.resolvent_family(a)
 semigroup = approximants.semigroup_family(a)
+ref = semigroup(t)
 
 print(f"sector semi-angle alpha = pi/4, t = {t}")
 print(f"{'n':>6} {'euler err':>12} {'euler bound':>12} {'ds err':>12} {'L/n^(1/3)':>12}")

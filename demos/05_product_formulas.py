@@ -14,7 +14,7 @@ print("commuting diagonal pair: the product formula is exact for every n")
 a = np.diag([1.0, 0.3, 0.7]).astype(complex)
 b = np.diag([0.2, 2.0, 0.9]).astype(complex)
 phi = approximants.trotter_family(a, b)
-ref = approximants.reference_semigroup(a + b, 1.0)
+ref = approximants.semigroup_family(a + b)(1.0)
 for n in (1, 8, 512):
     err = linalg.op_norm(approximants.chernoff_power(phi(1.0 / n), n) - ref)
     print(f"  n={n:>4}: error = {err:.2e}")
@@ -23,7 +23,7 @@ print("\nnon-commuting Hermitian pair: error decays like 1/n")
 a = ensembles.random_m_sectorial(4, 0.0, seed=41)
 b = ensembles.random_m_sectorial(4, 0.0, seed=43)
 phi = approximants.trotter_family(a, b)
-ref = approximants.reference_semigroup(a + b, 1.0)
+ref = approximants.semigroup_family(a + b)(1.0)
 cells = []
 for n in pow2_grid(512):
     err = linalg.op_norm(approximants.chernoff_power(phi(1.0 / n), n) - ref)

@@ -7,7 +7,8 @@ family, Lie-Trotter the power of the split-step family.  A ContractionFamily
 is a closure s -> Phi(s), kept as an evaluator rather than a sampled table so
 that t/n stays exact for large n.  The pair is formed from one evaluated step
 Phi(t/n), so a caller that needs the power and the partner evaluates the step
-once.
+once.  The families are the only constructors of Phi(s), e^{-tA} and
+(1 + tA)^{-1} in the package.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, InvalidInputError
+from .bounds import _check_n
+from .errors import DomainError
 
 
 @dataclass
@@ -34,7 +36,7 @@ class ContractionFamily:
 
 
 def semigroup_family(a) -> ContractionFamily:
-    """Phi(s) = e^{-sA}: the exact semigroup itself."""
+    """Phi(s) = e^{-sA}: the exact semigroup itself, the target of every approximant."""
     a = linalg.as_operator(a)
     return ContractionFamily(lambda s: linalg.expm(-s * a))
 
@@ -56,13 +58,6 @@ def trotter_family(a, b) -> ContractionFamily:
     return ContractionFamily(lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b))
 
 
-def reference_semigroup(a, t: float) -> np.ndarray:
-    """e^{-tA}, the exact target every approximant is compared against."""
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return linalg.expm(-t * linalg.as_operator(a))
-
-
 def chernoff_power(step, n: int) -> np.ndarray:
     """Phi(t/n)^n from the step Phi(t/n)."""
     _check_n(n)
@@ -81,8 +76,3 @@ def discrete_generator(phi: ContractionFamily, s: float) -> np.ndarray:
         raise DomainError(f"s must be positive, got {s}")
     step = phi(s)
     return (np.eye(step.shape[0]) - step) / s
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")

@@ -43,7 +43,7 @@ def cbrt_vector_bound(n: int, eps: float, nx: float, d1: float) -> float:
     _check_n(n)
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    return (n / eps**2) * 2.0 * nx + eps * d1
+    return _finite(_over_eps_squared(n, eps) * 2.0 * nx + eps * d1, eps)
 
 
 def cbrt_norm_bound(n: int, norm_one_minus_c: float) -> float:
@@ -236,12 +236,25 @@ def tchebychev_bound(n: int, eps: float) -> float:
     _check_n(n)
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    return n / eps**2
+    return _finite(_over_eps_squared(n, eps), eps)
 
 
 def split_tail_bound(n: int, eps: float) -> float:
     """2n / eps^2: the tail part, 2 P(|X_n - n| > eps), of the Poisson split at ||x|| = 1."""
-    return 2.0 * tchebychev_bound(n, eps)
+    return _finite(2.0 * tchebychev_bound(n, eps), eps)
+
+
+def _over_eps_squared(n: int, eps: float) -> float:
+    # eps**2 underflows to 0 for eps below about 1e-162; the quotient is then
+    # infinite, which _finite refuses, rather than a ZeroDivisionError
+    square = eps**2
+    return n / square if square > 0.0 else math.inf
+
+
+def _finite(bound: float, eps: float) -> float:
+    if not math.isfinite(bound):
+        raise DomainError(f"eps = {eps!r} gives a bound of {bound}, not a finite float")
+    return bound
 
 
 def _check_n(n: int) -> None:

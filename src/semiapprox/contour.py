@@ -17,6 +17,8 @@ nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
 allowed); its weighted resolvents are summed over the block in one array
 operation.  The quadrature's base pass also returns the resolvent norms at
 its nodes, and the majorant check reads those norms instead of solving again.
+The check reports resolvent-majorant ratios only; a pointwise integrand such
+as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
 """
 
 from __future__ import annotations
@@ -190,23 +192,17 @@ class ContourCheckReport:
     worst_ratio_arc: float
     worst_ratio_lines: float
     worst_dist_ratio: float
-    max_integrand_gap: float
     passed: bool
 
 
-def contour_norm_bound_check(
-    contour: ContourNodes, rnorm, alpha: float, n: int
-) -> ContourCheckReport:
+def contour_norm_bound_check(contour: ContourNodes, rnorm, alpha: float) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
     rnorm holds ||(z - C)^{-1}|| at every node of the contour, as
     riesz_dunford_many returns it; nothing is solved here.  With alpha' the
     contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
-    carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha))
-    and the largest pointwise value of |z^n - e^{n(z-1)}| along the contour
-    (the quantity whose nodewise decay drives the no-rate convergence
-    argument).
+    carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
     """
     alpha_prime = contour.alpha_prime
     if not 0.0 <= alpha < alpha_prime:
@@ -224,8 +220,6 @@ def contour_norm_bound_check(
     worst_arc = float(np.max(rnorm[arc] / arc_major))
     worst_lines = float(np.max(rnorm[~arc] * np.hypot(w.real, w.imag) * sin_gap))
     worst_dist = float(np.max(rnorm * numrange.distance_to_D_alpha(z, alpha)))
-    gap = z**n - np.exp(n * (z - 1.0))
-    max_gap = float(np.max(np.hypot(gap.real, gap.imag)))
 
     majorant_ok = max(worst_arc, worst_lines) <= 1.0 + MAJORANT_TOL
     passed = majorant_ok and worst_dist <= 1.0 + MAJORANT_DIST_TOL
@@ -233,6 +227,5 @@ def contour_norm_bound_check(
         worst_ratio_arc=worst_arc,
         worst_ratio_lines=worst_lines,
         worst_dist_ratio=worst_dist,
-        max_integrand_gap=max_gap,
         passed=passed,
     )

@@ -4,7 +4,9 @@ All randomness flows through numpy's PCG64 generator (``default_rng``), so a
 factory called with the same arguments and seed always produces the
 bit-identical matrix.  Independent draws inside an experiment derive their
 seeds through ``child_seed``: a splitmix64 hash of the trial index XORed into
-the base seed.
+the base seed.  The factories draw contractions and m-sectorial generators
+and depend on ``linalg`` alone; the resolvent (1 + tA)^{-1} of a generator
+is ``approximants.resolvent_family(A)(t)``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import approximants, linalg
+from . import linalg
 from .errors import InvalidInputError
 
 _MASK64 = (1 << 64) - 1
@@ -99,9 +101,3 @@ def random_m_sectorial(dim: int, alpha: float, seed: int) -> np.ndarray:
     a = h_sqrt @ core @ h_sqrt
     return a / linalg.op_norm(a)
 
-
-def resolvent_contraction(a, t: float) -> np.ndarray:
-    """(1 + tA)^{-1}, the resolvent family at t; a contraction whenever A is accretive."""
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be positive, got {t}")
-    return approximants.resolvent_family(a)(t)

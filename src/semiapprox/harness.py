@@ -212,7 +212,9 @@ def _resolvent_draws(config: ExperimentConfig):
     draws = []
     for i in range(config.trials):
         t_res = config.ts[i % len(config.ts)]
-        c = ensembles.resolvent_contraction(_sectorial(config, i), t_res)
+        if t_res <= 0.0:
+            raise InvalidInputError(f"t must be positive, got {t_res}")
+        c = approximants.resolvent_family(_sectorial(config, i))(t_res)
         if numrange.certify_quasi_sectorial(c, config.alpha, 256).passed:
             draws.append((i, c, t_res))
     return draws, config.trials - len(draws)
@@ -284,8 +286,9 @@ def _pair_sweep(draws, ts, ns):
     (draw, t, n); the caller forms the Chernoff pair from that one step.
     """
     for rid, a, phi in draws:
+        semigroup = approximants.semigroup_family(a)
         for t in ts:
-            ref = approximants.reference_semigroup(a, t)
+            ref = semigroup(t)
             for n in ns:
                 yield f"{rid}/t{t:g}", t, n, phi(t / n), ref
 
@@ -296,15 +299,14 @@ def _tnk_sweep(a, k_max, t):
     s = 2^-k, and X_s = (1 - Phi(s))/s is the discrete generator of the
     resolvent family Phi of A.
     """
-    eye = np.eye(a.shape[0])
     phi = approximants.resolvent_family(a)
-    res_ref = linalg.inverse(eye + a)
-    semi_ref = approximants.reference_semigroup(a, t)
+    res_ref = phi(1.0)
+    semi_ref = approximants.semigroup_family(a)(t)
     for k in range(1, k_max + 1):
         s = 2.0 ** (-k)
         x_s = approximants.discrete_generator(phi, s)
-        res = linalg.op_norm(linalg.inverse(eye + x_s) - res_ref)
-        yield k, s, res, linalg.op_norm(linalg.expm(-t * x_s) - semi_ref)
+        res = linalg.op_norm(approximants.resolvent_family(x_s)(1.0) - res_ref)
+        yield k, s, res, linalg.op_norm(approximants.semigroup_family(x_s)(t) - semi_ref)
 
 
 def _contour_sweep(c, nodes, ns, alpha):
@@ -312,7 +314,7 @@ def _contour_sweep(c, nodes, ns, alpha):
 
     Returns ([(n, ritt_error, gap_error) for n in ns], report), where the
     errors are spectral norms against the direct matrix functions and report
-    is contour_norm_bound_check at n = 4 on the quadrature's resolvent norms.
+    is contour_norm_bound_check on the quadrature's resolvent norms.
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
@@ -324,7 +326,7 @@ def _contour_sweep(c, nodes, ns, alpha):
         ritt = linalg.op_norm(got[idx] - cn @ (eye - c))
         gap = linalg.op_norm(got[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
         errors.append((n, ritt, gap))
-    return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha, 4)
+    return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha)
 
 
 # ---------------------------------------------------------------------------

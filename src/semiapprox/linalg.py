@@ -38,10 +38,6 @@ def as_operator(m) -> np.ndarray:
     return _checked(a, 2)
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
-
-
 def op_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     a = as_operator(m)
@@ -75,7 +71,7 @@ def expm(m) -> np.ndarray:
     """
     a = as_operator(m)
     if not np.any(a):
-        return identity(a.shape[0])
+        return np.eye(a.shape[0], dtype=np.complex128)
     # cheap Frobenius screen first; the spectral norm is only computed when
     # the Frobenius bound cannot already rule out an overflow-risk norm
     if np.linalg.norm(a) > MAX_EXPM_NORM and op_norm(a) > MAX_EXPM_NORM:
@@ -99,7 +95,8 @@ def inverse(m) -> np.ndarray:
     c = condition(a)
     if not np.isfinite(c) or c > MAX_CONDITION:
         raise SingularityError(f"condition number {c:g} exceeds {MAX_CONDITION:g}")
-    return np.asarray(np.linalg.solve(a, identity(a.shape[0])), dtype=np.complex128)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    return np.asarray(np.linalg.solve(a, eye), dtype=np.complex128)
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

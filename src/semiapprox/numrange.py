@@ -37,6 +37,7 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
     The Hermitian parts of _ANGLE_CHUNK consecutive angles go through one
     ``np.linalg.eigh`` call on a (chunk, d, d) stack; the last chunk may be
     partial.  The points are bit-identical to those of one ``eigh`` per angle.
+    A Hermitian part or a point that overflows raises InvalidInputError.
     """
     a = linalg.as_operator(c)
     if k < 16:
@@ -47,9 +48,13 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
         chunk = slice(lo, lo + _ANGLE_CHUNK)
         rotated = phases[chunk, None, None] * a
         herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
+        if not np.all(np.isfinite(herm)):
+            raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
         _, v = np.linalg.eigh(herm)
         x = v[:, :, -1:]
         points[chunk] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("a numerical-range boundary point x* C x overflows")
     return points
 
 

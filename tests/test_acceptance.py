@@ -84,7 +84,7 @@ def sectorial_sweep():
         dim = 2 + i % 15
         t = t_vals[(i // 3) % 3]
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 1000 + i))
-        c = ensembles.resolvent_contraction(a, t)
+        c = approximants.resolvent_family(a)(t)
         cert = numrange.certify_quasi_sectorial(c, alpha, 256)
         if not cert.passed:
             cert_failures += 1
@@ -403,7 +403,7 @@ def test_criterion_12_contour_calculus():
         alpha = (math.pi / 16, math.pi / 8, math.pi / 4)[i % 3]
         dim = 2 + i % 15
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 13_000 + i))
-        c = ensembles.resolvent_contraction(a, 1.0)
+        c = approximants.resolvent_family(a)(1.0)
         assert numrange.certify_quasi_sectorial(c, alpha, 256).passed
         alpha_prime = 0.5 * (alpha + math.pi / 2)
         nodes = contour.build_contour(alpha_prime)

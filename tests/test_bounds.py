@@ -43,6 +43,9 @@ def test_cbrt_vector_bound():
     )
     assert bounds.cbrt_vector_bound(5, 1.0, 0.0, 0.0) == 0.0
     assert bounds.cbrt_vector_bound(4, 2.0, 1.0, 1.0) == pytest.approx(4.0)
+    for eps in (1e-160, 1e-170):
+        with pytest.raises(DomainError):
+            bounds.cbrt_vector_bound(4, eps, 1.0, 1.0)
 
 
 def test_cbrt_norm_bound():
@@ -183,7 +186,10 @@ def test_tchebychev_bound_values():
     assert bounds.tchebychev_bound(4, 2.0) == pytest.approx(1.0)
     for n in (1, 9, 64):
         assert bounds.tchebychev_bound(n, math.sqrt(n)) == pytest.approx(1.0)
-    for n, eps in ((0, 1.0), (1.5, 1.0), (4, 0.0), (4, -1.0)):
+    # above eps**2's underflow the bound is the plain quotient; at 1e-160
+    # it is infinite and at 1e-170 a division by zero, and both are refused
+    assert bounds.tchebychev_bound(4, 1e-150) == 4 / 1e-150**2
+    for n, eps in ((0, 1.0), (1.5, 1.0), (4, 0.0), (4, -1.0), (4, 1e-160), (4, 1e-170)):
         with pytest.raises(DomainError):
             bounds.tchebychev_bound(n, eps)
 
@@ -205,6 +211,8 @@ def test_poisson_split_bounds():
         lambda: bounds.poisson_abs_moment_bound(0),
         lambda: bounds.split_central_bound(-1.0, 1.0),
         lambda: bounds.split_tail_bound(4, 0.0),
+        lambda: bounds.split_tail_bound(4, 1e-160),
+        lambda: bounds.split_tail_bound(4, 1e-170),
     ):
         with pytest.raises(DomainError):
             call()

@@ -149,6 +149,14 @@ def test_numrange_subcommand(run_main, tmp_path):
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: matrix ")
 
+    # finite entries whose Hermitian parts overflow: bad input, not a failed certificate
+    matrix.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]],
+                                  "im": [[0, 0], [0, 0]]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
 
 def test_constants_subcommand(run_main):
     proc = run_main("constants", "--alpha", "0.0")
@@ -235,9 +243,12 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     # arguments outside a formula's domain are usage errors, not violated bounds
     assert run_main("constants", "--alpha", "2").returncode == 2
     assert run_main("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
-    for bad_t in ("nan", "inf"):
+    # an eps so small that eps**2 underflows (to 0 at 1e-170, to a subnormal
+    # at 1e-160) leaves no finite tail bound n/eps^2
+    for bad_t in ("nan", "inf", "1e-170", "1e-160"):
         proc = run_main("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, bad_t
+        assert proc.stderr.startswith("error:") and proc.stdout == "", bad_t
     # every kind rejects a negative t and an alpha outside [0, pi/2), even where unused
     for argv in (("selfadjoint", "--t", "-1"), ("sqrt_n", "--alpha", "-3")):
         proc = run_main("verify", *argv, "--trials", "1", "--nmax", "4")

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import contour, ensembles, linalg, numrange
+from semiapprox import approximants, contour, ensembles, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.harness import ExperimentConfig, run_experiment
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
     a = ensembles.random_m_sectorial(dim, alpha, seed)
-    c = ensembles.resolvent_contraction(a, t)
+    c = approximants.resolvent_family(a)(t)
     assert numrange.certify_quasi_sectorial(c, alpha).passed
     return c
 
 
-def majorant_report(c, alpha, nodes, n):
+def majorant_report(c, alpha, nodes):
     _, rnorm = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
-    return contour.contour_norm_bound_check(nodes, rnorm, alpha, n)
+    return contour.contour_norm_bound_check(nodes, rnorm, alpha)
 
 
 def test_contour_geometry():
@@ -99,7 +99,7 @@ def test_riesz_dunford_many_matches_single():
 
 def test_majorants_hold_selfadjoint_example():
     c = np.diag([0.2, 0.8]).astype(complex)
-    report = majorant_report(c, 0.01, contour.build_contour(math.pi / 4), 4)
+    report = majorant_report(c, 0.01, contour.build_contour(math.pi / 4))
     assert report.passed
     assert report.worst_ratio_arc <= 1 + 1e-8
     assert report.worst_ratio_lines <= 1 + 1e-8
@@ -111,28 +111,17 @@ def test_majorants_hold_random_certified():
         c = certified_resolvent(4, alpha, 4000 + i)
         for ap_frac in (0.35, 0.6, 0.85):
             ap = alpha + (math.pi / 2 - alpha) * ap_frac
-            report = majorant_report(c, alpha, contour.build_contour(ap), 8)
+            report = majorant_report(c, alpha, contour.build_contour(ap))
             assert report.passed, (alpha, ap_frac)
-
-
-def test_integrand_gap_decays_with_n():
-    c = certified_resolvent(4, math.pi / 8, 5000)
-    nodes = contour.build_contour(1.0)
-    _, rnorm = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
-    gaps = [
-        contour.contour_norm_bound_check(nodes, rnorm, math.pi / 8, n).max_integrand_gap
-        for n in (4, 64, 1024)
-    ]
-    assert gaps[2] < gaps[1] < gaps[0]
 
 
 def test_contour_check_validation():
     nodes = contour.build_contour(0.4)
     with pytest.raises(InvalidInputError):
-        contour.contour_norm_bound_check(nodes, np.ones(len(nodes)), 0.5, 1)
+        contour.contour_norm_bound_check(nodes, np.ones(len(nodes)), 0.5)
     for size in (len(nodes) - 1, len(nodes) + 1, 0):
         with pytest.raises(InvalidInputError):
-            contour.contour_norm_bound_check(nodes, np.ones(size), 0.1, 1)
+            contour.contour_norm_bound_check(nodes, np.ones(size), 0.1)
 
 
 def test_rnorm_is_op_norm_of_per_node_solves():

@@ -67,15 +67,6 @@ def test_m_sectorial_numerical_range_in_sector():
         assert np.all(numrange.in_sector(pts, alpha)), (i, alpha)
 
 
-def test_resolvent_contraction_examples():
-    npt.assert_allclose(
-        ensembles.resolvent_contraction(np.zeros((3, 3)), 2.0), np.eye(3), atol=1e-14
-    )
-    npt.assert_allclose(
-        ensembles.resolvent_contraction(np.diag([1.0]), 1.0), np.diag([0.5]), rtol=1e-14
-    )
-
-
 def test_all_factories_produce_contractions():
     # 1000 draws per kind across dims 2..32
     for i in range(1000):
@@ -93,7 +84,7 @@ def test_all_factories_produce_contractions():
         dim = 2 + i % 31
         seed = ensembles.child_seed(2**42 + 5, i)
         a = ensembles.random_m_sectorial(dim, math.pi / 4 * (i % 4) / 3.0, seed)
-        c = ensembles.resolvent_contraction(a, 0.5 + (i % 5))
+        c = approximants.resolvent_family(a)(0.5 + (i % 5))
         assert linalg.op_norm(c) <= 1 + 1e-10
     for i in range(1000):
         dim = 2 + i % 31

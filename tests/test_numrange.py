@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semiapprox import ensembles, numrange
+from semiapprox import approximants, ensembles, numrange
 from semiapprox.errors import InvalidInputError, NotAContractionError
 
 
@@ -40,6 +42,14 @@ def test_boundary_needs_16_angles():
         numrange.numerical_range_boundary(np.eye(2), 8)
     with pytest.raises(InvalidInputError):
         numrange.numerical_range_boundary(np.array([[0.5, np.nan], [0.0, 0.5]]), 64)
+
+
+def test_boundary_refuses_overflow():
+    # finite entries whose Hermitian parts overflow, and entries whose parts
+    # stay finite while the points x* C x overflow: no NaN or inf point comes back
+    for c in (np.full((2, 2), 1e308), np.full((4, 4), 0.8e308)):
+        with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
+            numrange.numerical_range_boundary(c, 16)
 
 
 def per_angle_boundary(c, k):
@@ -127,6 +137,41 @@ def test_distance_consistent_with_membership():
         assert np.all(dist[~member] > 0.0)
 
 
+_coord = st.floats(-1.5, 1.5)
+_alpha = st.floats(0.0, math.pi / 2, exclude_max=True)
+
+
+def _dist(x, y, alpha):
+    return float(numrange.distance_to_D_alpha(complex(x, y), alpha))
+
+
+@settings(deadline=None)
+@given(_coord, _coord, _alpha)
+def test_distance_is_zero_exactly_on_members(x, y, alpha):
+    # outside a 1e-6 band round the boundary, dist == 0 if and only if z is in D(alpha)
+    d = _dist(x, y, alpha)
+    member = numrange.in_D_alpha(complex(x, y), alpha)
+    if d == 0.0:
+        assert member
+    elif d > 1e-6:
+        assert not member
+
+
+@settings(deadline=None)
+@given(_coord, _coord, _coord, _coord, _alpha)
+def test_distance_is_1_lipschitz(x1, y1, x2, y2, alpha):
+    gap = abs(_dist(x1, y1, alpha) - _dist(x2, y2, alpha))
+    assert gap <= abs(complex(x1, y1) - complex(x2, y2)) + 1e-12
+
+
+@settings(deadline=None)
+@given(_coord, _coord, _alpha, _alpha)
+def test_distance_does_not_increase_in_alpha(x, y, a1, a2):
+    # D(alpha) is a subset of D(beta) for alpha < beta
+    alpha, beta = sorted((a1, a2))
+    assert _dist(x, y, beta) <= _dist(x, y, alpha) + 1e-12
+
+
 def test_certify_selfadjoint_segment():
     cert = numrange.certify_quasi_sectorial(np.diag([0.2, 0.8]).astype(complex), 0.0)
     assert cert.passed
@@ -172,7 +217,7 @@ def test_resolvent_family_is_quasi_sectorial():
     for i, alpha in enumerate((math.pi / 16, math.pi / 8, math.pi / 4)):
         for j, t in enumerate((0.1, 1.0, 10.0)):
             a = ensembles.random_m_sectorial(6, alpha, ensembles.child_seed(5150, 10 * i + j))
-            f = ensembles.resolvent_contraction(a, t)
+            f = approximants.resolvent_family(a)(t)
             cert = numrange.certify_quasi_sectorial(f, alpha, 256)
             assert cert.passed, (alpha, t, cert.max_violation)
 
