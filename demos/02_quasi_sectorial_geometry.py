@@ -21,7 +21,7 @@ print(f"  boundary arg range: [{np.angle(pts).min():+.4f}, {np.angle(pts).max():
 for t in (0.1, 1.0, 10.0):
     f = approximants.resolvent_family(a)(t)
     cert = numrange.certify_quasi_sectorial(f, alpha, 256)
-    est = numrange.min_semi_angle(f, 256)
+    est = numrange.min_semi_angle(f, cert.boundary_points)
     print(
         f"t={t:5.1f}  ||F(t)||={linalg.op_norm(f):.6f}  certified at alpha={alpha:.4f}: "
         f"{cert.passed}  max violation={cert.max_violation:.2e}  min semi-angle~{est:.4f}"
@@ -34,5 +34,5 @@ print(
     f"diag(-0.5, 0.3) at alpha=0.3: passed={cert.passed}, "
     f"worst point={cert.worst_point:.3f}, distance={cert.max_violation:.4f}"
 )
-print(f"its smallest certified semi-angle: {numrange.min_semi_angle(c):.4f} "
-      f"(needs sin(alpha) >= 0.5)")
+est = numrange.min_semi_angle(c, numrange.numerical_range_boundary(c, 256))
+print(f"its smallest certified semi-angle: {est:.4f} (needs sin(alpha) >= 0.5)")

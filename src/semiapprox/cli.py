@@ -115,7 +115,7 @@ def _cmd_numrange(args) -> int:
         matrix = report.load_matrix_json(json.load(fh))
     cert = numrange.certify_quasi_sectorial(matrix, args.alpha, args.points)
     try:
-        est = numrange.min_semi_angle(matrix, args.points)
+        est = numrange.min_semi_angle(matrix, cert.boundary_points)
     except NotAContractionError:
         est = None
     out = {

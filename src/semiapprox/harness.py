@@ -156,7 +156,7 @@ def _n_grid(config: ExperimentConfig, cap: int | None = None) -> list[int]:
 
 
 def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    rng = ensembles._rng(seed)
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -263,7 +263,7 @@ def _vector_sweep(c, xs, ns):
     gaps[j] is ||(C^n - e^{n(C-1)}) x_j|| and dk[j] is ||(C - 1)^k x_j||.
     """
     eye = np.eye(c.shape[0])
-    e = linalg.expm(c - eye)
+    e = approximants.chernoff_exp(c, 1)
     dx = [xs.T]  # columns (C - 1)^k x for k = 0..3
     for _ in range(3):
         dx.append((c - eye) @ dx[-1])
@@ -274,7 +274,7 @@ def _vector_sweep(c, xs, ns):
 
 def _ritt_gap_sweep(c, ns):
     """Yield (n, [||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||]) over the increasing grid ns."""
-    e = linalg.expm(c - np.eye(c.shape[0]))
+    e = approximants.chernoff_exp(c, 1)
     powers = _powers((c, e), ns, step=True)
     return _stacked_norms((n, [cn - nxt, cn - en]) for n, (cn, en), (nxt, _) in powers)
 
@@ -312,9 +312,9 @@ def _tnk_sweep(a, k_max, t):
 def _contour_sweep(c, nodes, ns, alpha):
     """Contour reconstructions of C^n(1 - C) and C^n - e^{n(C-1)}, and the resolvent majorants.
 
-    Returns ([(n, ritt_error, gap_error) for n in ns], report), where the
-    errors are spectral norms against the direct matrix functions and report
-    is contour_norm_bound_check on the quadrature's resolvent norms.
+    Returns ([(n, ritt_error, gap_error) for n in ns], report): spectral norms
+    against C^n (1 - C) and the Chernoff pair, and contour_norm_bound_check on
+    the quadrature's resolvent norms.
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
@@ -322,9 +322,9 @@ def _contour_sweep(c, nodes, ns, alpha):
     got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
     errors = []
     for idx, n in enumerate(ns):
-        cn = linalg.mat_pow(c, n)
+        cn = approximants.chernoff_power(c, n)
         ritt = linalg.op_norm(got[idx] - cn @ (eye - c))
-        gap = linalg.op_norm(got[idx + len(ns)] - (cn - linalg.expm(n * (c - eye))))
+        gap = linalg.op_norm(got[idx + len(ns)] - (cn - approximants.chernoff_exp(c, n)))
         errors.append((n, ritt, gap))
     return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha)
 
@@ -364,7 +364,7 @@ def _trotter_draws(config: ExperimentConfig):
     for i in range(config.trials):
         seed = ensembles.child_seed(config.seed, i)
         if i % 2 == 0:
-            rng = np.random.default_rng(seed & ((1 << 64) - 1))
+            rng = ensembles._rng(seed)
             a = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
             b = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
             label = "commuting"
@@ -421,7 +421,7 @@ def _run_power_norms(config: ExperimentConfig):
             diffs = ((n, [cn - nxt]) for n, (cn,), (nxt,) in powers)
             bound = bounds.ritt_bound
         else:
-            e = linalg.expm(c - np.eye(config.dim))
+            e = approximants.chernoff_exp(c, 1)
             diffs = ((n, [cn - en]) for n, (cn, en), _ in _powers((c, e), _n_grid(config)))
             bound = bounds.norm_chernoff_bound
         for n, (emp,) in _stacked_norms(diffs):

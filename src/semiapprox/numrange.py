@@ -153,16 +153,16 @@ def certify_quasi_sectorial(c, alpha: float, k: int = 256) -> SectorCertificate:
     )
 
 
-def min_semi_angle(c, k: int = 256) -> float | None:
-    """Smallest certified semi-angle of a contraction, by bisection.
+def min_semi_angle(c, points) -> float | None:
+    """Smallest certified semi-angle of a contraction C, by bisection over ``points``.
 
-    Returns None when even alpha = pi/2 - 1e-6 fails to certify (possible
-    for inputs that only satisfy the contraction bound up to its tolerance).
+    ``points`` is a boundary sweep of W(C), e.g. a certificate's ``boundary_points``;
+    nothing is swept here.  Returns None when even alpha = pi/2 - 1e-6 fails to
+    certify (possible for inputs that only satisfy the contraction bound up to
+    its tolerance).
     """
-    a = linalg.as_operator(c)
-    if linalg.op_norm(a) > 1.0 + CONTRACTION_INPUT_TOL:
+    if linalg.op_norm(c) > 1.0 + CONTRACTION_INPUT_TOL:
         raise NotAContractionError("min_semi_angle requires op_norm(C) <= 1 + 1e-9")
-    points = numerical_range_boundary(a, k)
 
     def certified(alpha: float) -> bool:
         return float(np.max(distance_to_D_alpha(points, alpha))) <= TOL_GEO

@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from semiapprox import cli, contour, harness, report
+from semiapprox import cli, contour, harness, numrange, report
 
 CLI = [sys.executable, "-m", "semiapprox"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -156,6 +156,22 @@ def test_numrange_subcommand(run_main, tmp_path):
         proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+def test_numrange_sweeps_once(monkeypatch, tmp_path):
+    # the bisection reads the certificate's points instead of sweeping again
+    sweeps = []
+
+    def recorded(c, k=256, _inner=numrange.numerical_range_boundary):
+        sweeps.append(k)
+        return _inner(c, k)
+
+    monkeypatch.setattr(numrange, "numerical_range_boundary", recorded)
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.2, 0.8]))))
+    argv = ["numrange", "--input", str(matrix), "--alpha", "0.0", "--points", "64"]
+    assert cli.main(argv) == 0
+    assert sweeps == [64]
 
 
 def test_constants_subcommand(run_main):

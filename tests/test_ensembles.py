@@ -40,7 +40,8 @@ def test_self_adjoint_contraction_examples():
     npt.assert_allclose(c, [[0.5]], atol=1e-14)
 
     c = ensembles.self_adjoint_contraction([0.1, 0.9], 3)
-    assert numrange.min_semi_angle(c) == pytest.approx(0.0, abs=2e-6)
+    points = numrange.numerical_range_boundary(c, 256)
+    assert numrange.min_semi_angle(c, points) == pytest.approx(0.0, abs=2e-6)
 
     with pytest.raises(InvalidInputError):
         ensembles.self_adjoint_contraction([0.5, 1.2], 1)

@@ -11,10 +11,12 @@ Rewrite the files only when a report is meant to change, with
 
 import math
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 
-from semiapprox import report
+from semiapprox import linalg, report
 from semiapprox.harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -54,6 +56,22 @@ def test_selfadjoint_full_grid():
     for suffix in ("ritt", "chernoff"):
         ns = [r.n for r in result.records if r.experiment_id == f"selfadjoint/d000/{suffix}"]
         assert ns == list(range(1, 17))
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_harness_forms_no_matrix_function_or_draw(kind, monkeypatch):
+    # C^n and e^{n(C-1)} come from approximants, and every generator from ensembles
+    callers = set()
+    for owner, name in ((linalg, "expm"), (linalg, "mat_pow"), (np.random, "default_rng")):
+        def recorded(*args, _inner=getattr(owner, name), **kwargs):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    run_experiment(CASES[kind])
+    assert "semiapprox.harness" not in callers, kind
+    if kind != "poisson_split":
+        assert "semiapprox.ensembles" in callers, kind
 
 
 if __name__ == "__main__":

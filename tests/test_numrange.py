@@ -187,21 +187,26 @@ def test_certify_failure_reports_worst_point():
     assert cert.max_violation == pytest.approx(0.5 - math.sin(0.3), abs=1e-12)
 
 
+def semi_angle(c):
+    """min_semi_angle over a 256-angle sweep of C."""
+    return numrange.min_semi_angle(c, numrange.numerical_range_boundary(c, 256))
+
+
 def test_min_semi_angle_selfadjoint():
     c = np.diag([0.0, 0.5, 1.0]).astype(complex)
-    assert numrange.min_semi_angle(c) == pytest.approx(0.0, abs=2e-6)
-    assert numrange.min_semi_angle(np.eye(2, dtype=complex)) == pytest.approx(0.0, abs=2e-6)
+    assert semi_angle(c) == pytest.approx(0.0, abs=2e-6)
+    assert semi_angle(np.eye(2, dtype=complex)) == pytest.approx(0.0, abs=2e-6)
 
 
 def test_min_semi_angle_point_mass():
     # single point 0.3i enters D(alpha) exactly when sin(alpha) >= 0.3
-    got = numrange.min_semi_angle(np.array([[0.3j]]))
+    got = semi_angle(np.array([[0.3j]]))
     assert got == pytest.approx(math.asin(0.3), abs=2e-6)
 
 
 def test_min_semi_angle_rejects_noncontraction():
     with pytest.raises(NotAContractionError):
-        numrange.min_semi_angle(np.diag([1.5, 0.2]).astype(complex))
+        semi_angle(np.diag([1.5, 0.2]).astype(complex))
 
 
 def test_boundary_points_inside_unit_disc():
