@@ -8,7 +8,9 @@ identical runs produce identical bytes.  In JSON an integral float keeps a
 fractional part (``2.0``), so it parses back as a float.
 
 Parsing is strict: every record field must have its declared type (``n`` an
-integer, ``passed`` ``true``/``false``), or ``InvalidInputError`` is raised.
+integer, ``passed`` ``true``/``false``), and the stored ``ratio`` and
+``passed`` must be the ones ``make_record`` derives from ``empirical`` and
+``bound``, or ``InvalidInputError`` is raised.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import InvalidInputError
-from .harness import ErrorRecord, summarize
+from .harness import ErrorRecord, make_record, summarize
 
 _FIELD_TYPES = typing.get_type_hints(ErrorRecord)
 CSV_HEADER = ",".join(_FIELD_TYPES)
@@ -119,9 +121,18 @@ def _field(name: str, value, text: bool):
 
 
 def _record(obj, text: bool) -> ErrorRecord:
+    """The record rebuilt by ``make_record``; a stored ratio or verdict that differs is refused."""
     if not isinstance(obj, dict) or obj.keys() != _FIELD_TYPES.keys():
         raise InvalidInputError(f"a record must have exactly the fields {CSV_HEADER}, got {obj!r}")
-    return ErrorRecord(**{name: _field(name, obj[name], text) for name in _FIELD_TYPES})
+    *cells, ratio, passed = (_field(name, obj[name], text) for name in _FIELD_TYPES)
+    record = make_record(*cells)
+    same_ratio = ratio == record.ratio or (math.isnan(ratio) and math.isnan(record.ratio))
+    if passed != record.passed or not same_ratio:
+        raise InvalidInputError(
+            f"record {record.experiment_id!r} at n={record.n} stores ratio {ratio!r} and "
+            f"passed {passed}, but its empirical and bound give {record.ratio!r} and {record.passed}"
+        )
+    return record
 
 
 def parse_report(data: bytes, fmt: str) -> tuple[list[ErrorRecord], dict | None]:

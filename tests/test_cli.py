@@ -249,6 +249,20 @@ def test_report_merge_keeps_failed_records_failed(tmp_path):
     assert payload["summary"]["all_passed"] is False
 
 
+def test_report_merge_refuses_a_forged_verdict(run_main, tmp_path):
+    # empirical 5 exceeds bound 1: a stored pass must not merge as one
+    forged_csv = f"{report.CSV_HEADER}\nx,4,1,5.0,1.0,0.1,true\n"
+    row = {"experiment_id": "x", "n": 4, "t": 1.0, "empirical": 5.0, "bound": 1.0,
+           "ratio": 0.1, "passed": True}
+    for name, text in (("forged.csv", forged_csv), ("forged.json", json.dumps({"records": [row]}))):
+        forged, merged = tmp_path / name, tmp_path / f"merged_{name}"
+        forged.write_text(text)
+        proc = run_main("report", "--merge", str(forged), "--out", str(merged))
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stderr.startswith("error: record 'x' at n=4 stores ratio 0.1"), name
+        assert not merged.exists(), name
+
+
 def test_usage_errors_exit_two(run_main, tmp_path):
     assert run_main("verify", "not_a_kind").returncode == 2
     assert run_main("nonsense").returncode == 2

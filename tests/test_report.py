@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semiapprox import report
 from semiapprox.errors import InvalidInputError
-from semiapprox.harness import ErrorRecord, ExperimentConfig, make_record, run_experiment
+from semiapprox.harness import ExperimentConfig, make_record, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -120,16 +120,15 @@ def test_json_parse_is_strict():
             report.parse_report(json.dumps(bad).encode(), "json")
 
 
+# parsing rebuilds ratio and passed with make_record, so the records are drawn through it
 _records = st.lists(
     st.builds(
-        ErrorRecord,
+        make_record,
         experiment_id=st.text("abcdefghijklmnopqrstuvwxyz0123456789_/,\n\x85", min_size=1),
         n=st.integers(min_value=1),
         t=st.floats(),
         empirical=st.floats(),
         bound=st.floats(),
-        ratio=st.floats(),
-        passed=st.booleans(),
     ),
     min_size=1,
     max_size=5,
@@ -150,6 +149,24 @@ def test_parse_inverts_emit(records):
         parsed, _ = report.parse_report(report.emit_report(records, fmt), fmt)
         # repr reads every NaN as equal and tells 0.0 from -0.0
         assert repr(parsed) == repr(records), fmt
+
+
+def test_parse_refuses_a_forged_verdict():
+    # empirical 5 exceeds bound 1, so the stored ratio 0.1 and passed true are forged
+    csv = f"{report.CSV_HEADER}\nx,4,1,5.0,1.0,0.1,true\n".encode()
+    row = {"experiment_id": "x", "n": 4, "t": 1.0, "empirical": 5.0, "bound": 1.0}
+    for data, fmt in (
+        (csv, "csv"),
+        (json.dumps({"records": [{**row, "ratio": 0.1, "passed": True}]}).encode(), "json"),
+        (json.dumps({"records": [{**row, "ratio": 5.0, "passed": True}]}).encode(), "json"),
+        (json.dumps({"records": [{**row, "ratio": 0.1, "passed": False}]}).encode(), "json"),
+    ):
+        with pytest.raises(InvalidInputError, match="stores ratio"):
+            report.parse_report(data, fmt)
+    # a NaN ratio matches the NaN that make_record derives
+    nan_row = {**row, "empirical": math.nan, "ratio": math.nan, "passed": False}
+    (parsed,), _ = report.parse_report(json.dumps({"records": [nan_row]}).encode(), "json")
+    assert math.isnan(parsed.ratio) and parsed.passed is False
 
 
 def test_empty_records_rejected():
