@@ -11,12 +11,14 @@ Subcommands:
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: the
 certificate failed), 2 usage or I/O error (also dim, trials or nmax below
-1, or a report --merge input that is not a well-formed report), an argument
-outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0,
-t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction, an
-epsilon whose n/eps^2 is not a finite float), a numrange matrix whose sweep
-overflows, or a numerical failure (singular resolvent, unconverged contour
-quadrature).
+1, or a report --merge input that is not a well-formed report or whose
+stored ratio or passed flag differs from the one its empirical and bound
+give), an argument outside the domain of a formula (e.g. alpha outside
+[0, pi/2), t < 0, t non-finite, t = 0 for ritt, norm_chernoff and
+contour_reconstruction, an epsilon whose n/eps^2 is not a finite float), a
+numrange matrix whose sweep overflows, a matrix exponential of spectral norm
+above MAX_EXPM_NORM = 1e6 (refused, never clipped), or a numerical failure
+(singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
 counts them in the summary; they do not change the exit code.
 """

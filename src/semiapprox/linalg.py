@@ -73,8 +73,11 @@ def expm(m) -> np.ndarray:
     if not np.any(a):
         return np.eye(a.shape[0], dtype=np.complex128)
     # cheap Frobenius screen first; the spectral norm is only computed when
-    # the Frobenius bound cannot already rule out an overflow-risk norm
-    if np.linalg.norm(a) > MAX_EXPM_NORM and op_norm(a) > MAX_EXPM_NORM:
+    # the Frobenius bound cannot already rule out an overflow-risk norm; a
+    # screen that overflows to inf needs no warning, as the check still raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = np.linalg.norm(a)
+    if frobenius > MAX_EXPM_NORM and op_norm(a) > MAX_EXPM_NORM:
         raise OverflowRiskError(
             f"op_norm(M) > {MAX_EXPM_NORM:g}; refusing to exponentiate"
         )

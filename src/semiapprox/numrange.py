@@ -44,15 +44,17 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
         raise InvalidInputError(f"need at least 16 sweep angles, got {k}")
     phases = np.exp(1j * (2.0 * math.pi * np.arange(k) / k))
     points = np.empty(k, dtype=np.complex128)
-    for lo in range(0, k, _ANGLE_CHUNK):
-        chunk = slice(lo, lo + _ANGLE_CHUNK)
-        rotated = phases[chunk, None, None] * a
-        herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
-        if not np.all(np.isfinite(herm)):
-            raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
-        _, v = np.linalg.eigh(herm)
-        x = v[:, :, -1:]
-        points[chunk] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
+    # an overflow is refused by the finiteness checks, so NumPy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, _ANGLE_CHUNK):
+            chunk = slice(lo, lo + _ANGLE_CHUNK)
+            rotated = phases[chunk, None, None] * a
+            herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
+            if not np.all(np.isfinite(herm)):
+                raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
+            _, v = np.linalg.eigh(herm)
+            x = v[:, :, -1:]
+            points[chunk] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("a numerical-range boundary point x* C x overflows")
     return points

@@ -149,13 +149,20 @@ def test_numrange_subcommand(run_main, tmp_path):
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: matrix ")
 
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_errors_come_without_numpy_warnings(run_main, tmp_path):
     # finite entries whose Hermitian parts overflow: bad input, not a failed certificate
+    matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]],
                                   "im": [[0, 0], [0, 0]]}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
+    proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1")
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr == "error: the Hermitian part of e^{i theta} C overflows\n"
+    # t A whose Frobenius norm overflows is refused by the expm norm cap
+    proc = run_main("verify", "euler", "--trials", "1", "--nmax", "4", "--t", "1e200")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n"
 
 
 def test_numrange_sweeps_once(monkeypatch, tmp_path):
@@ -288,6 +295,12 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     proc = run_main("verify", "chernoff_product", "--nmax", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # a t A beyond the expm norm cap MAX_EXPM_NORM is refused, never clipped
+    for kind in ("euler", "chernoff_product", "trotter_product", "dunford_segal",
+                 "tnk_equivalence"):
+        proc = run_main("verify", kind, "--t", "2e6", "--trials", "1", "--nmax", "4")
+        assert proc.returncode == 2 and proc.stdout == "", kind
+        assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n", kind
 
 
 def test_t_zero_domain(tmp_path):

@@ -44,11 +44,13 @@ def test_boundary_needs_16_angles():
         numrange.numerical_range_boundary(np.array([[0.5, np.nan], [0.0, 0.5]]), 64)
 
 
+@pytest.mark.filterwarnings("error")
 def test_boundary_refuses_overflow():
     # finite entries whose Hermitian parts overflow, and entries whose parts
-    # stay finite while the points x* C x overflow: no NaN or inf point comes back
+    # stay finite while the points x* C x overflow: no NaN or inf point comes
+    # back, and no NumPy warning comes before the error
     for c in (np.full((2, 2), 1e308), np.full((4, 4), 0.8e308)):
-        with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError):
             numrange.numerical_range_boundary(c, 16)
 
 
