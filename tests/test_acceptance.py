@@ -3,7 +3,11 @@
 The criteria draw their own matrices on their own seeds and grids, but each
 power, Chernoff-pair, discrete-generator and contour-reconstruction sweep is
 the per-draw sweep in ``harness`` that the ``verify`` runners call too, so the
-suite checks the code that issues the verdicts.
+suite checks the code that issues the verdicts.  Criteria 05-06 run
+``_ritt_gap_sweep``, which pairs the two norms, while the ``ritt`` and
+``norm_chernoff`` runners each sweep their one norm;
+``test_ritt_gap_sweep_matches_the_runners`` pins their records to its
+columns bit for bit.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion; ``tests/golden/acceptance.txt`` pins the 13 PASS lines.  Scales
@@ -11,6 +15,7 @@ follow the contract: dims <= 32, n <= 4096, and each criterion finishes
 desk-fast.
 """
 
+import dataclasses
 import math
 import pathlib
 
@@ -21,7 +26,9 @@ from semiapprox import approximants, bounds, contour, ensembles, linalg, numrang
 from semiapprox.harness import (
     ExperimentConfig,
     _contour_sweep,
+    _n_grid,
     _pair_sweep,
+    _resolvent_draws,
     _ritt_gap_sweep,
     _tnk_sweep,
     _unit_vectors,
@@ -252,6 +259,23 @@ def test_criterion_06_norm_chernoff(sectorial_sweep):
         f"operator-norm gap <= (2K+2)/n^(1/3) for all n, violations(n>=8)={len(high)}, "
         f"flagged(n<8)={len(flagged)}, max scaled ratio={worst:.4f}",
     )
+
+
+@pytest.mark.parametrize("n_mode, count", [("all", 900), ("pow2", 27)])
+def test_ritt_gap_sweep_matches_the_runners(n_mode, count):
+    # the norms behind criteria 05-06 are the ones the verdicts are issued on
+    config = ExperimentConfig(kind="ritt", dim=5, trials=3, nmax=300, ts=(0.5, 2.0), n_mode=n_mode)
+    draws, _ = _resolvent_draws(config)
+    columns = [{}, {}]  # (draw id, n) -> ||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||
+    for i, c, t in draws:
+        for n, norms in _ritt_gap_sweep(c, _n_grid(config)):
+            for column, norm in zip(columns, norms):
+                column[f"d{i:03d}/t{t:g}", n] = norm
+    for kind, column in zip(("ritt", "norm_chernoff"), columns):
+        records = run_experiment(dataclasses.replace(config, kind=kind)).records
+        assert len(records) == count, kind
+        got = {(r.experiment_id.removeprefix(f"{kind}/"), r.n): r.empirical for r in records}
+        assert got == column, kind
 
 
 def test_criterion_07_selfadjoint_rates():
