@@ -70,8 +70,7 @@ def test_harness_forms_no_matrix_function_or_draw(kind, monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
     run_experiment(CASES[kind])
     assert "semiapprox.harness" not in callers, kind
-    if kind != "poisson_split":
-        assert "semiapprox.ensembles" in callers, kind
+    assert "semiapprox.ensembles" in callers, kind
 
 
 if __name__ == "__main__":
