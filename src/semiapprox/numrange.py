@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError, NotAContractionError
-from .tolerances import CONTRACTION_INPUT_TOL, SEMI_ANGLE_TOL, TOL_GEO
+from .tolerances import CONTRACTION_INPUT_TOL, MAX_SWEEP_ANGLES, SEMI_ANGLE_TOL, TOL_GEO
 
 
 _ANGLE_CHUNK = 32  # angles per stacked eigh: 0.5 MB stack at d = 32, and as much again in eigenvectors
@@ -30,31 +30,41 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
     """Boundary points of the numerical range W(C), k-angle sweep.
 
     For each angle theta = 2 pi j / k the top eigenvector x of the Hermitian
-    part of e^{i theta} C maximizes Re(e^{i theta} x* C x); the returned
-    values x* C x are extreme points of W(C), so their convex hull
+    part H_theta of e^{i theta} C maximizes Re(e^{i theta} x* C x); the
+    returned values x* C x are extreme points of W(C), so their convex hull
     approximates W(C) from the inside.
 
-    The Hermitian parts of _ANGLE_CHUNK consecutive angles go through one
+    k must be even, from 16 to MAX_SWEEP_ANGLES; anything else is refused
+    before any array is allocated.  Since H_{theta + pi} = -H_theta, one
+    ``eigh`` of H_theta serves two angles: only the angles j < k/2 are
+    solved, the top eigenvector gives point j and the bottom eigenvector,
+    which maximizes Re(-e^{i theta} x* C x), gives point j + k/2.  The
+    Hermitian parts of _ANGLE_CHUNK consecutive angles go through one
     ``np.linalg.eigh`` call on a (chunk, d, d) stack; the last chunk may be
-    partial.  The points are bit-identical to those of one ``eigh`` per angle.
-    A Hermitian part or a point that overflows raises InvalidInputError.
+    partial.  The points are bit-identical to those of one ``eigh`` per
+    angle j < k/2.  A Hermitian part or a point that overflows raises
+    InvalidInputError.
     """
+    if not (isinstance(k, (int, np.integer)) and 16 <= k <= MAX_SWEEP_ANGLES and k % 2 == 0):
+        raise InvalidInputError(
+            f"need an even number of sweep angles from 16 to {MAX_SWEEP_ANGLES}, got {k!r}"
+        )
     a = linalg.as_operator(c)
-    if k < 16:
-        raise InvalidInputError(f"need at least 16 sweep angles, got {k}")
-    phases = np.exp(1j * (2.0 * math.pi * np.arange(k) / k))
+    half = k // 2
+    phases = np.exp(1j * (2.0 * math.pi * np.arange(half) / k))
     points = np.empty(k, dtype=np.complex128)
     # an overflow is refused by the finiteness checks, so NumPy need not warn of it first
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, k, _ANGLE_CHUNK):
-            chunk = slice(lo, lo + _ANGLE_CHUNK)
-            rotated = phases[chunk, None, None] * a
+        for lo in range(0, half, _ANGLE_CHUNK):
+            hi = min(lo + _ANGLE_CHUNK, half)
+            rotated = phases[lo:hi, None, None] * a
             herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
             if not np.all(np.isfinite(herm)):
                 raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
             _, v = np.linalg.eigh(herm)
-            x = v[:, :, -1:]
-            points[chunk] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
+            # the top eigenvector gives angle j, the bottom one angle j + k/2
+            for x, out in ((v[:, :, -1:], slice(lo, hi)), (v[:, :, :1], slice(half + lo, half + hi))):
+                points[out] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("a numerical-range boundary point x* C x overflows")
     return points

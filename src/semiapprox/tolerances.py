@@ -28,6 +28,9 @@ POISSON_MASS_TOL = 1e-14
 CONTOUR_QUAD_TOL = 1e-8
 CONTOUR_NODE_CAP = 200_000
 
+# Numerical-range sweeps take at most this many angles (an even count).
+MAX_SWEEP_ANGLES = 65536
+
 # Contour resolvent majorants: ||(z - C)^{-1}|| over the majorant on the arc and
 # lines, and times dist(z, D(alpha)), may exceed 1 by at most these.
 MAJORANT_TOL = 1e-8

@@ -54,14 +54,34 @@ def test_boundary_refuses_overflow():
             numrange.numerical_range_boundary(c, 16)
 
 
+def test_boundary_refuses_odd_and_too_many_angles(monkeypatch):
+    # an odd k has no antipodal pairs; k above the cap is refused before any
+    # array is allocated, so k = 10**12 never reaches np.arange, np.exp or eigh
+    for k in (33, 2 * 65536):
+        with pytest.raises(InvalidInputError):
+            numrange.numerical_range_boundary(np.eye(1), k)
+    assert len(numrange.numerical_range_boundary(np.eye(1), 65536)) == 65536
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep allocated before refusing its angle count")
+
+    monkeypatch.setattr(np, "exp", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(InvalidInputError):
+        numrange.numerical_range_boundary(np.eye(1), 10**12)
+
+
 def per_angle_boundary(c, k):
-    """Reference sweep: one eigh per angle."""
+    """Reference half sweep: one eigh per angle j < k/2, whose top and bottom
+    eigenvectors give the points of angles j and j + k/2."""
     points = np.empty(k, dtype=np.complex128)
-    for j in range(k):
+    for j in range(k // 2):
         rotated = np.exp(1j * (2.0 * math.pi * j / k)) * c
         herm = (rotated + rotated.conj().T) / 2.0
-        x = np.linalg.eigh(herm)[1][:, -1]
-        points[j] = x.conj() @ c @ x
+        v = np.linalg.eigh(herm)[1]
+        for x, i in ((v[:, -1], j), (v[:, 0], j + k // 2)):
+            points[i] = x.conj() @ c @ x
     return points
 
 
@@ -69,17 +89,35 @@ def test_boundary_matches_per_angle_sweep():
     # k covers one partial chunk, non-multiples of the chunk and several chunks
     for i, dim in enumerate((1, 2, 3, 8, 32)):
         c = ensembles.random_contraction(dim, ensembles.child_seed(909, i))
-        for k in (16, 33, 64, 100, 256):
+        for k in (16, 34, 64, 100, 256):
             got = numrange.numerical_range_boundary(c, k)
             assert np.array_equal(got, per_angle_boundary(c, k)), (dim, k)
 
 
 def test_boundary_takes_one_eigh_per_32_angles(monkeypatch):
+    # 100 angles are 50 eigensolves, each giving an angle and its antipode
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
     numrange.numerical_range_boundary(np.eye(3), 100)
-    assert shapes == [(32, 3, 3)] * 3 + [(4, 3, 3)]
+    assert shapes == [(32, 3, 3), (18, 3, 3)]
+
+
+def test_boundary_points_attain_the_support_function():
+    # every point, the antipodal half included, is a support point of W(C)
+    # for its own angle: Re(e^{i theta_j} p_j) = lambda_max(H_{theta_j})
+    draws = [ensembles.random_contraction(dim, ensembles.child_seed(911, dim)) for dim in (1, 2, 3, 8, 32)]
+    draws.append(approximants.resolvent_family(ensembles.random_m_sectorial(6, math.pi / 8, 912))(1.0))
+    draws.append(3.0 * ensembles.random_contraction(5, ensembles.child_seed(913, 0)))
+    for c in draws:
+        tol = 1e-12 * max(1.0, np.linalg.norm(c, 2))
+        for k in (16, 34, 256):
+            points = numrange.numerical_range_boundary(c, k)
+            for j, p in enumerate(points):
+                phase = np.exp(1j * (2.0 * math.pi * j / k))
+                rotated = phase * c
+                top = np.linalg.eigvalsh((rotated + rotated.conj().T) / 2.0).max()
+                assert abs((phase * p).real - top) <= tol, (c.shape, k, j)
 
 
 def test_in_D_alpha_examples():
