@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import linalg
 from .bounds import _check_n
@@ -52,6 +51,8 @@ def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     than the truncation tolerance to any central/tail classification, so
     callers never need a wider window than this.
     """
+    from scipy.special import gammaln  # on first use: importing semiapprox loads no scipy module
+
     width = max(60.0, 25.0 * math.sqrt(n))
     while True:
         m_lo = max(0, int(n - width))
@@ -117,10 +118,10 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
         powers[m] = a @ powers[m - 1]
     x_n = powers[n]
 
+    dists = np.linalg.norm(x_n - powers[ms], axis=1)
     central = 0.0
     tail = 0.0
-    for m, p in zip(ms.tolist(), pmf):
-        dist = float(np.linalg.norm(x_n - powers[m]))
+    for m, p, dist in zip(ms.tolist(), pmf, dists.tolist()):
         if abs(m - n) <= epsilon:
             central += p * dist
         else:

@@ -123,6 +123,32 @@ def test_chernoff_split_contracts_sampled():
                 assert central + tail >= gap - 1e-10
 
 
+def test_chernoff_split_matches_per_index_loop():
+    # the distances come from one row-wise norm; the sums equal those of one
+    # norm per window index, summed in m order, to rounding
+    for i, n in enumerate((1, 7, 64, 300)):
+        dim = 2 + i
+        c = ensembles.random_contraction(dim, ensembles.child_seed(316, i))
+        rng = np.random.default_rng(ensembles.child_seed(317, i))
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        ms, pmf, _ = poisson._pmf_window(n)
+        powers = [x]
+        for _ in range(int(ms[-1])):
+            powers.append(c @ powers[-1])
+        for eps in (0.5, 2.0, 3.0 * math.sqrt(n)):
+            central_ref = tail_ref = 0.0
+            for m, p in zip(ms.tolist(), pmf):
+                dist = float(np.linalg.norm(powers[n] - powers[m]))
+                if abs(m - n) <= eps:
+                    central_ref += p * dist
+                else:
+                    tail_ref += p * dist
+            central, tail = poisson.chernoff_split_sum(c, x, n, eps)
+            assert central == pytest.approx(central_ref, rel=1e-15, abs=0.0), (n, eps)
+            assert tail == pytest.approx(tail_ref, rel=1e-15, abs=0.0), (n, eps)
+
+
 def test_chernoff_split_input_validation():
     with pytest.raises(InvalidInputError):
         poisson.chernoff_split_sum(np.diag([2.0]).astype(complex), np.array([1.0 + 0j]), 1, 1.0)
