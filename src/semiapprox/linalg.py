@@ -10,7 +10,6 @@ result meaningless.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,7 @@ def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
     """Return ``a`` if it has ``ndim`` axes, square finite trailing matrices of dim >= 1."""
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise InvalidInputError(f"operator must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("operator entries must be finite")
     return a
 
@@ -81,6 +80,8 @@ def expm(m) -> np.ndarray:
         raise OverflowRiskError(
             f"op_norm(M) > {MAX_EXPM_NORM:g}; refusing to exponentiate"
         )
+    import scipy.linalg  # on first use: importing semiapprox loads no scipy module
+
     return np.asarray(scipy.linalg.expm(a), dtype=np.complex128)
 
 

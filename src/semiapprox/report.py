@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import asdict
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = {
-            "records": [asdict(r) for r in records],
+            "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],
             "summary": summary if summary is not None else summarize(records),
         }
         parts: list[str] = []

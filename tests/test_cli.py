@@ -181,6 +181,35 @@ def test_numrange_sweeps_once(monkeypatch, tmp_path):
     assert sweeps == [64]
 
 
+def test_numrange_refuses_odd_or_too_many_points(run_main, monkeypatch, tmp_path):
+    # refused before the sweep allocates: np.arange, np.exp and eigh are never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep allocated before refusing its angle count")
+
+    monkeypatch.setattr(np, "exp", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.5]))))
+    for points in ("33", str(2 * 65536), str(10**12)):
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1", "--points", points)
+        assert proc.returncode == 2 and proc.stdout == "", points
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_import_and_constants_load_no_scipy():
+    # scipy is imported on first use, by expm and the Poisson pmf only
+    code = (
+        "import sys; from semiapprox import cli; cli.main(['constants', '--alpha', '0.3']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_constants_subcommand(run_main):
     proc = run_main("constants", "--alpha", "0.0")
     assert proc.returncode == 0
