@@ -16,9 +16,10 @@ stored ratio or passed flag differs from the one its empirical and bound
 give), an argument outside the domain of a formula (e.g. alpha outside
 [0, pi/2), t < 0, t non-finite, t = 0 for ritt, norm_chernoff and
 contour_reconstruction, an epsilon whose n/eps^2 is not a finite float), a
-numrange matrix whose sweep overflows, a matrix exponential of spectral norm
-above MAX_EXPM_NORM = 1e6 (refused, never clipped), or a numerical failure
-(singular resolvent, unconverged contour quadrature).
+numrange --points that is odd or outside 16..65536 (refused before the sweep
+allocates), a numrange matrix whose sweep overflows, a matrix exponential of
+spectral norm above MAX_EXPM_NORM = 1e6 (refused, never clipped), or a
+numerical failure (singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
 counts them in the summary; they do not change the exit code.
 """
@@ -78,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nr = sub.add_parser("numrange", help="certify a matrix against D(alpha)")
     p_nr.add_argument("--input", required=True, help="JSON file {dim, re, im}")
     p_nr.add_argument("--alpha", type=float, required=True)
-    p_nr.add_argument("--points", type=int, default=256)
+    p_nr.add_argument("--points", type=int, default=256,
+                      help="sweep angles: an even number from 16 to 65536")
 
     p_const = sub.add_parser("constants", help="print contour constants for alpha")
     p_const.add_argument("--alpha", type=float, required=True)

@@ -63,8 +63,8 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
                 raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
             _, v = np.linalg.eigh(herm)
             # the top eigenvector gives angle j, the bottom one angle j + k/2
-            for x, out in ((v[:, :, -1:], slice(lo, hi)), (v[:, :, :1], slice(half + lo, half + hi))):
-                points[out] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
+            for x, shift in ((v[:, :, -1:], 0), (v[:, :, :1], half)):
+                points[shift + lo:shift + hi] = ((x.conj().transpose(0, 2, 1) @ a) @ x)[:, 0, 0]
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("a numerical-range boundary point x* C x overflows")
     return points
