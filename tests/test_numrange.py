@@ -38,8 +38,10 @@ def test_boundary_identity():
 
 
 def test_boundary_needs_16_angles():
-    with pytest.raises(InvalidInputError):
-        numrange.numerical_range_boundary(np.eye(2), 8)
+    # too few angles, an odd count (it has no antipodal pairs) and more than the cap
+    for c, k in ((np.eye(2), 8), (np.eye(1), 33), (np.eye(1), 2 * 65536)):
+        with pytest.raises(InvalidInputError):
+            numrange.numerical_range_boundary(c, k)
     with pytest.raises(InvalidInputError):
         numrange.numerical_range_boundary(np.array([[0.5, np.nan], [0.0, 0.5]]), 64)
 
@@ -54,12 +56,8 @@ def test_boundary_refuses_overflow():
             numrange.numerical_range_boundary(c, 16)
 
 
-def test_boundary_refuses_odd_and_too_many_angles(monkeypatch):
-    # an odd k has no antipodal pairs; k above the cap is refused before any
-    # array is allocated, so k = 10**12 never reaches np.arange, np.exp or eigh
-    for k in (33, 2 * 65536):
-        with pytest.raises(InvalidInputError):
-            numrange.numerical_range_boundary(np.eye(1), k)
+def test_boundary_refuses_huge_k_before_allocating(monkeypatch):
+    # the cap itself is swept; k = 10**12 never reaches np.arange, np.exp or eigh
     assert len(numrange.numerical_range_boundary(np.eye(1), 65536)) == 65536
 
     def refuse(*args, **kwargs):
