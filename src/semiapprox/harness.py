@@ -122,14 +122,13 @@ class ExperimentConfig:
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
         if not self.ts or not all(math.isfinite(t) and t >= 0.0 for t in self.ts):
             raise InvalidInputError(f"need at least one t, each finite and >= 0, got {self.ts}")
+        if not math.isfinite(self.fit_min_n):
+            raise InvalidInputError(f"fit_min_n must be finite, got {self.fit_min_n}")
         if not 0.0 <= self.alpha < math.pi / 2:
             raise InvalidInputError(f"alpha must lie in [0, pi/2), got {self.alpha}")
         if self.kind == "tnk_equivalence" and self.n_mode == "all":
             # this kind sweeps the step s = 2^-k, not n
             raise InvalidInputError("tnk_equivalence has no n-grid; n_mode must be 'pow2'")
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ts": list(self.ts)}
 
 
 @dataclass
@@ -272,11 +271,17 @@ def _vector_sweep(c, xs, ns):
         yield n, np.linalg.norm(((cn - en) @ xs.T).T, axis=1), d1, d2, d3
 
 
-def _ritt_gap_sweep(c, ns):
-    """Yield (n, [||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||]) over the increasing grid ns."""
-    e = approximants.chernoff_exp(c, 1)
-    powers = _powers((c, e), ns, step=True)
-    return _stacked_norms((n, [cn - nxt, cn - en]) for n, (cn, en), (nxt, _) in powers)
+def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
+    """Yield (n, [||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||]) over the increasing grid ns.
+
+    With ``ritt`` or ``gap`` off, its norm is left out of the list, and so is
+    the power only it needs: the step C^(n+1), or e^{n(C-1)}.
+    """
+    bases = (c, approximants.chernoff_exp(c, 1)) if gap else (c,)
+    return _stacked_norms(
+        (n, ([pw[0] - nxt[0]] if ritt else []) + ([pw[0] - pw[1]] if gap else []))
+        for n, pw, nxt in _powers(bases, ns, step=ritt)
+    )
 
 
 def _pair_sweep(draws, ts, ns):
@@ -416,15 +421,8 @@ def _run_power_norms(config: ExperimentConfig):
     records = []
     for i, c, t_res in draws:
         rid = f"{config.kind}/d{i:03d}/t{t_res:g}"
-        if ritt:
-            powers = _powers((c,), _n_grid(config), step=True)
-            diffs = ((n, [cn - nxt]) for n, (cn,), (nxt,) in powers)
-            bound = bounds.ritt_bound
-        else:
-            e = approximants.chernoff_exp(c, 1)
-            diffs = ((n, [cn - en]) for n, (cn, en), _ in _powers((c, e), _n_grid(config)))
-            bound = bounds.norm_chernoff_bound
-        for n, (emp,) in _stacked_norms(diffs):
+        bound = bounds.ritt_bound if ritt else bounds.norm_chernoff_bound
+        for n, (emp,) in _ritt_gap_sweep(c, _n_grid(config), ritt=ritt, gap=not ritt):
             records.append(make_record(rid, n, t_res, emp, bound(n, config.alpha)))
     if ritt:
         k_val = bounds.k_alpha(config.alpha).value
@@ -608,6 +606,6 @@ def summarize(records: list[ErrorRecord], extras: dict | None = None) -> dict:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one registered experiment; deterministic given the config."""
     records, extras = _RUNNERS[config.kind](config)
-    summary = {"kind": config.kind, "config": config.to_json()}
+    summary = {"kind": config.kind, "config": asdict(config)}
     summary.update(summarize(records, extras))
     return ExperimentResult(records=records, summary=summary)

@@ -1,11 +1,13 @@
 """Deterministic CSV/JSON report emission and strict parsing.
 
 CSV columns are the ``ErrorRecord`` fields in order,
-``experiment_id,n,t,empirical,bound,ratio,passed``, with a header row; JSON
-reports hold the record array plus a summary object.  All floats are rendered
-with 17 significant digits, which round-trips IEEE doubles exactly, so
-identical runs produce identical bytes.  In JSON an integral float keeps a
-fractional part (``2.0``), so it parses back as a float.
+``experiment_id,n,t,empirical,bound,ratio,passed``, with a header row; CSV
+floats have 17 significant digits (``nan``, ``inf`` and ``-inf`` as such).
+JSON reports hold the record array plus a summary object and are written by
+``json`` with Python's shortest round-trip float ``repr``, as the ``numrange``
+and ``constants`` commands print; an integral float keeps a fractional part
+(``2.0``) and parses back as a float.  Either spelling reads back as the same
+double, so identical runs produce identical bytes.
 
 Parsing is strict: every record field must have its declared type (``n`` an
 integer, ``passed`` ``true``/``false``), and the stored ``ratio`` and
@@ -30,50 +32,6 @@ CSV_HEADER = ",".join(_FIELD_TYPES)
 _CSV_REFUSED = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _fmt_float(x: float, json_mode: bool = False) -> str:
-    if math.isnan(x):
-        return "NaN" if json_mode else "nan"
-    if math.isinf(x):
-        sign = "-" if x < 0 else ""
-        return f"{sign}Infinity" if json_mode else f"{sign}inf"
-    text = format(float(x), ".17g")
-    # JSON readers take "2" for an int; integral floats keep a fraction part
-    if json_mode and text.lstrip("-").isdigit():
-        text += ".0"
-    return text
-
-
-def _json_dump(value, parts: list[str]) -> None:
-    if isinstance(value, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _json_dump(v, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _json_dump(v, parts)
-        parts.append("]")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        parts.append(_fmt_float(value, json_mode=True))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif value is None:
-        parts.append("null")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} {value!r} to a JSON report")
-
-
 def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = None) -> bytes:
     """Serialize records (and an optional precomputed summary) to bytes."""
     if not records:
@@ -85,7 +43,7 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
                 raise InvalidInputError(
                     f"experiment_id {r.experiment_id!r} holds ',' or a line break, which CSV cannot carry"
                 )
-            floats = (_fmt_float(x) for x in (r.t, r.empirical, r.bound, r.ratio))
+            floats = (format(x, ".17g") for x in (r.t, r.empirical, r.bound, r.ratio))
             lines.append(",".join((r.experiment_id, str(r.n), *floats, "true" if r.passed else "false")))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
@@ -93,10 +51,7 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
             "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],
             "summary": summary if summary is not None else summarize(records),
         }
-        parts: list[str] = []
-        _json_dump(payload, parts)
-        parts.append("\n")
-        return "".join(parts).encode()
+        return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 

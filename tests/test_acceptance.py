@@ -4,8 +4,8 @@ The criteria draw their own matrices on their own seeds and grids, but each
 power, Chernoff-pair, discrete-generator and contour-reconstruction sweep is
 the per-draw sweep in ``harness`` that the ``verify`` runners call too, so the
 suite checks the code that issues the verdicts.  Criteria 05-06 run
-``_ritt_gap_sweep``, which pairs the two norms, while the ``ritt`` and
-``norm_chernoff`` runners each sweep their one norm;
+``_ritt_gap_sweep`` for both norms, and the ``ritt`` and ``norm_chernoff``
+runners run it for their one norm each;
 ``test_ritt_gap_sweep_matches_the_runners`` pins their records to its
 columns bit for bit.
 

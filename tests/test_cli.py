@@ -285,6 +285,34 @@ def test_report_merge_keeps_failed_records_failed(tmp_path):
     assert payload["summary"]["all_passed"] is False
 
 
+# two records as JSON reports spelled floats before they were written with
+# repr: 17 significant digits, so 0.1 reads 0.10000000000000001
+_SEVENTEEN_DIGIT_REPORT = (
+    '{"records":[{"experiment_id":"old/a","n":1,"t":0.10000000000000001,'
+    '"empirical":0.33333333333333331,"bound":7.0,"ratio":0.047619047619047616,"passed":true},'
+    '{"experiment_id":"old/a","n":2,"t":0.10000000000000001,"empirical":0.20000000000000001,'
+    '"bound":3.0,"ratio":0.066666666666666666,"passed":true}],'
+    '"summary":{"slack":{"relative":1e-08,"absolute":1e-10},"count":2,'
+    '"max_ratio":0.066666666666666666,"all_passed":true}}\n'
+)
+
+
+def test_report_merge_reads_seventeen_digit_json(tmp_path):
+    old_records = [harness.make_record("old/a", 1, 0.1, 1 / 3, 7.0),
+                   harness.make_record("old/a", 2, 0.1, 0.2, 3.0)]
+    assert report.parse_report(_SEVENTEEN_DIGIT_REPORT.encode(), "json")[0] == old_records
+    new_record = harness.make_record("new/b", 4, 0.7, 0.3, 1.1)
+    old, new, merged = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "merged.json"
+    old.write_text(_SEVENTEEN_DIGIT_REPORT)
+    new.write_bytes(report.emit_report([new_record], "json"))
+    assert cli.main(["report", "--merge", str(old), str(new), "--out", str(merged)]) == 0
+    data = merged.read_bytes()
+    assert report.parse_report(data, "json")[0] == [*old_records, new_record]
+    assert b'"t":0.1,"empirical":0.3333333333333333,' in data
+    assert b'"t":0.7,"empirical":0.3,"bound":1.1,' in data
+    assert b"0.10000000000000001" not in data
+
+
 def test_report_merge_refuses_a_forged_verdict(run_main, tmp_path):
     # empirical 5 exceeds bound 1: a stored pass must not merge as one
     forged_csv = f"{report.CSV_HEADER}\nx,4,1,5.0,1.0,0.1,true\n"
@@ -330,6 +358,19 @@ def test_usage_errors_exit_two(run_main, tmp_path):
         proc = run_main("verify", kind, "--t", "2e6", "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2 and proc.stdout == "", kind
         assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n", kind
+    # a fit threshold that is not finite would drop every point without a word
+    for bad_n in ("nan", "inf", "-inf"):
+        proc = run_main("verify", "euler", f"--fit-min-n={bad_n}", "--trials", "1", "--nmax", "4")
+        assert proc.returncode == 2 and proc.stdout == "", bad_n
+        assert proc.stderr.startswith("error: fit_min_n must be finite"), bad_n
+
+
+def test_input_too_large_to_allocate_exits_two(run_main):
+    # a 10^7 x 10^7 complex matrix is larger than the 128 TiB user address
+    # space, so the allocation fails under any overcommit setting
+    proc = run_main("verify", "sqrt_n", "--dim", "10000000", "--trials", "1", "--nmax", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_t_zero_domain(tmp_path):

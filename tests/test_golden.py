@@ -4,7 +4,8 @@ The files under ``tests/golden/`` hold the reports of small configs, one per
 kind plus the full n-grid of ``ritt`` and ``norm_chernoff`` (dim 3) and of
 ``contour_reconstruction`` (dim 5), and a wider ``contour_reconstruction``
 (dim 8, alpha = pi/4).  A change to the harness that alters any verdict,
-number, record order or summary key shows up here as a byte difference.
+number, record order or summary key shows up here as a byte difference,
+and the records of each ``.json`` file must equal those of its ``.csv`` twin.
 Rewrite the files only when a report is meant to change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -49,6 +50,16 @@ def _reports(config):
 def test_report_bytes_match_golden(name):
     for fmt, data in _reports(CASES[name]).items():
         assert data == (GOLDEN / f"{name}.{fmt}").read_bytes(), f"{name}.{fmt}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_and_csv_goldens_hold_the_same_records(name):
+    # anchors a rewrite of the files of one format to those of the other
+    records = {
+        fmt: report.parse_report((GOLDEN / f"{name}.{fmt}").read_bytes(), fmt)[0]
+        for fmt in ("csv", "json")
+    }
+    assert records["json"] == records["csv"]
 
 
 def test_selfadjoint_full_grid():

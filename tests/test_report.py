@@ -76,6 +76,12 @@ def test_json_integral_floats_parse_as_floats():
     assert report.emit_report([rec], "csv").decode().splitlines()[1] == "x,4,2,0,1,0,true"
 
 
+def test_json_floats_are_shortest_round_trip():
+    data = report.emit_report([make_record("x", 1, 0.1, 1 / 3, 7.0)], "json")
+    assert b'"t":0.1,' in data and b'"empirical":0.3333333333333333,' in data
+    assert b'"bound":7.0,' in data
+
+
 def test_json_rejects_unsupported_types():
     rec = make_record("x", 4, 2.0, 0.5, 1.0)
     for bad in (
