@@ -16,10 +16,11 @@ certificate failed), 2 usage or I/O error (also dim, trials or nmax below
 passed flag differs from the one its empirical and bound give), an argument
 outside the domain of a formula (e.g. alpha outside [0, pi/2), t < 0, t
 non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction, an
-epsilon whose n/eps^2 is not a finite float), a numrange --points that is odd or outside 16..65536 (refused before the sweep
-allocates), a numrange matrix whose sweep overflows, a matrix exponential of
-spectral norm above MAX_EXPM_NORM = 1e6 (refused, never clipped), or a
-numerical failure (singular resolvent, unconverged contour quadrature).
+epsilon whose n/eps^2 is not a finite float), a numrange --points that is
+odd or outside 16..65536 (refused before the sweep allocates), a numrange
+matrix whose sweep overflows, a matrix exponential of spectral norm above
+MAX_EXPM_NORM = 1e6 (refused, never clipped), or a numerical failure
+(singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
 counts them in the summary; they do not change the exit code.
 """
