@@ -556,8 +556,8 @@ def _run_poisson_split(config: ExperimentConfig):
         x = _unit_vectors(config.dim, 1, ensembles.child_seed(config.seed, 10_000 + i))[0]
         d1 = float(np.linalg.norm((np.eye(config.dim) - c) @ x))
         for n in [n for n in ns if n <= 64]:
-            for eps in config.ts:
-                central, tail = poisson.chernoff_split_sum(c, x, n, eps)
+            sums = poisson.chernoff_split_sum(c, x, n, config.ts)
+            for eps, (central, tail) in zip(config.ts, sums):
                 rid = f"poisson_split/split/d{i:03d}"
                 bound = bounds.split_central_bound(eps, d1)
                 records.append(make_record(f"{rid}/central", n, eps, central, bound))

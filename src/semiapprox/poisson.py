@@ -6,7 +6,8 @@ The representation
 
 turns the power-vs-exponential discrepancy into a Poisson average.  This
 module owns the pmf, evaluated in log space on one certified window of m by
-``_pmf_window``, exact tail masses, and the weighted-norm split itself.
+``_pmf_window`` (log m! from ``math.lgamma``, so numpy is the only runtime
+dependency), exact tail masses, and the weighted-norm split itself.
 Infinite sums are truncated once the omitted probability mass drops below
 POISSON_MASS_TOL; the dropped mass is reported, never ignored.
 """
@@ -51,14 +52,13 @@ def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     than the truncation tolerance to any central/tail classification, so
     callers never need a wider window than this.
     """
-    from scipy.special import gammaln  # on first use: importing semiapprox loads no scipy module
-
     width = max(60.0, 25.0 * math.sqrt(n))
     while True:
         m_lo = max(0, int(n - width))
         m_hi = int(n + width) + 1
         ms = np.arange(m_lo, m_hi + 1)
-        logs = -n + ms * math.log(n) - gammaln(ms + 1)
+        log_factorials = np.array([math.lgamma(m + 1) for m in range(m_lo, m_hi + 1)])
+        logs = -n + ms * math.log(n) - log_factorials
         pmf = np.exp(logs)
         dropped = _dropped_mass_bound(n, m_lo, m_hi, pmf)
         if dropped <= POISSON_MASS_TOL:
@@ -89,16 +89,20 @@ def poisson_first_abs_moment(n: int) -> float:
     return float(np.sum(pmf * np.abs(ms - n)))
 
 
-def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
-    """Central and tail parts of e^{-n} sum_m (n^m/m!) ||(C^n - C^m) x||.
+def chernoff_split_sum(c, x, n: int, epsilons) -> list[tuple[float, float]]:
+    """Central and tail parts of e^{-n} sum_m (n^m/m!) ||(C^n - C^m) x||, per epsilon.
 
-    C must be a contraction and x a unit vector.  The central part collects
-    |m - n| <= epsilon, the tail the strict complement; the series is
-    truncated at cumulative pmf mass POISSON_MASS_TOL.
+    C must be a contraction and x a unit vector.  For each epsilon the
+    central part collects |m - n| <= epsilon, the tail the strict
+    complement; the series is truncated at cumulative pmf mass
+    POISSON_MASS_TOL.  The pmf window and the powers C^m x are taken once
+    for the whole epsilon grid, and each part is summed in m order.
     """
     _check_n(n)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    epsilons = [float(eps) for eps in epsilons]
+    for eps in epsilons:
+        if eps <= 0.0:
+            raise DomainError(f"epsilon must be positive, got {eps}")
     a = linalg.as_operator(c)
     if linalg.op_norm(a) > 1.0 + CONTRACTION_INPUT_TOL:
         raise InvalidInputError("chernoff_split_sum requires a contraction")
@@ -116,14 +120,17 @@ def chernoff_split_sum(c, x, n: int, epsilon: float) -> tuple[float, float]:
     powers[0] = x
     for m in range(1, m_hi + 1):
         powers[m] = a @ powers[m - 1]
-    x_n = powers[n]
 
-    dists = np.linalg.norm(x_n - powers[ms], axis=1)
-    central = 0.0
-    tail = 0.0
-    for m, p, dist in zip(ms.tolist(), pmf, dists.tolist()):
-        if abs(m - n) <= epsilon:
-            central += p * dist
-        else:
-            tail += p * dist
-    return central, tail
+    terms = (pmf * np.linalg.norm(powers[n] - powers[ms], axis=1)).tolist()
+    offsets = np.abs(ms - n).tolist()
+    sums = []
+    for eps in epsilons:
+        central = 0.0
+        tail = 0.0
+        for offset, term in zip(offsets, terms):
+            if offset <= eps:
+                central += term
+            else:
+                tail += term
+        sums.append((central, tail))
+    return sums

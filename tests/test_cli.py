@@ -197,17 +197,35 @@ def test_numrange_refuses_odd_or_too_many_points(run_main, monkeypatch, tmp_path
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_import_and_constants_load_no_scipy():
-    # scipy is imported on first use, by expm and the Poisson pmf only
-    code = (
-        "import sys; from semiapprox import cli; cli.main(['constants', '--alpha', '0.3']); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def test_import_and_constants_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: no subcommand and no verify kind
+    # loads a scipy module, in one process that runs them all
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.2, 0.8]))))
+    code = f"""
+import sys
+from semiapprox import cli
+from semiapprox.harness import EXPERIMENT_KINDS
+tmp = {str(tmp_path)!r}
+codes = [cli.main(['constants', '--alpha', '0.3'])]
+for kind in EXPERIMENT_KINDS:
+    codes.append(cli.main(['verify', kind, '--dim', '2', '--trials', '1', '--nmax', '4',
+                           '--out', f'{{tmp}}/{{kind}}.csv']))
+codes.append(cli.main(['numrange', '--input', {str(matrix)!r}, '--alpha', '0.0',
+                       '--points', '16']))
+codes.append(cli.main(['report', '--merge', f'{{tmp}}/ritt.csv', f'{{tmp}}/euler.csv',
+                       '--out', f'{{tmp}}/merged.csv']))
+print(codes)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    codes, modules = proc.stdout.splitlines()[-2:]
+    assert codes == str([0] * (len(harness.EXPERIMENT_KINDS) + 3))
+    assert (tmp_path / "merged.csv").exists()
+    assert modules == "[]"
 
 
 def test_constants_subcommand(run_main):

@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from semiapprox import linalg
+from semiapprox import approximants, ensembles, linalg
 from semiapprox.errors import (
     InvalidInputError,
     OverflowRiskError,
     SingularityError,
 )
+from semiapprox.tolerances import MAX_EXPM_NORM
 
 
 def test_op_norm_identity_and_zero():
@@ -34,6 +37,15 @@ def test_op_norms_equal_op_norm_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
     stack = rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim))
     assert linalg.op_norms(stack) == [linalg.op_norm(m) for m in stack]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+def test_op_norm_equals_numpy_two_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(50):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m *= 10.0 ** rng.uniform(-3, 3)
+        assert linalg.op_norm(m) == float(np.linalg.norm(m, 2))
 
 
 def test_op_norms_rejects_bad_stacks():
@@ -141,3 +153,110 @@ def test_expm_normal_matrix_oracle():
         m = (q * lam) @ q.conj().T
         oracle = (q * np.exp(lam)) @ q.conj().T
         assert linalg.op_norm(linalg.expm(m) - oracle) <= 1e-10
+
+
+def _kind_inputs(dim):
+    """(family, n or t, M) for the matrices the kinds exponentiate at this dimension.
+
+    n(C - 1) for the random and the resolvent contractions at n <= 4096, and
+    -tA for an m-sectorial generator at t from 1e-3 to 10.
+    """
+    for seed in range(3):
+        a = ensembles.random_m_sectorial(dim, math.pi / 8, seed)
+        for c in (ensembles.random_contraction(dim, seed), approximants.resolvent_family(a)(1.0)):
+            for n in [2**k for k in range(13)] + [3, 100, 1000]:
+                yield "n(C-1)", n, n * (c - np.eye(dim))
+        for t in np.logspace(-3, 1, 9):
+            yield "-tA", t, -t * a
+
+
+# worst relative 2-norm error against scipy over _kind_inputs at dims 1-32:
+# 8.5e-13 for n(C - 1), reached where e^{n(C-1)} ~ 1e-248 and the condition
+# number of the exponential is about ||n(C - 1)||, and 2.4e-15 for -tA
+EXPM_ORACLE_TOL = {"n(C-1)": 2e-12, "-tA": 1e-14}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
+def test_expm_matches_scipy_on_kind_inputs(dim):
+    tiny = np.finfo(float).tiny
+    below_normal = []
+    for family, n_or_t, m in _kind_inputs(dim):
+        got, oracle = linalg.expm(m), scipy.linalg.expm(m)
+        err, size = np.linalg.norm(got - oracle, 2), np.linalg.norm(oracle, 2)
+        if size < tiny:
+            # below the normal range a relative error means nothing, so both
+            # sides must merely be that small
+            below_normal.append((family, n_or_t))
+            assert err <= tiny, (family, n_or_t, err)
+        else:
+            assert err <= EXPM_ORACLE_TOL[family] * size, (family, n_or_t, err / size)
+    # stated, not hidden: 6 to 14 of the 123 inputs per dim, all e^{n(C-1)} at n >= 1000
+    assert 6 <= len(below_normal) <= 14
+    assert all(family == "n(C-1)" and n >= 1000 for family, n in below_normal)
+
+
+@pytest.mark.parametrize("lam, b", [(0.99, 0.005), (0.9, 0.1), (0.5, 0.5), (0.8 + 0.1j, 0.2)])
+def test_expm_jordan_blocks_match_closed_form(lam, b):
+    # e^M for M = n(J - 1), J = [[lam, b], [0, lam]], is e^{M_11} [[1, M_12], [0, 1]],
+    # taken here at 50 digits from the float entries of M; the lower-triangular
+    # transpose goes through the same exact diagonal and superdiagonal
+    mpmath.mp.dps = 50
+    jordan = np.array([[lam, b], [0.0, lam]], dtype=complex)
+    underflows = []
+    for n in (1, 2, 16, 100, 256, 1000, 4096):
+        m = n * (jordan - np.eye(2))
+        p = mpmath.exp(mpmath.mpc(m[0, 0].real, m[0, 0].imag))
+        q = p * mpmath.mpc(m[0, 1].real, m[0, 1].imag)
+        exact = mpmath.matrix([[p, q], [0, p]])
+        size = (abs(q) + mpmath.sqrt(abs(q) ** 2 + 4 * abs(p) ** 2)) / 2
+        for got in (linalg.expm(m), linalg.expm(m.T).T):
+            diff = mpmath.matrix(got.tolist()) - exact
+            err = np.linalg.norm(np.array(diff.tolist(), dtype=complex), 2)
+            if size < mpmath.mpf(2) ** -1075:
+                # below half the smallest subnormal: the float answer is 0.0
+                assert not got.any()
+                underflows.append(n)
+            else:
+                assert err <= 1e-15 * size, (n, float(err / size))
+    # stated, not hidden: e^{-2048} (lam = 0.5) and |e^{-819.2 + 409.6i}| underflow
+    assert underflows == ([4096, 4096] if lam in (0.5, 0.8 + 0.1j) else [])
+
+
+def test_expm_diagonal_is_exact():
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 5, 16):
+        lam = rng.standard_normal(dim) * 20 + 1j * rng.standard_normal(dim) * 5
+        got = linalg.expm(np.diag(lam))
+        assert got.dtype == np.complex128
+        npt.assert_array_equal(got, np.diag(np.exp(lam)))
+
+
+def test_expm_upper_triangular_matches_scipy():
+    # distinct eigenvalues: the superdiagonal goes through the sinch divided
+    # difference, near (|half-difference| < 1) and far apart alike; the worst
+    # relative error read 1.3e-15
+    rng = np.random.default_rng(22)
+    for dim in (2, 3, 6, 12):
+        for scale in (0.01, 1.0, 30.0):
+            t = np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            t -= 2.0 * np.abs(np.diag(t)).max() * np.eye(dim)
+            m = scale * t
+            got, oracle = linalg.expm(m), scipy.linalg.expm(m)
+            assert np.all(np.tril(got, -1) == 0)
+            assert np.linalg.norm(got - oracle, 2) <= 1e-14 * np.linalg.norm(oracle, 2)
+
+
+def test_expm_just_under_and_just_over_the_norm_cap():
+    # iH has norm just under / just over MAX_EXPM_NORM; e^{iH} is unitary, with the
+    # spectral oracle U diag(e^{i lam}) U*; the condition of e^{iH} is about ||H||,
+    # and the error read 3.5e-10 (scipy's 1.8e-10)
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    lam, u = np.linalg.eigh(g + g.conj().T)
+    lam *= MAX_EXPM_NORM * (1.0 - 1e-9) / np.abs(lam).max()
+    h = (u * lam) @ u.conj().T
+    got = linalg.expm(1j * h)
+    oracle = (u * np.exp(1j * lam)) @ u.conj().T
+    assert np.linalg.norm(got - oracle, 2) <= 2e-9
+    with pytest.raises(OverflowRiskError):
+        linalg.expm(1j * h * ((1.0 + 1e-9) / (1.0 - 1e-9)))

@@ -71,7 +71,9 @@ def test_moment_identities():
 
 
 def test_chernoff_split_identity_contraction():
-    central, tail = poisson.chernoff_split_sum(np.eye(3, dtype=complex), np.array([1, 0, 0]), 4, 2.0)
+    [(central, tail)] = poisson.chernoff_split_sum(
+        np.eye(3, dtype=complex), np.array([1, 0, 0]), 4, [2.0]
+    )
     assert central == 0.0
     assert tail == 0.0
 
@@ -87,8 +89,8 @@ def test_chernoff_split_scalar_oracle():
             central_oracle += term
         else:
             tail_oracle += term
-    central, tail = poisson.chernoff_split_sum(
-        np.array([[c_val]], dtype=complex), np.array([1.0 + 0j]), n, eps
+    [(central, tail)] = poisson.chernoff_split_sum(
+        np.array([[c_val]], dtype=complex), np.array([1.0 + 0j]), n, [eps]
     )
     assert central == pytest.approx(central_oracle, rel=1e-10)
     assert tail == pytest.approx(tail_oracle, rel=1e-10)
@@ -96,8 +98,8 @@ def test_chernoff_split_scalar_oracle():
 
 def test_chernoff_split_zero_contraction_enumeration():
     # C = [0], n = 2: ||(C^2 - C^m)x|| = |[m=0] - 0| = 1 for m = 0, else 0
-    central, tail = poisson.chernoff_split_sum(
-        np.array([[0.0]], dtype=complex), np.array([1.0 + 0j]), 2, 1.0
+    [(central, tail)] = poisson.chernoff_split_sum(
+        np.array([[0.0]], dtype=complex), np.array([1.0 + 0j]), 2, [1.0]
     )
     assert central == pytest.approx(0.0, abs=1e-15)
     assert tail == pytest.approx(float(stats.poisson.pmf(0, 2)), rel=1e-12)
@@ -112,8 +114,8 @@ def test_chernoff_split_contracts_sampled():
         x /= np.linalg.norm(x)
         d1 = float(np.linalg.norm((np.eye(dim) - c) @ x))
         for n in (1, 4, 16):
-            for eps in (0.5, 2.0, 8.0):
-                central, tail = poisson.chernoff_split_sum(c, x, n, eps)
+            eps_grid = (0.5, 2.0, 8.0)
+            for eps, (central, tail) in zip(eps_grid, poisson.chernoff_split_sum(c, x, n, eps_grid)):
                 slack = 1e-8 * (1 + abs(central)) + 1e-10
                 assert central <= eps * d1 + slack
                 assert tail <= 2.0 * n / eps**2 + slack
@@ -144,16 +146,33 @@ def test_chernoff_split_matches_per_index_loop():
                     central_ref += p * dist
                 else:
                     tail_ref += p * dist
-            central, tail = poisson.chernoff_split_sum(c, x, n, eps)
+            [(central, tail)] = poisson.chernoff_split_sum(c, x, n, [eps])
             assert central == pytest.approx(central_ref, rel=1e-15, abs=0.0), (n, eps)
             assert tail == pytest.approx(tail_ref, rel=1e-15, abs=0.0), (n, eps)
 
 
+def test_chernoff_split_grid_equals_per_epsilon_calls():
+    # one window and one power sequence serve the whole grid; each part is
+    # still summed in m order, so the sums equal single-epsilon calls exactly
+    eps_grid = (0.25, 1.0, 1.5, 3.0, 7.5, 40.0, 1e9)
+    for i, n in enumerate((1, 3, 16, 64, 200)):
+        dim = 1 + i
+        c = ensembles.random_contraction(dim, ensembles.child_seed(318, i))
+        rng = np.random.default_rng(ensembles.child_seed(319, i))
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        per_eps = [poisson.chernoff_split_sum(c, x, n, [eps])[0] for eps in eps_grid]
+        assert poisson.chernoff_split_sum(c, x, n, eps_grid) == per_eps, n
+    assert poisson.chernoff_split_sum(np.eye(1, dtype=complex), np.ones(1), 4, []) == []
+
+
 def test_chernoff_split_input_validation():
     with pytest.raises(InvalidInputError):
-        poisson.chernoff_split_sum(np.diag([2.0]).astype(complex), np.array([1.0 + 0j]), 1, 1.0)
+        poisson.chernoff_split_sum(np.diag([2.0]).astype(complex), np.array([1.0 + 0j]), 1, [1.0])
     with pytest.raises(InvalidInputError):
-        poisson.chernoff_split_sum(np.eye(2, dtype=complex), np.array([1.0, 1.0]), 1, 1.0)
+        poisson.chernoff_split_sum(np.eye(2, dtype=complex), np.array([1.0, 1.0]), 1, [1.0])
+    with pytest.raises(DomainError):
+        poisson.chernoff_split_sum(np.eye(2, dtype=complex), np.array([1.0, 0.0]), 1, [1.0, 0.0])
     with pytest.raises(DomainError):
         poisson.poisson_tail(0, 1.0)
     with pytest.raises(DomainError):
