@@ -204,7 +204,7 @@ def test_selfadjoint_records_meet_tight_tolerance():
     # can land above it and the record passes only through the slack
     slack_only = [r for r in result.records if r.passed and r.empirical > r.bound]
     assert all(r.experiment_id.endswith("/chernoff") and r.n == 1 for r in slack_only)
-    assert (len(result.records), result.summary["slack_only_passes"], len(slack_only)) == (180, 5, 5)
+    assert (len(result.records), result.summary["slack_only_passes"], len(slack_only)) == (180, 2, 2)
 
 
 def test_stacked_norms_keep_order_across_chunks(monkeypatch):
