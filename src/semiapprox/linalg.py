@@ -14,7 +14,6 @@ Matrix Anal. Appl. 31(3), 2009, Code Fragment 2.1) for triangular input.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -120,18 +119,11 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_triangles(d: int) -> tuple[tuple, tuple]:
-    """Indices of the entries above and below the diagonal of a d x d matrix."""
-    return np.triu_indices(d, 1), np.tril_indices(d, -1)
-
-
 def _off_diagonal(a: np.ndarray) -> tuple[bool, bool]:
     """(any nonzero entry above the diagonal, any below); the corner pair settles dense input."""
     if a.shape[0] > 1 and a[0, 1] and a[1, 0]:
         return True, True
-    above, below = _strict_triangles(a.shape[0])
-    return bool(a[above].any()), bool(a[below].any())
+    return bool(np.triu(a, 1).any()), bool(np.tril(a, -1).any())
 
 
 def _exp_sinch(mean: np.ndarray, half: np.ndarray) -> np.ndarray:
