@@ -12,10 +12,10 @@ may grow while the integrands of interest vanish.  Gauss nodes are interior,
 so the vertex z = 1 itself is never sampled.
 
 Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks of 64
-nodes.  Each function is called once per block, on the 1-D array of its
-nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed); its weighted resolvents are summed over the block in one array
-operation.  The quadrature's base pass also returns the resolvent norms at
+nodes.  Each function is called once per pass, on the 1-D array of all the
+pass's nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
+allowed); its weighted resolvents are summed over each block in one matrix
+product per block and function.  The quadrature's base pass also returns the resolvent norms at
 its nodes, and the majorant check reads those norms instead of solving again.
 The check reports resolvent-majorant ratios only; a pointwise integrand such
 as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
@@ -51,16 +51,17 @@ class ContourNodes:
         return self.z.size
 
 
-def _panel_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of the panels [a_j, b_j], one row per panel."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
 def _line_edges(length: float, panels: int) -> np.ndarray:
     # geometric grading toward s = 0 with ratio 2
-    edges = [0.0] + [length * 2.0 ** (j + 1 - panels) for j in range(panels)]
-    edges[-1] = length
-    return np.asarray(edges)
+    edges = length * 2.0 ** np.arange(-panels, 1.0)
+    edges[0] = 0.0
+    return edges
 
 
 def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> ContourNodes:
@@ -74,39 +75,25 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
     if k_arc < 8 or k_line < 8:
         raise InvalidInputError("need at least 8 panels per segment")
 
-    radius = math.sin(alpha_prime)
-    length = math.cos(alpha_prime)
-    zs, ws = [], []
+    edges = _line_edges(math.cos(alpha_prime), k_line)
+    s, w = _panel_nodes(edges[:-1], edges[1:])
 
     # vertex -> A
-    edges = _line_edges(length, k_line)
-    direction = -np.exp(-1j * alpha_prime)
-    for a, b in zip(edges[:-1], edges[1:]):
-        s, w = _panel_nodes(a, b)
-        zs.append(1.0 + s * direction)
-        ws.append(w * direction)
+    out = -np.exp(-1j * alpha_prime)
 
     # A -> B, counterclockwise
     t0, t1 = math.pi / 2 - alpha_prime, 3 * math.pi / 2 + alpha_prime
-    for j in range(k_arc):
-        a = t0 + (t1 - t0) * j / k_arc
-        b = t0 + (t1 - t0) * (j + 1) / k_arc
-        t, w = _panel_nodes(a, b)
-        z = radius * np.exp(1j * t)
-        zs.append(z)
-        ws.append(w * 1j * z)
+    j = np.arange(k_arc)
+    t, w_arc = _panel_nodes(t0 + (t1 - t0) * j / k_arc, t0 + (t1 - t0) * (j + 1) / k_arc)
+    arc = math.sin(alpha_prime) * np.exp(1j * t)
 
     # B -> vertex: s runs cos(alpha') -> 0, i.e. minus the 0 -> cos(alpha') integral
-    direction = -np.exp(1j * alpha_prime)
-    for a, b in zip(edges[:-1], edges[1:]):
-        s, w = _panel_nodes(a, b)
-        zs.append(1.0 + s[::-1] * direction)
-        ws.append(-w[::-1] * direction)
+    back = -np.exp(1j * alpha_prime)
 
     return ContourNodes(
         alpha_prime=alpha_prime,
-        z=np.concatenate(zs),
-        dz_weight=np.concatenate(ws),
+        z=np.concatenate([1.0 + s * out, arc, 1.0 + s[:, ::-1] * back], axis=None),
+        dz_weight=np.concatenate([w * out, w_arc * 1j * arc, -w[:, ::-1] * back], axis=None),
         on_arc=np.repeat([False, True, False], _GL_NODES.size * np.array([k_line, k_arc, k_line])),
         k_arc=k_arc,
         k_line=k_line,
@@ -143,25 +130,27 @@ def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
 
 def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, norms: bool = False):
     """The quadrature sums of fs on one node set, and ||(z - C)^{-1}|| per node if asked."""
-    acc = np.zeros((len(fs),) + c.shape, dtype=np.complex128)
+    z, dim = contour.z, c.shape[0]
+    weighted = [np.broadcast_to(f(z), z.shape) * contour.dz_weight for f in fs]
+    acc = np.zeros((len(fs), dim * dim), dtype=np.complex128)
     rnorm = []
     for nodes, block in _resolvent_blocks(c, contour):
         if norms:
             rnorm += linalg.op_norms(block)
-        z, w = contour.z[nodes], contour.dz_weight[nodes]
-        # one function at a time: the temporary stays one block in size, and
-        # an elementwise sum over the nodes never mixes two functions
-        for j, f in enumerate(fs):
-            acc[j] += ((f(z) * w)[:, None, None] * block).sum(axis=0)
-    return list(acc / (2j * math.pi)), np.asarray(rnorm)
+        flat = block.reshape(-1, dim * dim)
+        # one product per function: a sum over the nodes never mixes two functions
+        for a, w in zip(acc, weighted):
+            a += w[nodes] @ flat
+    return list(acc.reshape((len(fs),) + c.shape) / (2j * math.pi)), np.asarray(rnorm)
 
 
 def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], np.ndarray]:
     """Evaluate several functions of C on a shared resolvent sweep.
 
-    Each f in fs is called once per block of 64 nodes with a 1-D complex
-    array of nodes, and must return an array of that shape or a scalar
-    constant, as a NumPy ufunc does.
+    Each f in fs is called once per pass with the 1-D complex array of the
+    pass's nodes, and must return an array of that shape or a scalar
+    constant, as a NumPy ufunc does.  Each block of 64 nodes then adds one
+    matrix product per function.
 
     Returns (values, rnorm): values[i] approximates fs[i](C), and rnorm[j]
     is ||(z_j - C)^{-1}|| at node j of the given contour, the input of
@@ -175,7 +164,8 @@ def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], 
     while True:
         contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
         refined, _ = _evaluate_many(fs, a, contour)
-        if all(linalg.op_norm(r2 - r1) < CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
+        changes = linalg.op_norms(np.subtract(refined, results))
+        if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, rnorm
         if len(contour) * 2 > CONTOUR_NODE_CAP:
             raise ContourTooCloseError(

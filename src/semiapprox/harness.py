@@ -325,12 +325,13 @@ def _contour_sweep(c, nodes, ns, alpha):
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
-    errors = []
+    diffs = []
     for idx, n in enumerate(ns):
         cn = approximants.chernoff_power(c, n)
-        ritt = linalg.op_norm(got[idx] - cn @ (eye - c))
-        gap = linalg.op_norm(got[idx + len(ns)] - (cn - approximants.chernoff_exp(c, n)))
-        errors.append((n, ritt, gap))
+        diffs.append(got[idx] - cn @ (eye - c))
+        diffs.append(got[idx + len(ns)] - (cn - approximants.chernoff_exp(c, n)))
+    norms = linalg.op_norms(np.stack(diffs))
+    errors = [(n, norms[2 * k], norms[2 * k + 1]) for k, n in enumerate(ns)]
     return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha)
 
 

@@ -7,13 +7,14 @@ The representation
 turns the power-vs-exponential discrepancy into a Poisson average.  This
 module owns the pmf, evaluated in log space on one certified window of m by
 ``_pmf_window`` (log m! from ``math.lgamma``, so numpy is the only runtime
-dependency), exact tail masses, and the weighted-norm split itself.
-Infinite sums are truncated once the omitted probability mass drops below
+dependency; built once per n), exact tail masses, and the weighted-norm split
+itself.  Infinite sums are truncated once the omitted probability mass drops below
 POISSON_MASS_TOL; the dropped mass is reported, never ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,13 +45,15 @@ def _dropped_mass_bound(n: int, m_lo: int, m_hi: int, pmf: np.ndarray) -> float:
     return dropped
 
 
+@functools.lru_cache(maxsize=32)
 def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(ms = [m_lo, ..., m_hi], P{X_n = m} on ms, dropped-mass bound), widened as needed.
 
     The window grows until the certified dropped mass is below
     POISSON_MASS_TOL.  Terms outside the certified window contribute less
     than the truncation tolerance to any central/tail classification, so
-    callers never need a wider window than this.
+    callers never need a wider window than this.  Each window is built once
+    per n and shared, so its arrays are read-only.
     """
     width = max(60.0, 25.0 * math.sqrt(n))
     while True:
@@ -62,6 +65,7 @@ def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
         pmf = np.exp(logs)
         dropped = _dropped_mass_bound(n, m_lo, m_hi, pmf)
         if dropped <= POISSON_MASS_TOL:
+            ms.flags.writeable = pmf.flags.writeable = False
             return ms, pmf, dropped
         width *= 2.0
 

@@ -187,9 +187,9 @@ def test_resolvent_blow_up_raises_too_close():
         contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
 
 
-def test_each_function_runs_once_per_block():
-    # one base pass of 1024 nodes and one refinement of 2048: 3072 / 64 = 48
-    # blocks, and each function sees every block once, as one node array
+def test_each_function_runs_once_per_pass():
+    # one base pass of 1024 nodes and one refinement of 2048: each function
+    # sees every node of a pass at once, as one node array
     calls = [[], []]
 
     def counted(j, f):
@@ -203,8 +203,44 @@ def test_each_function_runs_once_per_block():
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
     contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes)
-    assert 3 * len(nodes) == 3072
-    assert calls == [[(64,)] * 48] * 2
+    assert calls == [[(1024,), (2048,)]] * 2
+
+
+def _panel_loop_contour(alpha_prime, k_arc, k_line):
+    # build_contour as one panel at a time, the reference for its broadcasting
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return mid + half * contour._GL_NODES, half * contour._GL_WEIGHTS
+
+    radius, length = math.sin(alpha_prime), math.cos(alpha_prime)
+    edges = [0.0] + [length * 2.0 ** (j + 1 - k_line) for j in range(k_line)]
+    edges[-1] = length
+    zs, ws = [], []
+    direction = -np.exp(-1j * alpha_prime)
+    for a, b in zip(edges[:-1], edges[1:]):
+        s, w = panel(a, b)
+        zs.append(1.0 + s * direction)
+        ws.append(w * direction)
+    t0, t1 = math.pi / 2 - alpha_prime, 3 * math.pi / 2 + alpha_prime
+    for j in range(k_arc):
+        t, w = panel(t0 + (t1 - t0) * j / k_arc, t0 + (t1 - t0) * (j + 1) / k_arc)
+        z = radius * np.exp(1j * t)
+        zs.append(z)
+        ws.append(w * 1j * z)
+    direction = -np.exp(1j * alpha_prime)
+    for a, b in zip(edges[:-1], edges[1:]):
+        s, w = panel(a, b)
+        zs.append(1.0 + s[::-1] * direction)
+        ws.append(-w[::-1] * direction)
+    return np.concatenate(zs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("alpha_prime", [0.05, 0.4, 1.0, math.pi / 2 - 0.05])
+def test_build_contour_matches_panel_loop(alpha_prime):
+    for k_arc, k_line in ((8, 8), (32, 16), (64, 32), (40, 9), (512, 256)):
+        nodes = contour.build_contour(alpha_prime, k_arc, k_line)
+        z, w = _panel_loop_contour(alpha_prime, k_arc, k_line)
+        assert np.array_equal(nodes.z, z) and np.array_equal(nodes.dz_weight, w)
 
 
 def _reference_many(fs, c, nodes):

@@ -7,6 +7,7 @@ from scipy import stats
 
 from semiapprox import bounds, ensembles, linalg, poisson
 from semiapprox.errors import DomainError, InvalidInputError
+from semiapprox.harness import ExperimentConfig, run_experiment
 from semiapprox.tolerances import POISSON_MASS_TOL
 
 
@@ -23,6 +24,21 @@ def test_pmf_window_layout():
         npt.assert_array_equal(ms, np.arange(ms[0], ms[-1] + 1))
         assert pmf.shape == ms.shape and ms[0] <= n < ms[-1]
         assert 0.0 <= dropped <= POISSON_MASS_TOL
+
+
+def test_pmf_window_is_built_once_per_n():
+    # the default poisson_split config asks for the windows of 8 distinct n
+    poisson._pmf_window.cache_clear()
+    run_experiment(ExperimentConfig("poisson_split"))
+    info = poisson._pmf_window.cache_info()
+    assert info.misses == 8 and info.hits > 0
+
+
+def test_pmf_window_arrays_are_read_only():
+    ms, pmf, _ = poisson._pmf_window(7)
+    for shared in (ms, pmf):
+        with pytest.raises(ValueError):
+            shared[0] = 0
 
 
 def test_pmf_examples():
