@@ -14,11 +14,12 @@ so the vertex z = 1 itself is never sampled.
 Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks of 64
 nodes.  Each function is called once per pass, on the 1-D array of all the
 pass's nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed); its weighted resolvents are summed over each block in one matrix
-product per block and function.  The quadrature's base pass also returns the resolvent norms at
-its nodes, and the majorant check reads those norms instead of solving again.
-The check reports resolvent-majorant ratios only; a pointwise integrand such
-as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
+allowed); its weighted resolvents are summed in one matrix product per block
+and function.  The quadrature's base pass also returns the resolvent norms
+at its nodes, and the majorant check reads those norms instead of solving
+again.  The check reports resolvent-majorant ratios only; a pointwise
+integrand such as |z^n - e^{n(z-1)}| is for the caller to evaluate on the
+nodes ``z``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ turns the power-vs-exponential discrepancy into a Poisson average.  This
 module owns the pmf, evaluated in log space on one certified window of m by
 ``_pmf_window`` (log m! from ``math.lgamma``, so numpy is the only runtime
 dependency; built once per n), exact tail masses, and the weighted-norm split
-itself.  Infinite sums are truncated once the omitted probability mass drops below
-POISSON_MASS_TOL; the dropped mass is reported, never ignored.
+itself.  Infinite sums are truncated once the omitted probability mass drops
+below POISSON_MASS_TOL; the dropped mass is reported, never ignored.
 """
 
 from __future__ import annotations
