@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -90,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--merge", nargs="+", required=True)
     p_rep.add_argument("--out", required=True)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() on first use; parsing leaves no state in it, so later calls share it."""
+    return build_parser()
 
 
 def _emit(records, summary, args) -> int:
@@ -170,7 +177,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -15,11 +15,24 @@ Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks of 64
 nodes.  Each function is called once per pass, on the 1-D array of all the
 pass's nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
 allowed); its weighted resolvents are summed in one matrix product per block
-and function.  The quadrature's base pass also returns the resolvent norms
-at its nodes, and the majorant check reads those norms instead of solving
-again.  The check reports resolvent-majorant ratios only; a pointwise
-integrand such as |z^n - e^{n(z-1)}| is for the caller to evaluate on the
-nodes ``z``.
+and function.
+
+The majorant check needs three maxima of ||(z_j - C)^{-1}|| w(j) over the
+base nodes, not every norm, so the base pass only bounds each norm.  With
+F = ||R||_F (taken by the blow-up check), S = R / F and G = S^H S, three
+squarings give G^8, and f = F ||G^8||_F^(1/16) satisfies
+f / d^(1/32) <= ||R|| <= f, because ||G^8||_2 = ||S||^16 <= ||G^8||_F <=
+sqrt(d) ||G^8||_2.  The scaling keeps ||G^8||_2 in [d^-8, 1], so G^8
+neither underflows nor overflows for any resolvent the blow-up check lets
+through.  Both bounds are widened by the relative margin 1e-6, far above
+the rounding of the products (of relative order d^1.5 eps).  A node is
+solved again, in the same stacked solve and so to the same rows, for an
+exact norm only when its upper bound reaches the largest lower bound of one
+of the maxima; the other nodes enter the check as 0.  Every node at which a
+maximum sits is kept, so the check's maxima and verdict are those of exact
+norms at all nodes, bit for bit.  The check reports resolvent-majorant
+ratios only; a pointwise integrand such as |z^n - e^{n(z-1)}| is for the
+caller to evaluate on the nodes ``z``.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, M
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 64  # contour nodes per stacked resolvent solve
+_BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm bounds, far above their rounding
 
 
 @dataclass
@@ -106,68 +120,123 @@ def winding_number(contour: ContourNodes, z0: complex) -> complex:
     return complex(np.sum(contour.dz_weight / (contour.z - z0)) / (2j * math.pi))
 
 
+def _solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(z_j - C)^{-1} stacked over the nodes z, in one np.linalg.solve."""
+    eye = np.eye(c.shape[0], dtype=np.complex128)
+    return np.linalg.solve(z[:, None, None] * eye - c, eye)
+
+
 def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
-    """Yield (nodes, (z - C)^{-1} stacked over them) for consecutive node blocks.
+    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per node block.
 
     Each block is one stacked solve; a block of _BLOCK nodes holds 1 MiB of
     resolvents at dimension 32.
     """
-    eye = np.eye(c.shape[0], dtype=np.complex128)
     for start in range(0, len(contour), _BLOCK):
         nodes = slice(start, start + _BLOCK)
         z = contour.z[nodes]
         try:
-            r = np.linalg.solve(z[:, None, None] * eye - c, eye)
+            r = _solve(c, z)
         except np.linalg.LinAlgError as exc:
             raise ContourTooCloseError(
                 f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
             ) from exc
         # a non-finite resolvent has a NaN or infinite norm, which fails <=
-        bad = np.flatnonzero(~(np.linalg.norm(r, axis=(1, 2)) <= 1e15))
+        fro = np.linalg.norm(r, axis=(1, 2))
+        bad = np.flatnonzero(~(fro <= 1e15))
         if bad.size:
             raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
-        yield nodes, r
+        yield nodes, r, fro
 
 
-def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, norms: bool = False):
-    """The quadrature sums of fs on one node set, and ||(z - C)^{-1}|| per node if asked."""
+def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= ||r_j|| <= hi on the spectral norms of a resolvent block.
+
+    fro holds the Frobenius norms of the r_j; r is overwritten.  The bounds
+    are those of the module docstring, widened by _BOUND_MARGIN, and a node
+    whose bound is not finite gets [0, inf].
+    """
+    s = np.divide(r, fro[:, None, None], out=r)  # in place: the caller is done with r
+    g = s.conj().transpose(0, 2, 1) @ s
+    for _ in range(3):
+        g = g @ g
+    f = fro * np.linalg.norm(g, axis=(1, 2)) ** (1.0 / 16.0)
+    finite = np.isfinite(f)
+    lo = np.where(finite, f * ((1.0 - _BOUND_MARGIN) / r.shape[-1] ** (1.0 / 32.0)), 0.0)
+    return lo, np.where(finite, f * (1.0 + _BOUND_MARGIN), np.inf)
+
+
+def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, bounds: bool = False):
+    """The quadrature sums of fs on one node set, and the rows lo, hi of _norm_bounds if asked."""
     z, dim = contour.z, c.shape[0]
     weighted = [np.broadcast_to(f(z), z.shape) * contour.dz_weight for f in fs]
     acc = np.zeros((len(fs), dim * dim), dtype=np.complex128)
-    rnorm = []
-    for nodes, block in _resolvent_blocks(c, contour):
-        if norms:
-            rnorm += linalg.op_norms(block)
+    lohi = np.empty((2, len(contour))) if bounds else None
+    for nodes, block, fro in _resolvent_blocks(c, contour):
         flat = block.reshape(-1, dim * dim)
         # one product per function: a sum over the nodes never mixes two functions
         for a, w in zip(acc, weighted):
             a += w[nodes] @ flat
-    return list(acc.reshape((len(fs),) + c.shape) / (2j * math.pi)), np.asarray(rnorm)
+        if bounds:
+            lohi[:, nodes] = _norm_bounds(block, fro)
+    return list(acc.reshape((len(fs),) + c.shape) / (2j * math.pi)), lohi
 
 
-def riesz_dunford_many(fs, c, contour: ContourNodes) -> tuple[list[np.ndarray], np.ndarray]:
-    """Evaluate several functions of C on a shared resolvent sweep.
+def _majorant_candidates(contour: ContourNodes, alpha: float, lo, hi) -> np.ndarray:
+    """Indices of the nodes at which a maximum of contour_norm_bound_check can sit.
+
+    For each of its three maxima, max_j ||R_j|| w(j), a node is kept when
+    hi_j w(j) reaches the largest lo_i w(i); every node that attains a
+    maximum is kept.
+    """
+    z, arc = contour.z, contour.on_arc
+    sin_gap = math.sin(contour.alpha_prime - alpha)
+    w = 1.0 - z
+    # 1/arc_major on the arc, |1 - z| sin(alpha' - alpha) on the sides
+    side = sin_gap * np.where(arc, math.cos(contour.alpha_prime), np.hypot(w.real, w.imag))
+    dist = numrange.distance_to_D_alpha(z, alpha)
+    kept = np.zeros(len(contour), dtype=bool)
+    for weight, group in ((side, arc), (side, ~arc), (dist, np.ones_like(arc))):
+        floor = np.max((lo * weight)[group])
+        kept |= group & (hi * weight >= floor)
+    return np.flatnonzero(kept)
+
+
+def riesz_dunford_many(fs, c, contour: ContourNodes, alpha: float):
+    """Evaluate several functions of C on a shared resolvent sweep, and check the majorants.
 
     Each f in fs is called once per pass with the 1-D complex array of the
     pass's nodes, and must return an array of that shape or a scalar
     constant, as a NumPy ufunc does.  Each block of 64 nodes then adds one
     matrix product per function.
 
-    Returns (values, rnorm): values[i] approximates fs[i](C), and rnorm[j]
-    is ||(z_j - C)^{-1}|| at node j of the given contour, the input of
-    contour_norm_bound_check.  The node set is doubled until every value
-    agrees with its previous refinement to CONTOUR_QUAD_TOL in spectral norm.
-    Raises ContourTooCloseError when that takes more than CONTOUR_NODE_CAP
-    nodes.
+    Returns (values, report): values[i] approximates fs[i](C), and report is
+    contour_norm_bound_check on the given contour for 0 <= alpha < alpha'.
+    The base pass bounds ||(z_j - C)^{-1}|| at every node; only the nodes
+    whose bounds let them hold one of the check's three maxima are solved
+    again, in stacks of 64, for an exact norm, and every other node enters
+    the check as 0.  Each maximum sits at a kept node, so the report equals
+    the one of exact norms at all nodes bit for bit.  The node set is doubled until
+    every value agrees with its previous refinement to CONTOUR_QUAD_TOL in
+    spectral norm.  Raises InvalidInputError for an alpha outside
+    [0, alpha') before solving, and ContourTooCloseError when the
+    quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
+    _check_alpha(alpha, contour.alpha_prime)
     a = linalg.as_operator(c)
-    results, rnorm = _evaluate_many(fs, a, contour, norms=True)
+    results, (lo, hi) = _evaluate_many(fs, a, contour, bounds=True)
+    kept = _majorant_candidates(contour, alpha, lo, hi)
+    rnorm = np.zeros(len(contour))
+    for start in range(0, kept.size, _BLOCK):  # _BLOCK at a time bounds the memory
+        chunk = kept[start:start + _BLOCK]
+        rnorm[chunk] = linalg.op_norms(_solve(a, contour.z[chunk]))
+    report = contour_norm_bound_check(contour, rnorm, alpha)
     while True:
         contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
         refined, _ = _evaluate_many(fs, a, contour)
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
-            return refined, rnorm
+            return refined, report
         if len(contour) * 2 > CONTOUR_NODE_CAP:
             raise ContourTooCloseError(
                 f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
@@ -186,18 +255,23 @@ class ContourCheckReport:
     passed: bool
 
 
+def _check_alpha(alpha: float, alpha_prime: float) -> None:
+    if not 0.0 <= alpha < alpha_prime:
+        raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
+
+
 def contour_norm_bound_check(contour: ContourNodes, rnorm, alpha: float) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
-    rnorm holds ||(z - C)^{-1}|| at every node of the contour, as
-    riesz_dunford_many returns it; nothing is solved here.  With alpha' the
+    rnorm holds one resolvent norm ||(z - C)^{-1}|| per node of the contour;
+    nothing is solved here.  riesz_dunford_many passes exact norms at the
+    nodes that can hold a maximum and 0 at the others.  With alpha' the
     contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
     carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
     """
     alpha_prime = contour.alpha_prime
-    if not 0.0 <= alpha < alpha_prime:
-        raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
+    _check_alpha(alpha, alpha_prime)
     rnorm = np.asarray(rnorm, dtype=float)
     if rnorm.shape != (len(contour),):
         raise InvalidInputError(

@@ -318,13 +318,15 @@ def _contour_sweep(c, nodes, ns, alpha):
     """Contour reconstructions of C^n(1 - C) and C^n - e^{n(C-1)}, and the resolvent majorants.
 
     Returns ([(n, ritt_error, gap_error) for n in ns], report): spectral norms
-    against C^n (1 - C) and the Chernoff pair, and contour_norm_bound_check on
-    the quadrature's resolvent norms.
+    against C^n (1 - C) and the Chernoff pair, and the majorant report of
+    riesz_dunford_many, whose three maxima are exact resolvent norms at the
+    nodes where they sit (the other nodes' norms are only bounded, and no
+    maximum can sit there).
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
-    got, rnorm = contour.riesz_dunford_many(fs, c, nodes)
+    got, report = contour.riesz_dunford_many(fs, c, nodes, alpha)
     diffs = []
     for idx, n in enumerate(ns):
         cn = approximants.chernoff_power(c, n)
@@ -332,7 +334,7 @@ def _contour_sweep(c, nodes, ns, alpha):
         diffs.append(got[idx + len(ns)] - (cn - approximants.chernoff_exp(c, n)))
     norms = linalg.op_norms(np.stack(diffs))
     errors = [(n, norms[2 * k], norms[2 * k + 1]) for k, n in enumerate(ns)]
-    return errors, contour.contour_norm_bound_check(nodes, rnorm, alpha)
+    return errors, report
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,30 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 
 
+def test_parser_is_built_once_per_process(run_main, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        first = run_main("verify", "not_a_kind")
+        assert run_main("constants", "--alpha", "0.1").returncode == 0
+        again = run_main("verify", "not_a_kind")
+        # flags left out of a later call stay absent: nothing carries over
+        assert "dim" in vars(cli._parser().parse_args(["verify", "sqrt_n", "--dim", "3"]))
+        assert "dim" not in vars(cli._parser().parse_args(["verify", "sqrt_n"]))
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert first.returncode == again.returncode == 2
+    assert first.stderr == again.stderr and "invalid choice" in first.stderr
+
+
 def test_t_zero_domain(tmp_path):
     # Phi(0) = 1 in every contraction family, so the Chernoff-pair kinds accept t = 0
     for kind in ("chernoff_product", "trotter_product", "euler", "euler_rate", "dunford_segal"):

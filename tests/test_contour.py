@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiapprox import approximants, contour, ensembles, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
-from semiapprox.harness import ExperimentConfig, run_experiment
+from semiapprox.harness import ExperimentConfig, _resolvent_draws, run_experiment
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
@@ -16,7 +19,14 @@ def certified_resolvent(dim, alpha, seed, t=1.0):
 
 
 def majorant_report(c, alpha, nodes):
-    _, rnorm = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, nodes, alpha)
+    return report
+
+
+def per_node_report(c, nodes, alpha):
+    # the check on exact norms at every node, each from its own solve
+    eye = np.eye(c.shape[0], dtype=complex)
+    rnorm = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
     return contour.contour_norm_bound_check(nodes, rnorm, alpha)
 
 
@@ -59,14 +69,14 @@ def test_build_contour_validation():
 def test_cauchy_formula_identity():
     c = certified_resolvent(4, math.pi / 8, 1001)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
-    (got,), _ = contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+    (got,), _ = contour.riesz_dunford_many([lambda z: 1.0], c, nodes, math.pi / 8)
     assert linalg.op_norm(got - np.eye(4)) <= 1e-8
 
 
 def test_scalar_ritt_reconstruction():
     nodes = contour.build_contour(math.pi / 4)
     c = np.array([[0.5]], dtype=complex)
-    (got,), _ = contour.riesz_dunford_many([lambda z: z * (1.0 - z)], c, nodes)
+    (got,), _ = contour.riesz_dunford_many([lambda z: z * (1.0 - z)], c, nodes, 0.0)
     assert abs(got[0, 0] - 0.25) <= 1e-8
 
 
@@ -78,11 +88,13 @@ def test_matrix_reconstruction_oracle():
         eye = np.eye(5)
         for n in (1, 4, 16):
             direct = linalg.mat_pow(c, n) @ (eye - c)
-            (got,), _ = contour.riesz_dunford_many([lambda z, n=n: z**n * (1.0 - z)], c, nodes)
+            (got,), _ = contour.riesz_dunford_many(
+                [lambda z, n=n: z**n * (1.0 - z)], c, nodes, alpha
+            )
             assert linalg.op_norm(got - direct) <= 1e-7
             direct = linalg.mat_pow(c, n) - linalg.expm(n * (c - eye))
             (got,), _ = contour.riesz_dunford_many(
-                [lambda z, n=n: z**n - np.exp(n * (z - 1.0))], c, nodes
+                [lambda z, n=n: z**n - np.exp(n * (z - 1.0))], c, nodes, alpha
             )
             assert linalg.op_norm(got - direct) <= 1e-7
 
@@ -91,9 +103,9 @@ def test_riesz_dunford_many_matches_single():
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     fs = [lambda z: 1.0, lambda z: z * (1 - z)]
-    batch, _ = contour.riesz_dunford_many(fs, c, nodes)
+    batch, _ = contour.riesz_dunford_many(fs, c, nodes, math.pi / 8)
     for f, got in zip(fs, batch):
-        (single,), _ = contour.riesz_dunford_many([f], c, nodes)
+        (single,), _ = contour.riesz_dunford_many([f], c, nodes, math.pi / 8)
         assert np.array_equal(got, single)
 
 
@@ -125,31 +137,123 @@ def test_contour_check_validation():
 
 
 def test_rnorm_is_op_norm_of_per_node_solves():
+    # the majorant report reads exact norms wherever a maximum sits
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
-    _, rnorm = contour.riesz_dunford_many([lambda z: z], c, nodes)
-    eye = np.eye(3, dtype=complex)
-    want = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
-    assert np.array_equal(rnorm, want)
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, math.pi / 8)
+    assert report == per_node_report(c, nodes, math.pi / 8)
+
+
+def _scaled_resolvent(dim, alpha, seed, t, exponent):
+    # C with ||(z - C)^{-1}|| about 10^exponent on the contour: for
+    # exponent <= 0, 10^-exponent C; above 0, D C D^{-1} with D diagonal of
+    # condition number 10^exponent
+    c = approximants.resolvent_family(ensembles.random_m_sectorial(dim, alpha, seed))(t)
+    if exponent <= 0 or dim == 1:
+        return 10.0 ** -min(exponent, 0) * c
+    d = 10.0 ** np.linspace(0.0, exponent, dim)
+    return d[:, None] * c / d
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 16),
+    alpha=st.sampled_from([0.0, math.pi / 16, math.pi / 8, math.pi / 4]),
+    t=st.sampled_from([0.25, 1.0, 4.0]),
+    seed=st.integers(0, 2**16),
+    exponent=st.floats(-19.0, 13.0),
+)
+def test_majorant_report_equals_check_of_all_exact_norms(dim, alpha, t, seed, exponent):
+    # the zero integrand converges at once, so resolvents of any size can be
+    # checked; at 1e-19 an unscaled (R^H R)^8 would be subnormal
+    c = _scaled_resolvent(dim, alpha, seed, t, exponent)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+
+
+def test_candidate_solves_match_the_pass_rows():
+    alpha = math.pi / 8
+    c = certified_resolvent(5, alpha, 3000)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    rows = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
+    _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
+    kept = contour._majorant_candidates(nodes, alpha, lo, hi)
+    assert 0 < kept.size < len(nodes)
+    assert np.array_equal(contour._solve(c, nodes.z[kept]), rows[kept])
+
+
+def test_norm_bounds_hold_the_exact_norms():
+    alpha = math.pi / 8
+    c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
+    exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+    assert np.all(hi <= lo * 6 ** (1 / 32) * (1 + 3e-6))
+
+
+def test_default_draws_take_few_exact_norms(monkeypatch):
+    # the op_norms calls ahead of the first refinement take the exact norms
+    config = ExperimentConfig("contour_reconstruction")
+    base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
+    events = []
+    op_norms, build = linalg.op_norms, contour.build_contour
+
+    def counting(stack):
+        events.append(len(stack))
+        return op_norms(stack)
+
+    def refining(*args):
+        events.append("refine")
+        return build(*args)
+
+    monkeypatch.setattr(linalg, "op_norms", counting)
+    monkeypatch.setattr(contour, "build_contour", refining)
+    draws, _ = _resolvent_draws(config)
+    assert draws
+    for _, c, _ in draws:
+        events.clear()
+        contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
+        assert 0 < sum(events[:events.index("refine")]) <= len(base) // 4
+
+
+def test_bad_alpha_is_refused_before_solving(monkeypatch):
+    def no_solves(c, nodes):
+        raise AssertionError("solved before checking alpha")
+
+    monkeypatch.setattr(contour, "_resolvent_blocks", no_solves)
+    nodes = contour.build_contour(1.0)
+    c = np.diag([0.2, 0.5]).astype(complex)
+    for alpha in (-0.1, 1.0, 1.2, math.nan):
+        with pytest.raises(InvalidInputError, match="need 0 <= alpha < alpha' < pi/2"):
+            contour.riesz_dunford_many([lambda z: 1.0], c, nodes, alpha)
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # one base pass and one refinement at twice the nodes; the majorant
-    # check reads the base pass's norms and solves nothing
-    solved = []
-    blocks = contour._resolvent_blocks
+    # check solves only its candidate nodes again, in one stacked solve
+    # between the two passes
+    solved, blocked = [], []
+    blocks, solve = contour._resolvent_blocks, contour._solve
 
     def counting_blocks(c, nodes):
-        for sl, r in blocks(c, nodes):
-            solved.append(len(r))
-            yield sl, r
+        for sl, r, fro in blocks(c, nodes):
+            blocked.append(len(r))
+            yield sl, r, fro
+
+    def counting_solve(c, z):
+        solved.append(len(z))
+        return solve(c, z)
 
     monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
+    monkeypatch.setattr(contour, "_solve", counting_solve)
     config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
     base = contour.build_contour(result.summary["alpha_prime"])
-    assert sum(solved) == 3 * len(base)
+    assert sum(blocked) == 3 * len(base)
+    assert solved == [64] * 16 + [22] + [64] * 32
 
 
 def test_spectrum_on_node_raises_too_close():
@@ -157,7 +261,7 @@ def test_spectrum_on_node_raises_too_close():
     z0 = complex(nodes.z[len(nodes) // 2])
     c = z0 * np.eye(2, dtype=complex)
     with pytest.raises(contour.ContourTooCloseError):
-        contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes, 0.0)
 
 
 def test_unconverged_quadrature_raises(monkeypatch):
@@ -166,7 +270,7 @@ def test_unconverged_quadrature_raises(monkeypatch):
     monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
     c = certified_resolvent(3, math.pi / 8, 3000)
     with pytest.raises(contour.ContourTooCloseError, match="4096 nodes"):
-        contour.riesz_dunford_many([lambda z: z], c, contour.build_contour(1.0))
+        contour.riesz_dunford_many([lambda z: z], c, contour.build_contour(1.0), math.pi / 8)
 
 
 def test_resolvent_blocks_match_per_node_solves():
@@ -174,7 +278,7 @@ def test_resolvent_blocks_match_per_node_solves():
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     eye = np.eye(3, dtype=complex)
-    got = np.concatenate([r for _, r in contour._resolvent_blocks(c, nodes)])
+    got = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
     want = np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z])
     assert np.array_equal(got, want)
 
@@ -184,7 +288,7 @@ def test_resolvent_blow_up_raises_too_close():
     z0 = complex(nodes.z[100])
     c = np.diag([z0 + 4e-16, 0.1])
     with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
-        contour.riesz_dunford_many([lambda z: 1.0], c, nodes)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes, 0.0)
 
 
 def test_each_function_runs_once_per_pass():
@@ -202,7 +306,7 @@ def test_each_function_runs_once_per_pass():
     c = certified_resolvent(4, math.pi / 8, 3000)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
-    contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes)
+    contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes, math.pi / 8)
     assert calls == [[(1024,), (2048,)]] * 2
 
 
@@ -276,6 +380,6 @@ def test_block_sums_match_per_node_formula(dim):
         lambda z: z**3 * (1.0 - z),
         lambda z: np.exp(4.0 * (z - 1.0)),
     ]
-    got, _ = contour.riesz_dunford_many(fs, c, nodes)
+    got, _ = contour.riesz_dunford_many(fs, c, nodes, alpha)
     for g, want in zip(got, _reference_many(fs, c, nodes)):
         assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))

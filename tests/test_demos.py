@@ -1,4 +1,8 @@
-"""Smoke test: every script under ``demos/`` runs to completion."""
+"""Smoke test: every script under ``demos/`` runs to completion.
+
+The stdout of the demos in ``PINNED`` must also equal its golden file,
+``tests/golden/demo_<name>.txt``.
+"""
 
 import os
 import pathlib
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = {"06_contour_calculus"}  # its majorant lines are the contour check's three maxima
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -19,3 +24,5 @@ def test_demo_runs(demo, tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.stem in PINNED:
+        assert proc.stdout == (ROOT / "tests" / "golden" / f"demo_{demo.stem}.txt").read_text()
