@@ -26,7 +26,7 @@ sqrt(d) ||G^8||_2.  The scaling keeps ||G^8||_2 in [d^-8, 1], so G^8
 neither underflows nor overflows for any resolvent the blow-up check lets
 through.  Both bounds are widened by the relative margin 1e-6, far above
 the rounding of the products (of relative order d^1.5 eps).  A node is
-solved again, in the same stacked solve and so to the same rows, for an
+solved again, by the same stacked solve and so to the same rows, for an
 exact norm only when its upper bound reaches the largest lower bound of one
 of the maxima; the other nodes enter the check as 0.  Every node at which a
 maximum sits is kept, so the check's maxima and verdict are those of exact
@@ -152,11 +152,12 @@ def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
 def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= ||r_j|| <= hi on the spectral norms of a resolvent block.
 
-    fro holds the Frobenius norms of the r_j; r is overwritten.  The bounds
-    are those of the module docstring, widened by _BOUND_MARGIN, and a node
-    whose bound is not finite gets [0, inf].
+    fro holds the Frobenius norms of the r_j; r is overwritten, so call
+    this after the quadrature has used the block.  The bounds are those of
+    the module docstring, widened by _BOUND_MARGIN, and a node whose bound
+    is not finite gets [0, inf].
     """
-    s = np.divide(r, fro[:, None, None], out=r)  # in place: the caller is done with r
+    s = np.divide(r, fro[:, None, None], out=r)
     g = s.conj().transpose(0, 2, 1) @ s
     for _ in range(3):
         g = g @ g
@@ -202,7 +203,9 @@ def _majorant_candidates(contour: ContourNodes, alpha: float, lo, hi) -> np.ndar
     return np.flatnonzero(kept)
 
 
-def riesz_dunford_many(fs, c, contour: ContourNodes, alpha: float):
+def riesz_dunford_many(
+    fs, c, contour: ContourNodes, alpha: float
+) -> tuple[list[np.ndarray], ContourCheckReport]:
     """Evaluate several functions of C on a shared resolvent sweep, and check the majorants.
 
     Each f in fs is called once per pass with the 1-D complex array of the
@@ -216,11 +219,11 @@ def riesz_dunford_many(fs, c, contour: ContourNodes, alpha: float):
     whose bounds let them hold one of the check's three maxima are solved
     again, in stacks of 64, for an exact norm, and every other node enters
     the check as 0.  Each maximum sits at a kept node, so the report equals
-    the one of exact norms at all nodes bit for bit.  The node set is doubled until
-    every value agrees with its previous refinement to CONTOUR_QUAD_TOL in
-    spectral norm.  Raises InvalidInputError for an alpha outside
-    [0, alpha') before solving, and ContourTooCloseError when the
-    quadrature takes more than CONTOUR_NODE_CAP nodes.
+    the one of exact norms at all nodes bit for bit.  The node set is
+    doubled until every value agrees with its previous refinement to
+    CONTOUR_QUAD_TOL in spectral norm.  Raises InvalidInputError for an
+    alpha outside [0, alpha') before solving, and ContourTooCloseError when
+    the quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
     _check_alpha(alpha, contour.alpha_prime)
     a = linalg.as_operator(c)

@@ -144,14 +144,16 @@ def test_rnorm_is_op_norm_of_per_node_solves():
     assert report == per_node_report(c, nodes, math.pi / 8)
 
 
-def _scaled_resolvent(dim, alpha, seed, t, exponent):
-    # C with ||(z - C)^{-1}|| about 10^exponent on the contour: for
+def _scaled_resolvent(dim, alpha, seed, t, exponent, nodes):
+    # C with ||(z - C)^{-1}|| up to about 10^exponent on the nodes: for
     # exponent <= 0, 10^-exponent C; above 0, D C D^{-1} with D diagonal of
-    # condition number 10^exponent
+    # condition number 10^exponent / (the largest ||(z - C)^{-1}||_F), so
+    # that no resolvent reaches the blow-up check's 1e15
     c = approximants.resolvent_family(ensembles.random_m_sectorial(dim, alpha, seed))(t)
-    if exponent <= 0 or dim == 1:
-        return 10.0 ** -min(exponent, 0) * c
-    d = 10.0 ** np.linspace(0.0, exponent, dim)
+    if exponent <= 0:
+        return 10.0 ** -exponent * c
+    peak = max(np.max(fro) for _, _, fro in contour._resolvent_blocks(c, nodes))
+    d = 10.0 ** np.linspace(0.0, max(exponent - math.log10(peak), 0.0), dim)
     return d[:, None] * c / d
 
 
@@ -161,13 +163,13 @@ def _scaled_resolvent(dim, alpha, seed, t, exponent):
     alpha=st.sampled_from([0.0, math.pi / 16, math.pi / 8, math.pi / 4]),
     t=st.sampled_from([0.25, 1.0, 4.0]),
     seed=st.integers(0, 2**16),
-    exponent=st.floats(-19.0, 13.0),
+    exponent=st.floats(-19.0, 14.0),
 )
 def test_majorant_report_equals_check_of_all_exact_norms(dim, alpha, t, seed, exponent):
     # the zero integrand converges at once, so resolvents of any size can be
     # checked; at 1e-19 an unscaled (R^H R)^8 would be subnormal
-    c = _scaled_resolvent(dim, alpha, seed, t, exponent)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    c = _scaled_resolvent(dim, alpha, seed, t, exponent, nodes)
     _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
@@ -185,8 +187,8 @@ def test_candidate_solves_match_the_pass_rows():
 
 def test_norm_bounds_hold_the_exact_norms():
     alpha = math.pi / 8
-    c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0, nodes)
     _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
     exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
     assert np.all(lo <= exact) and np.all(exact <= hi)
@@ -232,7 +234,7 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # one base pass and one refinement at twice the nodes; the majorant
-    # check solves only its candidate nodes again, in one stacked solve
+    # check solves only its candidate nodes again, in stacks of at most 64
     # between the two passes
     solved, blocked = [], []
     blocks, solve = contour._resolvent_blocks, contour._solve
