@@ -214,7 +214,7 @@ def _resolvent_draws(config: ExperimentConfig):
         if t_res <= 0.0:
             raise InvalidInputError(f"t must be positive, got {t_res}")
         c = approximants.resolvent_family(_sectorial(config, i))(t_res)
-        if numrange.certify_quasi_sectorial(c, config.alpha, 256).passed:
+        if numrange.quasi_sectorial(c, config.alpha, 256):
             draws.append((i, c, t_res))
     return draws, config.trials - len(draws)
 
@@ -480,7 +480,7 @@ def _run_dunford_segal(config: ExperimentConfig):
     two_step: dict[str, list[tuple[int, float, float]]] = {}
     for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
         steps = two_step.setdefault(rid, [])
-        if not numrange.certify_quasi_sectorial(step, config.alpha, 64).passed:
+        if not numrange.quasi_sectorial(step, config.alpha, 64):
             failures += 1
             continue
         ds = approximants.chernoff_exp(step, n)

@@ -30,6 +30,8 @@ _FIELD_TYPES = typing.get_type_hints(ErrorRecord)
 CSV_HEADER = ",".join(_FIELD_TYPES)
 # the cell separator and every line boundary of str.splitlines, which parse_report reads rows with
 _CSV_REFUSED = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# %.17g spells nan, inf, -inf, -0.0 and subnormals as format(x, ".17g") does
+_CSV_ROW = "%s,%d,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = None) -> bytes:
@@ -43,8 +45,8 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
                 raise InvalidInputError(
                     f"experiment_id {r.experiment_id!r} holds ',' or a line break, which CSV cannot carry"
                 )
-            floats = (format(x, ".17g") for x in (r.t, r.empirical, r.bound, r.ratio))
-            lines.append(",".join((r.experiment_id, str(r.n), *floats, "true" if r.passed else "false")))
+            lines.append(_CSV_ROW % (r.experiment_id, r.n, r.t, r.empirical, r.bound, r.ratio,
+                                     "true" if r.passed else "false"))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = {

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import contour, linalg
+from semiapprox import contour, linalg, numrange
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
@@ -228,3 +228,16 @@ def test_stacked_norms_keep_order_across_chunks(monkeypatch):
     assert stack_sizes == [128, 128, 4]
     assert list(_stacked_norms([])) == []
     assert stack_sizes == [128, 128, 4]
+
+
+@pytest.mark.parametrize("kind", ["dunford_segal", "ritt", "contour_reconstruction"])
+def test_default_configs_certify_from_the_polygon(monkeypatch, kind):
+    # every quasi-sectoriality check of a default run is decided by the outer
+    # polygon; the only sweeps left are dunford_segal's generator sector checks
+    sweeps = []
+    sweep = numrange.numerical_range_boundary
+    monkeypatch.setattr(numrange, "numerical_range_boundary", lambda c, k: sweeps.append(k) or sweep(c, k))
+    config = ExperimentConfig(kind)
+    result = run_experiment(config)
+    assert result.summary["certification_failures"] == 0
+    assert sweeps == ([256] * config.trials if kind == "dunford_segal" else [])

@@ -279,3 +279,119 @@ def test_normal_matrix_hull_oracle():
         c = (u * lam) @ u.conj().T
         pts = numrange.numerical_range_boundary(c, 256)
         assert hull_support_gap(pts, lam) <= 1e-6
+
+
+def polygon_certifies(c, alpha, k):
+    """quasi_sectorial with a sweep fallback that answers False, so True comes from the polygon."""
+    with pytest.MonkeyPatch.context() as mp:
+        failed = numrange.SectorCertificate(np.empty(0), passed=False)
+        mp.setattr(numrange, "certify_quasi_sectorial", lambda *args: failed)
+        return numrange.quasi_sectorial(c, alpha, k)
+
+
+def _draw(kind, dim, seed, scale):
+    if kind == "contraction":
+        return scale * ensembles.random_contraction(dim, seed)
+    if kind == "step":
+        # a step 1 - sA of an m-sectorial generator A
+        a = ensembles.random_m_sectorial(dim, math.pi / 4, seed)
+        return np.eye(dim) - scale * a / np.linalg.norm(a, 2)
+    lam = complex(*np.random.default_rng(seed).uniform(-1.0, 1.0, 2))
+    return np.array([[lam, 2.0 * scale * np.exp(1j * seed)], [0.0, lam]])
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(("contraction", "step", "jordan")),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.001, 1.0),
+    _alpha,
+    st.sampled_from((16, 64, 256)),
+)
+def test_polygon_certifies_only_what_the_sweep_passes(kind, dim, seed, scale, alpha, k):
+    c = _draw(kind, dim, seed, scale)
+    if polygon_certifies(c, alpha, k):
+        assert numrange.certify_quasi_sectorial(c, alpha, k).passed
+
+
+def test_polygon_certificate_is_not_vacuous():
+    # the draws of the property test reach both answers of the polygon
+    answers = {
+        polygon_certifies(_draw(kind, 4, seed, 0.5), alpha, 64)
+        for kind in ("contraction", "step", "jordan")
+        for seed in range(8)
+        for alpha in (0.2, 1.4)
+    }
+    assert answers == {True, False}
+
+
+def refuse_eigensolves(monkeypatch, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue problem was solved that should not have been")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def _jordan(lam, radius, phase):
+    # W(J) is the disc |z - lam| <= radius
+    return np.array([[lam, 2.0 * radius * np.exp(1j * phase)], [0.0, lam]])
+
+
+def test_jordan_discs_inside_D_alpha_certify_from_the_polygon(monkeypatch):
+    # for a real centre x in [0, 1) the distance to the edge of D(alpha) is
+    # (1 - x) sin(alpha); the 16-gon round a disc of radius r reaches 1.02 r
+    refuse_eigensolves(monkeypatch, "eigh")  # no eigenvectors: the sweep never runs
+    for alpha in (0.1, math.pi / 8, math.pi / 4, 1.2, math.pi / 2 - 1e-3):
+        s = math.sin(alpha)
+        discs = [(x, 0.9 * (1.0 - x) * s) for x in (0.0, 0.3, 0.7, 0.95)]
+        discs += [(0.5 * s * np.exp(1j * psi), 0.45 * s) for psi in (0.5, 2.0, 3.0, -2.5)]
+        for lam, radius in discs:
+            for phase in (0.0, 1.0, 2.5):
+                for k in (16, 64, 256):
+                    assert numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha, k), (alpha, lam, k)
+
+
+def test_jordan_discs_poking_out_of_D_alpha_fail_through_the_sweep(monkeypatch):
+    sweeps = []
+    certify = numrange.certify_quasi_sectorial
+    monkeypatch.setattr(
+        numrange, "certify_quasi_sectorial", lambda *args: sweeps.append(args) or certify(*args)
+    )
+    cases = 0
+    for alpha in (0.0, 0.1, math.pi / 8, math.pi / 4, 1.2):
+        s = math.sin(alpha)
+        discs = [(x, 1.1 * (1.0 - x) * s + 1e-3) for x in (0.0, 0.3, 0.7, 0.95)]
+        discs += [(-0.5 * s, 0.6 * s + 1e-3), (0.3j, abs(0.3j - 1.0) + 1e-3)]
+        for lam, radius in discs:
+            for phase in (0.0, 1.0, 2.5):
+                for k in (16, 64, 256):
+                    assert not numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha, k)
+                    cases += 1
+    assert len(sweeps) == cases
+
+
+def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
+    # 100 angles are 50 eigenvalue solves, each giving an angle and its antipode
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    refuse_eigensolves(monkeypatch, "eigh")
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    assert numrange.quasi_sectorial(np.eye(3), 0.0, 100)
+    assert shapes == [(32, 3, 3), (18, 3, 3)]
+
+
+@pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
+def test_bad_alpha_is_refused_before_any_eigensolve(monkeypatch, alpha):
+    refuse_eigensolves(monkeypatch, "eigh", "eigvalsh")
+    for check in (numrange.certify_quasi_sectorial, numrange.quasi_sectorial):
+        with pytest.raises(InvalidInputError):
+            check(np.eye(2) / 2, alpha, 64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quasi_sectorial_refuses_what_the_sweep_refuses():
+    for c, k in ((np.eye(2), 8), (np.eye(1), 33), (np.full((2, 2), 1e308), 16), (np.full((4, 4), 0.8e308), 16)):
+        with pytest.raises(InvalidInputError):
+            numrange.quasi_sectorial(c, 0.5, k)
