@@ -44,6 +44,12 @@ def as_operator(m) -> np.ndarray:
     return _checked(a, 2)
 
 
+def as_operator_stack(m) -> np.ndarray:
+    """Validate and return ``m`` as a (k, d, d) complex128 stack; one matrix is a stack of one."""
+    a = np.asarray(m, dtype=np.complex128)
+    return _checked(a, 3) if a.ndim == 3 else as_operator(a)[None]
+
+
 def op_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     a = as_operator(m)

@@ -9,11 +9,20 @@ a disc around the origin glued to a wedge with vertex at z = 1.  A contraction
 is quasi-sectorial for semi-angle alpha when its numerical range W(C) sits
 inside D(alpha); that inclusion is what this module certifies numerically.
 
-``quasi_sectorial`` tries an outer polygon first: the supporting lines
+Both checks here decide from the outside first.  The supporting lines
 Re(e^{i theta} z) <= lambda_max(H_theta) enclose W(C) (Johnson, SIAM J.
-Numer. Anal. 15, 1978) and need only eigenvalues.  When the polygon does not
-fit in D(alpha) it falls back to ``certify_quasi_sectorial``, the inside sweep
-of boundary points x* C x, whose points the ``numrange`` command reports.
+Numer. Anal. 15, 1978) and need only eigenvalues; ``_support_values`` forms
+the Hermitian parts H_theta and the backward-error bound that raises each
+lambda_max, for both checks.
+
+- ``quasi_sectorial`` (W(C) in D(alpha)) takes the outer polygon of k such
+  lines, for one matrix or a stack of them.
+- ``sectorial`` (W(A) in the sector |arg z| <= alpha) takes the two lines at
+  the edge normals of the sector, whose half-planes make up the sector.
+
+When the outside test does not settle it, each falls back to the inside sweep
+of boundary points x* C x: ``certify_quasi_sectorial``, whose points the
+``numrange`` command reports, or ``in_sector`` on the points.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .errors import InvalidInputError, NotAContractionError
 from .tolerances import CONTRACTION_INPUT_TOL, MAX_SWEEP_ANGLES, SEMI_ANGLE_TOL, TOL_GEO
 
 
-_ANGLE_CHUNK = 32  # angles per stacked eigh: 0.5 MB stack at d = 32, and as much again in eigenvectors
+_ANGLE_CHUNK = 32  # Hermitian parts per eigh or eigvalsh: 0.5 MB at d = 32, as much again in eigenvectors
 
 
 def _check_angles(k) -> None:
@@ -45,21 +54,57 @@ def _check_alpha(alpha) -> None:
         raise InvalidInputError(f"alpha must lie in [0, pi/2), got {alpha}")
 
 
-def _hermitian_parts(a: np.ndarray, k: int):
-    """Yield (lo, hi, H): the Hermitian parts of e^{i theta_j} C, theta_j = 2 pi j / k,
-    stacked for the angles lo <= j < hi, in chunks of _ANGLE_CHUNK angles j < k/2.
+def _sweep_angles(k: int) -> np.ndarray:
+    """The angles theta_j = 2 pi j / k, j < k/2, of a k-angle sweep that are solved."""
+    return 2.0 * math.pi * np.arange(k // 2) / k
+
+
+def _sector_normals(alpha: float) -> np.ndarray:
+    """The outer normals theta = +-(beta + pi/2) of the edges of the sector |arg z| <= beta,
+    beta = alpha + TOL_GEO."""
+    normal = alpha + TOL_GEO + math.pi / 2
+    return np.array([normal, -normal])
+
+
+def _hermitian_parts(a: np.ndarray, thetas: np.ndarray):
+    """Yield (lo, hi, H) for a (m, d, d) stack a and n angles thetas: H stacks the
+    Hermitian parts of e^{i theta_j} a_i for the flat indices lo <= i n + j < hi,
+    in chunks of _ANGLE_CHUNK; the last chunk may be partial.
 
     A Hermitian part that overflows raises InvalidInputError.
     """
-    half = k // 2
-    phases = np.exp(1j * (2.0 * math.pi * np.arange(half) / k))
-    for lo in range(0, half, _ANGLE_CHUNK):
-        hi = min(lo + _ANGLE_CHUNK, half)
-        rotated = phases[lo:hi, None, None] * a
+    n = len(thetas)
+    phases = np.exp(1j * thetas)
+    for lo in range(0, len(a) * n, _ANGLE_CHUNK):
+        p = np.arange(lo, min(lo + _ANGLE_CHUNK, len(a) * n))
+        rotated = a[p // n]
+        # phase times matrix, in this order: NumPy's matrix times phase can differ in the last bit
+        np.multiply(phases[p % n, None, None], rotated, out=rotated)
         herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
         if not np.all(np.isfinite(herm)):
             raise InvalidInputError("the Hermitian part of e^{i theta} C overflows")
-        yield lo, hi, herm
+        yield lo, lo + len(p), herm
+
+
+def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Upper bounds h on the support values of W(a_i) at theta_j and theta_j + pi.
+
+    For a (m, d, d) stack and n angles, h has shape (m, 2, n).  The support
+    value of W(A) at theta is lambda_max(H_theta), so h[i, 0, j] is the top
+    eigenvalue of H_theta_j and h[i, 1, j] minus the bottom one, as
+    H_{theta + pi} = -H_theta; one ``np.linalg.eigvalsh`` per chunk of
+    ``_hermitian_parts`` gives both.  Each value is raised by 64 d u ||a_i||_F
+    (u = 2^-53), a bound on the backward error of forming H_theta and solving
+    for its eigenvalues, so h is at least the exact support value.
+    """
+    n = len(thetas)
+    h = np.empty((len(a) * n, 2))
+    for lo, hi, herm in _hermitian_parts(a, thetas):
+        w = np.linalg.eigvalsh(herm)
+        h[lo:hi, 0] = w[:, -1]
+        h[lo:hi, 1] = -w[:, 0]
+    slack = 64 * a.shape[-1] * 2.0**-53 * np.linalg.norm(a, axis=(1, 2))
+    return h.reshape(len(a), n, 2).transpose(0, 2, 1) + slack[:, None, None]
 
 
 def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
@@ -87,7 +132,7 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
     points = np.empty(k, dtype=np.complex128)
     # an overflow is refused by the finiteness checks, so NumPy need not warn of it first
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, herm in _hermitian_parts(a, k):
+        for lo, hi, herm in _hermitian_parts(a[None], _sweep_angles(k)):
             _, v = np.linalg.eigh(herm)
             # the top eigenvector gives angle j, the bottom one angle j + k/2
             for x, shift in ((v[:, :, -1:], 0), (v[:, :, :1], half)):
@@ -191,44 +236,68 @@ def certify_quasi_sectorial(c, alpha: float, k: int = 256) -> SectorCertificate:
     )
 
 
-def quasi_sectorial(c, alpha: float, k: int = 256) -> bool:
+def quasi_sectorial(c, alpha: float, k: int = 256):
     """Whether W(C) lies in D(alpha): ``certify_quasi_sectorial(c, alpha, k).passed``,
     decided from the outer polygon of W(C) when it fits.
 
-    The support value of W(C) at theta_j = 2 pi j / k is lambda_max(H_theta_j);
-    one stacked ``np.linalg.eigvalsh`` per _ANGLE_CHUNK angles j < k/2 gives it
-    at theta_j (top eigenvalue) and at theta_j + pi (minus the bottom one).
-    Each value h_j is raised by 64 d u ||C||_F (u = 2^-53), a bound on the
-    backward error of forming H_theta and solving for its eigenvalues, so h_j
-    is at least the exact support value.  The vertex v_j is where the lines
-    Re(e^{i theta} z) = h at theta_j and theta_{j+1} meet.  Every direction
-    between two adjacent normals is a nonnegative combination of them, so the
-    support function of W(C) there is at most that of v_j, and W(C) lies in
-    the hull of the v_j.  When every v_j is within TOL_GEO/2 of the convex
-    D(alpha), so is all of W(C), and every point of the inside sweep, rounding
-    included, passes its TOL_GEO test: the answer is True without the sweep.
-    Otherwise the answer is the sweep's.  k is checked as by
+    ``c`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
+    with a list of m bools; one matrix is checked as a stack of one.  The
+    support values h_j of each matrix at theta_j = 2 pi j / k, raised by
+    their backward-error bound, come from ``_support_values``: one stacked
+    ``np.linalg.eigvalsh`` per _ANGLE_CHUNK pairs of a matrix and an angle
+    j < k/2, each giving theta_j and theta_j + pi.  The vertex v_j is where
+    the lines Re(e^{i theta} z) = h at theta_j and theta_{j+1} meet.  Every
+    direction between two adjacent normals is a nonnegative combination of
+    them, so the support function of W(C) there is at most that of v_j, and
+    W(C) lies in the hull of the v_j.  When every v_j is within TOL_GEO/2 of
+    the convex D(alpha), so is all of W(C), and every point of the inside
+    sweep, rounding included, passes its TOL_GEO test: the answer is True
+    without the sweep.  The vertices of the whole stack go through one
+    ``distance_to_D_alpha`` call; a matrix whose polygon does not fit is
+    answered by its own sweep.  k is checked as by
     ``numerical_range_boundary``, and alpha before any eigenvalue is solved.
     """
     _check_alpha(alpha)
     _check_angles(k)
-    a = linalg.as_operator(c)
-    half = k // 2
-    h = np.empty(k + 1)  # h[k] repeats h[0], closing the polygon
+    a = np.asarray(c, dtype=np.complex128)
+    stack = linalg.as_operator_stack(a)
     # an overflow leaves a non-finite vertex, and the sweep then refuses the input
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, herm in _hermitian_parts(a, k):
-            w = np.linalg.eigvalsh(herm)
-            h[lo:hi] = w[:, -1]
-            h[half + lo:half + hi] = -w[:, 0]
-        h[k] = h[0]
-        h += 64 * a.shape[0] * 2.0**-53 * np.linalg.norm(a)
-        along = (h[:-1] + h[1:]) / (2.0 * math.cos(math.pi / k))
-        across = (h[:-1] - h[1:]) / (2.0 * math.sin(math.pi / k))
+        h = _support_values(stack, _sweep_angles(k)).reshape(len(stack), k)
+        h = np.concatenate([h, h[:, :1]], axis=1)  # h[:, k] repeats h[:, 0], closing the polygon
+        along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
+        across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
         vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
-    if np.all(np.isfinite(vertices)) and np.max(distance_to_D_alpha(vertices, alpha)) <= TOL_GEO / 2:
-        return True
-    return certify_quasi_sectorial(a, alpha, k).passed
+        fits = np.all(np.isfinite(vertices), axis=1) & (
+            np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
+        )
+    answers = [bool(ok) or certify_quasi_sectorial(m, alpha, k).passed for ok, m in zip(fits, stack)]
+    return answers if a.ndim == 3 else answers[0]
+
+
+def sectorial(a, alpha: float, k: int = 256) -> bool:
+    """Whether W(A) lies in the sector |arg z| <= alpha + TOL_GEO, decided from
+    its two edge normals when it can be.
+
+    With beta = alpha + TOL_GEO < pi/2 the sector is the intersection of the
+    half-planes Re(e^{i theta} z) <= 0 at theta = +-(beta + pi/2).  Their
+    support values, raised by their backward-error bound, come from
+    ``_support_values``: one ``np.linalg.eigvalsh`` on a (2, d, d) stack.
+    When both are <= 0, W(A) lies in the sector, proved from the outside
+    (Johnson, SIAM J. Numer. Anal. 15, 1978), and the answer is True.
+    Otherwise, and whenever beta >= pi/2, the answer is the inside sweep's:
+    whether every point of ``numerical_range_boundary(a, k)`` passes
+    ``in_sector``.  alpha is checked before any eigenvalue is solved.
+    """
+    _check_alpha(alpha)
+    a = linalg.as_operator(a)
+    if alpha + TOL_GEO < math.pi / 2:
+        # an overflow leaves a support value that is not <= 0, and the sweep then decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _support_values(a[None], _sector_normals(alpha))
+        if np.all(h[0, 0] <= 0.0):
+            return True
+    return bool(np.all(in_sector(numerical_range_boundary(a, k), alpha)))
 
 
 def min_semi_angle(c, points) -> float | None:

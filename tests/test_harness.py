@@ -230,14 +230,81 @@ def test_stacked_norms_keep_order_across_chunks(monkeypatch):
     assert stack_sizes == [128, 128, 4]
 
 
-@pytest.mark.parametrize("kind", ["dunford_segal", "ritt", "contour_reconstruction"])
+@pytest.mark.parametrize(
+    "kind", ["dunford_segal", "euler", "ritt", "norm_chernoff", "contour_reconstruction"]
+)
 def test_default_configs_certify_from_the_polygon(monkeypatch, kind):
-    # every quasi-sectoriality check of a default run is decided by the outer
-    # polygon; the only sweeps left are dunford_segal's generator sector checks
+    # every check of a default run is decided from the outside: each generator's
+    # sector by its two edge normals, each quasi-sectoriality check by the outer
+    # polygon; no boundary point is ever sampled
     sweeps = []
     sweep = numrange.numerical_range_boundary
     monkeypatch.setattr(numrange, "numerical_range_boundary", lambda c, k: sweeps.append(k) or sweep(c, k))
     config = ExperimentConfig(kind)
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
-    assert sweeps == ([256] * config.trials if kind == "dunford_segal" else [])
+    assert sweeps == []
+
+
+def counting(monkeypatch, module, name):
+    """Record the first argument of every call of module.name, which still runs."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *rest: calls.append(first) or fn(first, *rest))
+    return calls
+
+
+def test_dunford_segal_checks_each_draw_and_t_as_one_stack(monkeypatch):
+    config = ExperimentConfig("dunford_segal", dim=4, trials=3, nmax=64, ts=(0.5, 2.0))
+    expected = run_experiment(config)
+    checks = counting(monkeypatch, numrange, "quasi_sectorial")
+    norms = counting(monkeypatch, linalg, "op_norms")
+    result = run_experiment(config)
+    assert result.records == expected.records and result.summary == expected.summary
+    # 3 draws x 2 values of t, each with the 7 steps of n = 1, 2, ..., 64
+    assert [c.shape for c in checks] == [(7, 4, 4)] * 6
+    assert [len(stack) for stack in norms] == [14] * 6
+    # the 70 steps of n = 1, ..., 70 go in stacks of _NORM_CHUNK = 64 steps and the rest
+    checks.clear()
+    norms.clear()
+    result = run_experiment(dataclasses.replace(config, trials=1, ts=(1.0,), nmax=70, n_mode="all"))
+    assert [r.n for r in result.records] == list(range(1, 71))
+    assert [c.shape for c in checks] == [(64, 4, 4), (6, 4, 4)]
+    assert [len(stack) for stack in norms] == [128, 12]
+
+
+def test_dunford_segal_keeps_order_and_counts_when_steps_fail(monkeypatch):
+    # fail every third step check: records, failures and two-step terms skip those steps
+    config = ExperimentConfig("dunford_segal", dim=3, trials=2, nmax=32, ts=(1.0, 3.0))
+    check = numrange.quasi_sectorial
+    full = run_experiment(config)
+    monkeypatch.setattr(
+        numrange, "quasi_sectorial",
+        lambda c, alpha, k: [ok and j % 3 != 1 for j, ok in enumerate(check(c, alpha, k))],
+    )
+    result = run_experiment(config)
+    kept = [r for j, r in enumerate(full.records) if j % 6 % 3 != 1]
+    assert result.records == kept
+    assert result.summary["certification_failures"] == 8
+    terms = full.summary["two_step_terms"]
+    assert result.summary["two_step_terms"] == {
+        rid: [cell for j, cell in enumerate(cells) if j % 3 != 1] for rid, cells in terms.items()
+    }
+
+
+def test_resolvent_draws_are_checked_in_one_stack(monkeypatch):
+    config = ExperimentConfig("ritt", dim=5, trials=7, nmax=8)
+    checks = counting(monkeypatch, numrange, "quasi_sectorial")
+    full = run_experiment(config)
+    assert [c.shape for c in checks] == [(7, 5, 5)]
+    assert full.summary["certification_failures"] == 0
+    # fail the odd draws: their records go, and they are counted
+    check = numrange.quasi_sectorial
+    monkeypatch.setattr(
+        numrange, "quasi_sectorial",
+        lambda c, alpha, k: [ok and i % 2 == 0 for i, ok in enumerate(check(c, alpha, k))],
+    )
+    result = run_experiment(config)
+    assert result.summary["certification_failures"] == 3
+    even = ("d000", "d002", "d004", "d006")
+    assert result.records == [r for r in full.records if r.experiment_id.split("/")[1] in even]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semiapprox import approximants, ensembles, numrange
 from semiapprox.errors import InvalidInputError, NotAContractionError
+from semiapprox.tolerances import TOL_GEO
 
 
 def hull_support_gap(points_a, points_b, angles=720):
@@ -385,7 +386,7 @@ def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
 @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
 def test_bad_alpha_is_refused_before_any_eigensolve(monkeypatch, alpha):
     refuse_eigensolves(monkeypatch, "eigh", "eigvalsh")
-    for check in (numrange.certify_quasi_sectorial, numrange.quasi_sectorial):
+    for check in (numrange.certify_quasi_sectorial, numrange.quasi_sectorial, numrange.sectorial):
         with pytest.raises(InvalidInputError):
             check(np.eye(2) / 2, alpha, 64)
 
@@ -395,3 +396,152 @@ def test_quasi_sectorial_refuses_what_the_sweep_refuses():
     for c, k in ((np.eye(2), 8), (np.eye(1), 33), (np.full((2, 2), 1e308), 16), (np.full((4, 4), 0.8e308), 16)):
         with pytest.raises(InvalidInputError):
             numrange.quasi_sectorial(c, 0.5, k)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, which still runs."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_stacked_check_answers_as_each_matrix_alone(monkeypatch):
+    alpha, k = math.pi / 8, 16
+    s = math.sin(alpha)
+    stack = np.stack([
+        _jordan(0.0, 0.5 * s, 1.0),  # the 16-gon fits in D(alpha)
+        _jordan(0.0, 0.99 * s, 1.0),  # the 16-gon pokes out of the disc part, the circle does not
+        _jordan(0.0, 1.01 * s, 1.0),  # the circle pokes out too
+        1e200 * np.eye(2),  # ||C||_F overflows, so the polygon is not finite; the sweep is
+        _jordan(0.3, 0.5 * 0.7 * s, 2.5),
+    ])
+    alone = [numrange.quasi_sectorial(c, alpha, k) for c in stack]
+    assert alone == [True, True, False, False, True]
+    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    assert numrange.quasi_sectorial(stack, alpha, k) == alone
+    assert len(sweeps) == 3  # only the matrices whose polygon does not fit are swept
+    assert all(np.array_equal(args[0], stack[i]) for i, args in zip((1, 2, 3), sweeps))
+    assert numrange.quasi_sectorial(stack[:1], alpha, k) == [True]  # a stack of one is still a stack
+
+
+def test_stacked_check_takes_one_distance_call_and_chunks_of_32(monkeypatch):
+    refuse_eigensolves(monkeypatch, "eigh")
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    distances = count_calls(monkeypatch, numrange, "distance_to_D_alpha")
+    for m, k in ((5, 16), (3, 100), (1, 64), (10, 64)):
+        shapes.clear()
+        distances.clear()
+        assert numrange.quasi_sectorial(np.stack([np.eye(3) / 2] * m), 0.0, k) == [True] * m
+        assert max(n for n, _, _ in shapes) <= numrange._ANGLE_CHUNK == 32
+        assert sum(n for n, _, _ in shapes) == m * k // 2
+        assert len(distances) == 1 and distances[0][0].shape == (m, k)
+    assert shapes == [(32, 3, 3)] * 10
+
+
+def test_stacked_check_refuses_what_a_matrix_alone_refuses():
+    with pytest.raises(InvalidInputError):
+        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), 1e308)]), 0.5, 16)
+    with pytest.raises(InvalidInputError):
+        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)]), 0.5, 16)
+
+
+def _normal(eigenvalues, seed):
+    u = ensembles.haar_unitary(len(eigenvalues), np.random.default_rng(seed))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def _edge_triangles():
+    # W(A) is the triangle with vertices r e^{+-i alpha} and rho: it touches both edges
+    for i, alpha in enumerate((math.pi / 16, math.pi / 8, math.pi / 4, 1.3)):
+        for j, (r, rho) in enumerate(((1.0, 0.5), (3.0, 7.0), (0.01, 0.02))):
+            lam = [r * np.exp(1j * alpha), r * np.exp(-1j * alpha), rho]
+            yield alpha, _normal(lam, 10 * i + j)
+
+
+def test_sector_edges_certify_from_the_two_normals(monkeypatch):
+    refuse_eigensolves(monkeypatch, "eigh")  # no eigenvectors: the sweep never runs
+    for alpha, a in _edge_triangles():
+        assert numrange.sectorial(a, alpha), alpha
+
+
+def test_sector_edges_just_outside_fail_through_the_sweep(monkeypatch):
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
+    cases = 0
+    for alpha, a in _edge_triangles():
+        assert not numrange.sectorial(a, alpha - 1e-6), alpha
+        cases += 1
+    # one edge crossed, either one: both normals are checked
+    for sign in (1, -1):
+        for alpha in (math.pi / 16, 1.3):
+            lam = [np.exp(sign * 1j * (alpha + 1e-6)), np.exp(-sign * 0.5j * alpha), 0.5]
+            assert not numrange.sectorial(_normal(lam, 3), alpha), (sign, alpha)
+            cases += 1
+    assert len(sweeps) == cases
+
+
+def test_sector_vertex_at_zero_defers_to_the_sweep(monkeypatch):
+    # at alpha = 0 the support value at both normals is lambda_min(A) = 0, which
+    # its backward-error bound raises above 0; the sweep's points are >= 0 and pass
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
+    for seed in range(4):
+        a = _normal([0.0, 0.3, 1.0, 0.7], seed)
+        a = (a + a.conj().T) / 2.0
+        assert numrange.sectorial(a, 0.0)
+    assert len(sweeps) == 4
+
+
+def test_sector_near_pi_2_never_certifies_from_the_normals(monkeypatch):
+    # from alpha + TOL_GEO = pi/2 on the two half-planes do not make up the sector
+    refuse_eigensolves(monkeypatch, "eigvalsh")
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
+    alphas = (math.pi / 2 - 1e-9, math.pi / 2 - 5e-10, math.pi / 2 - 1e-15)
+    for alpha in alphas:
+        assert numrange.sectorial(np.eye(3) / 2, alpha)
+    assert len(sweeps) == len(alphas)
+
+
+def test_sector_certificate_takes_one_eigvalsh_of_two_matrices(monkeypatch):
+    draws = [
+        (alpha, ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(77, i)))
+        for i, dim in enumerate((1, 4, 8, 32))
+        for alpha in (math.pi / 16, math.pi / 4)
+    ]
+    refuse_eigensolves(monkeypatch, "eigh")
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    for alpha, a in draws:
+        assert numrange.sectorial(a, alpha)
+        assert shapes.pop() == (2,) + a.shape and not shapes
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(("contraction", "generator")),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    _alpha,
+    st.sampled_from((16, 64, 256)),
+)
+def test_support_values_bound_every_point_of_the_numerical_range(kind, dim, seed, alpha, k):
+    # both certificates' support values, at the polygon's k angles and the sector's
+    # two normals, hold every x*Mx: random unit x and the top eigenvectors of H_theta
+    if kind == "contraction":
+        m = ensembles.random_contraction(dim, seed)
+    else:
+        m = ensembles.random_m_sectorial(dim, alpha, seed)
+    thetas = np.concatenate([numrange._sweep_angles(k), numrange._sector_normals(alpha)])
+    h = numrange._support_values(m[None], thetas)[0].ravel()
+    thetas = np.concatenate([thetas, thetas + math.pi])  # h[1] holds the antipodes
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(8)]
+    for theta in thetas:
+        rotated = np.exp(1j * theta) * m
+        xs.append(np.linalg.eigh((rotated + rotated.conj().T) / 2.0)[1][:, -1])
+    for x in xs:
+        x = x / np.linalg.norm(x)
+        z = x.conj() @ m @ x
+        assert np.all((np.exp(1j * thetas) * z).real <= h), (z, kind)
