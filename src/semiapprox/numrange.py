@@ -275,7 +275,7 @@ def quasi_sectorial(c, alpha: float, k: int = 256):
     return answers if a.ndim == 3 else answers[0]
 
 
-def sectorial(a, alpha: float, k: int = 256) -> bool:
+def sectorial(a, alpha: float) -> bool:
     """Whether W(A) lies in the sector |arg z| <= alpha + TOL_GEO, decided from
     its two edge normals when it can be.
 
@@ -286,7 +286,7 @@ def sectorial(a, alpha: float, k: int = 256) -> bool:
     When both are <= 0, W(A) lies in the sector, proved from the outside
     (Johnson, SIAM J. Numer. Anal. 15, 1978), and the answer is True.
     Otherwise, and whenever beta >= pi/2, the answer is the inside sweep's:
-    whether every point of ``numerical_range_boundary(a, k)`` passes
+    whether every point of ``numerical_range_boundary(a)`` (256 angles) passes
     ``in_sector``.  alpha is checked before any eigenvalue is solved.
     """
     _check_alpha(alpha)
@@ -297,7 +297,7 @@ def sectorial(a, alpha: float, k: int = 256) -> bool:
             h = _support_values(a[None], _sector_normals(alpha))
         if np.all(h[0, 0] <= 0.0):
             return True
-    return bool(np.all(in_sector(numerical_range_boundary(a, k), alpha)))
+    return bool(np.all(in_sector(numerical_range_boundary(a), alpha)))
 
 
 def min_semi_angle(c, points) -> float | None:

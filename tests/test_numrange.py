@@ -388,7 +388,7 @@ def test_bad_alpha_is_refused_before_any_eigensolve(monkeypatch, alpha):
     refuse_eigensolves(monkeypatch, "eigh", "eigvalsh")
     for check in (numrange.certify_quasi_sectorial, numrange.quasi_sectorial, numrange.sectorial):
         with pytest.raises(InvalidInputError):
-            check(np.eye(2) / 2, alpha, 64)
+            check(np.eye(2) / 2, alpha)
 
 
 @pytest.mark.filterwarnings("error")
