@@ -15,8 +15,10 @@ Numer. Anal. 15, 1978) and need only eigenvalues; ``_support_values`` forms
 the Hermitian parts H_theta and the backward-error bound that raises each
 lambda_max, for both checks.
 
-- ``quasi_sectorial`` (W(C) in D(alpha)) takes the outer polygon of k such
-  lines, for one matrix or a stack of them.
+- ``quasi_sectorial`` (W(C) in D(alpha)) takes outer polygons of such lines,
+  for one matrix or a stack of them, coarse to fine: a few angles first (16
+  for the callers' k = 64 and 256), then twice as many, up to k, solving only
+  the new angles and only for the matrices whose last polygon did not fit.
 - ``sectorial`` (W(A) in the sector |arg z| <= alpha) takes the two lines at
   the edge normals of the sector, whose half-planes make up the sector.
 
@@ -236,42 +238,88 @@ def certify_quasi_sectorial(c, alpha: float, k: int = 256) -> SectorCertificate:
     )
 
 
+def _angle_levels(k: int) -> list[int]:
+    """The angle counts k_0 < 2 k_0 < ... < k of the polygon's ladder, where k_0 is
+    the smallest halving of k that is still even and at least 16.
+
+    64 gives [16, 32, 64], 100 gives [50, 100] and 66 gives [66].  Every level
+    after the first doubles an even count, so its k_l / 2 is even.
+    """
+    levels = [k]
+    while levels[0] % 4 == 0 and levels[0] // 2 >= 16:
+        levels.insert(0, levels[0] // 2)
+    return levels
+
+
+def _polygon_fits(h: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether each row of support values h (m, k), at theta_j = 2 pi j / k, cuts out a
+    polygon whose vertices are all finite and within TOL_GEO/2 of D(alpha).
+
+    The vertex v_j is where the lines Re(e^{i theta} z) = h at theta_j and
+    theta_{j+1} meet; one ``distance_to_D_alpha`` call takes every vertex.
+    """
+    k = h.shape[1]
+    h = np.concatenate([h, h[:, :1]], axis=1)  # h[:, k] repeats h[:, 0], closing the polygon
+    along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
+    across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
+    vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
+    return np.all(np.isfinite(vertices), axis=1) & (
+        np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
+    )
+
+
 def quasi_sectorial(c, alpha: float, k: int = 256):
     """Whether W(C) lies in D(alpha): ``certify_quasi_sectorial(c, alpha, k).passed``,
-    decided from the outer polygon of W(C) when it fits.
+    decided from an outer polygon of W(C) when one fits.
 
     ``c`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
     with a list of m bools; one matrix is checked as a stack of one.  The
-    support values h_j of each matrix at theta_j = 2 pi j / k, raised by
-    their backward-error bound, come from ``_support_values``: one stacked
+    support values h_j of a matrix at theta_j = 2 pi j / k, raised by their
+    backward-error bound, come from ``_support_values``: one stacked
     ``np.linalg.eigvalsh`` per _ANGLE_CHUNK pairs of a matrix and an angle
-    j < k/2, each giving theta_j and theta_j + pi.  The vertex v_j is where
-    the lines Re(e^{i theta} z) = h at theta_j and theta_{j+1} meet.  Every
-    direction between two adjacent normals is a nonnegative combination of
-    them, so the support function of W(C) there is at most that of v_j, and
-    W(C) lies in the hull of the v_j.  When every v_j is within TOL_GEO/2 of
-    the convex D(alpha), so is all of W(C), and every point of the inside
-    sweep, rounding included, passes its TOL_GEO test: the answer is True
-    without the sweep.  The vertices of the whole stack go through one
-    ``distance_to_D_alpha`` call; a matrix whose polygon does not fit is
-    answered by its own sweep.  k is checked as by
-    ``numerical_range_boundary``, and alpha before any eigenvalue is solved.
+    j < k/2, each giving theta_j and theta_j + pi.  Every direction between
+    two adjacent normals is a nonnegative combination of them, so the support
+    function of W(C) there is at most that of the vertex where their lines
+    meet, and W(C) lies in the polygon of those vertices.  When every vertex
+    is within TOL_GEO/2 of the convex D(alpha), so is all of W(C), and every
+    point of the inside sweep, rounding included, passes its TOL_GEO test:
+    the answer is True without the sweep.
+
+    The polygon is refined on the ladder of ``_angle_levels(k)``.  The first
+    level is solved for the whole stack.  Each later level solves only its
+    new angles, the odd j of ``_sweep_angles(level)``, and only for the
+    matrices whose last polygon did not fit; their support values interleave
+    with those already solved.  The angles 2 pi j / k_l are bit-identical to
+    those of ``_sweep_angles(k)``, so the last level is the k-angle polygon.
+    Each level's vertices go through one ``distance_to_D_alpha`` call; a
+    matrix whose k-angle polygon does not fit is answered by its own sweep.
+    k is checked as by ``numerical_range_boundary``, and alpha before any
+    eigenvalue is solved.
     """
     _check_alpha(alpha)
     _check_angles(k)
     a = np.asarray(c, dtype=np.complex128)
     stack = linalg.as_operator_stack(a)
+    levels = _angle_levels(k)
+    rows = np.arange(len(stack))  # the matrices of the last level; open_ marks those that did not fit
     # an overflow leaves a non-finite vertex, and the sweep then refuses the input
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _support_values(stack, _sweep_angles(k)).reshape(len(stack), k)
-        h = np.concatenate([h, h[:, :1]], axis=1)  # h[:, k] repeats h[:, 0], closing the polygon
-        along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
-        across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
-        vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
-        fits = np.all(np.isfinite(vertices), axis=1) & (
-            np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
-        )
-    answers = [bool(ok) or certify_quasi_sectorial(m, alpha, k).passed for ok, m in zip(fits, stack)]
+        h = _support_values(stack, _sweep_angles(levels[0])).reshape(len(stack), levels[0])
+        open_ = ~_polygon_fits(h, alpha)
+        for level in levels[1:]:
+            if not open_.any():
+                break
+            rows = rows[open_]
+            finer = np.empty((len(rows), level))
+            finer[:, ::2] = h[open_]
+            # the odd j < level/2 and their antipodes j + level/2, which are odd too
+            new = _support_values(stack[rows], _sweep_angles(level)[1::2])
+            finer[:, 1::2] = new.reshape(len(rows), level // 2)
+            h = finer
+            open_ = ~_polygon_fits(h, alpha)
+    answers = [True] * len(stack)
+    for i in rows[open_]:
+        answers[i] = certify_quasi_sectorial(stack[i], alpha, k).passed
     return answers if a.ndim == 3 else answers[0]
 
 

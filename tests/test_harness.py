@@ -246,6 +246,19 @@ def test_default_configs_certify_from_the_polygon(monkeypatch, kind):
     assert sweeps == []
 
 
+@pytest.mark.parametrize(("kind", "pairs"), [("dunford_segal", 10 * 2 + 90 * 8), ("ritt", 10 * 8)])
+def test_default_configs_fit_at_the_first_polygon_level(monkeypatch, kind, pairs):
+    # every polygon of a default run fits at 16 angles, so each of the 90 steps
+    # of dunford_segal (10 draws, n = 1, 2, ..., 256) and each of the 10 ritt
+    # draws solves 8 (matrix, angle) pairs; each dunford_segal generator adds
+    # its 2 edge normals.  The flat polygons took 2900 and 1280 pairs.
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(len(h)) or eigvalsh(h))
+    run_experiment(ExperimentConfig(kind))
+    assert sum(sizes) == pairs
+
+
 def counting(monkeypatch, module, name):
     """Record the first argument of every call of module.name, which still runs."""
     calls = []

@@ -374,13 +374,14 @@ def test_jordan_discs_poking_out_of_D_alpha_fail_through_the_sweep(monkeypatch):
 
 
 def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
-    # 100 angles are 50 eigenvalue solves, each giving an angle and its antipode
+    # k = 100 starts from the 50-gon, which fits the identity: 25 eigenvalue
+    # solves, each giving an angle and its antipode, in one call
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     refuse_eigensolves(monkeypatch, "eigh")
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
     assert numrange.quasi_sectorial(np.eye(3), 0.0, 100)
-    assert shapes == [(32, 3, 3), (18, 3, 3)]
+    assert shapes == [(25, 3, 3)]
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
@@ -431,14 +432,118 @@ def test_stacked_check_takes_one_distance_call_and_chunks_of_32(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
     distances = count_calls(monkeypatch, numrange, "distance_to_D_alpha")
-    for m, k in ((5, 16), (3, 100), (1, 64), (10, 64)):
+    # every polygon fits at the first level k_0 of the ladder: m k_0 / 2 pairs
+    for m, k, k0 in ((5, 16, 16), (3, 100, 50), (1, 64, 16), (10, 64, 16)):
         shapes.clear()
         distances.clear()
         assert numrange.quasi_sectorial(np.stack([np.eye(3) / 2] * m), 0.0, k) == [True] * m
         assert max(n for n, _, _ in shapes) <= numrange._ANGLE_CHUNK == 32
-        assert sum(n for n, _, _ in shapes) == m * k // 2
-        assert len(distances) == 1 and distances[0][0].shape == (m, k)
-    assert shapes == [(32, 3, 3)] * 10
+        assert sum(n for n, _, _ in shapes) == m * k0 // 2
+        assert len(distances) == 1 and distances[0][0].shape == (m, k0)
+    assert shapes == [(32, 3, 3), (32, 3, 3), (16, 3, 3)]
+
+
+def test_angle_levels_are_entries_of_the_full_sweep():
+    assert numrange._angle_levels(16) == [16]
+    assert numrange._angle_levels(48) == [24, 48]
+    assert numrange._angle_levels(64) == [16, 32, 64]
+    assert numrange._angle_levels(66) == [66]
+    assert numrange._angle_levels(100) == [50, 100]
+    assert numrange._angle_levels(256) == [16, 32, 64, 128, 256]
+    for k in (64, 100, 256):
+        full = numrange._sweep_angles(k)
+        for level in numrange._angle_levels(k):
+            # bit for bit: 2 pi j / k_l and 2 pi (j k / k_l) / k differ by a power of two
+            assert numrange._sweep_angles(level).tobytes() == full[:: k // level].tobytes()
+
+
+def test_each_level_interleaves_to_the_flat_polygon_of_its_angles(monkeypatch):
+    # no polygon fits, so every level is solved: its support values are bit for
+    # bit those that the flat polygon of its angles solves in one go
+    stack = np.stack([_draw("contraction", 3, seed, 0.9) for seed in range(3)])
+    seen = []
+    monkeypatch.setattr(
+        numrange, "_polygon_fits", lambda h, alpha: seen.append(h.copy()) or np.zeros(len(h), bool)
+    )
+    passed = numrange.SectorCertificate(np.empty(0))
+    monkeypatch.setattr(numrange, "certify_quasi_sectorial", lambda *args: passed)
+    assert numrange.quasi_sectorial(stack, 0.3, 256) == [True] * 3
+    assert [h.shape for h in seen] == [(3, 16), (3, 32), (3, 64), (3, 128), (3, 256)]
+    for h in seen:
+        k = h.shape[1]
+        flat = numrange._support_values(stack, numrange._sweep_angles(k)).reshape(3, k)
+        assert h.tobytes() == flat.tobytes()
+
+
+def test_polygon_margin_is_half_the_sweep_tolerance(monkeypatch):
+    # W([z]) = {z}: a point 0.4 TOL_GEO outside D(alpha) certifies from the
+    # polygon, one 0.75 TOL_GEO out passes only through the sweep, and one
+    # 1.5 TOL_GEO out fails
+    alpha = math.pi / 8
+    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    for excess, passed, swept in ((0.4, True, 0), (0.75, True, 1), (1.5, False, 1)):
+        sweeps.clear()
+        point = -(math.sin(alpha) + excess * TOL_GEO) * np.ones((1, 1))
+        assert numrange.quasi_sectorial(point, alpha, 64) is passed
+        assert len(sweeps) == swept
+
+
+def flat_polygon_or_sweep(c, alpha, k):
+    """The answer of the k-angle polygon alone, without the ladder: it fits, or the sweep passes."""
+    stack = np.asarray(c, dtype=np.complex128)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = numrange._support_values(stack, numrange._sweep_angles(k)).reshape(1, k)
+        h = np.concatenate([h, h[:, :1]], axis=1)
+        along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
+        across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
+        vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
+        fits = np.all(np.isfinite(vertices)) and (
+            np.max(numrange.distance_to_D_alpha(vertices, alpha)) <= TOL_GEO / 2
+        )
+    return bool(fits) or numrange.certify_quasi_sectorial(c, alpha, k).passed
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(("contraction", "step", "jordan")),
+    st.integers(1, 8),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    st.floats(0.001, 1.0),
+    _alpha,
+    st.sampled_from((16, 64, 100, 256)),
+)
+def test_ladder_answers_as_the_flat_polygon(kind, dim, seeds, scale, alpha, k):
+    stack = np.stack([_draw(kind, dim, seed, scale) for seed in seeds])
+    expected = [flat_polygon_or_sweep(c, alpha, k) for c in stack]
+    assert numrange.quasi_sectorial(stack, alpha, k) == expected
+
+
+def test_ladder_refines_only_the_matrices_that_do_not_fit(monkeypatch):
+    alpha, k = math.pi / 8, 256
+    s = math.sin(alpha)
+    stack = np.stack([
+        # off the centre, so that support values at the wrong angles would not fit;
+        # the 16-gon pokes out of the disc part, the 32-gon fits
+        _jordan(0.4 * s * np.exp(2.5j), 0.99 * 0.6 * s, 1.0),
+        _jordan(0.0, 1.01 * s, 1.0),  # the circle pokes out: every level is solved, then swept
+        _jordan(0.3, 0.5 * 0.7 * s, 2.5),  # the 16-gon fits
+    ])
+    solved = [[] for _ in stack]
+    support_values = numrange._support_values
+
+    def spy(a, thetas):
+        for m in a:
+            i = next(i for i, c in enumerate(stack) if np.array_equal(c, m))
+            solved[i].extend(thetas.tolist())
+        return support_values(a, thetas)
+
+    monkeypatch.setattr(numrange, "_support_values", spy)
+    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    assert numrange.quasi_sectorial(stack, alpha, k) == [True, False, True]
+    assert [len(thetas) for thetas in solved] == [16, 128, 8]
+    assert all(len(set(thetas)) == len(thetas) for thetas in solved)  # no pair is solved twice
+    assert sorted(solved[1]) == numrange._sweep_angles(k).tolist()
+    assert len(sweeps) == 1 and np.array_equal(sweeps[0][0], stack[1])
 
 
 def test_stacked_check_refuses_what_a_matrix_alone_refuses():
