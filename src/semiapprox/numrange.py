@@ -9,7 +9,9 @@ a disc around the origin glued to a wedge with vertex at z = 1.  A contraction
 is quasi-sectorial for semi-angle alpha when its numerical range W(C) sits
 inside D(alpha); that inclusion is what this module certifies numerically.
 
-Both checks here decide from the outside first.  The supporting lines
+There is one verdict per region, built on the boundary sweep
+``numerical_range_boundary`` and the region geometry ``distance_to_D_alpha``
+and ``in_sector``.  Both decide from the outside first.  The supporting lines
 Re(e^{i theta} z) <= lambda_max(H_theta) enclose W(C) (Johnson, SIAM J.
 Numer. Anal. 15, 1978) and need only eigenvalues; ``_support_values`` forms
 the Hermitian parts H_theta and the backward-error bound that raises each
@@ -23,14 +25,14 @@ lambda_max, for both checks.
   the edge normals of the sector, whose half-planes make up the sector.
 
 When the outside test does not settle it, each falls back to the inside sweep
-of boundary points x* C x: ``certify_quasi_sectorial``, whose points the
-``numrange`` command reports, or ``in_sector`` on the points.
+of boundary points x* C x: every point within TOL_GEO of D(alpha), or every
+point in the sector by ``in_sector``.  The ``numrange`` command reports that
+sweep for D(alpha).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +52,7 @@ def _check_angles(k) -> None:
         )
 
 
-def _check_alpha(alpha) -> None:
+def check_alpha(alpha) -> None:
     """Refuse a semi-angle outside [0, pi/2)."""
     if not 0.0 <= alpha < math.pi / 2:
         raise InvalidInputError(f"alpha must lie in [0, pi/2), got {alpha}")
@@ -144,24 +146,6 @@ def numerical_range_boundary(c, k: int = 256) -> np.ndarray:
     return points
 
 
-def in_D_alpha(z, alpha: float):
-    """Membership of z in D(alpha), with the package-wide geometric tolerance.
-
-    z = 1 is the wedge vertex and belongs to every D(alpha); arg(0) counts
-    as 0.  Accepts scalars or arrays.
-    """
-    _check_alpha(alpha)
-    z = np.asarray(z, dtype=np.complex128)
-    in_disc = np.abs(z) <= math.sin(alpha) + TOL_GEO
-    w = 1.0 - z
-    # numpy's angle(0) is 0, which implements the vertex convention directly
-    in_wedge = (np.abs(np.angle(w)) <= alpha + TOL_GEO) & (
-        np.abs(w) <= math.cos(alpha) + TOL_GEO
-    )
-    result = in_disc | in_wedge
-    return bool(result) if result.ndim == 0 else result
-
-
 def in_sector(z, alpha: float):
     """Membership of z in the closed sector |arg z| <= alpha with vertex 0.
 
@@ -188,7 +172,7 @@ def distance_to_D_alpha(z, alpha: float) -> np.ndarray:
     wedge part (the wedge is handled in the w = 1 - z frame, where it is a
     truncated sector of half-angle alpha and radius cos(alpha)).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     d_disc = np.maximum(np.abs(z) - math.sin(alpha), 0.0)
 
@@ -205,37 +189,6 @@ def distance_to_D_alpha(z, alpha: float) -> np.ndarray:
 
     out = np.minimum(d_disc, d_wedge)
     return out if out.shape != (1,) else out.reshape(())
-
-
-@dataclass
-class SectorCertificate:
-    """Outcome of a quasi-sectoriality check.
-
-    ``passed`` is False when some boundary point of W(C) sits further than
-    the geometric tolerance outside D(alpha); ``worst_point`` and
-    ``max_violation`` then describe the worst offender, so a failed
-    certificate doubles as the failure report.
-    """
-
-    boundary_points: np.ndarray = field(repr=False)
-    max_violation: float = 0.0
-    passed: bool = True
-    worst_point: complex = 0j
-
-
-def certify_quasi_sectorial(c, alpha: float, k: int = 256) -> SectorCertificate:
-    """Certify W(C) subset of D(alpha) from k boundary points."""
-    _check_alpha(alpha)
-    points = numerical_range_boundary(c, k)
-    dists = np.atleast_1d(distance_to_D_alpha(points, alpha))
-    worst = int(np.argmax(dists))
-    max_violation = float(dists[worst])
-    return SectorCertificate(
-        boundary_points=points,
-        max_violation=max_violation,
-        passed=max_violation <= TOL_GEO,
-        worst_point=complex(points[worst]),
-    )
 
 
 def _angle_levels(k: int) -> list[int]:
@@ -269,8 +222,9 @@ def _polygon_fits(h: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def quasi_sectorial(c, alpha: float, k: int = 256):
-    """Whether W(C) lies in D(alpha): ``certify_quasi_sectorial(c, alpha, k).passed``,
-    decided from an outer polygon of W(C) when one fits.
+    """Whether W(C) lies in D(alpha): whether every point of
+    ``numerical_range_boundary(c, k)`` is within TOL_GEO of D(alpha), decided
+    from an outer polygon of W(C) when one fits.
 
     ``c`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
     with a list of m bools; one matrix is checked as a stack of one.  The
@@ -296,7 +250,7 @@ def quasi_sectorial(c, alpha: float, k: int = 256):
     k is checked as by ``numerical_range_boundary``, and alpha before any
     eigenvalue is solved.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_angles(k)
     a = np.asarray(c, dtype=np.complex128)
     stack = linalg.as_operator_stack(a)
@@ -319,7 +273,8 @@ def quasi_sectorial(c, alpha: float, k: int = 256):
             open_ = ~_polygon_fits(h, alpha)
     answers = [True] * len(stack)
     for i in rows[open_]:
-        answers[i] = certify_quasi_sectorial(stack[i], alpha, k).passed
+        points = numerical_range_boundary(stack[i], k)
+        answers[i] = bool(np.max(distance_to_D_alpha(points, alpha)) <= TOL_GEO)
     return answers if a.ndim == 3 else answers[0]
 
 
@@ -337,7 +292,7 @@ def sectorial(a, alpha: float) -> bool:
     whether every point of ``numerical_range_boundary(a)`` (256 angles) passes
     ``in_sector``.  alpha is checked before any eigenvalue is solved.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     a = linalg.as_operator(a)
     if alpha + TOL_GEO < math.pi / 2:
         # an overflow leaves a support value that is not <= 0, and the sweep then decides
@@ -351,8 +306,8 @@ def sectorial(a, alpha: float) -> bool:
 def min_semi_angle(c, points) -> float | None:
     """Smallest certified semi-angle of a contraction C, by bisection over ``points``.
 
-    ``points`` is a boundary sweep of W(C), e.g. a certificate's ``boundary_points``;
-    nothing is swept here.  Returns None when even alpha = pi/2 - 1e-6 fails to
+    ``points`` is a boundary sweep of W(C), e.g. the one the ``numrange`` command
+    reports; nothing is swept here.  Returns None when even alpha = pi/2 - 1e-6 fails to
     certify (possible for inputs that only satisfy the contraction bound up to
     its tolerance).
     """

@@ -126,8 +126,7 @@ def m_sectorial_draws():
         alpha = alphas[i % 4]
         dim = 2 + i % 11
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 7000 + i))
-        pts = numrange.numerical_range_boundary(a, 256)
-        assert np.all(numrange.in_sector(pts, alpha))
+        assert numrange.sectorial(a, alpha)  # the check that _sector_draws makes
         draws.append((alpha, a))
     return draws
 

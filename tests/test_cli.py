@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from semiapprox import cli, contour, harness, numrange, report
+from semiapprox.tolerances import TOL_GEO
 
 CLI = [sys.executable, "-m", "semiapprox"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -165,8 +166,43 @@ def test_overflow_errors_come_without_numpy_warnings(run_main, tmp_path):
     assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n"
 
 
+def test_numrange_reports_worst_point(run_main, tmp_path):
+    # W = {-0.5}: the one point is the worst, at its distance to the disc part of D(0.3)
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([-0.5]))))
+    proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.3")
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is False
+    worst = complex(payload["worst_point"]["re"], payload["worst_point"]["im"])
+    assert worst == pytest.approx(-0.5, abs=1e-12)
+    assert payload["max_violation"] == pytest.approx(0.5 - math.sin(0.3), abs=1e-12)
+
+
+def test_numrange_verdict_is_quasi_sectorial(run_main, tmp_path):
+    # W = {z} within and beyond TOL_GEO of D(0.3): the command answers as numrange.quasi_sectorial
+    matrix = tmp_path / "m.json"
+    for excess in (0.75, 1.5):
+        c = -(math.sin(0.3) + excess * TOL_GEO) * np.ones((1, 1))
+        matrix.write_text(json.dumps(report.dump_matrix_json(c)))
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.3")
+        assert json.loads(proc.stdout)["passed"] is numrange.quasi_sectorial(c, 0.3) is (excess < 1)
+        assert proc.returncode == (0 if excess < 1 else 1)
+
+
+def test_numrange_selfadjoint_segment(run_main, tmp_path):
+    # W is the segment [0.2, 0.8] or the point 1, both inside D(0) = [0, 1]
+    matrix = tmp_path / "m.json"
+    for c in (np.diag([0.2, 0.8]), np.eye(3)):
+        matrix.write_text(json.dumps(report.dump_matrix_json(c)))
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.0")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["passed"] is True and payload["max_violation"] <= 1e-9
+
+
 def test_numrange_sweeps_once(monkeypatch, tmp_path):
-    # the bisection reads the certificate's points instead of sweeping again
+    # the bisection reads the points of the verdict's sweep instead of sweeping again
     sweeps = []
 
     def recorded(c, k=256, _inner=numrange.numerical_range_boundary):
@@ -195,6 +231,21 @@ def test_numrange_refuses_odd_or_too_many_points(run_main, monkeypatch, tmp_path
         proc = run_main("numrange", "--input", str(matrix), "--alpha", "0.1", "--points", points)
         assert proc.returncode == 2 and proc.stdout == "", points
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_numrange_checks_alpha_before_points(run_main, monkeypatch, tmp_path):
+    # a bad --alpha is refused first: before a bad --points and before any eigenvalue problem
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue problem was solved before alpha was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(report.dump_matrix_json(np.diag([0.5]))))
+    for points in ("64", "33"):
+        proc = run_main("numrange", "--input", str(matrix), "--alpha", "2.0", "--points", points)
+        assert proc.returncode == 2 and proc.stdout == "", points
+        assert proc.stderr == "error: alpha must lie in [0, pi/2), got 2.0\n", proc.stderr
 
 
 def test_import_and_constants_load_no_scipy(tmp_path):

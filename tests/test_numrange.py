@@ -119,13 +119,29 @@ def test_boundary_points_attain_the_support_function():
                 assert abs((phase * p).real - top) <= tol, (c.shape, k, j)
 
 
+def in_D_alpha(z, alpha):
+    """Membership of z in D(alpha), with the package-wide geometric tolerance: the
+    membership oracle that distance_to_D_alpha is checked against.
+
+    z = 1 is the wedge vertex and belongs to every D(alpha); arg(0) counts
+    as 0.  Accepts scalars or arrays.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    in_disc = np.abs(z) <= math.sin(alpha) + TOL_GEO
+    w = 1.0 - z
+    # numpy's angle(0) is 0, which implements the vertex convention directly
+    in_wedge = (np.abs(np.angle(w)) <= alpha + TOL_GEO) & (np.abs(w) <= math.cos(alpha) + TOL_GEO)
+    result = in_disc | in_wedge
+    return bool(result) if result.ndim == 0 else result
+
+
 def test_in_D_alpha_examples():
-    assert numrange.in_D_alpha(1.0, 0.0)
-    assert numrange.in_D_alpha(1.0, 1.2)
-    assert numrange.in_D_alpha(0.0, 0.0)
-    assert numrange.in_D_alpha(0.5, math.pi / 4)
-    assert not numrange.in_D_alpha(-0.5, 0.2)
-    assert not numrange.in_D_alpha(1.5, 0.3)
+    assert in_D_alpha(1.0, 0.0)
+    assert in_D_alpha(1.0, 1.2)
+    assert in_D_alpha(0.0, 0.0)
+    assert in_D_alpha(0.5, math.pi / 4)
+    assert not in_D_alpha(-0.5, 0.2)
+    assert not in_D_alpha(1.5, 0.3)
 
 
 def test_in_sector_examples():
@@ -139,8 +155,8 @@ def test_region_approaches_unit_disc():
     rng = np.random.default_rng(17)
     zs = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
     zs = zs[np.abs(zs) <= 1.0]
-    assert np.all(numrange.in_D_alpha(zs, math.pi / 2 - 1e-6))
-    assert not numrange.in_D_alpha(1.001, math.pi / 2 - 1e-6)
+    assert np.all(in_D_alpha(zs, math.pi / 2 - 1e-6))
+    assert not in_D_alpha(1.001, math.pi / 2 - 1e-6)
 
 
 def test_membership_monotone_in_alpha():
@@ -148,9 +164,9 @@ def test_membership_monotone_in_alpha():
     xs = np.linspace(-1.0, 1.0, 200)
     zs = (xs[None, :] + 1j * xs[:, None]).ravel()
     alphas = np.linspace(0.0, math.pi / 2 - 1e-3, 20)
-    prev = numrange.in_D_alpha(zs, alphas[0])
+    prev = in_D_alpha(zs, alphas[0])
     for alpha in alphas[1:]:
-        cur = numrange.in_D_alpha(zs, alpha)
+        cur = in_D_alpha(zs, alpha)
         assert np.all(cur[prev])
         prev = cur
 
@@ -170,7 +186,7 @@ def test_distance_consistent_with_membership():
     zs = rng.uniform(-1.2, 1.2, 400) + 1j * rng.uniform(-1.2, 1.2, 400)
     for alpha in (0.0, math.pi / 8, math.pi / 4, 1.2):
         dist = np.atleast_1d(numrange.distance_to_D_alpha(zs, alpha))
-        member = numrange.in_D_alpha(zs, alpha)
+        member = in_D_alpha(zs, alpha)
         # members sit at (numerically) zero distance; far points are excluded
         assert np.all(dist[member] <= 2e-9)
         assert np.all(dist[~member] > 0.0)
@@ -189,7 +205,7 @@ def _dist(x, y, alpha):
 def test_distance_is_zero_exactly_on_members(x, y, alpha):
     # outside a 1e-6 band round the boundary, dist == 0 if and only if z is in D(alpha)
     d = _dist(x, y, alpha)
-    member = numrange.in_D_alpha(complex(x, y), alpha)
+    member = in_D_alpha(complex(x, y), alpha)
     if d == 0.0:
         assert member
     elif d > 1e-6:
@@ -211,19 +227,9 @@ def test_distance_does_not_increase_in_alpha(x, y, a1, a2):
     assert _dist(x, y, beta) <= _dist(x, y, alpha) + 1e-12
 
 
-def test_certify_selfadjoint_segment():
-    cert = numrange.certify_quasi_sectorial(np.diag([0.2, 0.8]).astype(complex), 0.0)
-    assert cert.passed
-    assert cert.max_violation <= 1e-9
-    cert = numrange.certify_quasi_sectorial(np.eye(3, dtype=complex), 0.0)
-    assert cert.passed
-
-
-def test_certify_failure_reports_worst_point():
-    cert = numrange.certify_quasi_sectorial(np.array([[-0.5]], dtype=complex), 0.3)
-    assert not cert.passed
-    assert cert.worst_point == pytest.approx(-0.5)
-    assert cert.max_violation == pytest.approx(0.5 - math.sin(0.3), abs=1e-12)
+def sweep_violation(c, alpha, k=256):
+    """The largest distance from a point of C's k-angle boundary sweep to D(alpha)."""
+    return float(np.max(numrange.distance_to_D_alpha(numrange.numerical_range_boundary(c, k), alpha)))
 
 
 def semi_angle(c):
@@ -262,8 +268,8 @@ def test_resolvent_family_is_quasi_sectorial():
         for j, t in enumerate((0.1, 1.0, 10.0)):
             a = ensembles.random_m_sectorial(6, alpha, ensembles.child_seed(5150, 10 * i + j))
             f = approximants.resolvent_family(a)(t)
-            cert = numrange.certify_quasi_sectorial(f, alpha, 256)
-            assert cert.passed, (alpha, t, cert.max_violation)
+            violation = sweep_violation(f, alpha)
+            assert violation <= TOL_GEO, (alpha, t, violation)
 
 
 def test_normal_matrix_hull_oracle():
@@ -283,10 +289,9 @@ def test_normal_matrix_hull_oracle():
 
 
 def polygon_certifies(c, alpha, k):
-    """quasi_sectorial with a sweep fallback that answers False, so True comes from the polygon."""
+    """quasi_sectorial with a sweep whose points lie outside D(alpha), so True comes from the polygon."""
     with pytest.MonkeyPatch.context() as mp:
-        failed = numrange.SectorCertificate(np.empty(0), passed=False)
-        mp.setattr(numrange, "certify_quasi_sectorial", lambda *args: failed)
+        mp.setattr(numrange, "numerical_range_boundary", lambda c, k: np.full(k, 2.0 + 0j))
         return numrange.quasi_sectorial(c, alpha, k)
 
 
@@ -313,7 +318,7 @@ def _draw(kind, dim, seed, scale):
 def test_polygon_certifies_only_what_the_sweep_passes(kind, dim, seed, scale, alpha, k):
     c = _draw(kind, dim, seed, scale)
     if polygon_certifies(c, alpha, k):
-        assert numrange.certify_quasi_sectorial(c, alpha, k).passed
+        assert sweep_violation(c, alpha, k) <= TOL_GEO
 
 
 def test_polygon_certificate_is_not_vacuous():
@@ -355,11 +360,7 @@ def test_jordan_discs_inside_D_alpha_certify_from_the_polygon(monkeypatch):
 
 
 def test_jordan_discs_poking_out_of_D_alpha_fail_through_the_sweep(monkeypatch):
-    sweeps = []
-    certify = numrange.certify_quasi_sectorial
-    monkeypatch.setattr(
-        numrange, "certify_quasi_sectorial", lambda *args: sweeps.append(args) or certify(*args)
-    )
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
     cases = 0
     for alpha in (0.0, 0.1, math.pi / 8, math.pi / 4, 1.2):
         s = math.sin(alpha)
@@ -387,7 +388,9 @@ def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
 @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
 def test_bad_alpha_is_refused_before_any_eigensolve(monkeypatch, alpha):
     refuse_eigensolves(monkeypatch, "eigh", "eigvalsh")
-    for check in (numrange.certify_quasi_sectorial, numrange.quasi_sectorial, numrange.sectorial):
+    with pytest.raises(InvalidInputError):
+        numrange.check_alpha(alpha)
+    for check in (numrange.quasi_sectorial, numrange.sectorial):
         with pytest.raises(InvalidInputError):
             check(np.eye(2) / 2, alpha)
 
@@ -419,7 +422,7 @@ def test_stacked_check_answers_as_each_matrix_alone(monkeypatch):
     ])
     alone = [numrange.quasi_sectorial(c, alpha, k) for c in stack]
     assert alone == [True, True, False, False, True]
-    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
     assert numrange.quasi_sectorial(stack, alpha, k) == alone
     assert len(sweeps) == 3  # only the matrices whose polygon does not fit are swept
     assert all(np.array_equal(args[0], stack[i]) for i, args in zip((1, 2, 3), sweeps))
@@ -465,8 +468,8 @@ def test_each_level_interleaves_to_the_flat_polygon_of_its_angles(monkeypatch):
     monkeypatch.setattr(
         numrange, "_polygon_fits", lambda h, alpha: seen.append(h.copy()) or np.zeros(len(h), bool)
     )
-    passed = numrange.SectorCertificate(np.empty(0))
-    monkeypatch.setattr(numrange, "certify_quasi_sectorial", lambda *args: passed)
+    # a sweep at the origin, which lies in every D(alpha), passes
+    monkeypatch.setattr(numrange, "numerical_range_boundary", lambda c, k: np.zeros(k, complex))
     assert numrange.quasi_sectorial(stack, 0.3, 256) == [True] * 3
     assert [h.shape for h in seen] == [(3, 16), (3, 32), (3, 64), (3, 128), (3, 256)]
     for h in seen:
@@ -480,7 +483,7 @@ def test_polygon_margin_is_half_the_sweep_tolerance(monkeypatch):
     # polygon, one 0.75 TOL_GEO out passes only through the sweep, and one
     # 1.5 TOL_GEO out fails
     alpha = math.pi / 8
-    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
     for excess, passed, swept in ((0.4, True, 0), (0.75, True, 1), (1.5, False, 1)):
         sweeps.clear()
         point = -(math.sin(alpha) + excess * TOL_GEO) * np.ones((1, 1))
@@ -500,7 +503,7 @@ def flat_polygon_or_sweep(c, alpha, k):
         fits = np.all(np.isfinite(vertices)) and (
             np.max(numrange.distance_to_D_alpha(vertices, alpha)) <= TOL_GEO / 2
         )
-    return bool(fits) or numrange.certify_quasi_sectorial(c, alpha, k).passed
+    return bool(fits) or sweep_violation(c, alpha, k) <= TOL_GEO
 
 
 @settings(deadline=None)
@@ -538,7 +541,7 @@ def test_ladder_refines_only_the_matrices_that_do_not_fit(monkeypatch):
         return support_values(a, thetas)
 
     monkeypatch.setattr(numrange, "_support_values", spy)
-    sweeps = count_calls(monkeypatch, numrange, "certify_quasi_sectorial")
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
     assert numrange.quasi_sectorial(stack, alpha, k) == [True, False, True]
     assert [len(thetas) for thetas in solved] == [16, 128, 8]
     assert all(len(set(thetas)) == len(thetas) for thetas in solved)  # no pair is solved twice
