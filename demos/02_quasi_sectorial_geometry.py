@@ -25,7 +25,7 @@ for t in (0.1, 1.0, 10.0):
     est = numrange.min_semi_angle(f, pts)
     print(
         f"t={t:5.1f}  ||F(t)||={linalg.op_norm(f):.6f}  certified at alpha={alpha:.4f}: "
-        f"{numrange.quasi_sectorial(f, alpha, 256)}  max violation={violation:.2e}  "
+        f"{numrange.quasi_sectorial(f, alpha)}  max violation={violation:.2e}  "
         f"min semi-angle~{est:.4f}"
     )
 
@@ -35,7 +35,7 @@ pts = numrange.numerical_range_boundary(c, 64)
 dists = numrange.distance_to_D_alpha(pts, 0.3)
 worst = int(np.argmax(dists))
 print(
-    f"diag(-0.5, 0.3) at alpha=0.3: passed={numrange.quasi_sectorial(c, 0.3, 64)}, "
+    f"diag(-0.5, 0.3) at alpha=0.3: passed={numrange.quasi_sectorial(c, 0.3)}, "
     f"worst point={complex(pts[worst]):.3f}, distance={dists[worst]:.4f}"
 )
 est = numrange.min_semi_angle(c, numrange.numerical_range_boundary(c, 256))

@@ -14,7 +14,7 @@ from semiapprox import approximants, contour, ensembles, linalg, numrange
 alpha = math.pi / 8
 a = ensembles.random_m_sectorial(5, alpha, seed=61)
 c = approximants.resolvent_family(a)(1.0)
-assert numrange.quasi_sectorial(c, alpha, 256)
+assert numrange.quasi_sectorial(c, alpha)
 
 alpha_prime = 0.5 * (alpha + math.pi / 2)
 nodes = contour.build_contour(alpha_prime)

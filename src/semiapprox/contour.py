@@ -183,23 +183,32 @@ def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, bounds: bool = Fals
     return list(acc.reshape((len(fs),) + c.shape) / (2j * math.pi)), lohi
 
 
-def _majorant_candidates(contour: ContourNodes, alpha: float, lo, hi) -> np.ndarray:
+def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
+    """The node-wise ratios behind the three maxima of contour_norm_bound_check, for
+    the resolvent norms ``norms``: on the arc, on the two lines, and times
+    dist = dist(z, D(alpha)) at every node."""
+    arc = contour.on_arc
+    sin_gap = math.sin(contour.alpha_prime - alpha)
+    arc_major = 1.0 / (math.cos(contour.alpha_prime) * sin_gap)
+    # np.hypot, not np.abs: it rounds |w| as the scalar abs does
+    w = (1.0 - contour.z)[~arc]
+    return norms[arc] / arc_major, norms[~arc] * np.hypot(w.real, w.imag) * sin_gap, norms * dist
+
+
+def _majorant_candidates(contour: ContourNodes, alpha: float, dist, lo, hi) -> np.ndarray:
     """Indices of the nodes at which a maximum of contour_norm_bound_check can sit.
 
-    For each of its three maxima, max_j ||R_j|| w(j), a node is kept when
-    hi_j w(j) reaches the largest lo_i w(i); every node that attains a
-    maximum is kept.
+    For each of its three maxima, a node is kept when its ratio at hi reaches
+    the largest ratio at lo.  The ratios are those of the check, and rounding
+    is monotone, so every node that attains a maximum is kept.
     """
-    z, arc = contour.z, contour.on_arc
-    sin_gap = math.sin(contour.alpha_prime - alpha)
-    w = 1.0 - z
-    # 1/arc_major on the arc, |1 - z| sin(alpha' - alpha) on the sides
-    side = sin_gap * np.where(arc, math.cos(contour.alpha_prime), np.hypot(w.real, w.imag))
-    dist = numrange.distance_to_D_alpha(z, alpha)
+    arc = contour.on_arc
+    groups = (np.flatnonzero(arc), np.flatnonzero(~arc), np.arange(len(contour)))
+    lows = _majorant_ratios(contour, alpha, dist, lo)
+    highs = _majorant_ratios(contour, alpha, dist, hi)
     kept = np.zeros(len(contour), dtype=bool)
-    for weight, group in ((side, arc), (side, ~arc), (dist, np.ones_like(arc))):
-        floor = np.max((lo * weight)[group])
-        kept |= group & (hi * weight >= floor)
+    for group, low, up in zip(groups, lows, highs):
+        kept[group[up >= np.max(low)]] = True
     return np.flatnonzero(kept)
 
 
@@ -219,7 +228,8 @@ def riesz_dunford_many(
     whose bounds let them hold one of the check's three maxima are solved
     again, in stacks of 64, for an exact norm, and every other node enters
     the check as 0.  Each maximum sits at a kept node, so the report equals
-    the one of exact norms at all nodes bit for bit.  The node set is
+    the one of exact norms at all nodes bit for bit; the distances
+    dist(z_j, D(alpha)) are taken once, for both.  The node set is
     doubled until every value agrees with its previous refinement to
     CONTOUR_QUAD_TOL in spectral norm.  Raises InvalidInputError for an
     alpha outside [0, alpha') before solving, and ContourTooCloseError when
@@ -228,12 +238,13 @@ def riesz_dunford_many(
     _check_alpha(alpha, contour.alpha_prime)
     a = linalg.as_operator(c)
     results, (lo, hi) = _evaluate_many(fs, a, contour, bounds=True)
-    kept = _majorant_candidates(contour, alpha, lo, hi)
+    dist = numrange.distance_to_D_alpha(contour.z, alpha)
+    kept = _majorant_candidates(contour, alpha, dist, lo, hi)
     rnorm = np.zeros(len(contour))
     for start in range(0, kept.size, _BLOCK):  # _BLOCK at a time bounds the memory
         chunk = kept[start:start + _BLOCK]
         rnorm[chunk] = linalg.op_norms(_solve(a, contour.z[chunk]))
-    report = contour_norm_bound_check(contour, rnorm, alpha)
+    report = _check_report(contour, alpha, dist, rnorm)
     while True:
         contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
         refined, _ = _evaluate_many(fs, a, contour)
@@ -273,22 +284,20 @@ def contour_norm_bound_check(contour: ContourNodes, rnorm, alpha: float) -> Cont
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
     carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
     """
-    alpha_prime = contour.alpha_prime
-    _check_alpha(alpha, alpha_prime)
+    _check_alpha(alpha, contour.alpha_prime)
     rnorm = np.asarray(rnorm, dtype=float)
     if rnorm.shape != (len(contour),):
         raise InvalidInputError(
             f"need one resolvent norm per contour node ({len(contour)}), got shape {rnorm.shape}"
         )
-    z, arc = contour.z, contour.on_arc
-    sin_gap = math.sin(alpha_prime - alpha)
-    arc_major = 1.0 / (math.cos(alpha_prime) * sin_gap)
-    # np.hypot, not np.abs: it rounds |w| as the scalar abs does
-    w = (1.0 - z)[~arc]
-    worst_arc = float(np.max(rnorm[arc] / arc_major))
-    worst_lines = float(np.max(rnorm[~arc] * np.hypot(w.real, w.imag) * sin_gap))
-    worst_dist = float(np.max(rnorm * numrange.distance_to_D_alpha(z, alpha)))
+    return _check_report(contour, alpha, numrange.distance_to_D_alpha(contour.z, alpha), rnorm)
 
+
+def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
+    """contour_norm_bound_check for the distances dist(z, D(alpha)) of the nodes."""
+    worst_arc, worst_lines, worst_dist = (
+        float(np.max(ratios)) for ratios in _majorant_ratios(contour, alpha, dist, rnorm)
+    )
     majorant_ok = max(worst_arc, worst_lines) <= 1.0 + MAJORANT_TOL
     passed = majorant_ok and worst_dist <= 1.0 + MAJORANT_DIST_TOL
     return ContourCheckReport(

@@ -124,8 +124,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"need at least one t, each finite and >= 0, got {self.ts}")
         if not math.isfinite(self.fit_min_n):
             raise InvalidInputError(f"fit_min_n must be finite, got {self.fit_min_n}")
-        if not 0.0 <= self.alpha < math.pi / 2:
-            raise InvalidInputError(f"alpha must lie in [0, pi/2), got {self.alpha}")
+        numrange.check_alpha(self.alpha)
         if self.kind == "tnk_equivalence" and self.n_mode == "all":
             # this kind sweeps the step s = 2^-k, not n
             raise InvalidInputError("tnk_equivalence has no n-grid; n_mode must be 'pow2'")
@@ -215,7 +214,7 @@ def _resolvent_draws(config: ExperimentConfig):
         if t_res <= 0.0:
             raise InvalidInputError(f"t must be positive, got {t_res}")
         trials.append((i, approximants.resolvent_family(_sectorial(config, i))(t_res), t_res))
-    certified = numrange.quasi_sectorial(np.stack([c for _, c, _ in trials]), config.alpha, 256)
+    certified = numrange.quasi_sectorial(np.stack([c for _, c, _ in trials]), config.alpha)
     draws = [draw for draw, ok in zip(trials, certified) if ok]
     return draws, config.trials - len(draws)
 
@@ -489,7 +488,7 @@ def _run_dunford_segal(config: ExperimentConfig):
         steps = two_step.setdefault(rid, [])
         while chunk := list(itertools.islice(cells, _NORM_CHUNK)):
             stack = np.stack([step for *_, step, _ in chunk])
-            certified = numrange.quasi_sectorial(stack, config.alpha, 64)
+            certified = numrange.quasi_sectorial(stack, config.alpha)
             failures += certified.count(False)
             kept = [cell for cell, ok in zip(chunk, certified) if ok]
             ds = [approximants.chernoff_exp(step, n) for _, _, n, step, _ in kept]

@@ -9,25 +9,19 @@ a disc around the origin glued to a wedge with vertex at z = 1.  A contraction
 is quasi-sectorial for semi-angle alpha when its numerical range W(C) sits
 inside D(alpha); that inclusion is what this module certifies numerically.
 
-There is one verdict per region, built on the boundary sweep
-``numerical_range_boundary`` and the region geometry ``distance_to_D_alpha``
-and ``in_sector``.  Both decide from the outside first.  The supporting lines
-Re(e^{i theta} z) <= lambda_max(H_theta) enclose W(C) (Johnson, SIAM J.
-Numer. Anal. 15, 1978) and need only eigenvalues; ``_support_values`` forms
-the Hermitian parts H_theta and the backward-error bound that raises each
-lambda_max, for both checks.
+There is one verdict per region.  Both decide from the outside, by the
+supporting lines Re(e^{i theta} z) <= lambda_max(H_theta) of W(C) (Johnson,
+SIAM J. Numer. Anal. 15, 1978), whose levels ``_support_values`` takes from
+eigenvalues alone and raises by a backward-error bound:
 
-- ``quasi_sectorial`` (W(C) in D(alpha)) takes outer polygons of such lines,
-  for one matrix or a stack of them, coarse to fine: a few angles first (16
-  for the callers' k = 64 and 256), then twice as many, up to k, solving only
-  the new angles and only for the matrices whose last polygon did not fit.
-- ``sectorial`` (W(A) in the sector |arg z| <= alpha) takes the two lines at
-  the edge normals of the sector, whose half-planes make up the sector.
+- ``quasi_sectorial`` (W(C) in D(alpha)) by outer polygons, coarse to fine
+  from 16 to 256 angles; when none fits, the answer is False;
+- ``sectorial`` (W(A) in the sector |arg z| <= alpha) by the lines at the
+  sector's two edge normals; when they do not settle it, every point of the
+  inside sweep ``numerical_range_boundary`` must pass ``in_sector``.
 
-When the outside test does not settle it, each falls back to the inside sweep
-of boundary points x* C x: every point within TOL_GEO of D(alpha), or every
-point in the sector by ``in_sector``.  The ``numrange`` command reports that
-sweep for D(alpha).
+The sweep also gives the ``numrange`` command its report and
+``min_semi_angle`` its points.
 """
 
 from __future__ import annotations
@@ -191,76 +185,56 @@ def distance_to_D_alpha(z, alpha: float) -> np.ndarray:
     return out if out.shape != (1,) else out.reshape(())
 
 
-def _angle_levels(k: int) -> list[int]:
-    """The angle counts k_0 < 2 k_0 < ... < k of the polygon's ladder, where k_0 is
-    the smallest halving of k that is still even and at least 16.
-
-    64 gives [16, 32, 64], 100 gives [50, 100] and 66 gives [66].  Every level
-    after the first doubles an even count, so its k_l / 2 is even.
-    """
-    levels = [k]
-    while levels[0] % 4 == 0 and levels[0] // 2 >= 16:
-        levels.insert(0, levels[0] // 2)
-    return levels
+_LADDER = (16, 32, 64, 128, 256)  # the angle counts of the outer polygons, coarse to fine
 
 
 def _polygon_fits(h: np.ndarray, alpha: float) -> np.ndarray:
     """Whether each row of support values h (m, k), at theta_j = 2 pi j / k, cuts out a
-    polygon whose vertices are all finite and within TOL_GEO/2 of D(alpha).
+    polygon whose vertices are all within TOL_GEO/2 of D(alpha).
 
     The vertex v_j is where the lines Re(e^{i theta} z) = h at theta_j and
-    theta_{j+1} meet; one ``distance_to_D_alpha`` call takes every vertex.
+    theta_{j+1} meet; one ``distance_to_D_alpha`` call takes every vertex.  A
+    support value or a vertex that is not finite raises InvalidInputError.
     """
     k = h.shape[1]
     h = np.concatenate([h, h[:, :1]], axis=1)  # h[:, k] repeats h[:, 0], closing the polygon
     along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
     across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
     vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
-    return np.all(np.isfinite(vertices), axis=1) & (
-        np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
-    )
+    if not np.all(np.isfinite(vertices)):
+        raise InvalidInputError("a support line of W(C) or a vertex of its outer polygon overflows")
+    return np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
 
 
-def quasi_sectorial(c, alpha: float, k: int = 256):
-    """Whether W(C) lies in D(alpha): whether every point of
-    ``numerical_range_boundary(c, k)`` is within TOL_GEO of D(alpha), decided
-    from an outer polygon of W(C) when one fits.
+def quasi_sectorial(c, alpha: float):
+    """Whether W(C) lies in D(alpha), proved from the outside: whether an outer
+    polygon of W(C) at 16, 32, 64, 128 or 256 angles lies within TOL_GEO/2 of it.
 
     ``c`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
-    with a list of m bools; one matrix is checked as a stack of one.  The
-    support values h_j of a matrix at theta_j = 2 pi j / k, raised by their
-    backward-error bound, come from ``_support_values``: one stacked
-    ``np.linalg.eigvalsh`` per _ANGLE_CHUNK pairs of a matrix and an angle
-    j < k/2, each giving theta_j and theta_j + pi.  Every direction between
-    two adjacent normals is a nonnegative combination of them, so the support
-    function of W(C) there is at most that of the vertex where their lines
-    meet, and W(C) lies in the polygon of those vertices.  When every vertex
-    is within TOL_GEO/2 of the convex D(alpha), so is all of W(C), and every
-    point of the inside sweep, rounding included, passes its TOL_GEO test:
-    the answer is True without the sweep.
+    with a list of m bools.  The k-angle polygon is cut out by the lines
+    Re(e^{i theta_j} z) = h_j, theta_j = 2 pi j / k, where h_j from
+    ``_support_values`` is at least the support value of W(C); between two
+    adjacent normals the support function of W(C) is at most that of the
+    vertex where their lines meet, so W(C) lies in the polygon.  When every
+    vertex is within TOL_GEO/2 of the convex D(alpha), so is all of W(C).
 
-    The polygon is refined on the ladder of ``_angle_levels(k)``.  The first
-    level is solved for the whole stack.  Each later level solves only its
-    new angles, the odd j of ``_sweep_angles(level)``, and only for the
-    matrices whose last polygon did not fit; their support values interleave
-    with those already solved.  The angles 2 pi j / k_l are bit-identical to
-    those of ``_sweep_angles(k)``, so the last level is the k-angle polygon.
-    Each level's vertices go through one ``distance_to_D_alpha`` call; a
-    matrix whose k-angle polygon does not fit is answered by its own sweep.
-    k is checked as by ``numerical_range_boundary``, and alpha before any
-    eigenvalue is solved.
+    The 16-gon is solved for the whole stack.  Each finer level solves only
+    its new angles, the odd j of ``_sweep_angles(level)``, and only for the
+    matrices whose last polygon did not fit, so each level is its flat
+    polygon bit for bit.  A matrix whose 256-gon does not fit is answered
+    False; nothing is sampled from the inside.  alpha is checked before any
+    eigenvalue is solved; support values or vertices that overflow raise
+    InvalidInputError.
     """
     check_alpha(alpha)
-    _check_angles(k)
     a = np.asarray(c, dtype=np.complex128)
     stack = linalg.as_operator_stack(a)
-    levels = _angle_levels(k)
     rows = np.arange(len(stack))  # the matrices of the last level; open_ marks those that did not fit
-    # an overflow leaves a non-finite vertex, and the sweep then refuses the input
+    # an overflow leaves a non-finite vertex, which _polygon_fits refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _support_values(stack, _sweep_angles(levels[0])).reshape(len(stack), levels[0])
+        h = _support_values(stack, _sweep_angles(_LADDER[0])).reshape(len(stack), _LADDER[0])
         open_ = ~_polygon_fits(h, alpha)
-        for level in levels[1:]:
+        for level in _LADDER[1:]:
             if not open_.any():
                 break
             rows = rows[open_]
@@ -273,8 +247,7 @@ def quasi_sectorial(c, alpha: float, k: int = 256):
             open_ = ~_polygon_fits(h, alpha)
     answers = [True] * len(stack)
     for i in rows[open_]:
-        points = numerical_range_boundary(stack[i], k)
-        answers[i] = bool(np.max(distance_to_D_alpha(points, alpha)) <= TOL_GEO)
+        answers[i] = False
     return answers if a.ndim == 3 else answers[0]
 
 

@@ -92,7 +92,7 @@ def sectorial_sweep():
         t = t_vals[(i // 3) % 3]
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 1000 + i))
         c = approximants.resolvent_family(a)(t)
-        if not numrange.quasi_sectorial(c, alpha, 256):
+        if not numrange.quasi_sectorial(c, alpha):
             cert_failures += 1
             continue
         worst_ritt = 0.0
@@ -345,7 +345,7 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
         draws = [("", a, approximants.semigroup_family(a))]
         cells = {}
         for rid, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            if not numrange.quasi_sectorial(step, alpha, 64):
+            if not numrange.quasi_sectorial(step, alpha):
                 cert_failures += 1
                 continue
             err = linalg.op_norm(approximants.chernoff_exp(step, n) - ref)
@@ -426,7 +426,7 @@ def test_criterion_12_contour_calculus():
         dim = 2 + i % 15
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 13_000 + i))
         c = approximants.resolvent_family(a)(1.0)
-        assert numrange.quasi_sectorial(c, alpha, 256)
+        assert numrange.quasi_sectorial(c, alpha)
         alpha_prime = 0.5 * (alpha + math.pi / 2)
         nodes = contour.build_contour(alpha_prime)
         if abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0) > 1e-8:

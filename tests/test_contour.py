@@ -180,9 +180,24 @@ def test_candidate_solves_match_the_pass_rows():
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     rows = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
     _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
-    kept = contour._majorant_candidates(nodes, alpha, lo, hi)
+    kept = contour._majorant_candidates(nodes, alpha, numrange.distance_to_D_alpha(nodes.z, alpha), lo, hi)
     assert 0 < kept.size < len(nodes)
     assert np.array_equal(contour._solve(c, nodes.z[kept]), rows[kept])
+
+
+def test_distances_are_taken_once_per_call(monkeypatch):
+    # the candidates and the check share one distance_to_D_alpha of the base nodes;
+    # the refinement passes take none
+    alpha = math.pi / 8
+    c = certified_resolvent(4, alpha, 3000)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    _, want = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    calls = []
+    distance = numrange.distance_to_D_alpha
+    monkeypatch.setattr(numrange, "distance_to_D_alpha", lambda z, a: calls.append(len(z)) or distance(z, a))
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    assert calls == [len(nodes)]
+    assert dataclasses.astuple(report) == dataclasses.astuple(want)
 
 
 def test_norm_bounds_hold_the_exact_norms():

@@ -184,12 +184,13 @@ def test_contour_majorant_failures_are_counted(monkeypatch):
     assert result.summary["certification_failures"] == 0
     assert result.summary["majorant_failures"] == 0
 
-    check = contour.contour_norm_bound_check
+    many = contour.riesz_dunford_many
 
     def failing_check(*args):
-        return dataclasses.replace(check(*args), passed=False)
+        values, report = many(*args)
+        return values, dataclasses.replace(report, passed=False)
 
-    monkeypatch.setattr(contour, "contour_norm_bound_check", failing_check)
+    monkeypatch.setattr(contour, "riesz_dunford_many", failing_check)
     failed = run_experiment(cfg)
     assert failed.summary["majorant_failures"] == 1
     # the verdict is reported in the summary; the records are unchanged
@@ -293,7 +294,7 @@ def test_dunford_segal_keeps_order_and_counts_when_steps_fail(monkeypatch):
     full = run_experiment(config)
     monkeypatch.setattr(
         numrange, "quasi_sectorial",
-        lambda c, alpha, k: [ok and j % 3 != 1 for j, ok in enumerate(check(c, alpha, k))],
+        lambda c, alpha: [ok and j % 3 != 1 for j, ok in enumerate(check(c, alpha))],
     )
     result = run_experiment(config)
     kept = [r for j, r in enumerate(full.records) if j % 6 % 3 != 1]
@@ -315,7 +316,7 @@ def test_resolvent_draws_are_checked_in_one_stack(monkeypatch):
     check = numrange.quasi_sectorial
     monkeypatch.setattr(
         numrange, "quasi_sectorial",
-        lambda c, alpha, k: [ok and i % 2 == 0 for i, ok in enumerate(check(c, alpha, k))],
+        lambda c, alpha: [ok and i % 2 == 0 for i, ok in enumerate(check(c, alpha))],
     )
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 3

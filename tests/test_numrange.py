@@ -288,13 +288,6 @@ def test_normal_matrix_hull_oracle():
         assert hull_support_gap(pts, lam) <= 1e-6
 
 
-def polygon_certifies(c, alpha, k):
-    """quasi_sectorial with a sweep whose points lie outside D(alpha), so True comes from the polygon."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numrange, "numerical_range_boundary", lambda c, k: np.full(k, 2.0 + 0j))
-        return numrange.quasi_sectorial(c, alpha, k)
-
-
 def _draw(kind, dim, seed, scale):
     if kind == "contraction":
         return scale * ensembles.random_contraction(dim, seed)
@@ -313,18 +306,17 @@ def _draw(kind, dim, seed, scale):
     st.integers(0, 2**32 - 1),
     st.floats(0.001, 1.0),
     _alpha,
-    st.sampled_from((16, 64, 256)),
 )
-def test_polygon_certifies_only_what_the_sweep_passes(kind, dim, seed, scale, alpha, k):
+def test_polygon_certifies_only_what_the_sweep_passes(kind, dim, seed, scale, alpha):
     c = _draw(kind, dim, seed, scale)
-    if polygon_certifies(c, alpha, k):
-        assert sweep_violation(c, alpha, k) <= TOL_GEO
+    if numrange.quasi_sectorial(c, alpha):
+        assert sweep_violation(c, alpha) <= TOL_GEO
 
 
 def test_polygon_certificate_is_not_vacuous():
     # the draws of the property test reach both answers of the polygon
     answers = {
-        polygon_certifies(_draw(kind, 4, seed, 0.5), alpha, 64)
+        numrange.quasi_sectorial(_draw(kind, 4, seed, 0.5), alpha)
         for kind in ("contraction", "step", "jordan")
         for seed in range(8)
         for alpha in (0.2, 1.4)
@@ -355,34 +347,30 @@ def test_jordan_discs_inside_D_alpha_certify_from_the_polygon(monkeypatch):
         discs += [(0.5 * s * np.exp(1j * psi), 0.45 * s) for psi in (0.5, 2.0, 3.0, -2.5)]
         for lam, radius in discs:
             for phase in (0.0, 1.0, 2.5):
-                for k in (16, 64, 256):
-                    assert numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha, k), (alpha, lam, k)
+                assert numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha), (alpha, lam)
 
 
-def test_jordan_discs_poking_out_of_D_alpha_fail_through_the_sweep(monkeypatch):
-    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
-    cases = 0
+def test_jordan_discs_poking_out_of_D_alpha_are_refused(monkeypatch):
+    refuse_eigensolves(monkeypatch, "eigh")  # no eigenvectors: the sweep never runs
     for alpha in (0.0, 0.1, math.pi / 8, math.pi / 4, 1.2):
         s = math.sin(alpha)
         discs = [(x, 1.1 * (1.0 - x) * s + 1e-3) for x in (0.0, 0.3, 0.7, 0.95)]
         discs += [(-0.5 * s, 0.6 * s + 1e-3), (0.3j, abs(0.3j - 1.0) + 1e-3)]
         for lam, radius in discs:
             for phase in (0.0, 1.0, 2.5):
-                for k in (16, 64, 256):
-                    assert not numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha, k)
-                    cases += 1
-    assert len(sweeps) == cases
+                assert not numrange.quasi_sectorial(_jordan(lam, radius, phase), alpha), (alpha, lam)
 
 
 def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
-    # k = 100 starts from the 50-gon, which fits the identity: 25 eigenvalue
-    # solves, each giving an angle and its antipode, in one call
+    # a disc that pokes out of D(alpha) climbs the whole ladder: 8 eigenvalue
+    # solves for the 16-gon, each giving an angle and its antipode, then the
+    # 8, 16, 32 and 64 new ones of each finer level, 32 at a time
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     refuse_eigensolves(monkeypatch, "eigh")
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
-    assert numrange.quasi_sectorial(np.eye(3), 0.0, 100)
-    assert shapes == [(25, 3, 3)]
+    assert not numrange.quasi_sectorial(_jordan(0.0, 0.5, 1.0), 0.3)
+    assert [n for n, _, _ in shapes] == [8, 8, 16, 32, 32, 32]
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
@@ -397,9 +385,29 @@ def test_bad_alpha_is_refused_before_any_eigensolve(monkeypatch, alpha):
 
 @pytest.mark.filterwarnings("error")
 def test_quasi_sectorial_refuses_what_the_sweep_refuses():
-    for c, k in ((np.eye(2), 8), (np.eye(1), 33), (np.full((2, 2), 1e308), 16), (np.full((4, 4), 0.8e308), 16)):
+    for c in (np.full((2, 2), 1e308), np.full((4, 4), 0.8e308)):
         with pytest.raises(InvalidInputError):
-            numrange.quasi_sectorial(c, 0.5, k)
+            numrange.quasi_sectorial(c, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quasi_sectorial_never_sweeps(monkeypatch):
+    # the answer comes from the outer polygons alone, False included, and an
+    # input whose support values overflow is refused, not answered False
+    refuse_eigensolves(monkeypatch, "eigh")
+
+    def refuse(*args):
+        raise AssertionError("quasi_sectorial sampled the numerical range")
+
+    monkeypatch.setattr(numrange, "numerical_range_boundary", refuse)
+    alpha = math.pi / 8
+    s = math.sin(alpha)
+    stack = np.stack([_jordan(0.0, 0.5 * s, 1.0), _jordan(0.0, 1.01 * s, 1.0), _jordan(0.3, 0.35 * s, 2.5)])
+    assert numrange.quasi_sectorial(stack, alpha) == [True, False, True]
+    # the top eigenvalue overflows; ||C||_F overflows, so the raise does
+    for c in (np.full((32, 32), 1e307), 1e200 * np.eye(2)):
+        with pytest.raises(InvalidInputError):
+            numrange.quasi_sectorial(c, alpha)
 
 
 def count_calls(monkeypatch, module, name):
@@ -410,23 +418,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_stacked_check_answers_as_each_matrix_alone(monkeypatch):
-    alpha, k = math.pi / 8, 16
+def test_stacked_check_answers_as_each_matrix_alone():
+    alpha = math.pi / 8
     s = math.sin(alpha)
     stack = np.stack([
         _jordan(0.0, 0.5 * s, 1.0),  # the 16-gon fits in D(alpha)
-        _jordan(0.0, 0.99 * s, 1.0),  # the 16-gon pokes out of the disc part, the circle does not
+        _jordan(0.0, 0.99 * s, 1.0),  # the 16-gon pokes out of the disc part, the 32-gon does not
         _jordan(0.0, 1.01 * s, 1.0),  # the circle pokes out too
-        1e200 * np.eye(2),  # ||C||_F overflows, so the polygon is not finite; the sweep is
         _jordan(0.3, 0.5 * 0.7 * s, 2.5),
     ])
-    alone = [numrange.quasi_sectorial(c, alpha, k) for c in stack]
-    assert alone == [True, True, False, False, True]
-    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
-    assert numrange.quasi_sectorial(stack, alpha, k) == alone
-    assert len(sweeps) == 3  # only the matrices whose polygon does not fit are swept
-    assert all(np.array_equal(args[0], stack[i]) for i, args in zip((1, 2, 3), sweeps))
-    assert numrange.quasi_sectorial(stack[:1], alpha, k) == [True]  # a stack of one is still a stack
+    alone = [numrange.quasi_sectorial(c, alpha) for c in stack]
+    assert alone == [True, True, False, True]
+    assert numrange.quasi_sectorial(stack, alpha) == alone
+    assert numrange.quasi_sectorial(stack[:1], alpha) == [True]  # a stack of one is still a stack
 
 
 def test_stacked_check_takes_one_distance_call_and_chunks_of_32(monkeypatch):
@@ -435,29 +439,23 @@ def test_stacked_check_takes_one_distance_call_and_chunks_of_32(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
     distances = count_calls(monkeypatch, numrange, "distance_to_D_alpha")
-    # every polygon fits at the first level k_0 of the ladder: m k_0 / 2 pairs
-    for m, k, k0 in ((5, 16, 16), (3, 100, 50), (1, 64, 16), (10, 64, 16)):
+    # every polygon fits at the first level of the ladder, 16 angles: 8 m pairs
+    for m in (5, 3, 1, 10):
         shapes.clear()
         distances.clear()
-        assert numrange.quasi_sectorial(np.stack([np.eye(3) / 2] * m), 0.0, k) == [True] * m
+        assert numrange.quasi_sectorial(np.stack([np.eye(3) / 2] * m), 0.0) == [True] * m
         assert max(n for n, _, _ in shapes) <= numrange._ANGLE_CHUNK == 32
-        assert sum(n for n, _, _ in shapes) == m * k0 // 2
-        assert len(distances) == 1 and distances[0][0].shape == (m, k0)
+        assert sum(n for n, _, _ in shapes) == 8 * m
+        assert len(distances) == 1 and distances[0][0].shape == (m, 16)
     assert shapes == [(32, 3, 3), (32, 3, 3), (16, 3, 3)]
 
 
 def test_angle_levels_are_entries_of_the_full_sweep():
-    assert numrange._angle_levels(16) == [16]
-    assert numrange._angle_levels(48) == [24, 48]
-    assert numrange._angle_levels(64) == [16, 32, 64]
-    assert numrange._angle_levels(66) == [66]
-    assert numrange._angle_levels(100) == [50, 100]
-    assert numrange._angle_levels(256) == [16, 32, 64, 128, 256]
-    for k in (64, 100, 256):
-        full = numrange._sweep_angles(k)
-        for level in numrange._angle_levels(k):
-            # bit for bit: 2 pi j / k_l and 2 pi (j k / k_l) / k differ by a power of two
-            assert numrange._sweep_angles(level).tobytes() == full[:: k // level].tobytes()
+    assert numrange._LADDER == (16, 32, 64, 128, 256)
+    full = numrange._sweep_angles(256)
+    for level in numrange._LADDER:
+        # bit for bit: 2 pi j / k_l and 2 pi (j 256 / k_l) / 256 differ by a power of two
+        assert numrange._sweep_angles(level).tobytes() == full[:: 256 // level].tobytes()
 
 
 def test_each_level_interleaves_to_the_flat_polygon_of_its_angles(monkeypatch):
@@ -468,9 +466,7 @@ def test_each_level_interleaves_to_the_flat_polygon_of_its_angles(monkeypatch):
     monkeypatch.setattr(
         numrange, "_polygon_fits", lambda h, alpha: seen.append(h.copy()) or np.zeros(len(h), bool)
     )
-    # a sweep at the origin, which lies in every D(alpha), passes
-    monkeypatch.setattr(numrange, "numerical_range_boundary", lambda c, k: np.zeros(k, complex))
-    assert numrange.quasi_sectorial(stack, 0.3, 256) == [True] * 3
+    assert numrange.quasi_sectorial(stack, 0.3) == [False] * 3
     assert [h.shape for h in seen] == [(3, 16), (3, 32), (3, 64), (3, 128), (3, 256)]
     for h in seen:
         k = h.shape[1]
@@ -480,19 +476,19 @@ def test_each_level_interleaves_to_the_flat_polygon_of_its_angles(monkeypatch):
 
 def test_polygon_margin_is_half_the_sweep_tolerance(monkeypatch):
     # W([z]) = {z}: a point 0.4 TOL_GEO outside D(alpha) certifies from the
-    # polygon, one 0.75 TOL_GEO out passes only through the sweep, and one
-    # 1.5 TOL_GEO out fails
+    # polygon; one 0.75 TOL_GEO out, which the sweep would pass, and one
+    # 1.5 TOL_GEO out fail
     alpha = math.pi / 8
     sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
-    for excess, passed, swept in ((0.4, True, 0), (0.75, True, 1), (1.5, False, 1)):
-        sweeps.clear()
+    for excess, passed in ((0.4, True), (0.75, False), (1.5, False)):
         point = -(math.sin(alpha) + excess * TOL_GEO) * np.ones((1, 1))
-        assert numrange.quasi_sectorial(point, alpha, 64) is passed
-        assert len(sweeps) == swept
+        assert numrange.quasi_sectorial(point, alpha) is passed
+        assert (sweep_violation(point, alpha) <= TOL_GEO) is (excess < 1)
+    assert len(sweeps) == 3  # those of sweep_violation only
 
 
-def flat_polygon_or_sweep(c, alpha, k):
-    """The answer of the k-angle polygon alone, without the ladder: it fits, or the sweep passes."""
+def flat_polygon_fits(c, alpha, k):
+    """Whether the k-angle polygon alone, without the ladder, fits."""
     stack = np.asarray(c, dtype=np.complex128)[None]
     with np.errstate(over="ignore", invalid="ignore"):
         h = numrange._support_values(stack, numrange._sweep_angles(k)).reshape(1, k)
@@ -503,7 +499,7 @@ def flat_polygon_or_sweep(c, alpha, k):
         fits = np.all(np.isfinite(vertices)) and (
             np.max(numrange.distance_to_D_alpha(vertices, alpha)) <= TOL_GEO / 2
         )
-    return bool(fits) or sweep_violation(c, alpha, k) <= TOL_GEO
+    return bool(fits)
 
 
 @settings(deadline=None)
@@ -513,22 +509,22 @@ def flat_polygon_or_sweep(c, alpha, k):
     st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
     st.floats(0.001, 1.0),
     _alpha,
-    st.sampled_from((16, 64, 100, 256)),
 )
-def test_ladder_answers_as_the_flat_polygon(kind, dim, seeds, scale, alpha, k):
+def test_ladder_answers_as_the_flat_polygon(kind, dim, seeds, scale, alpha):
+    # True exactly when the flat polygon of some level fits
     stack = np.stack([_draw(kind, dim, seed, scale) for seed in seeds])
-    expected = [flat_polygon_or_sweep(c, alpha, k) for c in stack]
-    assert numrange.quasi_sectorial(stack, alpha, k) == expected
+    expected = [any(flat_polygon_fits(c, alpha, k) for k in numrange._LADDER) for c in stack]
+    assert numrange.quasi_sectorial(stack, alpha) == expected
 
 
 def test_ladder_refines_only_the_matrices_that_do_not_fit(monkeypatch):
-    alpha, k = math.pi / 8, 256
+    alpha = math.pi / 8
     s = math.sin(alpha)
     stack = np.stack([
         # off the centre, so that support values at the wrong angles would not fit;
         # the 16-gon pokes out of the disc part, the 32-gon fits
         _jordan(0.4 * s * np.exp(2.5j), 0.99 * 0.6 * s, 1.0),
-        _jordan(0.0, 1.01 * s, 1.0),  # the circle pokes out: every level is solved, then swept
+        _jordan(0.0, 1.01 * s, 1.0),  # the circle pokes out: every level is solved, and none fits
         _jordan(0.3, 0.5 * 0.7 * s, 2.5),  # the 16-gon fits
     ])
     solved = [[] for _ in stack]
@@ -541,19 +537,17 @@ def test_ladder_refines_only_the_matrices_that_do_not_fit(monkeypatch):
         return support_values(a, thetas)
 
     monkeypatch.setattr(numrange, "_support_values", spy)
-    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
-    assert numrange.quasi_sectorial(stack, alpha, k) == [True, False, True]
+    assert numrange.quasi_sectorial(stack, alpha) == [True, False, True]
     assert [len(thetas) for thetas in solved] == [16, 128, 8]
     assert all(len(set(thetas)) == len(thetas) for thetas in solved)  # no pair is solved twice
-    assert sorted(solved[1]) == numrange._sweep_angles(k).tolist()
-    assert len(sweeps) == 1 and np.array_equal(sweeps[0][0], stack[1])
+    assert sorted(solved[1]) == numrange._sweep_angles(256).tolist()
 
 
 def test_stacked_check_refuses_what_a_matrix_alone_refuses():
     with pytest.raises(InvalidInputError):
-        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), 1e308)]), 0.5, 16)
+        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), 1e308)]), 0.5)
     with pytest.raises(InvalidInputError):
-        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)]), 0.5, 16)
+        numrange.quasi_sectorial(np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)]), 0.5)
 
 
 def _normal(eigenvalues, seed):
