@@ -5,10 +5,13 @@ Phi(t/n)^n and its exponential partner e^{n(Phi(t/n) - 1)}.  Euler is the
 power of the resolvent family, Dunford-Segal the partner of the semigroup
 family, Lie-Trotter the power of the split-step family.  A ContractionFamily
 is a closure s -> Phi(s), kept as an evaluator rather than a sampled table so
-that t/n stays exact for large n.  The pair is formed from one evaluated step
-Phi(t/n), so a caller that needs the power and the partner evaluates the step
-once.  The families are the only constructors of Phi(s), e^{-tA} and
-(1 + tA)^{-1} in the package.
+that t/n stays exact for large n.  A sequence of s values evaluates to one
+(k, d, d) stack of steps, and ``chernoff_power`` and ``chernoff_exp`` take
+such a stack with one n per step, so a caller forms the pairs of many n from
+one stacked step evaluation, one ``linalg.mat_pow`` and one ``linalg.expm``.
+A family's generator may itself be a (k, d, d) stack; Phi(s) is then the
+stack of its members' Phi(s).  The families are the only constructors of
+Phi(s), e^{-tA} and (1 + tA)^{-1} in the package.
 """
 
 from __future__ import annotations
@@ -25,29 +28,50 @@ from .errors import DomainError
 
 @dataclass
 class ContractionFamily:
-    """Map s >= 0 -> contraction Phi(s) with Phi(0) = identity."""
+    """Map s >= 0 -> contraction Phi(s) with Phi(0) = identity.
 
-    evaluator: Callable[[float], np.ndarray]
+    ``s`` is a number, giving Phi(s), or a sequence, giving the stack of
+    Phi(s_j).  The evaluator takes s as an array of shape (1, 1) or (k, 1, 1),
+    so that it broadcasts against the generator.
+    """
 
-    def __call__(self, s: float) -> np.ndarray:
-        if s < 0.0:
-            raise DomainError(f"family argument must be >= 0, got {s}")
-        return self.evaluator(s)
+    evaluator: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=np.float64)
+        if (s < 0.0).any():
+            raise DomainError(f"family argument must be >= 0, got {s[s < 0.0].flat[0]}")
+        return self.evaluator(s[..., None, None])
+
+
+def _generator(a) -> np.ndarray:
+    """a as one operator, or as a (k, d, d) stack of them."""
+    a = np.asarray(a, dtype=np.complex128)
+    return linalg.as_operator_stack(a) if a.ndim == 3 else linalg.as_operator(a)
 
 
 def semigroup_family(a) -> ContractionFamily:
     """Phi(s) = e^{-sA}: the exact semigroup itself, the target of every approximant."""
-    a = linalg.as_operator(a)
+    a = _generator(a)
     return ContractionFamily(lambda s: linalg.expm(-s * a))
 
 
 def resolvent_family(a) -> ContractionFamily:
     """Phi(s) = (1 + sA)^{-1}: the resolvent (implicit Euler) family."""
-    a = linalg.as_operator(a)
-    eye = np.eye(a.shape[0])
-    return ContractionFamily(
-        lambda s: linalg.inverse(eye + s * a) if s > 0.0 else eye.astype(complex)
-    )
+    a = _generator(a)
+    eye = np.eye(a.shape[-1])
+
+    def evaluate(s: np.ndarray) -> np.ndarray:
+        steps = eye + s * a
+        # Phi(0) is the identity itself; only the s > 0 steps are inverted
+        # (for one matrix, positive is 0-d and indexes it as a stack of one)
+        positive = np.broadcast_to(s > 0.0, steps.shape)[..., 0, 0]
+        steps[~positive] = eye
+        if positive.any():
+            steps[positive] = linalg.inverse(steps[positive])
+        return steps
+
+    return ContractionFamily(evaluate)
 
 
 def trotter_family(a, b) -> ContractionFamily:
@@ -58,21 +82,32 @@ def trotter_family(a, b) -> ContractionFamily:
     return ContractionFamily(lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b))
 
 
-def chernoff_power(step, n: int) -> np.ndarray:
-    """Phi(t/n)^n from the step Phi(t/n)."""
-    _check_n(n)
+def _check_each_n(step, n) -> None:
+    """Check the n of one step, or each n of a (k, d, d) stack of steps."""
+    for m in n if np.ndim(step) == 3 else [n]:
+        _check_n(m)
+
+
+def chernoff_power(step, n) -> np.ndarray:
+    """Phi(t/n)^n from the step Phi(t/n); a (k, d, d) stack of steps takes one n per step."""
+    _check_each_n(step, n)
     return linalg.mat_pow(step, n)
 
 
-def chernoff_exp(step, n: int) -> np.ndarray:
-    """exp(n (Phi(t/n) - 1)) from the step Phi(t/n): the exponential partner."""
-    _check_n(n)
-    return linalg.expm(n * (step - np.eye(step.shape[0])))
+def chernoff_exp(step, n) -> np.ndarray:
+    """exp(n (Phi(t/n) - 1)) from the step Phi(t/n): the exponential partner.
+
+    A (k, d, d) stack of steps takes one n per step.
+    """
+    _check_each_n(step, n)
+    scale = np.asarray(n, dtype=np.float64)[..., None, None]
+    return linalg.expm(scale * (step - np.eye(np.shape(step)[-1])))
 
 
-def discrete_generator(phi: ContractionFamily, s: float) -> np.ndarray:
-    """(1 - Phi(s)) / s, the bounded approximation of the generator."""
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
+def discrete_generator(phi: ContractionFamily, s) -> np.ndarray:
+    """(1 - Phi(s)) / s, the bounded approximation of the generator; a sequence of s gives a stack."""
+    s = np.asarray(s, dtype=np.float64)
+    if (s <= 0.0).any():
+        raise DomainError(f"s must be positive, got {s[s <= 0.0].flat[0]}")
     step = phi(s)
-    return (np.eye(step.shape[0]) - step) / s
+    return (np.eye(step.shape[-1]) - step) / s[..., None, None]

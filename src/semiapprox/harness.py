@@ -180,7 +180,7 @@ def _powers(bases, ns, step: bool = False):
         yield n, pw, ahead
 
 
-_NORM_CHUNK = 64  # values of n per stacked SVD: 2 MB at d = 32 with two matrices per n
+_NORM_CHUNK = 64  # values of n per stack: 3 MB at d = 32 with three norm columns per n
 
 
 def _stacked_norms(items):
@@ -194,6 +194,15 @@ def _stacked_norms(items):
         norms = iter(linalg.op_norms([m for _, ms in chunk for m in ms]))
         for n, ms in chunk:
             yield n, [next(norms) for _ in ms]
+
+
+def _norm_rows(*columns):
+    """Zip the spectral norms of the equally long (k, d, d) stacks ``columns``, one
+    ``linalg.op_norms`` call for all of them: the j-th row holds the norms of
+    the j-th member of each column."""
+    norms = linalg.op_norms(np.concatenate(columns))
+    k = len(columns[0])
+    return zip(*(norms[i * k:(i + 1) * k] for i in range(len(columns))))
 
 
 def _sectorial(config: ExperimentConfig, i: int) -> np.ndarray:
@@ -286,34 +295,41 @@ def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
     )
 
 
-def _pair_sweep(draws, ts, ns):
-    """Yield (id/t, t, n, Phi(t/n), e^{-tA}) for the draws (id, A, Phi) in (draw, t, n) order.
+def _step_stacks(draws, ts, ns):
+    """Yield (id/t, t, chunk, [Phi(t/n) for n in chunk], e^{-tA}) for the draws (id, A, Phi),
+    in (draw, t, n) order.
 
-    e^{-tA} is evaluated once per (draw, t) and the step Phi(t/n) once per
-    (draw, t, n); the caller forms the Chernoff pair from that one step.
+    e^{-tA} is evaluated once per (draw, t), and the steps Phi(t/n) of
+    _NORM_CHUNK consecutive n of the grid ns as one stack, by one call of the
+    family; the last chunk may be partial.  The caller forms the Chernoff
+    pairs of the chunk from that one stack.
     """
     for rid, a, phi in draws:
         semigroup = approximants.semigroup_family(a)
         for t in ts:
             ref = semigroup(t)
-            for n in ns:
-                yield f"{rid}/t{t:g}", t, n, phi(t / n), ref
+            for lo in range(0, len(ns), _NORM_CHUNK):
+                chunk = ns[lo:lo + _NORM_CHUNK]
+                yield f"{rid}/t{t:g}", t, chunk, phi([t / n for n in chunk]), ref
 
 
 def _tnk_sweep(a, k_max, t):
     """Yield (k, s, ||(1 + X_s)^-1 - (1 + A)^-1||, ||e^{-t X_s} - e^{-tA}||) for k = 1..k_max.
 
     s = 2^-k, and X_s = (1 - Phi(s))/s is the discrete generator of the
-    resolvent family Phi of A.
+    resolvent family Phi of A.  The k_max steps, their resolvents and their
+    semigroups are each one stack, and both norm columns one op_norms call.
     """
     phi = approximants.resolvent_family(a)
     res_ref = phi(1.0)
     semi_ref = approximants.semigroup_family(a)(t)
-    for k in range(1, k_max + 1):
-        s = 2.0 ** (-k)
-        x_s = approximants.discrete_generator(phi, s)
-        res = linalg.op_norm(approximants.resolvent_family(x_s)(1.0) - res_ref)
-        yield k, s, res, linalg.op_norm(approximants.semigroup_family(x_s)(t) - semi_ref)
+    ks = range(1, k_max + 1)
+    ss = [2.0 ** (-k) for k in ks]
+    x_s = approximants.discrete_generator(phi, ss)
+    res = approximants.resolvent_family(x_s)(1.0) - res_ref
+    semi = approximants.semigroup_family(x_s)(t) - semi_ref
+    for k, s, (res_norm, semi_norm) in zip(ks, ss, _norm_rows(res, semi)):
+        yield k, s, res_norm, semi_norm
 
 
 def _contour_sweep(c, nodes, ns, alpha):
@@ -329,14 +345,11 @@ def _contour_sweep(c, nodes, ns, alpha):
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     got, report = contour.riesz_dunford_many(fs, c, nodes, alpha)
-    diffs = []
-    for idx, n in enumerate(ns):
-        cn = approximants.chernoff_power(c, n)
-        diffs.append(got[idx] - cn @ (eye - c))
-        diffs.append(got[idx + len(ns)] - (cn - approximants.chernoff_exp(c, n)))
-    norms = linalg.op_norms(np.stack(diffs))
-    errors = [(n, norms[2 * k], norms[2 * k + 1]) for k, n in enumerate(ns)]
-    return errors, report
+    steps = np.broadcast_to(c, (len(ns), *c.shape))
+    powers = approximants.chernoff_power(steps, ns)
+    gaps = powers - approximants.chernoff_exp(steps, ns)
+    rows = _norm_rows(got[: len(ns)] - powers @ (eye - c), got[len(ns):] - gaps)
+    return [(n, ritt, gap) for n, (ritt, gap) in zip(ns, rows)], report
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +408,12 @@ def _run_chernoff_product(config: ExperimentConfig):
     draws = (
         (f"chernoff_product/d{i:03d}", a, approximants.resolvent_family(a)) for i, a in generators
     )
-    for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
-        power = approximants.chernoff_power(step, n)
-        emp = linalg.op_norm(power - approximants.chernoff_exp(step, n))
-        bound = bounds.cbrt_norm_bound(n, linalg.op_norm(eye - step))
-        records.append(make_record(rid, n, t, emp, bound))
-        product_cells.setdefault(rid, []).append((n, linalg.op_norm(power - ref)))
+    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
+        powers = approximants.chernoff_power(steps, ns)
+        gaps = powers - approximants.chernoff_exp(steps, ns)
+        for n, (emp, dist, err) in zip(ns, _norm_rows(gaps, eye - steps, powers - ref)):
+            records.append(make_record(rid, n, t, emp, bounds.cbrt_norm_bound(n, dist)))
+            product_cells.setdefault(rid, []).append((n, err))
     extras = {"product_error_final": {k: v[-1][1] for k, v in product_cells.items()}}
     fits = _fit_groups(product_cells, config.fit_min_n)
     if fits:
@@ -412,9 +425,10 @@ def _run_trotter_product(config: ExperimentConfig):
     records = []
     for rid, a, phi, comm in _trotter_draws(config):
         # commuting factors (comm = 0) make the product exact
-        for rid_t, t, n, step, ref in _pair_sweep([(rid, a, phi)], config.ts, _n_grid(config)):
-            emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
-            records.append(make_record(rid_t, n, t, emp, bounds.trotter_bound(n, t, comm)))
+        for rid_t, t, ns, steps, ref in _step_stacks([(rid, a, phi)], config.ts, _n_grid(config)):
+            errors = _norm_rows(approximants.chernoff_power(steps, ns) - ref)
+            for n, (emp,) in zip(ns, errors):
+                records.append(make_record(rid_t, n, t, emp, bounds.trotter_bound(n, t, comm)))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
     return records, {"noncommuting_rate_fits": fits}
 
@@ -459,9 +473,10 @@ def _run_euler(config: ExperimentConfig):
     generators, failures = _sector_draws(config)
     draws = ((rid, a, approximants.resolvent_family(a)) for rid, a in generators)
     records = []
-    for rid, t, n, step, ref in _pair_sweep(draws, config.ts, _n_grid(config)):
-        emp = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
-        records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
+    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
+        errors = _norm_rows(approximants.chernoff_power(steps, ns) - ref)
+        for n, (emp,) in zip(ns, errors):
+            records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
     nonmonotone = sum(
         e1 > e0 + 1e-12 for group in cells.values() for (_, e0), (_, e1) in zip(group, group[1:])
@@ -478,27 +493,25 @@ def _run_euler(config: ExperimentConfig):
 def _run_dunford_segal(config: ExperimentConfig):
     """Dunford-Segal pairs, checked per (draw, t) in stacks of _NORM_CHUNK steps Phi(t/n)
     (one stack on a power-of-two grid): one quasi_sectorial call certifies the
-    steps, and one op_norms call takes both norms of every certified step."""
+    steps, one chernoff_exp and one chernoff_power call form the pairs of the
+    certified ones, and one op_norms call takes both norms of each."""
     generators, failures = _sector_draws(config)
     draws = ((rid, a, approximants.semigroup_family(a)) for rid, a in generators)
     records = []
     two_step: dict[str, list[tuple[int, float, float]]] = {}
-    sweep = _pair_sweep(draws, config.ts, _n_grid(config))
-    for rid, cells in itertools.groupby(sweep, key=lambda cell: cell[0]):
-        steps = two_step.setdefault(rid, [])
-        while chunk := list(itertools.islice(cells, _NORM_CHUNK)):
-            stack = np.stack([step for *_, step, _ in chunk])
-            certified = numrange.quasi_sectorial(stack, config.alpha)
-            failures += certified.count(False)
-            kept = [cell for cell, ok in zip(chunk, certified) if ok]
-            ds = [approximants.chernoff_exp(step, n) for _, _, n, step, _ in kept]
-            pairs = (
-                ((t, n), [d - ref, approximants.chernoff_power(step, n) - d])
-                for (_, t, n, step, ref), d in zip(kept, ds)
-            )
-            for (t, n), (emp, gap) in _stacked_norms(pairs):
-                records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
-                steps.append((n, gap, emp))
+    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
+        cells = two_step.setdefault(rid, [])
+        certified = numrange.quasi_sectorial(steps, config.alpha)
+        failures += certified.count(False)
+        kept = [j for j, ok in enumerate(certified) if ok]
+        if not kept:
+            continue
+        ns, steps = [ns[j] for j in kept], steps[kept]
+        partners = approximants.chernoff_exp(steps, ns)
+        powers = approximants.chernoff_power(steps, ns)
+        for n, (emp, gap) in zip(ns, _norm_rows(partners - ref, powers - partners)):
+            records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
+            cells.append((n, gap, emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),

@@ -93,7 +93,8 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     H_{theta + pi} = -H_theta; one ``np.linalg.eigvalsh`` per chunk of
     ``_hermitian_parts`` gives both.  Each value is raised by 64 d u ||a_i||_F
     (u = 2^-53), a bound on the backward error of forming H_theta and solving
-    for its eigenvalues, so h is at least the exact support value.
+    for its eigenvalues, so h is at least the exact support value; the norm
+    is the scaled ``_frobenius``, finite whenever ||a_i||_F is.
     """
     n = len(thetas)
     h = np.empty((len(a) * n, 2))
@@ -101,8 +102,20 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         w = np.linalg.eigvalsh(herm)
         h[lo:hi, 0] = w[:, -1]
         h[lo:hi, 1] = -w[:, 0]
-    slack = 64 * a.shape[-1] * 2.0**-53 * np.linalg.norm(a, axis=(1, 2))
+    slack = 64 * a.shape[-1] * 2.0**-53 * _frobenius(a)
     return h.reshape(len(a), n, 2).transpose(0, 2, 1) + slack[:, None, None]
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||a_i||_F of each member of a (m, d, d) stack, as 2^e ||2^-e a_i||_F with 2^e
+    the power of two just above its largest |entry|.
+
+    It is finite whenever ||a_i||_F is, not only below about 1e154, where
+    the squares of the plain norm overflow, and the scaling is exact, so
+    below that it is ``np.linalg.norm(a_i)`` bit for bit.
+    """
+    scale = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(1, 2)))[1])
+    return np.linalg.norm(a / scale[:, None, None], axis=(1, 2)) * scale
 
 
 def numerical_range_boundary(c, k: int = 256) -> np.ndarray:

@@ -27,9 +27,9 @@ from semiapprox.harness import (
     ExperimentConfig,
     _contour_sweep,
     _n_grid,
-    _pair_sweep,
     _resolvent_draws,
     _ritt_gap_sweep,
+    _step_stacks,
     _tnk_sweep,
     _unit_vectors,
     _vector_sweep,
@@ -315,15 +315,16 @@ def test_criterion_08_euler(m_sectorial_draws):
     for alpha, a in m_sectorial_draws:
         draws = [("", a, approximants.resolvent_family(a))]
         cells = {}
-        for rid, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            err = linalg.op_norm(approximants.chernoff_power(step, n) - ref)
-            bound = bounds.euler_bound(n, alpha)
-            if not passes(err, bound):
-                bad += 1
-            worst = max(worst, err / bound)
-            if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
-                bad_selfadjoint += 1
-            cells.setdefault(rid, []).append((n, err))
+        for rid, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            errors = linalg.op_norms(approximants.chernoff_power(steps, ns) - ref)
+            for n, err in zip(ns, errors):
+                bound = bounds.euler_bound(n, alpha)
+                if not passes(err, bound):
+                    bad += 1
+                worst = max(worst, err / bound)
+                if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
+                    bad_selfadjoint += 1
+                cells.setdefault(rid, []).append((n, err))
         rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
@@ -344,15 +345,19 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
         cos2 = math.cos(alpha) ** 2
         draws = [("", a, approximants.semigroup_family(a))]
         cells = {}
-        for rid, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            if not numrange.quasi_sectorial(step, alpha):
-                cert_failures += 1
+        for rid, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            certified = numrange.quasi_sectorial(steps, alpha)
+            cert_failures += certified.count(False)
+            kept = [j for j, ok in enumerate(certified) if ok]
+            if not kept:
                 continue
-            err = linalg.op_norm(approximants.chernoff_exp(step, n) - ref)
-            if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
-                bad += 1
-            n_hat = max(n_hat, n * cos2 * err)
-            cells.setdefault(rid, []).append((n, err))
+            ns = [ns[j] for j in kept]
+            errors = linalg.op_norms(approximants.chernoff_exp(steps[kept], ns) - ref)
+            for n, err in zip(ns, errors):
+                if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
+                    bad += 1
+                n_hat = max(n_hat, n * cos2 * err)
+                cells.setdefault(rid, []).append((n, err))
         rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
@@ -373,16 +378,17 @@ def test_criterion_10_trotter():
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         draws = [("", a + b, approximants.trotter_family(a, b))]
-        for _, _, n, step, ref in _pair_sweep(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            if linalg.op_norm(approximants.chernoff_power(step, n) - ref) > 1e-10:
-                bad_commuting += 1
+        for _, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            errors = linalg.op_norms(approximants.chernoff_power(steps, ns) - ref)
+            bad_commuting += sum(err > 1e-10 for err in errors)
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     draws = [("", a + b, approximants.trotter_family(a, b))]
     cells = [
-        (n, linalg.op_norm(approximants.chernoff_power(step, n) - ref))
-        for _, _, n, step, ref in _pair_sweep(draws, (1.0,), pow2_grid(512))
+        (n, err)
+        for _, _, ns, steps, ref in _step_stacks(draws, (1.0,), pow2_grid(512))
+        for n, err in zip(ns, linalg.op_norms(approximants.chernoff_power(steps, ns) - ref))
     ]
     est = fit_rate(cells)
     decayed = cells[-1][1] < 1e-2 * cells[0][1]

@@ -218,3 +218,57 @@ def test_trotter_noncommuting_first_order_rate():
     est = fit_rate(points)
     assert 0.9 <= est.exponent_p <= 1.1
     assert points[-1][1] < points[0][1] / 100
+
+
+def _families(dim, seed):
+    a = sectorial(dim, math.pi / 8, seed)
+    b = sectorial(dim, 0.0, seed + 1)
+    return {
+        "semigroup": approximants.semigroup_family(a),
+        "resolvent": approximants.resolvent_family(a),
+        "trotter": approximants.trotter_family(a, b),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_family_of_a_sequence_is_the_stack_of_its_steps(dim):
+    # t/n for t = 0 and t = 1.5 over the power-of-two grid: s = 0 members are the identity
+    ss = [t / n for t in (0.0, 1.5) for n in (1, 2, 4, 8, 1024)]
+    for name, phi in _families(dim, 300 + dim).items():
+        stack = phi(ss)
+        assert stack.shape == (len(ss), dim, dim), name
+        for s, step in zip(ss, stack):
+            assert step.tobytes() == phi(s).tobytes(), (name, s)
+            if s == 0.0:
+                assert step.tobytes() == np.eye(dim, dtype=complex).tobytes(), name
+    with pytest.raises(DomainError, match="got -0.5"):
+        approximants.semigroup_family(np.eye(2))([1.0, -0.5, 2.0])
+
+
+def test_family_of_a_generator_stack_is_the_stack_of_its_families():
+    gens = np.stack([sectorial(4, math.pi / 8, seed) for seed in range(5)])
+    for family in (approximants.semigroup_family, approximants.resolvent_family):
+        stack = family(gens)(0.7)
+        for gen, step in zip(gens, stack):
+            assert step.tobytes() == family(gen)(0.7).tobytes()
+    phi = approximants.resolvent_family(gens[0])
+    ss = [0.5, 0.25, 0.125]
+    xs = approximants.discrete_generator(phi, ss)
+    for s, x in zip(ss, xs):
+        assert x.tobytes() == approximants.discrete_generator(phi, s).tobytes()
+    with pytest.raises(DomainError):
+        approximants.discrete_generator(phi, [0.5, 0.0])
+
+
+def test_chernoff_pair_of_a_step_stack_is_each_steps_pair():
+    phi = approximants.resolvent_family(sectorial(5, math.pi / 8, 401))
+    ns = [1, 2, 3, 5, 64, 100, 4096]
+    steps = phi([2.0 / n for n in ns])
+    powers, partners = approximants.chernoff_power(steps, ns), approximants.chernoff_exp(steps, ns)
+    for n, step, power, partner in zip(ns, steps, powers, partners):
+        assert power.tobytes() == approximants.chernoff_power(step, n).tobytes()
+        assert partner.tobytes() == approximants.chernoff_exp(step, n).tobytes()
+    for bad in ([1, 0, 2] + ns[3:], [1, 2.5, 2] + ns[3:]):
+        for pair in (approximants.chernoff_power, approximants.chernoff_exp):
+            with pytest.raises(DomainError):
+                pair(steps, bad)

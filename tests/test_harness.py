@@ -322,3 +322,42 @@ def test_resolvent_draws_are_checked_in_one_stack(monkeypatch):
     assert result.summary["certification_failures"] == 3
     even = ("d000", "d002", "d004", "d006")
     assert result.records == [r for r in full.records if r.experiment_id.split("/")[1] in even]
+
+
+@pytest.mark.parametrize("kind", ["chernoff_product", "trotter_product", "euler", "dunford_segal"])
+def test_pair_kinds_take_one_power_stack_per_draw_and_t(monkeypatch, kind):
+    config = ExperimentConfig(kind, dim=4, trials=3, nmax=64, ts=(0.5, 2.0))
+    expected = run_experiment(config)
+    powers = counting(monkeypatch, linalg, "mat_pow")
+    result = run_experiment(config)
+    assert result.records == expected.records and result.summary == expected.summary
+    draws = config.trials - result.summary.get("certification_failures", 0)
+    # every step of n = 1, 2, ..., 64 of a (draw, t) in one stack
+    assert [p.shape for p in powers] == [(7, 4, 4)] * (draws * len(config.ts))
+
+
+def test_chernoff_product_takes_one_call_per_kernel_per_draw_and_t(monkeypatch):
+    config = ExperimentConfig("chernoff_product", dim=4, trials=3, nmax=80, ts=(0.5, 2.0), n_mode="all")
+    expected = run_experiment(config)
+    calls = {name: counting(monkeypatch, linalg, name) for name in ("expm", "inverse", "op_norms")}
+    result = run_experiment(config)
+    assert result.records == expected.records and result.summary == expected.summary
+    # per (draw, t): e^{-tA}, then per chunk of 64 and 16 steps one inverse
+    # for the steps, one expm for the partners and one op_norms for 3 columns
+    chunks = [(64, 4, 4), (16, 4, 4)]
+    assert [p.shape for p in calls["expm"]] == [(4, 4), *chunks] * 6
+    assert [p.shape for p in calls["inverse"]] == chunks * 6
+    assert [len(stack) for stack in calls["op_norms"]] == [3 * 64, 3 * 16] * 6
+
+
+def test_tnk_sweep_takes_one_stack_per_kernel_per_draw(monkeypatch):
+    config = ExperimentConfig("tnk_equivalence", dim=4, trials=2, nmax=64)
+    expected = run_experiment(config)
+    calls = {name: counting(monkeypatch, linalg, name) for name in ("expm", "inverse", "op_norms")}
+    result = run_experiment(config)
+    assert result.records == expected.records and result.summary == expected.summary
+    # k_max = 6: (1 + A)^{-1} (the family inverts its s > 0 members as a
+    # stack, here of one), the steps Phi(2^-k) and (1 + X_s)^{-1}; e^{-tA} and e^{-t X_s}
+    assert [p.shape for p in calls["inverse"]] == [(1, 4, 4), (6, 4, 4), (6, 4, 4)] * 2
+    assert [p.shape for p in calls["expm"]] == [(4, 4), (6, 4, 4)] * 2
+    assert [len(stack) for stack in calls["op_norms"]] == [12] * 2

@@ -86,8 +86,13 @@ def test_mat_pow_cases():
     npt.assert_array_equal(linalg.mat_pow(m, 0), np.eye(2))
     npt.assert_allclose(linalg.mat_pow(np.diag([0.5]), 3), np.diag([0.125]), rtol=1e-14)
     npt.assert_allclose(linalg.mat_pow(np.eye(4), 10**6), np.eye(4), atol=1e-14)
-    with pytest.raises(InvalidInputError):
-        linalg.mat_pow(m, -1)
+    for n in (-1, 2.0, [2]):
+        with pytest.raises(InvalidInputError):
+            linalg.mat_pow(m, n)
+    # a stack takes one nonnegative integer per member
+    for ns in ([1, -1, 2], [1, 2.0, 2], [1, 2]):
+        with pytest.raises(InvalidInputError):
+            linalg.mat_pow(np.stack([m] * 3), ns)
 
 
 def test_inverse_examples():
@@ -260,3 +265,85 @@ def test_expm_just_under_and_just_over_the_norm_cap():
     assert np.linalg.norm(got - oracle, 2) <= 2e-9
     with pytest.raises(OverflowRiskError):
         linalg.expm(1j * h * ((1.0 + 1e-9) / (1.0 - 1e-9)))
+
+
+def _dense_at(norm, dim, rng):
+    """A dense matrix of 1-norm ``norm`` with a nonzero corner pair."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m * (norm / np.abs(m).sum(axis=0).max())
+
+
+# 1-norms that select each Pade degree m and, for m = 13, the scalings s = 0, 1, 3 and 7
+_NORMS = {(3, 0): 0.01, (5, 0): 0.2, (7, 0): 0.9, (9, 0): 2.0, (13, 0): 5.0,
+          (13, 1): 10.0, (13, 3): 40.0, (13, 7): 600.0}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_expm_stack_equals_each_member_alone_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    members = [np.zeros((dim, dim)), -0.0 * _dense_at(1.0, dim, rng)]
+    for norm in _NORMS.values():
+        dense = _dense_at(norm, dim, rng)
+        members += [dense, np.diag(np.diag(dense)), np.triu(dense), np.tril(dense)]
+    assert {linalg._degree(float(np.abs(m).sum(axis=0).max())) for m in members} >= set(_NORMS)
+    order = rng.permutation(len(members))
+    stack = np.array([members[j] for j in order], dtype=complex)
+    got = linalg.expm(stack)
+    assert got.shape == stack.shape
+    for j, member in enumerate(stack):
+        alone = linalg.expm(stack[j:j + 1])
+        assert alone.shape == (1, dim, dim)
+        assert got[j].tobytes() == alone[0].tobytes() == linalg.expm(member).tobytes()
+    # zero members are the identity exactly, +0.0 imaginary parts included
+    for j in np.flatnonzero(~stack.any(axis=(1, 2))):
+        assert got[j].tobytes() == np.eye(dim, dtype=complex).tobytes()
+
+
+def test_expm_refuses_a_stack_with_one_member_over_the_cap():
+    big = np.diag([2e6, 0.0])
+    with pytest.raises(OverflowRiskError) as alone:
+        linalg.expm(big)
+    with pytest.raises(OverflowRiskError) as stacked:
+        linalg.expm(np.stack([np.eye(2), big, np.zeros((2, 2))]))
+    assert str(stacked.value) == str(alone.value) == f"op_norm(M) > {MAX_EXPM_NORM:g}; refusing to exponentiate"
+    # the screen d max|a_ij| passes the spectral norm on to decide
+    with pytest.raises(OverflowRiskError):
+        linalg.expm(1j * np.full((4, 4), 0.3e6))  # spectral norm 1.2e6 > cap
+    unitary = linalg.expm(1j * np.full((4, 4), 0.2e6))  # spectral norm 0.8e6 <= cap
+    assert linalg.op_norm(unitary) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_mat_pow_stack_equals_numpy_matrix_power_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for dim in (1, 2, 4, 7):
+        ns = rng.permutation(41).tolist()  # n = 0..40, every bit pattern below 64
+        stack = rng.standard_normal((41, dim, dim)) + 1j * rng.standard_normal((41, dim, dim))
+        stack /= np.linalg.norm(stack, 2, axis=(1, 2))[:, None, None]
+        got = linalg.mat_pow(stack, ns)
+        for member, n, power in zip(stack, ns, got):
+            assert power.tobytes() == np.linalg.matrix_power(member, n).tobytes(), (dim, n)
+            assert power.tobytes() == linalg.mat_pow(member, n).tobytes()
+    # one matrix is a stack of one, and a stack may repeat one matrix
+    c = stack[0]
+    assert linalg.mat_pow(c, 5).tobytes() == linalg.mat_pow(c[None], [5])[0].tobytes()
+    many = linalg.mat_pow(np.broadcast_to(c, (3, dim, dim)), [9, 2**40, 3])
+    assert many[1].tobytes() == np.linalg.matrix_power(c, 2**40).tobytes()
+
+
+def test_inverse_stack_equals_each_member_and_refuses_as_the_first_bad_one():
+    rng = np.random.default_rng(42)
+    stack = np.eye(4) + 0.3 * (rng.standard_normal((9, 4, 4)) + 1j * rng.standard_normal((9, 4, 4)))
+    got = linalg.inverse(stack)
+    for member, inv in zip(stack, got):
+        assert inv.tobytes() == linalg.inverse(member).tobytes()
+    assert linalg.inverse(stack[0]).shape == (4, 4)
+    ill = np.diag([1.0, 1e-15, 1.0, 1.0]).astype(complex)  # condition 1e15
+    singular = np.zeros((4, 4), dtype=complex)
+    for bad in (ill, singular):
+        with pytest.raises(SingularityError) as alone:
+            linalg.inverse(bad)
+        mixed = np.stack([stack[0], bad, stack[1], ill if bad is singular else singular])
+        with pytest.raises(SingularityError) as stacked:
+            linalg.inverse(mixed)
+        assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == f"condition number inf exceeds {1e14:g}"

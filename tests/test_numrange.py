@@ -404,10 +404,40 @@ def test_quasi_sectorial_never_sweeps(monkeypatch):
     s = math.sin(alpha)
     stack = np.stack([_jordan(0.0, 0.5 * s, 1.0), _jordan(0.0, 1.01 * s, 1.0), _jordan(0.3, 0.35 * s, 2.5)])
     assert numrange.quasi_sectorial(stack, alpha) == [True, False, True]
-    # the top eigenvalue overflows; ||C||_F overflows, so the raise does
-    for c in (np.full((32, 32), 1e307), 1e200 * np.eye(2)):
-        with pytest.raises(InvalidInputError):
-            numrange.quasi_sectorial(c, alpha)
+    # the top eigenvalue overflows, so the raise does
+    with pytest.raises(InvalidInputError):
+        numrange.quasi_sectorial(np.full((32, 32), 1e307), alpha)
+    # ||C||_F squares the entries, but the backward-error slack is scaled: a
+    # large matrix whose eigenvalues are finite is answered, not refused
+    assert numrange.quasi_sectorial(1e200 * np.eye(2), 0.3) is False
+    assert numrange.quasi_sectorial(1e200 * np.eye(2)[None], 0.3) == [False]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sectorial_settles_a_large_generator_from_its_edge_normals(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sectorial sampled the numerical range")
+
+    monkeypatch.setattr(numrange, "numerical_range_boundary", refuse)
+    assert numrange.sectorial(1e200 * np.eye(2), 0.3) is True
+    assert numrange.sectorial(1e200 * np.eye(2) + 1e199j * np.eye(2), 0.3) is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_frobenius_norm_is_the_plain_norm_until_it_overflows():
+    rng = np.random.default_rng(31)
+    for exponent in (-150, -20, 0, 20, 150):
+        stack = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        stack *= 10.0**exponent * rng.uniform(0.1, 10.0, (6, 1, 1))
+        expected = np.linalg.norm(stack, axis=(1, 2))
+        assert numrange._frobenius(stack).tobytes() == expected.tobytes()
+    # beyond about 1e154 the plain norm overflows; the scaled one is still
+    # sqrt(d) times the entry, to the last bits
+    for entry in (1e155, 1e200, 1e307):
+        for d in (2, 5, 32):
+            got = numrange._frobenius(entry * np.eye(d)[None])[0]
+            assert math.isfinite(got) and got == pytest.approx(entry * math.sqrt(d), rel=4e-16)
+    assert numrange._frobenius(np.zeros((1, 3, 3))).tolist() == [0.0]
 
 
 def count_calls(monkeypatch, module, name):
