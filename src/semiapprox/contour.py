@@ -184,7 +184,7 @@ def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, bounds: bool = Fals
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
-    """The node-wise ratios behind the three maxima of contour_norm_bound_check, for
+    """The node-wise ratios behind the three maxima of _check_report, for
     the resolvent norms ``norms``: on the arc, on the two lines, and times
     dist = dist(z, D(alpha)) at every node."""
     arc = contour.on_arc
@@ -196,7 +196,7 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
 
 
 def _majorant_candidates(contour: ContourNodes, alpha: float, dist, lo, hi) -> np.ndarray:
-    """Indices of the nodes at which a maximum of contour_norm_bound_check can sit.
+    """Indices of the nodes at which a maximum of _check_report can sit.
 
     For each of its three maxima, a node is kept when its ratio at hi reaches
     the largest ratio at lo.  The ratios are those of the check, and rounding
@@ -223,7 +223,8 @@ def riesz_dunford_many(
     matrix product per function.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
-    contour_norm_bound_check on the given contour for 0 <= alpha < alpha'.
+    the majorant check ``_check_report`` on the given contour for
+    0 <= alpha < alpha'.
     The base pass bounds ||(z_j - C)^{-1}|| at every node; only the nodes
     whose bounds let them hold one of the check's three maxima are solved
     again, in stacks of 64, for an exact norm, and every other node enters
@@ -235,7 +236,8 @@ def riesz_dunford_many(
     alpha outside [0, alpha') before solving, and ContourTooCloseError when
     the quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
-    _check_alpha(alpha, contour.alpha_prime)
+    if not 0.0 <= alpha < contour.alpha_prime:
+        raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
     a = linalg.as_operator(c)
     results, (lo, hi) = _evaluate_many(fs, a, contour, bounds=True)
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
@@ -269,32 +271,17 @@ class ContourCheckReport:
     passed: bool
 
 
-def _check_alpha(alpha: float, alpha_prime: float) -> None:
-    if not 0.0 <= alpha < alpha_prime:
-        raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
-
-
-def contour_norm_bound_check(contour: ContourNodes, rnorm, alpha: float) -> ContourCheckReport:
+def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
-    rnorm holds one resolvent norm ||(z - C)^{-1}|| per node of the contour;
+    rnorm holds one resolvent norm ||(z - C)^{-1}|| per node of the contour,
+    as an array, and dist the distances dist(z, D(alpha)) of the nodes;
     nothing is solved here.  riesz_dunford_many passes exact norms at the
     nodes that can hold a maximum and 0 at the others.  With alpha' the
     contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
     carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
     """
-    _check_alpha(alpha, contour.alpha_prime)
-    rnorm = np.asarray(rnorm, dtype=float)
-    if rnorm.shape != (len(contour),):
-        raise InvalidInputError(
-            f"need one resolvent norm per contour node ({len(contour)}), got shape {rnorm.shape}"
-        )
-    return _check_report(contour, alpha, numrange.distance_to_D_alpha(contour.z, alpha), rnorm)
-
-
-def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
-    """contour_norm_bound_check for the distances dist(z, D(alpha)) of the nodes."""
     worst_arc, worst_lines, worst_dist = (
         float(np.max(ratios)) for ratios in _majorant_ratios(contour, alpha, dist, rnorm)
     )

@@ -4,7 +4,9 @@ Every experiment kind is registered in EXPERIMENT_KINDS and driven by an
 ExperimentConfig.  Runs are deterministic: all randomness derives from the
 config seed through the documented splitting rule, records are emitted in
 (draw, n, t) order, and identical configs reproduce identical reports
-byte for byte.
+byte for byte.  Every hypothesis check of a draw or a step goes through
+``_certified``, one stacked ``numrange`` call per stack; the summary counts
+its failures as ``certification_failures``.
 """
 
 from __future__ import annotations
@@ -114,10 +116,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
-        if min(self.dim, self.trials, self.nmax) < 1:
-            raise InvalidInputError(
-                f"dim, trials and nmax must be >= 1, got {self.dim}, {self.trials}, {self.nmax}"
-            )
+        for name in ("dim", "trials", "nmax", "vectors"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
         if not self.ts or not all(math.isfinite(t) and t >= 0.0 for t in self.ts):
@@ -183,24 +186,12 @@ def _powers(bases, ns, step: bool = False):
 _NORM_CHUNK = 64  # values of n per stack: 3 MB at d = 32 with three norm columns per n
 
 
-def _stacked_norms(items):
-    """Yield (n, [||M_1||, ..., ||M_j||]) for the items (n, [M_1, ..., M_j]) in order.
-
-    The matrices of _NORM_CHUNK consecutive items go through one
-    ``linalg.op_norms`` call; the last chunk may be partial.
-    """
-    items = iter(items)
-    while chunk := list(itertools.islice(items, _NORM_CHUNK)):
-        norms = iter(linalg.op_norms([m for _, ms in chunk for m in ms]))
-        for n, ms in chunk:
-            yield n, [next(norms) for _ in ms]
-
-
 def _norm_rows(*columns):
     """Zip the spectral norms of the equally long (k, d, d) stacks ``columns``, one
     ``linalg.op_norms`` call for all of them: the j-th row holds the norms of
-    the j-th member of each column."""
-    norms = linalg.op_norms(np.concatenate(columns))
+    the j-th member of each column; one column is not copied.  Every sweep
+    takes its norms here."""
+    norms = linalg.op_norms(columns[0] if len(columns) == 1 else np.concatenate(columns))
     k = len(columns[0])
     return zip(*(norms[i * k:(i + 1) * k] for i in range(len(columns))))
 
@@ -209,6 +200,14 @@ def _sectorial(config: ExperimentConfig, i: int) -> np.ndarray:
     """The m-sectorial generator of draw i."""
     seed = ensembles.child_seed(config.seed, i)
     return ensembles.random_m_sectorial(config.dim, config.alpha, seed)
+
+
+def _certified(check, stack, alpha: float):
+    """The indices of the members of ``stack`` that pass ``check`` at alpha, and how many
+    fail: one call of ``numrange.quasi_sectorial`` or ``numrange.sectorial`` on the stack."""
+    verdicts = check(stack, alpha)
+    kept = [j for j, ok in enumerate(verdicts) if ok]
+    return kept, len(verdicts) - len(kept)
 
 
 def _resolvent_draws(config: ExperimentConfig):
@@ -223,24 +222,22 @@ def _resolvent_draws(config: ExperimentConfig):
         if t_res <= 0.0:
             raise InvalidInputError(f"t must be positive, got {t_res}")
         trials.append((i, approximants.resolvent_family(_sectorial(config, i))(t_res), t_res))
-    certified = numrange.quasi_sectorial(np.stack([c for _, c, _ in trials]), config.alpha)
-    draws = [draw for draw, ok in zip(trials, certified) if ok]
-    return draws, config.trials - len(draws)
+    stack = np.stack([c for _, c, _ in trials])
+    kept, failures = _certified(numrange.quasi_sectorial, stack, config.alpha)
+    return [trials[j] for j in kept], failures
 
 
 def _sector_draws(config: ExperimentConfig):
     """m-sectorial generators (id, A) whose numerical range lies in the sector |arg z| <= alpha.
 
-    ``numrange.sectorial`` decides each draw from the two edge normals of the
-    sector, and samples boundary points only when they do not certify it.
-    Returns the certified draws and the number of draws that failed.
+    All trials are checked by one stacked ``numrange.sectorial`` call, which
+    decides each draw from the two edge normals of the sector and samples
+    boundary points only for the draws they do not certify.  Returns the
+    certified draws and the number of draws that failed.
     """
-    draws = []
-    for i in range(config.trials):
-        a = _sectorial(config, i)
-        if numrange.sectorial(a, config.alpha):
-            draws.append((f"{config.kind}/d{i:03d}", a))
-    return draws, config.trials - len(draws)
+    generators = np.stack([_sectorial(config, i) for i in range(config.trials)])
+    kept, failures = _certified(numrange.sectorial, generators, config.alpha)
+    return [(f"{config.kind}/d{i:03d}", generators[i]) for i in kept], failures
 
 
 def _cells(records: list[ErrorRecord], marker: str = "") -> dict[str, list[tuple[int, float]]]:
@@ -283,16 +280,26 @@ def _vector_sweep(c, xs, ns):
 
 
 def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
-    """Yield (n, [||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||]) over the increasing grid ns.
+    """Yield (n, (||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||)) over the increasing grid ns.
 
-    With ``ritt`` or ``gap`` off, its norm is left out of the list, and so is
-    the power only it needs: the step C^(n+1), or e^{n(C-1)}.
+    With ``ritt`` or ``gap`` off, its norm is left out of the row, and so is
+    the power only it needs: the step C^(n+1), or e^{n(C-1)}.  The
+    differences of _NORM_CHUNK consecutive n, and only they, are kept until
+    ``_norm_rows`` takes their norms; the last chunk may be partial.  They
+    are written into one array, so a chunk allocates them once, not once per
+    matrix and again for their stack.
     """
     bases = (c, approximants.chernoff_exp(c, 1)) if gap else (c,)
-    return _stacked_norms(
-        (n, ([pw[0] - nxt[0]] if ritt else []) + ([pw[0] - pw[1]] if gap else []))
-        for n, pw, nxt in _powers(bases, ns, step=ritt)
-    )
+    powers = _powers(bases, ns, step=ritt)
+    for lo in range(0, len(ns), _NORM_CHUNK):
+        chunk = ns[lo:lo + _NORM_CHUNK]
+        diffs = np.empty((ritt + gap, len(chunk), *c.shape), dtype=np.complex128)
+        for j, (_, pw, nxt) in enumerate(itertools.islice(powers, len(chunk))):
+            if ritt:
+                np.subtract(pw[0], nxt[0], out=diffs[0, j])
+            if gap:
+                np.subtract(pw[0], pw[1], out=diffs[-1, j])
+        yield from zip(chunk, _norm_rows(*diffs))
 
 
 def _step_stacks(draws, ts, ns):
@@ -501,9 +508,8 @@ def _run_dunford_segal(config: ExperimentConfig):
     two_step: dict[str, list[tuple[int, float, float]]] = {}
     for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
         cells = two_step.setdefault(rid, [])
-        certified = numrange.quasi_sectorial(steps, config.alpha)
-        failures += certified.count(False)
-        kept = [j for j, ok in enumerate(certified) if ok]
+        kept, failed = _certified(numrange.quasi_sectorial, steps, config.alpha)
+        failures += failed
         if not kept:
             continue
         ns, steps = [ns[j] for j in kept], steps[kept]

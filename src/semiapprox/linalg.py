@@ -73,15 +73,6 @@ def op_norms(stack) -> list[float]:
     return np.linalg.svd(a, compute_uv=False)[:, 0].tolist()
 
 
-def condition(m) -> float:
-    """2-norm condition number; inf for singular input."""
-    a = as_operator(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
 # Pade numerators b_0..b_m of r_m = q_m(-A)^{-1} q_m(A), and the largest
 # ||A||_1 for which r_m meets unit roundoff (Higham 2005, Table 2.3)
 _PADE = {

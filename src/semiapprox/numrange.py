@@ -20,6 +20,9 @@ eigenvalues alone and raises by a backward-error bound:
   sector's two edge normals; when they do not settle it, every point of the
   inside sweep ``numerical_range_boundary`` must pass ``in_sector``.
 
+Both answer one matrix with a bool and a (m, d, d) stack with a list of m
+bools, from the support values of the whole stack solved together.
+
 The sweep also gives the ``numrange`` command its report and
 ``min_semi_angle`` its points.
 """
@@ -264,29 +267,37 @@ def quasi_sectorial(c, alpha: float):
     return answers if a.ndim == 3 else answers[0]
 
 
-def sectorial(a, alpha: float) -> bool:
+def sectorial(a, alpha: float):
     """Whether W(A) lies in the sector |arg z| <= alpha + TOL_GEO, decided from
     its two edge normals when it can be.
 
-    With beta = alpha + TOL_GEO < pi/2 the sector is the intersection of the
-    half-planes Re(e^{i theta} z) <= 0 at theta = +-(beta + pi/2).  Their
-    support values, raised by their backward-error bound, come from
-    ``_support_values``: one ``np.linalg.eigvalsh`` on a (2, d, d) stack.
+    ``a`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
+    with a list of m bools.  With beta = alpha + TOL_GEO < pi/2 the sector is
+    the intersection of the half-planes Re(e^{i theta} z) <= 0 at theta =
+    +-(beta + pi/2).  Their support values, raised by their backward-error
+    bound, come from one ``_support_values`` call for the whole stack: one
+    ``np.linalg.eigvalsh`` on a (2m, d, d) stack while 2m <= _ANGLE_CHUNK.
     When both are <= 0, W(A) lies in the sector, proved from the outside
     (Johnson, SIAM J. Numer. Anal. 15, 1978), and the answer is True.
-    Otherwise, and whenever beta >= pi/2, the answer is the inside sweep's:
-    whether every point of ``numerical_range_boundary(a)`` (256 angles) passes
-    ``in_sector``.  alpha is checked before any eigenvalue is solved.
+    Otherwise, and for every member whenever beta >= pi/2, the answer is the
+    inside sweep's: whether every point of ``numerical_range_boundary`` of
+    that member alone (256 angles) passes ``in_sector``.  alpha is checked
+    before any eigenvalue is solved.
     """
     check_alpha(alpha)
-    a = linalg.as_operator(a)
+    a = np.asarray(a, dtype=np.complex128)
+    stack = linalg.as_operator_stack(a)
+    settled = np.zeros(len(stack), dtype=bool)
     if alpha + TOL_GEO < math.pi / 2:
         # an overflow leaves a support value that is not <= 0, and the sweep then decides
         with np.errstate(over="ignore", invalid="ignore"):
-            h = _support_values(a[None], _sector_normals(alpha))
-        if np.all(h[0, 0] <= 0.0):
-            return True
-    return bool(np.all(in_sector(numerical_range_boundary(a), alpha)))
+            h = _support_values(stack, _sector_normals(alpha))
+        settled = np.all(h[:, 0] <= 0.0, axis=1)
+    answers = [
+        bool(ok or np.all(in_sector(numerical_range_boundary(m), alpha)))
+        for m, ok in zip(stack, settled)
+    ]
+    return answers if a.ndim == 3 else answers[0]
 
 
 def min_semi_angle(c, points) -> float | None:

@@ -126,7 +126,8 @@ def m_sectorial_draws():
         alpha = alphas[i % 4]
         dim = 2 + i % 11
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 7000 + i))
-        assert numrange.sectorial(a, alpha)  # the check that _sector_draws makes
+        # the check _sector_draws makes, there on the stack of all a run's generators
+        assert numrange.sectorial(a, alpha)
         draws.append((alpha, a))
     return draws
 

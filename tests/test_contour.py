@@ -27,7 +27,8 @@ def per_node_report(c, nodes, alpha):
     # the check on exact norms at every node, each from its own solve
     eye = np.eye(c.shape[0], dtype=complex)
     rnorm = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
-    return contour.contour_norm_bound_check(nodes, rnorm, alpha)
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    return contour._check_report(nodes, alpha, dist, np.asarray(rnorm))
 
 
 def test_contour_geometry():
@@ -125,15 +126,6 @@ def test_majorants_hold_random_certified():
             ap = alpha + (math.pi / 2 - alpha) * ap_frac
             report = majorant_report(c, alpha, contour.build_contour(ap))
             assert report.passed, (alpha, ap_frac)
-
-
-def test_contour_check_validation():
-    nodes = contour.build_contour(0.4)
-    with pytest.raises(InvalidInputError):
-        contour.contour_norm_bound_check(nodes, np.ones(len(nodes)), 0.5)
-    for size in (len(nodes) - 1, len(nodes) + 1, 0):
-        with pytest.raises(InvalidInputError):
-            contour.contour_norm_bound_check(nodes, np.ones(size), 0.1)
 
 
 def test_rnorm_is_op_norm_of_per_node_solves():

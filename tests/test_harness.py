@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import contour, linalg, numrange
+from semiapprox import approximants, contour, linalg, numrange
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    _stacked_norms,
+    _ritt_gap_sweep,
     fit_rate,
     make_record,
     run_experiment,
@@ -116,9 +116,14 @@ def test_config_validation():
             ExperimentConfig(kind="sqrt_n", alpha=bad_alpha)
     # the closed ends of the ranges stay valid
     ExperimentConfig(kind="selfadjoint", ts=(0.0,), alpha=0.0)
-    for field in ("dim", "trials", "nmax"):
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(kind="sqrt_n", **{field: 0})
+    # every count is an integer >= 1: vectors=0 gave a vacuous pass with no
+    # records, vectors=-1 a bare ValueError, dim=2.5 and trials=2.0 a
+    # TypeError, and nmax=4.5 ran
+    for field in ("dim", "trials", "nmax", "vectors"):
+        for bad in (0, -1, 2.5, 2.0, True, "3", None):
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer >= 1"):
+                ExperimentConfig(kind="sqrt_n", **{field: bad})
+    ExperimentConfig(kind="sqrt_n", dim=1, trials=1, nmax=1, vectors=np.int64(1))
 
 
 def small_config(kind, **kw):
@@ -208,15 +213,18 @@ def test_selfadjoint_records_meet_tight_tolerance():
     assert (len(result.records), result.summary["slack_only_passes"], len(slack_only)) == (180, 2, 2)
 
 
-def test_stacked_norms_keep_order_across_chunks(monkeypatch):
-    # 130 values of n make chunks of 64 + 64 + 2 items with two matrices each
+def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
+    # 130 values of n make chunks of 64 + 64 + 2 rows with two norm columns each
     assert _NORM_CHUNK == 64
     rng = np.random.default_rng(7)
-    items = [
-        (n, [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)])
-        for n in range(1, 131)
-    ]
-    expected = [(n, [linalg.op_norm(m) for m in ms]) for n, ms in items]
+    c = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    # the powers in _powers' product order: each one the last times its base
+    e = approximants.chernoff_exp(c, 1)
+    power, partner, expected = c, e, []
+    for n in range(1, 131):
+        step = power @ c
+        expected.append((n, (linalg.op_norm(power - step), linalg.op_norm(power - partner))))
+        power, partner = step, partner @ e
     stack_sizes = []
     op_norms = linalg.op_norms
 
@@ -225,9 +233,9 @@ def test_stacked_norms_keep_order_across_chunks(monkeypatch):
         return op_norms(stack)
 
     monkeypatch.setattr(linalg, "op_norms", counting_op_norms)
-    assert list(_stacked_norms(iter(items))) == expected
+    assert list(_ritt_gap_sweep(c, range(1, 131))) == expected
     assert stack_sizes == [128, 128, 4]
-    assert list(_stacked_norms([])) == []
+    assert list(_ritt_gap_sweep(c, [])) == []
     assert stack_sizes == [128, 128, 4]
 
 
@@ -361,3 +369,29 @@ def test_tnk_sweep_takes_one_stack_per_kernel_per_draw(monkeypatch):
     assert [p.shape for p in calls["inverse"]] == [(1, 4, 4), (6, 4, 4), (6, 4, 4)] * 2
     assert [p.shape for p in calls["expm"]] == [(4, 4), (6, 4, 4)] * 2
     assert [len(stack) for stack in calls["op_norms"]] == [12] * 2
+
+
+@pytest.mark.parametrize("kind", ["euler", "euler_rate", "dunford_segal"])
+def test_generator_draws_are_checked_in_one_stack(monkeypatch, kind):
+    checks = counting(monkeypatch, numrange, "sectorial")
+    result = run_experiment(ExperimentConfig(kind))
+    # the 10 generators of a default run, dim 8, in one call
+    assert [c.shape for c in checks] == [(10, 8, 8)]
+    assert result.summary["certification_failures"] == 0
+
+
+@pytest.mark.parametrize("kind", ["euler", "dunford_segal"])
+def test_generator_draws_that_fail_are_dropped_and_counted(monkeypatch, kind):
+    config = ExperimentConfig(kind, dim=4, trials=5, nmax=16, ts=(0.5, 2.0))
+    full = run_experiment(config)
+    assert full.summary["certification_failures"] == 0
+    # fail the odd generators: their records go, and they are counted
+    check = numrange.sectorial
+    monkeypatch.setattr(
+        numrange, "sectorial",
+        lambda a, alpha: [ok and i % 2 == 0 for i, ok in enumerate(check(a, alpha))],
+    )
+    result = run_experiment(config)
+    assert result.summary["certification_failures"] == 2
+    even = ("d000", "d002", "d004")
+    assert result.records == [r for r in full.records if r.experiment_id.split("/")[1] in even]

@@ -650,6 +650,44 @@ def test_sector_certificate_takes_one_eigvalsh_of_two_matrices(monkeypatch):
         assert shapes.pop() == (2,) + a.shape and not shapes
 
 
+def _mixed_generators(alpha):
+    """Generators at alpha: three the edge normals settle, two with an eigenvalue at the
+    vertex 0 that fall back on the sweep and pass it, and two that poke out
+    of the sector, one over each edge."""
+    settled = [ensembles.random_m_sectorial(4, alpha, ensembles.child_seed(7, i)) for i in range(3)]
+    vertex = [_normal([0.0, 0.3, 1.0, 0.7], seed) for seed in range(2)]
+    vertex = [(a + a.conj().T) / 2.0 for a in vertex]
+    out = [_normal([0.5, np.exp(sign * 1j * (alpha + 1e-6)), 0.3, 0.7], 5) for sign in (1, -1)]
+    return np.stack([settled[0], vertex[0], out[0], settled[1], vertex[1], out[1], settled[2]])
+
+
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 8, 1.3])
+def test_sectorial_stack_answers_as_each_generator_alone(monkeypatch, alpha):
+    stack = _mixed_generators(alpha)
+    alone = [numrange.sectorial(a, alpha) for a in stack]
+    assert alone == [True, True, False, True, True, False, True]
+    sweeps = count_calls(monkeypatch, numrange, "numerical_range_boundary")
+    assert numrange.sectorial(stack, alpha) == alone
+    # only the members the normals do not settle are swept, each alone
+    assert [args[0].shape for args in sweeps] == [(4, 4)] * 4
+    assert numrange.sectorial(stack[:1], alpha) == [True]
+    assert numrange.sectorial(stack[0], alpha) is True
+
+
+def test_sectorial_stack_takes_every_edge_normal_in_one_eigvalsh(monkeypatch):
+    alpha = math.pi / 8
+    draws = np.stack([ensembles.random_m_sectorial(5, alpha, ensembles.child_seed(77, i)) for i in range(17)])
+    refuse_eigensolves(monkeypatch, "eigh")  # every member settles: the sweep never runs
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    for m in (1, 2, 7, 16, 17):
+        assert numrange.sectorial(draws[:m], alpha) == [True] * m
+        # both normals of every member, 32 Hermitian parts per call
+        assert shapes == ([(2 * m, 5, 5)] if m <= 16 else [(32, 5, 5), (2 * m - 32, 5, 5)])
+        shapes.clear()
+
+
 @settings(deadline=None)
 @given(
     st.sampled_from(("contraction", "generator")),
