@@ -1,9 +1,9 @@
 """Golden reports: the CSV and JSON bytes of every experiment kind are pinned.
 
 The files under ``tests/golden/`` hold the reports of small configs, one per
-kind plus the full n-grid of ``ritt``, ``norm_chernoff`` (dim 3) and
-``dunford_segal`` (dim 3, n <= 80) and of ``contour_reconstruction`` (dim 5),
-a wider ``contour_reconstruction`` (dim 8, alpha = pi/4), and
+kind plus the full n-grid of ``ritt``, ``norm_chernoff`` (dim 3),
+``dunford_segal`` (dim 3, n <= 80), ``euler`` and ``trotter_product`` (n <= 80)
+and ``contour_reconstruction`` (dim 5), a wider ``contour_reconstruction`` (dim 8, alpha = pi/4), and
 ``chernoff_product`` at t = 0.  A change to the harness that alters any verdict,
 number, record order or summary key shows up here as a byte difference,
 and the records of each ``.json`` file must equal those of its ``.csv`` twin.
@@ -37,8 +37,10 @@ CASES["ritt_all"] = _config("ritt", dim=3, n_mode="all")
 CASES["norm_chernoff_all"] = _config("norm_chernoff", dim=3, n_mode="all")
 CASES["contour_reconstruction_all"] = _config("contour_reconstruction", dim=5, n_mode="all")
 CASES["contour_reconstruction_wide"] = _config("contour_reconstruction", dim=8, alpha=math.pi / 4)
-# 80 steps per (draw, t): the stacks of _NORM_CHUNK = 64 steps and the rest
+# 80 steps per (draw, t) for each pair kind: no multiple of _NORM_CHUNK = 64
 CASES["dunford_segal_all"] = _config("dunford_segal", dim=3, nmax=80, n_mode="all")
+CASES["euler_all"] = _config("euler", nmax=80, n_mode="all")
+CASES["trotter_product_all"] = _config("trotter_product", nmax=80, n_mode="all")
 # t = 0: every step and e^{-tA} is the identity
 CASES["chernoff_product_t0"] = _config("chernoff_product", ts=(0.0, 1.0))
 
