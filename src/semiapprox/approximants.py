@@ -9,9 +9,11 @@ that t/n stays exact for large n.  A sequence of s values evaluates to one
 (k, d, d) stack of steps, and ``chernoff_power`` and ``chernoff_exp`` take
 such a stack with one n per step, so a caller forms the pairs of many n from
 one stacked step evaluation, one ``linalg.mat_pow`` and one ``linalg.expm``.
-A family's generator may itself be a (k, d, d) stack; Phi(s) is then the
-stack of its members' Phi(s).  The families are the only constructors of
-Phi(s), e^{-tA} and (1 + tA)^{-1} in the package.
+A family's generator may itself be a (k, d, d) stack, for the split-step
+family a pair of stacks; Phi(s) is then the stack of its members' Phi(s),
+and a sequence of k values of s gives each member its own s.  The families
+are the only constructors of Phi(s), e^{-tA} and (1 + tA)^{-1} in the
+package.
 """
 
 from __future__ import annotations
@@ -75,9 +77,12 @@ def resolvent_family(a) -> ContractionFamily:
 
 
 def trotter_family(a, b) -> ContractionFamily:
-    """Phi(s) = e^{-sA} e^{-sB}: the split-step product family."""
-    a = linalg.as_operator(a)
-    b = linalg.as_operator(b)
+    """Phi(s) = e^{-sA} e^{-sB}: the split-step product family.
+
+    a and b are two operators, or two (k, d, d) stacks paired member by member.
+    """
+    a = _generator(a)
+    b = _generator(b)
     linalg.check_same_dim(a, b)
     return ContractionFamily(lambda s: linalg.expm(-s * a) @ linalg.expm(-s * b))
 

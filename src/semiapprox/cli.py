@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 all bound checks passed, 1 some bound violated (numrange: some
 boundary point lies outside D(alpha)), 2 usage or I/O error (also dim, trials
-or nmax below 1, a non-finite --fit-min-n, an input too large to allocate, or
-a report --merge input that is not a well-formed report or whose stored ratio
-or passed flag differs from the one its empirical and bound give), an
+or nmax below 1, a seed outside [0, 2^64), a non-finite --fit-min-n, an
+input too large to allocate, or a report --merge input that is not a
+well-formed report or whose stored ratio or passed flag differs from the
+one its empirical and bound give), an
 argument outside the domain of a formula (e.g. alpha outside [0, pi/2), t <
 0, t non-finite, t = 0 for ritt, norm_chernoff and contour_reconstruction, an
 epsilon whose n/eps^2 is not a finite float), a numrange --points that is

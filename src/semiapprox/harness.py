@@ -6,13 +6,18 @@ config seed through the documented splitting rule, records are emitted in
 (draw, n, t) order, and identical configs reproduce identical reports
 byte for byte.  Every hypothesis check of a draw or a step goes through
 ``_certified``, one stacked ``numrange`` call per stack; the summary counts
-its failures as ``certification_failures``.
+its failures as ``certification_failures``.  The Chernoff pair kinds step
+through the whole run at once: ``_step_chunks`` cuts its (draw, t, n)
+sequence into chunks of ``_NORM_CHUNK`` steps, across (draw, t) edges, and
+each chunk takes one call per kernel.  ``linalg`` gives a stacked member
+the bits it gets alone, so no record depends on how the run is cut.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -98,6 +103,15 @@ def fit_rate(points, fit_min_n: float = 0.0) -> RateEstimate:
     )
 
 
+# bool is an int subclass, but True is no count, seed or real number
+def _integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Deterministic description of one experiment run."""
@@ -118,12 +132,21 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
         for name in ("dim", "trials", "nmax", "vectors"):
             value = getattr(self, name)
-            # bool is an int subclass, but True is no count
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not _integer(value) or value < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+        # the draws take the seed mod 2^64, so -1 would run as 2^64 - 1
+        if not _integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.n_mode not in ("pow2", "all"):
             raise InvalidInputError(f"n_mode must be 'pow2' or 'all', got {self.n_mode!r}")
-        if not self.ts or not all(math.isfinite(t) and t >= 0.0 for t in self.ts):
+        for name in ("alpha", "fit_min_n"):
+            value = getattr(self, name)
+            if not _real(value):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        if (
+            not isinstance(self.ts, (tuple, list)) or not self.ts
+            or not all(_real(t) and math.isfinite(t) and t >= 0.0 for t in self.ts)
+        ):
             raise InvalidInputError(f"need at least one t, each finite and >= 0, got {self.ts}")
         if not math.isfinite(self.fit_min_n):
             raise InvalidInputError(f"fit_min_n must be finite, got {self.fit_min_n}")
@@ -302,22 +325,36 @@ def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
         yield from zip(chunk, _norm_rows(*diffs))
 
 
-def _step_stacks(draws, ts, ns):
-    """Yield (id/t, t, chunk, [Phi(t/n) for n in chunk], e^{-tA}) for the draws (id, A, Phi),
-    in (draw, t, n) order.
+def _step_chunks(draws, family, ts, ns):
+    """Yield (cells, steps, refs) for the run's (draw, t, n) sequence in chunks of _NORM_CHUNK.
 
-    e^{-tA} is evaluated once per (draw, t), and the steps Phi(t/n) of
-    _NORM_CHUNK consecutive n of the grid ns as one stack, by one call of the
-    family; the last chunk may be partial.  The caller forms the Chernoff
-    pairs of the chunk from that one stack.
+    The draws are (id, A, parts): the step of a cell is family(*parts)(t/n),
+    and A generates its semigroup.  cells lists the chunk's (draw index,
+    id/t, t, n); a chunk may cross (draw, t) edges, and the last one may be
+    partial.  steps is one family call on the chunk's stacked parts, and refs
+    holds the e^{-tA} of each cell's (draw, t).  They come from one expm
+    call per block of _NORM_CHUNK (draw, t), so a run of up to 64 takes one
+    call and a longer one holds one block at a time.  A block is a whole
+    number of chunks, so each chunk lies in one block.  A stacked member
+    gets the bits it gets alone, so the caller forms the Chernoff pairs of
+    a chunk with one call per kernel.
     """
-    for rid, a, phi in draws:
-        semigroup = approximants.semigroup_family(a)
-        for t in ts:
-            ref = semigroup(t)
-            for lo in range(0, len(ns), _NORM_CHUNK):
-                chunk = ns[lo:lo + _NORM_CHUNK]
-                yield f"{rid}/t{t:g}", t, chunk, phi([t / n for n in chunk]), ref
+    pairs = [(i, t) for i in range(len(draws)) for t in ts]
+    parts = [np.stack(part) for part in zip(*(p for _, _, p in draws))]
+    labels = [f"{draws[i][0]}/t{t:g}" for i, t in pairs]
+    run = itertools.product(range(len(pairs)), ns)
+    lo = None
+    while chunk := list(itertools.islice(run, _NORM_CHUNK)):
+        js = [j for j, _ in chunk]
+        if js[0] - js[0] % _NORM_CHUNK != lo:
+            lo = js[0] - js[0] % _NORM_CHUNK
+            block = pairs[lo:lo + _NORM_CHUNK]
+            generators = np.stack([draws[i][1] for i, _ in block])
+            refs = approximants.semigroup_family(generators)([t for _, t in block])
+        members = [pairs[j][0] for j in js]
+        steps = family(*(p[members] for p in parts))([pairs[j][1] / n for j, n in chunk])
+        cells = [(pairs[j][0], labels[j], pairs[j][1], n) for j, n in chunk]
+        yield cells, steps, refs[[j - lo for j in js]]
 
 
 def _tnk_sweep(a, k_max, t):
@@ -390,7 +427,9 @@ def _run_vector_bounds(config: ExperimentConfig):
 
 
 def _trotter_draws(config: ExperimentConfig):
-    """Split-step draws (id, A + B, Phi, ||AB - BA||): commuting diagonal pairs for even i."""
+    """Split-step draws (id, A + B, (A, B)) and their ||AB - BA||; even i draw commuting
+    diagonal pairs."""
+    draws, comms = [], []
     for i in range(config.trials):
         seed = ensembles.child_seed(config.seed, i)
         if i % 2 == 0:
@@ -403,8 +442,9 @@ def _trotter_draws(config: ExperimentConfig):
             seed_b = ensembles.child_seed(config.seed, 10_000 + i)
             b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
             label = "noncommuting"
-        comm = linalg.op_norm(a @ b - b @ a)
-        yield f"trotter_product/{label}/d{i:03d}", a + b, approximants.trotter_family(a, b), comm
+        draws.append((f"trotter_product/{label}/d{i:03d}", a + b, (a, b)))
+        comms.append(linalg.op_norm(a @ b - b @ a))
+    return draws, comms
 
 
 def _run_chernoff_product(config: ExperimentConfig):
@@ -412,13 +452,14 @@ def _run_chernoff_product(config: ExperimentConfig):
     product_cells: dict[str, list[tuple[int, float]]] = {}
     eye = np.eye(config.dim)
     generators = [(i, _sectorial(config, i)) for i in range(config.trials)]
-    draws = (
-        (f"chernoff_product/d{i:03d}", a, approximants.resolvent_family(a)) for i, a in generators
-    )
-    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
+    draws = [(f"chernoff_product/d{i:03d}", a, (a,)) for i, a in generators]
+    family = approximants.resolvent_family
+    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
+        ns = [n for *_, n in cells]
         powers = approximants.chernoff_power(steps, ns)
         gaps = powers - approximants.chernoff_exp(steps, ns)
-        for n, (emp, dist, err) in zip(ns, _norm_rows(gaps, eye - steps, powers - ref)):
+        rows = _norm_rows(gaps, eye - steps, powers - refs)
+        for (_, rid, t, n), (emp, dist, err) in zip(cells, rows):
             records.append(make_record(rid, n, t, emp, bounds.cbrt_norm_bound(n, dist)))
             product_cells.setdefault(rid, []).append((n, err))
     extras = {"product_error_final": {k: v[-1][1] for k, v in product_cells.items()}}
@@ -430,12 +471,13 @@ def _run_chernoff_product(config: ExperimentConfig):
 
 def _run_trotter_product(config: ExperimentConfig):
     records = []
-    for rid, a, phi, comm in _trotter_draws(config):
-        # commuting factors (comm = 0) make the product exact
-        for rid_t, t, ns, steps, ref in _step_stacks([(rid, a, phi)], config.ts, _n_grid(config)):
-            errors = _norm_rows(approximants.chernoff_power(steps, ns) - ref)
-            for n, (emp,) in zip(ns, errors):
-                records.append(make_record(rid_t, n, t, emp, bounds.trotter_bound(n, t, comm)))
+    draws, comms = _trotter_draws(config)
+    family = approximants.trotter_family
+    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
+        errors = _norm_rows(approximants.chernoff_power(steps, [n for *_, n in cells]) - refs)
+        for (i, rid, t, n), (emp,) in zip(cells, errors):
+            # commuting factors (comm = 0) make the product exact
+            records.append(make_record(rid, n, t, emp, bounds.trotter_bound(n, t, comms[i])))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
     return records, {"noncommuting_rate_fits": fits}
 
@@ -478,11 +520,12 @@ def _run_selfadjoint(config: ExperimentConfig):
 def _run_euler(config: ExperimentConfig):
     """euler and euler_rate: the resolvent powers (1 + tA/n)^(-n) against e^{-tA}."""
     generators, failures = _sector_draws(config)
-    draws = ((rid, a, approximants.resolvent_family(a)) for rid, a in generators)
+    draws = [(rid, a, (a,)) for rid, a in generators]
+    family = approximants.resolvent_family
     records = []
-    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
-        errors = _norm_rows(approximants.chernoff_power(steps, ns) - ref)
-        for n, (emp,) in zip(ns, errors):
+    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
+        errors = _norm_rows(approximants.chernoff_power(steps, [n for *_, n in cells]) - refs)
+        for (_, rid, t, n), (emp,) in zip(cells, errors):
             records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
     nonmonotone = sum(
@@ -498,26 +541,30 @@ def _run_euler(config: ExperimentConfig):
 
 
 def _run_dunford_segal(config: ExperimentConfig):
-    """Dunford-Segal pairs, checked per (draw, t) in stacks of _NORM_CHUNK steps Phi(t/n)
-    (one stack on a power-of-two grid): one quasi_sectorial call certifies the
-    steps, one chernoff_exp and one chernoff_power call form the pairs of the
-    certified ones, and one op_norms call takes both norms of each."""
+    """Dunford-Segal pairs, checked in the run's chunks of _NORM_CHUNK steps Phi(t/n):
+    one quasi_sectorial call certifies a chunk's steps, one chernoff_exp and
+    one chernoff_power call form the pairs of the certified ones, and one
+    op_norms call takes both norms of each."""
     generators, failures = _sector_draws(config)
-    draws = ((rid, a, approximants.semigroup_family(a)) for rid, a in generators)
+    draws = [(rid, a, (a,)) for rid, a in generators]
+    family = approximants.semigroup_family
     records = []
     two_step: dict[str, list[tuple[int, float, float]]] = {}
-    for rid, t, ns, steps, ref in _step_stacks(draws, config.ts, _n_grid(config)):
-        cells = two_step.setdefault(rid, [])
+    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
+        for _, rid, _, _ in cells:
+            two_step.setdefault(rid, [])
         kept, failed = _certified(numrange.quasi_sectorial, steps, config.alpha)
         failures += failed
         if not kept:
             continue
-        ns, steps = [ns[j] for j in kept], steps[kept]
+        cells, steps = [cells[j] for j in kept], steps[kept]
+        ns = [n for *_, n in cells]
         partners = approximants.chernoff_exp(steps, ns)
         powers = approximants.chernoff_power(steps, ns)
-        for n, (emp, gap) in zip(ns, _norm_rows(partners - ref, powers - partners)):
+        rows = _norm_rows(partners - refs[kept], powers - partners)
+        for (_, rid, t, n), (emp, gap) in zip(cells, rows):
             records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
-            cells.append((n, gap, emp))
+            two_step[rid].append((n, gap, emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),
@@ -587,8 +634,9 @@ def _run_poisson_split(config: ExperimentConfig):
         c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
         x = _unit_vectors(config.dim, 1, ensembles.child_seed(config.seed, 10_000 + i))[0]
         d1 = float(np.linalg.norm((np.eye(config.dim) - c) @ x))
-        for n in [n for n in ns if n <= 64]:
-            sums = poisson.chernoff_split_sum(c, x, n, config.ts)
+        split_ns = [n for n in ns if n <= 64]
+        # one contraction check and one power pass per draw for the whole grid
+        for n, sums in zip(split_ns, poisson.chernoff_split_sum(c, x, split_ns, config.ts)):
             for eps, (central, tail) in zip(config.ts, sums):
                 rid = f"poisson_split/split/d{i:03d}"
                 bound = bounds.split_central_bound(eps, d1)

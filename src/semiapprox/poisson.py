@@ -93,16 +93,24 @@ def poisson_first_abs_moment(n: int) -> float:
     return float(np.sum(pmf * np.abs(ms - n)))
 
 
-def chernoff_split_sum(c, x, n: int, epsilons) -> list[tuple[float, float]]:
+def chernoff_split_sum(c, x, n, epsilons):
     """Central and tail parts of e^{-n} sum_m (n^m/m!) ||(C^n - C^m) x||, per epsilon.
 
     C must be a contraction and x a unit vector.  For each epsilon the
     central part collects |m - n| <= epsilon, the tail the strict
     complement; the series is truncated at cumulative pmf mass
-    POISSON_MASS_TOL.  The pmf window and the powers C^m x are taken once
-    for the whole epsilon grid, and each part is summed in m order.
+    POISSON_MASS_TOL.  ``n`` is one n, answered with the list of one
+    (central, tail) pair per epsilon, or a sequence of n, answered with one
+    such list per n.
+    The input checks and the powers C^m x are taken once for the whole
+    grid, up to the edge of the widest pmf window; row m of that pass is the
+    same for every n, so each n gets the sums it gets alone.  Each part is
+    summed in m order.
     """
-    _check_n(n)
+    single = np.ndim(n) == 0
+    ns = [n] if single else list(n)
+    for m in ns:
+        _check_n(m)
     epsilons = [float(eps) for eps in epsilons]
     for eps in epsilons:
         if eps <= 0.0:
@@ -116,15 +124,21 @@ def chernoff_split_sum(c, x, n: int, epsilons) -> list[tuple[float, float]]:
     if abs(np.linalg.norm(x) - 1.0) > 1e-12:
         raise InvalidInputError("x must be a unit vector")
 
-    ms, pmf, _ = _pmf_window(n)
-    m_hi = int(ms[-1])
+    windows = [_pmf_window(m) for m in ns]
+    m_hi = max([0] + [int(ms[-1]) for ms, _, _ in windows])
 
-    # iterate y_m = C^m x once up to the window edge
+    # iterate y_m = C^m x once up to the widest window's edge
     powers = np.empty((m_hi + 1, x.size), dtype=np.complex128)
     powers[0] = x
     for m in range(1, m_hi + 1):
         powers[m] = a @ powers[m - 1]
 
+    out = [_split(powers, m, ms, pmf, epsilons) for m, (ms, pmf, _) in zip(ns, windows)]
+    return out[0] if single else out
+
+
+def _split(powers: np.ndarray, n: int, ms: np.ndarray, pmf: np.ndarray, epsilons):
+    """The (central, tail) sums of n for each epsilon, from the powers C^m x (rows)."""
     terms = (pmf * np.linalg.norm(powers[n] - powers[ms], axis=1)).tolist()
     offsets = np.abs(ms - n).tolist()
     sums = []

@@ -29,7 +29,7 @@ from semiapprox.harness import (
     _n_grid,
     _resolvent_draws,
     _ritt_gap_sweep,
-    _step_stacks,
+    _step_chunks,
     _tnk_sweep,
     _unit_vectors,
     _vector_sweep,
@@ -314,11 +314,12 @@ def test_criterion_08_euler(m_sectorial_draws):
     rates = []
     worst = 0.0
     for alpha, a in m_sectorial_draws:
-        draws = [("", a, approximants.resolvent_family(a))]
+        draws = [("", a, (a,))]
+        family = approximants.resolvent_family
         cells = {}
-        for rid, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            errors = linalg.op_norms(approximants.chernoff_power(steps, ns) - ref)
-            for n, err in zip(ns, errors):
+        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            errors = linalg.op_norms(approximants.chernoff_power(steps, [n for *_, n in chunk]) - refs)
+            for (_, rid, _, n), err in zip(chunk, errors):
                 bound = bounds.euler_bound(n, alpha)
                 if not passes(err, bound):
                     bad += 1
@@ -344,17 +345,20 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
     cert_failures = 0
     for alpha, a in m_sectorial_draws:
         cos2 = math.cos(alpha) ** 2
-        draws = [("", a, approximants.semigroup_family(a))]
+        draws = [("", a, (a,))]
+        family = approximants.semigroup_family
         cells = {}
-        for rid, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
+        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
             certified = numrange.quasi_sectorial(steps, alpha)
             cert_failures += certified.count(False)
             kept = [j for j, ok in enumerate(certified) if ok]
             if not kept:
                 continue
-            ns = [ns[j] for j in kept]
-            errors = linalg.op_norms(approximants.chernoff_exp(steps[kept], ns) - ref)
-            for n, err in zip(ns, errors):
+            chunk = [chunk[j] for j in kept]
+            errors = linalg.op_norms(
+                approximants.chernoff_exp(steps[kept], [n for *_, n in chunk]) - refs[kept]
+            )
+            for (_, rid, _, n), err in zip(chunk, errors):
                 if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
                     bad += 1
                 n_hat = max(n_hat, n * cos2 * err)
@@ -378,19 +382,19 @@ def test_criterion_10_trotter():
         dim = 2 + i % 7
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
-        draws = [("", a + b, approximants.trotter_family(a, b))]
-        for _, _, ns, steps, ref in _step_stacks(draws, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            errors = linalg.op_norms(approximants.chernoff_power(steps, ns) - ref)
+        draws = [("", a + b, (a, b))]
+        family = approximants.trotter_family
+        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
+            errors = linalg.op_norms(approximants.chernoff_power(steps, [n for *_, n in chunk]) - refs)
             bad_commuting += sum(err > 1e-10 for err in errors)
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    draws = [("", a + b, approximants.trotter_family(a, b))]
-    cells = [
-        (n, err)
-        for _, _, ns, steps, ref in _step_stacks(draws, (1.0,), pow2_grid(512))
-        for n, err in zip(ns, linalg.op_norms(approximants.chernoff_power(steps, ns) - ref))
-    ]
+    draws = [("", a + b, (a, b))]
+    cells = []
+    for chunk, steps, refs in _step_chunks(draws, approximants.trotter_family, (1.0,), pow2_grid(512)):
+        ns = [n for *_, n in chunk]
+        cells += zip(ns, linalg.op_norms(approximants.chernoff_power(steps, ns) - refs))
     est = fit_rate(cells)
     decayed = cells[-1][1] < 1e-2 * cells[0][1]
     crit(

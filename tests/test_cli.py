@@ -423,12 +423,15 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     proc = run_main("verify", "chernoff_product", "--nmax", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-    # a t A beyond the expm norm cap MAX_EXPM_NORM is refused, never clipped
-    for kind in ("euler", "chernoff_product", "trotter_product", "dunford_segal",
-                 "tnk_equivalence"):
-        proc = run_main("verify", kind, "--t", "2e6", "--trials", "1", "--nmax", "4")
-        assert proc.returncode == 2 and proc.stdout == "", kind
-        assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n", kind
+    # a t A beyond the expm norm cap MAX_EXPM_NORM is refused, never clipped,
+    # also after a t that is not (tnk_equivalence reads the first t only)
+    cases = [("tnk_equivalence", "2e6")]
+    for kind in ("euler", "chernoff_product", "trotter_product", "dunford_segal"):
+        cases += [(kind, "2e6"), (kind, "1,1e7")]
+    for kind, ts in cases:
+        proc = run_main("verify", kind, "--t", ts, "--trials", "2", "--nmax", "4")
+        assert proc.returncode == 2 and proc.stdout == "", (kind, ts)
+        assert proc.stderr == "error: op_norm(M) > 1e+06; refusing to exponentiate\n", (kind, ts)
     # a fit threshold that is not finite would drop every point without a word
     for bad_n in ("nan", "inf", "-inf"):
         proc = run_main("verify", "euler", f"--fit-min-n={bad_n}", "--trials", "1", "--nmax", "4")
@@ -439,6 +442,18 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     proc = run_main("verify", "sqrt_n", "--dim", "10000000", "--trials", "1", "--nmax", "2")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+def test_seed_outside_64_bits_exits_two(run_main, tmp_path):
+    # the draws take the seed mod 2^64: -1 wrote the CSV of 2^64 - 1
+    for seed in ("-1", str(2**64)):
+        proc = run_main("verify", "sqrt_n", "--seed", seed, "--trials", "1", "--nmax", "4")
+        assert proc.returncode == 2 and proc.stdout == "", seed
+        assert proc.stderr == f"error: seed must be an integer in [0, 2^64), got {seed}\n", seed
+    out = tmp_path / "top.csv"
+    argv = ("verify", "sqrt_n", "--seed", str(2**64 - 1), "--trials", "1", "--nmax", "4")
+    assert run_main(*argv, "--out", str(out)).returncode == 0
+    assert out.read_bytes().startswith(b"experiment_id,")
 
 
 def test_parser_is_built_once_per_process(run_main, monkeypatch):

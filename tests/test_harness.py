@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import approximants, contour, linalg, numrange
+from semiapprox import approximants, contour, linalg, numrange, poisson
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     _ritt_gap_sweep,
+    _sectorial,
+    _step_chunks,
+    _trotter_draws,
     fit_rate,
     make_record,
     run_experiment,
@@ -124,6 +127,24 @@ def test_config_validation():
             with pytest.raises(InvalidInputError, match=f"{field} must be an integer >= 1"):
                 ExperimentConfig(kind="sqrt_n", **{field: bad})
     ExperimentConfig(kind="sqrt_n", dim=1, trials=1, nmax=1, vectors=np.int64(1))
+
+
+def test_config_refuses_bad_seeds_and_non_numbers():
+    # the draws take the seed mod 2^64, so -1 ran as 2^64 - 1; 1.5, "0.3",
+    # ("1",) and None raised a bare TypeError
+    for bad in (-1, 2**64, 1.5, 2.0, True, "7", None):
+        with pytest.raises(InvalidInputError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            ExperimentConfig(kind="sqrt_n", seed=bad)
+    for field in ("alpha", "fit_min_n"):
+        for bad in ("0.3", None, True, 0.1j):
+            with pytest.raises(InvalidInputError, match=f"{field} must be a real number"):
+                ExperimentConfig(kind="sqrt_n", **{field: bad})
+    for bad in (("1",), (1.0, None), (True,), 1.0, "12"):
+        with pytest.raises(InvalidInputError, match="need at least one t"):
+            ExperimentConfig(kind="sqrt_n", ts=bad)
+    # the ends of the seed range, NumPy scalars and integer values stay valid
+    ExperimentConfig(kind="sqrt_n", seed=0, alpha=0, fit_min_n=np.int64(2), ts=[1, np.float32(2.0)])
+    ExperimentConfig(kind="sqrt_n", seed=np.uint64(2**64 - 1), alpha=np.float64(0.3))
 
 
 def small_config(kind, **kw):
@@ -276,23 +297,24 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_dunford_segal_checks_each_draw_and_t_as_one_stack(monkeypatch):
+def test_dunford_segal_checks_each_chunk_of_the_run_as_one_stack(monkeypatch):
     config = ExperimentConfig("dunford_segal", dim=4, trials=3, nmax=64, ts=(0.5, 2.0))
     expected = run_experiment(config)
     checks = counting(monkeypatch, numrange, "quasi_sectorial")
     norms = counting(monkeypatch, linalg, "op_norms")
     result = run_experiment(config)
     assert result.records == expected.records and result.summary == expected.summary
-    # 3 draws x 2 values of t, each with the 7 steps of n = 1, 2, ..., 64
-    assert [c.shape for c in checks] == [(7, 4, 4)] * 6
-    assert [len(stack) for stack in norms] == [14] * 6
-    # the 70 steps of n = 1, ..., 70 go in stacks of _NORM_CHUNK = 64 steps and the rest
+    # 3 draws x 2 values of t x the 7 steps of n = 1, 2, ..., 64: one chunk of 42
+    assert [c.shape for c in checks] == [(42, 4, 4)]
+    assert [len(stack) for stack in norms] == [84]
+    # 3 x 2 x 70 = 420 steps of n = 1, ..., 70 go in chunks of _NORM_CHUNK = 64
+    # steps and the rest, across the (draw, t) edges
     checks.clear()
     norms.clear()
-    result = run_experiment(dataclasses.replace(config, trials=1, ts=(1.0,), nmax=70, n_mode="all"))
-    assert [r.n for r in result.records] == list(range(1, 71))
-    assert [c.shape for c in checks] == [(64, 4, 4), (6, 4, 4)]
-    assert [len(stack) for stack in norms] == [128, 12]
+    result = run_experiment(dataclasses.replace(config, nmax=70, n_mode="all"))
+    assert [r.n for r in result.records] == list(range(1, 71)) * 6
+    assert [c.shape for c in checks] == [(64, 4, 4)] * 6 + [(36, 4, 4)]
+    assert [len(stack) for stack in norms] == [128] * 6 + [72]
 
 
 def test_dunford_segal_keeps_order_and_counts_when_steps_fail(monkeypatch):
@@ -333,29 +355,88 @@ def test_resolvent_draws_are_checked_in_one_stack(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["chernoff_product", "trotter_product", "euler", "dunford_segal"])
-def test_pair_kinds_take_one_power_stack_per_draw_and_t(monkeypatch, kind):
-    config = ExperimentConfig(kind, dim=4, trials=3, nmax=64, ts=(0.5, 2.0))
+def test_pair_kinds_take_one_power_stack_per_chunk_of_the_run(monkeypatch, kind):
+    config = ExperimentConfig(kind)
     expected = run_experiment(config)
     powers = counting(monkeypatch, linalg, "mat_pow")
     result = run_experiment(config)
     assert result.records == expected.records and result.summary == expected.summary
-    draws = config.trials - result.summary.get("certification_failures", 0)
-    # every step of n = 1, 2, ..., 64 of a (draw, t) in one stack
-    assert [p.shape for p in powers] == [(7, 4, 4)] * (draws * len(config.ts))
+    assert result.summary.get("certification_failures", 0) == 0
+    # the 10 draws x 9 steps of n = 1, 2, ..., 256 of a default run: 90 steps
+    # in a chunk of _NORM_CHUNK = 64 and one of the other 26
+    assert [p.shape for p in powers] == [(64, 8, 8), (26, 8, 8)]
 
 
-def test_chernoff_product_takes_one_call_per_kernel_per_draw_and_t(monkeypatch):
+def test_chernoff_product_takes_one_call_per_kernel_per_chunk_of_the_run(monkeypatch):
     config = ExperimentConfig("chernoff_product", dim=4, trials=3, nmax=80, ts=(0.5, 2.0), n_mode="all")
     expected = run_experiment(config)
     calls = {name: counting(monkeypatch, linalg, name) for name in ("expm", "inverse", "op_norms")}
     result = run_experiment(config)
     assert result.records == expected.records and result.summary == expected.summary
-    # per (draw, t): e^{-tA}, then per chunk of 64 and 16 steps one inverse
-    # for the steps, one expm for the partners and one op_norms for 3 columns
-    chunks = [(64, 4, 4), (16, 4, 4)]
-    assert [p.shape for p in calls["expm"]] == [(4, 4), *chunks] * 6
-    assert [p.shape for p in calls["inverse"]] == chunks * 6
-    assert [len(stack) for stack in calls["op_norms"]] == [3 * 64, 3 * 16] * 6
+    # one expm for the e^{-tA} of all 6 (draw, t), then the 480 steps in 7
+    # chunks of 64 and one of 32, each with one inverse for the steps, one
+    # expm for the partners and one op_norms for 3 columns
+    chunks = [(64, 4, 4)] * 7 + [(32, 4, 4)]
+    assert [p.shape for p in calls["expm"]] == [(6, 4, 4), *chunks]
+    assert [p.shape for p in calls["inverse"]] == chunks
+    assert [len(stack) for stack in calls["op_norms"]] == [3 * 64] * 7 + [3 * 32]
+
+
+@pytest.mark.parametrize("family", ["resolvent", "semigroup", "trotter"])
+def test_step_chunk_members_equal_their_own_draw_and_t(family):
+    # 3 draws x 3 values of t x n = 1, ..., 30: 270 steps in chunks of 64, 64,
+    # 64, 64 and 14 that cross (draw, t) edges; each member's step, power,
+    # partner, e^{-tA} and norm are the ones its (draw, t) gives alone
+    config = ExperimentConfig("trotter_product", dim=4, trials=3, ts=(0.0, 0.5, 2.0))
+    if family == "trotter":
+        draws, _ = _trotter_draws(config)
+        make = approximants.trotter_family
+    else:
+        draws = [(f"d{i}", a, (a,)) for i, a in ((i, _sectorial(config, i)) for i in range(3))]
+        make = getattr(approximants, f"{family}_family")
+    ns = list(range(1, 31))
+    seen, sizes = [], []
+    for cells, steps, refs in _step_chunks(draws, make, config.ts, ns):
+        sizes.append(len(cells))
+        chunk_ns = [n for *_, n in cells]
+        powers = approximants.chernoff_power(steps, chunk_ns)
+        partners = approximants.chernoff_exp(steps, chunk_ns)
+        norms = linalg.op_norms(powers - partners)
+        for j, (i, rid, t, n) in enumerate(cells):
+            rid0, a, parts = draws[i]
+            assert rid == f"{rid0}/t{t:g}"
+            step = make(*parts)(t / n)
+            assert np.array_equal(steps[j], step)
+            assert np.array_equal(refs[j], approximants.semigroup_family(a)(t))
+            power = approximants.chernoff_power(step, n)
+            partner = approximants.chernoff_exp(step, n)
+            assert np.array_equal(powers[j], power)
+            assert np.array_equal(partners[j], partner)
+            assert norms[j] == linalg.op_norm(power - partner)
+            seen.append((i, t, n))
+    assert sizes == [64, 64, 64, 64, 14]
+    assert seen == [(i, t, n) for i in range(3) for t in config.ts for n in ns]
+    assert list(_step_chunks([], make, config.ts, ns)) == []
+
+
+def test_step_chunks_take_the_semigroups_in_blocks_of_64_draws_and_t(monkeypatch):
+    # 33 draws x 2 values of t = 66 (draw, t): their e^{-tA} come in blocks of
+    # 64 and 2, so a long run holds one block at a time; each is the
+    # semigroup of its own (draw, t), bit for bit
+    config = ExperimentConfig("euler", dim=2, trials=33)
+    draws = [(f"d{i}", a, (a,)) for i, a in ((i, _sectorial(config, i)) for i in range(33))]
+    ts, ns = (0.5, 2.0), [1, 2]
+    expected = {
+        (i, t): approximants.semigroup_family(a)(t) for i, (_, a, _) in enumerate(draws) for t in ts
+    }
+    calls = counting(monkeypatch, linalg, "expm")
+    sizes = []
+    for cells, _, refs in _step_chunks(draws, approximants.resolvent_family, ts, ns):
+        sizes.append(len(cells))
+        for (i, _, t, _), ref in zip(cells, refs):
+            assert np.array_equal(ref, expected[i, t])
+    assert sizes == [64, 64, 4]
+    assert [c.shape for c in calls] == [(64, 2, 2), (2, 2, 2)]
 
 
 def test_tnk_sweep_takes_one_stack_per_kernel_per_draw(monkeypatch):
@@ -369,6 +450,23 @@ def test_tnk_sweep_takes_one_stack_per_kernel_per_draw(monkeypatch):
     assert [p.shape for p in calls["inverse"]] == [(1, 4, 4), (6, 4, 4), (6, 4, 4)] * 2
     assert [p.shape for p in calls["expm"]] == [(4, 4), (6, 4, 4)] * 2
     assert [len(stack) for stack in calls["op_norms"]] == [12] * 2
+
+
+def test_poisson_split_checks_and_powers_each_draw_once(monkeypatch):
+    config = ExperimentConfig("poisson_split", dim=4, trials=3, nmax=128, ts=(1.5, 3.0))
+    expected = run_experiment(config)
+    grids = []
+    split = poisson.chernoff_split_sum
+    monkeypatch.setattr(
+        poisson, "chernoff_split_sum", lambda c, x, n, eps: grids.append(n) or split(c, x, n, eps)
+    )
+    norms = counting(monkeypatch, linalg, "op_norm")
+    result = run_experiment(config)
+    assert result.records == expected.records and result.summary == expected.summary
+    # one call per draw for the grid n = 1, 2, ..., 64, and per draw one
+    # spectral norm to scale the draw and one to check it is a contraction
+    assert grids == [[1, 2, 4, 8, 16, 32, 64]] * 3
+    assert len(norms) == 2 * 3
 
 
 @pytest.mark.parametrize("kind", ["euler", "euler_rate", "dunford_segal"])

@@ -182,6 +182,26 @@ def test_chernoff_split_grid_equals_per_epsilon_calls():
     assert poisson.chernoff_split_sum(np.eye(1, dtype=complex), np.ones(1), 4, []) == []
 
 
+def test_chernoff_split_grid_of_n_equals_per_n_calls():
+    # one power pass up to the widest window (n = 64: m <= 265) serves every
+    # n; row m of the pass does not depend on how far it goes, so each n gets
+    # the sums it gets alone, bit for bit
+    eps_grid = (1.5, 3.0, 40.0)
+    ns = list(range(1, 65))
+    for i in range(3):
+        dim = 2 + 3 * i
+        c = ensembles.random_contraction(dim, ensembles.child_seed(320, i))
+        rng = np.random.default_rng(ensembles.child_seed(321, i))
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        per_n = [poisson.chernoff_split_sum(c, x, n, eps_grid) for n in ns]
+        assert poisson.chernoff_split_sum(c, x, ns, eps_grid) == per_n
+        assert poisson.chernoff_split_sum(c, x, ns[::-1], eps_grid) == per_n[::-1]
+    assert poisson.chernoff_split_sum(c, x, [], eps_grid) == []
+    with pytest.raises(DomainError):
+        poisson.chernoff_split_sum(c, x, [1, 0], eps_grid)
+
+
 def test_chernoff_split_input_validation():
     with pytest.raises(InvalidInputError):
         poisson.chernoff_split_sum(np.diag([2.0]).astype(complex), np.array([1.0 + 0j]), 1, [1.0])
