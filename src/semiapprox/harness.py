@@ -4,13 +4,13 @@ Every experiment kind is registered in EXPERIMENT_KINDS and driven by an
 ExperimentConfig.  Runs are deterministic: all randomness derives from the
 config seed through the documented splitting rule, records are emitted in
 (draw, n, t) order, and identical configs reproduce identical reports
-byte for byte.  Every hypothesis check of a draw or a step goes through
-``_certified``, one stacked ``numrange`` call per stack; the summary counts
-its failures as ``certification_failures``.  The Chernoff pair kinds step
-through the whole run at once: ``_step_chunks`` cuts its (draw, t, n)
-sequence into chunks of ``_NORM_CHUNK`` steps, across (draw, t) edges, and
-each chunk takes one call per kernel.  ``linalg`` gives a stacked member
-the bits it gets alone, so no record depends on how the run is cut.
+byte for byte.  Every runner takes its draws from ``_draws``, and every check
+of a draw or a step is one stacked ``numrange`` call in ``_certified``; the
+summary counts its failures as ``certification_failures``.  The Chernoff pair
+kinds and acceptance criteria 08-10 step through a whole run in ``_pair_sweep``,
+in chunks of ``_NORM_CHUNK`` steps across (draw, t) edges, one call per kernel
+per chunk.  ``linalg`` gives a stacked member the bits it gets alone, so no
+record depends on how the run is cut.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"need at least one t, each finite and >= 0, got {self.ts}")
         if not math.isfinite(self.fit_min_n):
             raise InvalidInputError(f"fit_min_n must be finite, got {self.fit_min_n}")
+        if self.kind in ("ritt", "norm_chernoff", "contour_reconstruction") and min(self.ts) <= 0.0:
+            raise InvalidInputError(f"{self.kind} needs every t > 0 for (1 + tA)^-1, got {self.ts}")
         numrange.check_alpha(self.alpha)
         if self.kind == "tnk_equivalence" and self.n_mode == "all":
             # this kind sweeps the step s = 2^-k, not n
@@ -219,12 +221,6 @@ def _norm_rows(*columns):
     return zip(*(norms[i * k:(i + 1) * k] for i in range(len(columns))))
 
 
-def _sectorial(config: ExperimentConfig, i: int) -> np.ndarray:
-    """The m-sectorial generator of draw i."""
-    seed = ensembles.child_seed(config.seed, i)
-    return ensembles.random_m_sectorial(config.dim, config.alpha, seed)
-
-
 def _certified(check, stack, alpha: float):
     """The indices of the members of ``stack`` that pass ``check`` at alpha, and how many
     fail: one call of ``numrange.quasi_sectorial`` or ``numrange.sectorial`` on the stack."""
@@ -233,34 +229,51 @@ def _certified(check, stack, alpha: float):
     return kept, len(verdicts) - len(kept)
 
 
-def _resolvent_draws(config: ExperimentConfig):
-    """Resolvent contractions (i, C, t) whose numerical range certifies in D(alpha).
-
-    All trials are checked by one stacked ``numrange.quasi_sectorial`` call.
-    Returns the certified draws and the number of draws that failed.
-    """
-    trials = []
-    for i in range(config.trials):
-        t_res = config.ts[i % len(config.ts)]
-        if t_res <= 0.0:
-            raise InvalidInputError(f"t must be positive, got {t_res}")
-        trials.append((i, approximants.resolvent_family(_sectorial(config, i))(t_res), t_res))
-    stack = np.stack([c for _, c, _ in trials])
-    kept, failures = _certified(numrange.quasi_sectorial, stack, config.alpha)
-    return [trials[j] for j in kept], failures
+def _draws(config: ExperimentConfig, make, check=None):
+    """The run's draws (i, *make(config, i)) for i < config.trials, and how many failed: with
+    ``check``, the draws' first matrices go through ``_certified`` as one stack, and those that
+    fail are left out."""
+    draws = [(i, *make(config, i)) for i in range(config.trials)]
+    if check is None:
+        return draws, 0
+    kept, failures = _certified(check, np.stack([d[1] for d in draws]), config.alpha)
+    return [draws[j] for j in kept], failures
 
 
-def _sector_draws(config: ExperimentConfig):
-    """m-sectorial generators (id, A) whose numerical range lies in the sector |arg z| <= alpha.
+def _sectorial(config: ExperimentConfig, i: int):
+    """(A,): the m-sectorial generator of draw i."""
+    seed = ensembles.child_seed(config.seed, i)
+    return (ensembles.random_m_sectorial(config.dim, config.alpha, seed),)
 
-    All trials are checked by one stacked ``numrange.sectorial`` call, which
-    decides each draw from the two edge normals of the sector and samples
-    boundary points only for the draws they do not certify.  Returns the
-    certified draws and the number of draws that failed.
-    """
-    generators = np.stack([_sectorial(config, i) for i in range(config.trials)])
-    kept, failures = _certified(numrange.sectorial, generators, config.alpha)
-    return [(f"{config.kind}/d{i:03d}", generators[i]) for i in kept], failures
+
+def _resolvent(config: ExperimentConfig, i: int):
+    """(C, t): the resolvent contraction (1 + tA)^{-1} of draw i, t taken from ts in turn."""
+    t = config.ts[i % len(config.ts)]
+    return approximants.resolvent_family(*_sectorial(config, i))(t), t
+
+
+def _contraction(config: ExperimentConfig, i: int, vectors: int | None = None):
+    """(C, xs): a random contraction and config.vectors (or ``vectors``) unit vectors, as rows."""
+    c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
+    seed = ensembles.child_seed(config.seed, 10_000 + i)
+    return c, _unit_vectors(config.dim, vectors or config.vectors, seed)
+
+
+def _selfadjoint(config: ExperimentConfig, i: int):
+    """(C,): a self-adjoint contraction with spectrum evenly spread over [0, 1]."""
+    spectrum = np.linspace(0.0, 1.0, config.dim)
+    return (ensembles.self_adjoint_contraction(spectrum, ensembles.child_seed(config.seed, i)),)
+
+
+def _split_pair(config: ExperimentConfig, i: int):
+    """(A, B, label): split-step factors; even i draw commuting diagonal pairs."""
+    seed, seed_b = (ensembles.child_seed(config.seed, k) for k in (i, 10_000 + i))
+    if i % 2:
+        a, b = (ensembles.random_m_sectorial(config.dim, 0.0, s) for s in (seed, seed_b))
+        return a, b, "noncommuting"
+    rng = ensembles._rng(seed)
+    a, b = (np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex) for _ in range(2))
+    return a, b, "commuting"
 
 
 def _cells(records: list[ErrorRecord], marker: str = "") -> dict[str, list[tuple[int, float]]]:
@@ -279,7 +292,7 @@ def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) ->
             est = fit_rate(cells, fit_min_n=fit_min_n)
         except InsufficientDataError:
             continue
-        fits[rid] = {**asdict(est), "n_range": list(est.n_range)}
+        fits[rid] = {**vars(est), "n_range": list(est.n_range)}
     return fits
 
 
@@ -335,9 +348,7 @@ def _step_chunks(draws, family, ts, ns):
     holds the e^{-tA} of each cell's (draw, t).  They come from one expm
     call per block of _NORM_CHUNK (draw, t), so a run of up to 64 takes one
     call and a longer one holds one block at a time.  A block is a whole
-    number of chunks, so each chunk lies in one block.  A stacked member
-    gets the bits it gets alone, so the caller forms the Chernoff pairs of
-    a chunk with one call per kernel.
+    number of chunks, so each chunk lies in one block.
     """
     pairs = [(i, t) for i in range(len(draws)) for t in ts]
     parts = [np.stack(part) for part in zip(*(p for _, _, p in draws))]
@@ -355,6 +366,40 @@ def _step_chunks(draws, family, ts, ns):
         steps = family(*(p[members] for p in parts))([pairs[j][1] / n for j, n in chunk])
         cells = [(pairs[j][0], labels[j], pairs[j][1], n) for j, n in chunk]
         yield cells, steps, refs[[j - lo for j in js]]
+
+
+def _pair_sweep(draws, family, ts, ns, columns, alpha=None):
+    """Yield (cell, norms) for the Chernoff pairs of the (draw, t, n) cells of ``_step_chunks``.
+
+    With ``alpha``, one ``numrange.quasi_sectorial`` call certifies a chunk's steps, and the
+    cells of those that fail are left out.  ``columns(steps, ns, refs)`` forms the chunk's
+    difference stacks, one ``_norm_rows`` call takes their norms, and norms is a cell's row.
+    """
+    for cells, steps, refs in _step_chunks(draws, family, ts, ns):
+        if alpha is not None:
+            kept, _ = _certified(numrange.quasi_sectorial, steps, alpha)
+            if not kept:
+                continue
+            cells, steps, refs = [cells[j] for j in kept], steps[kept], refs[kept]
+        yield from zip(cells, _norm_rows(*columns(steps, [n for *_, n in cells], refs)))
+
+
+def _power_error(steps, ns, refs):
+    """The columns of _pair_sweep, with Phi = Phi(t/n): Phi^n - e^{-tA} (euler, trotter)."""
+    return (approximants.chernoff_power(steps, ns) - refs,)
+
+
+def _partner_columns(steps, ns, refs):
+    """e^{n(Phi - 1)} - e^{-tA} and Phi^n - e^{n(Phi - 1)}: dunford_segal."""
+    partners = approximants.chernoff_exp(steps, ns)
+    return partners - refs, approximants.chernoff_power(steps, ns) - partners
+
+
+def _product_columns(steps, ns, refs):
+    """Phi^n - e^{n(Phi - 1)}, 1 - Phi and Phi^n - e^{-tA}: chernoff_product."""
+    powers = approximants.chernoff_power(steps, ns)
+    gaps = powers - approximants.chernoff_exp(steps, ns)
+    return gaps, np.eye(steps.shape[-1]) - steps, powers - refs
 
 
 def _tnk_sweep(a, k_max, t):
@@ -403,10 +448,7 @@ def _contour_sweep(c, nodes, ns, alpha):
 def _run_vector_bounds(config: ExperimentConfig):
     """Shared sweep for the sqrt_n / cbrt_n / telescopic vector estimates."""
     records = []
-    for i in range(config.trials):
-        c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
-        seed = ensembles.child_seed(config.seed, 10_000 + i)
-        xs = _unit_vectors(config.dim, config.vectors, seed)
+    for i, c, xs in _draws(config, _contraction)[0]:
         for n, gap, d1, d2, d3 in _vector_sweep(c, xs, _n_grid(config)):
             for j in range(config.vectors):
                 rid = f"{config.kind}/d{i:03d}/x{j:02d}"
@@ -426,42 +468,15 @@ def _run_vector_bounds(config: ExperimentConfig):
     return records, {}
 
 
-def _trotter_draws(config: ExperimentConfig):
-    """Split-step draws (id, A + B, (A, B)) and their ||AB - BA||; even i draw commuting
-    diagonal pairs."""
-    draws, comms = [], []
-    for i in range(config.trials):
-        seed = ensembles.child_seed(config.seed, i)
-        if i % 2 == 0:
-            rng = ensembles._rng(seed)
-            a = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
-            b = np.diag(rng.uniform(0.0, 2.0, config.dim)).astype(complex)
-            label = "commuting"
-        else:
-            a = ensembles.random_m_sectorial(config.dim, 0.0, seed)
-            seed_b = ensembles.child_seed(config.seed, 10_000 + i)
-            b = ensembles.random_m_sectorial(config.dim, 0.0, seed_b)
-            label = "noncommuting"
-        draws.append((f"trotter_product/{label}/d{i:03d}", a + b, (a, b)))
-        comms.append(linalg.op_norm(a @ b - b @ a))
-    return draws, comms
-
-
 def _run_chernoff_product(config: ExperimentConfig):
     records = []
     product_cells: dict[str, list[tuple[int, float]]] = {}
-    eye = np.eye(config.dim)
-    generators = [(i, _sectorial(config, i)) for i in range(config.trials)]
-    draws = [(f"chernoff_product/d{i:03d}", a, (a,)) for i, a in generators]
+    draws = [(f"chernoff_product/d{i:03d}", a, (a,)) for i, a in _draws(config, _sectorial)[0]]
     family = approximants.resolvent_family
-    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
-        ns = [n for *_, n in cells]
-        powers = approximants.chernoff_power(steps, ns)
-        gaps = powers - approximants.chernoff_exp(steps, ns)
-        rows = _norm_rows(gaps, eye - steps, powers - refs)
-        for (_, rid, t, n), (emp, dist, err) in zip(cells, rows):
-            records.append(make_record(rid, n, t, emp, bounds.cbrt_norm_bound(n, dist)))
-            product_cells.setdefault(rid, []).append((n, err))
+    sweep = _pair_sweep(draws, family, config.ts, _n_grid(config), _product_columns)
+    for (_, rid, t, n), (emp, dist, err) in sweep:
+        records.append(make_record(rid, n, t, emp, bounds.cbrt_norm_bound(n, dist)))
+        product_cells.setdefault(rid, []).append((n, err))
     extras = {"product_error_final": {k: v[-1][1] for k, v in product_cells.items()}}
     fits = _fit_groups(product_cells, config.fit_min_n)
     if fits:
@@ -471,13 +486,14 @@ def _run_chernoff_product(config: ExperimentConfig):
 
 def _run_trotter_product(config: ExperimentConfig):
     records = []
-    draws, comms = _trotter_draws(config)
+    pairs, _ = _draws(config, _split_pair)
+    draws = [(f"trotter_product/{label}/d{i:03d}", a + b, (a, b)) for i, a, b, label in pairs]
+    comms = [linalg.op_norm(a @ b - b @ a) for _, a, b, _ in pairs]
     family = approximants.trotter_family
-    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
-        errors = _norm_rows(approximants.chernoff_power(steps, [n for *_, n in cells]) - refs)
-        for (i, rid, t, n), (emp,) in zip(cells, errors):
-            # commuting factors (comm = 0) make the product exact
-            records.append(make_record(rid, n, t, emp, bounds.trotter_bound(n, t, comms[i])))
+    sweep = _pair_sweep(draws, family, config.ts, _n_grid(config), _power_error)
+    for (i, rid, t, n), (emp,) in sweep:
+        # commuting factors (comm = 0) make the product exact
+        records.append(make_record(rid, n, t, emp, bounds.trotter_bound(n, t, comms[i])))
     fits = _fit_groups(_cells(records, "/noncommuting/"), config.fit_min_n)
     return records, {"noncommuting_rate_fits": fits}
 
@@ -485,7 +501,7 @@ def _run_trotter_product(config: ExperimentConfig):
 def _run_power_norms(config: ExperimentConfig):
     """ritt: ||C^n - C^(n+1)|| <= K/(n+1); norm_chernoff: ||C^n - e^{n(C-1)}|| <= L n^(-1/3)."""
     ritt = config.kind == "ritt"
-    draws, failures = _resolvent_draws(config)
+    draws, failures = _draws(config, _resolvent, numrange.quasi_sectorial)
     records = []
     for i, c, t_res in draws:
         rid = f"{config.kind}/d{i:03d}/t{t_res:g}"
@@ -505,9 +521,7 @@ def _run_power_norms(config: ExperimentConfig):
 
 def _run_selfadjoint(config: ExperimentConfig):
     records = []
-    for i in range(config.trials):
-        spectrum = np.linspace(0.0, 1.0, config.dim)
-        c = ensembles.self_adjoint_contraction(spectrum, ensembles.child_seed(config.seed, i))
+    for i, c in _draws(config, _selfadjoint)[0]:
         rid = f"selfadjoint/d{i:03d}"
         for n, (ritt, gap) in _ritt_gap_sweep(c, _n_grid(config)):
             bound = bounds.selfadjoint_ritt_bound(n)
@@ -519,14 +533,13 @@ def _run_selfadjoint(config: ExperimentConfig):
 
 def _run_euler(config: ExperimentConfig):
     """euler and euler_rate: the resolvent powers (1 + tA/n)^(-n) against e^{-tA}."""
-    generators, failures = _sector_draws(config)
-    draws = [(rid, a, (a,)) for rid, a in generators]
+    generators, failures = _draws(config, _sectorial, numrange.sectorial)
+    draws = [(f"{config.kind}/d{i:03d}", a, (a,)) for i, a in generators]
     family = approximants.resolvent_family
     records = []
-    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
-        errors = _norm_rows(approximants.chernoff_power(steps, [n for *_, n in cells]) - refs)
-        for (_, rid, t, n), (emp,) in zip(cells, errors):
-            records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
+    sweep = _pair_sweep(draws, family, config.ts, _n_grid(config), _power_error)
+    for (_, rid, t, n), (emp,) in sweep:
+        records.append(make_record(rid, n, t, emp, bounds.euler_bound(n, config.alpha)))
     cells = _cells(records)
     nonmonotone = sum(
         e1 > e0 + 1e-12 for group in cells.values() for (_, e0), (_, e1) in zip(group, group[1:])
@@ -541,34 +554,21 @@ def _run_euler(config: ExperimentConfig):
 
 
 def _run_dunford_segal(config: ExperimentConfig):
-    """Dunford-Segal pairs, checked in the run's chunks of _NORM_CHUNK steps Phi(t/n):
-    one quasi_sectorial call certifies a chunk's steps, one chernoff_exp and
-    one chernoff_power call form the pairs of the certified ones, and one
-    op_norms call takes both norms of each."""
-    generators, failures = _sector_draws(config)
-    draws = [(rid, a, (a,)) for rid, a in generators]
+    """Dunford-Segal pairs; the steps Phi(t/n) that _pair_sweep does not certify are failures."""
+    generators, failures = _draws(config, _sectorial, numrange.sectorial)
+    draws = [(f"dunford_segal/d{i:03d}", a, (a,)) for i, a in generators]
+    ns = _n_grid(config)
     family = approximants.semigroup_family
     records = []
-    two_step: dict[str, list[tuple[int, float, float]]] = {}
-    for cells, steps, refs in _step_chunks(draws, family, config.ts, _n_grid(config)):
-        for _, rid, _, _ in cells:
-            two_step.setdefault(rid, [])
-        kept, failed = _certified(numrange.quasi_sectorial, steps, config.alpha)
-        failures += failed
-        if not kept:
-            continue
-        cells, steps = [cells[j] for j in kept], steps[kept]
-        ns = [n for *_, n in cells]
-        partners = approximants.chernoff_exp(steps, ns)
-        powers = approximants.chernoff_power(steps, ns)
-        rows = _norm_rows(partners - refs[kept], powers - partners)
-        for (_, rid, t, n), (emp, gap) in zip(cells, rows):
-            records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
-            two_step[rid].append((n, gap, emp))
+    two_step = {f"{rid}/t{t:g}": [] for rid, _, _ in draws for t in config.ts}
+    sweep = _pair_sweep(draws, family, config.ts, ns, _partner_columns, config.alpha)
+    for (_, rid, t, n), (emp, gap) in sweep:
+        records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
+        two_step[rid].append((n, gap, emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),
-        "certification_failures": failures,
+        "certification_failures": failures + len(draws) * len(config.ts) * len(ns) - len(records),
         "empirical_N_hat": max([0.0] + [r.n * cos2 * r.empirical for r in records]),
         "rate_fits": _fit_groups(_cells(records), config.fit_min_n),
         "two_step_terms": two_step,
@@ -580,8 +580,7 @@ def _run_tnk_equivalence(config: ExperimentConfig):
     records = []
     k_max = min(12, max(5, int(math.log2(max(config.nmax, 32)))))
     t_semi = config.ts[0]
-    for i in range(config.trials):
-        a = _sectorial(config, i)
+    for i, a in _draws(config, _sectorial)[0]:
         norm_a = linalg.op_norm(a)
         for k, s, res, semi in _tnk_sweep(a, k_max, t_semi):
             bound = bounds.tnk_resolvent_bound(s, norm_a)
@@ -593,7 +592,7 @@ def _run_tnk_equivalence(config: ExperimentConfig):
 
 
 def _run_contour_reconstruction(config: ExperimentConfig):
-    draws, failures = _resolvent_draws(config)
+    draws, failures = _draws(config, _resolvent, numrange.quasi_sectorial)
     records = []
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)
     nodes = contour.build_contour(alpha_prime)
@@ -620,7 +619,7 @@ def _run_contour_reconstruction(config: ExperimentConfig):
 
 def _run_poisson_split(config: ExperimentConfig):
     records = []
-    ns = _n_grid(config, cap=128)
+    ns = _n_grid(config, cap=poisson.WINDOW_CACHE)
     for n in ns:
         emp = abs(poisson.poisson_second_moment(n) - n)
         bound = bounds.poisson_variance_tolerance(n)
@@ -630,11 +629,9 @@ def _run_poisson_split(config: ExperimentConfig):
         for eps in config.ts:
             emp, bound = poisson.poisson_tail(n, eps), bounds.tchebychev_bound(n, eps)
             records.append(make_record("poisson_split/tail", n, eps, emp, bound))
-    for i in range(config.trials):
-        c = ensembles.random_contraction(config.dim, ensembles.child_seed(config.seed, i))
-        x = _unit_vectors(config.dim, 1, ensembles.child_seed(config.seed, 10_000 + i))[0]
+    split_ns = [n for n in ns if n <= 64]
+    for i, c, (x,) in _draws(config, lambda config, i: _contraction(config, i, 1))[0]:
         d1 = float(np.linalg.norm((np.eye(config.dim) - c) @ x))
-        split_ns = [n for n in ns if n <= 64]
         # one contraction check and one power pass per draw for the whole grid
         for n, sums in zip(split_ns, poisson.chernoff_split_sum(c, x, split_ns, config.ts)):
             for eps, (central, tail) in zip(config.ts, sums):

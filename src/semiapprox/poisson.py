@@ -45,7 +45,10 @@ def _dropped_mass_bound(n: int, m_lo: int, m_hi: int, pmf: np.ndarray) -> float:
     return dropped
 
 
-@functools.lru_cache(maxsize=32)
+WINDOW_CACHE = 128  # poisson_split caps its n grid here, so a run builds each window once
+
+
+@functools.lru_cache(maxsize=WINDOW_CACHE)
 def _pmf_window(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(ms = [m_lo, ..., m_hi], P{X_n = m} on ms, dropped-mass bound), widened as needed.
 

@@ -7,7 +7,8 @@ suite checks the code that issues the verdicts.  Criteria 05-06 run
 ``_ritt_gap_sweep`` for both norms, and the ``ritt`` and ``norm_chernoff``
 runners run it for their one norm each;
 ``test_ritt_gap_sweep_matches_the_runners`` pins their records to its
-columns bit for bit.
+columns bit for bit.  Criteria 08-10 run ``_pair_sweep`` with the column
+functions of the ``euler``, ``dunford_segal`` and ``trotter_product`` runners.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion; ``tests/golden/acceptance.txt`` pins the 13 PASS lines.  Scales
@@ -22,14 +23,17 @@ import pathlib
 import numpy as np
 import pytest
 
-from semiapprox import approximants, bounds, contour, ensembles, linalg, numrange, poisson, report
+from semiapprox import approximants, bounds, contour, ensembles, numrange, poisson, report
 from semiapprox.harness import (
     ExperimentConfig,
     _contour_sweep,
+    _draws,
     _n_grid,
-    _resolvent_draws,
+    _pair_sweep,
+    _partner_columns,
+    _power_error,
+    _resolvent,
     _ritt_gap_sweep,
-    _step_chunks,
     _tnk_sweep,
     _unit_vectors,
     _vector_sweep,
@@ -42,6 +46,7 @@ from semiapprox.tolerances import ABS_SLACK, passes
 SEED = 902_114_400
 # the 13 PASS lines, one per criterion; a change to any figure in them shows here
 PINNED = (pathlib.Path(__file__).parent / "golden" / "acceptance.txt").read_text().splitlines()
+TS, NS = (0.5, 1.0, 2.0), pow2_grid(1024)  # the grid of the Chernoff pairs of criteria 08-10
 
 
 def crit(number, ok, detail):
@@ -126,7 +131,7 @@ def m_sectorial_draws():
         alpha = alphas[i % 4]
         dim = 2 + i % 11
         a = ensembles.random_m_sectorial(dim, alpha, ensembles.child_seed(SEED, 7000 + i))
-        # the check _sector_draws makes, there on the stack of all a run's generators
+        # the check _draws makes for euler and dunford_segal, there on a stack of generators
         assert numrange.sectorial(a, alpha)
         draws.append((alpha, a))
     return draws
@@ -264,7 +269,7 @@ def test_criterion_06_norm_chernoff(sectorial_sweep):
 def test_ritt_gap_sweep_matches_the_runners(n_mode, count):
     # the norms behind criteria 05-06 are the ones the verdicts are issued on
     config = ExperimentConfig(kind="ritt", dim=5, trials=3, nmax=300, ts=(0.5, 2.0), n_mode=n_mode)
-    draws, _ = _resolvent_draws(config)
+    draws, _ = _draws(config, _resolvent, numrange.quasi_sectorial)
     columns = [{}, {}]  # (draw id, n) -> ||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||
     for i, c, t in draws:
         for n, norms in _ritt_gap_sweep(c, _n_grid(config)):
@@ -313,20 +318,17 @@ def test_criterion_08_euler(m_sectorial_draws):
     bad_selfadjoint = 0
     rates = []
     worst = 0.0
+    family = approximants.resolvent_family
     for alpha, a in m_sectorial_draws:
-        draws = [("", a, (a,))]
-        family = approximants.resolvent_family
         cells = {}
-        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            errors = linalg.op_norms(approximants.chernoff_power(steps, [n for *_, n in chunk]) - refs)
-            for (_, rid, _, n), err in zip(chunk, errors):
-                bound = bounds.euler_bound(n, alpha)
-                if not passes(err, bound):
-                    bad += 1
-                worst = max(worst, err / bound)
-                if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
-                    bad_selfadjoint += 1
-                cells.setdefault(rid, []).append((n, err))
+        for (_, rid, _, n), (err,) in _pair_sweep([("", a, (a,))], family, TS, NS, _power_error):
+            bound = bounds.euler_bound(n, alpha)
+            if not passes(err, bound):
+                bad += 1
+            worst = max(worst, err / bound)
+            if alpha == 0.0 and err > bounds.selfadjoint_chernoff_bound(n) + ABS_SLACK:
+                bad_selfadjoint += 1
+            cells.setdefault(rid, []).append((n, err))
         rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
@@ -343,26 +345,18 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
     rates = []
     n_hat = 0.0
     cert_failures = 0
+    family = approximants.semigroup_family
     for alpha, a in m_sectorial_draws:
         cos2 = math.cos(alpha) ** 2
-        draws = [("", a, (a,))]
-        family = approximants.semigroup_family
         cells = {}
-        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            certified = numrange.quasi_sectorial(steps, alpha)
-            cert_failures += certified.count(False)
-            kept = [j for j, ok in enumerate(certified) if ok]
-            if not kept:
-                continue
-            chunk = [chunk[j] for j in kept]
-            errors = linalg.op_norms(
-                approximants.chernoff_exp(steps[kept], [n for *_, n in chunk]) - refs[kept]
-            )
-            for (_, rid, _, n), err in zip(chunk, errors):
-                if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
-                    bad += 1
-                n_hat = max(n_hat, n * cos2 * err)
-                cells.setdefault(rid, []).append((n, err))
+        sweep = _pair_sweep([("", a, (a,))], family, TS, NS, _partner_columns, alpha)
+        for (_, rid, _, n), (err, _) in sweep:
+            if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
+                bad += 1
+            n_hat = max(n_hat, n * cos2 * err)
+            cells.setdefault(rid, []).append((n, err))
+        # the steps the sweep did not certify
+        cert_failures += len(TS) * len(NS) - sum(map(len, cells.values()))
         rates += [fit_rate(group).exponent_p for group in cells.values()]
     rate_ok = all(0.9 <= p <= 1.1 for p in rates)
     crit(
@@ -377,24 +371,19 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
 def test_criterion_10_trotter():
     # commuting pairs: the product formula is exact
     bad_commuting = 0
+    family = approximants.trotter_family
     for i in range(10):
         rng = np.random.default_rng(ensembles.child_seed(SEED, 11_000 + i))
         dim = 2 + i % 7
         a = np.diag(rng.uniform(0, 2, dim)).astype(complex)
         b = np.diag(rng.uniform(0, 2, dim)).astype(complex)
-        draws = [("", a + b, (a, b))]
-        family = approximants.trotter_family
-        for chunk, steps, refs in _step_chunks(draws, family, (0.5, 1.0, 2.0), pow2_grid(1024)):
-            errors = linalg.op_norms(approximants.chernoff_power(steps, [n for *_, n in chunk]) - refs)
-            bad_commuting += sum(err > 1e-10 for err in errors)
+        sweep = _pair_sweep([("", a + b, (a, b))], family, TS, NS, _power_error)
+        bad_commuting += sum(err > 1e-10 for _, (err,) in sweep)
     # the non-commuting 2x2 pair: error -> 0 with the slope reported
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    draws = [("", a + b, (a, b))]
-    cells = []
-    for chunk, steps, refs in _step_chunks(draws, approximants.trotter_family, (1.0,), pow2_grid(512)):
-        ns = [n for *_, n in chunk]
-        cells += zip(ns, linalg.op_norms(approximants.chernoff_power(steps, ns) - refs))
+    sweep = _pair_sweep([("", a + b, (a, b))], family, (1.0,), pow2_grid(512), _power_error)
+    cells = [(n, err) for (*_, n), (err,) in sweep]
     est = fit_rate(cells)
     decayed = cells[-1][1] < 1e-2 * cells[0][1]
     crit(

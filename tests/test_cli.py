@@ -486,11 +486,13 @@ def test_t_zero_domain(tmp_path):
         argv = ["verify", kind, "--t", "0", "--dim", "3", "--trials", "1", "--nmax", "4",
                 "--out", str(tmp_path / f"{kind}.csv")]
         assert cli.main(argv) == 0, kind
-    # the resolvent draws (1 + tA)^{-1} of these kinds need t > 0
+    # the resolvent draws (1 + tA)^{-1} of these kinds need t > 0, also for a t
+    # that no draw takes: the one draw of --t 1,0 takes t = 1
     for kind in ("ritt", "norm_chernoff", "contour_reconstruction"):
-        argv = ["verify", kind, "--t", "0", "--dim", "3", "--trials", "1", "--nmax", "4",
-                "--out", str(tmp_path / f"{kind}.csv")]
-        assert cli.main(argv) == 2, kind
+        for ts in ("0", "1,0"):
+            argv = ["verify", kind, "--t", ts, "--dim", "3", "--trials", "1", "--nmax", "4",
+                    "--out", str(tmp_path / f"{kind}.csv")]
+            assert cli.main(argv) == 2, (kind, ts)
 
 
 def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semiapprox import approximants, contour, ensembles, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
-from semiapprox.harness import ExperimentConfig, _resolvent_draws, run_experiment
+from semiapprox.harness import ExperimentConfig, _draws, _resolvent, run_experiment
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
@@ -219,7 +219,7 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
 
     monkeypatch.setattr(linalg, "op_norms", counting)
     monkeypatch.setattr(contour, "build_contour", refining)
-    draws, _ = _resolvent_draws(config)
+    draws, _ = _draws(config, _resolvent, numrange.quasi_sectorial)
     assert draws
     for _, c, _ in draws:
         events.clear()

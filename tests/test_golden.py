@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from semiapprox import linalg, report
+from semiapprox import harness, linalg, report
 from semiapprox.harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +89,16 @@ def test_harness_forms_no_matrix_function_or_draw(kind, monkeypatch):
     run_experiment(CASES[kind])
     assert "semiapprox.harness" not in callers, kind
     assert "semiapprox.ensembles" in callers, kind
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_kind_takes_its_draws_from_one_call(kind, monkeypatch):
+    # one seam for every draw source: each runner asks harness._draws once
+    calls = []
+    draws = harness._draws
+    monkeypatch.setattr(harness, "_draws", lambda *args: calls.append(args[1]) or draws(*args))
+    run_experiment(CASES[kind])
+    assert len(calls) == 1, kind
 
 
 if __name__ == "__main__":

@@ -10,10 +10,16 @@ from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
     ExperimentConfig,
+    _draws,
+    _n_grid,
+    _pair_sweep,
+    _partner_columns,
+    _power_error,
+    _product_columns,
     _ritt_gap_sweep,
     _sectorial,
+    _split_pair,
     _step_chunks,
-    _trotter_draws,
     fit_rate,
     make_record,
     run_experiment,
@@ -389,10 +395,10 @@ def test_step_chunk_members_equal_their_own_draw_and_t(family):
     # partner, e^{-tA} and norm are the ones its (draw, t) gives alone
     config = ExperimentConfig("trotter_product", dim=4, trials=3, ts=(0.0, 0.5, 2.0))
     if family == "trotter":
-        draws, _ = _trotter_draws(config)
+        draws = [(f"d{i}", a + b, (a, b)) for i, a, b, _ in _draws(config, _split_pair)[0]]
         make = approximants.trotter_family
     else:
-        draws = [(f"d{i}", a, (a,)) for i, a in ((i, _sectorial(config, i)) for i in range(3))]
+        draws = [(f"d{i}", a, (a,)) for i, a in _draws(config, _sectorial)[0]]
         make = getattr(approximants, f"{family}_family")
     ns = list(range(1, 31))
     seen, sizes = [], []
@@ -424,7 +430,7 @@ def test_step_chunks_take_the_semigroups_in_blocks_of_64_draws_and_t(monkeypatch
     # 64 and 2, so a long run holds one block at a time; each is the
     # semigroup of its own (draw, t), bit for bit
     config = ExperimentConfig("euler", dim=2, trials=33)
-    draws = [(f"d{i}", a, (a,)) for i, a in ((i, _sectorial(config, i)) for i in range(33))]
+    draws = [(f"d{i}", a, (a,)) for i, a in _draws(config, _sectorial)[0]]
     ts, ns = (0.5, 2.0), [1, 2]
     expected = {
         (i, t): approximants.semigroup_family(a)(t) for i, (_, a, _) in enumerate(draws) for t in ts
@@ -437,6 +443,62 @@ def test_step_chunks_take_the_semigroups_in_blocks_of_64_draws_and_t(monkeypatch
             assert np.array_equal(ref, expected[i, t])
     assert sizes == [64, 64, 4]
     assert [c.shape for c in calls] == [(64, 2, 2), (2, 2, 2)]
+
+
+PAIR_SWEEPS = {  # kind: the family and the columns its runner sends to _pair_sweep
+    "chernoff_product": (approximants.resolvent_family, _product_columns),
+    "trotter_product": (approximants.trotter_family, _power_error),
+    "euler": (approximants.resolvent_family, _power_error),
+    "euler_rate": (approximants.resolvent_family, _power_error),
+    "dunford_segal": (approximants.semigroup_family, _partner_columns),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_SWEEPS))
+def test_pair_sweep_matches_the_runners(kind):
+    # each record's empirical is the first norm _pair_sweep gives its (draw, t, n),
+    # bit for bit and in the same order; 420 steps cross chunk and (draw, t) edges
+    config = ExperimentConfig(kind, dim=4, trials=3, nmax=70, ts=(0.5, 2.0), n_mode="all")
+    if kind == "trotter_product":
+        pairs, _ = _draws(config, _split_pair)
+        draws = [(f"{kind}/{label}/d{i:03d}", a + b, (a, b)) for i, a, b, label in pairs]
+    else:
+        check = None if kind == "chernoff_product" else numrange.sectorial
+        draws = [(f"{kind}/d{i:03d}", a, (a,)) for i, a in _draws(config, _sectorial, check)[0]]
+    alpha = config.alpha if kind == "dunford_segal" else None
+    family, columns = PAIR_SWEEPS[kind]
+    sweep = _pair_sweep(draws, family, config.ts, _n_grid(config), columns, alpha)
+    expected = [(rid, n, t, norms[0]) for (_, rid, t, n), norms in sweep]
+    records = run_experiment(config).records
+    assert len(expected) == 3 * 2 * 70
+    assert [(r.experiment_id, r.n, r.t, r.empirical) for r in records] == expected
+
+
+def test_dunford_segal_keeps_a_draw_and_t_whose_steps_all_fail(monkeypatch):
+    # 2 draws x 2 values of t x the 6 steps of n = 1, 2, ..., 32 go in one
+    # chunk; fail the 6 steps of (d001, t = 1): its key stays, with no terms
+    config = ExperimentConfig("dunford_segal", dim=3, trials=2, nmax=32, ts=(1.0, 3.0))
+    full = run_experiment(config)
+    check = numrange.quasi_sectorial
+    monkeypatch.setattr(
+        numrange, "quasi_sectorial",
+        lambda c, alpha: [ok and not 12 <= j < 18 for j, ok in enumerate(check(c, alpha))],
+    )
+    result = run_experiment(config)
+    assert result.summary["certification_failures"] == 6
+    rid = "dunford_segal/d001/t1"
+    assert result.records == [r for r in full.records if r.experiment_id != rid]
+    terms = result.summary["two_step_terms"]
+    assert terms == {**full.summary["two_step_terms"], rid: []}
+    assert list(terms) == list(full.summary["two_step_terms"])
+
+
+def test_poisson_split_builds_each_window_once():
+    # the window cache holds the capped n grid whole: 128 builds for n = 1, ..., 128
+    config = ExperimentConfig("poisson_split", trials=10, nmax=128, n_mode="all", ts=(1.5, 3.0))
+    poisson._pmf_window.cache_clear()
+    run_experiment(config)
+    assert poisson._pmf_window.cache_info().misses == 128
 
 
 def test_tnk_sweep_takes_one_stack_per_kernel_per_draw(monkeypatch):
