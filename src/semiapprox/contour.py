@@ -11,11 +11,24 @@ line panels are geometrically graded toward the vertex, where the resolvent
 may grow while the integrands of interest vanish.  Gauss nodes are interior,
 so the vertex z = 1 itself is never sampled.
 
-Each resolvent (z - C)^{-1} is solved once per node, in stacked blocks of 64
-nodes.  Each function is called once per pass, on the 1-D array of all the
-pass's nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed); its weighted resolvents are summed in one matrix product per block
-and function.
+Each function is called once per pass, on the 1-D array of all the pass's
+nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
+allowed).  Its weighted resolvents are summed in one matrix product per
+block of 64 nodes, added in block order.  Those products and that order fix
+the bits of every value, so they stay as they are however the resolvents
+are solved: in stacks of whole blocks holding up to 128 KiB of rows (2048
+nodes at d = 2, 128 at d = 8, one block from d = 12 up), each with one
+solve, one blow-up check and one pass of the norm bounds below.
+
+The first refinement solves no node that the base pass solved.  Refining
+doubles the panels, and line panel p >= 1 of k_line is panel p + k_line of
+2 k_line, on both sides: the same z and dz weight bit for bit.  So a
+refinement shares 32 (k_line - 1) nodes with the pass before it, 480 of
+2048 at the default contour.  The base pass forms the first refinement's
+products on the blocks that hold them while it has their rows, and solves
+only those blocks' other nodes; the refinement adds the stashed products
+in their place.  A default call thus solves 1024 + 1568 pass nodes, plus
+the majorant candidates.
 
 The majorant check needs three maxima of ||(z_j - C)^{-1}|| w(j) over the
 base nodes, not every norm, so the base pass only bounds each norm.  With
@@ -47,7 +60,8 @@ from .errors import ContourTooCloseError, DomainError, InvalidInputError
 from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_BLOCK = 64  # contour nodes per stacked resolvent solve
+_BLOCK = 64  # contour nodes per product of weights and resolvents: fixes the bits of every value
+_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and _norm_bounds
 _BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm bounds, far above their rounding
 
 
@@ -87,8 +101,10 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
     """
     if not 0.0 < alpha_prime < math.pi / 2:
         raise DomainError(f"alpha' must lie in (0, pi/2), got {alpha_prime}")
-    if k_arc < 8 or k_line < 8:
-        raise InvalidInputError("need at least 8 panels per segment")
+    for name, panels in (("k_arc", k_arc), ("k_line", k_line)):
+        # bool is an int subclass, but True is no panel count
+        if not isinstance(panels, (int, np.integer)) or isinstance(panels, bool) or panels < 8:
+            raise InvalidInputError(f"{name} must be an integer >= 8 panels, got {panels!r}")
 
     edges = _line_edges(math.cos(alpha_prime), k_line)
     s, w = _panel_nodes(edges[:-1], edges[1:])
@@ -126,61 +142,208 @@ def _solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(z[:, None, None] * eye - c, eye)
 
 
-def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
-    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per node block.
+def _stack_nodes(dim: int) -> int:
+    """Nodes per stacked solve: as many whole 64-node blocks as fit _STACK_BYTES, at least one."""
+    return _BLOCK * max(1, _STACK_BYTES // (_BLOCK * 16 * dim * dim))
 
-    Each block is one stacked solve; a block of _BLOCK nodes holds 1 MiB of
-    resolvents at dimension 32.
+
+def _singular(z: np.ndarray) -> ContourTooCloseError:
+    return ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}")
+
+
+def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the resolvents r at the nodes z; raises at the first that blows up."""
+    # np.linalg.norm(r, axis=(1, 2)) to the bit, with one temporary stack, not two
+    sq = np.conj(r)
+    fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(1, 2)))
+    # a non-finite resolvent has a NaN or infinite norm, which fails <=
+    bad = np.flatnonzero(~(fro <= 1e15))
+    if bad.size:
+        raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
+    return fro
+
+
+def _checked_solve(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_solve and _checked_norms on a stack of whole 64-node blocks.
+
+    A failure is raised as the 64-node blocks, solved one at a time, would
+    raise it: at the first block with a singular or blown-up node, with the
+    z range of that block for a singular one.
     """
-    for start in range(0, len(contour), _BLOCK):
-        nodes = slice(start, start + _BLOCK)
-        z = contour.z[nodes]
-        try:
-            r = _solve(c, z)
-        except np.linalg.LinAlgError as exc:
-            raise ContourTooCloseError(
-                f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
-            ) from exc
-        # a non-finite resolvent has a NaN or infinite norm, which fails <=
-        fro = np.linalg.norm(r, axis=(1, 2))
-        bad = np.flatnonzero(~(fro <= 1e15))
-        if bad.size:
-            raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
-        yield nodes, r, fro
+    try:
+        r = _solve(c, z)
+    except np.linalg.LinAlgError as exc:
+        if z.size > _BLOCK:  # raise at the first block that fails alone
+            for start in range(0, z.size, _BLOCK):
+                _checked_solve(c, z[start:start + _BLOCK])
+        raise _singular(z) from exc
+    return r, _checked_norms(r, z)
+
+
+def _resolvent_blocks(c: np.ndarray, contour: ContourNodes, start: int = 0, stop=None):
+    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per stack.
+
+    The stacks cover the nodes start:stop in order, start a multiple of 64;
+    each is one stacked solve of up to _stack_nodes(dim) nodes.
+    """
+    stop = len(contour) if stop is None else stop
+    step = _stack_nodes(c.shape[0])
+    for lo in range(start, stop, step):
+        nodes = slice(lo, min(lo + step, stop))
+        yield (nodes, *_checked_solve(c, contour.z[nodes]))
 
 
 def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= ||r_j|| <= hi on the spectral norms of a resolvent block.
+    """Bounds lo <= ||r_j|| <= hi on the spectral norms of a resolvent stack.
 
     fro holds the Frobenius norms of the r_j; r is overwritten, so call
-    this after the quadrature has used the block.  The bounds are those of
+    this after the quadrature has used the stack.  The bounds are those of
     the module docstring, widened by _BOUND_MARGIN, and a node whose bound
     is not finite gets [0, inf].
     """
     s = np.divide(r, fro[:, None, None], out=r)
-    g = s.conj().transpose(0, 2, 1) @ s
-    for _ in range(3):
-        g = g @ g
-    f = fro * np.linalg.norm(g, axis=(1, 2)) ** (1.0 / 16.0)
+    g = np.empty_like(s)
+    quarter = -(-len(s) // 4)
+    for j in range(0, len(s), quarter):  # S^H a quarter of the stack at a time
+        part = s[j:j + quarter]
+        np.matmul(part.conj().transpose(0, 2, 1), part, out=g[j:j + quarter])
+    # square through the stack G frees, and take ||G^8||_F^2 in place
+    for a, out in ((g, r), (r, g), (g, r)):
+        np.matmul(a, a, out=out)
+    v = r.view(np.float64)
+    f = fro * np.sum(np.square(v, out=v), axis=(1, 2)) ** (1.0 / 32.0)
     finite = np.isfinite(f)
     lo = np.where(finite, f * ((1.0 - _BOUND_MARGIN) / r.shape[-1] ** (1.0 / 32.0)), 0.0)
     return lo, np.where(finite, f * (1.0 + _BOUND_MARGIN), np.inf)
 
 
-def _evaluate_many(fs, c: np.ndarray, contour: ContourNodes, bounds: bool = False):
-    """The quadrature sums of fs on one node set, and the rows lo, hi of _norm_bounds if asked."""
-    z, dim = contour.z, c.shape[0]
-    weighted = [np.broadcast_to(f(z), z.shape) * contour.dz_weight for f in fs]
-    acc = np.zeros((len(fs), dim * dim), dtype=np.complex128)
+def _weights(fs, contour: ContourNodes) -> list[np.ndarray]:
+    """f(z) dz at every node of contour for each f in fs, from one call of f on all the nodes."""
+    z = contour.z
+    return [np.broadcast_to(f(z), z.shape) * contour.dz_weight for f in fs]
+
+
+def _shared_blocks(contour: ContourNodes) -> list[tuple[slice, slice, slice]]:
+    """The 64-node blocks of contour's refinement that hold nodes of contour.
+
+    The refinement has 2 k_arc and 2 k_line panels.  Line panel p >= 1 of
+    contour is its panel p + k_line, on both sides: the same edges, powers
+    of two times cos(alpha'), so the same z and dz weight bit for bit.  No
+    arc node recurs.  So each side shares one run of 16 (k_line - 1) nodes,
+    and a block meets at most one run (the arc between them is longer than
+    a block).  Each entry is (block, shared, base): the refinement's nodes
+    ``block``, of which those at ``shared`` (relative to the block) are
+    contour's nodes ``base``.
+    """
+    g, k, m = _GL_NODES.size, contour.k_line, contour.k_arc
+    size = 2 * len(contour)
+    blocks = []
+    for fine, base in ((g * (k + 1), g), (g * (3 * k + 2 * m + 1), g * (k + m + 1))):
+        stop = fine + g * (k - 1)
+        for start in range(fine - fine % _BLOCK, stop, _BLOCK):
+            lo, hi = max(start, fine), min(start + _BLOCK, stop)
+            blocks.append((
+                slice(start, min(start + _BLOCK, size)),
+                slice(lo - start, hi - start),
+                slice(base + lo - fine, base + hi - fine),
+            ))
+    return blocks
+
+
+def _stash_block(c: np.ndarray, rows: np.ndarray, shared: slice, z: np.ndarray, weights, nodes):
+    """The per-function products of one block of the refinement, or the error its solve raises.
+
+    rows holds the block's resolvents at the nodes ``shared`` (relative to
+    the block); the others, at z, are solved here.  The products are those
+    the refined pass would form for the block, bit for bit.  The error is
+    the ContourTooCloseError that pass would raise at the block; it is
+    returned, not raised, so that the pass raises it in its place.
+    """
+    alone = np.ones(len(z), dtype=bool)
+    alone[shared] = False
+    if alone.any():
+        try:
+            r = _solve(c, z[alone])
+        except np.linalg.LinAlgError:
+            return _singular(z)
+        try:
+            _checked_norms(r, z[alone])
+        except ContourTooCloseError as exc:
+            return exc
+        rows[alone] = r
+    flat = rows.reshape(len(z), -1)
+    products = np.empty((len(weights), flat.shape[1]), dtype=np.complex128)
+    for p, w in zip(products, weights):
+        p[...] = w[nodes] @ flat
+    return products
+
+
+def _segments(size: int, stash) -> list[tuple[int, int]]:
+    """(start, stop) of each stashed block and of each run of blocks between them, in node order."""
+    segments, lo = [], 0
+    for start in sorted(stash):
+        if lo < start:
+            segments.append((lo, start))
+        lo = min(start + _BLOCK, size)
+        segments.append((start, lo))
+    return segments + [(lo, size)] if lo < size else segments
+
+
+def _evaluate_many(
+    weights, c: np.ndarray, contour: ContourNodes, bounds=False, stash=None, ahead=None
+):
+    """One quadrature pass over contour: the sums of weights times resolvents, node block by block.
+
+    Returns (values, lohi, formed).  values[i] is the sum of weights[i] (a
+    node array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i;
+    each 64-node block adds one product per weight, in block order.  lohi
+    holds the rows lo, hi of _norm_bounds if ``bounds`` is set.
+
+    stash maps the start of some blocks to the products _stash_block formed
+    for them, or to the error it met: those blocks are not solved, and each
+    product is taken out of stash and added (or the error raised) in the
+    block's place.  With
+    ahead = (refinement, its weights), formed is such a stash for the
+    refinement, built from the rows this pass solves; else it is empty.
+    """
+    dim = c.shape[0]
+    stash = stash or {}
+    acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
     lohi = np.empty((2, len(contour))) if bounds else None
-    for nodes, block, fro in _resolvent_blocks(c, contour):
-        flat = block.reshape(-1, dim * dim)
-        # one product per function: a sum over the nodes never mixes two functions
-        for a, w in zip(acc, weighted):
-            a += w[nodes] @ flat
-        if bounds:
-            lohi[:, nodes] = _norm_bounds(block, fro)
-    return list(acc.reshape((len(fs),) + c.shape) / (2j * math.pi)), lohi
+    shared, rows, formed = (_shared_blocks(contour) if ahead else []), {}, {}
+    for lo, hi in _segments(len(contour), stash):
+        if lo in stash:
+            product = stash.pop(lo)
+            if isinstance(product, ContourTooCloseError):
+                raise product
+            acc += product
+            continue
+        for nodes, r, fro in _resolvent_blocks(c, contour, lo, hi):
+            flat = r.reshape(-1, dim * dim)
+            for j in range(0, len(flat), _BLOCK):
+                block = slice(nodes.start + j, nodes.start + j + _BLOCK)
+                # one product per function: a sum over the nodes never mixes two functions
+                for a, w in zip(acc, weights):
+                    a += w[block] @ flat[j:j + _BLOCK]
+            for block, part, base in shared:
+                # copy the rows of base that this stack holds; a block whose
+                # last shared row is here gets its products
+                first, last = max(base.start, nodes.start), min(base.stop, nodes.stop)
+                if first >= last:
+                    continue
+                if block.start not in rows:
+                    size = block.stop - block.start
+                    rows[block.start] = np.empty((size, dim, dim), dtype=np.complex128)
+                at = part.start - base.start
+                rows[block.start][at + first:at + last] = r[first - nodes.start:last - nodes.start]
+                if last == base.stop:
+                    fine, fine_weights = ahead
+                    formed[block.start] = _stash_block(
+                        c, rows.pop(block.start), part, fine.z[block], fine_weights, block
+                    )
+            if bounds:
+                lohi[:, nodes] = _norm_bounds(r, fro)
+    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi)), lohi, formed
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
@@ -219,46 +382,60 @@ def riesz_dunford_many(
 
     Each f in fs is called once per pass with the 1-D complex array of the
     pass's nodes, and must return an array of that shape or a scalar
-    constant, as a NumPy ufunc does.  Each block of 64 nodes then adds one
-    matrix product per function.
+    constant, as a NumPy ufunc does.  Each f is called on the base nodes
+    and then on the first refinement's nodes before any node is solved.
+    Each block of 64 nodes then adds one matrix product per function.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` on the given contour for
     0 <= alpha < alpha'.
     The base pass bounds ||(z_j - C)^{-1}|| at every node; only the nodes
     whose bounds let them hold one of the check's three maxima are solved
-    again, in stacks of 64, for an exact norm, and every other node enters
+    again, in stacks, for an exact norm, and every other node enters
     the check as 0.  Each maximum sits at a kept node, so the report equals
     the one of exact norms at all nodes bit for bit; the distances
     dist(z_j, D(alpha)) are taken once, for both.  The node set is
     doubled until every value agrees with its previous refinement to
-    CONTOUR_QUAD_TOL in spectral norm.  Raises InvalidInputError for an
+    CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
+    so the base pass also forms its products on the blocks that hold
+    base nodes (see _shared_blocks), and that refinement solves none of
+    them again: a default contour takes 1024 + 1568 solves, not 1024 +
+    2048.  A later refinement runs only when the one before has not
+    converged, so it solves all its nodes.  Raises InvalidInputError for an
     alpha outside [0, alpha') before solving, and ContourTooCloseError when
     the quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
     if not 0.0 <= alpha < contour.alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
     a = linalg.as_operator(c)
-    results, (lo, hi) = _evaluate_many(fs, a, contour, bounds=True)
+    fine = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
+    weights = _weights(fs, contour)
+    fine_weights = _weights(fs, fine)
+    results, (lo, hi), stash = _evaluate_many(
+        weights, a, contour, bounds=True, ahead=(fine, fine_weights)
+    )
+    del weights  # the base pass's weights are not needed again
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
     kept = _majorant_candidates(contour, alpha, dist, lo, hi)
     rnorm = np.zeros(len(contour))
-    for start in range(0, kept.size, _BLOCK):  # _BLOCK at a time bounds the memory
-        chunk = kept[start:start + _BLOCK]
+    step = _stack_nodes(a.shape[0])
+    for start in range(0, kept.size, step):
+        chunk = kept[start:start + step]
         rnorm[chunk] = linalg.op_norms(_solve(a, contour.z[chunk]))
     report = _check_report(contour, alpha, dist, rnorm)
     while True:
-        contour = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
-        refined, _ = _evaluate_many(fs, a, contour)
+        refined, _, _ = _evaluate_many(fine_weights, a, fine, stash=stash)
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, report
-        if len(contour) * 2 > CONTOUR_NODE_CAP:
+        if len(fine) * 2 > CONTOUR_NODE_CAP:
             raise ContourTooCloseError(
                 f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
-                f"after {len(contour)} nodes (budget {CONTOUR_NODE_CAP})"
+                f"after {len(fine)} nodes (budget {CONTOUR_NODE_CAP})"
             )
-        results = refined
+        results, stash = refined, {}
+        fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
+        fine_weights = _weights(fs, fine)
 
 
 @dataclass

@@ -103,6 +103,10 @@ def fit_rate(points, fit_min_n: float = 0.0) -> RateEstimate:
     )
 
 
+# kinds whose series ids end in /t{t:g}
+_T_LABELLED = ("chernoff_product", "trotter_product", "euler", "euler_rate", "dunford_segal")
+
+
 # bool is an int subclass, but True is no count, seed or real number
 def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -152,6 +156,18 @@ class ExperimentConfig:
             raise InvalidInputError(f"fit_min_n must be finite, got {self.fit_min_n}")
         if self.kind in ("ritt", "norm_chernoff", "contour_reconstruction") and min(self.ts) <= 0.0:
             raise InvalidInputError(f"{self.kind} needs every t > 0 for (1 + tA)^-1, got {self.ts}")
+        # two t of one series id would write its rows twice, or merge two series in one fit;
+        # poisson_split keeps epsilon in the rows' t, other kinds take one t per draw or none
+        if self.kind in _T_LABELLED or self.kind == "poisson_split":
+            key = (lambda t: f"{t:g}") if self.kind in _T_LABELLED else float
+            seen = {}
+            for t in self.ts:
+                if key(t) in seen:
+                    raise InvalidInputError(
+                        f"{self.kind} needs t values with distinct record ids, "
+                        f"but t={seen[key(t)]!r} and t={t!r} share one"
+                    )
+                seen[key(t)] = t
         numrange.check_alpha(self.alpha)
         if self.kind == "tnk_equivalence" and self.n_mode == "all":
             # this kind sweeps the step s = 2^-k, not n

@@ -419,6 +419,14 @@ def test_usage_errors_exit_two(run_main, tmp_path):
         proc = run_main("verify", *argv, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # a t grid whose series would share a record id, not a report with doubled rows
+    for argv in (("euler", "--dim", "3", "--t", "1,1"), ("euler", "--dim", "3", "--t", "1,1.0000001"),
+                 ("poisson_split", "--t", "2,2")):
+        proc = run_main("verify", *argv, "--trials", "1", "--nmax", "4", "--out", str(tmp_path / "r.csv"))
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "distinct record ids" in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
     # an empty n-grid is a usage error, not a traceback
     proc = run_main("verify", "chernoff_product", "--nmax", "0")
     assert proc.returncode == 2

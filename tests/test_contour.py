@@ -65,6 +65,10 @@ def test_build_contour_validation():
         contour.build_contour(math.pi / 2)
     with pytest.raises(InvalidInputError):
         contour.build_contour(1.0, k_arc=4)
+    for k_arc, k_line in ((8.5, 8), (8, 8.0), (True, 8), (8, np.float64(16.0)), (32, 7), (8, "16")):
+        with pytest.raises(InvalidInputError, match="must be an integer >= 8"):
+            contour.build_contour(1.0, k_arc, k_line)
+    assert len(contour.build_contour(1.0, np.int64(8), 8)) == 16 * 24
 
 
 def test_cauchy_formula_identity():
@@ -171,7 +175,7 @@ def test_candidate_solves_match_the_pass_rows():
     c = certified_resolvent(5, alpha, 3000)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     rows = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
-    _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
+    _, (lo, hi), _ = contour._evaluate_many([], c, nodes, bounds=True)
     kept = contour._majorant_candidates(nodes, alpha, numrange.distance_to_D_alpha(nodes.z, alpha), lo, hi)
     assert 0 < kept.size < len(nodes)
     assert np.array_equal(contour._solve(c, nodes.z[kept]), rows[kept])
@@ -196,35 +200,35 @@ def test_norm_bounds_hold_the_exact_norms():
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0, nodes)
-    _, (lo, hi) = contour._evaluate_many([], c, nodes, bounds=True)
+    _, (lo, hi), _ = contour._evaluate_many([], c, nodes, bounds=True)
     exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
     assert np.all(lo <= exact) and np.all(exact <= hi)
     assert np.all(hi <= lo * 6 ** (1 / 32) * (1 + 3e-6))
 
 
 def test_default_draws_take_few_exact_norms(monkeypatch):
-    # the op_norms calls ahead of the first refinement take the exact norms
+    # the op_norms calls ahead of the majorant check take the exact norms
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
     events = []
-    op_norms, build = linalg.op_norms, contour.build_contour
+    op_norms, check = linalg.op_norms, contour._check_report
 
     def counting(stack):
         events.append(len(stack))
         return op_norms(stack)
 
-    def refining(*args):
-        events.append("refine")
-        return build(*args)
+    def checking(*args):
+        events.append("check")
+        return check(*args)
 
     monkeypatch.setattr(linalg, "op_norms", counting)
-    monkeypatch.setattr(contour, "build_contour", refining)
+    monkeypatch.setattr(contour, "_check_report", checking)
     draws, _ = _draws(config, _resolvent, numrange.quasi_sectorial)
     assert draws
     for _, c, _ in draws:
         events.clear()
         contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
-        assert 0 < sum(events[:events.index("refine")]) <= len(base) // 4
+        assert 0 < sum(events[:events.index("check")]) <= len(base) // 4
 
 
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
@@ -240,14 +244,16 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
-    # one base pass and one refinement at twice the nodes; the majorant
-    # check solves only its candidate nodes again, in stacks of at most 64
-    # between the two passes
+    # one base pass and one refinement at twice the nodes, in stacks of
+    # 512 nodes at d = 4.  The base pass also solves the 16 nodes of each
+    # side's refinement block that it does not share (after its stacks 0
+    # and 1); the majorant check solves its candidate nodes again between
+    # the passes, and the refinement solves none of the 480 shared nodes
     solved, blocked = [], []
     blocks, solve = contour._resolvent_blocks, contour._solve
 
-    def counting_blocks(c, nodes):
-        for sl, r, fro in blocks(c, nodes):
+    def counting_blocks(c, nodes, *span):
+        for sl, r, fro in blocks(c, nodes, *span):
             blocked.append(len(r))
             yield sl, r, fro
 
@@ -261,8 +267,9 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
     base = contour.build_contour(result.summary["alpha_prime"])
-    assert sum(blocked) == 3 * len(base)
-    assert solved == [64] * 16 + [22] + [64] * 32
+    assert sum(blocked) == 3 * len(base) - 512
+    assert solved == [512, 16, 512, 16] + [22] + [256, 512, 512, 256]
+    assert sum(solved) - 22 == 1024 + 1568
 
 
 def test_spectrum_on_node_raises_too_close():
@@ -392,3 +399,133 @@ def test_block_sums_match_per_node_formula(dim):
     got, _ = contour.riesz_dunford_many(fs, c, nodes, alpha)
     for g, want in zip(got, _reference_many(fs, c, nodes)):
         assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))
+
+
+@pytest.mark.parametrize("k_arc, k_line", [(32, 16), (64, 32), (9, 10), (8, 8)])
+def test_shared_blocks_are_the_nodes_the_refinement_repeats(k_arc, k_line):
+    # the map from panel arithmetic against a search of the refinement for
+    # base nodes: 480 of 2048 nodes at the default, 992 of 4096 one level up
+    base = contour.build_contour(1.0, k_arc, k_line)
+    fine = contour.build_contour(1.0, 2 * k_arc, 2 * k_line)
+    shared = contour._shared_blocks(base)
+    for block, part, src in shared:
+        assert block.start % 64 == 0 and block.stop == min(block.start + 64, len(fine))
+        assert 0 <= part.start < part.stop <= block.stop - block.start
+        assert np.array_equal(fine.z[block][part], base.z[src])
+        assert np.array_equal(fine.dz_weight[block][part], base.dz_weight[src])
+    count = sum(part.stop - part.start for _, part, _ in shared)
+    assert count == 32 * (k_line - 1) == np.intersect1d(fine.z, base.z).size
+    assert len({block.start for block, _, _ in shared}) == len(shared)
+
+
+def _every_node_reference(fs, c, nodes, alpha):
+    # riesz_dunford_many as one stacked solve per 64-node block of every
+    # pass, each block checked for a singular or blown-up node, and the
+    # check of exact norms at every base node
+    dim = c.shape[0]
+    eye = np.eye(dim, dtype=complex)
+
+    def quadrature(nodes):
+        weights = [np.broadcast_to(f(nodes.z), nodes.z.shape) * nodes.dz_weight for f in fs]
+        acc = np.zeros((len(fs), dim * dim), dtype=complex)
+        for start in range(0, len(nodes), 64):
+            z = nodes.z[start:start + 64]
+            try:
+                r = np.linalg.solve(z[:, None, None] * eye - c, eye)
+            except np.linalg.LinAlgError:
+                raise contour.ContourTooCloseError(
+                    f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
+                )
+            ok = np.linalg.norm(r, axis=(1, 2)) <= 1e15
+            if not np.all(ok):
+                raise contour.ContourTooCloseError(f"resolvent blow-up at contour node z={z[np.argmin(ok)]}")
+            for a, w in zip(acc, weights):
+                a += w[start:start + 64] @ r.reshape(-1, dim * dim)
+        return list(acc.reshape((len(fs), dim, dim)) / (2j * math.pi))
+
+    results = quadrature(nodes)
+    report = per_node_report(c, nodes, alpha)
+    while True:
+        nodes = contour.build_contour(nodes.alpha_prime, 2 * nodes.k_arc, 2 * nodes.k_line)
+        refined = quadrature(nodes)
+        if all(linalg.op_norm(r2 - r1) < contour.CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
+            return refined, report
+        results = refined
+
+
+def _outcome(run, *args):
+    try:
+        values, report = run(*args)
+    except contour.ContourTooCloseError as exc:
+        return str(exc)
+    return values, dataclasses.astuple(report)
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[1] == want[1]
+        assert len(got[0]) == len(want[0])
+        assert all(np.array_equal(g, w) for g, w in zip(got[0], want[0]))
+
+
+_FS = [lambda z: 1.0, lambda z: z**3 * (1.0 - z), lambda z: z**4 - np.exp(4.0 * (z - 1.0))]
+
+
+@pytest.mark.parametrize(
+    "dim, k_arc, k_line, tol",
+    [(1, 32, 16, None), (2, 32, 16, None), (5, 32, 16, None), (16, 32, 16, None), (32, 32, 16, None),
+     (16, 9, 10, None), (3, 9, 10, None), (4, 32, 16, 1e-15)],
+)
+def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_arc, k_line, tol):
+    # the refinement's stashed products and the byte-sized stacks keep
+    # every bit of the values and of the report
+    alpha = math.pi / 8
+    c = certified_resolvent(dim, alpha, 7000 + dim)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2), k_arc, k_line)
+    refinements = []
+    if tol is not None:  # a second refinement runs
+        monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", tol)
+        build = contour.build_contour
+        monkeypatch.setattr(contour, "build_contour", lambda *a: refinements.append(a) or build(*a))
+    got = _outcome(contour.riesz_dunford_many, _FS, c, nodes, alpha)
+    _assert_same_outcome(got, _outcome(_every_node_reference, _FS, c, nodes, alpha))
+    assert tol is None or len(refinements) >= 2
+
+
+def _on_nodes(dim, *zs):
+    # a diagonal C with the eigenvalues zs (contour nodes), the rest inside the contour
+    return np.diag(np.concatenate([np.asarray(zs, dtype=complex), np.linspace(0.1, 0.5, dim - len(zs))]))
+
+
+_AP = 0.5 * (math.pi / 8 + math.pi / 2)
+_BASE = contour.build_contour(_AP)
+_FINE = contour.build_contour(_AP, 64, 32)
+
+
+@pytest.mark.parametrize(
+    "dim, spectrum",
+    [
+        # a singular base node inside a 1024-node stack names its own 64-node block
+        (2, [_BASE.z[100]]),
+        (2, [_BASE.z[1000]]),
+        # a node only the refinement has, in a block the base pass forms
+        (2, [_FINE.z[260]]),
+        (16, [_FINE.z[1800]]),
+        (16, [_FINE.z[260] + 4e-16]),
+        # the base pass raises first, though it forms the refinement's block 4 before its block 7
+        (16, [_FINE.z[260], _BASE.z[500]]),
+        (16, [_FINE.z[1800], _BASE.z[20] + 4e-16]),
+        # the refinement raises in block order, stashed blocks or not
+        (16, [_FINE.z[100], _FINE.z[1800]]),
+        (2, [_FINE.z[260], _FINE.z[1000]]),
+        (8, [_FINE.z[1800], _FINE.z[2000] + 4e-16]),
+    ],
+)
+def test_too_close_errors_keep_the_every_node_order(dim, spectrum):
+    c = _on_nodes(dim, *spectrum)
+    want = _outcome(_every_node_reference, [lambda z: 1.0], c, _BASE, 0.0)
+    assert isinstance(want, str)
+    assert _outcome(contour.riesz_dunford_many, [lambda z: 1.0], c, _BASE, 0.0) == want

@@ -153,6 +153,23 @@ def test_config_refuses_bad_seeds_and_non_numbers():
     ExperimentConfig(kind="sqrt_n", seed=np.uint64(2**64 - 1), alpha=np.float64(0.3))
 
 
+def test_config_refuses_t_grids_whose_series_share_a_record_id():
+    # two t with one {t:g} label wrote a series' rows twice (1, 1) or merged
+    # two series into one rate fit (1, 1.0000001); poisson_split repeats an epsilon's rows
+    for kind in ("chernoff_product", "trotter_product", "euler", "euler_rate", "dunford_segal"):
+        for ts in ((1.0, 1.0), (1.0, 1.0000001), (0.5, 2.0, 0.5000001)):
+            with pytest.raises(InvalidInputError, match="distinct record ids"):
+                ExperimentConfig(kind=kind, ts=ts)
+        ExperimentConfig(kind=kind, ts=(0.5, 2.0, 1.00001))
+    with pytest.raises(InvalidInputError, match=r"t=2 and t=2\.0 share one"):
+        ExperimentConfig(kind="poisson_split", ts=(2, 3.0, 2.0))
+    # epsilon sits in the row's t, not in its id: close values stay apart
+    ExperimentConfig(kind="poisson_split", ts=(1.0, 1.0000001))
+    # one t per draw, or none used: such grids stay valid
+    for kind in ("ritt", "norm_chernoff", "contour_reconstruction", "sqrt_n", "tnk_equivalence"):
+        ExperimentConfig(kind=kind, ts=(1.0, 1.0))
+
+
 def small_config(kind, **kw):
     base = dict(kind=kind, dim=4, trials=4, nmax=64, ts=(1.0,), alpha=math.pi / 8, vectors=3)
     base.update(kw)
