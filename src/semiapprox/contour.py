@@ -18,7 +18,7 @@ block of 64 nodes, added in block order.  Those products and that order fix
 the bits of every value, so they stay as they are however the resolvents
 are solved: in stacks of whole blocks holding up to 128 KiB of rows (2048
 nodes at d = 2, 128 at d = 8, one block from d = 12 up), each with one
-solve, one blow-up check and one pass of the norm bounds below.
+solve, one blow-up check and one step of the majorant search below.
 
 The first refinement solves no node that the base pass solved.  Refining
 doubles the panels, and line panel p >= 1 of k_line is panel p + k_line of
@@ -27,25 +27,38 @@ refinement shares 32 (k_line - 1) nodes with the pass before it, 480 of
 2048 at the default contour.  The base pass forms the first refinement's
 products on the blocks that hold them while it has their rows, and solves
 only those blocks' other nodes; the refinement adds the stashed products
-in their place.  A default call thus solves 1024 + 1568 pass nodes, plus
-the majorant candidates.
+in their place.  A default call thus solves 1024 + 1568 pass nodes, and no
+node twice.
 
-The majorant check needs three maxima of ||(z_j - C)^{-1}|| w(j) over the
-base nodes, not every norm, so the base pass only bounds each norm.  With
-F = ||R||_F (taken by the blow-up check), S = R / F and G = S^H S, three
-squarings give G^8, and f = F ||G^8||_F^(1/16) satisfies
-f / d^(1/32) <= ||R|| <= f, because ||G^8||_2 = ||S||^16 <= ||G^8||_F <=
-sqrt(d) ||G^8||_2.  The scaling keeps ||G^8||_2 in [d^-8, 1], so G^8
-neither underflows nor overflows for any resolvent the blow-up check lets
-through.  Both bounds are widened by the relative margin 1e-6, far above
-the rounding of the products (of relative order d^1.5 eps).  A node is
-solved again, by the same stacked solve and so to the same rows, for an
-exact norm only when its upper bound reaches the largest lower bound of one
-of the maxima; the other nodes enter the check as 0.  Every node at which a
-maximum sits is kept, so the check's maxima and verdict are those of exact
-norms at all nodes, bit for bit.  The check reports resolvent-majorant
-ratios only; a pointwise integrand such as |z^n - e^{n(z-1)}| is for the
-caller to evaluate on the nodes ``z``.
+The majorant check needs three maxima over the base nodes, not every
+norm: of the ratio of ||(z_j - C)^{-1}|| to the majorant on the arc, the
+same on the lines, and of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every
+node.  So the base pass searches for them while it holds each stack's
+rows R, and takes exact norms (SVDs of those rows) only where a maximum
+can still sit.  Two upper bounds serve.  F = ||R||_F is taken by the
+blow-up check.  With S = R / F and G = S^H S, three squarings give G^8,
+and f = F ||G^8||_F^(1/16) satisfies ||R|| <= f <= d^(1/32) ||R||,
+because ||G^8||_2 = ||S||^16 <= ||G^8||_F <= sqrt(d) ||G^8||_2.  The
+scaling keeps ||G^8||_2 in [d^-8, 1], so G^8 neither underflows nor
+overflows for any resolvent the blow-up check lets through.  Both bounds
+are widened by the relative margin 1e-6, far above their rounding and
+that of the SVD (of relative order d^2 eps).  Per stack, a node is
+dropped when its ratios at F lie below the largest exact ratio so far
+(the best) of both its maxima; the others get f, and each maximum takes
+exact norms of its nodes in decreasing order of their ratio at f until
+the next one lies strictly below its best.
+
+Each ratio is the norm times or over positive constants of the node,
+formed by the same expressions in the search and the check, and
+correctly rounded products and quotients are monotone.  So a node's
+ratio at an upper bound is at least its exact ratio, and a node left
+out has an exact ratio below the best of its maximum at that time, so
+below the maximum itself.  Every node at which a maximum sits thus has
+an exact norm, and the others enter the check as 0 without changing it:
+the check's maxima and verdict are those of exact norms at all nodes,
+bit for bit.  The check reports resolvent-majorant ratios only; a
+pointwise integrand such as |z^n - e^{n(z-1)}| is for the caller to
+evaluate on the nodes ``z``.
 """
 
 from __future__ import annotations
@@ -61,8 +74,9 @@ from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, M
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 64  # contour nodes per product of weights and resolvents: fixes the bits of every value
-_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and _norm_bounds
+_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and majorant search
 _BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm bounds, far above their rounding
+_SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
 
 
 @dataclass
@@ -137,9 +151,13 @@ def winding_number(contour: ContourNodes, z0: complex) -> complex:
 
 
 def _solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(z_j - C)^{-1} stacked over the nodes z, in one np.linalg.solve."""
+    """(z_j - C)^{-1} stacked over the nodes z, in one np.linalg.inv.
+
+    np.linalg.inv and np.linalg.solve(., I) make the same LAPACK call on the
+    same matrices, so they round alike; inv does not copy I per node.
+    """
     eye = np.eye(c.shape[0], dtype=np.complex128)
-    return np.linalg.solve(z[:, None, None] * eye - c, eye)
+    return np.linalg.inv(z[:, None, None] * eye - c)
 
 
 def _stack_nodes(dim: int) -> int:
@@ -193,13 +211,13 @@ def _resolvent_blocks(c: np.ndarray, contour: ContourNodes, start: int = 0, stop
         yield (nodes, *_checked_solve(c, contour.z[nodes]))
 
 
-def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= ||r_j|| <= hi on the spectral norms of a resolvent stack.
+def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
+    """Upper bounds on the spectral norms ||r_j|| of a resolvent stack.
 
-    fro holds the Frobenius norms of the r_j; r is overwritten, so call
-    this after the quadrature has used the stack.  The bounds are those of
-    the module docstring, widened by _BOUND_MARGIN, and a node whose bound
-    is not finite gets [0, inf].
+    fro holds the Frobenius norms of the r_j; r is overwritten, so pass a
+    copy of rows that are still needed.  The bounds are those of the module
+    docstring, widened by _BOUND_MARGIN, and a node whose bound is not
+    finite gets inf.
     """
     s = np.divide(r, fro[:, None, None], out=r)
     g = np.empty_like(s)
@@ -212,9 +230,7 @@ def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> tuple[np.ndarray, np.ndarray
         np.matmul(a, a, out=out)
     v = r.view(np.float64)
     f = fro * np.sum(np.square(v, out=v), axis=(1, 2)) ** (1.0 / 32.0)
-    finite = np.isfinite(f)
-    lo = np.where(finite, f * ((1.0 - _BOUND_MARGIN) / r.shape[-1] ** (1.0 / 32.0)), 0.0)
-    return lo, np.where(finite, f * (1.0 + _BOUND_MARGIN), np.inf)
+    return np.where(np.isfinite(f), f * (1.0 + _BOUND_MARGIN), np.inf)
 
 
 def _weights(fs, contour: ContourNodes) -> list[np.ndarray]:
@@ -289,15 +305,14 @@ def _segments(size: int, stash) -> list[tuple[int, int]]:
     return segments + [(lo, size)] if lo < size else segments
 
 
-def _evaluate_many(
-    weights, c: np.ndarray, contour: ContourNodes, bounds=False, stash=None, ahead=None
-):
+def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, stash=None, ahead=None):
     """One quadrature pass over contour: the sums of weights times resolvents, node block by block.
 
-    Returns (values, lohi, formed).  values[i] is the sum of weights[i] (a
-    node array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i;
-    each 64-node block adds one product per weight, in block order.  lohi
-    holds the rows lo, hi of _norm_bounds if ``bounds`` is set.
+    Returns (values, formed).  values[i] is the sum of weights[i] (a node
+    array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i; each
+    64-node block adds one product per weight, in block order.  visit, if
+    given, is called as visit(nodes, rows, Frobenius norms) on each solved
+    stack once the pass is done with it, and must not change the rows.
 
     stash maps the start of some blocks to the products _stash_block formed
     for them, or to the error it met: those blocks are not solved, and each
@@ -309,7 +324,6 @@ def _evaluate_many(
     dim = c.shape[0]
     stash = stash or {}
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
-    lohi = np.empty((2, len(contour))) if bounds else None
     shared, rows, formed = (_shared_blocks(contour) if ahead else []), {}, {}
     for lo, hi in _segments(len(contour), stash):
         if lo in stash:
@@ -341,38 +355,79 @@ def _evaluate_many(
                     formed[block.start] = _stash_block(
                         c, rows.pop(block.start), part, fine.z[block], fine_weights, block
                     )
-            if bounds:
-                lohi[:, nodes] = _norm_bounds(r, fro)
-    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi)), lohi, formed
+            if visit:
+                visit(nodes, r, fro)
+    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi)), formed
 
 
-def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
-    """The node-wise ratios behind the three maxima of _check_report, for
-    the resolvent norms ``norms``: on the arc, on the two lines, and times
-    dist = dist(z, D(alpha)) at every node."""
+def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
+    """The node-wise ratios behind the three maxima of _check_report.
+
+    Returns ratios(norms, nodes), which gives, for the resolvent norms
+    ``norms`` at the nodes ``nodes``, each node's side ratio (to the arc or
+    the line majorant) and its distance ratio, times dist = dist(z, D(alpha)).
+    Each is the norm times or over positive constants of the node, in a
+    fixed order, so it rounds the same at any node set and is monotone in
+    the norm.
+    """
     arc = contour.on_arc
     sin_gap = math.sin(contour.alpha_prime - alpha)
     arc_major = 1.0 / (math.cos(contour.alpha_prime) * sin_gap)
     # np.hypot, not np.abs: it rounds |w| as the scalar abs does
     w = (1.0 - contour.z)[~arc]
-    return norms[arc] / arc_major, norms[~arc] * np.hypot(w.real, w.imag) * sin_gap, norms * dist
+    line = np.ones(len(contour))  # |1 - z| on the lines; 1 on the arc, where it is not read
+    line[~arc] = np.hypot(w.real, w.imag)
+
+    def ratios(norms, nodes):
+        side = np.where(arc[nodes], norms / arc_major, norms * line[nodes] * sin_gap)
+        return side, norms * dist[nodes]
+
+    return ratios
 
 
-def _majorant_candidates(contour: ContourNodes, alpha: float, dist, lo, hi) -> np.ndarray:
-    """Indices of the nodes at which a maximum of _check_report can sit.
+class _MaximaSearch:
+    """Exact norms at every node where a maximum of _check_report can sit, stack by stack.
 
-    For each of its three maxima, a node is kept when its ratio at hi reaches
-    the largest ratio at lo.  The ratios are those of the check, and rounding
-    is monotone, so every node that attains a maximum is kept.
+    The base pass calls it on each stack's rows; the search is the one of
+    the module docstring.  Node j belongs to its side group (0 on the arc,
+    1 on the lines) and to group 2 (every node); best holds each group's
+    largest exact ratio so far, and rnorm the exact norms taken, 0
+    elsewhere.  _norm_bounds works on a copy of the rows it bounds, and
+    exact norms are taken _SVD_BATCH at a time.
     """
-    arc = contour.on_arc
-    groups = (np.flatnonzero(arc), np.flatnonzero(~arc), np.arange(len(contour)))
-    lows = _majorant_ratios(contour, alpha, dist, lo)
-    highs = _majorant_ratios(contour, alpha, dist, hi)
-    kept = np.zeros(len(contour), dtype=bool)
-    for group, low, up in zip(groups, lows, highs):
-        kept[group[up >= np.max(low)]] = True
-    return np.flatnonzero(kept)
+
+    def __init__(self, contour: ContourNodes, alpha: float, dist):
+        self.ratios = _majorant_ratios(contour, alpha, dist)
+        self.side = np.where(contour.on_arc, 0, 1)
+        self.best = np.zeros(3)
+        self.rnorm = np.zeros(len(contour))
+
+    def __call__(self, nodes: slice, r: np.ndarray, fro: np.ndarray) -> None:
+        up_side, up_far = self.ratios(fro * (1.0 + _BOUND_MARGIN), nodes)
+        left = np.flatnonzero(~((up_side < self.best[self.side[nodes]]) & (up_far < self.best[2])))
+        if not left.size:
+            return
+        at = left + nodes.start
+        side = self.side[at]
+        up_side, up_far = self.ratios(_norm_bounds(r[left], fro[left]), at)
+        taken = np.zeros(left.size, dtype=bool)
+        for group, upper in ((0, up_side), (1, up_side), (2, up_far)):
+            order = np.flatnonzero(~taken & ((side == group) | (group == 2)))
+            order = order[np.argsort(-upper[order], kind="stable")]
+            for start in range(0, order.size, _SVD_BATCH):
+                batch = order[start:start + _SVD_BATCH]
+                batch = batch[~(upper[batch] < self.best[group])]
+                if not batch.size:
+                    break
+                taken[batch] = True
+                self._take(at[batch], r[left[batch]])
+
+    def _take(self, at: np.ndarray, rows: np.ndarray) -> None:
+        norms = np.array(linalg.op_norms(rows))
+        self.rnorm[at] = norms
+        side, far = self.ratios(norms, at)
+        np.maximum.at(self.best, self.side[at], side)
+        self.best[2] = max(self.best[2], np.max(far))
 
 
 def riesz_dunford_many(
@@ -388,22 +443,22 @@ def riesz_dunford_many(
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` on the given contour for
-    0 <= alpha < alpha'.
-    The base pass bounds ||(z_j - C)^{-1}|| at every node; only the nodes
-    whose bounds let them hold one of the check's three maxima are solved
-    again, in stacks, for an exact norm, and every other node enters
-    the check as 0.  Each maximum sits at a kept node, so the report equals
-    the one of exact norms at all nodes bit for bit; the distances
-    dist(z_j, D(alpha)) are taken once, for both.  The node set is
-    doubled until every value agrees with its previous refinement to
+    0 <= alpha < alpha'.  The base pass takes exact norms ||(z_j - C)^{-1}||
+    from its own rows only at the nodes where, by the bounds of the module
+    docstring, one of the check's three maxima can still sit, and every
+    other node enters the check as 0.  Each maximum sits at a node with an
+    exact norm, so the report equals the one of exact norms at all nodes
+    bit for bit, and no node is solved twice; the distances
+    dist(z_j, D(alpha)) are taken once, for both.  The node set is doubled
+    until every value agrees with its previous refinement to
     CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
-    so the base pass also forms its products on the blocks that hold
-    base nodes (see _shared_blocks), and that refinement solves none of
-    them again: a default contour takes 1024 + 1568 solves, not 1024 +
-    2048.  A later refinement runs only when the one before has not
-    converged, so it solves all its nodes.  Raises InvalidInputError for an
-    alpha outside [0, alpha') before solving, and ContourTooCloseError when
-    the quadrature takes more than CONTOUR_NODE_CAP nodes.
+    so the base pass also forms its products on the blocks that hold base
+    nodes (see _shared_blocks), and that refinement solves none of them
+    again: a default contour takes 1024 + 1568 solves, not 1024 + 2048.  A
+    later refinement runs only when the one before has not converged, so
+    it solves all its nodes.  Raises InvalidInputError for an alpha outside
+    [0, alpha') before solving, and ContourTooCloseError when the
+    quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
     if not 0.0 <= alpha < contour.alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
@@ -411,20 +466,13 @@ def riesz_dunford_many(
     fine = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
     weights = _weights(fs, contour)
     fine_weights = _weights(fs, fine)
-    results, (lo, hi), stash = _evaluate_many(
-        weights, a, contour, bounds=True, ahead=(fine, fine_weights)
-    )
-    del weights  # the base pass's weights are not needed again
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
-    kept = _majorant_candidates(contour, alpha, dist, lo, hi)
-    rnorm = np.zeros(len(contour))
-    step = _stack_nodes(a.shape[0])
-    for start in range(0, kept.size, step):
-        chunk = kept[start:start + step]
-        rnorm[chunk] = linalg.op_norms(_solve(a, contour.z[chunk]))
-    report = _check_report(contour, alpha, dist, rnorm)
+    search = _MaximaSearch(contour, alpha, dist)
+    results, stash = _evaluate_many(weights, a, contour, visit=search, ahead=(fine, fine_weights))
+    del weights  # the base pass's weights are not needed again
+    report = _check_report(contour, alpha, dist, search.rnorm)
     while True:
-        refined, _, _ = _evaluate_many(fine_weights, a, fine, stash=stash)
+        refined, _ = _evaluate_many(fine_weights, a, fine, stash=stash)
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, report
@@ -459,9 +507,9 @@ def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCh
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
     carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
     """
-    worst_arc, worst_lines, worst_dist = (
-        float(np.max(ratios)) for ratios in _majorant_ratios(contour, alpha, dist, rnorm)
-    )
+    side, far = _majorant_ratios(contour, alpha, dist)(rnorm, slice(None))
+    arc = contour.on_arc
+    worst_arc, worst_lines, worst_dist = (float(np.max(v)) for v in (side[arc], side[~arc], far))
     majorant_ok = max(worst_arc, worst_lines) <= 1.0 + MAJORANT_TOL
     passed = majorant_ok and worst_dist <= 1.0 + MAJORANT_DIST_TOL
     return ContourCheckReport(

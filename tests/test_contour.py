@@ -170,15 +170,21 @@ def test_majorant_report_equals_check_of_all_exact_norms(dim, alpha, t, seed, ex
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
 
-def test_candidate_solves_match_the_pass_rows():
+def test_no_solve_between_the_base_pass_and_the_check(monkeypatch):
+    # the majorant search takes its exact norms from the base pass's own rows
+    events = []
+    evaluate, solve, check = contour._evaluate_many, contour._solve, contour._check_report
+    monkeypatch.setattr(
+        contour, "_evaluate_many", lambda *a, **k: (evaluate(*a, **k), events.append("pass"))[0]
+    )
+    monkeypatch.setattr(contour, "_solve", lambda c, z: events.append("solve") or solve(c, z))
+    monkeypatch.setattr(contour, "_check_report", lambda *a: events.append("check") or check(*a))
     alpha = math.pi / 8
     c = certified_resolvent(5, alpha, 3000)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    rows = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
-    _, (lo, hi), _ = contour._evaluate_many([], c, nodes, bounds=True)
-    kept = contour._majorant_candidates(nodes, alpha, numrange.distance_to_D_alpha(nodes.z, alpha), lo, hi)
-    assert 0 < kept.size < len(nodes)
-    assert np.array_equal(contour._solve(c, nodes.z[kept]), rows[kept])
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    assert events[events.index("pass") + 1] == "check"
+    assert report == per_node_report(c, nodes, alpha)
 
 
 def test_distances_are_taken_once_per_call(monkeypatch):
@@ -200,10 +206,11 @@ def test_norm_bounds_hold_the_exact_norms():
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0, nodes)
-    _, (lo, hi), _ = contour._evaluate_many([], c, nodes, bounds=True)
-    exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
-    assert np.all(lo <= exact) and np.all(exact <= hi)
-    assert np.all(hi <= lo * 6 ** (1 / 32) * (1 + 3e-6))
+    for _, r, fro in contour._resolvent_blocks(c, nodes):
+        exact = np.asarray(linalg.op_norms(r))
+        hi = contour._norm_bounds(r.copy(), fro)
+        assert np.all(exact <= hi)
+        assert np.all(hi <= exact * 6 ** (1 / 32) * (1 + 3e-6))
 
 
 def test_default_draws_take_few_exact_norms(monkeypatch):
@@ -228,7 +235,119 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
     for _, c, _ in draws:
         events.clear()
         contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
-        assert 0 < sum(events[:events.index("check")]) <= len(base) // 4
+        assert 0 < sum(events[:events.index("check")]) <= 25
+
+
+def test_default_draw_counts_its_exact_norms(monkeypatch):
+    # the first default draw: the majorant search takes 16 SVDs and bounds
+    # 828 of the 1024 base nodes by G^8; no node is solved twice
+    config = ExperimentConfig("contour_reconstruction")
+    base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
+    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    counts = {"svd": 0, "bounded": 0, "solved": 0}
+    take, bounds, solve = contour._MaximaSearch._take, contour._norm_bounds, contour._solve
+
+    def counting_take(search, at, rows):
+        counts["svd"] += len(rows)
+        return take(search, at, rows)
+
+    def counting_bounds(r, fro):
+        counts["bounded"] += len(r)
+        return bounds(r, fro)
+
+    def counting_solve(c, z):
+        counts["solved"] += len(z)
+        return solve(c, z)
+
+    monkeypatch.setattr(contour._MaximaSearch, "_take", counting_take)
+    monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
+    monkeypatch.setattr(contour, "_solve", counting_solve)
+    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
+    assert counts == {"svd": 16, "bounded": 828, "solved": 1024 + 1568}
+    assert report == per_node_report(c, base, config.alpha)
+
+
+@pytest.mark.parametrize("slot", range(15))
+def test_contour_calc_slots_report_the_exact_maxima(slot):
+    # the 15 slot shapes of the contour_calc benchmark's first block: d = 2..16
+    alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
+    config = ExperimentConfig(
+        "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
+    )
+    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+
+
+def _searched(c, nodes, alpha):
+    # the majorant search alone on the base pass: its exact norms, and the
+    # exact ratios of every node
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    search = contour._MaximaSearch(nodes, alpha, dist)
+    contour._evaluate_many([], c, nodes, visit=search)
+    exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
+    side, far = contour._majorant_ratios(nodes, alpha, dist)(exact, slice(None))
+    assert contour._check_report(nodes, alpha, dist, search.rnorm) == per_node_report(c, nodes, alpha)
+    return search.rnorm, exact, side, far
+
+
+def test_search_takes_every_node_of_a_tie():
+    # a real C has equal resolvent norms at the conjugate nodes of the two
+    # sides, so the line maximum sits at two nodes
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    c = np.array([[0.3, 0.4, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 0.6]], dtype=complex)
+    rnorm, exact, side, _ = _searched(c, nodes, alpha)
+    lines = np.flatnonzero(~nodes.on_arc)
+    tied = lines[side[lines] == np.max(side[lines])]
+    assert tied.size == 2
+    assert np.array_equal(rnorm[tied], exact[tied])
+
+
+def test_search_takes_a_node_whose_bound_is_infinite(monkeypatch):
+    # the last node each stack bounds gets the bound inf, and so an exact norm
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    c = certified_resolvent(12, alpha, 3000)
+    marked, bounds = [], contour._norm_bounds
+
+    def bounds_with_inf(r, fro):
+        marked.append(fro[-1])
+        hi = bounds(r, fro)
+        hi[-1] = np.inf
+        return hi
+
+    monkeypatch.setattr(contour, "_norm_bounds", bounds_with_inf)
+    rnorm, exact, _, _ = _searched(c, nodes, alpha)
+    fro = np.concatenate([f for _, _, f in contour._resolvent_blocks(c, nodes)])
+    at = np.flatnonzero(np.isin(fro, marked))
+    assert at.size == len(marked) > 1
+    assert np.array_equal(rnorm[at], exact[at])
+
+
+def test_search_finds_a_maximum_in_the_last_stack():
+    # an eigenvalue next to the last node: the running best stays low until
+    # the last stack, which holds the line and distance maxima
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    dim = 12
+    c = certified_resolvent(dim, alpha, 3000)
+    c[0, 0] = nodes.z[-3] + 1e-3
+    rnorm, exact, side, far = _searched(c, nodes, alpha)
+    last = len(nodes) - contour._stack_nodes(dim)
+    lines = np.flatnonzero(~nodes.on_arc)
+    assert lines[np.argmax(side[lines])] >= last and np.argmax(far) >= last
+    assert np.max(far[:last]) < np.max(far) / 2
+    assert np.count_nonzero(rnorm[last:]) >= 1
+
+
+@pytest.mark.parametrize("value", [0.3 + 0.1j, 0.95, -0.5j])
+def test_search_of_a_scalar(value):
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    rnorm, exact, _, _ = _searched(np.array([[value]]), nodes, alpha)
+    assert 0 < np.count_nonzero(rnorm) < len(nodes)
 
 
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
@@ -247,8 +366,8 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # one base pass and one refinement at twice the nodes, in stacks of
     # 512 nodes at d = 4.  The base pass also solves the 16 nodes of each
     # side's refinement block that it does not share (after its stacks 0
-    # and 1); the majorant check solves its candidate nodes again between
-    # the passes, and the refinement solves none of the 480 shared nodes
+    # and 1); the majorant check solves nothing, and the refinement solves
+    # none of the 480 shared nodes
     solved, blocked = [], []
     blocks, solve = contour._resolvent_blocks, contour._solve
 
@@ -268,8 +387,8 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     assert result.summary["certification_failures"] == 0
     base = contour.build_contour(result.summary["alpha_prime"])
     assert sum(blocked) == 3 * len(base) - 512
-    assert solved == [512, 16, 512, 16] + [22] + [256, 512, 512, 256]
-    assert sum(solved) - 22 == 1024 + 1568
+    assert solved == [512, 16, 512, 16, 256, 512, 512, 256]
+    assert sum(solved) == 1024 + 1568
 
 
 def test_spectrum_on_node_raises_too_close():
