@@ -13,12 +13,14 @@ so the vertex z = 1 itself is never sampled.
 
 Each function is called once per pass, on the 1-D array of all the pass's
 nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed).  Its weighted resolvents are summed in one matrix product per
-block of 64 nodes, added in block order.  Those products and that order fix
-the bits of every value, so they stay as they are however the resolvents
-are solved: in stacks of whole blocks holding up to 128 KiB of rows (2048
-nodes at d = 2, 128 at d = 8, one block from d = 12 up), each with one
-solve, one blow-up check and one step of the majorant search below.
+allowed).  Its weighted resolvents are summed in one vector-matrix
+product per block of 64 nodes, added in block order; one stacked matmul
+forms the products of all the functions, each as it would alone.  Those
+products and that order fix the bits of every value, so they stay as they
+are however the resolvents are solved: in stacks of whole blocks holding
+up to 128 KiB of rows (2048 nodes at d = 2, 128 at d = 8, one block from
+d = 12 up), each with one solve, one blow-up check and one step of the
+majorant search below.
 
 The first refinement solves no node that the base pass solved.  Refining
 doubles the panels, and line panel p >= 1 of k_line is panel p + k_line of
@@ -27,38 +29,62 @@ refinement shares 32 (k_line - 1) nodes with the pass before it, 480 of
 2048 at the default contour.  The base pass forms the first refinement's
 products on the blocks that hold them while it has their rows, and solves
 only those blocks' other nodes; the refinement adds the stashed products
-in their place.  A default call thus solves 1024 + 1568 pass nodes, and no
-node twice.
+in their place.  A default call thus solves 1024 + 1568 pass nodes and
+the majorant search's seeds below, at most 3; only the seeds are solved
+twice.
 
 The majorant check needs three maxima over the base nodes, not every
 norm: of the ratio of ||(z_j - C)^{-1}|| to the majorant on the arc, the
 same on the lines, and of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every
 node.  So the base pass searches for them while it holds each stack's
 rows R, and takes exact norms (SVDs of those rows) only where a maximum
-can still sit.  Two upper bounds serve.  F = ||R||_F is taken by the
-blow-up check.  With S = R / F and G = S^H S, three squarings give G^8,
-and f = F ||G^8||_F^(1/16) satisfies ||R|| <= f <= d^(1/32) ||R||,
-because ||G^8||_2 = ||S||^16 <= ||G^8||_F <= sqrt(d) ||G^8||_2.  The
-scaling keeps ||G^8||_2 in [d^-8, 1], so G^8 neither underflows nor
-overflows for any resolvent the blow-up check lets through.  Both bounds
-are widened by the relative margin 1e-6, far above their rounding and
-that of the SVD (of relative order d^2 eps).  Per stack, a node is
-dropped when its ratios at F lie below the largest exact ratio so far
-(the best) of both its maxima; the others get f, and each maximum takes
-exact norms of its nodes in decreasing order of their ratio at f until
-the next one lies strictly below its best.
+can still sit.  Three upper bounds serve, each widened by the relative
+margin 1e-6, far above its rounding and that of the SVD (of relative
+order d^2 u, u = 2^-53).
+
+- U, the polygon bound, is known before any node is solved.  With h_theta
+  the support values of W(C) at 32 angles, raised by their backward
+  error (one eigvalsh of 16 Hermitian parts), ``numrange.support_distance``
+  gives l_j = max_theta (Re(e^{i theta} z_j) - h_theta), lowered by its
+  rounding.  For every unit x, ||(z_j - C) x|| >= |z_j - x* C x| >=
+  dist(z_j, W(C)) >= l_j, so ||(z_j - C)^{-1}|| <= 1 / l_j (Trefethen and
+  Embree, Spectra and Pseudospectra, 2005, ch. 17).  The search compares
+  U with norms of computed resolvents, whose relative error is of order
+  d rho u kappa, with rho the growth factor of LU with partial pivoting
+  and kappa = ||z_j - C|| ||(z_j - C)^{-1}|| <= (|z_j| + ||C||_F) / l_j
+  (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 9
+  and 14).  So U_j = (1 + 1e-6) / l_j only where l_j lies above the guard
+  2^10 d^2 u (|z_j| + ||C||_F) / 1e-6, which keeps d u kappa below
+  2^-10 1e-6 / d: the error stays far under the margin unless rho grows
+  to hundreds (in practice it stays below 10); elsewhere U_j = inf.
+- F = ||R||_F is taken by the blow-up check.
+- f is taken on the nodes that F and U leave.  With S = R / F and
+  G = S^H S, three squarings give G^8, and f = F ||G^8||_F^(1/16)
+  satisfies ||R|| <= f <= d^(1/32) ||R||, because ||G^8||_2 = ||S||^16 <=
+  ||G^8||_F <= sqrt(d) ||G^8||_2.  The scaling keeps ||G^8||_2 in
+  [d^-8, 1], so G^8 neither underflows nor overflows for any resolvent
+  the blow-up check lets through.
+
+Before the base pass the search solves its seeds: in each maximum, the
+node of largest ratio at U, at most 3 nodes in one stack.  Their exact
+ratios start the largest exact ratio so far (the best) of each maximum.
+Per stack, a node is dropped when it has an exact norm already, or when
+its ratios at min(F, U) lie below the best of both its maxima; the
+others get f, and each maximum takes exact norms of its nodes in
+decreasing order of their ratio at f until the next one lies strictly
+below its best.
 
 Each ratio is the norm times or over positive constants of the node,
 formed by the same expressions in the search and the check, and
 correctly rounded products and quotients are monotone.  So a node's
-ratio at an upper bound is at least its exact ratio, and a node left
-out has an exact ratio below the best of its maximum at that time, so
-below the maximum itself.  Every node at which a maximum sits thus has
-an exact norm, and the others enter the check as 0 without changing it:
-the check's maxima and verdict are those of exact norms at all nodes,
-bit for bit.  The check reports resolvent-majorant ratios only; a
-pointwise integrand such as |z^n - e^{n(z-1)}| is for the caller to
-evaluate on the nodes ``z``.
+ratio at an upper bound is at least its exact ratio, the best is always
+an exact ratio of some node, and a node left out has an exact ratio
+below the best of its maximum at that time, so below the maximum
+itself.  Every node at which a maximum sits thus has an exact norm, and
+the others enter the check as 0 without changing it: the check's maxima
+and verdict are those of exact norms at all nodes, bit for bit.  The
+check reports resolvent-majorant ratios only; a pointwise integrand such
+as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
 """
 
 from __future__ import annotations
@@ -77,6 +103,7 @@ _BLOCK = 64  # contour nodes per product of weights and resolvents: fixes the bi
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and majorant search
 _BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm bounds, far above their rounding
 _SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
+_GUARD = 2.0**10  # the polygon bound's guard, in units of d^2 u (|z| + ||C||_F) / _BOUND_MARGIN
 
 
 @dataclass
@@ -219,7 +246,8 @@ def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
     docstring, widened by _BOUND_MARGIN, and a node whose bound is not
     finite gets inf.
     """
-    s = np.divide(r, fro[:, None, None], out=r)
+    # F = 0 divides by 1: S = R = 0 then bounds the norm 0 by 0 exactly
+    s = np.divide(r, np.where(fro > 0.0, fro, 1.0)[:, None, None], out=r)
     g = np.empty_like(s)
     quarter = -(-len(s) // 4)
     for j in range(0, len(s), quarter):  # S^H a quarter of the stack at a time
@@ -233,10 +261,25 @@ def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(f), f * (1.0 + _BOUND_MARGIN), np.inf)
 
 
-def _weights(fs, contour: ContourNodes) -> list[np.ndarray]:
-    """f(z) dz at every node of contour for each f in fs, from one call of f on all the nodes."""
+def _weights(fs, contour: ContourNodes) -> np.ndarray:
+    """f(z) dz at every node of contour, one row per f in fs, from one call of f on all the nodes.
+
+    An f whose value is neither a scalar nor one value per node raises
+    InvalidInputError.
+    """
     z = contour.z
-    return [np.broadcast_to(f(z), z.shape) * contour.dz_weight for f in fs]
+    rows = np.empty((len(fs), z.size), dtype=np.complex128)
+    for i, (row, f) in enumerate(zip(rows, fs)):
+        value = f(z)
+        try:
+            value = np.broadcast_to(value, z.shape)
+        except ValueError:
+            raise InvalidInputError(
+                f"fs[{i}] returned shape {np.shape(value)} on {z.size} nodes; "
+                "it must return a scalar or one value per node"
+            ) from None
+        row[...] = value * contour.dz_weight
+    return rows
 
 
 def _shared_blocks(contour: ContourNodes) -> list[tuple[slice, slice, slice]]:
@@ -287,11 +330,7 @@ def _stash_block(c: np.ndarray, rows: np.ndarray, shared: slice, z: np.ndarray, 
         except ContourTooCloseError as exc:
             return exc
         rows[alone] = r
-    flat = rows.reshape(len(z), -1)
-    products = np.empty((len(weights), flat.shape[1]), dtype=np.complex128)
-    for p, w in zip(products, weights):
-        p[...] = w[nodes] @ flat
-    return products
+    return (weights[:, None, nodes] @ rows.reshape(len(z), -1))[:, 0]
 
 
 def _segments(size: int, stash) -> list[tuple[int, int]]:
@@ -322,6 +361,7 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, st
     refinement, built from the rows this pass solves; else it is empty.
     """
     dim = c.shape[0]
+    weights = np.reshape(weights, (-1, len(contour)))
     stash = stash or {}
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
     shared, rows, formed = (_shared_blocks(contour) if ahead else []), {}, {}
@@ -336,9 +376,9 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, st
             flat = r.reshape(-1, dim * dim)
             for j in range(0, len(flat), _BLOCK):
                 block = slice(nodes.start + j, nodes.start + j + _BLOCK)
-                # one product per function: a sum over the nodes never mixes two functions
-                for a, w in zip(acc, weights):
-                    a += w[block] @ flat[j:j + _BLOCK]
+                # one vector-matrix product per function, stacked: a sum over
+                # the nodes never mixes two functions
+                acc += (weights[:, None, block] @ flat[j:j + _BLOCK])[:, 0]
             for block, part, base in shared:
                 # copy the rows of base that this stack holds; a block whose
                 # last shared row is here gets its products
@@ -385,6 +425,18 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
     return ratios
 
 
+def _polygon_bounds(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Upper bounds U_j on ||(z_j - C)^{-1}|| from the outer 32-gon of W(C), before any solve.
+
+    With l_j from ``numrange.support_distance``, U_j = (1 + _BOUND_MARGIN) / l_j
+    where l_j lies above the guard of the module docstring, and inf elsewhere.
+    """
+    ell = numrange.support_distance(c, z)
+    scale = _GUARD * c.shape[0] ** 2 * 2.0**-53 / _BOUND_MARGIN
+    far = ell > scale * (np.abs(z) + np.linalg.norm(c))
+    return np.where(far, (1.0 + _BOUND_MARGIN) / np.where(far, ell, 1.0), np.inf)
+
+
 class _MaximaSearch:
     """Exact norms at every node where a maximum of _check_report can sit, stack by stack.
 
@@ -392,19 +444,38 @@ class _MaximaSearch:
     the module docstring.  Node j belongs to its side group (0 on the arc,
     1 on the lines) and to group 2 (every node); best holds each group's
     largest exact ratio so far, and rnorm the exact norms taken, 0
-    elsewhere.  _norm_bounds works on a copy of the rows it bounds, and
-    exact norms are taken _SVD_BATCH at a time.
+    elsewhere.  upper holds the polygon bounds U of every node, and a node
+    with an exact norm is not taken again.  _norm_bounds works on a copy of
+    the rows it bounds, and exact norms are taken _SVD_BATCH at a time.
     """
 
-    def __init__(self, contour: ContourNodes, alpha: float, dist):
+    def __init__(self, c: np.ndarray, contour: ContourNodes, alpha: float, dist):
         self.ratios = _majorant_ratios(contour, alpha, dist)
         self.side = np.where(contour.on_arc, 0, 1)
         self.best = np.zeros(3)
         self.rnorm = np.zeros(len(contour))
+        self.upper = _polygon_bounds(c, contour.z)
+
+    def seed(self, c: np.ndarray, z: np.ndarray) -> None:
+        """Exact norms at the node of largest ratio at U in each maximum: at most 3 nodes, one solve.
+
+        A seed that is singular or blows up seeds nothing: the base pass
+        raises at its own block, in node order.
+        """
+        side, far = self.ratios(self.upper, slice(None))
+        # every ratio is >= 0, so -1 leaves the other side's nodes out of a side's pick
+        picks = {int(np.argmax(np.where(self.side == group, side, -1.0))) for group in (0, 1)}
+        at = np.array(sorted(picks | {int(np.argmax(far))}))
+        try:
+            r, _ = _checked_solve(c, z[at])
+        except ContourTooCloseError:
+            return
+        self._take(at, r)
 
     def __call__(self, nodes: slice, r: np.ndarray, fro: np.ndarray) -> None:
-        up_side, up_far = self.ratios(fro * (1.0 + _BOUND_MARGIN), nodes)
-        left = np.flatnonzero(~((up_side < self.best[self.side[nodes]]) & (up_far < self.best[2])))
+        up_side, up_far = self.ratios(np.minimum(fro * (1.0 + _BOUND_MARGIN), self.upper[nodes]), nodes)
+        screened = (up_side < self.best[self.side[nodes]]) & (up_far < self.best[2])
+        left = np.flatnonzero(~screened & (self.rnorm[nodes] == 0.0))
         if not left.size:
             return
         at = left + nodes.start
@@ -439,16 +510,19 @@ def riesz_dunford_many(
     pass's nodes, and must return an array of that shape or a scalar
     constant, as a NumPy ufunc does.  Each f is called on the base nodes
     and then on the first refinement's nodes before any node is solved.
-    Each block of 64 nodes then adds one matrix product per function.
+    Each block of 64 nodes then adds one vector-matrix product per
+    function, all of them in one stacked matmul.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` on the given contour for
-    0 <= alpha < alpha'.  The base pass takes exact norms ||(z_j - C)^{-1}||
-    from its own rows only at the nodes where, by the bounds of the module
+    0 <= alpha < alpha'.  Before the base pass, the majorant search bounds
+    every ||(z_j - C)^{-1}|| by the outer 32-gon of W(C) and solves its
+    seeds, at most 3 nodes; the base pass then takes exact norms from its
+    own rows only at the nodes where, by the bounds of the module
     docstring, one of the check's three maxima can still sit, and every
     other node enters the check as 0.  Each maximum sits at a node with an
     exact norm, so the report equals the one of exact norms at all nodes
-    bit for bit, and no node is solved twice; the distances
+    bit for bit, and only the seeds are solved twice; the distances
     dist(z_j, D(alpha)) are taken once, for both.  The node set is doubled
     until every value agrees with its previous refinement to
     CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
@@ -456,18 +530,23 @@ def riesz_dunford_many(
     nodes (see _shared_blocks), and that refinement solves none of them
     again: a default contour takes 1024 + 1568 solves, not 1024 + 2048.  A
     later refinement runs only when the one before has not converged, so
-    it solves all its nodes.  Raises InvalidInputError for an alpha outside
-    [0, alpha') before solving, and ContourTooCloseError when the
-    quadrature takes more than CONTOUR_NODE_CAP nodes.
+    it solves all its nodes.  Raises InvalidInputError before solving for
+    an alpha outside [0, alpha'), an empty fs, or an f whose value is
+    neither a scalar nor one value per node, and ContourTooCloseError when
+    the quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
     if not 0.0 <= alpha < contour.alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
+    fs = list(fs)
+    if not fs:
+        raise InvalidInputError("fs must hold at least one function")
     a = linalg.as_operator(c)
     fine = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
     weights = _weights(fs, contour)
     fine_weights = _weights(fs, fine)
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
-    search = _MaximaSearch(contour, alpha, dist)
+    search = _MaximaSearch(a, contour, alpha, dist)
+    search.seed(a, contour.z)
     results, stash = _evaluate_many(weights, a, contour, visit=search, ahead=(fine, fine_weights))
     del weights  # the base pass's weights are not needed again
     report = _check_report(contour, alpha, dist, search.rnorm)

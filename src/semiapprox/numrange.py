@@ -24,7 +24,10 @@ Both answer one matrix with a bool and a (m, d, d) stack with a list of m
 bools, from the support values of the whole stack solved together.
 
 The sweep also gives the ``numrange`` command its report and
-``min_semi_angle`` its points.
+``min_semi_angle`` its points.  ``support_distance`` turns the support
+lines of the outer k-gon into lower bounds on dist(z, W(C)), so into the
+upper bound 1/dist(z, W(C)) on resolvent norms that the contour's
+majorant search uses.
 """
 
 from __future__ import annotations
@@ -107,6 +110,37 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         h[lo:hi, 1] = -w[:, 0]
     slack = 64 * a.shape[-1] * 2.0**-53 * _frobenius(a)
     return h.reshape(len(a), n, 2).transpose(0, 2, 1) + slack[:, None, None]
+
+
+def support_distance(c, z, k: int = 32) -> np.ndarray:
+    """Lower bounds on dist(z_j, W(C)) from the outer k-gon of W(C).
+
+    With h_theta from ``_support_values`` at theta = 2 pi j / k, every unit
+    x has Re(e^{i theta} x* C x) <= h_theta, so |z - x* C x| is at least
+    l = max_theta (Re(e^{i theta} z) - h_theta): the distance from z to the
+    k-gon when z lies outside it.  The value returned is l lowered by
+    16 u (|z_j| + max |h|), u = 2^-53, more than twice what the rounding of
+    Re(e^{i theta} z), of the difference and of |e^{i theta}| != 1 can add,
+    so it is at most dist(z_j, W(C)); it is <= 0 where z_j may lie in W(C).
+    One ``np.linalg.eigvalsh`` of k/2 Hermitian parts gives all k lines.  k
+    is checked as the sweep's; where a Hermitian part overflows no line is
+    known, and every bound is -inf.
+    """
+    _check_angles(k)
+    a = linalg.as_operator(c)
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    thetas = _sweep_angles(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            h = _support_values(a[None], thetas)[0]
+        except InvalidInputError:
+            return np.full(z.shape, -np.inf)
+        p = np.exp(1j * thetas)  # the phases _hermitian_parts rotates by
+        # Re(e^{i theta} z), one row per theta_j; at theta_j + pi it is its negative, exactly
+        rz = p.real[:, None] * z.real - p.imag[:, None] * z.imag
+        ell = np.maximum(np.max(rz - h[0, :, None], axis=0), np.max(-rz - h[1, :, None], axis=0))
+        out = ell - 16 * 2.0**-53 * (np.abs(z) + np.max(np.abs(h)))
+    return np.where(np.isnan(out), -np.inf, out)
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:

@@ -235,12 +235,13 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
     for _, c, _ in draws:
         events.clear()
         contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
-        assert 0 < sum(events[:events.index("check")]) <= 25
+        assert 0 < sum(events[:events.index("check")]) <= 16
 
 
 def test_default_draw_counts_its_exact_norms(monkeypatch):
-    # the first default draw: the majorant search takes 16 SVDs and bounds
-    # 828 of the 1024 base nodes by G^8; no node is solved twice
+    # the first default draw: the majorant search takes 12 SVDs, 2 of them
+    # at its seeds, and bounds 136 of the 1024 base nodes by G^8; only the
+    # 2 seeds are solved twice
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
@@ -263,7 +264,7 @@ def test_default_draw_counts_its_exact_norms(monkeypatch):
     monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
     monkeypatch.setattr(contour, "_solve", counting_solve)
     _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
-    assert counts == {"svd": 16, "bounded": 828, "solved": 1024 + 1568}
+    assert counts == {"svd": 12, "bounded": 136, "solved": 2 + 1024 + 1568}
     assert report == per_node_report(c, base, config.alpha)
 
 
@@ -280,11 +281,13 @@ def test_contour_calc_slots_report_the_exact_maxima(slot):
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
 
-def _searched(c, nodes, alpha):
-    # the majorant search alone on the base pass: its exact norms, and the
-    # exact ratios of every node
+def _searched(c, nodes, alpha, seed=True):
+    # the majorant search alone on the base pass, seeded as riesz_dunford_many
+    # seeds it or not at all: its exact norms, and the exact ratios of every node
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
-    search = contour._MaximaSearch(nodes, alpha, dist)
+    search = contour._MaximaSearch(c, nodes, alpha, dist)
+    if seed:
+        search.seed(c, nodes.z)
     contour._evaluate_many([], c, nodes, visit=search)
     exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
     side, far = contour._majorant_ratios(nodes, alpha, dist)(exact, slice(None))
@@ -294,15 +297,16 @@ def _searched(c, nodes, alpha):
 
 def test_search_takes_every_node_of_a_tie():
     # a real C has equal resolvent norms at the conjugate nodes of the two
-    # sides, so the line maximum sits at two nodes
+    # sides, so the line maximum sits at two nodes; a seed takes at most one
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = np.array([[0.3, 0.4, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 0.6]], dtype=complex)
-    rnorm, exact, side, _ = _searched(c, nodes, alpha)
-    lines = np.flatnonzero(~nodes.on_arc)
-    tied = lines[side[lines] == np.max(side[lines])]
-    assert tied.size == 2
-    assert np.array_equal(rnorm[tied], exact[tied])
+    for seed in (True, False):
+        rnorm, exact, side, _ = _searched(c, nodes, alpha, seed)
+        lines = np.flatnonzero(~nodes.on_arc)
+        tied = lines[side[lines] == np.max(side[lines])]
+        assert tied.size == 2
+        assert np.array_equal(rnorm[tied], exact[tied])
 
 
 def test_search_takes_a_node_whose_bound_is_infinite(monkeypatch):
@@ -327,14 +331,14 @@ def test_search_takes_a_node_whose_bound_is_infinite(monkeypatch):
 
 
 def test_search_finds_a_maximum_in_the_last_stack():
-    # an eigenvalue next to the last node: the running best stays low until
-    # the last stack, which holds the line and distance maxima
+    # an eigenvalue next to the last node, and no seeds: the running best
+    # stays low until the last stack, which holds the line and distance maxima
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     dim = 12
     c = certified_resolvent(dim, alpha, 3000)
     c[0, 0] = nodes.z[-3] + 1e-3
-    rnorm, exact, side, far = _searched(c, nodes, alpha)
+    rnorm, exact, side, far = _searched(c, nodes, alpha, seed=False)
     last = len(nodes) - contour._stack_nodes(dim)
     lines = np.flatnonzero(~nodes.on_arc)
     assert lines[np.argmax(side[lines])] >= last and np.argmax(far) >= last
@@ -350,6 +354,133 @@ def test_search_of_a_scalar(value):
     assert 0 < np.count_nonzero(rnorm) < len(nodes)
 
 
+def _exact_norms(c, nodes):
+    return np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
+
+
+@pytest.mark.parametrize("slot", range(15))
+def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
+    # U >= the exact norm at every base node of the 15 slot shapes, and U
+    # is finite at most of them
+    alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
+    config = ExperimentConfig(
+        "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
+    )
+    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    upper = contour._polygon_bounds(c, nodes.z)
+    assert np.all(_exact_norms(c, nodes) <= upper)
+    assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
+
+
+@pytest.mark.parametrize("dim, seed", [(1, 1), (3, 2), (8, 3), (16, 4)])
+def test_polygon_bounds_hold_for_normal_matrices(dim, seed):
+    # ||(z - C)^{-1}|| = 1 / min_i |z - lambda_i| for C = Q diag(lambda) Q^H
+    rng = np.random.default_rng(seed)
+    lam = 0.6 * np.sqrt(rng.uniform(size=dim)) * np.exp(2j * math.pi * rng.uniform(size=dim))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    c = (q * lam) @ q.conj().T
+    nodes = contour.build_contour(1.0)
+    upper = contour._polygon_bounds(c, nodes.z)
+    exact = 1.0 / np.min(np.abs(nodes.z[:, None] - lam), axis=1)
+    assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
+    assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
+
+
+@pytest.mark.parametrize("lam, b", [(0.3, 0.4), (0.5j - 0.1, 0.2j), (0.2 - 0.2j, 0.05)])
+def test_polygon_bounds_hold_for_jordan_blocks(lam, b):
+    # W(J) is the disc |z - lambda| <= |b|/2, and R = [[1/w, b/w^2], [0, 1/w]]
+    # with w = z - lambda has the norm (|b/w^2| + sqrt(|b/w^2|^2 + 4/|w|^2)) / 2
+    c = np.array([[lam, b], [0.0, lam]], dtype=complex)
+    nodes = contour.build_contour(1.0)
+    w = np.abs(nodes.z - lam)
+    assert np.all(numrange.support_distance(c, nodes.z) <= w - abs(b) / 2)
+    exact = (abs(b) / w**2 + np.sqrt((abs(b) / w**2) ** 2 + 4 / w**2)) / 2
+    upper = contour._polygon_bounds(c, nodes.z)
+    assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
+    assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
+
+
+def test_a_node_inside_the_guard_gets_no_bound():
+    # an eigenvalue 1e-9 from node 200: the support distance there is
+    # positive but below the guard, so U is inf; the other nodes keep a bound
+    nodes = contour.build_contour(1.0)
+    lam = nodes.z[200] * (1.0 - 1e-9)
+    c = np.array([[lam]])
+    ell = numrange.support_distance(c, nodes.z)
+    upper = contour._polygon_bounds(c, nodes.z)
+    assert 0.0 < ell[200] < 1e-9 and upper[200] == np.inf
+    assert np.all(np.isfinite(np.delete(upper, 200)))
+
+
+def test_support_distance_keeps_the_backward_error_slack():
+    # W([[0.5]]) = {0.5}: the line at theta = 0 sits at h = 0.5 + 64 u 0.5,
+    # so the bound at 0.75 lies at least 32 u below the distance 0.25
+    u = 2.0**-53
+    (ell,) = numrange.support_distance(np.array([[0.5]]), [0.75])
+    assert 0.25 - 1e-14 <= ell <= 0.25 - 32 * u
+
+
+def test_support_distance_refuses_bad_angle_counts():
+    for k in (15, 17, 8, 2.0 * 16):
+        with pytest.raises(InvalidInputError, match="sweep angles"):
+            numrange.support_distance(np.eye(2), [1.0], k)
+
+
+def test_a_numerical_range_across_the_contour_gives_the_exact_report():
+    # W(J) = |z - 0.3| <= 0.8 crosses both lines: the nodes inside it get no
+    # bound, and the report is the one of exact norms at every node
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
+    upper = contour._polygon_bounds(c, nodes.z)
+    assert 0 < np.count_nonzero(np.isinf(upper)) < len(nodes)
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+
+
+def test_norm_bounds_of_zero_rows_are_zero():
+    # F = 0 bounds the norm 0 by 0, exactly and without a warning
+    r = np.zeros((3, 4, 4), dtype=complex)
+    r[1] = np.diag([1.0, 2.0, 0.5, 0.25])
+    fro = np.linalg.norm(r, axis=(1, 2))
+    with np.errstate(all="raise"):
+        hi = contour._norm_bounds(r, fro)
+    assert hi[0] == 0.0 and hi[2] == 0.0
+    assert 2.0 <= hi[1] <= 2.0 * 4 ** (1 / 32) * (1 + 3e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])
+def test_stacked_products_equal_the_per_function_loop(dim):
+    # 1 to 10 functions on a contour of 464 nodes, whose last block holds 16
+    rng = np.random.default_rng(dim)
+    nodes = contour.build_contour(1.0, 9, 10)
+    assert len(nodes) % 64 == 16
+    c = certified_resolvent(dim, math.pi / 8, 8000 + dim)
+    flat = contour._solve(c, nodes.z).reshape(len(nodes), -1)
+    for count in (1, 2, 3, 10):
+        weights = rng.standard_normal((count, len(nodes))) + 1j * rng.standard_normal((count, len(nodes)))
+        acc = np.zeros((count, dim * dim), dtype=complex)
+        for start in range(0, len(nodes), 64):
+            for a, w in zip(acc, weights):
+                a += w[start:start + 64] @ flat[start:start + 64]
+        got, _ = contour._evaluate_many(weights, c, nodes)
+        assert np.array_equal(np.array(got), acc.reshape(count, dim, dim) / (2j * math.pi))
+
+
+def test_bad_functions_are_refused_before_solving(monkeypatch):
+    def no_solves(c, z):
+        raise AssertionError("solved before checking fs")
+
+    monkeypatch.setattr(contour, "_solve", no_solves)
+    nodes = contour.build_contour(1.0)
+    c = np.diag([0.2, 0.5]).astype(complex)
+    with pytest.raises(InvalidInputError, match="at least one function"):
+        contour.riesz_dunford_many([], c, nodes, 0.1)
+    with pytest.raises(InvalidInputError, match=r"fs\[1\] returned shape \(3,\) on 1024 nodes"):
+        contour.riesz_dunford_many([lambda z: z, lambda z: np.ones(3)], c, nodes, 0.1)
+
+
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
     def no_solves(c, nodes):
         raise AssertionError("solved before checking alpha")
@@ -363,11 +494,11 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
-    # one base pass and one refinement at twice the nodes, in stacks of
-    # 512 nodes at d = 4.  The base pass also solves the 16 nodes of each
-    # side's refinement block that it does not share (after its stacks 0
-    # and 1); the majorant check solves nothing, and the refinement solves
-    # none of the 480 shared nodes
+    # the majorant search's 2 seeds, then one base pass and one refinement
+    # at twice the nodes, in stacks of 512 nodes at d = 4.  The base pass
+    # also solves the 16 nodes of each side's refinement block that it does
+    # not share (after its stacks 0 and 1); the majorant check solves
+    # nothing, and the refinement solves none of the 480 shared nodes
     solved, blocked = [], []
     blocks, solve = contour._resolvent_blocks, contour._solve
 
@@ -387,8 +518,8 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     assert result.summary["certification_failures"] == 0
     base = contour.build_contour(result.summary["alpha_prime"])
     assert sum(blocked) == 3 * len(base) - 512
-    assert solved == [512, 16, 512, 16, 256, 512, 512, 256]
-    assert sum(solved) == 1024 + 1568
+    assert solved == [2, 512, 16, 512, 16, 256, 512, 512, 256]
+    assert sum(solved) == 2 + 1024 + 1568
 
 
 def test_spectrum_on_node_raises_too_close():
