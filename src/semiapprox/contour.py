@@ -55,8 +55,10 @@ order d^2 u, u = 2^-53).
   (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 9
   and 14).  So U_j = (1 + 1e-6) / l_j only where l_j lies above the guard
   2^10 d^2 u (|z_j| + ||C||_F) / 1e-6, which keeps d u kappa below
-  2^-10 1e-6 / d: the error stays far under the margin unless rho grows
-  to hundreds (in practice it stays below 10); elsewhere U_j = inf.
+  2^-10 1e-6 / d: the error stays under the margin while rho < 2^10 d
+  (outside the guard it stays below 2 even for C = I - W/20, W the
+  Wilkinson growth matrix, whose nodes near z = 1 grow by 2^31 but lie
+  in the outer polygon of W(C)); elsewhere U_j = inf.
 - F = ||R||_F is taken by the blow-up check.
 - f is taken on the nodes that F and U leave.  With S = R / F and
   G = S^H S, three squarings give G^8, and f = F ||G^8||_F^(1/16)
@@ -82,7 +84,8 @@ an exact ratio of some node, and a node left out has an exact ratio
 below the best of its maximum at that time, so below the maximum
 itself.  Every node at which a maximum sits thus has an exact norm, and
 the others enter the check as 0 without changing it: the check's maxima
-and verdict are those of exact norms at all nodes, bit for bit.  The
+and verdict are those of exact norms at all nodes, bit for bit, given
+the growth condition on rho at the nodes U screens.  The
 check reports resolvent-majorant ratios only; a pointwise integrand such
 as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
 """
@@ -445,7 +448,8 @@ class _MaximaSearch:
     1 on the lines) and to group 2 (every node); best holds each group's
     largest exact ratio so far, and rnorm the exact norms taken, 0
     elsewhere.  upper holds the polygon bounds U of every node, and a node
-    with an exact norm is not taken again.  _norm_bounds works on a copy of
+    with an exact norm is not taken again; c and z, the operator and the
+    base nodes, are kept for ``seed``.  _norm_bounds works on a copy of
     the rows it bounds, and exact norms are taken _SVD_BATCH at a time.
     """
 
@@ -454,9 +458,10 @@ class _MaximaSearch:
         self.side = np.where(contour.on_arc, 0, 1)
         self.best = np.zeros(3)
         self.rnorm = np.zeros(len(contour))
+        self.c, self.z = c, contour.z
         self.upper = _polygon_bounds(c, contour.z)
 
-    def seed(self, c: np.ndarray, z: np.ndarray) -> None:
+    def seed(self) -> None:
         """Exact norms at the node of largest ratio at U in each maximum: at most 3 nodes, one solve.
 
         A seed that is singular or blows up seeds nothing: the base pass
@@ -467,7 +472,7 @@ class _MaximaSearch:
         picks = {int(np.argmax(np.where(self.side == group, side, -1.0))) for group in (0, 1)}
         at = np.array(sorted(picks | {int(np.argmax(far))}))
         try:
-            r, _ = _checked_solve(c, z[at])
+            r, _ = _checked_solve(self.c, self.z[at])
         except ContourTooCloseError:
             return
         self._take(at, r)
@@ -522,10 +527,12 @@ def riesz_dunford_many(
     docstring, one of the check's three maxima can still sit, and every
     other node enters the check as 0.  Each maximum sits at a node with an
     exact norm, so the report equals the one of exact norms at all nodes
-    bit for bit, and only the seeds are solved twice; the distances
-    dist(z_j, D(alpha)) are taken once, for both.  The node set is doubled
-    until every value agrees with its previous refinement to
-    CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
+    bit for bit, as long as LU with partial pivoting keeps its growth
+    factor on z_j - C below about 2^10 d at the nodes the polygon bound
+    screens (the guard of the module docstring); only the seeds are
+    solved twice; the distances dist(z_j, D(alpha)) are taken once, for
+    both.  The node set is doubled until every value agrees with its
+    previous refinement to CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
     so the base pass also forms its products on the blocks that hold base
     nodes (see _shared_blocks), and that refinement solves none of them
     again: a default contour takes 1024 + 1568 solves, not 1024 + 2048.  A
@@ -546,7 +553,7 @@ def riesz_dunford_many(
     fine_weights = _weights(fs, fine)
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
     search = _MaximaSearch(a, contour, alpha, dist)
-    search.seed(a, contour.z)
+    search.seed()
     results, stash = _evaluate_many(weights, a, contour, visit=search, ahead=(fine, fine_weights))
     del weights  # the base pass's weights are not needed again
     report = _check_report(contour, alpha, dist, search.rnorm)

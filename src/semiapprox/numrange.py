@@ -25,7 +25,7 @@ bools, from the support values of the whole stack solved together.
 
 The sweep also gives the ``numrange`` command its report and
 ``min_semi_angle`` its points.  ``support_distance`` turns the support
-lines of the outer k-gon into lower bounds on dist(z, W(C)), so into the
+lines of the outer _POLYGON_ANGLES-gon into lower bounds on dist(z, W(C)), so into the
 upper bound 1/dist(z, W(C)) on resolvent norms that the contour's
 majorant search uses.
 """
@@ -42,6 +42,7 @@ from .tolerances import CONTRACTION_INPUT_TOL, MAX_SWEEP_ANGLES, SEMI_ANGLE_TOL,
 
 
 _ANGLE_CHUNK = 32  # Hermitian parts per eigh or eigvalsh: 0.5 MB at d = 32, as much again in eigenvectors
+_POLYGON_ANGLES = 32  # support lines of the polygon support_distance measures from
 
 
 def _check_angles(k) -> None:
@@ -112,8 +113,8 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return h.reshape(len(a), n, 2).transpose(0, 2, 1) + slack[:, None, None]
 
 
-def support_distance(c, z, k: int = 32) -> np.ndarray:
-    """Lower bounds on dist(z_j, W(C)) from the outer k-gon of W(C).
+def support_distance(c, z) -> np.ndarray:
+    """Lower bounds on dist(z_j, W(C)) from the outer k-gon of W(C), k = _POLYGON_ANGLES.
 
     With h_theta from ``_support_values`` at theta = 2 pi j / k, every unit
     x has Re(e^{i theta} x* C x) <= h_theta, so |z - x* C x| is at least
@@ -122,14 +123,13 @@ def support_distance(c, z, k: int = 32) -> np.ndarray:
     16 u (|z_j| + max |h|), u = 2^-53, more than twice what the rounding of
     Re(e^{i theta} z), of the difference and of |e^{i theta}| != 1 can add,
     so it is at most dist(z_j, W(C)); it is <= 0 where z_j may lie in W(C).
-    One ``np.linalg.eigvalsh`` of k/2 Hermitian parts gives all k lines.  k
-    is checked as the sweep's; where a Hermitian part overflows no line is
-    known, and every bound is -inf.
+    One ``np.linalg.eigvalsh`` of k/2 Hermitian parts gives all k lines;
+    where a Hermitian part overflows no line is known, and every bound is
+    -inf.
     """
-    _check_angles(k)
     a = linalg.as_operator(c)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    thetas = _sweep_angles(k)
+    thetas = _sweep_angles(_POLYGON_ANGLES)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             h = _support_values(a[None], thetas)[0]

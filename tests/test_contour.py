@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -287,7 +288,7 @@ def _searched(c, nodes, alpha, seed=True):
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
     search = contour._MaximaSearch(c, nodes, alpha, dist)
     if seed:
-        search.seed(c, nodes.z)
+        search.seed()
     contour._evaluate_many([], c, nodes, visit=search)
     exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
     side, far = contour._majorant_ratios(nodes, alpha, dist)(exact, slice(None))
@@ -331,19 +332,20 @@ def test_search_takes_a_node_whose_bound_is_infinite(monkeypatch):
 
 
 def test_search_finds_a_maximum_in_the_last_stack():
-    # an eigenvalue next to the last node, and no seeds: the running best
-    # stays low until the last stack, which holds the line and distance maxima
+    # an eigenvalue next to the last node: the last stack holds the line and
+    # distance maxima; without seeds the running best stays low until then
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     dim = 12
     c = certified_resolvent(dim, alpha, 3000)
     c[0, 0] = nodes.z[-3] + 1e-3
-    rnorm, exact, side, far = _searched(c, nodes, alpha, seed=False)
     last = len(nodes) - contour._stack_nodes(dim)
     lines = np.flatnonzero(~nodes.on_arc)
-    assert lines[np.argmax(side[lines])] >= last and np.argmax(far) >= last
-    assert np.max(far[:last]) < np.max(far) / 2
-    assert np.count_nonzero(rnorm[last:]) >= 1
+    for seed in (True, False):
+        rnorm, exact, side, far = _searched(c, nodes, alpha, seed)
+        assert lines[np.argmax(side[lines])] >= last and np.argmax(far) >= last
+        assert np.max(far[:last]) < np.max(far) / 2
+        assert np.count_nonzero(rnorm[last:]) >= 1
 
 
 @pytest.mark.parametrize("value", [0.3 + 0.1j, 0.95, -0.5j])
@@ -413,18 +415,35 @@ def test_a_node_inside_the_guard_gets_no_bound():
     assert np.all(np.isfinite(np.delete(upper, 200)))
 
 
+def test_polygon_bounds_hold_where_lu_grows_large():
+    # C = I - W/20 with W the Wilkinson growth matrix (1 on the diagonal, -1
+    # below it, 1 in the last column): near the vertex z = 1, z - C is close to
+    # W/20, whose LU with partial pivoting grows by 2^31.  Those nodes lie in
+    # the outer polygon of W(C) and get U = inf; where U is finite the growth
+    # stays below 2, and U is at least the norm of the computed resolvent
+    alpha, dim = math.pi / 8, 32
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    w = np.eye(dim) - np.tril(np.ones((dim, dim)), -1)
+    w[:, -1] = 1.0
+    c = (np.eye(dim) - w / 20).astype(complex)
+    upper = contour._polygon_bounds(c, nodes.z)
+    growth = np.empty(len(nodes))
+    for j, z in enumerate(nodes.z):
+        m = z * np.eye(dim) - c
+        growth[j] = np.max(np.abs(scipy.linalg.lu(m)[2])) / np.max(np.abs(m))
+    bounded = np.isfinite(upper)
+    assert np.max(growth) > 2.0**30 and np.all(growth[bounded] < 2.0)
+    assert 0 < np.count_nonzero(bounded) < len(nodes)
+    assert np.all(_exact_norms(c, nodes) <= upper)
+    _searched(c, nodes, alpha)
+
+
 def test_support_distance_keeps_the_backward_error_slack():
     # W([[0.5]]) = {0.5}: the line at theta = 0 sits at h = 0.5 + 64 u 0.5,
     # so the bound at 0.75 lies at least 32 u below the distance 0.25
     u = 2.0**-53
     (ell,) = numrange.support_distance(np.array([[0.5]]), [0.75])
     assert 0.25 - 1e-14 <= ell <= 0.25 - 32 * u
-
-
-def test_support_distance_refuses_bad_angle_counts():
-    for k in (15, 17, 8, 2.0 * 16):
-        with pytest.raises(InvalidInputError, match="sweep angles"):
-            numrange.support_distance(np.eye(2), [1.0], k)
 
 
 def test_a_numerical_range_across_the_contour_gives_the_exact_report():
