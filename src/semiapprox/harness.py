@@ -9,8 +9,11 @@ of a draw or a step is one stacked ``numrange`` call in ``_certified``; the
 summary counts its failures as ``certification_failures``.  The Chernoff pair
 kinds and acceptance criteria 08-10 step through a whole run in ``_pair_sweep``,
 in chunks of ``_NORM_CHUNK`` steps across (draw, t) edges, one call per kernel
-per chunk.  ``linalg`` gives a stacked member the bits it gets alone, so no
-record depends on how the run is cut.
+per chunk.  The power kinds (ritt, norm_chernoff, selfadjoint) and acceptance
+criteria 05-07 take their norms from ``_ritt_gap_sweep`` in chunks of
+``_NORM_CHUNK`` values of n, and the runners turn each chunk's columns into
+records at once with ``make_records``.  ``linalg`` gives a stacked member the
+bits it gets alone, so no record depends on how the run is cut.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import InsufficientDataError, InvalidInputError
 from .tolerances import ABS_SLACK, REL_SLACK, passes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorRecord:
     """One (n, empirical, bound) cell of an experiment."""
 
@@ -40,6 +43,14 @@ class ErrorRecord:
     passed: bool
 
 
+def _ratio(empirical: float, bound: float) -> float:
+    """The ratio convention: empirical / bound for a bound > 0, else 0.0 for a zero empirical
+    and inf otherwise (a NaN bound counts as no bound)."""
+    if bound > 0.0:
+        return empirical / bound
+    return 0.0 if empirical == 0.0 else math.inf
+
+
 def make_record(experiment_id: str, n: int, t: float, empirical: float, bound: float) -> ErrorRecord:
     """Build a record with the package-wide pass rule and ratio convention.
 
@@ -47,19 +58,23 @@ def make_record(experiment_id: str, n: int, t: float, empirical: float, bound: f
     ``ratio`` and ``passed`` are a Python float and bool even for NumPy input.
     """
     empirical, bound = float(empirical), float(bound)
-    if bound > 0.0:
-        ratio = empirical / bound
-    else:
-        ratio = 0.0 if empirical == 0.0 else math.inf
-    return ErrorRecord(
-        experiment_id=experiment_id,
-        n=int(n),
-        t=float(t),
-        empirical=empirical,
-        bound=bound,
-        ratio=ratio,
-        passed=passes(empirical, bound),
-    )
+    ratio, passed = _ratio(empirical, bound), passes(empirical, bound)
+    return ErrorRecord(experiment_id, int(n), float(t), empirical, bound, ratio, passed)
+
+
+def make_records(experiment_id: str, ns, t: float, empirical, bound) -> list[ErrorRecord]:
+    """The records ``make_record`` gives the cells (n, empirical, bound) of one series, built
+    for a whole chunk at once: ``passes`` takes the columns as arrays, ``_ratio`` each cell,
+    and every field is a Python int, float or bool."""
+    empirical, bound = np.asarray(empirical, dtype=float), np.asarray(bound, dtype=float)
+    passed = passes(empirical, bound).tolist()
+    empirical, bound = empirical.tolist(), bound.tolist()
+    ratios = map(_ratio, empirical, bound)
+    t = float(t)
+    return list(map(
+        ErrorRecord, itertools.repeat(experiment_id), map(int, ns), itertools.repeat(t),
+        empirical, bound, ratios, passed,
+    ))
 
 
 @dataclass(frozen=True)
@@ -203,25 +218,21 @@ def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _powers(bases, ns, step: bool = False):
-    """Yield (n, [B^n for B in bases], ahead) for the increasing grid ns.
+def _powers(bases, ns):
+    """Yield (n, [B^n for B in bases]) for the increasing grid ns.
 
     Squares while 2 cur <= n and otherwise multiplies by the base once, so a
     power-of-two grid costs one squaring per n and the full grid one product
-    per n.  With ``step``, ``ahead`` is [B^(n+1) for B in bases]; it is reused
-    as the next powers when the grid asks for n + 1, else ``ahead`` is None.
+    per n.
     """
-    pw, cur, ahead = list(bases), 1, None
+    pw, cur = list(bases), 1
     for n in ns:
-        if ahead is not None and n == cur + 1:
-            pw, cur = ahead, n
         while cur < n:
             if 2 * cur <= n:
                 pw, cur = [p @ p for p in pw], 2 * cur
             else:
                 pw, cur = [p @ b for p, b in zip(pw, bases)], cur + 1
-        ahead = [p @ b for p, b in zip(pw, bases)] if step else None
-        yield n, pw, ahead
+        yield n, pw
 
 
 _NORM_CHUNK = 64  # values of n per stack: 3 MB at d = 32 with three norm columns per n
@@ -231,7 +242,8 @@ def _norm_rows(*columns):
     """Zip the spectral norms of the equally long (k, d, d) stacks ``columns``, one
     ``linalg.op_norms`` call for all of them: the j-th row holds the norms of
     the j-th member of each column; one column is not copied.  Every sweep
-    takes its norms here."""
+    but _ritt_gap_sweep, whose columns are one array already, takes its norms
+    here."""
     norms = linalg.op_norms(columns[0] if len(columns) == 1 else np.concatenate(columns))
     k = len(columns[0])
     return zip(*(norms[i * k:(i + 1) * k] for i in range(len(columns))))
@@ -327,31 +339,47 @@ def _vector_sweep(c, xs, ns):
     for _ in range(3):
         dx.append((c - eye) @ dx[-1])
     d1, d2, d3 = (np.linalg.norm(v.T, axis=1) for v in dx[1:])
-    for n, (cn, en), _ in _powers((c, e), ns):
+    for n, (cn, en) in _powers((c, e), ns):
         yield n, np.linalg.norm(((cn - en) @ xs.T).T, axis=1), d1, d2, d3
 
 
 def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
-    """Yield (n, (||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||)) over the increasing grid ns.
+    """Yield (chunk, norms) over the increasing grid ns, cut into chunks of _NORM_CHUNK n.
 
-    With ``ritt`` or ``gap`` off, its norm is left out of the row, and so is
-    the power only it needs: the step C^(n+1), or e^{n(C-1)}.  The
-    differences of _NORM_CHUNK consecutive n, and only they, are kept until
-    ``_norm_rows`` takes their norms; the last chunk may be partial.  They
-    are written into one array, so a chunk allocates them once, not once per
-    matrix and again for their stack.
+    norms holds the columns [||C^n - C^(n+1)|| for n in chunk] and
+    [||C^n - e^{n(C-1)}|| for n in chunk] as lists.  With ``ritt`` or ``gap``
+    off, its column is left out, and so is the power only it needs: the step
+    C^(n+1), or e^{n(C-1)}.  The powers take _powers' products, written into
+    two reused stacks of the bases' powers; where the grid asks for n + 1
+    next, C^(n+1) is taken with the other bases' next powers as one stacked
+    product and becomes the next power, so the full grid costs one product
+    per n.  Each chunk's differences are written into one array, and one
+    op_norms call takes all their norms; the last chunk may be partial.
     """
-    bases = (c, approximants.chernoff_exp(c, 1)) if gap else (c,)
-    powers = _powers(bases, ns, step=ritt)
+    bases = np.stack((c, approximants.chernoff_exp(c, 1))) if gap else c[None]
+    pw, spare, cur = bases.copy(), np.empty_like(bases), 1
     for lo in range(0, len(ns), _NORM_CHUNK):
         chunk = ns[lo:lo + _NORM_CHUNK]
         diffs = np.empty((ritt + gap, len(chunk), *c.shape), dtype=np.complex128)
-        for j, (_, pw, nxt) in enumerate(itertools.islice(powers, len(chunk))):
-            if ritt:
-                np.subtract(pw[0], nxt[0], out=diffs[0, j])
+        for j, n in enumerate(chunk, lo):
+            while cur < n:
+                square = 2 * cur <= n
+                np.matmul(pw, pw if square else bases, out=spare)
+                pw, spare, cur = spare, pw, 2 * cur if square else cur + 1
             if gap:
-                np.subtract(pw[0], pw[1], out=diffs[-1, j])
-        yield from zip(chunk, _norm_rows(*diffs))
+                np.subtract(pw[0], pw[1], out=diffs[-1, j - lo])
+            if not ritt:
+                continue
+            if j + 1 < len(ns) and ns[j + 1] == n + 1:
+                # C^(n+1) with the other bases' next powers: the next n's powers
+                np.matmul(pw, bases, out=spare)
+                pw, spare, cur = spare, pw, n + 1
+                np.subtract(spare[0], pw[0], out=diffs[0, j - lo])
+            else:
+                np.matmul(pw[0], bases[0], out=spare[0])
+                np.subtract(pw[0], spare[0], out=diffs[0, j - lo])
+        norms = linalg.op_norms(diffs.reshape(-1, *c.shape))
+        yield chunk, [norms[i:i + len(chunk)] for i in range(0, len(norms), len(chunk))]
 
 
 def _step_chunks(draws, family, ts, ns):
@@ -518,12 +546,12 @@ def _run_power_norms(config: ExperimentConfig):
     """ritt: ||C^n - C^(n+1)|| <= K/(n+1); norm_chernoff: ||C^n - e^{n(C-1)}|| <= L n^(-1/3)."""
     ritt = config.kind == "ritt"
     draws, failures = _draws(config, _resolvent, numrange.quasi_sectorial)
+    bound = bounds.ritt_bound if ritt else bounds.norm_chernoff_bound
     records = []
     for i, c, t_res in draws:
         rid = f"{config.kind}/d{i:03d}/t{t_res:g}"
-        bound = bounds.ritt_bound if ritt else bounds.norm_chernoff_bound
-        for n, (emp,) in _ritt_gap_sweep(c, _n_grid(config), ritt=ritt, gap=not ritt):
-            records.append(make_record(rid, n, t_res, emp, bound(n, config.alpha)))
+        for ns, (emp,) in _ritt_gap_sweep(c, _n_grid(config), ritt=ritt, gap=not ritt):
+            records += make_records(rid, ns, t_res, emp, [bound(n, config.alpha) for n in ns])
     if ritt:
         k_val = bounds.k_alpha(config.alpha).value
         return records, {"k_alpha": k_val, "certification_failures": failures}
@@ -539,11 +567,12 @@ def _run_selfadjoint(config: ExperimentConfig):
     records = []
     for i, c in _draws(config, _selfadjoint)[0]:
         rid = f"selfadjoint/d{i:03d}"
-        for n, (ritt, gap) in _ritt_gap_sweep(c, _n_grid(config)):
-            bound = bounds.selfadjoint_ritt_bound(n)
-            records.append(make_record(f"{rid}/ritt", n, 0.0, ritt, bound))
-            bound = bounds.selfadjoint_chernoff_bound(n)
-            records.append(make_record(f"{rid}/chernoff", n, 0.0, gap, bound))
+        for ns, (ritts, gaps) in _ritt_gap_sweep(c, _n_grid(config)):
+            bound = [bounds.selfadjoint_ritt_bound(n) for n in ns]
+            ritts = make_records(f"{rid}/ritt", ns, 0.0, ritts, bound)
+            bound = [bounds.selfadjoint_chernoff_bound(n) for n in ns]
+            gaps = make_records(f"{rid}/chernoff", ns, 0.0, gaps, bound)
+            records += itertools.chain.from_iterable(zip(ritts, gaps))
     return records, {}
 
 

@@ -39,15 +39,18 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
     if not records:
         raise InvalidInputError("cannot emit a report with no records")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            if not _CSV_REFUSED.isdisjoint(r.experiment_id):
+        # each distinct id once, in record order, so the first bad record's id is named
+        for rid in dict.fromkeys(r.experiment_id for r in records):
+            if not _CSV_REFUSED.isdisjoint(rid):
                 raise InvalidInputError(
-                    f"experiment_id {r.experiment_id!r} holds ',' or a line break, which CSV cannot carry"
+                    f"experiment_id {rid!r} holds ',' or a line break, which CSV cannot carry"
                 )
-            lines.append(_CSV_ROW % (r.experiment_id, r.n, r.t, r.empirical, r.bound, r.ratio,
-                                     "true" if r.passed else "false"))
-        return ("\n".join(lines) + "\n").encode()
+        rows = [
+            _CSV_ROW % (r.experiment_id, r.n, r.t, r.empirical, r.bound, r.ratio,
+                        "true" if r.passed else "false")
+            for r in records
+        ]
+        return ("\n".join([CSV_HEADER, *rows]) + "\n").encode()
     if fmt == "json":
         payload = {
             "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],

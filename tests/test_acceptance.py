@@ -104,11 +104,12 @@ def sectorial_sweep():
         worst_gap = 0.0
         gap_violations_low = []  # n < 8
         gap_violations_high = []
-        for n, (ritt, gap) in _ritt_gap_sweep(c, range(1, 4097)):
-            worst_ritt = max(worst_ritt, (n + 1) * ritt)
-            if not passes(gap, bounds.norm_chernoff_bound(n, alpha)):
-                (gap_violations_low if n < 8 else gap_violations_high).append(n)
-            worst_gap = max(worst_gap, gap * n ** (1.0 / 3.0))
+        for ns, (ritts, gaps) in _ritt_gap_sweep(c, range(1, 4097)):
+            for n, ritt, gap in zip(ns, ritts, gaps):
+                worst_ritt = max(worst_ritt, (n + 1) * ritt)
+                if not passes(gap, bounds.norm_chernoff_bound(n, alpha)):
+                    (gap_violations_low if n < 8 else gap_violations_high).append(n)
+                worst_gap = max(worst_gap, gap * n ** (1.0 / 3.0))
         draws.append(
             {
                 "alpha": alpha,
@@ -272,9 +273,9 @@ def test_ritt_gap_sweep_matches_the_runners(n_mode, count):
     draws, _ = _draws(config, _resolvent, numrange.quasi_sectorial)
     columns = [{}, {}]  # (draw id, n) -> ||C^n - C^(n+1)||, ||C^n - e^{n(C-1)}||
     for i, c, t in draws:
-        for n, norms in _ritt_gap_sweep(c, _n_grid(config)):
+        for ns, norms in _ritt_gap_sweep(c, _n_grid(config)):
             for column, norm in zip(columns, norms):
-                column[f"d{i:03d}/t{t:g}", n] = norm
+                column.update(((f"d{i:03d}/t{t:g}", n), value) for n, value in zip(ns, norm))
     for kind, column in zip(("ritt", "norm_chernoff"), columns):
         records = run_experiment(dataclasses.replace(config, kind=kind)).records
         assert len(records) == count, kind
@@ -289,13 +290,14 @@ def test_criterion_07_selfadjoint_rates():
         c = ensembles.self_adjoint_contraction(
             np.linspace(0.0, 1.0, dim), ensembles.child_seed(SEED, 9000 + i)
         )
-        for n, (ritt, gap) in _ritt_gap_sweep(c, range(1, 1025)):
-            if ritt > bounds.selfadjoint_ritt_bound(n) + 1e-12:
-                bad += 1
-            if gap > bounds.selfadjoint_chernoff_bound(n) + 1e-12:
-                bad += 1
-            worst_ritt = max(worst_ritt, ritt * (n + 1))
-            worst_gap = max(worst_gap, gap * n * math.e)
+        for ns, (ritts, gaps) in _ritt_gap_sweep(c, range(1, 1025)):
+            for n, ritt, gap in zip(ns, ritts, gaps):
+                if ritt > bounds.selfadjoint_ritt_bound(n) + 1e-12:
+                    bad += 1
+                if gap > bounds.selfadjoint_chernoff_bound(n) + 1e-12:
+                    bad += 1
+                worst_ritt = max(worst_ritt, ritt * (n + 1))
+                worst_gap = max(worst_gap, gap * n * math.e)
     # brute-force scalar maximizer oracle: max_c c^n(1-c) at c = n/(n+1)
     cs = np.linspace(0.0, 1.0, 1_000_001)
     oracle_bad = 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import approximants, contour, linalg, numrange, poisson
+from semiapprox import approximants, contour, linalg, numrange, poisson, report
 from semiapprox.errors import InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
@@ -22,6 +22,8 @@ from semiapprox.harness import (
     _step_chunks,
     fit_rate,
     make_record,
+    make_records,
+    pow2_grid,
     run_experiment,
 )
 
@@ -257,18 +259,26 @@ def test_selfadjoint_records_meet_tight_tolerance():
     assert (len(result.records), result.summary["slack_only_passes"], len(slack_only)) == (180, 2, 2)
 
 
+def _ritt_gap_rows(c, ns, ritt, gap):
+    """The rows of _ritt_gap_sweep, one matrix and one product at a time in _powers' product
+    order (square while 2 cur <= n, else times the base), and the step C^n C."""
+    e = approximants.chernoff_exp(c, 1)
+    power, partner, cur, rows = c, e, 1, []
+    for n in ns:
+        while cur < n:
+            if 2 * cur <= n:
+                power, partner, cur = power @ power, partner @ partner, 2 * cur
+            else:
+                power, partner, cur = power @ c, partner @ e, cur + 1
+        row = (linalg.op_norm(power - power @ c),) if ritt else ()
+        rows.append((n, row + ((linalg.op_norm(power - partner),) if gap else ())))
+    return rows
+
+
 def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
-    # 130 values of n make chunks of 64 + 64 + 2 rows with two norm columns each
     assert _NORM_CHUNK == 64
     rng = np.random.default_rng(7)
     c = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    # the powers in _powers' product order: each one the last times its base
-    e = approximants.chernoff_exp(c, 1)
-    power, partner, expected = c, e, []
-    for n in range(1, 131):
-        step = power @ c
-        expected.append((n, (linalg.op_norm(power - step), linalg.op_norm(power - partner))))
-        power, partner = step, partner @ e
     stack_sizes = []
     op_norms = linalg.op_norms
 
@@ -277,10 +287,51 @@ def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
         return op_norms(stack)
 
     monkeypatch.setattr(linalg, "op_norms", counting_op_norms)
-    assert list(_ritt_gap_sweep(c, range(1, 131))) == expected
-    assert stack_sizes == [128, 128, 4]
-    assert list(_ritt_gap_sweep(c, [])) == []
-    assert stack_sizes == [128, 128, 4]
+    # 130 values of n make chunks of 64 + 64 + 2; the 13 powers of two up to 4096 one chunk;
+    # both columns, the Ritt column alone and the gap column alone
+    for ns, sizes in ((range(1, 131), [64, 64, 2]), (pow2_grid(4096), [13])):
+        for ritt, gap in ((True, True), (True, False), (False, True)):
+            stack_sizes.clear()
+            got = [(n, row) for chunk, columns in _ritt_gap_sweep(c, ns, ritt, gap)
+                   for n, row in zip(chunk, zip(*columns))]
+            assert got == _ritt_gap_rows(c, ns, ritt, gap), (ns, ritt, gap)
+            # one op_norms call per chunk, for all its columns
+            assert stack_sizes == [(ritt + gap) * size for size in sizes], (ns, ritt, gap)
+            assert list(_ritt_gap_sweep(c, [], ritt, gap)) == []
+            assert len(stack_sizes) == len(sizes)
+
+
+_NAN, _INF = float("nan"), math.inf
+
+
+@pytest.mark.parametrize(
+    "ns, t, empirical, bound, verdicts",
+    [
+        # bound 0 with empirical 0: ratio 0.0, passes
+        ([1, 2], 0.0, [0.0, 0.0], [0.0, 0.0], [(0.0, True), (0.0, True)]),
+        # bound 0 with empirical > 0: ratio inf, passes only within ABS_SLACK
+        ([3, 4], 0.5, [1e-3, 5e-11], [0.0, 0.0], [(_INF, False), (_INF, True)]),
+        # a NaN empirical or bound
+        ([5, 6], 1.0, [_NAN, 0.5], [1.0, _NAN], [(_NAN, False), (_INF, False)]),
+        # passes only through the slack
+        ([7], 2.0, [1.0 + 5e-9], [1.0], [(1.0 + 5e-9, True)]),
+        # NumPy arrays, and a negative bound
+        (np.arange(1, 4), np.float64(0.1), np.array([0.2, 2.0, 0.0]), np.array([1.0, 1.0, -1.0]),
+         [(0.2, True), (2.0, False), (0.0, False)]),
+        ([np.int64(8)], np.float64(3.0), [np.float64(0.25)], [np.float64(0.5)], [(0.5, True)]),
+    ],
+    ids=["zero-zero", "zero-bound", "nan", "slack-only", "numpy-arrays", "numpy-scalars"],
+)
+def test_make_records_equal_make_record_per_cell(ns, t, empirical, bound, verdicts):
+    got = make_records("x/d000", ns, t, empirical, bound)
+    want = [make_record("x/d000", n, t, e, b) for n, e, b in zip(ns, empirical, bound)]
+    # repr, since a NaN field makes == False
+    assert repr(got) == repr(want)
+    assert repr([(r.ratio, r.passed) for r in got]) == repr(verdicts)
+    types = [str, int, float, float, float, float, bool]
+    assert all([type(getattr(r, f.name)) for f in dataclasses.fields(r)] == types for r in got + want)
+    assert report.emit_report(got, "json") == report.emit_report(want, "json")
+    assert report.emit_report(got, "csv") == report.emit_report(want, "csv")
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,14 @@ def test_parse_inverts_emit(records):
         assert repr(parsed) == repr(records), fmt
 
 
+def test_csv_emission_names_the_first_id_it_cannot_carry():
+    # each distinct id is checked once, in record order
+    records = [make_record(rid, 1, 0.0, 0.5, 1.0) for rid in ("a", "b\n1", "a", "c,1", "b\n1")]
+    with pytest.raises(InvalidInputError, match=r"^experiment_id 'b\\n1' holds"):
+        report.emit_report(records, "csv")
+    assert report.emit_report(records, "json")
+
+
 def test_parse_refuses_a_forged_verdict():
     # empirical 5 exceeds bound 1, so the stored ratio 0.1 and passed true are forged
     csv = f"{report.CSV_HEADER}\nx,4,1,5.0,1.0,0.1,true\n".encode()
