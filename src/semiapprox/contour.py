@@ -26,12 +26,13 @@ The first refinement solves no node that the base pass solved.  Refining
 doubles the panels, and line panel p >= 1 of k_line is panel p + k_line of
 2 k_line, on both sides: the same z and dz weight bit for bit.  So a
 refinement shares 32 (k_line - 1) nodes with the pass before it, 480 of
-2048 at the default contour.  The base pass forms the first refinement's
-products on the blocks that hold them while it has their rows, and solves
-only those blocks' other nodes; the refinement adds the stashed products
-in their place.  A default call thus solves 1024 + 1568 pass nodes and
-the majorant search's seeds below, at most 3; only the seeds are solved
-twice.
+2048 at the default contour.  The base pass keeps those nodes' resolvent
+rows, 480 rows (about 2 MB at d = 16, 8 MB at d = 32), and the first
+refinement fills them into its stacks and solves only its other nodes, in
+node order, so it raises where solving every node would.  A default call
+thus solves 1024 + 1568 pass nodes and the majorant search's seeds below,
+at most 3; only the seeds are solved twice.  Later refinements solve
+every node.
 
 The majorant check needs three maxima over the base nodes, not every
 norm: of the ratio of ||(z_j - C)^{-1}|| to the majorant on the arc, the
@@ -211,34 +212,48 @@ def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return fro
 
 
-def _checked_solve(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_solve and _checked_norms on a stack of whole 64-node blocks.
+def _checked_solve(c: np.ndarray, z: np.ndarray, todo=None) -> tuple[np.ndarray, np.ndarray]:
+    """_solve and _checked_norms at the nodes z[todo] of a stack of whole 64-node blocks.
 
-    A failure is raised as the 64-node blocks, solved one at a time, would
-    raise it: at the first block with a singular or blown-up node, with the
-    z range of that block for a singular one.
+    todo is a boolean mask over z, all of it by default.  A failure is
+    raised as the 64-node blocks, solved one at a time, would raise it: at
+    the first block with a singular or blown-up node, with the z range of
+    that whole block for a singular one.
     """
+    todo = np.ones(z.size, dtype=bool) if todo is None else todo
     try:
-        r = _solve(c, z)
+        r = _solve(c, z[todo])
     except np.linalg.LinAlgError as exc:
         if z.size > _BLOCK:  # raise at the first block that fails alone
             for start in range(0, z.size, _BLOCK):
-                _checked_solve(c, z[start:start + _BLOCK])
+                block = slice(start, start + _BLOCK)
+                _checked_solve(c, z[block], todo[block])
         raise _singular(z) from exc
-    return r, _checked_norms(r, z)
+    return r, _checked_norms(r, z[todo])
 
 
-def _resolvent_blocks(c: np.ndarray, contour: ContourNodes, start: int = 0, stop=None):
-    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per stack.
+def _resolvent_blocks(c: np.ndarray, contour: ContourNodes, known=None):
+    """Yield (nodes, (z - C)^{-1} stacked over them, Frobenius norms of the rows solved) per stack.
 
-    The stacks cover the nodes start:stop in order, start a multiple of 64;
-    each is one stacked solve of up to _stack_nodes(dim) nodes.
+    The stacks cover the nodes in order; each is one stacked solve of up to
+    _stack_nodes(dim) nodes.  known, if given, is (at, rows): the
+    resolvents ``rows`` at the nodes ``at``, in ascending order, which are
+    filled in, not solved, so the norms are those of the other rows.
     """
-    stop = len(contour) if stop is None else stop
-    step = _stack_nodes(c.shape[0])
-    for lo in range(start, stop, step):
-        nodes = slice(lo, min(lo + step, stop))
-        yield (nodes, *_checked_solve(c, contour.z[nodes]))
+    dim, step = c.shape[0], _stack_nodes(c.shape[0])
+    at, rows = known or (np.empty(0, dtype=int), None)
+    for lo in range(0, len(contour), step):
+        nodes = slice(lo, min(lo + step, len(contour)))
+        i, j = np.searchsorted(at, (lo, nodes.stop))  # the known nodes at[i:j] of this stack
+        if i == j:
+            yield (nodes, *_checked_solve(c, contour.z[nodes]))
+            continue
+        todo = np.ones(nodes.stop - lo, dtype=bool)
+        todo[at[i:j] - lo] = False
+        r = np.empty((todo.size, dim, dim), dtype=np.complex128)
+        r[todo], fro = _checked_solve(c, contour.z[nodes], todo)
+        r[~todo] = rows[i:j]
+        yield nodes, r, fro
 
 
 def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
@@ -285,122 +300,46 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
     return rows
 
 
-def _shared_blocks(contour: ContourNodes) -> list[tuple[slice, slice, slice]]:
-    """The 64-node blocks of contour's refinement that hold nodes of contour.
+def _shared_nodes(contour: ContourNodes) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (fine, base): node fine[i] of contour's refinement is node base[i] of contour.
 
     The refinement has 2 k_arc and 2 k_line panels.  Line panel p >= 1 of
     contour is its panel p + k_line, on both sides: the same edges, powers
     of two times cos(alpha'), so the same z and dz weight bit for bit.  No
     arc node recurs.  So each side shares one run of 16 (k_line - 1) nodes,
-    and a block meets at most one run (the arc between them is longer than
-    a block).  Each entry is (block, shared, base): the refinement's nodes
-    ``block``, of which those at ``shared`` (relative to the block) are
-    contour's nodes ``base``.
+    and both arrays ascend.
     """
     g, k, m = _GL_NODES.size, contour.k_line, contour.k_arc
-    size = 2 * len(contour)
-    blocks = []
-    for fine, base in ((g * (k + 1), g), (g * (3 * k + 2 * m + 1), g * (k + m + 1))):
-        stop = fine + g * (k - 1)
-        for start in range(fine - fine % _BLOCK, stop, _BLOCK):
-            lo, hi = max(start, fine), min(start + _BLOCK, stop)
-            blocks.append((
-                slice(start, min(start + _BLOCK, size)),
-                slice(lo - start, hi - start),
-                slice(base + lo - fine, base + hi - fine),
-            ))
-    return blocks
+    run = np.arange(g * (k - 1))
+    fine = np.concatenate([g * (k + 1) + run, g * (3 * k + 2 * m + 1) + run])
+    base = np.concatenate([g + run, g * (k + m + 1) + run])
+    return fine, base
 
 
-def _stash_block(c: np.ndarray, rows: np.ndarray, shared: slice, z: np.ndarray, weights, nodes):
-    """The per-function products of one block of the refinement, or the error its solve raises.
-
-    rows holds the block's resolvents at the nodes ``shared`` (relative to
-    the block); the others, at z, are solved here.  The products are those
-    the refined pass would form for the block, bit for bit.  The error is
-    the ContourTooCloseError that pass would raise at the block; it is
-    returned, not raised, so that the pass raises it in its place.
-    """
-    alone = np.ones(len(z), dtype=bool)
-    alone[shared] = False
-    if alone.any():
-        try:
-            r = _solve(c, z[alone])
-        except np.linalg.LinAlgError:
-            return _singular(z)
-        try:
-            _checked_norms(r, z[alone])
-        except ContourTooCloseError as exc:
-            return exc
-        rows[alone] = r
-    return (weights[:, None, nodes] @ rows.reshape(len(z), -1))[:, 0]
-
-
-def _segments(size: int, stash) -> list[tuple[int, int]]:
-    """(start, stop) of each stashed block and of each run of blocks between them, in node order."""
-    segments, lo = [], 0
-    for start in sorted(stash):
-        if lo < start:
-            segments.append((lo, start))
-        lo = min(start + _BLOCK, size)
-        segments.append((start, lo))
-    return segments + [(lo, size)] if lo < size else segments
-
-
-def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, stash=None, ahead=None):
+def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, known=None):
     """One quadrature pass over contour: the sums of weights times resolvents, node block by block.
 
-    Returns (values, formed).  values[i] is the sum of weights[i] (a node
-    array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i; each
-    64-node block adds one product per weight, in block order.  visit, if
-    given, is called as visit(nodes, rows, Frobenius norms) on each solved
-    stack once the pass is done with it, and must not change the rows.
-
-    stash maps the start of some blocks to the products _stash_block formed
-    for them, or to the error it met: those blocks are not solved, and each
-    product is taken out of stash and added (or the error raised) in the
-    block's place.  With
-    ahead = (refinement, its weights), formed is such a stash for the
-    refinement, built from the rows this pass solves; else it is empty.
+    values[i] is the sum of weights[i] (a node array of f(z) dz) times
+    (z - C)^{-1} over the nodes, over 2 pi i; each 64-node block adds one
+    product per weight, in block order.  known, if given, holds resolvents
+    that are not solved again, as _resolvent_blocks takes them.  visit, if
+    given, is called as visit(nodes, rows, Frobenius norms) on each stack
+    once the pass is done with it, and must not change the rows; it needs
+    the norms of every row, so it is not given with known.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
-    stash = stash or {}
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
-    shared, rows, formed = (_shared_blocks(contour) if ahead else []), {}, {}
-    for lo, hi in _segments(len(contour), stash):
-        if lo in stash:
-            product = stash.pop(lo)
-            if isinstance(product, ContourTooCloseError):
-                raise product
-            acc += product
-            continue
-        for nodes, r, fro in _resolvent_blocks(c, contour, lo, hi):
-            flat = r.reshape(-1, dim * dim)
-            for j in range(0, len(flat), _BLOCK):
-                block = slice(nodes.start + j, nodes.start + j + _BLOCK)
-                # one vector-matrix product per function, stacked: a sum over
-                # the nodes never mixes two functions
-                acc += (weights[:, None, block] @ flat[j:j + _BLOCK])[:, 0]
-            for block, part, base in shared:
-                # copy the rows of base that this stack holds; a block whose
-                # last shared row is here gets its products
-                first, last = max(base.start, nodes.start), min(base.stop, nodes.stop)
-                if first >= last:
-                    continue
-                if block.start not in rows:
-                    size = block.stop - block.start
-                    rows[block.start] = np.empty((size, dim, dim), dtype=np.complex128)
-                at = part.start - base.start
-                rows[block.start][at + first:at + last] = r[first - nodes.start:last - nodes.start]
-                if last == base.stop:
-                    fine, fine_weights = ahead
-                    formed[block.start] = _stash_block(
-                        c, rows.pop(block.start), part, fine.z[block], fine_weights, block
-                    )
-            if visit:
-                visit(nodes, r, fro)
-    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi)), formed
+    for nodes, r, fro in _resolvent_blocks(c, contour, known):
+        flat = r.reshape(-1, dim * dim)
+        for j in range(0, len(flat), _BLOCK):
+            block = slice(nodes.start + j, nodes.start + j + _BLOCK)
+            # one vector-matrix product per function, stacked: a sum over
+            # the nodes never mixes two functions
+            acc += (weights[:, None, block] @ flat[j:j + _BLOCK])[:, 0]
+        if visit:
+            visit(nodes, r, fro)
+    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi))
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
@@ -532,11 +471,12 @@ def riesz_dunford_many(
     screens (the guard of the module docstring); only the seeds are
     solved twice; the distances dist(z_j, D(alpha)) are taken once, for
     both.  The node set is doubled until every value agrees with its
-    previous refinement to CONTOUR_QUAD_TOL in spectral norm.  The first refinement always runs,
-    so the base pass also forms its products on the blocks that hold base
-    nodes (see _shared_blocks), and that refinement solves none of them
-    again: a default contour takes 1024 + 1568 solves, not 1024 + 2048.  A
-    later refinement runs only when the one before has not converged, so
+    previous refinement to CONTOUR_QUAD_TOL in spectral norm.  The first
+    refinement always runs, so the base pass keeps the resolvent rows of
+    the nodes it shares with it (see _shared_nodes; 480 rows, about 2 MB at
+    d = 16), and that refinement solves none of them again: a default
+    contour takes 1024 + 1568 solves, not 1024 + 2048.  A later refinement
+    runs only when the one before has not converged, so
     it solves all its nodes.  Raises InvalidInputError before solving for
     an alpha outside [0, alpha'), an empty fs, or an f whose value is
     neither a scalar nor one value per node, and ContourTooCloseError when
@@ -554,11 +494,21 @@ def riesz_dunford_many(
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
     search = _MaximaSearch(a, contour, alpha, dist)
     search.seed()
-    results, stash = _evaluate_many(weights, a, contour, visit=search, ahead=(fine, fine_weights))
+    fine_at, base_at = _shared_nodes(contour)
+    kept = np.empty((base_at.size,) + a.shape, dtype=np.complex128)
+
+    def visit(nodes, r, fro):
+        # keep the rows the first refinement shares, then search the stack
+        i, j = np.searchsorted(base_at, (nodes.start, nodes.stop))
+        kept[i:j] = r[base_at[i:j] - nodes.start]
+        search(nodes, r, fro)
+
+    results = _evaluate_many(weights, a, contour, visit=visit)
     del weights  # the base pass's weights are not needed again
     report = _check_report(contour, alpha, dist, search.rnorm)
+    known = (fine_at, kept)
     while True:
-        refined, _ = _evaluate_many(fine_weights, a, fine, stash=stash)
+        refined = _evaluate_many(fine_weights, a, fine, known=known)
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, report
@@ -567,7 +517,7 @@ def riesz_dunford_many(
                 f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
                 f"after {len(fine)} nodes (budget {CONTOUR_NODE_CAP})"
             )
-        results, stash = refined, {}
+        results, known = refined, None
         fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
         fine_weights = _weights(fs, fine)
 

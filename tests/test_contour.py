@@ -483,7 +483,7 @@ def test_stacked_products_equal_the_per_function_loop(dim):
         for start in range(0, len(nodes), 64):
             for a, w in zip(acc, weights):
                 a += w[start:start + 64] @ flat[start:start + 64]
-        got, _ = contour._evaluate_many(weights, c, nodes)
+        got = contour._evaluate_many(weights, c, nodes)
         assert np.array_equal(np.array(got), acc.reshape(count, dim, dim) / (2j * math.pi))
 
 
@@ -515,14 +515,14 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # the majorant search's 2 seeds, then one base pass and one refinement
     # at twice the nodes, in stacks of 512 nodes at d = 4.  The base pass
-    # also solves the 16 nodes of each side's refinement block that it does
-    # not share (after its stacks 0 and 1); the majorant check solves
-    # nothing, and the refinement solves none of the 480 shared nodes
+    # keeps the rows of the 480 nodes the refinement shares with it, and the
+    # refinement's first stack on each side solves only its other 272 nodes;
+    # the majorant check solves nothing
     solved, blocked = [], []
     blocks, solve = contour._resolvent_blocks, contour._solve
 
-    def counting_blocks(c, nodes, *span):
-        for sl, r, fro in blocks(c, nodes, *span):
+    def counting_blocks(c, nodes, *known):
+        for sl, r, fro in blocks(c, nodes, *known):
             blocked.append(len(r))
             yield sl, r, fro
 
@@ -536,8 +536,8 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
     base = contour.build_contour(result.summary["alpha_prime"])
-    assert sum(blocked) == 3 * len(base) - 512
-    assert solved == [2, 512, 16, 512, 16, 256, 512, 512, 256]
+    assert sum(blocked) == 3 * len(base)
+    assert solved == [2, 512, 512, 272, 512, 512, 272]
     assert sum(solved) == 2 + 1024 + 1568
 
 
@@ -676,15 +676,11 @@ def test_shared_blocks_are_the_nodes_the_refinement_repeats(k_arc, k_line):
     # base nodes: 480 of 2048 nodes at the default, 992 of 4096 one level up
     base = contour.build_contour(1.0, k_arc, k_line)
     fine = contour.build_contour(1.0, 2 * k_arc, 2 * k_line)
-    shared = contour._shared_blocks(base)
-    for block, part, src in shared:
-        assert block.start % 64 == 0 and block.stop == min(block.start + 64, len(fine))
-        assert 0 <= part.start < part.stop <= block.stop - block.start
-        assert np.array_equal(fine.z[block][part], base.z[src])
-        assert np.array_equal(fine.dz_weight[block][part], base.dz_weight[src])
-    count = sum(part.stop - part.start for _, part, _ in shared)
-    assert count == 32 * (k_line - 1) == np.intersect1d(fine.z, base.z).size
-    assert len({block.start for block, _, _ in shared}) == len(shared)
+    f, b = contour._shared_nodes(base)
+    assert np.array_equal(fine.z[f], base.z[b])
+    assert np.array_equal(fine.dz_weight[f], base.dz_weight[b])
+    assert f.size == b.size == 32 * (k_line - 1) == np.intersect1d(fine.z, base.z).size
+    assert np.all(np.diff(f) > 0) and np.all(np.diff(b) > 0)  # _resolvent_blocks reads them in order
 
 
 def _every_node_reference(fs, c, nodes, alpha):
@@ -749,7 +745,7 @@ _FS = [lambda z: 1.0, lambda z: z**3 * (1.0 - z), lambda z: z**4 - np.exp(4.0 * 
      (16, 9, 10, None), (3, 9, 10, None), (4, 32, 16, 1e-15)],
 )
 def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_arc, k_line, tol):
-    # the refinement's stashed products and the byte-sized stacks keep
+    # the refinement's kept rows and the byte-sized stacks keep
     # every bit of the values and of the report
     alpha = math.pi / 8
     c = certified_resolvent(dim, alpha, 7000 + dim)
@@ -772,29 +768,41 @@ def _on_nodes(dim, *zs):
 _AP = 0.5 * (math.pi / 8 + math.pi / 2)
 _BASE = contour.build_contour(_AP)
 _FINE = contour.build_contour(_AP, 64, 32)
+# a contour whose shared runs start at refinement nodes 176 and 784, off the 64-node grid
+_BASE9 = contour.build_contour(_AP, 9, 10)
+_FINE9 = contour.build_contour(_AP, 18, 20)
 
 
 @pytest.mark.parametrize(
     "dim, spectrum",
     [
+        # each spectrum is (base contour, eigenvalues of C on contour nodes)
         # a singular base node inside a 1024-node stack names its own 64-node block
-        (2, [_BASE.z[100]]),
-        (2, [_BASE.z[1000]]),
-        # a node only the refinement has, in a block the base pass forms
-        (2, [_FINE.z[260]]),
-        (16, [_FINE.z[1800]]),
-        (16, [_FINE.z[260] + 4e-16]),
-        # the base pass raises first, though it forms the refinement's block 4 before its block 7
-        (16, [_FINE.z[260], _BASE.z[500]]),
-        (16, [_FINE.z[1800], _BASE.z[20] + 4e-16]),
-        # the refinement raises in block order, stashed blocks or not
-        (16, [_FINE.z[100], _FINE.z[1800]]),
-        (2, [_FINE.z[260], _FINE.z[1000]]),
-        (8, [_FINE.z[1800], _FINE.z[2000] + 4e-16]),
+        (2, (_BASE, [_BASE.z[100]])),
+        (2, (_BASE, [_BASE.z[1000]])),
+        # a node only the refinement has, in a block that also holds base nodes
+        (2, (_BASE, [_FINE.z[260]])),
+        (16, (_BASE, [_FINE.z[1800]])),
+        (16, (_BASE, [_FINE.z[260] + 4e-16])),
+        # the base pass raises first
+        (16, (_BASE, [_FINE.z[260], _BASE.z[500]])),
+        (16, (_BASE, [_FINE.z[1800], _BASE.z[20] + 4e-16])),
+        # the refinement raises in block order, whether a block holds base nodes or not
+        (16, (_BASE, [_FINE.z[100], _FINE.z[1800]])),
+        (2, (_BASE, [_FINE.z[260], _FINE.z[1000]])),
+        (8, (_BASE, [_FINE.z[1800], _FINE.z[2000] + 4e-16])),
+        # off the grid: the refinement's blocks 128:192 and 768:832 mix solved
+        # and kept rows; a singular node names the whole block, and it raises
+        # before a blow-up in a later block of the other side
+        (2, (_BASE9, [_FINE9.z[150]])),
+        (16, (_BASE9, [_FINE9.z[770]])),
+        (8, (_BASE9, [_FINE9.z[150], _FINE9.z[770] + 4e-16])),
+        (8, (_BASE9, [_FINE9.z[770] + 4e-16])),
     ],
 )
 def test_too_close_errors_keep_the_every_node_order(dim, spectrum):
-    c = _on_nodes(dim, *spectrum)
-    want = _outcome(_every_node_reference, [lambda z: 1.0], c, _BASE, 0.0)
+    base, zs = spectrum
+    c = _on_nodes(dim, *zs)
+    want = _outcome(_every_node_reference, [lambda z: 1.0], c, base, 0.0)
     assert isinstance(want, str)
-    assert _outcome(contour.riesz_dunford_many, [lambda z: 1.0], c, _BASE, 0.0) == want
+    assert _outcome(contour.riesz_dunford_many, [lambda z: 1.0], c, base, 0.0) == want
