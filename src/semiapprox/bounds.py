@@ -246,8 +246,12 @@ def split_tail_bound(n: int, eps: float) -> float:
 
 def _over_eps_squared(n: int, eps: float) -> float:
     # eps**2 underflows to 0 for eps below about 1e-162; the quotient is then
-    # infinite, which _finite refuses, rather than a ZeroDivisionError
-    square = eps**2
+    # infinite, which _finite refuses, rather than a ZeroDivisionError.  Above
+    # about 1.3e154 a float eps**2 raises OverflowError, refused as bad input
+    try:
+        square = eps**2
+    except OverflowError:
+        raise DomainError(f"eps = {eps!r} has a square that overflows") from None
     return n / square if square > 0.0 else math.inf
 
 

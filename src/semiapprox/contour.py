@@ -22,17 +22,40 @@ up to 128 KiB of rows (2048 nodes at d = 2, 128 at d = 8, one block from
 d = 12 up), each with one solve, one blow-up check and one step of the
 majorant search below.
 
-The first refinement solves no node that the base pass solved.  Refining
-doubles the panels, and line panel p >= 1 of k_line is panel p + k_line of
-2 k_line, on both sides: the same z and dz weight bit for bit.  So a
-refinement shares 32 (k_line - 1) nodes with the pass before it, 480 of
-2048 at the default contour.  The base pass keeps those nodes' resolvent
-rows, 480 rows (about 2 MB at d = 16, 8 MB at d = 32), and the first
-refinement fills them into its stacks and solves only its other nodes, in
-node order, so it raises where solving every node would.  A default call
-thus solves 1024 + 1568 pass nodes and the majorant search's seeds below,
-at most 3; only the seeds are solved twice.  Later refinements solve
-every node.
+The base pass's truncation error is proved when the caller bounds each f
+on discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
+the Bernstein ellipse with semi-axes A = (rho + 1/rho)/2 and B = (rho -
+1/rho)/2.  Where the image of E_rho misses W(C), the integrand G(x) = h
+f(z(s)) (z(s) - C)^{-1} z'(s) / (2 pi i) is analytic on E_rho, so its
+Chebyshev coefficients have ||a_k|| <= 2 M rho^-k, M = sup ||G|| there
+(Trefethen, Approximation Theory and Approximation Practice, 2013, Thms
+8.1 and 19.3; the proof holds in any norm, so for matrices).  m = 16 Gauss
+nodes integrate T_k exactly for k < 2m and err by at most 2 + 2/(k^2 - 1)
+on it beyond, so the panel errs by at most 4 (1 + 1/(4 m^2 - 1))
+rho^-2m M / (1 - 1/rho).  By ||(z - C)^{-1}|| <= 1/dist(z, W(C)) (as for U
+below), M <= F max|z'| h / (2 pi l): F bounds |f| on a disc that holds the
+image, f analytic there, and l is ``numrange.support_distance`` from the
+outer 32-gon to a container of the image, with its support values and
+rounding slack.  On a line panel the image is the ellipse with semi-axes
+hA along the side and hB across it, |z'| = 1, and the disc has radius hA
+about z(mu); on an arc panel the image and the disc are the disc about
+z(mu) of radius sin(alpha') hA e^{hB}, and |z'| <= sin(alpha') e^{hB}.
+Each panel takes its least bound over rho = 2^(k/4), k = 1..24, a rho
+whose container may meet W(C) (l <= 0) giving inf, and the sum over the
+panels, widened by _BOUND_MARGIN, bounds each value's truncation error in
+spectral norm.
+
+Where every function's bound lies below CONTOUR_QUAD_TOL, the base values
+are returned: 1024 solves and the seeds below at the default contour.
+Otherwise, and without bounds on f, the node set is doubled until two
+passes agree to CONTOUR_QUAD_TOL, every node of each refinement solved; a
+heuristic, as the graded line panels are the same at every level.  The
+bound covers truncation only, since refining cannot reduce rounding.  The
+rounding adds, in spectral norm, about sum_j |f(z_j) w_j| ||R_j|| / (2 pi)
+times d g u kappa_j for the solves (u = 2^-53, g the growth factor of LU
+and kappa_j the condition of z_j - C, under the growth condition of U
+below) and times (64 + N/64) sqrt(d) u for the 64-node products and their
+sum over the N nodes.
 
 The majorant check needs three maxima over the base nodes, not every
 norm: of the ratio of ||(z_j - C)^{-1}|| to the majorant on the arc, the
@@ -45,7 +68,8 @@ order d^2 u, u = 2^-53).
 
 - U, the polygon bound, is known before any node is solved.  With h_theta
   the support values of W(C) at 32 angles, raised by their backward
-  error (one eigvalsh of 16 Hermitian parts), ``numrange.support_distance``
+  error (``numrange.outer_polygon``: one eigvalsh of 16 Hermitian parts a
+  call, which the quadrature bound reads too), ``numrange.support_distance``
   gives l_j = max_theta (Re(e^{i theta} z_j) - h_theta), lowered by its
   rounding.  For every unit x, ||(z_j - C) x|| >= |z_j - x* C x| >=
   dist(z_j, W(C)) >= l_j, so ||(z_j - C)^{-1}|| <= 1 / l_j (Trefethen and
@@ -105,9 +129,10 @@ from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, M
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 64  # contour nodes per product of weights and resolvents: fixes the bits of every value
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and majorant search
-_BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm bounds, far above their rounding
+_BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm and quadrature bounds, far above their rounding
 _SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
 _GUARD = 2.0**10  # the polygon bound's guard, in units of d^2 u (|z| + ||C||_F) / _BOUND_MARGIN
+_RHOS = 2.0 ** (np.arange(1, 25) / 4.0)  # the Bernstein ellipses E_rho each panel's error bound tries
 
 
 @dataclass
@@ -212,48 +237,33 @@ def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return fro
 
 
-def _checked_solve(c: np.ndarray, z: np.ndarray, todo=None) -> tuple[np.ndarray, np.ndarray]:
-    """_solve and _checked_norms at the nodes z[todo] of a stack of whole 64-node blocks.
+def _checked_solve(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_solve and _checked_norms at the nodes z of a stack of whole 64-node blocks.
 
-    todo is a boolean mask over z, all of it by default.  A failure is
-    raised as the 64-node blocks, solved one at a time, would raise it: at
-    the first block with a singular or blown-up node, with the z range of
-    that whole block for a singular one.
+    A failure is raised as the 64-node blocks, solved one at a time, would
+    raise it: at the first block with a singular or blown-up node, with the
+    z range of that whole block for a singular one.
     """
-    todo = np.ones(z.size, dtype=bool) if todo is None else todo
     try:
-        r = _solve(c, z[todo])
+        r = _solve(c, z)
     except np.linalg.LinAlgError as exc:
         if z.size > _BLOCK:  # raise at the first block that fails alone
             for start in range(0, z.size, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                _checked_solve(c, z[block], todo[block])
+                _checked_solve(c, z[start:start + _BLOCK])
         raise _singular(z) from exc
-    return r, _checked_norms(r, z[todo])
+    return r, _checked_norms(r, z)
 
 
-def _resolvent_blocks(c: np.ndarray, contour: ContourNodes, known=None):
-    """Yield (nodes, (z - C)^{-1} stacked over them, Frobenius norms of the rows solved) per stack.
+def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
+    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per stack.
 
     The stacks cover the nodes in order; each is one stacked solve of up to
-    _stack_nodes(dim) nodes.  known, if given, is (at, rows): the
-    resolvents ``rows`` at the nodes ``at``, in ascending order, which are
-    filled in, not solved, so the norms are those of the other rows.
+    _stack_nodes(dim) nodes.
     """
-    dim, step = c.shape[0], _stack_nodes(c.shape[0])
-    at, rows = known or (np.empty(0, dtype=int), None)
+    step = _stack_nodes(c.shape[0])
     for lo in range(0, len(contour), step):
         nodes = slice(lo, min(lo + step, len(contour)))
-        i, j = np.searchsorted(at, (lo, nodes.stop))  # the known nodes at[i:j] of this stack
-        if i == j:
-            yield (nodes, *_checked_solve(c, contour.z[nodes]))
-            continue
-        todo = np.ones(nodes.stop - lo, dtype=bool)
-        todo[at[i:j] - lo] = False
-        r = np.empty((todo.size, dim, dim), dtype=np.complex128)
-        r[todo], fro = _checked_solve(c, contour.z[nodes], todo)
-        r[~todo] = rows[i:j]
-        yield nodes, r, fro
+        yield (nodes, *_checked_solve(c, contour.z[nodes]))
 
 
 def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
@@ -300,37 +310,19 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
     return rows
 
 
-def _shared_nodes(contour: ContourNodes) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (fine, base): node fine[i] of contour's refinement is node base[i] of contour.
-
-    The refinement has 2 k_arc and 2 k_line panels.  Line panel p >= 1 of
-    contour is its panel p + k_line, on both sides: the same edges, powers
-    of two times cos(alpha'), so the same z and dz weight bit for bit.  No
-    arc node recurs.  So each side shares one run of 16 (k_line - 1) nodes,
-    and both arrays ascend.
-    """
-    g, k, m = _GL_NODES.size, contour.k_line, contour.k_arc
-    run = np.arange(g * (k - 1))
-    fine = np.concatenate([g * (k + 1) + run, g * (3 * k + 2 * m + 1) + run])
-    base = np.concatenate([g + run, g * (k + m + 1) + run])
-    return fine, base
-
-
-def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None, known=None):
+def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     """One quadrature pass over contour: the sums of weights times resolvents, node block by block.
 
     values[i] is the sum of weights[i] (a node array of f(z) dz) times
     (z - C)^{-1} over the nodes, over 2 pi i; each 64-node block adds one
-    product per weight, in block order.  known, if given, holds resolvents
-    that are not solved again, as _resolvent_blocks takes them.  visit, if
-    given, is called as visit(nodes, rows, Frobenius norms) on each stack
-    once the pass is done with it, and must not change the rows; it needs
-    the norms of every row, so it is not given with known.
+    product per weight, in block order.  visit, if given, is called as
+    visit(nodes, rows, Frobenius norms) on each stack once the pass is done
+    with it, and must not change the rows.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
-    for nodes, r, fro in _resolvent_blocks(c, contour, known):
+    for nodes, r, fro in _resolvent_blocks(c, contour):
         flat = r.reshape(-1, dim * dim)
         for j in range(0, len(flat), _BLOCK):
             block = slice(nodes.start + j, nodes.start + j + _BLOCK)
@@ -367,13 +359,14 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
     return ratios
 
 
-def _polygon_bounds(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _polygon_bounds(c: np.ndarray, z: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Upper bounds U_j on ||(z_j - C)^{-1}|| from the outer 32-gon of W(C), before any solve.
 
-    With l_j from ``numrange.support_distance``, U_j = (1 + _BOUND_MARGIN) / l_j
-    where l_j lies above the guard of the module docstring, and inf elsewhere.
+    With l_j from ``numrange.support_distance`` of polygon = ``numrange.outer_polygon(c)``,
+    U_j = (1 + _BOUND_MARGIN) / l_j where l_j lies above the guard of the
+    module docstring, and inf elsewhere.
     """
-    ell = numrange.support_distance(c, z)
+    ell = numrange.support_distance(polygon, z)
     scale = _GUARD * c.shape[0] ** 2 * 2.0**-53 / _BOUND_MARGIN
     far = ell > scale * (np.abs(z) + np.linalg.norm(c))
     return np.where(far, (1.0 + _BOUND_MARGIN) / np.where(far, ell, 1.0), np.inf)
@@ -386,19 +379,20 @@ class _MaximaSearch:
     the module docstring.  Node j belongs to its side group (0 on the arc,
     1 on the lines) and to group 2 (every node); best holds each group's
     largest exact ratio so far, and rnorm the exact norms taken, 0
-    elsewhere.  upper holds the polygon bounds U of every node, and a node
-    with an exact norm is not taken again; c and z, the operator and the
-    base nodes, are kept for ``seed``.  _norm_bounds works on a copy of
+    elsewhere.  upper holds the polygon bounds U of every node, from the
+    support values ``polygon`` of numrange.outer_polygon, and a node with an
+    exact norm is not taken again; c and z, the operator and the base
+    nodes, are kept for ``seed``.  _norm_bounds works on a copy of
     the rows it bounds, and exact norms are taken _SVD_BATCH at a time.
     """
 
-    def __init__(self, c: np.ndarray, contour: ContourNodes, alpha: float, dist):
+    def __init__(self, c: np.ndarray, contour: ContourNodes, alpha: float, dist, polygon):
         self.ratios = _majorant_ratios(contour, alpha, dist)
         self.side = np.where(contour.on_arc, 0, 1)
         self.best = np.zeros(3)
         self.rnorm = np.zeros(len(contour))
         self.c, self.z = c, contour.z
-        self.upper = _polygon_bounds(c, contour.z)
+        self.upper = _polygon_bounds(c, contour.z, polygon)
 
     def seed(self) -> None:
         """Exact norms at the node of largest ratio at U in each maximum: at most 3 nodes, one solve.
@@ -445,17 +439,65 @@ class _MaximaSearch:
         self.best[2] = max(self.best[2], np.max(far))
 
 
+def _panel_images(contour: ContourNodes):
+    """The images z(E_rho) of the panels' Bernstein ellipses, for rho in _RHOS, as the bound reads them.
+
+    Returns (center, d, half, speed, reach, across), each with one row per
+    rho and one column per panel, the lines' panels before the arc's: the
+    panel's midpoint z(mu), the direction d of z(s) (1 on the arc), its
+    half-length h in s or t, a bound on |z'| over the image, and the
+    ellipse about center with semi-axes reach along d and across across it,
+    which holds the image, as does the disc of radius reach about center.
+    """
+    ap, k_line = contour.alpha_prime, contour.k_line
+    edges = _line_edges(math.cos(ap), k_line)
+    t_step = (math.pi + 2.0 * ap) / contour.k_arc
+    t_mid = math.pi / 2 - ap + t_step * (np.arange(contour.k_arc) + 0.5)
+    d = np.concatenate([np.repeat([-np.exp(-1j * ap), -np.exp(1j * ap)], k_line), np.ones(contour.k_arc)])
+    center = np.concatenate([1.0 + np.tile(edges[:-1] + edges[1:], 2) * 0.5 * d[:2 * k_line],
+                             math.sin(ap) * np.exp(1j * t_mid)])
+    half = np.concatenate([np.tile(0.5 * (edges[1:] - edges[:-1]), 2), np.full(contour.k_arc, 0.5 * t_step)])
+    on_arc = np.arange(center.size) >= 2 * k_line
+    rho = _RHOS[:, None]
+    big_a, big_b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    speed = np.where(on_arc, math.sin(ap) * np.exp(half * big_b), 1.0)
+    reach = half * big_a * speed
+    across = np.where(on_arc, reach, half * big_b)
+    return np.broadcast_arrays(center, d, half, speed, reach, across)
+
+
+def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> list[float]:
+    """Upper bounds on the truncation error of each function's quadrature on contour, in spectral norm.
+
+    f_bounds[i](center, radius) bounds |fs[i]| on the discs |z - center| <=
+    radius, given as arrays; polygon is numrange.outer_polygon(C).  Each
+    panel takes the least bound of the module docstring over the ellipses
+    E_rho of _RHOS (_panel_images), inf where the container of an
+    ellipse's image may meet W(C); the bounds are summed over the panels
+    and widened by _BOUND_MARGIN, far above the effect of rounding the
+    panels' geometry (relative order u).
+    """
+    center, d, half, speed, reach, across = _panel_images(contour)
+    ell = numrange.support_distance(polygon, center.ravel(), (d.ravel(), reach.ravel(), across.ravel()))
+    ell = ell.reshape(reach.shape)
+    rho, m = _RHOS[:, None], _GL_NODES.size
+    gauss = 4.0 * (1.0 + 1.0 / (4 * m * m - 1)) * rho ** (-2.0 * m) / (1.0 - 1.0 / rho)
+    scale = gauss * speed * half / (2.0 * math.pi * np.where(ell > 0.0, ell, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        per = [np.where(ell > 0.0, scale * bound(center, reach), np.inf) for bound in f_bounds]
+        return [float(np.sum(np.min(v, axis=0)) * (1.0 + _BOUND_MARGIN)) for v in per]
+
+
 def riesz_dunford_many(
-    fs, c, contour: ContourNodes, alpha: float
+    fs, c, contour: ContourNodes, alpha: float, f_bounds=None
 ) -> tuple[list[np.ndarray], ContourCheckReport]:
     """Evaluate several functions of C on a shared resolvent sweep, and check the majorants.
 
     Each f in fs is called once per pass with the 1-D complex array of the
     pass's nodes, and must return an array of that shape or a scalar
-    constant, as a NumPy ufunc does.  Each f is called on the base nodes
-    and then on the first refinement's nodes before any node is solved.
-    Each block of 64 nodes then adds one vector-matrix product per
-    function, all of them in one stacked matmul.
+    constant, as a NumPy ufunc does; it is called on the base nodes before
+    any node is solved.  Each block of 64 nodes then adds one vector-matrix
+    product per function, all of them in one stacked matmul.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` on the given contour for
@@ -470,45 +512,47 @@ def riesz_dunford_many(
     factor on z_j - C below about 2^10 d at the nodes the polygon bound
     screens (the guard of the module docstring); only the seeds are
     solved twice; the distances dist(z_j, D(alpha)) are taken once, for
-    both.  The node set is doubled until every value agrees with its
-    previous refinement to CONTOUR_QUAD_TOL in spectral norm.  The first
-    refinement always runs, so the base pass keeps the resolvent rows of
-    the nodes it shares with it (see _shared_nodes; 480 rows, about 2 MB at
-    d = 16), and that refinement solves none of them again: a default
-    contour takes 1024 + 1568 solves, not 1024 + 2048.  A later refinement
-    runs only when the one before has not converged, so
-    it solves all its nodes.  Raises InvalidInputError before solving for
-    an alpha outside [0, alpha'), an empty fs, or an f whose value is
-    neither a scalar nor one value per node, and ContourTooCloseError when
-    the quadrature takes more than CONTOUR_NODE_CAP nodes.
+    both.
+
+    f_bounds, if given, holds one bound per function: f_bounds[i](center,
+    radius) returns, for arrays of centers and radii, upper bounds on
+    |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
+    must be analytic.  When the proved truncation error of every value
+    (module docstring) lies below CONTOUR_QUAD_TOL, the base values are
+    returned: 1024 solves and the seeds at the default contour.  Otherwise,
+    and always without f_bounds, the node set is doubled until every value
+    agrees with its previous refinement to CONTOUR_QUAD_TOL in spectral
+    norm, and the last refinement's values are returned; each refinement
+    calls every f on its nodes and solves all of them.  Raises
+    InvalidInputError before solving for an alpha outside [0, alpha'), an
+    empty fs, f_bounds of another length, or an f whose value is neither a
+    scalar nor one value per node, and ContourTooCloseError when the
+    quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
     if not 0.0 <= alpha < contour.alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
     fs = list(fs)
     if not fs:
         raise InvalidInputError("fs must hold at least one function")
+    if f_bounds is not None and len(f_bounds := list(f_bounds)) != len(fs):
+        raise InvalidInputError(f"f_bounds holds {len(f_bounds)} bounds for {len(fs)} functions")
     a = linalg.as_operator(c)
-    fine = build_contour(contour.alpha_prime, 2 * contour.k_arc, 2 * contour.k_line)
     weights = _weights(fs, contour)
-    fine_weights = _weights(fs, fine)
     dist = numrange.distance_to_D_alpha(contour.z, alpha)
-    search = _MaximaSearch(a, contour, alpha, dist)
+    polygon = numrange.outer_polygon(a)
+    search = _MaximaSearch(a, contour, alpha, dist, polygon)
     search.seed()
-    fine_at, base_at = _shared_nodes(contour)
-    kept = np.empty((base_at.size,) + a.shape, dtype=np.complex128)
-
-    def visit(nodes, r, fro):
-        # keep the rows the first refinement shares, then search the stack
-        i, j = np.searchsorted(base_at, (nodes.start, nodes.stop))
-        kept[i:j] = r[base_at[i:j] - nodes.start]
-        search(nodes, r, fro)
-
-    results = _evaluate_many(weights, a, contour, visit=visit)
+    results = _evaluate_many(weights, a, contour, visit=search)
     del weights  # the base pass's weights are not needed again
     report = _check_report(contour, alpha, dist, search.rnorm)
-    known = (fine_at, kept)
+    if f_bounds is not None and all(
+        bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, contour, polygon)
+    ):
+        return results, report
+    fine = contour
     while True:
-        refined = _evaluate_many(fine_weights, a, fine, known=known)
+        fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
+        refined = _evaluate_many(_weights(fs, fine), a, fine)
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, report
@@ -517,9 +561,7 @@ def riesz_dunford_many(
                 f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
                 f"after {len(fine)} nodes (budget {CONTOUR_NODE_CAP})"
             )
-        results, known = refined, None
-        fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
-        fine_weights = _weights(fs, fine)
+        results = refined
 
 
 @dataclass

@@ -472,12 +472,17 @@ def _contour_sweep(c, nodes, ns, alpha):
     against C^n (1 - C) and the Chernoff pair, and the majorant report of
     riesz_dunford_many, whose three maxima are exact resolvent norms at the
     nodes where they sit (the other nodes' norms are only bounded, and no
-    maximum can sit there).
+    maximum can sit there).  Both families come with their bounds on the
+    discs |z - c| <= r, (|c| + r)^n (|1 - c| + r) and (|c| + r)^n +
+    e^{n(Re c + r - 1)}, so a draw whose quadrature error riesz_dunford_many
+    proves below CONTOUR_QUAD_TOL takes the base contour's values alone.
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
-    got, report = contour.riesz_dunford_many(fs, c, nodes, alpha)
+    f_bounds = [(lambda z, r, n=n: (np.abs(z) + r) ** n * (np.abs(1.0 - z) + r)) for n in ns]
+    f_bounds += [(lambda z, r, n=n: (np.abs(z) + r) ** n + np.exp(n * (z.real + r - 1.0))) for n in ns]
+    got, report = contour.riesz_dunford_many(fs, c, nodes, alpha, f_bounds)
     steps = np.broadcast_to(c, (len(ns), *c.shape))
     powers = approximants.chernoff_power(steps, ns)
     gaps = powers - approximants.chernoff_exp(steps, ns)

@@ -25,9 +25,10 @@ bools, from the support values of the whole stack solved together.
 
 The sweep also gives the ``numrange`` command its report and
 ``min_semi_angle`` its points.  ``support_distance`` turns the support
-lines of the outer _POLYGON_ANGLES-gon into lower bounds on dist(z, W(C)), so into the
+lines of the outer _POLYGON_ANGLES-gon (``outer_polygon``) into lower
+bounds on the distance from W(C) to a point or an ellipse, so into the
 upper bound 1/dist(z, W(C)) on resolvent norms that the contour's
-majorant search uses.
+majorant search and quadrature error bound use.
 """
 
 from __future__ import annotations
@@ -113,33 +114,50 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return h.reshape(len(a), n, 2).transpose(0, 2, 1) + slack[:, None, None]
 
 
-def support_distance(c, z) -> np.ndarray:
-    """Lower bounds on dist(z_j, W(C)) from the outer k-gon of W(C), k = _POLYGON_ANGLES.
+def outer_polygon(c) -> np.ndarray:
+    """The levels h of the outer k-gon of W(C), k = _POLYGON_ANGLES, from one support-value solve.
 
-    With h_theta from ``_support_values`` at theta = 2 pi j / k, every unit
-    x has Re(e^{i theta} x* C x) <= h_theta, so |z - x* C x| is at least
-    l = max_theta (Re(e^{i theta} z) - h_theta): the distance from z to the
-    k-gon when z lies outside it.  The value returned is l lowered by
-    16 u (|z_j| + max |h|), u = 2^-53, more than twice what the rounding of
-    Re(e^{i theta} z), of the difference and of |e^{i theta}| != 1 can add,
-    so it is at most dist(z_j, W(C)); it is <= 0 where z_j may lie in W(C).
-    One ``np.linalg.eigvalsh`` of k/2 Hermitian parts gives all k lines;
-    where a Hermitian part overflows no line is known, and every bound is
-    -inf.
+    W(C) lies in Re(e^{i theta_j} w) <= h[0, j] and Re(-e^{i theta_j} w) <=
+    h[1, j], theta_j = 2 pi j / k, j < k/2: h is ``_support_values`` at
+    those angles, one ``np.linalg.eigvalsh`` of k/2 Hermitian parts.  Where
+    a Hermitian part overflows no line is known, and every level is inf.
     """
     a = linalg.as_operator(c)
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    thetas = _sweep_angles(_POLYGON_ANGLES)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            h = _support_values(a[None], thetas)[0]
+            return _support_values(a[None], _sweep_angles(_POLYGON_ANGLES))[0]
         except InvalidInputError:
-            return np.full(z.shape, -np.inf)
-        p = np.exp(1j * thetas)  # the phases _hermitian_parts rotates by
+            return np.full((2, _POLYGON_ANGLES // 2), np.inf)
+
+
+def support_distance(h, z, ellipse=None) -> np.ndarray:
+    """Lower bounds on dist(E_i, W(C)) from the levels h = ``outer_polygon(C)``.
+
+    E_i is the point z_i, or, with ellipse = (d, a, b), the closed ellipse
+    about z_i with semi-axes a_i >= b_i, a_i along the unit direction d_i.
+    Every unit x has Re(e^{i theta} x* C x) <= h_theta, and the least
+    Re(e^{i theta} w) over E_i is Re(e^{i theta} z_i) - s_theta with s_theta
+    = sqrt(a_i^2 Re(e^{i theta} d_i)^2 + b_i^2 Im(e^{i theta} d_i)^2), the
+    same at theta + pi.  So every w in E_i has |w - x* C x| >= l_i =
+    max_theta (Re(e^{i theta} z_i) - s_theta - h_theta): the distance from
+    E_i to the k-gon when they do not meet.  The value returned is l_i
+    lowered by 16 u (|z_i| + a_i + max |h|), u = 2^-53, more than twice what
+    the rounding of those terms and of |e^{i theta}| != 1 can add, so it is
+    at most dist(E_i, W(C)); it is <= 0 where E_i may meet W(C), and -inf
+    where no line is known.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    p = np.exp(1j * _sweep_angles(_POLYGON_ANGLES))[:, None]  # the phases _hermitian_parts rotates by
+    with np.errstate(over="ignore", invalid="ignore"):
         # Re(e^{i theta} z), one row per theta_j; at theta_j + pi it is its negative, exactly
-        rz = p.real[:, None] * z.real - p.imag[:, None] * z.imag
-        ell = np.maximum(np.max(rz - h[0, :, None], axis=0), np.max(-rz - h[1, :, None], axis=0))
-        out = ell - 16 * 2.0**-53 * (np.abs(z) + np.max(np.abs(h)))
+        rz = p.real * z.real - p.imag * z.imag
+        s, a = 0.0, 0.0
+        if ellipse is not None:
+            d, a, b = ellipse
+            pd = p * d
+            s = np.sqrt((a * pd.real) ** 2 + (b * pd.imag) ** 2)
+        ell = np.maximum(np.max(rz - s - h[0, :, None], axis=0), np.max(-rz - s - h[1, :, None], axis=0))
+        out = ell - 16 * 2.0**-53 * (np.abs(z) + a + np.max(np.abs(h)))
     return np.where(np.isnan(out), -np.inf, out)
 
 

@@ -187,9 +187,11 @@ def test_tchebychev_bound_values():
     for n in (1, 9, 64):
         assert bounds.tchebychev_bound(n, math.sqrt(n)) == pytest.approx(1.0)
     # above eps**2's underflow the bound is the plain quotient; at 1e-160
-    # it is infinite and at 1e-170 a division by zero, and both are refused
+    # it is infinite and at 1e-170 a division by zero, and both are refused;
+    # so is 1e200, whose square overflows, while 1e150's is still the quotient
     assert bounds.tchebychev_bound(4, 1e-150) == 4 / 1e-150**2
-    for n, eps in ((0, 1.0), (1.5, 1.0), (4, 0.0), (4, -1.0), (4, 1e-160), (4, 1e-170)):
+    assert bounds.tchebychev_bound(4, 1e150) == 4 / 1e150**2
+    for n, eps in ((0, 1.0), (1.5, 1.0), (4, 0.0), (4, -1.0), (4, 1e-160), (4, 1e-170), (4, 1e200)):
         with pytest.raises(DomainError):
             bounds.tchebychev_bound(n, eps)
 

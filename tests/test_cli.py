@@ -409,8 +409,9 @@ def test_usage_errors_exit_two(run_main, tmp_path):
     assert run_main("constants", "--alpha", "2").returncode == 2
     assert run_main("verify", "euler", "--t", "-1", "--trials", "1", "--nmax", "4").returncode == 2
     # an eps so small that eps**2 underflows (to 0 at 1e-170, to a subnormal
-    # at 1e-160) leaves no finite tail bound n/eps^2
-    for bad_t in ("nan", "inf", "1e-170", "1e-160"):
+    # at 1e-160) leaves no finite tail bound n/eps^2, and one so large that
+    # eps**2 overflows (1e200) is refused too
+    for bad_t in ("nan", "inf", "1e-170", "1e-160", "1e200"):
         proc = run_main("verify", "poisson_split", "--t", bad_t, "--trials", "1", "--nmax", "4")
         assert proc.returncode == 2, bad_t
         assert proc.stderr.startswith("error:") and proc.stdout == "", bad_t

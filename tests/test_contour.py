@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiapprox import approximants, contour, ensembles, linalg, numrange
+from semiapprox import approximants, contour, ensembles, harness, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.harness import ExperimentConfig, _draws, _resolvent, run_experiment
 
@@ -30,6 +30,25 @@ def per_node_report(c, nodes, alpha):
     rnorm = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
     return contour._check_report(nodes, alpha, dist, np.asarray(rnorm))
+
+
+def _one(z, r):
+    # |f| <= 1 on every disc, for f = 1
+    return np.ones(np.shape(r))
+
+
+def _inf(z, r):
+    return np.full(np.shape(r), np.inf)
+
+
+def _harness_families(monkeypatch, ns):
+    # the functions and their bounds on discs that harness._contour_sweep passes for ns
+    caught = []
+    with monkeypatch.context() as m:
+        m.setattr(contour, "riesz_dunford_many", lambda *args: caught.append(args) or ([np.zeros((1, 1))] * 2 * len(ns), None))
+        harness._contour_sweep(np.array([[0.5]]), None, ns, 0.0)
+    fs, _, _, _, f_bounds = caught[0]
+    return fs, f_bounds
 
 
 def test_contour_geometry():
@@ -240,9 +259,10 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
 
 
 def test_default_draw_counts_its_exact_norms(monkeypatch):
-    # the first default draw: the majorant search takes 12 SVDs, 2 of them
-    # at its seeds, and bounds 136 of the 1024 base nodes by G^8; only the
-    # 2 seeds are solved twice
+    # the first default draw, its quadrature error proved: the majorant
+    # search takes 12 SVDs, 2 of them at its seeds, and bounds 136 of the
+    # 1024 base nodes by G^8; only the 2 seeds are solved twice, and no
+    # refinement runs
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
@@ -264,8 +284,8 @@ def test_default_draw_counts_its_exact_norms(monkeypatch):
     monkeypatch.setattr(contour._MaximaSearch, "_take", counting_take)
     monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
     monkeypatch.setattr(contour, "_solve", counting_solve)
-    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
-    assert counts == {"svd": 12, "bounded": 136, "solved": 2 + 1024 + 1568}
+    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha, [_one])
+    assert counts == {"svd": 12, "bounded": 136, "solved": 2 + 1024}
     assert report == per_node_report(c, base, config.alpha)
 
 
@@ -286,7 +306,7 @@ def _searched(c, nodes, alpha, seed=True):
     # the majorant search alone on the base pass, seeded as riesz_dunford_many
     # seeds it or not at all: its exact norms, and the exact ratios of every node
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
-    search = contour._MaximaSearch(c, nodes, alpha, dist)
+    search = contour._MaximaSearch(c, nodes, alpha, dist, numrange.outer_polygon(c))
     if seed:
         search.seed()
     contour._evaluate_many([], c, nodes, visit=search)
@@ -360,6 +380,10 @@ def _exact_norms(c, nodes):
     return np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
 
 
+def _polygon_bounds(c, nodes):
+    return contour._polygon_bounds(c, nodes.z, numrange.outer_polygon(c))
+
+
 @pytest.mark.parametrize("slot", range(15))
 def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
     # U >= the exact norm at every base node of the 15 slot shapes, and U
@@ -370,7 +394,7 @@ def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
     )
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    upper = contour._polygon_bounds(c, nodes.z)
+    upper = _polygon_bounds(c, nodes)
     assert np.all(_exact_norms(c, nodes) <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
 
@@ -383,7 +407,7 @@ def test_polygon_bounds_hold_for_normal_matrices(dim, seed):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     c = (q * lam) @ q.conj().T
     nodes = contour.build_contour(1.0)
-    upper = contour._polygon_bounds(c, nodes.z)
+    upper = _polygon_bounds(c, nodes)
     exact = 1.0 / np.min(np.abs(nodes.z[:, None] - lam), axis=1)
     assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
@@ -396,9 +420,9 @@ def test_polygon_bounds_hold_for_jordan_blocks(lam, b):
     c = np.array([[lam, b], [0.0, lam]], dtype=complex)
     nodes = contour.build_contour(1.0)
     w = np.abs(nodes.z - lam)
-    assert np.all(numrange.support_distance(c, nodes.z) <= w - abs(b) / 2)
+    assert np.all(numrange.support_distance(numrange.outer_polygon(c), nodes.z) <= w - abs(b) / 2)
     exact = (abs(b) / w**2 + np.sqrt((abs(b) / w**2) ** 2 + 4 / w**2)) / 2
-    upper = contour._polygon_bounds(c, nodes.z)
+    upper = _polygon_bounds(c, nodes)
     assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
 
@@ -409,8 +433,8 @@ def test_a_node_inside_the_guard_gets_no_bound():
     nodes = contour.build_contour(1.0)
     lam = nodes.z[200] * (1.0 - 1e-9)
     c = np.array([[lam]])
-    ell = numrange.support_distance(c, nodes.z)
-    upper = contour._polygon_bounds(c, nodes.z)
+    ell = numrange.support_distance(numrange.outer_polygon(c), nodes.z)
+    upper = _polygon_bounds(c, nodes)
     assert 0.0 < ell[200] < 1e-9 and upper[200] == np.inf
     assert np.all(np.isfinite(np.delete(upper, 200)))
 
@@ -426,7 +450,7 @@ def test_polygon_bounds_hold_where_lu_grows_large():
     w = np.eye(dim) - np.tril(np.ones((dim, dim)), -1)
     w[:, -1] = 1.0
     c = (np.eye(dim) - w / 20).astype(complex)
-    upper = contour._polygon_bounds(c, nodes.z)
+    upper = _polygon_bounds(c, nodes)
     growth = np.empty(len(nodes))
     for j, z in enumerate(nodes.z):
         m = z * np.eye(dim) - c
@@ -442,8 +466,29 @@ def test_support_distance_keeps_the_backward_error_slack():
     # W([[0.5]]) = {0.5}: the line at theta = 0 sits at h = 0.5 + 64 u 0.5,
     # so the bound at 0.75 lies at least 32 u below the distance 0.25
     u = 2.0**-53
-    (ell,) = numrange.support_distance(np.array([[0.5]]), [0.75])
+    (ell,) = numrange.support_distance(numrange.outer_polygon(np.array([[0.5]])), [0.75])
     assert 0.25 - 1e-14 <= ell <= 0.25 - 32 * u
+
+
+def test_support_distance_of_ellipses_and_discs():
+    # W(C) = {lambda}: the bound is at most the distance from lambda to each
+    # ellipse (sampled on its boundary), and for a disc (a = b) within the
+    # 32-gon's cos(pi/32) of |z - lambda| - a
+    lam = 0.3 - 0.2j
+    h = numrange.outer_polygon(np.array([[lam]]))
+    rng = np.random.default_rng(5)
+    z = lam + 2.0 * np.exp(2j * math.pi * rng.uniform(size=40))
+    d = np.exp(2j * math.pi * rng.uniform(size=40))
+    a = rng.uniform(0.2, 1.5, size=40)
+    b = a * rng.uniform(0.0, 1.0, size=40)
+    phi = np.linspace(0.0, 2.0 * math.pi, 4001)[:, None]
+    edge = z + d * (a * np.cos(phi) + 1j * b * np.sin(phi))
+    ell = numrange.support_distance(h, z, (d, a, b))
+    assert np.all(ell <= np.min(np.abs(edge - lam), axis=0))
+    assert np.count_nonzero(ell > 0.0) > 20
+    disc = numrange.support_distance(h, z, (np.ones(40), a, a))
+    assert np.all(disc <= np.abs(z - lam) - a)
+    assert np.all(disc >= np.abs(z - lam) * math.cos(math.pi / 32) - a - 1e-12)
 
 
 def test_a_numerical_range_across_the_contour_gives_the_exact_report():
@@ -452,7 +497,7 @@ def test_a_numerical_range_across_the_contour_gives_the_exact_report():
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
-    upper = contour._polygon_bounds(c, nodes.z)
+    upper = _polygon_bounds(c, nodes)
     assert 0 < np.count_nonzero(np.isinf(upper)) < len(nodes)
     _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
@@ -498,6 +543,8 @@ def test_bad_functions_are_refused_before_solving(monkeypatch):
         contour.riesz_dunford_many([], c, nodes, 0.1)
     with pytest.raises(InvalidInputError, match=r"fs\[1\] returned shape \(3,\) on 1024 nodes"):
         contour.riesz_dunford_many([lambda z: z, lambda z: np.ones(3)], c, nodes, 0.1)
+    with pytest.raises(InvalidInputError, match="f_bounds holds 1 bounds for 2 functions"):
+        contour.riesz_dunford_many([lambda z: z, lambda z: 1.0], c, nodes, 0.1, [_one])
 
 
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
@@ -513,16 +560,14 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
-    # the majorant search's 2 seeds, then one base pass and one refinement
-    # at twice the nodes, in stacks of 512 nodes at d = 4.  The base pass
-    # keeps the rows of the 480 nodes the refinement shares with it, and the
-    # refinement's first stack on each side solves only its other 272 nodes;
-    # the majorant check solves nothing
-    solved, blocked = [], []
-    blocks, solve = contour._resolvent_blocks, contour._solve
+    # a harness draw whose quadrature error is proved: the majorant search's
+    # 2 seeds, then one base pass in stacks of 512 nodes at d = 4, and no
+    # refinement is built; the majorant check solves nothing
+    solved, blocked, built = [], [], []
+    blocks, solve, build = contour._resolvent_blocks, contour._solve, contour.build_contour
 
-    def counting_blocks(c, nodes, *known):
-        for sl, r, fro in blocks(c, nodes, *known):
+    def counting_blocks(c, nodes):
+        for sl, r, fro in blocks(c, nodes):
             blocked.append(len(r))
             yield sl, r, fro
 
@@ -532,13 +577,13 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
 
     monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
     monkeypatch.setattr(contour, "_solve", counting_solve)
+    monkeypatch.setattr(contour, "build_contour", lambda *a: built.append(a) or build(*a))
     config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
-    base = contour.build_contour(result.summary["alpha_prime"])
-    assert sum(blocked) == 3 * len(base)
-    assert solved == [2, 512, 512, 272, 512, 512, 272]
-    assert sum(solved) == 2 + 1024 + 1568
+    assert built == [(result.summary["alpha_prime"],)]  # the harness's base contour alone
+    assert sum(blocked) == 1024
+    assert solved == [2, 512, 512]
 
 
 def test_spectrum_on_node_raises_too_close():
@@ -577,22 +622,141 @@ def test_resolvent_blow_up_raises_too_close():
 
 
 def test_each_function_runs_once_per_pass():
-    # one base pass of 1024 nodes and one refinement of 2048: each function
-    # sees every node of a pass at once, as one node array
-    calls = [[], []]
-
-    def counted(j, f):
-        def g(z):
-            calls[j].append(np.shape(z))
-            return f(z)
-
-        return g
-
+    # each function sees every node of a pass at once, as one node array: a
+    # proved call has one base pass of 1024 nodes, and a call without
+    # f_bounds, or whose proof fails, one refinement of 2048 nodes after it
     c = certified_resolvent(4, math.pi / 8, 3000)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
-    contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes, math.pi / 8)
-    assert calls == [[(1024,), (2048,)]] * 2
+    proved = [_one, lambda z, r: (np.abs(z) + r) ** 4 + np.exp(4 * (z.real + r - 1.0))]
+    for f_bounds, passes in ((proved, [(1024,)]), (None, [(1024,), (2048,)]), ([_one, _inf], [(1024,), (2048,)])):
+        calls = [[], []]
+
+        def counted(j, f):
+            def g(z):
+                calls[j].append(np.shape(z))
+                return f(z)
+
+            return g
+
+        contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes, math.pi / 8, f_bounds)
+        assert calls == [passes] * 2
+
+
+# a point just inside the straight side line_minus of the alpha' = 1 contour,
+# 0.04 from its longest panel
+_NEAR_LINE = 0.5 + 0.9 * (0.5 - 0.4 * np.exp(-1j))
+
+
+@pytest.mark.parametrize(
+    "lams, k_arc, k_line, rough",
+    [
+        ([0.3 + 0.1j], 8, 8, False),
+        ([_NEAR_LINE], 8, 8, True),
+        ([_NEAR_LINE], 32, 16, True),
+        ([0.3 + 0.1j, _NEAR_LINE, -0.2, 0.6 - 0.3j], 8, 8, True),
+        ([0.3 + 0.1j, 0.1j, -0.2, 0.6 - 0.3j], 16, 8, False),
+        ([0.9, -0.2j, 0.1], 8, 16, False),
+    ],
+)
+def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, k_line, rough):
+    # C = Q diag(lambda) Q^H (Q = 1 for one eigenvalue): f(C) = Q diag(f(lambda)) Q^H
+    # and ||(z - C)^{-1}|| = 1 / min_k |z - lambda_k|.  Each proved bound of the
+    # harness families is at least the base pass's error, less the rounding
+    # allowance 2^10 d u (S + ||f(C)||), S = sum_j |f(z_j) dz_j| ||(z_j - C)^{-1}|| / 2 pi;
+    # a rough case errs by more than 1e-12, so more than rounding is compared
+    lam = np.asarray(lams, dtype=complex)
+    rng = np.random.default_rng(lam.size)
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size,) * 2) + 1j * rng.standard_normal((lam.size,) * 2))
+    q = q if lam.size > 1 else np.eye(1)
+    c = (q * lam) @ q.conj().T
+    nodes = contour.build_contour(1.0, k_arc, k_line)
+    fs, f_bounds = _harness_families(monkeypatch, (1, 4, 16))
+    got = contour._evaluate_many(contour._weights(fs, nodes), c, nodes)
+    proved = contour._quadrature_bounds(f_bounds, nodes, numrange.outer_polygon(c))
+    rnorm = 1.0 / np.min(np.abs(nodes.z[:, None] - lam), axis=1)
+    errors = []
+    for f, value, bound in zip(fs, got, proved):
+        exact = (q * f(lam)) @ q.conj().T
+        errors.append(linalg.op_norm(value - exact))
+        s = np.sum(np.abs(f(nodes.z) * nodes.dz_weight) * rnorm) / (2.0 * math.pi)
+        assert bound >= errors[-1] - 2.0**10 * lam.size * 2.0**-53 * (s + linalg.op_norm(exact))
+    assert np.all(np.isfinite(proved))
+    assert max(errors) > 1e-12 if rough else max(proved) < contour.CONTOUR_QUAD_TOL
+
+
+@pytest.mark.parametrize("alpha_prime, k_arc, k_line", [(1.0, 32, 16), (0.3, 8, 8), (1.4, 9, 10)])
+def test_panel_images_hold_the_bernstein_ellipses_images(alpha_prime, k_arc, k_line):
+    # each panel's Gauss nodes are center + h x_j along it, and on the
+    # boundary of every E_rho (where |z - center| and |z'| peak) the image
+    # lies in the container and |z'| stays below the bound
+    nodes = contour.build_contour(alpha_prime, k_arc, k_line)
+    center, d, half, speed, reach, across = contour._panel_images(nodes)
+    x = contour._GL_NODES
+    line = slice(0, 2 * k_line)
+    t_mid = np.angle(center[0, 2 * k_line:])
+    panels = np.concatenate([center[0, :k_line, None] + half[0, :k_line, None] * x * d[0, :k_line, None],
+                             math.sin(alpha_prime) * np.exp(1j * (t_mid[:, None] + half[0, 2 * k_line:, None] * x)),
+                             center[0, k_line:line.stop, None] - half[0, k_line:line.stop, None] * x * d[0, k_line:line.stop, None]])
+    assert np.allclose(panels.ravel(), nodes.z, rtol=0.0, atol=1e-14)
+    rho = contour._RHOS[:, None, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, 257)
+    edge = 0.5 * (rho + 1 / rho) * np.cos(phi) + 0.5j * (rho - 1 / rho) * np.sin(phi)
+    w = half[:, :, None] * edge  # the panel's parameter offsets s - mu or t - t_mid
+    # z - center, without cancellation: w d on the lines, and on the arc
+    # z(t_mid) (e^{iw} - 1) = z(t_mid) 2i sin(w/2) e^{iw/2}, where |z'| = |z|
+    arc = w[:, line.stop:]
+    offset = np.concatenate([w[:, line] * d[:, line, None],
+                             center[:, line.stop:, None] * 2j * np.sin(arc / 2) * np.exp(0.5j * arc)], axis=1)
+    dz = np.concatenate([np.ones_like(w[:, line]), math.sin(alpha_prime) * np.exp(-arc.imag)], axis=1)
+    tol = 1.0 + 1e-12
+    assert np.all(np.abs(offset) <= reach[:, :, None] * tol)
+    assert np.all(dz <= speed[:, :, None] * tol)
+    assert np.all((w[:, line].real / reach[:, line, None]) ** 2 + (w[:, line].imag / across[:, line, None]) ** 2 <= tol)
+
+
+def test_zero_bounds_give_zero_and_a_polygon_across_the_contour_falls_back():
+    # f_bounds of 0 prove the bound 0, not NaN; W(J) = |z - 0.3| <= 0.8 crosses
+    # both lines, so the panels there get inf whatever |f|, and the call
+    # refines as it does without f_bounds
+    def zero(z, r):
+        return np.zeros(np.shape(r))
+
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    inside = numrange.outer_polygon(np.array([[0.3]]))
+    assert contour._quadrature_bounds([zero, _one], nodes, inside)[0] == 0.0
+    c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
+    assert contour._quadrature_bounds([zero, _one], nodes, numrange.outer_polygon(c)) == [math.inf] * 2
+    fs = [lambda z: 0.0, lambda z: z]
+    got = _outcome(contour.riesz_dunford_many, fs, c, nodes, alpha, [zero, _one])
+    _assert_same_outcome(got, _outcome(contour.riesz_dunford_many, fs, c, nodes, alpha))
+    _assert_same_outcome(got, _outcome(_every_node_reference, fs, c, nodes, alpha))
+
+
+def test_an_unproved_pool_draw_refines_as_without_bounds(monkeypatch):
+    # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1): the gap
+    # family's proved bound is about 6.8, so the call solves its seeds and
+    # 1024 + 2048 pass nodes, and its values, report and errors are those of
+    # the every-node reference bit for bit
+    ns = (1, 2, 4, 8, 16)
+    config = ExperimentConfig(
+        "contour_reconstruction", dim=13, alpha=math.pi / 4, seed=2_000_111, trials=1, nmax=16, ts=(0.1,)
+    )
+    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    nodes = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
+    fs, f_bounds = _harness_families(monkeypatch, ns)
+    assert 6.8 < max(contour._quadrature_bounds(f_bounds, nodes, numrange.outer_polygon(c))) < 6.9
+    solved, solve = [], contour._solve
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
+        got = _outcome(contour.riesz_dunford_many, fs, c, nodes, config.alpha, f_bounds)
+    assert solved[0] <= 3 and sum(solved[1:]) == 1024 + 2048
+    _assert_same_outcome(got, _outcome(_every_node_reference, fs, c, nodes, config.alpha))
+    errors = harness._contour_sweep(c, nodes, ns, config.alpha)
+    with monkeypatch.context() as m:
+        m.setattr(contour, "riesz_dunford_many", lambda fs, c, nodes, alpha, _: _every_node_reference(fs, c, nodes, alpha))
+        assert harness._contour_sweep(c, nodes, ns, config.alpha) == errors
 
 
 def _panel_loop_contour(alpha_prime, k_arc, k_line):
@@ -670,19 +834,6 @@ def test_block_sums_match_per_node_formula(dim):
         assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))
 
 
-@pytest.mark.parametrize("k_arc, k_line", [(32, 16), (64, 32), (9, 10), (8, 8)])
-def test_shared_blocks_are_the_nodes_the_refinement_repeats(k_arc, k_line):
-    # the map from panel arithmetic against a search of the refinement for
-    # base nodes: 480 of 2048 nodes at the default, 992 of 4096 one level up
-    base = contour.build_contour(1.0, k_arc, k_line)
-    fine = contour.build_contour(1.0, 2 * k_arc, 2 * k_line)
-    f, b = contour._shared_nodes(base)
-    assert np.array_equal(fine.z[f], base.z[b])
-    assert np.array_equal(fine.dz_weight[f], base.dz_weight[b])
-    assert f.size == b.size == 32 * (k_line - 1) == np.intersect1d(fine.z, base.z).size
-    assert np.all(np.diff(f) > 0) and np.all(np.diff(b) > 0)  # _resolvent_blocks reads them in order
-
-
 def _every_node_reference(fs, c, nodes, alpha):
     # riesz_dunford_many as one stacked solve per 64-node block of every
     # pass, each block checked for a singular or blown-up node, and the
@@ -745,7 +896,7 @@ _FS = [lambda z: 1.0, lambda z: z**3 * (1.0 - z), lambda z: z**4 - np.exp(4.0 * 
      (16, 9, 10, None), (3, 9, 10, None), (4, 32, 16, 1e-15)],
 )
 def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_arc, k_line, tol):
-    # the refinement's kept rows and the byte-sized stacks keep
+    # without f_bounds the refinement runs, and the byte-sized stacks keep
     # every bit of the values and of the report
     alpha = math.pi / 8
     c = certified_resolvent(dim, alpha, 7000 + dim)
@@ -768,7 +919,7 @@ def _on_nodes(dim, *zs):
 _AP = 0.5 * (math.pi / 8 + math.pi / 2)
 _BASE = contour.build_contour(_AP)
 _FINE = contour.build_contour(_AP, 64, 32)
-# a contour whose shared runs start at refinement nodes 176 and 784, off the 64-node grid
+# a contour whose line panels end off the 64-node grid
 _BASE9 = contour.build_contour(_AP, 9, 10)
 _FINE9 = contour.build_contour(_AP, 18, 20)
 
@@ -791,9 +942,8 @@ _FINE9 = contour.build_contour(_AP, 18, 20)
         (16, (_BASE, [_FINE.z[100], _FINE.z[1800]])),
         (2, (_BASE, [_FINE.z[260], _FINE.z[1000]])),
         (8, (_BASE, [_FINE.z[1800], _FINE.z[2000] + 4e-16])),
-        # off the grid: the refinement's blocks 128:192 and 768:832 mix solved
-        # and kept rows; a singular node names the whole block, and it raises
-        # before a blow-up in a later block of the other side
+        # off the grid: a singular node names its whole 64-node block, and it
+        # raises before a blow-up in a later block of the other side
         (2, (_BASE9, [_FINE9.z[150]])),
         (16, (_BASE9, [_FINE9.z[770]])),
         (8, (_BASE9, [_FINE9.z[150], _FINE9.z[770] + 4e-16])),
