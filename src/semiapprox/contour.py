@@ -45,26 +45,36 @@ whose container may meet W(C) (l <= 0) giving inf, and the sum over the
 panels, widened by _BOUND_MARGIN, bounds each value's truncation error in
 spectral norm.
 
-Where every function's bound lies below CONTOUR_QUAD_TOL, the base values
-are returned: 1024 solves and the seeds below at the default contour.
-Otherwise, and without bounds on f, the node set is doubled until two
-passes agree to CONTOUR_QUAD_TOL, every node of each refinement solved; a
-heuristic, as the graded line panels are the same at every level.  The
-bound covers truncation only, since refining cannot reduce rounding.  The
-rounding adds, in spectral norm, about sum_j |f(z_j) w_j| ||R_j|| / (2 pi)
-times d g u kappa_j for the solves (u = 2^-53, g the growth factor of LU
-and kappa_j the condition of z_j - C, under the growth condition of U
-below) and times (64 + N/64) sqrt(d) u for the 64-node products and their
-sum over the N nodes.
+The bound needs no solve, so it picks the contour before any node is
+solved.  The trial contours are the caller's with its arc halved for as
+long as it stays a whole number of at least 8 panels, coarsest first, and
+then the caller's: (8, 16), (16, 16) and (32, 16) panels (640, 768 and
+1024 nodes) for the default (32, 16).  The line panels are the same in
+every trial, so their bounds are taken once.  The first trial on which
+every function's bound lies below CONTOUR_QUAD_TOL is solved, and its base
+values are returned: its nodes and the seeds below.  Where no trial is
+proved, and without bounds on f, the caller's contour is solved and the
+node set then doubled until two passes agree to CONTOUR_QUAD_TOL, every
+node of each refinement solved (1024 + 2048 nodes at the default contour
+when one refinement agrees); a heuristic, as the graded line panels are
+the same at every level.  The bound covers truncation only, since
+refining cannot reduce rounding.  The rounding adds, in spectral norm,
+about sum_j |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the
+solves (u = 2^-53, g the growth factor of LU and kappa_j the condition of
+z_j - C, under the growth condition of U below) and times (64 + N/64)
+sqrt(d) u for the 64-node products and their sum over the N nodes.
 
-The majorant check needs three maxima over the base nodes, not every
-norm: of the ratio of ||(z_j - C)^{-1}|| to the majorant on the arc, the
-same on the lines, and of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every
-node.  So the base pass searches for them while it holds each stack's
-rows R, and takes exact norms (SVDs of those rows) only where a maximum
-can still sit.  Three upper bounds serve, each widened by the relative
-margin 1e-6, far above its rounding and that of the SVD (of relative
-order d^2 u, u = 2^-53).
+The majorant check runs on the contour whose base pass was solved, so on
+a proved trial contour it samples that contour's arc, 8 or 16 panels for
+the default contour, and the lines as the caller's contour does.  It needs
+three maxima over the base nodes, not every norm: of the ratio of
+||(z_j - C)^{-1}|| to the majorant on the arc, the same on the lines, and
+of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every node.  So the base
+pass searches for them while it holds each stack's rows R, and takes
+exact norms (SVDs of those rows) only where a maximum can still sit.
+Three upper bounds serve, each widened by the relative margin 1e-6, far
+above its rounding and that of the SVD (of relative order d^2 u, u =
+2^-53).
 
 - U, the polygon bound, is known before any node is solved.  With h_theta
   the support values of W(C) at 32 angles, raised by their backward
@@ -175,7 +185,15 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         # bool is an int subclass, but True is no panel count
         if not isinstance(panels, (int, np.integer)) or isinstance(panels, bool) or panels < 8:
             raise InvalidInputError(f"{name} must be an integer >= 8 panels, got {panels!r}")
+    return _build_contour(alpha_prime, k_arc, k_line)
 
+
+def _build_contour(alpha_prime: float, k_arc: int, k_line: int) -> ContourNodes:
+    """build_contour without its checks, for the trial contours of riesz_dunford_many.
+
+    A trial is no refinement, and bench/spans.py counts every build_contour
+    call inside riesz_dunford_many as one.
+    """
     edges = _line_edges(math.cos(alpha_prime), k_line)
     s, w = _panel_nodes(edges[:-1], edges[1:])
 
@@ -439,24 +457,26 @@ class _MaximaSearch:
         self.best[2] = max(self.best[2], np.max(far))
 
 
-def _panel_images(contour: ContourNodes):
+def _panel_images(alpha_prime: float, k_line: int, k_arc: int):
     """The images z(E_rho) of the panels' Bernstein ellipses, for rho in _RHOS, as the bound reads them.
 
-    Returns (center, d, half, speed, reach, across), each with one row per
-    rho and one column per panel, the lines' panels before the arc's: the
+    The panels are those of the two sides, line_minus then line_plus, k_line
+    a side, and then the k_arc of the arc, as build_contour places them;
+    k_line may be 0.  Returns (center, d, half, speed, reach, across),
+    each with one row per rho and one column per panel: the
     panel's midpoint z(mu), the direction d of z(s) (1 on the arc), its
     half-length h in s or t, a bound on |z'| over the image, and the
     ellipse about center with semi-axes reach along d and across across it,
     which holds the image, as does the disc of radius reach about center.
     """
-    ap, k_line = contour.alpha_prime, contour.k_line
+    ap = alpha_prime
     edges = _line_edges(math.cos(ap), k_line)
-    t_step = (math.pi + 2.0 * ap) / contour.k_arc
-    t_mid = math.pi / 2 - ap + t_step * (np.arange(contour.k_arc) + 0.5)
-    d = np.concatenate([np.repeat([-np.exp(-1j * ap), -np.exp(1j * ap)], k_line), np.ones(contour.k_arc)])
+    t_step = (math.pi + 2.0 * ap) / k_arc
+    t_mid = math.pi / 2 - ap + t_step * (np.arange(k_arc) + 0.5)
+    d = np.concatenate([np.repeat([-np.exp(-1j * ap), -np.exp(1j * ap)], k_line), np.ones(k_arc)])
     center = np.concatenate([1.0 + np.tile(edges[:-1] + edges[1:], 2) * 0.5 * d[:2 * k_line],
                              math.sin(ap) * np.exp(1j * t_mid)])
-    half = np.concatenate([np.tile(0.5 * (edges[1:] - edges[:-1]), 2), np.full(contour.k_arc, 0.5 * t_step)])
+    half = np.concatenate([np.tile(0.5 * (edges[1:] - edges[:-1]), 2), np.full(k_arc, 0.5 * t_step)])
     on_arc = np.arange(center.size) >= 2 * k_line
     rho = _RHOS[:, None]
     big_a, big_b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
@@ -466,26 +486,68 @@ def _panel_images(contour: ContourNodes):
     return np.broadcast_arrays(center, d, half, speed, reach, across)
 
 
-def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> list[float]:
-    """Upper bounds on the truncation error of each function's quadrature on contour, in spectral norm.
+def _panel_bounds(f_bounds, images, polygon: np.ndarray) -> np.ndarray:
+    """Each function's bound on the truncation error of each panel of images (_panel_images).
 
-    f_bounds[i](center, radius) bounds |fs[i]| on the discs |z - center| <=
-    radius, given as arrays; polygon is numrange.outer_polygon(C).  Each
-    panel takes the least bound of the module docstring over the ellipses
-    E_rho of _RHOS (_panel_images), inf where the container of an
-    ellipse's image may meet W(C); the bounds are summed over the panels
-    and widened by _BOUND_MARGIN, far above the effect of rounding the
-    panels' geometry (relative order u).
+    One row per bound in f_bounds and one column per panel: the least bound
+    of the module docstring over the ellipses E_rho of _RHOS, inf where the
+    container of every ellipse's image may meet W(C); polygon is
+    numrange.outer_polygon(C).
     """
-    center, d, half, speed, reach, across = _panel_images(contour)
+    center, d, half, speed, reach, across = images
     ell = numrange.support_distance(polygon, center.ravel(), (d.ravel(), reach.ravel(), across.ravel()))
     ell = ell.reshape(reach.shape)
     rho, m = _RHOS[:, None], _GL_NODES.size
     gauss = 4.0 * (1.0 + 1.0 / (4 * m * m - 1)) * rho ** (-2.0 * m) / (1.0 - 1.0 / rho)
     scale = gauss * speed * half / (2.0 * math.pi * np.where(ell > 0.0, ell, 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        per = [np.where(ell > 0.0, scale * bound(center, reach), np.inf) for bound in f_bounds]
-        return [float(np.sum(np.min(v, axis=0)) * (1.0 + _BOUND_MARGIN)) for v in per]
+        per = scale * np.array([bound(center, reach) for bound in f_bounds])
+        return np.min(np.where(ell > 0.0, per, np.inf), axis=1)
+
+
+def _bound_sums(lines: np.ndarray, arc: np.ndarray) -> list[float]:
+    """Each function's bound on a contour's truncation error from its panels' bounds (_panel_bounds).
+
+    The lines' bounds and then the arc's are summed, and the sum widened by
+    _BOUND_MARGIN, far above the effect of rounding the panels' geometry
+    (relative order u).
+    """
+    return [float(v) for v in np.sum(np.concatenate([lines, arc], axis=1), axis=1) * (1.0 + _BOUND_MARGIN)]
+
+
+def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> list[float]:
+    """Upper bounds on the truncation error of each function's quadrature on contour, in spectral norm.
+
+    f_bounds[i](center, radius) bounds |fs[i]| on the discs |z - center| <=
+    radius, given as arrays; polygon is numrange.outer_polygon(C).
+    """
+    per = _panel_bounds(f_bounds, _panel_images(contour.alpha_prime, contour.k_line, contour.k_arc), polygon)
+    return _bound_sums(per[:, :2 * contour.k_line], per[:, 2 * contour.k_line:])
+
+
+def _proved_contour(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> ContourNodes | None:
+    """The first trial contour on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
+
+    The trials are contour with its arc halved for as long as it stays a
+    whole number of at least 8 panels, coarsest first, and then contour
+    itself: (8, 16), (16, 16) and (32, 16) for the default (32, 16).  The
+    line panels' bounds do not depend on the arc, so they are taken once,
+    with the first trial's arc, and each later trial takes its arc's alone;
+    only the trial proved is built.  None if no trial is proved; nothing is
+    solved.
+    """
+    arcs = [contour.k_arc]
+    while arcs[-1] % 2 == 0 and arcs[-1] >= 16:
+        arcs.append(arcs[-1] // 2)
+    ap = contour.alpha_prime
+    per = _panel_bounds(f_bounds, _panel_images(ap, contour.k_line, arcs[-1]), polygon)
+    lines, arc = per[:, :2 * contour.k_line], per[:, 2 * contour.k_line:]
+    for k_arc in reversed(arcs):
+        if k_arc != arcs[-1]:
+            arc = _panel_bounds(f_bounds, _panel_images(ap, 0, k_arc), polygon)
+        if all(bound < CONTOUR_QUAD_TOL for bound in _bound_sums(lines, arc)):
+            return contour if k_arc == contour.k_arc else _build_contour(ap, k_arc, contour.k_line)
+    return None
 
 
 def riesz_dunford_many(
@@ -500,10 +562,12 @@ def riesz_dunford_many(
     product per function, all of them in one stacked matmul.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
-    the majorant check ``_check_report`` on the given contour for
-    0 <= alpha < alpha'.  Before the base pass, the majorant search bounds
-    every ||(z_j - C)^{-1}|| by the outer 32-gon of W(C) and solves its
-    seeds, at most 3 nodes; the base pass then takes exact norms from its
+    the majorant check ``_check_report`` for 0 <= alpha < alpha' on the
+    contour whose base pass was solved, its arc panels in report.k_arc: the
+    given contour, or with f_bounds the trial contour proved (below).
+    Before the base pass, the majorant search bounds every
+    ||(z_j - C)^{-1}|| by the outer 32-gon of W(C) and solves its seeds,
+    at most 3 nodes; the base pass then takes exact norms from its
     own rows only at the nodes where, by the bounds of the module
     docstring, one of the check's three maxima can still sit, and every
     other node enters the check as 0.  Each maximum sits at a node with an
@@ -517,17 +581,22 @@ def riesz_dunford_many(
     f_bounds, if given, holds one bound per function: f_bounds[i](center,
     radius) returns, for arrays of centers and radii, upper bounds on
     |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
-    must be analytic.  When the proved truncation error of every value
-    (module docstring) lies below CONTOUR_QUAD_TOL, the base values are
-    returned: 1024 solves and the seeds at the default contour.  Otherwise,
-    and always without f_bounds, the node set is doubled until every value
-    agrees with its previous refinement to CONTOUR_QUAD_TOL in spectral
-    norm, and the last refinement's values are returned; each refinement
-    calls every f on its nodes and solves all of them.  Raises
-    InvalidInputError before solving for an alpha outside [0, alpha'), an
-    empty fs, f_bounds of another length, or an f whose value is neither a
-    scalar nor one value per node, and ContourTooCloseError when the
-    quadrature takes more than CONTOUR_NODE_CAP nodes.
+    must be analytic.  Before anything is solved, the proof of the module
+    docstring runs on the trial contours: the given contour with its arc
+    halved while it stays a whole number of at least 8 panels, coarsest
+    first, then the given contour.  The first trial on which the proved
+    truncation error of every value lies below CONTOUR_QUAD_TOL is the
+    base contour, and its base values are returned: 640, 768 or 1024
+    solves and the seeds for the default (32, 16) contour.  Otherwise, and
+    always without f_bounds, the given contour is the base contour, and the
+    node set is doubled until every value agrees with its previous
+    refinement to CONTOUR_QUAD_TOL in spectral norm, and the last
+    refinement's values are returned; each refinement calls every f on its
+    nodes and solves all of them.  Raises InvalidInputError before solving
+    for an alpha outside [0, alpha'), an empty fs, f_bounds of another
+    length, or an f whose value is neither a scalar nor one value per node,
+    and ContourTooCloseError when the quadrature takes more than
+    CONTOUR_NODE_CAP nodes.
     """
     if not 0.0 <= alpha < contour.alpha_prime:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
@@ -537,17 +606,17 @@ def riesz_dunford_many(
     if f_bounds is not None and len(f_bounds := list(f_bounds)) != len(fs):
         raise InvalidInputError(f"f_bounds holds {len(f_bounds)} bounds for {len(fs)} functions")
     a = linalg.as_operator(c)
-    weights = _weights(fs, contour)
-    dist = numrange.distance_to_D_alpha(contour.z, alpha)
     polygon = numrange.outer_polygon(a)
-    search = _MaximaSearch(a, contour, alpha, dist, polygon)
+    proved = None if f_bounds is None else _proved_contour(f_bounds, contour, polygon)
+    base = contour if proved is None else proved
+    weights = _weights(fs, base)
+    dist = numrange.distance_to_D_alpha(base.z, alpha)
+    search = _MaximaSearch(a, base, alpha, dist, polygon)
     search.seed()
-    results = _evaluate_many(weights, a, contour, visit=search)
+    results = _evaluate_many(weights, a, base, visit=search)
     del weights  # the base pass's weights are not needed again
-    report = _check_report(contour, alpha, dist, search.rnorm)
-    if f_bounds is not None and all(
-        bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, contour, polygon)
-    ):
+    report = _check_report(base, alpha, dist, search.rnorm)
+    if proved is not None:
         return results, report
     fine = contour
     while True:
@@ -572,6 +641,7 @@ class ContourCheckReport:
     worst_ratio_lines: float
     worst_dist_ratio: float
     passed: bool
+    k_arc: int  # arc panels of the contour checked, the one whose base pass was solved
 
 
 def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
@@ -595,4 +665,5 @@ def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCh
         worst_ratio_lines=worst_lines,
         worst_dist_ratio=worst_dist,
         passed=passed,
+        k_arc=contour.k_arc,
     )

@@ -474,8 +474,12 @@ def _contour_sweep(c, nodes, ns, alpha):
     nodes where they sit (the other nodes' norms are only bounded, and no
     maximum can sit there).  Both families come with their bounds on the
     discs |z - c| <= r, (|c| + r)^n (|1 - c| + r) and (|c| + r)^n +
-    e^{n(Re c + r - 1)}, so a draw whose quadrature error riesz_dunford_many
-    proves below CONTOUR_QUAD_TOL takes the base contour's values alone.
+    e^{n(Re c + r - 1)}, so riesz_dunford_many proves the quadrature error
+    before solving: a draw proved below CONTOUR_QUAD_TOL on a trial contour,
+    nodes with its arc of 8 or 16 panels or nodes itself, solves that
+    contour alone (640, 768 or 1024 nodes for the default (32, 16)), and
+    report.k_arc names its arc; any other draw solves nodes and its
+    refinements (1024 + 2048 nodes when the first refinement agrees).
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
@@ -646,7 +650,7 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     records = []
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)
     nodes = contour.build_contour(alpha_prime)
-    winding = abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0)
+    solved = set()  # the arcs of the contours whose base pass ran
     majorant_worst = 0.0
     majorant_failures = 0
     ns = _n_grid(config, cap=16)
@@ -658,10 +662,13 @@ def _run_contour_reconstruction(config: ExperimentConfig):
             records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, gap, bound))
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
         majorant_failures += not report.passed
+        solved.add(report.k_arc)
+    solved_contours = (contour.build_contour(alpha_prime, k, nodes.k_line) for k in solved)
+    winding = max((abs(contour.winding_number(s, 0.2 + 0.0j) - 1.0) for s in solved_contours), default=0.0)
     return records, {
         "alpha_prime": alpha_prime,
         "certification_failures": failures,
-        "max_winding_error": winding if draws else 0.0,
+        "max_winding_error": winding,
         "worst_majorant_ratio": majorant_worst,
         "majorant_failures": majorant_failures,
     }

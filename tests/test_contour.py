@@ -259,12 +259,13 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
 
 
 def test_default_draw_counts_its_exact_norms(monkeypatch):
-    # the first default draw, its quadrature error proved: the majorant
-    # search takes 12 SVDs, 2 of them at its seeds, and bounds 136 of the
-    # 1024 base nodes by G^8; only the 2 seeds are solved twice, and no
-    # refinement runs
+    # the first default draw, its quadrature error proved on the (8, 16)
+    # trial contour: the majorant search takes 11 SVDs, 2 of them at its
+    # seeds, and bounds 130 of the 640 base nodes by G^8; only the 2 seeds
+    # are solved twice, and no refinement runs
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
+    solved_contour = contour.build_contour(base.alpha_prime, 8, 16)
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     counts = {"svd": 0, "bounded": 0, "solved": 0}
     take, bounds, solve = contour._MaximaSearch._take, contour._norm_bounds, contour._solve
@@ -285,8 +286,8 @@ def test_default_draw_counts_its_exact_norms(monkeypatch):
     monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
     monkeypatch.setattr(contour, "_solve", counting_solve)
     _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha, [_one])
-    assert counts == {"svd": 12, "bounded": 136, "solved": 2 + 1024}
-    assert report == per_node_report(c, base, config.alpha)
+    assert counts == {"svd": 11, "bounded": 130, "solved": 2 + 640}
+    assert report == per_node_report(c, solved_contour, config.alpha)
 
 
 @pytest.mark.parametrize("slot", range(15))
@@ -560,9 +561,11 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
-    # a harness draw whose quadrature error is proved: the majorant search's
-    # 2 seeds, then one base pass in stacks of 512 nodes at d = 4, and no
-    # refinement is built; the majorant check solves nothing
+    # a harness draw whose quadrature error is proved on the (8, 16) trial
+    # contour: the majorant search's 2 seeds, then one base pass of 640
+    # nodes in stacks of up to 512 at d = 4, and no refinement is built; the
+    # majorant check solves nothing, and the harness builds the solved
+    # contour once more for its winding error
     solved, blocked, built = [], [], []
     blocks, solve, build = contour._resolvent_blocks, contour._solve, contour.build_contour
 
@@ -581,9 +584,12 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
-    assert built == [(result.summary["alpha_prime"],)]  # the harness's base contour alone
-    assert sum(blocked) == 1024
-    assert solved == [2, 512, 512]
+    alpha_prime = result.summary["alpha_prime"]
+    assert built == [(alpha_prime,), (alpha_prime, 8, 16)]
+    assert blocked == [512, 128]
+    assert solved == [2, 512, 128]
+    winding = contour.winding_number(build(alpha_prime, 8, 16), 0.2)
+    assert result.summary["max_winding_error"] == abs(winding - 1.0)
 
 
 def test_spectrum_on_node_raises_too_close():
@@ -623,13 +629,14 @@ def test_resolvent_blow_up_raises_too_close():
 
 def test_each_function_runs_once_per_pass():
     # each function sees every node of a pass at once, as one node array: a
-    # proved call has one base pass of 1024 nodes, and a call without
-    # f_bounds, or whose proof fails, one refinement of 2048 nodes after it
+    # call proved on the (8, 16) trial contour has one base pass of 640
+    # nodes, and a call without f_bounds, or whose proof fails, a base pass
+    # of the caller's 1024 nodes and one refinement of 2048 nodes after it
     c = certified_resolvent(4, math.pi / 8, 3000)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
     proved = [_one, lambda z, r: (np.abs(z) + r) ** 4 + np.exp(4 * (z.real + r - 1.0))]
-    for f_bounds, passes in ((proved, [(1024,)]), (None, [(1024,), (2048,)]), ([_one, _inf], [(1024,), (2048,)])):
+    for f_bounds, passes in ((proved, [(640,)]), (None, [(1024,), (2048,)]), ([_one, _inf], [(1024,), (2048,)])):
         calls = [[], []]
 
         def counted(j, f):
@@ -657,6 +664,10 @@ _NEAR_LINE = 0.5 + 0.9 * (0.5 - 0.4 * np.exp(-1j))
         ([0.3 + 0.1j, _NEAR_LINE, -0.2, 0.6 - 0.3j], 8, 8, True),
         ([0.3 + 0.1j, 0.1j, -0.2, 0.6 - 0.3j], 16, 8, False),
         ([0.9, -0.2j, 0.1], 8, 16, False),
+        ([_NEAR_LINE], 8, 16, True),
+        ([0.3 + 0.1j, _NEAR_LINE, -0.2, 0.6 - 0.3j], 16, 16, True),
+        ([0.3 + 0.1j, 0.1j, -0.2, 0.6 - 0.3j], 16, 16, False),
+        ([0.9, -0.2j, 0.1], 16, 16, False),
     ],
 )
 def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, k_line, rough):
@@ -691,7 +702,7 @@ def test_panel_images_hold_the_bernstein_ellipses_images(alpha_prime, k_arc, k_l
     # boundary of every E_rho (where |z - center| and |z'| peak) the image
     # lies in the container and |z'| stays below the bound
     nodes = contour.build_contour(alpha_prime, k_arc, k_line)
-    center, d, half, speed, reach, across = contour._panel_images(nodes)
+    center, d, half, speed, reach, across = contour._panel_images(alpha_prime, k_line, k_arc)
     x = contour._GL_NODES
     line = slice(0, 2 * k_line)
     t_mid = np.angle(center[0, 2 * k_line:])
@@ -757,6 +768,98 @@ def test_an_unproved_pool_draw_refines_as_without_bounds(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(contour, "riesz_dunford_many", lambda fs, c, nodes, alpha, _: _every_node_reference(fs, c, nodes, alpha))
         assert harness._contour_sweep(c, nodes, ns, config.alpha) == errors
+
+
+@pytest.mark.parametrize(
+    "dim, alpha, seed, t, k_arc",
+    [
+        # contour_calc pool calls 0, 2 and 26: proved on the (8, 16), the
+        # (16, 16) and no trial contour
+        (2, math.pi / 16, 2_000_000, 0.1, 8),
+        (4, math.pi / 4, 2_000_002, 0.1, 16),
+        (13, math.pi / 4, 2_000_111, 0.1, None),
+    ],
+)
+def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha, seed, t, k_arc):
+    # the trials share one computation of the line panels' bounds; each
+    # trial's bounds equal _quadrature_bounds on the trial contour alone, bit
+    # for bit, the trials run coarsest first, and the first proved one is
+    # the contour returned, equal to build_contour's
+    config = ExperimentConfig("contour_reconstruction", dim=dim, alpha=alpha, seed=seed, trials=1, ts=(t,))
+    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    polygon = numrange.outer_polygon(c)
+    _, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
+    trials, sums = [], contour._bound_sums
+
+    def seen(lines, arc):
+        trials.append((arc.shape[1], sums(lines, arc)))
+        return trials[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_bound_sums", seen)
+        picked = contour._proved_contour(f_bounds, nodes, polygon)
+    assert [k for k, _ in trials] == [8, 16, 32][:len(trials)]
+    decisions = []
+    for k, got in trials:
+        assert got == contour._quadrature_bounds(f_bounds, contour.build_contour(nodes.alpha_prime, k, 16), polygon)
+        decisions.append(all(bound < contour.CONTOUR_QUAD_TOL for bound in got))
+    if k_arc is None:
+        assert picked is None and decisions == [False] * 3
+        return
+    assert decisions == [False] * (len(trials) - 1) + [True] and trials[-1][0] == k_arc
+    alone = contour.build_contour(nodes.alpha_prime, k_arc, 16)
+    assert (picked.alpha_prime, picked.k_arc, picked.k_line) == (alone.alpha_prime, k_arc, 16)
+    assert np.array_equal(picked.z, alone.z) and np.array_equal(picked.dz_weight, alone.dz_weight)
+    assert np.array_equal(picked.on_arc, alone.on_arc)
+
+
+def test_trial_arcs_follow_the_callers_arc(monkeypatch):
+    # the arc is halved while it stays a whole number of at least 8 panels,
+    # and a trial on the caller's own arc returns the caller's contour
+    c = np.diag([0.3, 0.1j])
+    polygon = numrange.outer_polygon(c)
+    _, f_bounds = _harness_families(monkeypatch, (1, 4))
+    for k_arc, arcs in ((8, [8]), (9, [9]), (18, [9, 18]), (40, [10, 20, 40]), (32, [8, 16, 32])):
+        nodes = contour.build_contour(1.0, k_arc, 16)
+        widths = []
+        with monkeypatch.context() as m:
+            m.setattr(contour, "_bound_sums", lambda lines, arc: widths.append(arc.shape[1]) or [math.inf])
+            assert contour._proved_contour(f_bounds, nodes, polygon) is None
+        assert widths == arcs
+        assert contour._proved_contour(f_bounds, nodes, polygon).k_arc == arcs[0]
+    nodes = contour.build_contour(1.0, 9, 16)
+    assert contour._proved_contour(f_bounds, nodes, polygon) is nodes
+
+
+def test_a_draw_no_trial_proves_keeps_the_callers_contour_and_refinement(monkeypatch):
+    # a normal C with an eigenvalue 9.2e-7 from the vertex z = 1: every
+    # trial's bound is about 20, so the base pass solves the caller's (32,
+    # 16) contour, the refinement the (64, 32) one, and the values are those
+    # of _evaluate_many on the (64, 32) contour bit for bit; the report is
+    # the one of exact norms at the caller's nodes
+    lam = np.array([1.0 - 9e-7 + 2e-7j, 0.5, 0.1j])
+    rng = np.random.default_rng(lam.size)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    c = (q * lam) @ q.conj().T
+    alpha = math.pi / 8
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
+    polygon = numrange.outer_polygon(c)
+    for k_arc in (8, 16, 32):
+        trial = contour.build_contour(nodes.alpha_prime, k_arc, 16)
+        assert 20.0 < max(contour._quadrature_bounds(f_bounds, trial, polygon)) < 21.0
+    passes, evaluate = [], contour._evaluate_many
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_evaluate_many", lambda w, c, n, visit=None: passes.append(n) or evaluate(w, c, n, visit))
+        got, report = contour.riesz_dunford_many(fs, c, nodes, alpha, f_bounds)
+    assert passes[0] is nodes and [(p.k_arc, p.k_line) for p in passes] == [(32, 16), (64, 32)]
+    fine = contour.build_contour(nodes.alpha_prime, 64, 32)
+    want = evaluate(contour._weights(fs, fine), c, fine)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert report == per_node_report(c, nodes, alpha)
+    for f, value in zip(fs, got):
+        assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < 1e-15
 
 
 def _panel_loop_contour(alpha_prime, k_arc, k_line):
