@@ -28,7 +28,7 @@ print(f"interior winding check at z=0.2: "
 eye = np.eye(5)
 ns = (1, 4, 16)
 recons, report = contour.riesz_dunford_many(
-    [lambda z, n=n: z**n * (1 - z) for n in ns], c, nodes, alpha
+    [lambda z, n=n: z**n * (1 - z) for n in ns], c, alpha_prime, alpha
 )
 for n, recon in zip(ns, recons):
     direct = linalg.mat_pow(c, n) @ (eye - c)

@@ -203,8 +203,10 @@ def tnk_semigroup_bound(t: float, s: float, norm_a: float) -> float:
 def contour_reconstruction_bound() -> float:
     """1e-7: the allowed error of a contour reconstruction of f(C) in spectral norm.
 
-    That is ten times CONTOUR_QUAD_TOL = 1e-8, the agreement the quadrature
-    asks of two successive node sets before it stops refining.
+    That is ten times CONTOUR_QUAD_TOL = 1e-8, the bound the quadrature
+    proves on its truncation error before it solves a contour, or, where
+    no contour is proved, the agreement its fallback asks of two successive
+    node sets before it stops refining.
     """
     return 1e-7
 

@@ -22,7 +22,7 @@ up to 128 KiB of rows (2048 nodes at d = 2, 128 at d = 8, one block from
 d = 12 up), each with one solve, one blow-up check and one step of the
 majorant search below.
 
-The base pass's truncation error is proved when the caller bounds each f
+The base pass's truncation error is proved when each f comes with a bound
 on discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
 the Bernstein ellipse with semi-axes A = (rho + 1/rho)/2 and B = (rho -
 1/rho)/2.  Where the image of E_rho misses W(C), the integrand G(x) = h
@@ -46,28 +46,28 @@ panels, widened by _BOUND_MARGIN, bounds each value's truncation error in
 spectral norm.
 
 The bound needs no solve, so it picks the contour before any node is
-solved.  The trial contours are the caller's with its arc halved for as
-long as it stays a whole number of at least 8 panels, coarsest first, and
-then the caller's: (8, 16), (16, 16) and (32, 16) panels (640, 768 and
-1024 nodes) for the default (32, 16).  The line panels are the same in
-every trial, so their bounds are taken once.  The first trial on which
-every function's bound lies below CONTOUR_QUAD_TOL is solved, and its base
-values are returned: its nodes and the seeds below.  Where no trial is
-proved, and without bounds on f, the caller's contour is solved and the
-node set then doubled until two passes agree to CONTOUR_QUAD_TOL, every
-node of each refinement solved (1024 + 2048 nodes at the default contour
-when one refinement agrees); a heuristic, as the graded line panels are
-the same at every level.  The bound covers truncation only, since
-refining cannot reduce rounding.  The rounding adds, in spectral norm,
-about sum_j |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the
-solves (u = 2^-53, g the growth factor of LU and kappa_j the condition of
-z_j - C, under the growth condition of U below) and times (64 + N/64)
-sqrt(d) u for the 64-node products and their sum over the N nodes.
+solved.  The trials are the contours of _TRIALS, coarsest first: (8, 16),
+(16, 16), (32, 16) and (64, 32) panels (arc, side), that is 640, 768,
+1024 and 2048 nodes.  The first on which every function's bound lies
+below CONTOUR_QUAD_TOL is solved, and its base values are returned: its
+nodes and the seeds below.  The last grades its sides down to a panel of
+length cos(alpha') 2^-31 at the vertex, against 2^-15 for the others, so
+it proves draws with an eigenvalue of C next to z = 1 that they leave
+open.  Where no trial is proved, and without bounds on f,
+build_contour(alpha')'s (32, 16) contour is solved and the node set then
+doubled until two passes agree to CONTOUR_QUAD_TOL, every node of each
+refinement solved (1024 + 2048 nodes when one refinement agrees); a
+heuristic, as all but the innermost graded line panel of a side are the
+same at every level.  The bound covers truncation only, since refining
+cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
+|f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
+2^-53, g the growth factor of LU and kappa_j the condition of z_j - C,
+under the growth condition of U below) and times (64 + N/64) sqrt(d) u
+for the 64-node products and their sum over the N nodes.
 
-The majorant check runs on the contour whose base pass was solved, so on
-a proved trial contour it samples that contour's arc, 8 or 16 panels for
-the default contour, and the lines as the caller's contour does.  It needs
-three maxima over the base nodes, not every norm: of the ratio of
+The majorant check runs on the contour whose base pass was solved, and
+reports that contour's winding error about 0.2 with it.  It needs three
+maxima over the base nodes, not every norm: of the ratio of
 ||(z_j - C)^{-1}|| to the majorant on the arc, the same on the lines, and
 of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every node.  So the base
 pass searches for them while it holds each stack's rows R, and takes
@@ -143,6 +143,7 @@ _BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm and quadrature b
 _SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
 _GUARD = 2.0**10  # the polygon bound's guard, in units of d^2 u (|z| + ||C||_F) / _BOUND_MARGIN
 _RHOS = 2.0 ** (np.arange(1, 25) / 4.0)  # the Bernstein ellipses E_rho each panel's error bound tries
+_TRIALS = ((8, 16), (16, 16), (32, 16), (64, 32))  # (arc, side) panels of the contours the proof tries, in order
 
 
 @dataclass
@@ -189,10 +190,10 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
 
 
 def _build_contour(alpha_prime: float, k_arc: int, k_line: int) -> ContourNodes:
-    """build_contour without its checks, for the trial contours of riesz_dunford_many.
+    """build_contour without its checks, for the base contours of riesz_dunford_many.
 
-    A trial is no refinement, and bench/spans.py counts every build_contour
-    call inside riesz_dunford_many as one.
+    A base contour is no refinement, and bench/spans.py counts every
+    build_contour call inside riesz_dunford_many as one.
     """
     edges = _line_edges(math.cos(alpha_prime), k_line)
     s, w = _panel_nodes(edges[:-1], edges[1:])
@@ -457,19 +458,19 @@ class _MaximaSearch:
         self.best[2] = max(self.best[2], np.max(far))
 
 
-def _panel_images(alpha_prime: float, k_line: int, k_arc: int):
-    """The images z(E_rho) of the panels' Bernstein ellipses, for rho in _RHOS, as the bound reads them.
+def _panel_images(contour: ContourNodes):
+    """The images z(E_rho) of contour's panels' Bernstein ellipses, for rho in _RHOS, as the bound reads them.
 
-    The panels are those of the two sides, line_minus then line_plus, k_line
-    a side, and then the k_arc of the arc, as build_contour places them;
-    k_line may be 0.  Returns (center, d, half, speed, reach, across),
-    each with one row per rho and one column per panel: the
-    panel's midpoint z(mu), the direction d of z(s) (1 on the arc), its
-    half-length h in s or t, a bound on |z'| over the image, and the
-    ellipse about center with semi-axes reach along d and across across it,
-    which holds the image, as does the disc of radius reach about center.
+    The panels are those of the two sides, line_minus then line_plus, and
+    then those of the arc, as build_contour places them.  Returns (center,
+    d, half, speed, reach, across): per panel its midpoint z(mu), the
+    direction d of z(s) (1 on the arc) and its half-length h in s or t;
+    and, with one row per rho and one column per panel, a bound on |z'|
+    over the image and the ellipse about center with semi-axes reach along
+    d and across across it, which holds the image, as does the disc of
+    radius reach about center.
     """
-    ap = alpha_prime
+    ap, k_line, k_arc = contour.alpha_prime, contour.k_line, contour.k_arc
     edges = _line_edges(math.cos(ap), k_line)
     t_step = (math.pi + 2.0 * ap) / k_arc
     t_mid = math.pi / 2 - ap + t_step * (np.arange(k_arc) + 0.5)
@@ -483,75 +484,46 @@ def _panel_images(alpha_prime: float, k_line: int, k_arc: int):
     speed = np.where(on_arc, math.sin(ap) * np.exp(half * big_b), 1.0)
     reach = half * big_a * speed
     across = np.where(on_arc, reach, half * big_b)
-    return np.broadcast_arrays(center, d, half, speed, reach, across)
-
-
-def _panel_bounds(f_bounds, images, polygon: np.ndarray) -> np.ndarray:
-    """Each function's bound on the truncation error of each panel of images (_panel_images).
-
-    One row per bound in f_bounds and one column per panel: the least bound
-    of the module docstring over the ellipses E_rho of _RHOS, inf where the
-    container of every ellipse's image may meet W(C); polygon is
-    numrange.outer_polygon(C).
-    """
-    center, d, half, speed, reach, across = images
-    ell = numrange.support_distance(polygon, center.ravel(), (d.ravel(), reach.ravel(), across.ravel()))
-    ell = ell.reshape(reach.shape)
-    rho, m = _RHOS[:, None], _GL_NODES.size
-    gauss = 4.0 * (1.0 + 1.0 / (4 * m * m - 1)) * rho ** (-2.0 * m) / (1.0 - 1.0 / rho)
-    scale = gauss * speed * half / (2.0 * math.pi * np.where(ell > 0.0, ell, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        per = scale * np.array([bound(center, reach) for bound in f_bounds])
-        return np.min(np.where(ell > 0.0, per, np.inf), axis=1)
-
-
-def _bound_sums(lines: np.ndarray, arc: np.ndarray) -> list[float]:
-    """Each function's bound on a contour's truncation error from its panels' bounds (_panel_bounds).
-
-    The lines' bounds and then the arc's are summed, and the sum widened by
-    _BOUND_MARGIN, far above the effect of rounding the panels' geometry
-    (relative order u).
-    """
-    return [float(v) for v in np.sum(np.concatenate([lines, arc], axis=1), axis=1) * (1.0 + _BOUND_MARGIN)]
+    return center, d, half, speed, reach, across
 
 
 def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> list[float]:
     """Upper bounds on the truncation error of each function's quadrature on contour, in spectral norm.
 
     f_bounds[i](center, radius) bounds |fs[i]| on the discs |z - center| <=
-    radius, given as arrays; polygon is numrange.outer_polygon(C).
+    radius, given as arrays of one shape; polygon is numrange.outer_polygon(C).
+    Each panel takes the least bound of the module docstring over the
+    ellipses E_rho of _RHOS, inf where the container of every ellipse's
+    image may meet W(C), and the sum over the panels is widened by
+    _BOUND_MARGIN, far above the effect of rounding the panels' geometry
+    (relative order u).
     """
-    per = _panel_bounds(f_bounds, _panel_images(contour.alpha_prime, contour.k_line, contour.k_arc), polygon)
-    return _bound_sums(per[:, :2 * contour.k_line], per[:, 2 * contour.k_line:])
+    center, d, half, speed, reach, across = _panel_images(contour)
+    ell = numrange.support_distance(polygon, center, (d, reach, across))
+    rho, m = _RHOS[:, None], _GL_NODES.size
+    gauss = 4.0 * (1.0 + 1.0 / (4 * m * m - 1)) * rho ** (-2.0 * m) / (1.0 - 1.0 / rho)
+    scale = gauss * speed * half / (2.0 * math.pi * np.where(ell > 0.0, ell, 1.0))
+    centers = np.broadcast_to(center, reach.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per = scale * np.array([bound(centers, reach) for bound in f_bounds])
+        per = np.min(np.where(ell > 0.0, per, np.inf), axis=1)
+    return [float(v) for v in np.sum(per, axis=1) * (1.0 + _BOUND_MARGIN)]
 
 
-def _proved_contour(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> ContourNodes | None:
-    """The first trial contour on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
+def _proved_contour(f_bounds, alpha_prime: float, polygon: np.ndarray) -> ContourNodes | None:
+    """The first contour of _TRIALS on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
 
-    The trials are contour with its arc halved for as long as it stays a
-    whole number of at least 8 panels, coarsest first, and then contour
-    itself: (8, 16), (16, 16) and (32, 16) for the default (32, 16).  The
-    line panels' bounds do not depend on the arc, so they are taken once,
-    with the first trial's arc, and each later trial takes its arc's alone;
-    only the trial proved is built.  None if no trial is proved; nothing is
-    solved.
+    None if no trial is proved; nothing is solved.
     """
-    arcs = [contour.k_arc]
-    while arcs[-1] % 2 == 0 and arcs[-1] >= 16:
-        arcs.append(arcs[-1] // 2)
-    ap = contour.alpha_prime
-    per = _panel_bounds(f_bounds, _panel_images(ap, contour.k_line, arcs[-1]), polygon)
-    lines, arc = per[:, :2 * contour.k_line], per[:, 2 * contour.k_line:]
-    for k_arc in reversed(arcs):
-        if k_arc != arcs[-1]:
-            arc = _panel_bounds(f_bounds, _panel_images(ap, 0, k_arc), polygon)
-        if all(bound < CONTOUR_QUAD_TOL for bound in _bound_sums(lines, arc)):
-            return contour if k_arc == contour.k_arc else _build_contour(ap, k_arc, contour.k_line)
+    for k_arc, k_line in _TRIALS:
+        trial = _build_contour(alpha_prime, k_arc, k_line)
+        if all(bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, trial, polygon)):
+            return trial
     return None
 
 
 def riesz_dunford_many(
-    fs, c, contour: ContourNodes, alpha: float, f_bounds=None
+    fs, c, alpha_prime: float, alpha: float, f_bounds=None
 ) -> tuple[list[np.ndarray], ContourCheckReport]:
     """Evaluate several functions of C on a shared resolvent sweep, and check the majorants.
 
@@ -563,42 +535,38 @@ def riesz_dunford_many(
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` for 0 <= alpha < alpha' on the
-    contour whose base pass was solved, its arc panels in report.k_arc: the
-    given contour, or with f_bounds the trial contour proved (below).
-    Before the base pass, the majorant search bounds every
-    ||(z_j - C)^{-1}|| by the outer 32-gon of W(C) and solves its seeds,
-    at most 3 nodes; the base pass then takes exact norms from its
-    own rows only at the nodes where, by the bounds of the module
-    docstring, one of the check's three maxima can still sit, and every
-    other node enters the check as 0.  Each maximum sits at a node with an
-    exact norm, so the report equals the one of exact norms at all nodes
-    bit for bit, as long as LU with partial pivoting keeps its growth
-    factor on z_j - C below about 2^10 d at the nodes the polygon bound
-    screens (the guard of the module docstring); only the seeds are
-    solved twice; the distances dist(z_j, D(alpha)) are taken once, for
-    both.
+    base contour, the one whose base pass was solved.  Before the base
+    pass, the majorant search bounds every ||(z_j - C)^{-1}|| by the outer
+    32-gon of W(C) and solves its seeds, at most 3 nodes; the base pass
+    then takes exact norms from its own rows only at the nodes where, by
+    the bounds of the module docstring, one of the check's three maxima can
+    still sit, and every other node enters the check as 0.  Each maximum
+    sits at a node with an exact norm, so the report equals the one of
+    exact norms at all nodes bit for bit, as long as LU with partial
+    pivoting keeps its growth factor on z_j - C below about 2^10 d at the
+    nodes the polygon bound screens (the guard of the module docstring);
+    only the seeds are solved twice; the distances dist(z_j, D(alpha)) are
+    taken once, for both.
 
     f_bounds, if given, holds one bound per function: f_bounds[i](center,
     radius) returns, for arrays of centers and radii, upper bounds on
     |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
     must be analytic.  Before anything is solved, the proof of the module
-    docstring runs on the trial contours: the given contour with its arc
-    halved while it stays a whole number of at least 8 panels, coarsest
-    first, then the given contour.  The first trial on which the proved
-    truncation error of every value lies below CONTOUR_QUAD_TOL is the
-    base contour, and its base values are returned: 640, 768 or 1024
-    solves and the seeds for the default (32, 16) contour.  Otherwise, and
-    always without f_bounds, the given contour is the base contour, and the
-    node set is doubled until every value agrees with its previous
-    refinement to CONTOUR_QUAD_TOL in spectral norm, and the last
-    refinement's values are returned; each refinement calls every f on its
-    nodes and solves all of them.  Raises InvalidInputError before solving
-    for an alpha outside [0, alpha'), an empty fs, f_bounds of another
-    length, or an f whose value is neither a scalar nor one value per node,
-    and ContourTooCloseError when the quadrature takes more than
-    CONTOUR_NODE_CAP nodes.
+    docstring runs on the contours of _TRIALS in order, (8, 16), (16, 16),
+    (32, 16) and (64, 32) panels.  The first on which the proved truncation
+    error of every value lies below CONTOUR_QUAD_TOL is the base contour,
+    and its base values are returned: 640, 768, 1024 or 2048 solves and
+    the seeds.  Otherwise, and always without f_bounds, the base contour is
+    build_contour(alpha')'s (32, 16), and the node set is doubled until
+    every value agrees with its previous refinement to CONTOUR_QUAD_TOL in
+    spectral norm, and the last refinement's values are returned; each
+    refinement calls every f on its nodes and solves all of them.  Raises
+    InvalidInputError before solving unless 0 <= alpha < alpha' < pi/2, and
+    for an empty fs, f_bounds of another length, or an f whose value is
+    neither a scalar nor one value per node, and ContourTooCloseError when
+    the quadrature takes more than CONTOUR_NODE_CAP nodes.
     """
-    if not 0.0 <= alpha < contour.alpha_prime:
+    if not 0.0 <= alpha < alpha_prime < math.pi / 2:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
     fs = list(fs)
     if not fs:
@@ -607,8 +575,8 @@ def riesz_dunford_many(
         raise InvalidInputError(f"f_bounds holds {len(f_bounds)} bounds for {len(fs)} functions")
     a = linalg.as_operator(c)
     polygon = numrange.outer_polygon(a)
-    proved = None if f_bounds is None else _proved_contour(f_bounds, contour, polygon)
-    base = contour if proved is None else proved
+    proved = None if f_bounds is None else _proved_contour(f_bounds, alpha_prime, polygon)
+    base = _build_contour(alpha_prime, 32, 16) if proved is None else proved
     weights = _weights(fs, base)
     dist = numrange.distance_to_D_alpha(base.z, alpha)
     search = _MaximaSearch(a, base, alpha, dist, polygon)
@@ -618,7 +586,7 @@ def riesz_dunford_many(
     report = _check_report(base, alpha, dist, search.rnorm)
     if proved is not None:
         return results, report
-    fine = contour
+    fine = base
     while True:
         fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
         refined = _evaluate_many(_weights(fs, fine), a, fine)
@@ -641,7 +609,7 @@ class ContourCheckReport:
     worst_ratio_lines: float
     worst_dist_ratio: float
     passed: bool
-    k_arc: int  # arc panels of the contour checked, the one whose base pass was solved
+    winding_error: float  # |winding number about 0.2 - 1| of the contour checked
 
 
 def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
@@ -653,7 +621,8 @@ def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCh
     nodes that can hold a maximum and 0 at the others.  With alpha' the
     contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
-    carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)).
+    carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)),
+    and the contour's winding error about 0.2, a point of every D(alpha').
     """
     side, far = _majorant_ratios(contour, alpha, dist)(rnorm, slice(None))
     arc = contour.on_arc
@@ -665,5 +634,5 @@ def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCh
         worst_ratio_lines=worst_lines,
         worst_dist_ratio=worst_dist,
         passed=passed,
-        k_arc=contour.k_arc,
+        winding_error=abs(winding_number(contour, 0.2 + 0.0j) - 1.0),
     )

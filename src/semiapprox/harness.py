@@ -465,28 +465,28 @@ def _tnk_sweep(a, k_max, t):
         yield k, s, res_norm, semi_norm
 
 
-def _contour_sweep(c, nodes, ns, alpha):
+def _contour_sweep(c, alpha_prime, ns, alpha):
     """Contour reconstructions of C^n(1 - C) and C^n - e^{n(C-1)}, and the resolvent majorants.
 
     Returns ([(n, ritt_error, gap_error) for n in ns], report): spectral norms
     against C^n (1 - C) and the Chernoff pair, and the majorant report of
-    riesz_dunford_many, whose three maxima are exact resolvent norms at the
-    nodes where they sit (the other nodes' norms are only bounded, and no
-    maximum can sit there).  Both families come with their bounds on the
-    discs |z - c| <= r, (|c| + r)^n (|1 - c| + r) and (|c| + r)^n +
-    e^{n(Re c + r - 1)}, so riesz_dunford_many proves the quadrature error
-    before solving: a draw proved below CONTOUR_QUAD_TOL on a trial contour,
-    nodes with its arc of 8 or 16 panels or nodes itself, solves that
-    contour alone (640, 768 or 1024 nodes for the default (32, 16)), and
-    report.k_arc names its arc; any other draw solves nodes and its
-    refinements (1024 + 2048 nodes when the first refinement agrees).
+    riesz_dunford_many along the boundary of D(alpha'), whose three maxima
+    are exact resolvent norms at the nodes where they sit (the other nodes'
+    norms are only bounded, and no maximum can sit there).  Both families
+    come with their bounds on the discs |z - c| <= r, (|c| + r)^n (|1 - c|
+    + r) and (|c| + r)^n + e^{n(Re c + r - 1)}, so riesz_dunford_many
+    proves the quadrature error before solving: a draw proved below
+    CONTOUR_QUAD_TOL on one of its trial contours solves that contour alone
+    (640, 768, 1024 or 2048 nodes), and any other draw solves the (32, 16)
+    contour and its refinements (1024 + 2048 nodes when the first
+    refinement agrees).
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
     fs += [(lambda z, n=n: z**n - np.exp(n * (z - 1.0))) for n in ns]
     f_bounds = [(lambda z, r, n=n: (np.abs(z) + r) ** n * (np.abs(1.0 - z) + r)) for n in ns]
     f_bounds += [(lambda z, r, n=n: (np.abs(z) + r) ** n + np.exp(n * (z.real + r - 1.0))) for n in ns]
-    got, report = contour.riesz_dunford_many(fs, c, nodes, alpha, f_bounds)
+    got, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
     steps = np.broadcast_to(c, (len(ns), *c.shape))
     powers = approximants.chernoff_power(steps, ns)
     gaps = powers - approximants.chernoff_exp(steps, ns)
@@ -649,22 +649,19 @@ def _run_contour_reconstruction(config: ExperimentConfig):
     draws, failures = _draws(config, _resolvent, numrange.quasi_sectorial)
     records = []
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)
-    nodes = contour.build_contour(alpha_prime)
-    solved = set()  # the arcs of the contours whose base pass ran
+    winding = 0.0
     majorant_worst = 0.0
     majorant_failures = 0
     ns = _n_grid(config, cap=16)
     bound = bounds.contour_reconstruction_bound()
     for i, c, t_res in draws:
-        errors, report = _contour_sweep(c, nodes, ns, config.alpha)
+        errors, report = _contour_sweep(c, alpha_prime, ns, config.alpha)
         for n, ritt, gap in errors:
             records.append(make_record(f"contour/d{i:03d}/ritt", n, t_res, ritt, bound))
             records.append(make_record(f"contour/d{i:03d}/gap", n, t_res, gap, bound))
         majorant_worst = max(majorant_worst, report.worst_ratio_arc, report.worst_ratio_lines)
         majorant_failures += not report.passed
-        solved.add(report.k_arc)
-    solved_contours = (contour.build_contour(alpha_prime, k, nodes.k_line) for k in solved)
-    winding = max((abs(contour.winding_number(s, 0.2 + 0.0j) - 1.0) for s in solved_contours), default=0.0)
+        winding = max(winding, report.winding_error)
     return records, {
         "alpha_prime": alpha_prime,
         "certification_failures": failures,

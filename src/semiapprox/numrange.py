@@ -144,19 +144,22 @@ def support_distance(h, z, ellipse=None) -> np.ndarray:
     lowered by 16 u (|z_i| + a_i + max |h|), u = 2^-53, more than twice what
     the rounding of those terms and of |e^{i theta}| != 1 can add, so it is
     at most dist(E_i, W(C)); it is <= 0 where E_i may meet W(C), and -inf
-    where no line is known.
+    where no line is known.  z, d, a and b broadcast together, and the
+    terms of each are formed at its own shape: centers and directions
+    given once serve semi-axes given for several ellipses about them.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    p = np.exp(1j * _sweep_angles(_POLYGON_ANGLES))[:, None]  # the phases _hermitian_parts rotates by
+    d, a, b = (1.0, 0.0, 0.0) if ellipse is None else ellipse
+    axes = (1,) * max(np.ndim(v) for v in (z, d, a, b))
+    # the phases _hermitian_parts rotates by, and the levels, on an axis ahead of the others
+    p = np.exp(1j * _sweep_angles(_POLYGON_ANGLES)).reshape(-1, *axes)
+    h0, h1 = (level.reshape(-1, *axes) for level in h)
     with np.errstate(over="ignore", invalid="ignore"):
         # Re(e^{i theta} z), one row per theta_j; at theta_j + pi it is its negative, exactly
         rz = p.real * z.real - p.imag * z.imag
-        s, a = 0.0, 0.0
-        if ellipse is not None:
-            d, a, b = ellipse
-            pd = p * d
-            s = np.sqrt((a * pd.real) ** 2 + (b * pd.imag) ** 2)
-        ell = np.maximum(np.max(rz - s - h[0, :, None], axis=0), np.max(-rz - s - h[1, :, None], axis=0))
+        pd = p * d
+        s = np.sqrt((a * pd.real) ** 2 + (b * pd.imag) ** 2)  # 0 for a point
+        ell = np.maximum(np.max(rz - s - h0, axis=0), np.max(-rz - s - h1, axis=0))
         out = ell - 16 * 2.0**-53 * (np.abs(z) + a + np.max(np.abs(h)))
     return np.where(np.isnan(out), -np.inf, out)
 

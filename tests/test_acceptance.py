@@ -433,7 +433,7 @@ def test_criterion_12_contour_calculus():
         nodes = contour.build_contour(alpha_prime)
         if abs(contour.winding_number(nodes, 0.2 + 0.0j) - 1.0) > 1e-8:
             bad_winding += 1
-        errors, majorant = _contour_sweep(c, nodes, (1, 2, 4, 8, 16), alpha)
+        errors, majorant = _contour_sweep(c, alpha_prime, (1, 2, 4, 8, 16), alpha)
         for _, err1, err2 in errors:
             worst_recon = max(worst_recon, err1, err2)
             bad_recon += (err1 > recon_bound) + (err2 > recon_bound)

@@ -513,6 +513,19 @@ def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
     assert cli.main(argv) == 2
 
 
+def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
+    # at alpha = 1.5 the quadrature proof fails on the trial contours, so
+    # the draws fall back to the (32, 16) contour and refine it
+    built, build = [], contour.build_contour
+    monkeypatch.setattr(contour, "build_contour", lambda *a: built.append(a) or build(*a))
+    out = tmp_path / "r.json"
+    argv = ["verify", "contour_reconstruction", "--alpha", "1.5", "--dim", "4", "--trials", "2",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(json.loads(out.read_text())["records"]) == 20
+    assert built and built[0][1:] == (64, 32)  # the first refinement of the (32, 16) contour
+
+
 def test_console_help():
     proc = run_cli("--help")
     assert proc.returncode == 0

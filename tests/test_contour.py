@@ -20,7 +20,7 @@ def certified_resolvent(dim, alpha, seed, t=1.0):
 
 
 def majorant_report(c, alpha, nodes):
-    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, nodes.alpha_prime, alpha)
     return report
 
 
@@ -94,14 +94,14 @@ def test_build_contour_validation():
 def test_cauchy_formula_identity():
     c = certified_resolvent(4, math.pi / 8, 1001)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
-    (got,), _ = contour.riesz_dunford_many([lambda z: 1.0], c, nodes, math.pi / 8)
+    (got,), _ = contour.riesz_dunford_many([lambda z: 1.0], c, nodes.alpha_prime, math.pi / 8)
     assert linalg.op_norm(got - np.eye(4)) <= 1e-8
 
 
 def test_scalar_ritt_reconstruction():
     nodes = contour.build_contour(math.pi / 4)
     c = np.array([[0.5]], dtype=complex)
-    (got,), _ = contour.riesz_dunford_many([lambda z: z * (1.0 - z)], c, nodes, 0.0)
+    (got,), _ = contour.riesz_dunford_many([lambda z: z * (1.0 - z)], c, nodes.alpha_prime, 0.0)
     assert abs(got[0, 0] - 0.25) <= 1e-8
 
 
@@ -114,12 +114,12 @@ def test_matrix_reconstruction_oracle():
         for n in (1, 4, 16):
             direct = linalg.mat_pow(c, n) @ (eye - c)
             (got,), _ = contour.riesz_dunford_many(
-                [lambda z, n=n: z**n * (1.0 - z)], c, nodes, alpha
+                [lambda z, n=n: z**n * (1.0 - z)], c, nodes.alpha_prime, alpha
             )
             assert linalg.op_norm(got - direct) <= 1e-7
             direct = linalg.mat_pow(c, n) - linalg.expm(n * (c - eye))
             (got,), _ = contour.riesz_dunford_many(
-                [lambda z, n=n: z**n - np.exp(n * (z - 1.0))], c, nodes, alpha
+                [lambda z, n=n: z**n - np.exp(n * (z - 1.0))], c, nodes.alpha_prime, alpha
             )
             assert linalg.op_norm(got - direct) <= 1e-7
 
@@ -128,9 +128,9 @@ def test_riesz_dunford_many_matches_single():
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     fs = [lambda z: 1.0, lambda z: z * (1 - z)]
-    batch, _ = contour.riesz_dunford_many(fs, c, nodes, math.pi / 8)
+    batch, _ = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, math.pi / 8)
     for f, got in zip(fs, batch):
-        (single,), _ = contour.riesz_dunford_many([f], c, nodes, math.pi / 8)
+        (single,), _ = contour.riesz_dunford_many([f], c, nodes.alpha_prime, math.pi / 8)
         assert np.array_equal(got, single)
 
 
@@ -156,7 +156,7 @@ def test_rnorm_is_op_norm_of_per_node_solves():
     # the majorant report reads exact norms wherever a maximum sits
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
-    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, math.pi / 8)
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, math.pi / 8)
     assert report == per_node_report(c, nodes, math.pi / 8)
 
 
@@ -186,7 +186,7 @@ def test_majorant_report_equals_check_of_all_exact_norms(dim, alpha, t, seed, ex
     # checked; at 1e-19 an unscaled (R^H R)^8 would be subnormal
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = _scaled_resolvent(dim, alpha, seed, t, exponent, nodes)
-    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
 
@@ -202,7 +202,7 @@ def test_no_solve_between_the_base_pass_and_the_check(monkeypatch):
     alpha = math.pi / 8
     c = certified_resolvent(5, alpha, 3000)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, alpha)
     assert events[events.index("pass") + 1] == "check"
     assert report == per_node_report(c, nodes, alpha)
 
@@ -213,11 +213,11 @@ def test_distances_are_taken_once_per_call(monkeypatch):
     alpha = math.pi / 8
     c = certified_resolvent(4, alpha, 3000)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    _, want = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    _, want = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, alpha)
     calls = []
     distance = numrange.distance_to_D_alpha
     monkeypatch.setattr(numrange, "distance_to_D_alpha", lambda z, a: calls.append(len(z)) or distance(z, a))
-    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, alpha)
     assert calls == [len(nodes)]
     assert dataclasses.astuple(report) == dataclasses.astuple(want)
 
@@ -254,7 +254,7 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
     assert draws
     for _, c, _ in draws:
         events.clear()
-        contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha)
+        contour.riesz_dunford_many([lambda z: 1.0], c, base.alpha_prime, config.alpha)
         assert 0 < sum(events[:events.index("check")]) <= 16
 
 
@@ -285,7 +285,7 @@ def test_default_draw_counts_its_exact_norms(monkeypatch):
     monkeypatch.setattr(contour._MaximaSearch, "_take", counting_take)
     monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
     monkeypatch.setattr(contour, "_solve", counting_solve)
-    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base, config.alpha, [_one])
+    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base.alpha_prime, config.alpha, [_one])
     assert counts == {"svd": 11, "bounded": 130, "solved": 2 + 640}
     assert report == per_node_report(c, solved_contour, config.alpha)
 
@@ -299,7 +299,7 @@ def test_contour_calc_slots_report_the_exact_maxima(slot):
     )
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
 
@@ -500,7 +500,7 @@ def test_a_numerical_range_across_the_contour_gives_the_exact_report():
     c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
     upper = _polygon_bounds(c, nodes)
     assert 0 < np.count_nonzero(np.isinf(upper)) < len(nodes)
-    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes, alpha)
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
 
 
@@ -541,11 +541,11 @@ def test_bad_functions_are_refused_before_solving(monkeypatch):
     nodes = contour.build_contour(1.0)
     c = np.diag([0.2, 0.5]).astype(complex)
     with pytest.raises(InvalidInputError, match="at least one function"):
-        contour.riesz_dunford_many([], c, nodes, 0.1)
+        contour.riesz_dunford_many([], c, nodes.alpha_prime, 0.1)
     with pytest.raises(InvalidInputError, match=r"fs\[1\] returned shape \(3,\) on 1024 nodes"):
-        contour.riesz_dunford_many([lambda z: z, lambda z: np.ones(3)], c, nodes, 0.1)
+        contour.riesz_dunford_many([lambda z: z, lambda z: np.ones(3)], c, nodes.alpha_prime, 0.1)
     with pytest.raises(InvalidInputError, match="f_bounds holds 1 bounds for 2 functions"):
-        contour.riesz_dunford_many([lambda z: z, lambda z: 1.0], c, nodes, 0.1, [_one])
+        contour.riesz_dunford_many([lambda z: z, lambda z: 1.0], c, nodes.alpha_prime, 0.1, [_one])
 
 
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
@@ -557,15 +557,15 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
     c = np.diag([0.2, 0.5]).astype(complex)
     for alpha in (-0.1, 1.0, 1.2, math.nan):
         with pytest.raises(InvalidInputError, match="need 0 <= alpha < alpha' < pi/2"):
-            contour.riesz_dunford_many([lambda z: 1.0], c, nodes, alpha)
+            contour.riesz_dunford_many([lambda z: 1.0], c, nodes.alpha_prime, alpha)
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # a harness draw whose quadrature error is proved on the (8, 16) trial
     # contour: the majorant search's 2 seeds, then one base pass of 640
-    # nodes in stacks of up to 512 at d = 4, and no refinement is built; the
-    # majorant check solves nothing, and the harness builds the solved
-    # contour once more for its winding error
+    # nodes in stacks of up to 512 at d = 4; nothing calls build_contour, so
+    # no refinement is built, and the majorant check solves nothing and
+    # gives the summary the solved contour's winding error
     solved, blocked, built = [], [], []
     blocks, solve, build = contour._resolvent_blocks, contour._solve, contour.build_contour
 
@@ -584,11 +584,10 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
-    alpha_prime = result.summary["alpha_prime"]
-    assert built == [(alpha_prime,), (alpha_prime, 8, 16)]
+    assert built == []
     assert blocked == [512, 128]
     assert solved == [2, 512, 128]
-    winding = contour.winding_number(build(alpha_prime, 8, 16), 0.2)
+    winding = contour.winding_number(build(result.summary["alpha_prime"], 8, 16), 0.2)
     assert result.summary["max_winding_error"] == abs(winding - 1.0)
 
 
@@ -597,7 +596,7 @@ def test_spectrum_on_node_raises_too_close():
     z0 = complex(nodes.z[len(nodes) // 2])
     c = z0 * np.eye(2, dtype=complex)
     with pytest.raises(contour.ContourTooCloseError):
-        contour.riesz_dunford_many([lambda z: 1.0], c, nodes, 0.0)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes.alpha_prime, 0.0)
 
 
 def test_unconverged_quadrature_raises(monkeypatch):
@@ -606,7 +605,7 @@ def test_unconverged_quadrature_raises(monkeypatch):
     monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
     c = certified_resolvent(3, math.pi / 8, 3000)
     with pytest.raises(contour.ContourTooCloseError, match="4096 nodes"):
-        contour.riesz_dunford_many([lambda z: z], c, contour.build_contour(1.0), math.pi / 8)
+        contour.riesz_dunford_many([lambda z: z], c, 1.0, math.pi / 8)
 
 
 def test_resolvent_blocks_match_per_node_solves():
@@ -624,7 +623,7 @@ def test_resolvent_blow_up_raises_too_close():
     z0 = complex(nodes.z[100])
     c = np.diag([z0 + 4e-16, 0.1])
     with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
-        contour.riesz_dunford_many([lambda z: 1.0], c, nodes, 0.0)
+        contour.riesz_dunford_many([lambda z: 1.0], c, nodes.alpha_prime, 0.0)
 
 
 def test_each_function_runs_once_per_pass():
@@ -646,7 +645,7 @@ def test_each_function_runs_once_per_pass():
 
             return g
 
-        contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes, math.pi / 8, f_bounds)
+        contour.riesz_dunford_many([counted(j, f) for j, f in enumerate(fs)], c, nodes.alpha_prime, math.pi / 8, f_bounds)
         assert calls == [passes] * 2
 
 
@@ -702,23 +701,23 @@ def test_panel_images_hold_the_bernstein_ellipses_images(alpha_prime, k_arc, k_l
     # boundary of every E_rho (where |z - center| and |z'| peak) the image
     # lies in the container and |z'| stays below the bound
     nodes = contour.build_contour(alpha_prime, k_arc, k_line)
-    center, d, half, speed, reach, across = contour._panel_images(alpha_prime, k_line, k_arc)
+    center, d, half, speed, reach, across = contour._panel_images(nodes)
     x = contour._GL_NODES
     line = slice(0, 2 * k_line)
-    t_mid = np.angle(center[0, 2 * k_line:])
-    panels = np.concatenate([center[0, :k_line, None] + half[0, :k_line, None] * x * d[0, :k_line, None],
-                             math.sin(alpha_prime) * np.exp(1j * (t_mid[:, None] + half[0, 2 * k_line:, None] * x)),
-                             center[0, k_line:line.stop, None] - half[0, k_line:line.stop, None] * x * d[0, k_line:line.stop, None]])
+    t_mid = np.angle(center[2 * k_line:])
+    panels = np.concatenate([center[:k_line, None] + half[:k_line, None] * x * d[:k_line, None],
+                             math.sin(alpha_prime) * np.exp(1j * (t_mid[:, None] + half[2 * k_line:, None] * x)),
+                             center[k_line:line.stop, None] - half[k_line:line.stop, None] * x * d[k_line:line.stop, None]])
     assert np.allclose(panels.ravel(), nodes.z, rtol=0.0, atol=1e-14)
     rho = contour._RHOS[:, None, None]
     phi = np.linspace(0.0, 2.0 * math.pi, 257)
     edge = 0.5 * (rho + 1 / rho) * np.cos(phi) + 0.5j * (rho - 1 / rho) * np.sin(phi)
-    w = half[:, :, None] * edge  # the panel's parameter offsets s - mu or t - t_mid
+    w = half[:, None] * edge  # the panel's parameter offsets s - mu or t - t_mid
     # z - center, without cancellation: w d on the lines, and on the arc
     # z(t_mid) (e^{iw} - 1) = z(t_mid) 2i sin(w/2) e^{iw/2}, where |z'| = |z|
     arc = w[:, line.stop:]
-    offset = np.concatenate([w[:, line] * d[:, line, None],
-                             center[:, line.stop:, None] * 2j * np.sin(arc / 2) * np.exp(0.5j * arc)], axis=1)
+    offset = np.concatenate([w[:, line] * d[line, None],
+                             center[line.stop:, None] * 2j * np.sin(arc / 2) * np.exp(0.5j * arc)], axis=1)
     dz = np.concatenate([np.ones_like(w[:, line]), math.sin(alpha_prime) * np.exp(-arc.imag)], axis=1)
     tol = 1.0 + 1e-12
     assert np.all(np.abs(offset) <= reach[:, :, None] * tol)
@@ -740,126 +739,145 @@ def test_zero_bounds_give_zero_and_a_polygon_across_the_contour_falls_back():
     c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
     assert contour._quadrature_bounds([zero, _one], nodes, numrange.outer_polygon(c)) == [math.inf] * 2
     fs = [lambda z: 0.0, lambda z: z]
-    got = _outcome(contour.riesz_dunford_many, fs, c, nodes, alpha, [zero, _one])
-    _assert_same_outcome(got, _outcome(contour.riesz_dunford_many, fs, c, nodes, alpha))
+    got = _outcome(contour.riesz_dunford_many, fs, c, nodes.alpha_prime, alpha, [zero, _one])
+    _assert_same_outcome(got, _outcome(contour.riesz_dunford_many, fs, c, nodes.alpha_prime, alpha))
     _assert_same_outcome(got, _outcome(_every_node_reference, fs, c, nodes, alpha))
 
 
-def test_an_unproved_pool_draw_refines_as_without_bounds(monkeypatch):
-    # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1): the gap
-    # family's proved bound is about 6.8, so the call solves its seeds and
-    # 1024 + 2048 pass nodes, and its values, report and errors are those of
-    # the every-node reference bit for bit
-    ns = (1, 2, 4, 8, 16)
-    config = ExperimentConfig(
-        "contour_reconstruction", dim=13, alpha=math.pi / 4, seed=2_000_111, trials=1, nmax=16, ts=(0.1,)
-    )
+def _pool_draw(dim, alpha, seed, t):
+    # the draw of a contour_calc benchmark call
+    config = ExperimentConfig("contour_reconstruction", dim=dim, alpha=alpha, seed=seed, trials=1, ts=(t,))
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
-    nodes = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
-    fs, f_bounds = _harness_families(monkeypatch, ns)
-    assert 6.8 < max(contour._quadrature_bounds(f_bounds, nodes, numrange.outer_polygon(c))) < 6.9
-    solved, solve = [], contour._solve
-    with monkeypatch.context() as m:
-        m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
-        got = _outcome(contour.riesz_dunford_many, fs, c, nodes, config.alpha, f_bounds)
-    assert solved[0] <= 3 and sum(solved[1:]) == 1024 + 2048
-    _assert_same_outcome(got, _outcome(_every_node_reference, fs, c, nodes, config.alpha))
-    errors = harness._contour_sweep(c, nodes, ns, config.alpha)
-    with monkeypatch.context() as m:
-        m.setattr(contour, "riesz_dunford_many", lambda fs, c, nodes, alpha, _: _every_node_reference(fs, c, nodes, alpha))
-        assert harness._contour_sweep(c, nodes, ns, config.alpha) == errors
+    return c
 
 
 @pytest.mark.parametrize(
     "dim, alpha, seed, t, k_arc",
     [
-        # contour_calc pool calls 0, 2 and 26: proved on the (8, 16), the
-        # (16, 16) and no trial contour
+        # contour_calc pool calls 0 and 2: proved on the (8, 16) and the
+        # (16, 16) trial contour
         (2, math.pi / 16, 2_000_000, 0.1, 8),
         (4, math.pi / 4, 2_000_002, 0.1, 16),
+        # pool calls 26, 25, 58, 86, 224 and 226: C has an eigenvalue within
+        # 1e-5 of the vertex z = 1, and no (k_arc, 16) trial proves them
         (13, math.pi / 4, 2_000_111, 0.1, None),
+        (12, math.pi / 8, 2_000_110, 0.1, None),
+        (15, math.pi / 8, 2_000_313, 1.0, None),
+        (13, math.pi / 4, 2_000_511, 0.1, None),
+        (16, math.pi / 4, 2_001_414, 1.0, None),
+        (3, math.pi / 8, 2_001_501, 0.1, None),
     ],
 )
 def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha, seed, t, k_arc):
-    # the trials share one computation of the line panels' bounds; each
-    # trial's bounds equal _quadrature_bounds on the trial contour alone, bit
-    # for bit, the trials run coarsest first, and the first proved one is
-    # the contour returned, equal to build_contour's
-    config = ExperimentConfig("contour_reconstruction", dim=dim, alpha=alpha, seed=seed, trials=1, ts=(t,))
-    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    # the trials run coarsest first, each decided by _quadrature_bounds on
+    # its own contour, up to the first whose every bound lies below
+    # CONTOUR_QUAD_TOL: the (k_arc, 16) one, or else the (64, 32) one; that
+    # contour is build_contour's, and nothing is solved
+    shape = (64, 32) if k_arc is None else (k_arc, 16)
+    c = _pool_draw(dim, alpha, seed, t)
+    alpha_prime = 0.5 * (alpha + math.pi / 2)
     polygon = numrange.outer_polygon(c)
     _, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
-    trials, sums = [], contour._bound_sums
+    tried, decide = [], contour._quadrature_bounds
 
-    def seen(lines, arc):
-        trials.append((arc.shape[1], sums(lines, arc)))
-        return trials[-1][1]
+    def no_solves(c, z):
+        raise AssertionError("solved while proving")
 
     with monkeypatch.context() as m:
-        m.setattr(contour, "_bound_sums", seen)
-        picked = contour._proved_contour(f_bounds, nodes, polygon)
-    assert [k for k, _ in trials] == [8, 16, 32][:len(trials)]
-    decisions = []
-    for k, got in trials:
-        assert got == contour._quadrature_bounds(f_bounds, contour.build_contour(nodes.alpha_prime, k, 16), polygon)
-        decisions.append(all(bound < contour.CONTOUR_QUAD_TOL for bound in got))
-    if k_arc is None:
-        assert picked is None and decisions == [False] * 3
-        return
-    assert decisions == [False] * (len(trials) - 1) + [True] and trials[-1][0] == k_arc
-    alone = contour.build_contour(nodes.alpha_prime, k_arc, 16)
-    assert (picked.alpha_prime, picked.k_arc, picked.k_line) == (alone.alpha_prime, k_arc, 16)
+        m.setattr(contour, "_solve", no_solves)
+        m.setattr(contour, "_quadrature_bounds", lambda *a: tried.append(decide(*a)) or tried[-1])
+        picked = contour._proved_contour(f_bounds, alpha_prime, polygon)
+    proved = [all(bound < contour.CONTOUR_QUAD_TOL for bound in bounds) for bounds in tried]
+    assert proved == [False] * contour._TRIALS.index(shape) + [True]
+    alone = contour.build_contour(alpha_prime, *shape)
+    assert (picked.alpha_prime, picked.k_arc, picked.k_line) == (alpha_prime, *shape)
     assert np.array_equal(picked.z, alone.z) and np.array_equal(picked.dz_weight, alone.dz_weight)
     assert np.array_equal(picked.on_arc, alone.on_arc)
 
 
-def test_trial_arcs_follow_the_callers_arc(monkeypatch):
-    # the arc is halved while it stays a whole number of at least 8 panels,
-    # and a trial on the caller's own arc returns the caller's contour
-    c = np.diag([0.3, 0.1j])
-    polygon = numrange.outer_polygon(c)
-    _, f_bounds = _harness_families(monkeypatch, (1, 4))
-    for k_arc, arcs in ((8, [8]), (9, [9]), (18, [9, 18]), (40, [10, 20, 40]), (32, [8, 16, 32])):
-        nodes = contour.build_contour(1.0, k_arc, 16)
-        widths = []
-        with monkeypatch.context() as m:
-            m.setattr(contour, "_bound_sums", lambda lines, arc: widths.append(arc.shape[1]) or [math.inf])
-            assert contour._proved_contour(f_bounds, nodes, polygon) is None
-        assert widths == arcs
-        assert contour._proved_contour(f_bounds, nodes, polygon).k_arc == arcs[0]
-    nodes = contour.build_contour(1.0, 9, 16)
-    assert contour._proved_contour(f_bounds, nodes, polygon) is nodes
+def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
+    # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1), proved on
+    # the (64, 32) contour: the call solves its seeds and 2048 nodes, its
+    # values are those of the every-node reference, which refines the (32,
+    # 16) contour once, bit for bit, and its report is the check of exact
+    # norms at the 2048 nodes
+    ns = (1, 2, 4, 8, 16)
+    alpha = math.pi / 4
+    c = _pool_draw(13, alpha, 2_000_111, 0.1)
+    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    fs, f_bounds = _harness_families(monkeypatch, ns)
+    solved, solve = [], contour._solve
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
+        values, report = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, alpha, f_bounds)
+    assert solved[0] <= 3 and sum(solved[1:]) == 2048
+    want, _ = _every_node_reference(fs, c, nodes, alpha)
+    assert len(values) == len(want) and all(np.array_equal(g, w) for g, w in zip(values, want))
+    assert report == per_node_report(c, contour.build_contour(nodes.alpha_prime, 64, 32), alpha)
+    errors, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
+    with monkeypatch.context() as m:
+        m.setattr(contour, "riesz_dunford_many", lambda fs, c, ap, alpha, _: _every_node_reference(fs, c, nodes, alpha))
+        assert harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)[0] == errors
 
 
-def test_a_draw_no_trial_proves_keeps_the_callers_contour_and_refinement(monkeypatch):
-    # a normal C with an eigenvalue 9.2e-7 from the vertex z = 1: every
-    # trial's bound is about 20, so the base pass solves the caller's (32,
-    # 16) contour, the refinement the (64, 32) one, and the values are those
-    # of _evaluate_many on the (64, 32) contour bit for bit; the report is
-    # the one of exact norms at the caller's nodes
-    lam = np.array([1.0 - 9e-7 + 2e-7j, 0.5, 0.1j])
+@pytest.mark.parametrize("vertex, proved", [(1.0 - 9e-7 + 2e-7j, True), (1.0 - 1e-11 + 2e-12j, False)])
+def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, proved):
+    # a normal C with an eigenvalue next to the vertex z = 1: at 9.2e-7 from
+    # it the first three trials' bounds are about 20 and the (64, 32)
+    # contour proves it; at 1e-11 no trial does, so the base pass solves the
+    # (32, 16) contour and the refinement the (64, 32) one.  Either way the
+    # values are those of _evaluate_many on the (64, 32) contour bit for
+    # bit, and the report is the one of exact norms at the base nodes; the
+    # values err by rounding, about 1e-13 with resolvent norms near 1e11
+    lam = np.array([vertex, 0.5, 0.1j])
     rng = np.random.default_rng(lam.size)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     c = (q * lam) @ q.conj().T
     alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    alpha_prime = 0.5 * (alpha + math.pi / 2)
     fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
     polygon = numrange.outer_polygon(c)
-    for k_arc in (8, 16, 32):
-        trial = contour.build_contour(nodes.alpha_prime, k_arc, 16)
-        assert 20.0 < max(contour._quadrature_bounds(f_bounds, trial, polygon)) < 21.0
+    bounds = [max(contour._quadrature_bounds(f_bounds, contour.build_contour(alpha_prime, *s), polygon))
+              for s in contour._TRIALS]
+    assert all(20.0 < b < 21.0 for b in bounds[:3]) if proved else bounds == [math.inf] * 4
+    assert (bounds[3] < contour.CONTOUR_QUAD_TOL) == proved
     passes, evaluate = [], contour._evaluate_many
     with monkeypatch.context() as m:
         m.setattr(contour, "_evaluate_many", lambda w, c, n, visit=None: passes.append(n) or evaluate(w, c, n, visit))
-        got, report = contour.riesz_dunford_many(fs, c, nodes, alpha, f_bounds)
-    assert passes[0] is nodes and [(p.k_arc, p.k_line) for p in passes] == [(32, 16), (64, 32)]
-    fine = contour.build_contour(nodes.alpha_prime, 64, 32)
+        got, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
+    shapes = [(p.k_arc, p.k_line) for p in passes]
+    assert shapes == ([(64, 32)] if proved else [(32, 16), (64, 32)])
+    fine = contour.build_contour(alpha_prime, 64, 32)
     want = evaluate(contour._weights(fs, fine), c, fine)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert report == per_node_report(c, nodes, alpha)
+    assert report == per_node_report(c, contour.build_contour(alpha_prime, *shapes[0]), alpha)
     for f, value in zip(fs, got):
-        assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < 1e-15
+        assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < (1e-15 if proved else 1e-12)
+
+
+def test_quadrature_bounds_widen_the_panel_sum_by_the_margin(monkeypatch):
+    # each function's bound is the sum over the panels of each panel's
+    # least bound over the rho ladder, here one panel and one rho at a time,
+    # times 1 + 1e-6
+    c = certified_resolvent(4, math.pi / 8, 3000)
+    polygon = numrange.outer_polygon(c)
+    _, f_bounds = _harness_families(monkeypatch, (1, 4, 16))
+    nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2), 8, 16)
+    center, d, half, speed, reach, across = contour._panel_images(nodes)
+    m = contour._GL_NODES.size
+    want = np.zeros(len(f_bounds))
+    for j in range(center.size):
+        least = np.full(len(f_bounds), np.inf)
+        for k, rho in enumerate(contour._RHOS):
+            (ell,) = numrange.support_distance(polygon, center[j], (d[j], reach[k, j], across[k, j]))
+            if ell > 0.0:
+                gauss = 4.0 * (1.0 + 1.0 / (4 * m * m - 1)) * rho ** (-2.0 * m) / (1.0 - 1.0 / rho)
+                f_max = np.array([bound(center[j], reach[k, j]) for bound in f_bounds])
+                least = np.minimum(least, gauss * speed[k, j] * half[j] / (2.0 * math.pi * ell) * f_max)
+        want += least
+    got = contour._quadrature_bounds(f_bounds, nodes, polygon)
+    assert np.all(np.isfinite(want))
+    assert got == pytest.approx(want * (1.0 + 1e-6), rel=1e-12, abs=0.0)
 
 
 def _panel_loop_contour(alpha_prime, k_arc, k_line):
@@ -932,41 +950,42 @@ def test_block_sums_match_per_node_formula(dim):
         lambda z: z**3 * (1.0 - z),
         lambda z: np.exp(4.0 * (z - 1.0)),
     ]
-    got, _ = contour.riesz_dunford_many(fs, c, nodes, alpha)
+    got, _ = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, alpha)
     for g, want in zip(got, _reference_many(fs, c, nodes)):
         assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))
 
 
-def _every_node_reference(fs, c, nodes, alpha):
-    # riesz_dunford_many as one stacked solve per 64-node block of every
-    # pass, each block checked for a singular or blown-up node, and the
-    # check of exact norms at every base node
+def _every_node_pass(fs, c, nodes):
+    # one quadrature pass as one stacked solve per 64-node block, each block
+    # checked for a singular or blown-up node
     dim = c.shape[0]
     eye = np.eye(dim, dtype=complex)
+    weights = [np.broadcast_to(f(nodes.z), nodes.z.shape) * nodes.dz_weight for f in fs]
+    acc = np.zeros((len(fs), dim * dim), dtype=complex)
+    for start in range(0, len(nodes), 64):
+        z = nodes.z[start:start + 64]
+        try:
+            r = np.linalg.solve(z[:, None, None] * eye - c, eye)
+        except np.linalg.LinAlgError:
+            raise contour.ContourTooCloseError(
+                f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
+            )
+        ok = np.linalg.norm(r, axis=(1, 2)) <= 1e15
+        if not np.all(ok):
+            raise contour.ContourTooCloseError(f"resolvent blow-up at contour node z={z[np.argmin(ok)]}")
+        for a, w in zip(acc, weights):
+            a += w[start:start + 64] @ r.reshape(-1, dim * dim)
+    return list(acc.reshape((len(fs), dim, dim)) / (2j * math.pi))
 
-    def quadrature(nodes):
-        weights = [np.broadcast_to(f(nodes.z), nodes.z.shape) * nodes.dz_weight for f in fs]
-        acc = np.zeros((len(fs), dim * dim), dtype=complex)
-        for start in range(0, len(nodes), 64):
-            z = nodes.z[start:start + 64]
-            try:
-                r = np.linalg.solve(z[:, None, None] * eye - c, eye)
-            except np.linalg.LinAlgError:
-                raise contour.ContourTooCloseError(
-                    f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
-                )
-            ok = np.linalg.norm(r, axis=(1, 2)) <= 1e15
-            if not np.all(ok):
-                raise contour.ContourTooCloseError(f"resolvent blow-up at contour node z={z[np.argmin(ok)]}")
-            for a, w in zip(acc, weights):
-                a += w[start:start + 64] @ r.reshape(-1, dim * dim)
-        return list(acc.reshape((len(fs), dim, dim)) / (2j * math.pi))
 
-    results = quadrature(nodes)
+def _every_node_reference(fs, c, nodes, alpha):
+    # riesz_dunford_many without f_bounds, base contour nodes: every pass an
+    # _every_node_pass, and the check of exact norms at every base node
+    results = _every_node_pass(fs, c, nodes)
     report = per_node_report(c, nodes, alpha)
     while True:
         nodes = contour.build_contour(nodes.alpha_prime, 2 * nodes.k_arc, 2 * nodes.k_line)
-        refined = quadrature(nodes)
+        refined = _every_node_pass(fs, c, nodes)
         if all(linalg.op_norm(r2 - r1) < contour.CONTOUR_QUAD_TOL for r1, r2 in zip(results, refined)):
             return refined, report
         results = refined
@@ -1000,16 +1019,24 @@ _FS = [lambda z: 1.0, lambda z: z**3 * (1.0 - z), lambda z: z**4 - np.exp(4.0 * 
 )
 def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_arc, k_line, tol):
     # without f_bounds the refinement runs, and the byte-sized stacks keep
-    # every bit of the values and of the report
+    # every bit of the values and of the report; on the (9, 10) contour,
+    # whose line panels end off the 64-node grid, they keep those of each
+    # pass, of it and of its refinement, and of the majorant search's check
     alpha = math.pi / 8
     c = certified_resolvent(dim, alpha, 7000 + dim)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2), k_arc, k_line)
+    if (k_arc, k_line) != (32, 16):
+        for n in (nodes, contour.build_contour(nodes.alpha_prime, 2 * k_arc, 2 * k_line)):
+            got = contour._evaluate_many(contour._weights(_FS, n), c, n)
+            assert all(np.array_equal(g, w) for g, w in zip(got, _every_node_pass(_FS, c, n)))
+        _searched(c, nodes, alpha)
+        return
     refinements = []
     if tol is not None:  # a second refinement runs
         monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", tol)
         build = contour.build_contour
         monkeypatch.setattr(contour, "build_contour", lambda *a: refinements.append(a) or build(*a))
-    got = _outcome(contour.riesz_dunford_many, _FS, c, nodes, alpha)
+    got = _outcome(contour.riesz_dunford_many, _FS, c, nodes.alpha_prime, alpha)
     _assert_same_outcome(got, _outcome(_every_node_reference, _FS, c, nodes, alpha))
     assert tol is None or len(refinements) >= 2
 
@@ -1054,8 +1081,16 @@ _FINE9 = contour.build_contour(_AP, 18, 20)
     ],
 )
 def test_too_close_errors_keep_the_every_node_order(dim, spectrum):
+    # riesz_dunford_many on the (32, 16) contour; off the grid, _evaluate_many
+    # on the base contour and then on its refinement
     base, zs = spectrum
     c = _on_nodes(dim, *zs)
     want = _outcome(_every_node_reference, [lambda z: 1.0], c, base, 0.0)
     assert isinstance(want, str)
-    assert _outcome(contour.riesz_dunford_many, [lambda z: 1.0], c, base, 0.0) == want
+    if base is _BASE:
+        assert _outcome(contour.riesz_dunford_many, [lambda z: 1.0], c, _AP, 0.0) == want
+        return
+    with pytest.raises(contour.ContourTooCloseError) as raised:
+        for nodes in (_BASE9, _FINE9):
+            contour._evaluate_many(np.ones((1, len(nodes))), c, nodes)
+    assert str(raised.value) == want

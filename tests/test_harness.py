@@ -249,23 +249,24 @@ def test_contour_majorant_failures_are_counted(monkeypatch):
 
 
 def test_contour_winding_error_is_that_of_the_solved_contours(monkeypatch):
-    # draws proved on the (8, 16) and on the (16, 16) trial contour, none on
-    # the (32, 16) one: the summary's winding error is the larger of the
-    # errors of the two contours solved
+    # draws proved on the (8, 16) and on the (16, 16) trial contour: each
+    # report carries the winding error of the contour it checked, and the
+    # summary's is the larger of the two
     cfg = small_config("contour_reconstruction", alpha=math.pi / 4, ts=(0.1, 10.0), nmax=4)
-    arcs, many = [], contour.riesz_dunford_many
+    checked, check = [], contour._check_report
 
-    def spy(*args):
-        values, report = many(*args)
-        arcs.append(report.k_arc)
-        return values, report
+    def spy(nodes, *args):
+        report = check(nodes, *args)
+        checked.append(((nodes.k_arc, nodes.k_line), report.winding_error))
+        return report
 
-    monkeypatch.setattr(contour, "riesz_dunford_many", spy)
+    monkeypatch.setattr(contour, "_check_report", spy)
     result = run_experiment(cfg)
-    assert sorted(set(arcs)) == [8, 16]
     alpha_prime = result.summary["alpha_prime"]
-    errors = [abs(contour.winding_number(contour.build_contour(alpha_prime, k, 16), 0.2) - 1.0) for k in (8, 16)]
-    assert result.summary["max_winding_error"] == max(errors)
+    errors = {(k, 16): abs(contour.winding_number(contour.build_contour(alpha_prime, k, 16), 0.2) - 1.0) for k in (8, 16)}
+    assert sorted({shape for shape, _ in checked}) == sorted(errors)
+    assert all(error == errors[shape] for shape, error in checked)
+    assert result.summary["max_winding_error"] == max(errors.values())
 
 
 def test_selfadjoint_records_meet_tight_tolerance():
