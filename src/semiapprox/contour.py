@@ -13,14 +13,19 @@ so the vertex z = 1 itself is never sampled.
 
 Each function is called once per pass, on the 1-D array of all the pass's
 nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed).  Its weighted resolvents are summed in one vector-matrix
-product per block of 64 nodes, added in block order; one stacked matmul
-forms the products of all the functions, each as it would alone.  Those
-products and that order fix the bits of every value, so they stay as they
-are however the resolvents are solved: in stacks of whole blocks holding
-up to 128 KiB of rows (2048 nodes at d = 2, 128 at d = 8, one block from
-d = 12 up), each with one solve, one blow-up check and one step of the
-majorant search below.
+allowed).  The resolvents are solved in stacks of S = _stack_nodes(d)
+nodes, whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at
+d = 2, 128 at d = 8, 64 from d = 12 up), each with one solve, one blow-up
+check and one step of the majorant search below.  Each stack adds one
+matrix product of all the functions' weights and its rows to the sums, in
+stack order, and a lone function's weights are padded with a zero row.
+The stacks thus fix the bits of every value: other stack sizes would
+round otherwise.  A function gets the same bits alone as among others,
+and the values do not follow the BLAS thread count.  That is measured,
+not proved: with OpenBLAS 0.3.31 on 2 cores, the reports of the
+contour_calc benchmark's 240 calls are byte-identical under one and two
+threads, while a one-row product, which OpenBLAS runs as a vector-matrix
+product, gave other last bits under each.
 
 The base pass's truncation error is proved when each f comes with a bound
 on discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
@@ -62,8 +67,8 @@ same at every level.  The bound covers truncation only, since refining
 cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
 |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
 2^-53, g the growth factor of LU and kappa_j the condition of z_j - C,
-under the growth condition of U below) and times (64 + N/64) sqrt(d) u
-for the 64-node products and their sum over the N nodes.
+under the growth condition of U below) and times (S + N/S) sqrt(d) u
+for the products of the stacks of S nodes and their sum over the N nodes.
 
 The majorant check runs on the contour whose base pass was solved, and
 reports that contour's winding error about 0.2 with it.  It needs three
@@ -137,8 +142,7 @@ from .errors import ContourTooCloseError, DomainError, InvalidInputError
 from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_BLOCK = 64  # contour nodes per product of weights and resolvents: fixes the bits of every value
-_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, blow-up check and majorant search
+_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant search
 _BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm and quadrature bounds, far above their rounding
 _SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
 _GUARD = 2.0**10  # the polygon bound's guard, in units of d^2 u (|z| + ||C||_F) / _BOUND_MARGIN
@@ -236,12 +240,8 @@ def _solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _stack_nodes(dim: int) -> int:
-    """Nodes per stacked solve: as many whole 64-node blocks as fit _STACK_BYTES, at least one."""
-    return _BLOCK * max(1, _STACK_BYTES // (_BLOCK * 16 * dim * dim))
-
-
-def _singular(z: np.ndarray) -> ContourTooCloseError:
-    return ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}")
+    """Nodes per stack: as many whole 64-node blocks as fit _STACK_BYTES, at least one."""
+    return 64 * max(1, _STACK_BYTES // (64 * 16 * dim * dim))
 
 
 def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -257,19 +257,16 @@ def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _checked_solve(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_solve and _checked_norms at the nodes z of a stack of whole 64-node blocks.
+    """_solve and _checked_norms at the nodes z of one stack.
 
-    A failure is raised as the 64-node blocks, solved one at a time, would
-    raise it: at the first block with a singular or blown-up node, with the
-    z range of that whole block for a singular one.
+    A singular node raises with the z range of the whole stack, before any
+    blow-up in it is looked for, and a blow-up names the first node of the
+    stack that blows up.
     """
     try:
         r = _solve(c, z)
     except np.linalg.LinAlgError as exc:
-        if z.size > _BLOCK:  # raise at the first block that fails alone
-            for start in range(0, z.size, _BLOCK):
-                _checked_solve(c, z[start:start + _BLOCK])
-        raise _singular(z) from exc
+        raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
     return r, _checked_norms(r, z)
 
 
@@ -330,27 +327,29 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
 
 
 def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
-    """One quadrature pass over contour: the sums of weights times resolvents, node block by block.
+    """One quadrature pass over contour: the sums of weights times resolvents, stack by stack.
 
     values[i] is the sum of weights[i] (a node array of f(z) dz) times
-    (z - C)^{-1} over the nodes, over 2 pi i; each 64-node block adds one
-    product per weight, in block order.  visit, if given, is called as
-    visit(nodes, rows, Frobenius norms) on each stack once the pass is done
-    with it, and must not change the rows.
+    (z - C)^{-1} over the nodes, over 2 pi i; each stack of
+    _stack_nodes(dim) nodes adds one matrix product of all the weights and
+    its rows, in stack order.  A lone weight is padded with a zero row, so
+    that it is summed by the same product as among others.  The stacks fix
+    the bits of every value; the BLAS thread count was measured not to
+    (module docstring).  visit, if
+    given, is called as visit(nodes, rows, Frobenius norms) on each stack
+    once the pass is done with it, and must not change the rows.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
+    count = len(weights)
+    if count == 1:  # a one-row product runs as a vector-matrix product, whose bits follow the BLAS thread count
+        weights = np.concatenate([weights, np.zeros_like(weights)])
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
     for nodes, r, fro in _resolvent_blocks(c, contour):
-        flat = r.reshape(-1, dim * dim)
-        for j in range(0, len(flat), _BLOCK):
-            block = slice(nodes.start + j, nodes.start + j + _BLOCK)
-            # one vector-matrix product per function, stacked: a sum over
-            # the nodes never mixes two functions
-            acc += (weights[:, None, block] @ flat[j:j + _BLOCK])[:, 0]
+        acc += weights[:, nodes] @ r.reshape(len(r), -1)
         if visit:
             visit(nodes, r, fro)
-    return list(acc.reshape((len(weights),) + c.shape) / (2j * math.pi))
+    return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi))
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
@@ -417,7 +416,7 @@ class _MaximaSearch:
         """Exact norms at the node of largest ratio at U in each maximum: at most 3 nodes, one solve.
 
         A seed that is singular or blows up seeds nothing: the base pass
-        raises at its own block, in node order.
+        raises at its own stack, in stack order.
         """
         side, far = self.ratios(self.upper, slice(None))
         # every ratio is >= 0, so -1 leaves the other side's nodes out of a side's pick
@@ -530,8 +529,8 @@ def riesz_dunford_many(
     Each f in fs is called once per pass with the 1-D complex array of the
     pass's nodes, and must return an array of that shape or a scalar
     constant, as a NumPy ufunc does; it is called on the base nodes before
-    any node is solved.  Each block of 64 nodes then adds one vector-matrix
-    product per function, all of them in one stacked matmul.
+    any node is solved.  Each stack of resolvents then adds one matrix
+    product of all the functions' weights and its rows.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` for 0 <= alpha < alpha' on the

@@ -8,8 +8,9 @@ result meaningless.
 
 ``expm``, ``inverse`` and ``mat_pow`` take a (k, d, d) stack and treat one
 matrix as a stack of one, answered with one matrix; ``op_norms`` takes
-stacks only.  A stack goes through each NumPy or LAPACK call at once, and
-each member's result is the one it gets alone, bit for bit, so a caller may
+stacks only.  A stack goes through each NumPy or LAPACK call at once (in
+``mat_pow``, one ``np.linalg.matrix_power`` call per member), and each
+member's result is the one it gets alone, bit for bit, so a caller may
 stack whatever it needs at one time.
 
 NumPy is the only runtime dependency: ``expm`` is the scaling-and-squaring
@@ -242,14 +243,11 @@ def _squared_pade(t: np.ndarray, m: int, s: int, triangular: bool) -> np.ndarray
 
 
 def mat_pow(m, n) -> np.ndarray:
-    """M**n for integer n >= 0 (M**0 = identity), in ``np.linalg.matrix_power``'s order.
+    """M**n for integer n >= 0 (M**0 = identity), by ``np.linalg.matrix_power``.
 
     ``m`` is one matrix with one n, or a (k, d, d) stack with a sequence of
-    k exponents, one per member.  As in NumPy, n = 3 is (M M) M, and a larger
-    n multiplies the squares M^(2^j) of its set bits from the lowest up, the
-    result starting at the first; the members go through each squaring and
-    product as one stack, so each power is the one ``np.linalg.matrix_power``
-    gives, bit for bit.
+    k exponents, one per member, each raised by its own
+    ``np.linalg.matrix_power`` call.
     """
     a, single = _stack(m)
     ns = [n] if single else list(n)
@@ -258,31 +256,9 @@ def mat_pow(m, n) -> np.ndarray:
     for e in ns:
         if not isinstance(e, (int, np.integer)) or e < 0:
             raise InvalidInputError(f"exponent must be a nonnegative integer, got {e!r}")
-    ns = [int(e) for e in ns]
     out = np.empty_like(a)
-    zero = [j for j, e in enumerate(ns) if e == 0]
-    if zero:
-        out[zero] = np.eye(a.shape[-1])
-    cube = [j for j, e in enumerate(ns) if e == 3]
-    if cube:
-        out[cube] = (a[cube] @ a[cube]) @ a[cube]
-    # longest exponents first, so that the members still squaring are always a prefix
-    rows = sorted((j for j, e in enumerate(ns) if e != 0 and e != 3), key=lambda j: -ns[j].bit_length())
-    # z[p] is M^(2^level) of member rows[p], and rest[p] its exponent's bits from level up
-    z, rest, started = a[rows], [ns[j] for j in rows], set()
-    while rest:
-        ones = [p for p, e in enumerate(rest) if e & 1]
-        more = [p for p in ones if rows[p] in started]
-        first = [p for p in ones if rows[p] not in started]
-        if more:
-            idx = [rows[p] for p in more]
-            out[idx] = out[idx] @ z[more]
-        if first:
-            out[[rows[p] for p in first]] = z[first]
-            started.update(rows[p] for p in first)
-        rest = [e >> 1 for e in rest if e >> 1]
-        if rest:
-            z = z[: len(rest)] @ z[: len(rest)]
+    for member, e, power in zip(a, ns, out):
+        power[...] = np.linalg.matrix_power(member, int(e))
     return out[0] if single else out
 
 

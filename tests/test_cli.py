@@ -17,12 +17,12 @@ CLI = [sys.executable, "-m", "semiapprox"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
-    """The console command in a fresh process, for the exit codes a shell sees."""
+def run_cli(*args, **env):
+    """The console command in a fresh process, for the exit codes a shell sees; env adds variables."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -524,6 +524,16 @@ def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert len(json.loads(out.read_text())["records"]) == 20
     assert built and built[0][1:] == (64, 32)  # the first refinement of the (32, 16) contour
+
+
+def test_contour_report_bytes_do_not_follow_the_blas_thread_count():
+    # each resolvent stack adds one matrix product of all the functions'
+    # weights; one vector-matrix product per function and 64-node block
+    # gave other bits under one and two OpenBLAS threads at d = 9
+    argv = ["verify", "contour_reconstruction", "--dim", "9", "--trials", "2", "--format", "json"]
+    runs = [run_cli(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_console_help():

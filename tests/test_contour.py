@@ -517,20 +517,26 @@ def test_norm_bounds_of_zero_rows_are_zero():
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])
 def test_stacked_products_equal_the_per_function_loop(dim):
-    # 1 to 10 functions on a contour of 464 nodes, whose last block holds 16
+    # 1 to 10 functions on a contour of 464 nodes, no whole number of
+    # stacks from d = 5 up: each stack adds one product of all the weights,
+    # a lone one padded with a zero row, in stack order, and each function's
+    # value is the one it gets alone
     rng = np.random.default_rng(dim)
     nodes = contour.build_contour(1.0, 9, 10)
-    assert len(nodes) % 64 == 16
+    step = contour._stack_nodes(dim)
+    assert len(nodes) == 464 and (dim < 5 or len(nodes) % step)
     c = certified_resolvent(dim, math.pi / 8, 8000 + dim)
     flat = contour._solve(c, nodes.z).reshape(len(nodes), -1)
     for count in (1, 2, 3, 10):
         weights = rng.standard_normal((count, len(nodes))) + 1j * rng.standard_normal((count, len(nodes)))
-        acc = np.zeros((count, dim * dim), dtype=complex)
-        for start in range(0, len(nodes), 64):
-            for a, w in zip(acc, weights):
-                a += w[start:start + 64] @ flat[start:start + 64]
+        padded = np.concatenate([weights, np.zeros((int(count == 1), len(nodes)))])
+        acc = np.zeros((len(padded), dim * dim), dtype=complex)
+        for start in range(0, len(nodes), step):
+            acc += padded[:, start:start + step] @ flat[start:start + step]
         got = contour._evaluate_many(weights, c, nodes)
-        assert np.array_equal(np.array(got), acc.reshape(count, dim, dim) / (2j * math.pi))
+        assert np.array_equal(np.array(got), acc[:count].reshape(count, dim, dim) / (2j * math.pi))
+        for w, value in zip(weights, got):
+            assert np.array_equal(contour._evaluate_many(w, c, nodes)[0], value)
 
 
 def test_bad_functions_are_refused_before_solving(monkeypatch):
@@ -956,14 +962,17 @@ def test_block_sums_match_per_node_formula(dim):
 
 
 def _every_node_pass(fs, c, nodes):
-    # one quadrature pass as one stacked solve per 64-node block, each block
-    # checked for a singular or blown-up node
+    # one quadrature pass as one stacked solve per stack of _stack_nodes(d)
+    # nodes, each stack checked for a singular or blown-up node and adding
+    # one product of all the weights, a lone one padded with a zero row
     dim = c.shape[0]
     eye = np.eye(dim, dtype=complex)
     weights = [np.broadcast_to(f(nodes.z), nodes.z.shape) * nodes.dz_weight for f in fs]
-    acc = np.zeros((len(fs), dim * dim), dtype=complex)
-    for start in range(0, len(nodes), 64):
-        z = nodes.z[start:start + 64]
+    weights = np.array(weights + [np.zeros(len(nodes))] * (len(fs) == 1))
+    acc = np.zeros((len(weights), dim * dim), dtype=complex)
+    step = contour._stack_nodes(dim)
+    for start in range(0, len(nodes), step):
+        z = nodes.z[start:start + step]
         try:
             r = np.linalg.solve(z[:, None, None] * eye - c, eye)
         except np.linalg.LinAlgError:
@@ -973,9 +982,8 @@ def _every_node_pass(fs, c, nodes):
         ok = np.linalg.norm(r, axis=(1, 2)) <= 1e15
         if not np.all(ok):
             raise contour.ContourTooCloseError(f"resolvent blow-up at contour node z={z[np.argmin(ok)]}")
-        for a, w in zip(acc, weights):
-            a += w[start:start + 64] @ r.reshape(-1, dim * dim)
-    return list(acc.reshape((len(fs), dim, dim)) / (2j * math.pi))
+        acc += weights[:, start:start + step] @ r.reshape(-1, dim * dim)
+    return list(acc[:len(fs)].reshape((len(fs), dim, dim)) / (2j * math.pi))
 
 
 def _every_node_reference(fs, c, nodes, alpha):
@@ -1018,10 +1026,10 @@ _FS = [lambda z: 1.0, lambda z: z**3 * (1.0 - z), lambda z: z**4 - np.exp(4.0 * 
      (16, 9, 10, None), (3, 9, 10, None), (4, 32, 16, 1e-15)],
 )
 def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_arc, k_line, tol):
-    # without f_bounds the refinement runs, and the byte-sized stacks keep
-    # every bit of the values and of the report; on the (9, 10) contour,
-    # whose line panels end off the 64-node grid, they keep those of each
-    # pass, of it and of its refinement, and of the majorant search's check
+    # without f_bounds the refinement runs, and every bit of the values and
+    # of the report is the reference's; on the (9, 10) contour, whose line
+    # panels end off the 64-node grid, so are those of each pass, of it and
+    # of its refinement, and of the majorant search's check
     alpha = math.pi / 8
     c = certified_resolvent(dim, alpha, 7000 + dim)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2), k_arc, k_line)
@@ -1058,22 +1066,23 @@ _FINE9 = contour.build_contour(_AP, 18, 20)
     "dim, spectrum",
     [
         # each spectrum is (base contour, eigenvalues of C on contour nodes)
-        # a singular base node inside a 1024-node stack names its own 64-node block
+        # a singular base node names the z range of its whole stack: at d = 2
+        # the 1024 base nodes are one stack
         (2, (_BASE, [_BASE.z[100]])),
         (2, (_BASE, [_BASE.z[1000]])),
-        # a node only the refinement has, in a block that also holds base nodes
+        # a node only the refinement has
         (2, (_BASE, [_FINE.z[260]])),
         (16, (_BASE, [_FINE.z[1800]])),
         (16, (_BASE, [_FINE.z[260] + 4e-16])),
         # the base pass raises first
         (16, (_BASE, [_FINE.z[260], _BASE.z[500]])),
         (16, (_BASE, [_FINE.z[1800], _BASE.z[20] + 4e-16])),
-        # the refinement raises in block order, whether a block holds base nodes or not
+        # the refinement raises in stack order
         (16, (_BASE, [_FINE.z[100], _FINE.z[1800]])),
         (2, (_BASE, [_FINE.z[260], _FINE.z[1000]])),
         (8, (_BASE, [_FINE.z[1800], _FINE.z[2000] + 4e-16])),
-        # off the grid: a singular node names its whole 64-node block, and it
-        # raises before a blow-up in a later block of the other side
+        # off the grid: a singular node names its whole stack, and it raises
+        # before a blow-up in a later stack of the other side
         (2, (_BASE9, [_FINE9.z[150]])),
         (16, (_BASE9, [_FINE9.z[770]])),
         (8, (_BASE9, [_FINE9.z[150], _FINE9.z[770] + 4e-16])),
