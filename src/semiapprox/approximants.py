@@ -9,7 +9,7 @@ that t/n stays exact for large n.  A sequence of s values evaluates to one
 (k, d, d) stack of steps, and ``chernoff_power`` and ``chernoff_exp`` take
 such a stack with one n per step, so a caller forms the pairs of many n from
 one stacked step evaluation, one ``linalg.mat_pow`` (a
-``np.linalg.matrix_power`` per step) and one ``linalg.expm``.
+``np.linalg.matrix_power`` per distinct n) and one ``linalg.expm``.
 A family's generator may itself be a (k, d, d) stack, for the split-step
 family a pair of stacks; Phi(s) is then the stack of its members' Phi(s),
 and a sequence of k values of s gives each member its own s.  The families

@@ -335,9 +335,9 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     its rows, in stack order.  A lone weight is padded with a zero row, so
     that it is summed by the same product as among others.  The stacks fix
     the bits of every value; the BLAS thread count was measured not to
-    (module docstring).  visit, if
-    given, is called as visit(nodes, rows, Frobenius norms) on each stack
-    once the pass is done with it, and must not change the rows.
+    (module docstring).  visit, if given, is called as visit(nodes, rows,
+    Frobenius norms) on each stack once the pass is done with it, and must
+    not change the rows.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))

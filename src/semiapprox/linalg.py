@@ -9,9 +9,9 @@ result meaningless.
 ``expm``, ``inverse`` and ``mat_pow`` take a (k, d, d) stack and treat one
 matrix as a stack of one, answered with one matrix; ``op_norms`` takes
 stacks only.  A stack goes through each NumPy or LAPACK call at once (in
-``mat_pow``, one ``np.linalg.matrix_power`` call per member), and each
-member's result is the one it gets alone, bit for bit, so a caller may
-stack whatever it needs at one time.
+``mat_pow``, one ``np.linalg.matrix_power`` call per distinct exponent),
+and each member's result is the one it gets alone, bit for bit, so a
+caller may stack whatever it needs at one time.
 
 NumPy is the only runtime dependency: ``expm`` is the scaling-and-squaring
 Pade method of Higham (SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm
@@ -246,19 +246,22 @@ def mat_pow(m, n) -> np.ndarray:
     """M**n for integer n >= 0 (M**0 = identity), by ``np.linalg.matrix_power``.
 
     ``m`` is one matrix with one n, or a (k, d, d) stack with a sequence of
-    k exponents, one per member, each raised by its own
-    ``np.linalg.matrix_power`` call.
+    k exponents, one per member.  The members that share an exponent are
+    raised by one ``np.linalg.matrix_power`` call on their stack, so each
+    power is the one that call gives the member alone, bit for bit.
     """
     a, single = _stack(m)
     ns = [n] if single else list(n)
     if len(ns) != len(a):
         raise InvalidInputError(f"need one exponent per matrix, got {len(ns)} for {len(a)}")
-    for e in ns:
+    members = {}
+    for j, e in enumerate(ns):
         if not isinstance(e, (int, np.integer)) or e < 0:
             raise InvalidInputError(f"exponent must be a nonnegative integer, got {e!r}")
+        members.setdefault(int(e), []).append(j)
     out = np.empty_like(a)
-    for member, e, power in zip(a, ns, out):
-        power[...] = np.linalg.matrix_power(member, int(e))
+    for e, idx in members.items():
+        out[idx] = np.linalg.matrix_power(a[idx], e)
     return out[0] if single else out
 
 

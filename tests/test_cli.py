@@ -528,8 +528,9 @@ def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
 
 def test_contour_report_bytes_do_not_follow_the_blas_thread_count():
     # each resolvent stack adds one matrix product of all the functions'
-    # weights; one vector-matrix product per function and 64-node block
-    # gave other bits under one and two OpenBLAS threads at d = 9
+    # weights: OpenBLAS runs a one-row product as a vector-matrix product,
+    # whose last bits differ under one and two threads, as they did here
+    # at d = 9 with one such product per function and 64-node block
     argv = ["verify", "contour_reconstruction", "--dim", "9", "--trials", "2", "--format", "json"]
     runs = [run_cli(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert [run.returncode for run in runs] == [0, 0]

@@ -328,6 +328,10 @@ def test_mat_pow_stack_equals_numpy_matrix_power_bit_for_bit():
     assert linalg.mat_pow(c, 5).tobytes() == linalg.mat_pow(c[None], [5])[0].tobytes()
     many = linalg.mat_pow(np.broadcast_to(c, (3, dim, dim)), [9, 2**40, 3])
     assert many[1].tobytes() == np.linalg.matrix_power(c, 2**40).tobytes()
+    # members that share an exponent are raised together, each as alone
+    shared = rng.permutation(np.arange(41) % 6).tolist()
+    for member, n, power in zip(stack, shared, linalg.mat_pow(stack, shared)):
+        assert power.tobytes() == np.linalg.matrix_power(member, n).tobytes(), n
 
 
 def test_inverse_stack_equals_each_member_and_refuses_as_the_first_bad_one():
