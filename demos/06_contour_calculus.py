@@ -2,7 +2,10 @@
 
 Reconstructs C^n (1-C) and C^n - e^{n(C-1)} for a certified quasi-sectorial
 contraction by resolvent quadrature along the contour and compares against
-direct matrix computation, then checks the resolvent majorants node by node.
+direct matrix computation, then checks the resolvent majorants node by node:
+each node's resolvent norm is bounded by 1/dist(z, W(C)) from the outer
+polygon of W(C), and exactly where that bound cannot prove the check, so the
+three majorant lines print proved upper bounds on the ratios.
 """
 
 import math

@@ -16,7 +16,7 @@ nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
 allowed).  The resolvents are solved in stacks of S = _stack_nodes(d)
 nodes, whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at
 d = 2, 128 at d = 8, 64 from d = 12 up), each with one solve, one blow-up
-check and one step of the majorant search below.  Each stack adds one
+check and the exact norms the majorant check below needs.  Each stack adds one
 matrix product of all the functions' weights and its rows to the sums, in
 stack order, and a lone function's weights are padded with a zero row.
 The stacks thus fix the bits of every value: other stack sizes would
@@ -54,11 +54,10 @@ The bound needs no solve, so it picks the contour before any node is
 solved.  The trials are the contours of _TRIALS, coarsest first: (8, 16),
 (16, 16), (32, 16) and (64, 32) panels (arc, side), that is 640, 768,
 1024 and 2048 nodes.  The first on which every function's bound lies
-below CONTOUR_QUAD_TOL is solved, and its base values are returned: its
-nodes and the seeds below.  The last grades its sides down to a panel of
-length cos(alpha') 2^-31 at the vertex, against 2^-15 for the others, so
-it proves draws with an eigenvalue of C next to z = 1 that they leave
-open.  Where no trial is proved, and without bounds on f,
+below CONTOUR_QUAD_TOL is solved, and its base values are returned.  The
+last grades its sides down to a panel of length cos(alpha') 2^-31 at the
+vertex, against 2^-15 for the others, so it proves draws with an
+eigenvalue of C next to z = 1 that they leave open.  Where no trial is proved, and without bounds on f,
 build_contour(alpha')'s (32, 16) contour is solved and the node set then
 doubled until two passes agree to CONTOUR_QUAD_TOL, every node of each
 refinement solved (1024 + 2048 nodes when one refinement agrees); a
@@ -66,68 +65,34 @@ heuristic, as all but the innermost graded line panel of a side are the
 same at every level.  The bound covers truncation only, since refining
 cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
 |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
-2^-53, g the growth factor of LU and kappa_j the condition of z_j - C,
-under the growth condition of U below) and times (S + N/S) sqrt(d) u
-for the products of the stacks of S nodes and their sum over the N nodes.
+2^-53, g the growth factor of LU and kappa_j the condition of z_j - C)
+and times (S + N/S) sqrt(d) u for the products of the stacks of S nodes
+and their sum over the N nodes.
 
 The majorant check runs on the contour whose base pass was solved, and
-reports that contour's winding error about 0.2 with it.  It needs three
-maxima over the base nodes, not every norm: of the ratio of
-||(z_j - C)^{-1}|| to the majorant on the arc, the same on the lines, and
-of ||(z_j - C)^{-1}|| dist(z_j, D(alpha)) at every node.  So the base
-pass searches for them while it holds each stack's rows R, and takes
-exact norms (SVDs of those rows) only where a maximum can still sit.
-Three upper bounds serve, each widened by the relative margin 1e-6, far
-above its rounding and that of the SVD (of relative order d^2 u, u =
-2^-53).
-
-- U, the polygon bound, is known before any node is solved.  With h_theta
-  the support values of W(C) at 32 angles, raised by their backward
-  error (``numrange.outer_polygon``: one eigvalsh of 16 Hermitian parts a
-  call, which the quadrature bound reads too), ``numrange.support_distance``
-  gives l_j = max_theta (Re(e^{i theta} z_j) - h_theta), lowered by its
-  rounding.  For every unit x, ||(z_j - C) x|| >= |z_j - x* C x| >=
-  dist(z_j, W(C)) >= l_j, so ||(z_j - C)^{-1}|| <= 1 / l_j (Trefethen and
-  Embree, Spectra and Pseudospectra, 2005, ch. 17).  The search compares
-  U with norms of computed resolvents, whose relative error is of order
-  d rho u kappa, with rho the growth factor of LU with partial pivoting
-  and kappa = ||z_j - C|| ||(z_j - C)^{-1}|| <= (|z_j| + ||C||_F) / l_j
-  (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 9
-  and 14).  So U_j = (1 + 1e-6) / l_j only where l_j lies above the guard
-  2^10 d^2 u (|z_j| + ||C||_F) / 1e-6, which keeps d u kappa below
-  2^-10 1e-6 / d: the error stays under the margin while rho < 2^10 d
-  (outside the guard it stays below 2 even for C = I - W/20, W the
-  Wilkinson growth matrix, whose nodes near z = 1 grow by 2^31 but lie
-  in the outer polygon of W(C)); elsewhere U_j = inf.
-- F = ||R||_F is taken by the blow-up check.
-- f is taken on the nodes that F and U leave.  With S = R / F and
-  G = S^H S, three squarings give G^8, and f = F ||G^8||_F^(1/16)
-  satisfies ||R|| <= f <= d^(1/32) ||R||, because ||G^8||_2 = ||S||^16 <=
-  ||G^8||_F <= sqrt(d) ||G^8||_2.  The scaling keeps ||G^8||_2 in
-  [d^-8, 1], so G^8 neither underflows nor overflows for any resolvent
-  the blow-up check lets through.
-
-Before the base pass the search solves its seeds: in each maximum, the
-node of largest ratio at U, at most 3 nodes in one stack.  Their exact
-ratios start the largest exact ratio so far (the best) of each maximum.
-Per stack, a node is dropped when it has an exact norm already, or when
-its ratios at min(F, U) lie below the best of both its maxima; the
-others get f, and each maximum takes exact norms of its nodes in
-decreasing order of their ratio at f until the next one lies strictly
-below its best.
-
-Each ratio is the norm times or over positive constants of the node,
-formed by the same expressions in the search and the check, and
-correctly rounded products and quotients are monotone.  So a node's
-ratio at an upper bound is at least its exact ratio, the best is always
-an exact ratio of some node, and a node left out has an exact ratio
-below the best of its maximum at that time, so below the maximum
-itself.  Every node at which a maximum sits thus has an exact norm, and
-the others enter the check as 0 without changing it: the check's maxima
-and verdict are those of exact norms at all nodes, bit for bit, given
-the growth condition on rho at the nodes U screens.  The
-check reports resolvent-majorant ratios only; a pointwise integrand such
-as |z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
+reports that contour's winding error about 0.2 with it.  It reads one
+value per base node, at least ||(z_j - C)^{-1}||, and takes three maxima:
+of its ratio to the majorant on the arc, the same on the lines, and of
+it times dist(z_j, D(alpha)) at every node.  With h_theta the support
+values of W(C) at 32 angles, raised by their backward error
+(``numrange.outer_polygon``: one eigvalsh of 16 Hermitian parts a call,
+which the quadrature bound reads too), ``numrange.support_distance``
+gives l_j = max_theta (Re(e^{i theta} z_j) - h_theta), lowered by its
+rounding.  For every unit x, ||(z_j - C) x|| >= |z_j - x* C x| >=
+dist(z_j, W(C)) >= l_j, so ||(z_j - C)^{-1}|| <= 1 / l_j (Trefethen and
+Embree, Spectra and Pseudospectra, 2005, ch. 17).  So before the base
+pass every node gets U_j = (1 + 1e-6) / l_j, or inf where l_j <= 0.  A
+node whose ratios at U_j lie within the check's tolerances is proved and
+reads U_j; at every other node the base pass takes the exact norm (an
+SVD of the stack's own rows), and the node reads that.  Each ratio is
+the value times or over positive constants of the node, and correctly
+rounded products and quotients are monotone, so a node's ratio at U_j is
+at least its exact ratio.  The verdict is thus that of exact norms at
+every node (a proved node's exact ratio lies below its tolerance by the
+margin 1e-6, far above the rounding of a computed norm), and each
+maximum is a bound that is never below the exact one.  The check
+reports resolvent-majorant ratios only; a pointwise integrand such as
+|z^n - e^{n(z-1)}| is for the caller to evaluate on the nodes ``z``.
 """
 
 from __future__ import annotations
@@ -142,10 +107,8 @@ from .errors import ContourTooCloseError, DomainError, InvalidInputError
 from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant search
-_BOUND_MARGIN = 1e-6  # relative widening of the base-pass norm and quadrature bounds, far above their rounding
-_SVD_BATCH = 4  # exact norms per op_norms call of the majorant search
-_GUARD = 2.0**10  # the polygon bound's guard, in units of d^2 u (|z| + ||C||_F) / _BOUND_MARGIN
+_STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant norms
+_BOUND_MARGIN = 1e-6  # relative widening of the polygon and quadrature bounds, far above their rounding
 _RHOS = 2.0 ** (np.arange(1, 25) / 4.0)  # the Bernstein ellipses E_rho each panel's error bound tries
 _TRIALS = ((8, 16), (16, 16), (32, 16), (64, 32))  # (arc, side) panels of the contours the proof tries, in order
 
@@ -244,8 +207,8 @@ def _stack_nodes(dim: int) -> int:
     return 64 * max(1, _STACK_BYTES // (64 * 16 * dim * dim))
 
 
-def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the resolvents r at the nodes z; raises at the first that blows up."""
+def _check_blow_up(r: np.ndarray, z: np.ndarray) -> None:
+    """Raise at the first of the resolvents r at the nodes z whose Frobenius norm exceeds 1e15."""
     # np.linalg.norm(r, axis=(1, 2)) to the bit, with one temporary stack, not two
     sq = np.conj(r)
     fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(1, 2)))
@@ -253,56 +216,26 @@ def _checked_norms(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~(fro <= 1e15))
     if bad.size:
         raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
-    return fro
-
-
-def _checked_solve(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_solve and _checked_norms at the nodes z of one stack.
-
-    A singular node raises with the z range of the whole stack, before any
-    blow-up in it is looked for, and a blow-up names the first node of the
-    stack that blows up.
-    """
-    try:
-        r = _solve(c, z)
-    except np.linalg.LinAlgError as exc:
-        raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
-    return r, _checked_norms(r, z)
 
 
 def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
-    """Yield (nodes, (z - C)^{-1} stacked over them, their Frobenius norms) per stack.
+    """Yield (nodes, (z - C)^{-1} stacked over them) per stack.
 
     The stacks cover the nodes in order; each is one stacked solve of up to
-    _stack_nodes(dim) nodes.
+    _stack_nodes(dim) nodes.  A singular node raises with the z range of
+    its whole stack, before any blow-up in it is looked for, and a blow-up
+    names the first node of the stack that blows up.
     """
     step = _stack_nodes(c.shape[0])
     for lo in range(0, len(contour), step):
         nodes = slice(lo, min(lo + step, len(contour)))
-        yield (nodes, *_checked_solve(c, contour.z[nodes]))
-
-
-def _norm_bounds(r: np.ndarray, fro: np.ndarray) -> np.ndarray:
-    """Upper bounds on the spectral norms ||r_j|| of a resolvent stack.
-
-    fro holds the Frobenius norms of the r_j; r is overwritten, so pass a
-    copy of rows that are still needed.  The bounds are those of the module
-    docstring, widened by _BOUND_MARGIN, and a node whose bound is not
-    finite gets inf.
-    """
-    # F = 0 divides by 1: S = R = 0 then bounds the norm 0 by 0 exactly
-    s = np.divide(r, np.where(fro > 0.0, fro, 1.0)[:, None, None], out=r)
-    g = np.empty_like(s)
-    quarter = -(-len(s) // 4)
-    for j in range(0, len(s), quarter):  # S^H a quarter of the stack at a time
-        part = s[j:j + quarter]
-        np.matmul(part.conj().transpose(0, 2, 1), part, out=g[j:j + quarter])
-    # square through the stack G frees, and take ||G^8||_F^2 in place
-    for a, out in ((g, r), (r, g), (g, r)):
-        np.matmul(a, a, out=out)
-    v = r.view(np.float64)
-    f = fro * np.sum(np.square(v, out=v), axis=(1, 2)) ** (1.0 / 32.0)
-    return np.where(np.isfinite(f), f * (1.0 + _BOUND_MARGIN), np.inf)
+        z = contour.z[nodes]
+        try:
+            r = _solve(c, z)
+        except np.linalg.LinAlgError as exc:
+            raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
+        _check_blow_up(r, z)
+        yield nodes, r
 
 
 def _weights(fs, contour: ContourNodes) -> np.ndarray:
@@ -335,9 +268,9 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     its rows, in stack order.  A lone weight is padded with a zero row, so
     that it is summed by the same product as among others.  The stacks fix
     the bits of every value; the BLAS thread count was measured not to
-    (module docstring).  visit, if given, is called as visit(nodes, rows,
-    Frobenius norms) on each stack once the pass is done with it, and must
-    not change the rows.
+    (module docstring).  visit, if given, is called as visit(nodes, rows)
+    on each stack once the pass is done with it, and must not change the
+    rows.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
@@ -345,22 +278,20 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     if count == 1:  # a one-row product runs as a vector-matrix product, whose bits follow the BLAS thread count
         weights = np.concatenate([weights, np.zeros_like(weights)])
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
-    for nodes, r, fro in _resolvent_blocks(c, contour):
+    for nodes, r in _resolvent_blocks(c, contour):
         acc += weights[:, nodes] @ r.reshape(len(r), -1)
         if visit:
-            visit(nodes, r, fro)
+            visit(nodes, r)
     return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi))
 
 
-def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
+def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
     """The node-wise ratios behind the three maxima of _check_report.
 
-    Returns ratios(norms, nodes), which gives, for the resolvent norms
-    ``norms`` at the nodes ``nodes``, each node's side ratio (to the arc or
-    the line majorant) and its distance ratio, times dist = dist(z, D(alpha)).
-    Each is the norm times or over positive constants of the node, in a
-    fixed order, so it rounds the same at any node set and is monotone in
-    the norm.
+    For the values ``norms`` of ||(z - C)^{-1}|| at every node, returns each
+    node's side ratio (to the arc or the line majorant) and its distance
+    ratio, times dist = dist(z, D(alpha)).  Each is the value times or over
+    positive constants of the node, so it is monotone in the value.
     """
     arc = contour.on_arc
     sin_gap = math.sin(contour.alpha_prime - alpha)
@@ -369,92 +300,30 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist):
     w = (1.0 - contour.z)[~arc]
     line = np.ones(len(contour))  # |1 - z| on the lines; 1 on the arc, where it is not read
     line[~arc] = np.hypot(w.real, w.imag)
-
-    def ratios(norms, nodes):
-        side = np.where(arc[nodes], norms / arc_major, norms * line[nodes] * sin_gap)
-        return side, norms * dist[nodes]
-
-    return ratios
+    return np.where(arc, norms / arc_major, norms * line * sin_gap), norms * dist
 
 
-def _polygon_bounds(c: np.ndarray, z: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Upper bounds U_j on ||(z_j - C)^{-1}|| from the outer 32-gon of W(C), before any solve.
+def _majorant_norms(contour: ContourNodes, alpha: float, dist, polygon: np.ndarray):
+    """The value per node that _check_report reads, and the base pass's visit that completes it.
 
-    With l_j from ``numrange.support_distance`` of polygon = ``numrange.outer_polygon(c)``,
-    U_j = (1 + _BOUND_MARGIN) / l_j where l_j lies above the guard of the
-    module docstring, and inf elsewhere.
+    Returns (rnorm, visit).  rnorm starts as the polygon bound U of the
+    module docstring, (1 + _BOUND_MARGIN) / l from ``numrange.support_distance``
+    of polygon = ``numrange.outer_polygon(C)``, inf where l <= 0.  A node
+    whose ratios at U lie within MAJORANT_TOL and MAJORANT_DIST_TOL is
+    proved and keeps U; visit(nodes, rows) writes the exact norm of each
+    other node's row of a stack over its U.
     """
-    ell = numrange.support_distance(polygon, z)
-    scale = _GUARD * c.shape[0] ** 2 * 2.0**-53 / _BOUND_MARGIN
-    far = ell > scale * (np.abs(z) + np.linalg.norm(c))
-    return np.where(far, (1.0 + _BOUND_MARGIN) / np.where(far, ell, 1.0), np.inf)
+    ell = numrange.support_distance(polygon, contour.z)
+    rnorm = np.where(ell > 0.0, (1.0 + _BOUND_MARGIN) / np.where(ell > 0.0, ell, 1.0), np.inf)
+    side, far = _majorant_ratios(contour, alpha, dist, rnorm)
+    open_nodes = ~((side <= 1.0 + MAJORANT_TOL) & (far <= 1.0 + MAJORANT_DIST_TOL))
 
+    def visit(nodes: slice, r: np.ndarray) -> None:
+        at = np.flatnonzero(open_nodes[nodes])
+        if at.size:
+            rnorm[at + nodes.start] = linalg.op_norms(r[at])
 
-class _MaximaSearch:
-    """Exact norms at every node where a maximum of _check_report can sit, stack by stack.
-
-    The base pass calls it on each stack's rows; the search is the one of
-    the module docstring.  Node j belongs to its side group (0 on the arc,
-    1 on the lines) and to group 2 (every node); best holds each group's
-    largest exact ratio so far, and rnorm the exact norms taken, 0
-    elsewhere.  upper holds the polygon bounds U of every node, from the
-    support values ``polygon`` of numrange.outer_polygon, and a node with an
-    exact norm is not taken again; c and z, the operator and the base
-    nodes, are kept for ``seed``.  _norm_bounds works on a copy of
-    the rows it bounds, and exact norms are taken _SVD_BATCH at a time.
-    """
-
-    def __init__(self, c: np.ndarray, contour: ContourNodes, alpha: float, dist, polygon):
-        self.ratios = _majorant_ratios(contour, alpha, dist)
-        self.side = np.where(contour.on_arc, 0, 1)
-        self.best = np.zeros(3)
-        self.rnorm = np.zeros(len(contour))
-        self.c, self.z = c, contour.z
-        self.upper = _polygon_bounds(c, contour.z, polygon)
-
-    def seed(self) -> None:
-        """Exact norms at the node of largest ratio at U in each maximum: at most 3 nodes, one solve.
-
-        A seed that is singular or blows up seeds nothing: the base pass
-        raises at its own stack, in stack order.
-        """
-        side, far = self.ratios(self.upper, slice(None))
-        # every ratio is >= 0, so -1 leaves the other side's nodes out of a side's pick
-        picks = {int(np.argmax(np.where(self.side == group, side, -1.0))) for group in (0, 1)}
-        at = np.array(sorted(picks | {int(np.argmax(far))}))
-        try:
-            r, _ = _checked_solve(self.c, self.z[at])
-        except ContourTooCloseError:
-            return
-        self._take(at, r)
-
-    def __call__(self, nodes: slice, r: np.ndarray, fro: np.ndarray) -> None:
-        up_side, up_far = self.ratios(np.minimum(fro * (1.0 + _BOUND_MARGIN), self.upper[nodes]), nodes)
-        screened = (up_side < self.best[self.side[nodes]]) & (up_far < self.best[2])
-        left = np.flatnonzero(~screened & (self.rnorm[nodes] == 0.0))
-        if not left.size:
-            return
-        at = left + nodes.start
-        side = self.side[at]
-        up_side, up_far = self.ratios(_norm_bounds(r[left], fro[left]), at)
-        taken = np.zeros(left.size, dtype=bool)
-        for group, upper in ((0, up_side), (1, up_side), (2, up_far)):
-            order = np.flatnonzero(~taken & ((side == group) | (group == 2)))
-            order = order[np.argsort(-upper[order], kind="stable")]
-            for start in range(0, order.size, _SVD_BATCH):
-                batch = order[start:start + _SVD_BATCH]
-                batch = batch[~(upper[batch] < self.best[group])]
-                if not batch.size:
-                    break
-                taken[batch] = True
-                self._take(at[batch], r[left[batch]])
-
-    def _take(self, at: np.ndarray, rows: np.ndarray) -> None:
-        norms = np.array(linalg.op_norms(rows))
-        self.rnorm[at] = norms
-        side, far = self.ratios(norms, at)
-        np.maximum.at(self.best, self.side[at], side)
-        self.best[2] = max(self.best[2], np.max(far))
+    return rnorm, visit
 
 
 def _panel_images(contour: ContourNodes):
@@ -535,17 +404,14 @@ def riesz_dunford_many(
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` for 0 <= alpha < alpha' on the
     base contour, the one whose base pass was solved.  Before the base
-    pass, the majorant search bounds every ||(z_j - C)^{-1}|| by the outer
-    32-gon of W(C) and solves its seeds, at most 3 nodes; the base pass
-    then takes exact norms from its own rows only at the nodes where, by
-    the bounds of the module docstring, one of the check's three maxima can
-    still sit, and every other node enters the check as 0.  Each maximum
-    sits at a node with an exact norm, so the report equals the one of
-    exact norms at all nodes bit for bit, as long as LU with partial
-    pivoting keeps its growth factor on z_j - C below about 2^10 d at the
-    nodes the polygon bound screens (the guard of the module docstring);
-    only the seeds are solved twice; the distances dist(z_j, D(alpha)) are
-    taken once, for both.
+    pass, every ||(z_j - C)^{-1}|| is bounded by the outer 32-gon of W(C);
+    a node whose ratios that bound proves within the check's tolerances
+    enters the check with the bound, and the base pass takes the exact norm
+    of every other node from its own rows.  So the verdict is that of exact
+    norms at all nodes, each maximum is a proved bound (or an exact norm
+    where the bound cannot prove), never below the maximum of exact norms,
+    and no node is solved twice; the distances dist(z_j, D(alpha)) are
+    taken once.
 
     f_bounds, if given, holds one bound per function: f_bounds[i](center,
     radius) returns, for arrays of centers and radii, upper bounds on
@@ -554,8 +420,8 @@ def riesz_dunford_many(
     docstring runs on the contours of _TRIALS in order, (8, 16), (16, 16),
     (32, 16) and (64, 32) panels.  The first on which the proved truncation
     error of every value lies below CONTOUR_QUAD_TOL is the base contour,
-    and its base values are returned: 640, 768, 1024 or 2048 solves and
-    the seeds.  Otherwise, and always without f_bounds, the base contour is
+    and its base values are returned: 640, 768, 1024 or 2048 solves.
+    Otherwise, and always without f_bounds, the base contour is
     build_contour(alpha')'s (32, 16), and the node set is doubled until
     every value agrees with its previous refinement to CONTOUR_QUAD_TOL in
     spectral norm, and the last refinement's values are returned; each
@@ -578,11 +444,10 @@ def riesz_dunford_many(
     base = _build_contour(alpha_prime, 32, 16) if proved is None else proved
     weights = _weights(fs, base)
     dist = numrange.distance_to_D_alpha(base.z, alpha)
-    search = _MaximaSearch(a, base, alpha, dist, polygon)
-    search.seed()
-    results = _evaluate_many(weights, a, base, visit=search)
+    rnorm, take_norms = _majorant_norms(base, alpha, dist, polygon)
+    results = _evaluate_many(weights, a, base, visit=take_norms)
     del weights  # the base pass's weights are not needed again
-    report = _check_report(base, alpha, dist, search.rnorm)
+    report = _check_report(base, alpha, dist, rnorm)
     if proved is not None:
         return results, report
     fine = base
@@ -602,7 +467,11 @@ def riesz_dunford_many(
 
 @dataclass
 class ContourCheckReport:
-    """Node-wise resolvent-majorant ratios along the contour."""
+    """Node-wise resolvent-majorant ratios along the contour.
+
+    Each worst ratio is read from a proved bound on ||(z - C)^{-1}||, or
+    from an exact norm at the nodes where the bound cannot prove the check.
+    """
 
     worst_ratio_arc: float
     worst_ratio_lines: float
@@ -614,16 +483,17 @@ class ContourCheckReport:
 def _check_report(contour: ContourNodes, alpha: float, dist, rnorm) -> ContourCheckReport:
     """Check the resolvent majorants used in the contour norm estimates.
 
-    rnorm holds one resolvent norm ||(z - C)^{-1}|| per node of the contour,
-    as an array, and dist the distances dist(z, D(alpha)) of the nodes;
-    nothing is solved here.  riesz_dunford_many passes exact norms at the
-    nodes that can hold a maximum and 0 at the others.  With alpha' the
+    rnorm holds one value per node of the contour, as an array, at least
+    ||(z - C)^{-1}||, and dist the distances dist(z, D(alpha)) of the nodes;
+    nothing is solved here.  riesz_dunford_many passes the polygon bound
+    where it proves the node within the tolerances and the exact norm
+    elsewhere (``_majorant_norms``).  With alpha' the
     contour's angle, the majorant on the arc is 1/(cos(alpha') sin(alpha' -
     alpha)), on the lines 1/(|1 - z| sin(alpha' - alpha)).  The report also
     carries the distance-based bound ratio ||(z-C)^{-1}|| * dist(z, D(alpha)),
     and the contour's winding error about 0.2, a point of every D(alpha').
     """
-    side, far = _majorant_ratios(contour, alpha, dist)(rnorm, slice(None))
+    side, far = _majorant_ratios(contour, alpha, dist, rnorm)
     arc = contour.on_arc
     worst_arc, worst_lines, worst_dist = (float(np.max(v)) for v in (side[arc], side[~arc], far))
     majorant_ok = max(worst_arc, worst_lines) <= 1.0 + MAJORANT_TOL

@@ -471,8 +471,9 @@ def _contour_sweep(c, alpha_prime, ns, alpha):
     Returns ([(n, ritt_error, gap_error) for n in ns], report): spectral norms
     against C^n (1 - C) and the Chernoff pair, and the majorant report of
     riesz_dunford_many along the boundary of D(alpha'), whose three maxima
-    are exact resolvent norms at the nodes where they sit (the other nodes'
-    norms are only bounded, and no maximum can sit there).  Both families
+    are proved bounds, 1/dist(z, W(C)) from the outer 32-gon, or exact
+    resolvent norms at the nodes where that bound cannot prove the check;
+    its verdict is that of exact norms at every node.  Both families
     come with their bounds on the discs |z - c| <= r, (|c| + r)^n (|1 - c|
     + r) and (|c| + r)^n + e^{n(Re c + r - 1)}, so riesz_dunford_many
     proves the quadrature error before solving: a draw proved below
@@ -646,6 +647,9 @@ def _run_tnk_equivalence(config: ExperimentConfig):
 
 
 def _run_contour_reconstruction(config: ExperimentConfig):
+    """Records of _contour_sweep per certified draw; the summary's worst_majorant_ratio is the
+    largest side ratio the draws' checks read, a proved bound that is never below the ratio of
+    exact norms, and majorant_failures counts the draws whose check fails (no exit code)."""
     draws, failures = _draws(config, _resolvent, numrange.quasi_sectorial)
     records = []
     alpha_prime = 0.5 * (config.alpha + math.pi / 2)

@@ -28,7 +28,7 @@ The sweep also gives the ``numrange`` command its report and
 lines of the outer _POLYGON_ANGLES-gon (``outer_polygon``) into lower
 bounds on the distance from W(C) to a point or an ellipse, so into the
 upper bound 1/dist(z, W(C)) on resolvent norms that the contour's
-majorant search and quadrature error bound use.
+majorant check and quadrature error bound use.
 """
 
 from __future__ import annotations

@@ -526,6 +526,30 @@ def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
     assert built and built[0][1:] == (64, 32)  # the first refinement of the (32, 16) contour
 
 
+def test_a_failed_majorant_is_counted_and_keeps_exit_code_0(monkeypatch, tmp_path):
+    # the policy for a failed resolvent majorant: it is a summary count, not
+    # a violated bound.  A certificate patched to pass everything lets draws
+    # through whose eigenvalue lies between a side of D(alpha) and the
+    # contour; the check fails on each by exact norms, majorant_failures
+    # counts both, the records still pass, and verify exits 0
+    alpha = math.pi / 8
+    alpha_prime = 0.5 * (alpha + math.pi / 2)
+    outside = 1.0 - 0.5 * math.cos(alpha_prime) * np.exp(-1j * (alpha + (alpha_prime - alpha) / 3))
+    c = np.diag([outside, 0.4])
+    assert not numrange.quasi_sectorial(c, alpha)
+    monkeypatch.setattr(harness, "_resolvent", lambda config, i: (c, 1.0))
+    monkeypatch.setattr(numrange, "quasi_sectorial", lambda stack, alpha: [True] * len(stack))
+    out = tmp_path / "r.json"
+    argv = ["verify", "contour_reconstruction", "--alpha", repr(alpha), "--dim", "2", "--trials", "2",
+            "--nmax", "4", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["summary"]["certification_failures"] == 0
+    assert data["summary"]["majorant_failures"] == 2
+    assert data["summary"]["worst_majorant_ratio"] > 1.0
+    assert data["records"] and all(r["passed"] for r in data["records"])
+
+
 def test_contour_report_bytes_do_not_follow_the_blas_thread_count():
     # each resolvent stack adds one matrix product of all the functions'
     # weights: OpenBLAS runs a one-row product as a vector-matrix product,

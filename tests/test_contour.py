@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semiapprox import approximants, contour, ensembles, harness, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.harness import ExperimentConfig, _draws, _resolvent, run_experiment
+from semiapprox.tolerances import MAJORANT_DIST_TOL, MAJORANT_TOL
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
@@ -24,12 +25,78 @@ def majorant_report(c, alpha, nodes):
     return report
 
 
-def per_node_report(c, nodes, alpha):
-    # the check on exact norms at every node, each from its own solve
+def _per_node_norms(c, z):
+    # exact resolvent norms at the nodes z, each from its own solve
     eye = np.eye(c.shape[0], dtype=complex)
-    rnorm = linalg.op_norms(np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z]))
+    return np.asarray(linalg.op_norms(np.stack([np.linalg.solve(w * eye - c, eye) for w in z])))
+
+
+def per_node_report(c, nodes, alpha):
+    # the check on exact norms at every node
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
-    return contour._check_report(nodes, alpha, dist, np.asarray(rnorm))
+    return contour._check_report(nodes, alpha, dist, _per_node_norms(c, nodes.z))
+
+
+def bound_first_values(c, nodes, alpha):
+    # the values the check reads, as riesz_dunford_many is to take them: the
+    # polygon bound U = (1 + 1e-6)/l (inf where l <= 0) where its ratios lie
+    # within the tolerances, and the exact norm of a per-node solve at the
+    # other nodes, which are returned too
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    ell = numrange.support_distance(numrange.outer_polygon(c), nodes.z)
+    values = np.full(len(nodes), np.inf)
+    values[ell > 0.0] = (1.0 + 1e-6) / ell[ell > 0.0]
+    side, far = contour._majorant_ratios(nodes, alpha, dist, values)
+    exact = ~((side <= 1.0 + MAJORANT_TOL) & (far <= 1.0 + MAJORANT_DIST_TOL))
+    if np.any(exact):
+        values[exact] = _per_node_norms(c, nodes.z[exact])
+    return values, exact
+
+
+def bound_first_report(c, nodes, alpha):
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    return contour._check_report(nodes, alpha, dist, bound_first_values(c, nodes, alpha)[0])
+
+
+def _checked(monkeypatch, fs, c, alpha_prime, alpha, f_bounds=None):
+    # riesz_dunford_many with what its check reads: (values, report, the
+    # contour checked, the value of each node, the stack sizes of op_norms
+    # calls while the base pass takes exact norms)
+    seen, rows = [], []
+    check, norms = contour._check_report, contour._majorant_norms
+
+    def spy_check(nodes, alpha, dist, rnorm):
+        seen.append((nodes, rnorm.copy()))
+        return check(nodes, alpha, dist, rnorm)
+
+    def spy_norms(*args):
+        rnorm, visit = norms(*args)
+
+        def counted(nodes, r):
+            op_norms = linalg.op_norms
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "op_norms", lambda stack: rows.append(len(stack)) or op_norms(stack))
+                visit(nodes, r)
+
+        return rnorm, counted
+
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_check_report", spy_check)
+        m.setattr(contour, "_majorant_norms", spy_norms)
+        values, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
+    (nodes, rnorm), = seen
+    return values, report, nodes, rnorm, rows
+
+
+def _worst(report):
+    return report.worst_ratio_arc, report.worst_ratio_lines, report.worst_dist_ratio
+
+
+def _assert_bounds_the_exact_check(report, exact, rel=0.0):
+    # the verdict of the check of exact norms, and no maximum below its own;
+    # rel allows for the rounding of computed norms against closed forms
+    assert report.passed == exact.passed
+    assert all(got >= want * (1.0 - rel) for got, want in zip(_worst(report), _worst(exact)))
 
 
 def _one(z, r):
@@ -152,12 +219,18 @@ def test_majorants_hold_random_certified():
             assert report.passed, (alpha, ap_frac)
 
 
-def test_rnorm_is_op_norm_of_per_node_solves():
-    # the majorant report reads exact norms wherever a maximum sits
-    c = certified_resolvent(3, math.pi / 8, 3000)
+def test_rnorm_is_op_norm_of_per_node_solves(monkeypatch):
+    # W(J) = |z - 0.3| <= 0.6 reaches past the lines near the vertex: the
+    # check reads the exact norm of a per-node solve, bit for bit, at every
+    # node whose polygon bound cannot prove it, and the bound elsewhere
+    c = np.array([[0.3, 1.2], [0.0, 0.3]], dtype=complex)
     nodes = contour.build_contour(1.0)
-    _, report = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, math.pi / 8)
-    assert report == per_node_report(c, nodes, math.pi / 8)
+    _, report, checked, rnorm, rows = _checked(monkeypatch, [lambda z: z], c, nodes.alpha_prime, math.pi / 8)
+    want, exact = bound_first_values(c, nodes, math.pi / 8)
+    assert 0 < np.count_nonzero(exact) < len(nodes) and sum(rows) == np.count_nonzero(exact)
+    assert np.array_equal(checked.z, nodes.z) and np.array_equal(rnorm, want)
+    assert np.array_equal(rnorm[exact], _per_node_norms(c, nodes.z[exact]))
+    _assert_bounds_the_exact_check(report, per_node_report(c, nodes, math.pi / 8))
 
 
 def _scaled_resolvent(dim, alpha, seed, t, exponent, nodes):
@@ -168,7 +241,7 @@ def _scaled_resolvent(dim, alpha, seed, t, exponent, nodes):
     c = approximants.resolvent_family(ensembles.random_m_sectorial(dim, alpha, seed))(t)
     if exponent <= 0:
         return 10.0 ** -exponent * c
-    peak = max(np.max(fro) for _, _, fro in contour._resolvent_blocks(c, nodes))
+    peak = max(np.max(np.linalg.norm(r, axis=(1, 2))) for _, r in contour._resolvent_blocks(c, nodes))
     d = 10.0 ** np.linspace(0.0, max(exponent - math.log10(peak), 0.0), dim)
     return d[:, None] * c / d
 
@@ -181,17 +254,20 @@ def _scaled_resolvent(dim, alpha, seed, t, exponent, nodes):
     seed=st.integers(0, 2**16),
     exponent=st.floats(-19.0, 14.0),
 )
-def test_majorant_report_equals_check_of_all_exact_norms(dim, alpha, t, seed, exponent):
+def test_majorant_verdict_equals_check_of_all_exact_norms(dim, alpha, t, seed, exponent):
     # the zero integrand converges at once, so resolvents of any size can be
-    # checked; at 1e-19 an unscaled (R^H R)^8 would be subnormal
+    # checked, from 1e-19 C (every node proved) to similarities whose W(C)
+    # covers the contour (every node exact); the report is the check of the
+    # bound-first values, its verdict that of exact norms at every node
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = _scaled_resolvent(dim, alpha, seed, t, exponent, nodes)
     _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
-    assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+    assert dataclasses.astuple(report) == dataclasses.astuple(bound_first_report(c, nodes, alpha))
+    _assert_bounds_the_exact_check(report, per_node_report(c, nodes, alpha))
 
 
 def test_no_solve_between_the_base_pass_and_the_check(monkeypatch):
-    # the majorant search takes its exact norms from the base pass's own rows
+    # the check takes its exact norms from the base pass's own rows
     events = []
     evaluate, solve, check = contour._evaluate_many, contour._solve, contour._check_report
     monkeypatch.setattr(
@@ -204,12 +280,12 @@ def test_no_solve_between_the_base_pass_and_the_check(monkeypatch):
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     _, report = contour.riesz_dunford_many([lambda z: z], c, nodes.alpha_prime, alpha)
     assert events[events.index("pass") + 1] == "check"
-    assert report == per_node_report(c, nodes, alpha)
+    assert report == bound_first_report(c, nodes, alpha)
 
 
 def test_distances_are_taken_once_per_call(monkeypatch):
-    # the candidates and the check share one distance_to_D_alpha of the base nodes;
-    # the refinement passes take none
+    # the polygon bounds and the check share one distance_to_D_alpha of the
+    # base nodes; the refinement passes take none
     alpha = math.pi / 8
     c = certified_resolvent(4, alpha, 3000)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
@@ -222,19 +298,9 @@ def test_distances_are_taken_once_per_call(monkeypatch):
     assert dataclasses.astuple(report) == dataclasses.astuple(want)
 
 
-def test_norm_bounds_hold_the_exact_norms():
-    alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    c = _scaled_resolvent(6, alpha, 3000, 1.0, 12.0, nodes)
-    for _, r, fro in contour._resolvent_blocks(c, nodes):
-        exact = np.asarray(linalg.op_norms(r))
-        hi = contour._norm_bounds(r.copy(), fro)
-        assert np.all(exact <= hi)
-        assert np.all(hi <= exact * 6 ** (1 / 32) * (1 + 3e-6))
-
-
 def test_default_draws_take_few_exact_norms(monkeypatch):
-    # the op_norms calls ahead of the majorant check take the exact norms
+    # the op_norms calls ahead of the majorant check would take the exact
+    # norms; the polygon bound proves every node of every default draw
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
     events = []
@@ -255,126 +321,42 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
     for _, c, _ in draws:
         events.clear()
         contour.riesz_dunford_many([lambda z: 1.0], c, base.alpha_prime, config.alpha)
-        assert 0 < sum(events[:events.index("check")]) <= 16
+        assert events.index("check") == 0
 
 
 def test_default_draw_counts_its_exact_norms(monkeypatch):
     # the first default draw, its quadrature error proved on the (8, 16)
-    # trial contour: the majorant search takes 11 SVDs, 2 of them at its
-    # seeds, and bounds 130 of the 640 base nodes by G^8; only the 2 seeds
-    # are solved twice, and no refinement runs
+    # trial contour: the polygon bound proves all 640 base nodes, so no
+    # exact norm is taken, each node is solved once, and no refinement runs
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
     solved_contour = contour.build_contour(base.alpha_prime, 8, 16)
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
-    counts = {"svd": 0, "bounded": 0, "solved": 0}
-    take, bounds, solve = contour._MaximaSearch._take, contour._norm_bounds, contour._solve
-
-    def counting_take(search, at, rows):
-        counts["svd"] += len(rows)
-        return take(search, at, rows)
-
-    def counting_bounds(r, fro):
-        counts["bounded"] += len(r)
-        return bounds(r, fro)
-
-    def counting_solve(c, z):
-        counts["solved"] += len(z)
-        return solve(c, z)
-
-    monkeypatch.setattr(contour._MaximaSearch, "_take", counting_take)
-    monkeypatch.setattr(contour, "_norm_bounds", counting_bounds)
-    monkeypatch.setattr(contour, "_solve", counting_solve)
-    _, report = contour.riesz_dunford_many([lambda z: 1.0], c, base.alpha_prime, config.alpha, [_one])
-    assert counts == {"svd": 11, "bounded": 130, "solved": 2 + 640}
-    assert report == per_node_report(c, solved_contour, config.alpha)
+    solved, solve = [], contour._solve
+    monkeypatch.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
+    _, report, checked, _, rows = _checked(monkeypatch, [lambda z: 1.0], c, base.alpha_prime, config.alpha, [_one])
+    assert (rows, sum(solved), len(checked)) == ([], 640, 640)
+    assert report == bound_first_report(c, solved_contour, config.alpha)
+    _assert_bounds_the_exact_check(report, per_node_report(c, solved_contour, config.alpha))
 
 
 @pytest.mark.parametrize("slot", range(15))
-def test_contour_calc_slots_report_the_exact_maxima(slot):
-    # the 15 slot shapes of the contour_calc benchmark's first block: d = 2..16
+def test_contour_calc_slots_report_the_exact_maxima(monkeypatch, slot):
+    # the 15 slot shapes of the contour_calc benchmark's first block, d =
+    # 2..16, with the polygon bound withheld (every support distance -inf):
+    # the base pass then takes the exact norm of every node from its own
+    # rows, in stacks of every size, and the report is the check of exact
+    # norms at every node, bit for bit
     alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
     config = ExperimentConfig(
         "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
     )
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
+    monkeypatch.setattr(numrange, "support_distance", lambda polygon, z, *a: np.full(np.shape(z), -np.inf))
+    _, report, _, _, rows = _checked(monkeypatch, [lambda z: 0.0], c, nodes.alpha_prime, alpha)
+    assert sum(rows) == len(nodes)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
-
-
-def _searched(c, nodes, alpha, seed=True):
-    # the majorant search alone on the base pass, seeded as riesz_dunford_many
-    # seeds it or not at all: its exact norms, and the exact ratios of every node
-    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
-    search = contour._MaximaSearch(c, nodes, alpha, dist, numrange.outer_polygon(c))
-    if seed:
-        search.seed()
-    contour._evaluate_many([], c, nodes, visit=search)
-    exact = np.asarray(linalg.op_norms(contour._solve(c, nodes.z)))
-    side, far = contour._majorant_ratios(nodes, alpha, dist)(exact, slice(None))
-    assert contour._check_report(nodes, alpha, dist, search.rnorm) == per_node_report(c, nodes, alpha)
-    return search.rnorm, exact, side, far
-
-
-def test_search_takes_every_node_of_a_tie():
-    # a real C has equal resolvent norms at the conjugate nodes of the two
-    # sides, so the line maximum sits at two nodes; a seed takes at most one
-    alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    c = np.array([[0.3, 0.4, 0.0], [0.0, 0.5, 0.2], [0.1, 0.0, 0.6]], dtype=complex)
-    for seed in (True, False):
-        rnorm, exact, side, _ = _searched(c, nodes, alpha, seed)
-        lines = np.flatnonzero(~nodes.on_arc)
-        tied = lines[side[lines] == np.max(side[lines])]
-        assert tied.size == 2
-        assert np.array_equal(rnorm[tied], exact[tied])
-
-
-def test_search_takes_a_node_whose_bound_is_infinite(monkeypatch):
-    # the last node each stack bounds gets the bound inf, and so an exact norm
-    alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    c = certified_resolvent(12, alpha, 3000)
-    marked, bounds = [], contour._norm_bounds
-
-    def bounds_with_inf(r, fro):
-        marked.append(fro[-1])
-        hi = bounds(r, fro)
-        hi[-1] = np.inf
-        return hi
-
-    monkeypatch.setattr(contour, "_norm_bounds", bounds_with_inf)
-    rnorm, exact, _, _ = _searched(c, nodes, alpha)
-    fro = np.concatenate([f for _, _, f in contour._resolvent_blocks(c, nodes)])
-    at = np.flatnonzero(np.isin(fro, marked))
-    assert at.size == len(marked) > 1
-    assert np.array_equal(rnorm[at], exact[at])
-
-
-def test_search_finds_a_maximum_in_the_last_stack():
-    # an eigenvalue next to the last node: the last stack holds the line and
-    # distance maxima; without seeds the running best stays low until then
-    alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    dim = 12
-    c = certified_resolvent(dim, alpha, 3000)
-    c[0, 0] = nodes.z[-3] + 1e-3
-    last = len(nodes) - contour._stack_nodes(dim)
-    lines = np.flatnonzero(~nodes.on_arc)
-    for seed in (True, False):
-        rnorm, exact, side, far = _searched(c, nodes, alpha, seed)
-        assert lines[np.argmax(side[lines])] >= last and np.argmax(far) >= last
-        assert np.max(far[:last]) < np.max(far) / 2
-        assert np.count_nonzero(rnorm[last:]) >= 1
-
-
-@pytest.mark.parametrize("value", [0.3 + 0.1j, 0.95, -0.5j])
-def test_search_of_a_scalar(value):
-    alpha = math.pi / 8
-    nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    rnorm, exact, _, _ = _searched(np.array([[value]]), nodes, alpha)
-    assert 0 < np.count_nonzero(rnorm) < len(nodes)
 
 
 def _exact_norms(c, nodes):
@@ -382,22 +364,40 @@ def _exact_norms(c, nodes):
 
 
 def _polygon_bounds(c, nodes):
-    return contour._polygon_bounds(c, nodes.z, numrange.outer_polygon(c))
+    # the polygon bounds U the check starts from, before the base pass
+    # writes any exact norm over them; they do not depend on alpha
+    dist = numrange.distance_to_D_alpha(nodes.z, 0.0)
+    upper, _ = contour._majorant_norms(nodes, 0.0, dist, numrange.outer_polygon(c))
+    return upper
+
+
+def _base_pass_report(c, nodes, alpha):
+    # riesz_dunford_many's check on one base pass over nodes
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    rnorm, visit = contour._majorant_norms(nodes, alpha, dist, numrange.outer_polygon(c))
+    contour._evaluate_many([], c, nodes, visit=visit)
+    return contour._check_report(nodes, alpha, dist, rnorm)
 
 
 @pytest.mark.parametrize("slot", range(15))
 def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
-    # U >= the exact norm at every base node of the 15 slot shapes, and U
-    # is finite at most of them
+    # the 15 slot shapes of the contour_calc benchmark's first block, d =
+    # 2..16: U >= the exact norm at every base node, and the bound proves
+    # every node, so the report is the check at U, with the verdict of
+    # exact norms and no maximum below theirs
     alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
     config = ExperimentConfig(
         "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
     )
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    upper = _polygon_bounds(c, nodes)
-    assert np.all(_exact_norms(c, nodes) <= upper)
+    upper, exact = _polygon_bounds(c, nodes), _exact_norms(c, nodes)
+    assert np.all(exact <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
+    _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    assert report == contour._check_report(nodes, alpha, dist, upper)
+    _assert_bounds_the_exact_check(report, contour._check_report(nodes, alpha, dist, exact))
 
 
 @pytest.mark.parametrize("dim, seed", [(1, 1), (3, 2), (8, 3), (16, 4)])
@@ -428,16 +428,22 @@ def test_polygon_bounds_hold_for_jordan_blocks(lam, b):
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
 
 
-def test_a_node_inside_the_guard_gets_no_bound():
-    # an eigenvalue 1e-9 from node 200: the support distance there is
-    # positive but below the guard, so U is inf; the other nodes keep a bound
+def test_a_node_next_to_an_eigenvalue_takes_its_exact_norm(monkeypatch):
+    # an eigenvalue 1e-9 from node 200: U there is finite, about 1e9, but
+    # far above the majorant, so the base pass takes the exact norm there
+    # and the check fails by it, as the check of exact norms does
     nodes = contour.build_contour(1.0)
     lam = nodes.z[200] * (1.0 - 1e-9)
     c = np.array([[lam]])
     ell = numrange.support_distance(numrange.outer_polygon(c), nodes.z)
     upper = _polygon_bounds(c, nodes)
-    assert 0.0 < ell[200] < 1e-9 and upper[200] == np.inf
-    assert np.all(np.isfinite(np.delete(upper, 200)))
+    assert 0.0 < ell[200] < 1e-9 and np.all(np.isfinite(upper))
+    _, report, _, rnorm, rows = _checked(monkeypatch, [lambda z: 0.0], c, 1.0, math.pi / 8)
+    want, exact = bound_first_values(c, nodes, math.pi / 8)
+    assert exact[200] and sum(rows) == np.count_nonzero(exact) and np.array_equal(rnorm, want)
+    assert rnorm[200] == pytest.approx(1.0 / abs(nodes.z[200] - lam), rel=1e-6) and rnorm[200] < upper[200]
+    assert not report.passed
+    _assert_bounds_the_exact_check(report, per_node_report(c, nodes, math.pi / 8))
 
 
 def test_polygon_bounds_hold_where_lu_grows_large():
@@ -445,7 +451,9 @@ def test_polygon_bounds_hold_where_lu_grows_large():
     # below it, 1 in the last column): near the vertex z = 1, z - C is close to
     # W/20, whose LU with partial pivoting grows by 2^31.  Those nodes lie in
     # the outer polygon of W(C) and get U = inf; where U is finite the growth
-    # stays below 2, and U is at least the norm of the computed resolvent
+    # stays below 2, and U is at least the norm of the computed resolvent.
+    # The check takes exact norms where U cannot prove, with the verdict of
+    # exact norms at every node
     alpha, dim = math.pi / 8, 32
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     w = np.eye(dim) - np.tril(np.ones((dim, dim)), -1)
@@ -459,8 +467,12 @@ def test_polygon_bounds_hold_where_lu_grows_large():
     bounded = np.isfinite(upper)
     assert np.max(growth) > 2.0**30 and np.all(growth[bounded] < 2.0)
     assert 0 < np.count_nonzero(bounded) < len(nodes)
-    assert np.all(_exact_norms(c, nodes) <= upper)
-    _searched(c, nodes, alpha)
+    exact = _exact_norms(c, nodes)
+    assert np.all(exact <= upper)
+    report = _base_pass_report(c, nodes, alpha)
+    assert report == bound_first_report(c, nodes, alpha)
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    _assert_bounds_the_exact_check(report, contour._check_report(nodes, alpha, dist, exact))
 
 
 def test_support_distance_keeps_the_backward_error_slack():
@@ -494,7 +506,8 @@ def test_support_distance_of_ellipses_and_discs():
 
 def test_a_numerical_range_across_the_contour_gives_the_exact_report():
     # W(J) = |z - 0.3| <= 0.8 crosses both lines: the nodes inside it get no
-    # bound, and the report is the one of exact norms at every node
+    # bound and take exact norms, and the maxima sit there, so the report is
+    # the one of exact norms at every node
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
@@ -502,17 +515,76 @@ def test_a_numerical_range_across_the_contour_gives_the_exact_report():
     assert 0 < np.count_nonzero(np.isinf(upper)) < len(nodes)
     _, report = contour.riesz_dunford_many([lambda z: 0.0], c, nodes.alpha_prime, alpha)
     assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+    assert report == bound_first_report(c, nodes, alpha)
 
 
-def test_norm_bounds_of_zero_rows_are_zero():
-    # F = 0 bounds the norm 0 by 0, exactly and without a warning
-    r = np.zeros((3, 4, 4), dtype=complex)
-    r[1] = np.diag([1.0, 2.0, 0.5, 0.25])
-    fro = np.linalg.norm(r, axis=(1, 2))
-    with np.errstate(all="raise"):
-        hi = contour._norm_bounds(r, fro)
-    assert hi[0] == 0.0 and hi[2] == 0.0
-    assert 2.0 <= hi[1] <= 2.0 * 4 ** (1 / 32) * (1 + 3e-6)
+def _normal(lams, seed=0):
+    # C = Q diag(lambda) Q^H, and ||(z - C)^{-1}|| = 1 / min_i |z - lambda_i|
+    lam = np.asarray(lams, dtype=complex)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size,) * 2) + 1j * rng.standard_normal((lam.size,) * 2))
+    return (q * lam) @ q.conj().T, lambda z: 1.0 / np.min(np.abs(z[:, None] - lam), axis=1)
+
+
+def _jordan(lam, b):
+    # J = [[lambda, b], [0, lambda]], W(J) the disc |z - lambda| <= |b|/2, and
+    # R = [[1/w, b/w^2], [0, 1/w]] (w = z - lambda) of norm (|b/w^2| + sqrt(|b/w^2|^2 + 4/|w|^2)) / 2
+    def norms(z):
+        q = abs(b) / np.abs(z - lam) ** 2
+        return (q + np.sqrt(q**2 + 4.0 / np.abs(z - lam) ** 2)) / 2.0
+
+    return np.array([[lam, b], [0.0, lam]], dtype=complex), norms
+
+
+def _known_norms(family, alpha):
+    # item 3's families against D(alpha), alpha' = (alpha + pi/2)/2: on its
+    # boundary (the hull of points on the two sides, and at the disc), a
+    # point just outside a side, and a Jordan disc about 0.5 of radius 0.2
+    ap = 0.5 * (alpha + math.pi / 2)
+    side = [1.0 - s * math.cos(alpha) * np.exp(sign * 1j * alpha) for s in (0.3, 0.8) for sign in (1, -1)]
+    if family == "boundary":
+        return _normal(side + [-math.sin(alpha), 0.1j * math.sin(alpha)], seed=1)
+    if family == "outside":
+        return _normal([1.0 - 0.5 * math.cos(ap) * np.exp(-1j * (alpha + (ap - alpha) / 3)), 0.4], seed=2)
+    return _jordan(0.5, 0.4)
+
+
+@pytest.mark.parametrize("family", ["boundary", "outside", "jordan"])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, math.pi / 8, 1.3, 1.5])
+def test_the_check_bounds_known_resolvent_norms(monkeypatch, alpha, family):
+    # every value the check reads is at least the exact norm; where the
+    # polygon bound cannot prove a node the base pass takes the exact norm
+    # of its own row, which is the per-node solve's, and nowhere else; the
+    # verdict is that of exact norms at every node
+    c, norms = _known_norms(family, alpha)
+    ap = 0.5 * (alpha + math.pi / 2)
+    _, report, nodes, rnorm, rows = _checked(monkeypatch, [lambda z: 0.0], c, ap, alpha, [_one])
+    known = norms(nodes.z)
+    want, exact = bound_first_values(c, nodes, alpha)
+    assert np.array_equal(rnorm, want) and sum(rows) == np.count_nonzero(exact)
+    assert np.all(rnorm >= known * (1.0 - 1e-9))
+    assert rnorm[exact] == pytest.approx(known[exact], rel=1e-9)
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    _assert_bounds_the_exact_check(report, contour._check_report(nodes, alpha, dist, known), rel=1e-9)
+    _assert_bounds_the_exact_check(report, per_node_report(c, nodes, alpha))
+    if family == "boundary":
+        assert report.passed and np.any(exact)
+
+
+def test_a_numerical_range_outside_D_alpha_fails_by_exact_norms(monkeypatch):
+    # an eigenvalue between a side of D(alpha) and the contour: the line
+    # nodes next to it have ||(z - C)^{-1}|| above the majorant, their
+    # polygon bound cannot prove them, and the check fails at their exact
+    # norms, at the maximum of exact norms
+    alpha = math.pi / 8
+    c, norms = _known_norms("outside", alpha)
+    _, report, nodes, rnorm, _ = _checked(monkeypatch, [lambda z: 0.0], c, 0.5 * (alpha + math.pi / 2), alpha, [_one])
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    side, _ = contour._majorant_ratios(nodes, alpha, dist, norms(nodes.z))
+    over = side > 1.0 + MAJORANT_TOL
+    assert np.any(over) and not report.passed
+    assert np.array_equal(rnorm[over], _per_node_norms(c, nodes.z[over]))
+    assert report.worst_ratio_lines == per_node_report(c, nodes, alpha).worst_ratio_lines
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])
@@ -568,17 +640,17 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # a harness draw whose quadrature error is proved on the (8, 16) trial
-    # contour: the majorant search's 2 seeds, then one base pass of 640
-    # nodes in stacks of up to 512 at d = 4; nothing calls build_contour, so
+    # contour: one base pass of 640 nodes in stacks of up to 512 at d = 4,
+    # and no other solve; nothing calls build_contour, so
     # no refinement is built, and the majorant check solves nothing and
     # gives the summary the solved contour's winding error
     solved, blocked, built = [], [], []
     blocks, solve, build = contour._resolvent_blocks, contour._solve, contour.build_contour
 
     def counting_blocks(c, nodes):
-        for sl, r, fro in blocks(c, nodes):
+        for sl, r in blocks(c, nodes):
             blocked.append(len(r))
-            yield sl, r, fro
+            yield sl, r
 
     def counting_solve(c, z):
         solved.append(len(z))
@@ -592,7 +664,7 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     assert result.summary["certification_failures"] == 0
     assert built == []
     assert blocked == [512, 128]
-    assert solved == [2, 512, 128]
+    assert solved == [512, 128]
     winding = contour.winding_number(build(result.summary["alpha_prime"], 8, 16), 0.2)
     assert result.summary["max_winding_error"] == abs(winding - 1.0)
 
@@ -619,7 +691,7 @@ def test_resolvent_blocks_match_per_node_solves():
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     eye = np.eye(3, dtype=complex)
-    got = np.concatenate([r for _, r, _ in contour._resolvent_blocks(c, nodes)])
+    got = np.concatenate([r for _, r in contour._resolvent_blocks(c, nodes)])
     want = np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z])
     assert np.array_equal(got, want)
 
@@ -803,10 +875,10 @@ def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha
 
 def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
     # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1), proved on
-    # the (64, 32) contour: the call solves its seeds and 2048 nodes, its
-    # values are those of the every-node reference, which refines the (32,
-    # 16) contour once, bit for bit, and its report is the check of exact
-    # norms at the 2048 nodes
+    # the (64, 32) contour: the call solves its 2048 nodes once, its values
+    # are those of the every-node reference, which refines the (32, 16)
+    # contour once, bit for bit, and its report is the check at the 2048
+    # nodes, with the verdict of exact norms
     ns = (1, 2, 4, 8, 16)
     alpha = math.pi / 4
     c = _pool_draw(13, alpha, 2_000_111, 0.1)
@@ -816,10 +888,12 @@ def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
         values, report = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, alpha, f_bounds)
-    assert solved[0] <= 3 and sum(solved[1:]) == 2048
+    assert sum(solved) == 2048
     want, _ = _every_node_reference(fs, c, nodes, alpha)
     assert len(values) == len(want) and all(np.array_equal(g, w) for g, w in zip(values, want))
-    assert report == per_node_report(c, contour.build_contour(nodes.alpha_prime, 64, 32), alpha)
+    fine = contour.build_contour(nodes.alpha_prime, 64, 32)
+    assert report == bound_first_report(c, fine, alpha)
+    _assert_bounds_the_exact_check(report, per_node_report(c, fine, alpha))
     errors, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
     with monkeypatch.context() as m:
         m.setattr(contour, "riesz_dunford_many", lambda fs, c, ap, alpha, _: _every_node_reference(fs, c, nodes, alpha))
@@ -833,8 +907,9 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
     # contour proves it; at 1e-11 no trial does, so the base pass solves the
     # (32, 16) contour and the refinement the (64, 32) one.  Either way the
     # values are those of _evaluate_many on the (64, 32) contour bit for
-    # bit, and the report is the one of exact norms at the base nodes; the
-    # values err by rounding, about 1e-13 with resolvent norms near 1e11
+    # bit, and the report is the check at the base nodes, with the verdict
+    # of exact norms; the values err by rounding, about 1e-13 with
+    # resolvent norms near 1e11
     lam = np.array([vertex, 0.5, 0.1j])
     rng = np.random.default_rng(lam.size)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -856,7 +931,9 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
     fine = contour.build_contour(alpha_prime, 64, 32)
     want = evaluate(contour._weights(fs, fine), c, fine)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert report == per_node_report(c, contour.build_contour(alpha_prime, *shapes[0]), alpha)
+    base = contour.build_contour(alpha_prime, *shapes[0])
+    assert report == bound_first_report(c, base, alpha)
+    _assert_bounds_the_exact_check(report, per_node_report(c, base, alpha))
     for f, value in zip(fs, got):
         assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < (1e-15 if proved else 1e-12)
 
@@ -988,9 +1065,10 @@ def _every_node_pass(fs, c, nodes):
 
 def _every_node_reference(fs, c, nodes, alpha):
     # riesz_dunford_many without f_bounds, base contour nodes: every pass an
-    # _every_node_pass, and the check of exact norms at every base node
+    # _every_node_pass, and the check of the bound-first values at the base
+    # nodes: the polygon bound where it proves, else a per-node exact norm
     results = _every_node_pass(fs, c, nodes)
-    report = per_node_report(c, nodes, alpha)
+    report = bound_first_report(c, nodes, alpha)
     while True:
         nodes = contour.build_contour(nodes.alpha_prime, 2 * nodes.k_arc, 2 * nodes.k_line)
         refined = _every_node_pass(fs, c, nodes)
@@ -1029,7 +1107,7 @@ def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_ar
     # without f_bounds the refinement runs, and every bit of the values and
     # of the report is the reference's; on the (9, 10) contour, whose line
     # panels end off the 64-node grid, so are those of each pass, of it and
-    # of its refinement, and of the majorant search's check
+    # of its refinement, and of the check on its base pass
     alpha = math.pi / 8
     c = certified_resolvent(dim, alpha, 7000 + dim)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2), k_arc, k_line)
@@ -1037,7 +1115,7 @@ def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_ar
         for n in (nodes, contour.build_contour(nodes.alpha_prime, 2 * k_arc, 2 * k_line)):
             got = contour._evaluate_many(contour._weights(_FS, n), c, n)
             assert all(np.array_equal(g, w) for g, w in zip(got, _every_node_pass(_FS, c, n)))
-        _searched(c, nodes, alpha)
+        assert _base_pass_report(c, nodes, alpha) == bound_first_report(c, nodes, alpha)
         return
     refinements = []
     if tol is not None:  # a second refinement runs

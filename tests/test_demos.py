@@ -13,7 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-PINNED = {"06_contour_calculus"}  # its majorant lines are the contour check's three maxima
+PINNED = {"06_contour_calculus"}  # its majorant lines are the contour check's three maxima, proved bounds
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
