@@ -16,9 +16,10 @@ nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
 allowed).  The resolvents are solved in stacks of S = _stack_nodes(d)
 nodes, whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at
 d = 2, 128 at d = 8, 64 from d = 12 up), each with one solve, one blow-up
-check and the exact norms the majorant check below needs.  Each stack adds one
-matrix product of all the functions' weights and its rows to the sums, in
-stack order, and a lone function's weights are padded with a zero row.
+check and the exact norms the majorant check below needs.  Each stack
+adds one matrix product of all the functions' weights and its rows to the
+sums, in stack order, and a lone function's weights are padded with a
+zero row.
 The stacks thus fix the bits of every value: other stack sizes would
 round otherwise.  A function gets the same bits alone as among others,
 and the values do not follow the BLAS thread count.  That is measured,
@@ -57,12 +58,12 @@ solved.  The trials are the contours of _TRIALS, coarsest first: (8, 16),
 below CONTOUR_QUAD_TOL is solved, and its base values are returned.  The
 last grades its sides down to a panel of length cos(alpha') 2^-31 at the
 vertex, against 2^-15 for the others, so it proves draws with an
-eigenvalue of C next to z = 1 that they leave open.  Where no trial is proved, and without bounds on f,
-build_contour(alpha')'s (32, 16) contour is solved and the node set then
-doubled until two passes agree to CONTOUR_QUAD_TOL, every node of each
-refinement solved (1024 + 2048 nodes when one refinement agrees); a
-heuristic, as all but the innermost graded line panel of a side are the
-same at every level.  The bound covers truncation only, since refining
+eigenvalue of C next to z = 1 that they leave open.  Where no trial is
+proved, and without bounds on f, build_contour(alpha')'s (32, 16) contour
+is solved and the node set then doubled until two passes agree to
+CONTOUR_QUAD_TOL, every node of each refinement solved (1024 + 2048 nodes
+when one refinement agrees); a heuristic, as all but the innermost graded
+line panel of a side are the same at every level.  The bound covers truncation only, since refining
 cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
 |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
 2^-53, g the growth factor of LU and kappa_j the condition of z_j - C)

@@ -38,7 +38,7 @@ def per_node_report(c, nodes, alpha):
 
 
 def bound_first_values(c, nodes, alpha):
-    # the values the check reads, as riesz_dunford_many is to take them: the
+    # the values the check reads, as riesz_dunford_many should take them: the
     # polygon bound U = (1 + 1e-6)/l (inf where l <= 0) where its ratios lie
     # within the tolerances, and the exact norm of a per-node solve at the
     # other nodes, which are returned too
