@@ -23,7 +23,8 @@ matrix whose sweep overflows, a matrix exponential of spectral norm above
 MAX_EXPM_NORM = 1e6 (refused, never clipped), or a numerical failure
 (singular resolvent, unconverged contour quadrature).
 verify leaves draws or steps that fail certification out of the records and
-counts them in the summary; they do not change the exit code.
+counts them in the summary; they do not change the exit code, unless no record
+is left: then verify exits 2 with an error line that gives their count.
 """
 
 from __future__ import annotations

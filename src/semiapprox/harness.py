@@ -9,10 +9,12 @@ of a draw or a step is one stacked ``numrange`` call in ``_certified``; the
 summary counts its failures as ``certification_failures``.  The Chernoff pair
 kinds and acceptance criteria 08-10 step through a whole run in ``_pair_sweep``,
 in chunks of ``_NORM_CHUNK`` steps across (draw, t) edges, one call per kernel
-per chunk.  The power kinds (ritt, norm_chernoff, selfadjoint) and acceptance
-criteria 05-07 take their norms from ``_ritt_gap_sweep`` in chunks of
-``_NORM_CHUNK`` values of n, and the runners turn each chunk's columns into
-records at once with ``make_records``.  ``linalg`` gives a stacked member the
+per chunk.  One power pass, ``_gap_stacks``, forms C^n - C^(n+1) and
+C^n - e^{n(C-1)} in chunks of ``_NORM_CHUNK`` values of n.  The power kinds
+(ritt, norm_chernoff, selfadjoint) and acceptance criteria 05-07 take its
+norms from ``_ritt_gap_sweep`` and make each chunk's records at once with
+``make_records``; the vector kinds and criteria 01-03 apply its gap column to
+their vectors in ``_vector_sweep``.  ``linalg`` gives a stacked member the
 bits it gets alone, so no record depends on how the run is cut.
 """
 
@@ -218,32 +220,15 @@ def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _powers(bases, ns):
-    """Yield (n, [B^n for B in bases]) for the increasing grid ns.
-
-    Squares while 2 cur <= n and otherwise multiplies by the base once, so a
-    power-of-two grid costs one squaring per n and the full grid one product
-    per n.
-    """
-    pw, cur = list(bases), 1
-    for n in ns:
-        while cur < n:
-            if 2 * cur <= n:
-                pw, cur = [p @ p for p in pw], 2 * cur
-            else:
-                pw, cur = [p @ b for p, b in zip(pw, bases)], cur + 1
-        yield n, pw
-
-
 _NORM_CHUNK = 64  # values of n per stack: 3 MB at d = 32 with three norm columns per n
 
 
 def _norm_rows(*columns):
     """Zip the spectral norms of the equally long (k, d, d) stacks ``columns``, one
     ``linalg.op_norms`` call for all of them: the j-th row holds the norms of
-    the j-th member of each column; one column is not copied.  Every sweep
-    but _ritt_gap_sweep, whose columns are one array already, takes its norms
-    here."""
+    the j-th member of each column; one column is not copied.  Every norm
+    sweep but _ritt_gap_sweep, whose columns are one _gap_stacks array
+    already, takes its norms here."""
     norms = linalg.op_norms(columns[0] if len(columns) == 1 else np.concatenate(columns))
     k = len(columns[0])
     return zip(*(norms[i * k:(i + 1) * k] for i in range(len(columns))))
@@ -331,30 +316,28 @@ def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) ->
 def _vector_sweep(c, xs, ns):
     """Yield (n, gaps, d1, d2, d3) over the increasing grid ns for the unit vectors xs (rows).
 
-    gaps[j] is ||(C^n - e^{n(C-1)}) x_j|| and dk[j] is ||(C - 1)^k x_j||.
+    gaps[j] is ||(C^n - e^{n(C-1)}) x_j||, from the gap column of _gap_stacks, and dk[j] is
+    ||(C - 1)^k x_j||.
     """
     eye = np.eye(c.shape[0])
-    e = approximants.chernoff_exp(c, 1)
     dx = [xs.T]  # columns (C - 1)^k x for k = 0..3
     for _ in range(3):
         dx.append((c - eye) @ dx[-1])
     d1, d2, d3 = (np.linalg.norm(v.T, axis=1) for v in dx[1:])
-    for n, (cn, en) in _powers((c, e), ns):
-        yield n, np.linalg.norm(((cn - en) @ xs.T).T, axis=1), d1, d2, d3
+    for chunk, (gaps,) in _gap_stacks(c, ns, ritt=False):
+        for n, gap in zip(chunk, gaps):
+            yield n, np.linalg.norm((gap @ xs.T).T, axis=1), d1, d2, d3
 
 
-def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
-    """Yield (chunk, norms) over the increasing grid ns, cut into chunks of _NORM_CHUNK n.
+def _gap_stacks(c, ns, ritt=True, gap=True):
+    """Yield (chunk, diffs) over the increasing grid ns, cut into chunks of _NORM_CHUNK n.
 
-    norms holds the columns [||C^n - C^(n+1)|| for n in chunk] and
-    [||C^n - e^{n(C-1)}|| for n in chunk] as lists.  With ``ritt`` or ``gap``
-    off, its column is left out, and so is the power only it needs: the step
-    C^(n+1), or e^{n(C-1)}.  The powers take _powers' products, written into
-    two reused stacks of the bases' powers; where the grid asks for n + 1
-    next, C^(n+1) is taken with the other bases' next powers as one stacked
-    product and becomes the next power, so the full grid costs one product
-    per n.  Each chunk's differences are written into one array, and one
-    op_norms call takes all their norms; the last chunk may be partial.
+    diffs is one (ritt + gap, len(chunk), d, d) array of the columns [C^n - C^(n+1)] and
+    [C^n - e^{n(C-1)}] for n in chunk; with ``ritt`` or ``gap`` off, its column is left out,
+    and so is the power only it needs.  The powers square while 2 cur <= n and else multiply
+    by the bases, one stacked matmul into one of two reused stacks; where the grid asks for
+    n + 1 next, C^(n+1) is the next power, so a power-of-two grid costs one squaring per n
+    and the full grid one product per n.  The last chunk may be partial.
     """
     bases = np.stack((c, approximants.chernoff_exp(c, 1))) if gap else c[None]
     pw, spare, cur = bases.copy(), np.empty_like(bases), 1
@@ -378,6 +361,13 @@ def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
             else:
                 np.matmul(pw[0], bases[0], out=spare[0])
                 np.subtract(pw[0], spare[0], out=diffs[0, j - lo])
+        yield chunk, diffs
+
+
+def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
+    """Yield (chunk, norms): the spectral norms of the columns of each _gap_stacks chunk,
+    as lists, from one op_norms call per chunk."""
+    for chunk, diffs in _gap_stacks(c, ns, ritt, gap):
         norms = linalg.op_norms(diffs.reshape(-1, *c.shape))
         yield chunk, [norms[i:i + len(chunk)] for i in range(0, len(norms), len(chunk))]
 
@@ -739,8 +729,13 @@ def summarize(records: list[ErrorRecord], extras: dict | None = None) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one registered experiment; deterministic given the config."""
+    """Run one registered experiment; deterministic given the config.  A run whose draws or
+    steps all fail certification has no records and is refused, with the failures' count."""
     records, extras = _RUNNERS[config.kind](config)
+    if not records:
+        failures = extras.get("certification_failures", 0)
+        raise InvalidInputError(f"{config.kind} at alpha={config.alpha:g} has no records: no draw "
+                                f"or step passed certification (certification_failures={failures})")
     summary = {"kind": config.kind, "config": asdict(config)}
     summary.update(summarize(records, extras))
     return ExperimentResult(records=records, summary=summary)

@@ -7,8 +7,8 @@ spectral norm, and inversion refuses matrices whose condition number makes the
 result meaningless.
 
 ``expm``, ``inverse`` and ``mat_pow`` take a (k, d, d) stack and treat one
-matrix as a stack of one, answered with one matrix; ``op_norms`` and
-``norm_bounds`` take stacks only.  A stack goes through each NumPy or LAPACK call at once (in
+matrix as a stack of one, answered with one matrix; ``op_norms`` takes
+stacks only.  A stack goes through each NumPy or LAPACK call at once (in
 ``mat_pow``, one ``np.linalg.matrix_power`` call per distinct exponent),
 and each member's result is the one it gets alone, bit for bit, so a
 caller may stack whatever it needs at one time.
@@ -72,38 +72,6 @@ def op_norms(stack) -> list[float]:
     """
     a = _checked(np.asarray(stack, dtype=np.complex128), 3)
     return np.linalg.svd(a, compute_uv=False)[:, 0].tolist()
-
-
-_NORM_BOUND_MARGIN = 1e-6  # relative widening of norm_bounds, far above its rounding (relative order d^2 u)
-
-
-def norm_bounds(stack) -> np.ndarray:
-    """Upper bounds on the spectral norms of a (k, d, d) stack, at most d^(1/32) (1 + 1e-6) times them.
-
-    With F = ||M||_F, S = M / F and G = S^H S, three squarings give G^8, and
-    f = F ||G^8||_F^(1/16) satisfies ||M|| <= f <= d^(1/32) ||M||, because
-    ||G^8||_2 = ||S||^16 <= ||G^8||_F <= sqrt(d) ||G^8||_2.  The scaling
-    keeps ||G^8||_2 in [d^-8, 1], so G^8 neither underflows nor overflows.
-    Each f is widened by the relative margin 1e-6; F = 0 gives the bound
-    0, and a bound that is not finite is inf.  No SVD is taken, and the
-    stack is not changed.
-    """
-    s = _checked(np.array(stack, dtype=np.complex128), 3)  # a copy, worked in place
-    fro = np.linalg.norm(s, axis=(1, 2))
-    # F = 0 divides by 1: S = M = 0 then bounds the norm 0 by 0 exactly
-    np.divide(s, np.where(fro > 0.0, fro, 1.0)[:, None, None], out=s)
-    g = np.empty_like(s)
-    quarter = max(1, -(-len(s) // 4))
-    for j in range(0, len(s), quarter):  # S^H a quarter of the stack at a time
-        part = s[j:j + quarter]
-        np.matmul(part.conj().transpose(0, 2, 1), part, out=g[j:j + quarter])
-    # square through the stack S frees, and take ||G^8||_F^2 in place
-    for a, out in ((g, s), (s, g), (g, s)):
-        np.matmul(a, a, out=out)
-    v = s.view(np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        f = fro * np.sum(np.square(v, out=v), axis=(1, 2)) ** (1.0 / 32.0)
-    return np.where(np.isfinite(f), f * (1.0 + _NORM_BOUND_MARGIN), np.inf)
 
 
 # Pade numerators b_0..b_m of r_m = q_m(-A)^{-1} q_m(A), and the largest

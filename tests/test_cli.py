@@ -504,6 +504,21 @@ def test_t_zero_domain(tmp_path):
             assert cli.main(argv) == 2, (kind, ts)
 
 
+def test_a_run_with_no_certified_draw_or_step_exits_two_with_the_count(run_main):
+    # at alpha = 0.01 both resolvent draws fail certification; at 1e-6 every
+    # step of both dunford_segal draws does (2 draws x 5 values of n)
+    proc = run_cli("verify", "ritt", "--alpha", "0.01", "--t", "0.1", "--trials", "2", "--nmax", "16")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: ritt at alpha=0.01 has no records: no draw or step passed certification "
+        "(certification_failures=2)\n"
+    )
+    proc = run_main("verify", "dunford_segal", "--alpha", "1e-6", "--trials", "2", "--nmax", "16")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: dunford_segal at alpha=1e-06 has no records")
+    assert "(certification_failures=10)" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
     # a zero tolerance never converges, so the node budget runs out
     monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)

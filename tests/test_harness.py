@@ -20,6 +20,8 @@ from semiapprox.harness import (
     _sectorial,
     _split_pair,
     _step_chunks,
+    _unit_vectors,
+    _vector_sweep,
     fit_rate,
     make_record,
     make_records,
@@ -280,17 +282,24 @@ def test_selfadjoint_records_meet_tight_tolerance():
     assert (len(result.records), result.summary["slack_only_passes"], len(slack_only)) == (180, 2, 2)
 
 
-def _ritt_gap_rows(c, ns, ritt, gap):
-    """The rows of _ritt_gap_sweep, one matrix and one product at a time in _powers' product
-    order (square while 2 cur <= n, else times the base), and the step C^n C."""
+def _ritt_gap_powers(c, ns):
+    """(n, C^n, e^{n(C-1)}) over ns, one matrix and one product at a time in the sweeps'
+    product order (square while 2 cur <= n, else times the base)."""
     e = approximants.chernoff_exp(c, 1)
-    power, partner, cur, rows = c, e, 1, []
+    power, partner, cur = c, e, 1
     for n in ns:
         while cur < n:
             if 2 * cur <= n:
                 power, partner, cur = power @ power, partner @ partner, 2 * cur
             else:
                 power, partner, cur = power @ c, partner @ e, cur + 1
+        yield n, power, partner
+
+
+def _ritt_gap_rows(c, ns, ritt, gap):
+    """The rows of _ritt_gap_sweep from the powers of _ritt_gap_powers, and the step C^n C."""
+    rows = []
+    for n, power, partner in _ritt_gap_powers(c, ns):
         row = (linalg.op_norm(power - power @ c),) if ritt else ()
         rows.append((n, row + ((linalg.op_norm(power - partner),) if gap else ())))
     return rows
@@ -300,6 +309,7 @@ def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
     assert _NORM_CHUNK == 64
     rng = np.random.default_rng(7)
     c = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    xs = _unit_vectors(3, 3, 8)
     stack_sizes = []
     op_norms = linalg.op_norms
 
@@ -320,6 +330,14 @@ def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
             assert stack_sizes == [(ritt + gap) * size for size in sizes], (ns, ritt, gap)
             assert list(_ritt_gap_sweep(c, [], ritt, gap)) == []
             assert len(stack_sizes) == len(sizes)
+        # the vector sweep reads the gap column of the same pass, and takes no spectral norm
+        stack_sizes.clear()
+        got = [(n, gaps) for n, gaps, *_ in _vector_sweep(c, xs, ns)]
+        want = [(n, np.linalg.norm(((power - partner) @ xs.T).T, axis=1))
+                for n, power, partner in _ritt_gap_powers(c, ns)]
+        assert [n for n, _ in got] == [n for n, _ in want] == list(ns)
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want)), ns
+        assert stack_sizes == [] and list(_vector_sweep(c, xs, [])) == []
 
 
 _NAN, _INF = float("nan"), math.inf
