@@ -14,8 +14,12 @@ supporting lines Re(e^{i theta} z) <= lambda_max(H_theta) of W(C) (Johnson,
 SIAM J. Numer. Anal. 15, 1978), whose levels ``_support_values`` takes from
 eigenvalues alone and raises by a backward-error bound:
 
-- ``quasi_sectorial`` (W(C) in D(alpha)) by outer polygons, coarse to fine
-  from 16 to 256 angles; when none fits, the answer is False;
+- ``quasi_sectorial`` (W(C) in D(alpha)) by outer polygons: first the
+  quadrilateral at D(alpha)'s two tangent normals +-(pi/2 - alpha), whose
+  lines meet at its vertex 1, from two Hermitian parts per matrix; then,
+  for the matrices it leaves open, uniform polygons, coarse to fine from 16
+  to 256 angles; when none fits, the answer is False: not proved, which is
+  not refuted;
 - ``sectorial`` (W(A) in the sector |arg z| <= alpha) by the lines at the
   sector's two edge normals; when they do not settle it, every point of the
   inside sweep ``numerical_range_boundary`` must pass ``in_sector``.
@@ -259,52 +263,103 @@ def distance_to_D_alpha(z, alpha: float) -> np.ndarray:
 _LADDER = (16, 32, 64, 128, 256)  # the angle counts of the outer polygons, coarse to fine
 
 
+def _vertices(h: np.ndarray, cos_half, sin_half, turn) -> np.ndarray:
+    """The vertices of the polygons cut out by rows of support values h (m, k) at
+    increasing normals phi_j that go once round the circle.
+
+    The vertex v_j is where the lines Re(e^{i phi} z) = h at phi_j and
+    phi_{j+1} (phi_k = phi_0 + 2 pi) meet.  With the half gap delta_j and the
+    midpoint mu_j of the two normals, cos_half = cos(delta_j), sin_half =
+    sin(delta_j) and turn = e^{-i mu_j}, scalars or one value per j, v_j =
+    turn (h_j + h_{j+1}) / (2 cos_half) + i turn (h_j - h_{j+1}) / (2 sin_half).
+    """
+    h_next = np.roll(h, -1, axis=1)
+    along = (h + h_next) / (2.0 * cos_half)
+    across = (h - h_next) / (2.0 * sin_half)
+    return turn * (along + 1j * across)
+
+
 def _polygon_fits(h: np.ndarray, alpha: float) -> np.ndarray:
     """Whether each row of support values h (m, k), at theta_j = 2 pi j / k, cuts out a
     polygon whose vertices are all within TOL_GEO/2 of D(alpha).
 
-    The vertex v_j is where the lines Re(e^{i theta} z) = h at theta_j and
-    theta_{j+1} meet; one ``distance_to_D_alpha`` call takes every vertex.  A
-    support value or a vertex that is not finite raises InvalidInputError.
+    The ``_vertices`` of the k-gon go through one ``distance_to_D_alpha``
+    call.  A support value or a vertex that is not finite raises
+    InvalidInputError.
     """
     k = h.shape[1]
-    h = np.concatenate([h, h[:, :1]], axis=1)  # h[:, k] repeats h[:, 0], closing the polygon
-    along = (h[:, :-1] + h[:, 1:]) / (2.0 * math.cos(math.pi / k))
-    across = (h[:, :-1] - h[:, 1:]) / (2.0 * math.sin(math.pi / k))
-    vertices = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k)) * (along + 1j * across)
+    turn = np.exp(-1j * (2.0 * math.pi * (np.arange(k) + 0.5) / k))
+    vertices = _vertices(h, math.cos(math.pi / k), math.sin(math.pi / k), turn)
     if not np.all(np.isfinite(vertices)):
         raise InvalidInputError("a support line of W(C) or a vertex of its outer polygon overflows")
     return np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2
 
 
+def _quadrilateral_fits(stack: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether the outer quadrilateral of each W(a_i) at D(alpha)'s tangent normals lies
+    within TOL_GEO/2 of D(alpha).
+
+    The lines of D(alpha) at theta = +-(pi/2 - alpha) touch its disc and meet
+    at its vertex 1; those at their antipodes +-(pi/2 + alpha) touch the disc
+    on the far side.  One ``_support_values`` call at the two tangent normals
+    gives all four levels of every member, from two Hermitian parts each.  In
+    increasing order the normals are -pi/2 - alpha, -pi/2 + alpha, pi/2 -
+    alpha and pi/2 + alpha, with half gaps alpha and pi/2 - alpha in turn and
+    midpoints -pi/2, 0, pi/2 and pi, whose turns are exact.  A member whose
+    vertices are not finite does not fit; a Hermitian part that overflows
+    raises InvalidInputError, as the ladder's do.
+    """
+    normal = math.pi / 2 - alpha
+    h = _support_values(stack, np.array([normal, -normal]))
+    levels = np.stack([h[:, 1, 0], h[:, 0, 1], h[:, 0, 0], h[:, 1, 1]], axis=1)
+    c, s = math.cos(alpha), math.sin(alpha)
+    turn = np.array([1j, 1.0, -1j, -1.0])
+    vertices = _vertices(levels, np.array([c, s, c, s]), np.array([s, c, s, c]), turn)
+    finite = np.all(np.isfinite(vertices), axis=1)
+    return finite & (np.max(distance_to_D_alpha(vertices, alpha), axis=1) <= TOL_GEO / 2)
+
+
 def quasi_sectorial(c, alpha: float):
-    """Whether W(C) lies in D(alpha), proved from the outside: whether an outer
-    polygon of W(C) at 16, 32, 64, 128 or 256 angles lies within TOL_GEO/2 of it.
+    """Whether W(C) is proved to lie in D(alpha) from the outside: whether an outer
+    polygon of W(C), the quadrilateral at D(alpha)'s tangent normals or one at
+    16, 32, 64, 128 or 256 angles, lies within TOL_GEO/2 of it.
 
     ``c`` is one matrix, answered with a bool, or a (m, d, d) stack, answered
-    with a list of m bools.  The k-angle polygon is cut out by the lines
-    Re(e^{i theta_j} z) = h_j, theta_j = 2 pi j / k, where h_j from
-    ``_support_values`` is at least the support value of W(C); between two
-    adjacent normals the support function of W(C) is at most that of the
+    with a list of m bools.  True is a proof; False means "not proved", not
+    "refuted": no polygon fits, and W(C) may still lie in D(alpha).  Each
+    polygon is cut out by lines Re(e^{i theta} z) = h_theta, where h_theta
+    from ``_support_values`` is at least the support value of W(C); between
+    two adjacent normals the support function of W(C) is at most that of the
     vertex where their lines meet, so W(C) lies in the polygon.  When every
     vertex is within TOL_GEO/2 of the convex D(alpha), so is all of W(C).
 
-    The 16-gon is solved for the whole stack.  Each finer level solves only
-    its new angles, the odd j of ``_sweep_angles(level)``, and only for the
-    matrices whose last polygon did not fit, so each level is its flat
-    polygon bit for bit.  A matrix whose 256-gon does not fit is answered
-    False; nothing is sampled from the inside.  alpha is checked before any
-    eigenvalue is solved; support values or vertices that overflow raise
-    InvalidInputError.
+    The first rung, ``_quadrilateral_fits``, solves two Hermitian parts per
+    matrix, at theta = +-(pi/2 - alpha).  Those lines meet at D(alpha)'s
+    vertex 1, where no uniform polygon has a side unless one of its normals
+    is pi/2 - alpha.  Its vertices divide by sin(alpha) and cos(alpha), so
+    the rung runs only when pi/256 <= alpha <= pi/2 - pi/256, where no vertex
+    is worse conditioned than the 256-gon's.  The members it leaves open go
+    through the ladder.  Its 16-gon is solved for all of them; each finer
+    level solves only its new angles, the odd j of ``_sweep_angles(level)``,
+    and only for the matrices whose last polygon did not fit, so each level
+    is its flat polygon bit for bit.  A matrix whose 256-gon does not fit is
+    answered False; nothing is sampled from the inside.  alpha is checked
+    before any eigenvalue is solved; support values or vertices of the
+    ladder that overflow raise InvalidInputError.
     """
     check_alpha(alpha)
     a = np.asarray(c, dtype=np.complex128)
     stack = linalg.as_operator_stack(a)
     rows = np.arange(len(stack))  # the matrices of the last level; open_ marks those that did not fit
-    # an overflow leaves a non-finite vertex, which _polygon_fits refuses
+    edge = math.pi / _LADDER[-1]  # half the 256-gon's gap between normals
+    # an overflow leaves a non-finite vertex, which the rung does not fit and _polygon_fits refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _support_values(stack, _sweep_angles(_LADDER[0])).reshape(len(stack), _LADDER[0])
-        open_ = ~_polygon_fits(h, alpha)
+        if edge <= alpha <= math.pi / 2 - edge:
+            rows = rows[~_quadrilateral_fits(stack, alpha)]
+        open_ = np.zeros(len(rows), dtype=bool)
+        if len(rows):  # the rung often leaves none
+            h = _support_values(stack[rows], _sweep_angles(_LADDER[0])).reshape(len(rows), _LADDER[0])
+            open_ = ~_polygon_fits(h, alpha)
         for level in _LADDER[1:]:
             if not open_.any():
                 break

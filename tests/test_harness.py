@@ -28,6 +28,7 @@ from semiapprox.harness import (
     pow2_grid,
     run_experiment,
 )
+from semiapprox.tolerances import TOL_GEO
 
 
 def test_registry_covers_every_result():
@@ -389,17 +390,44 @@ def test_default_configs_certify_from_the_polygon(monkeypatch, kind):
     assert sweeps == []
 
 
-@pytest.mark.parametrize(("kind", "pairs"), [("dunford_segal", 10 * 2 + 90 * 8), ("ritt", 10 * 8)])
+@pytest.mark.parametrize(("kind", "pairs"), [("dunford_segal", 10 * 2 + 90 * 2), ("ritt", 10 * 2)])
 def test_default_configs_fit_at_the_first_polygon_level(monkeypatch, kind, pairs):
-    # every polygon of a default run fits at 16 angles, so each of the 90 steps
-    # of dunford_segal (10 draws, n = 1, 2, ..., 256) and each of the 10 ritt
-    # draws solves 8 (matrix, angle) pairs; each dunford_segal generator adds
-    # its 2 edge normals.  The flat polygons took 2900 and 1280 pairs.
+    # every outer polygon of a default run fits at its first, the quadrilateral
+    # at D(alpha)'s two tangent normals, so each of the 90 steps of
+    # dunford_segal (10 draws, n = 1, 2, ..., 256) and each of the 10 ritt
+    # draws solves 2 (matrix, angle) pairs; each dunford_segal generator adds
+    # its 2 edge normals.  The 16-gons took 740 and 80 pairs, the flat
+    # polygons 2900 and 1280.
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(len(h)) or eigvalsh(h))
     run_experiment(ExperimentConfig(kind))
     assert sum(sizes) == pairs
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.3, 1.5])
+def test_dunford_segal_certifies_every_step_at_angles_off_the_polygon_normals(monkeypatch, alpha):
+    # no normal 2 pi j / k of the uniform polygons is a tangent normal
+    # +-(pi/2 - alpha) of D(alpha) at these angles, so none of them fits at the
+    # vertex 1, where the steps e^{-(t/n) A} crowd; the 16...256 ladder alone
+    # left out 47, 34, 29, 15, 4 and 8 of the 90 steps
+    proved = []
+    check = numrange.quasi_sectorial
+
+    def spy(stack, alpha):
+        verdicts = check(stack, alpha)
+        proved.extend(c for c, ok in zip(stack, verdicts) if ok)
+        return verdicts
+
+    monkeypatch.setattr(numrange, "quasi_sectorial", spy)
+    result = run_experiment(ExperimentConfig("dunford_segal", alpha=alpha))
+    assert result.summary["certification_failures"] == 0
+    assert len(result.records) == 90 == len(proved)
+    if alpha == 0.3:
+        # every proved step passes the inside sweep too
+        for c in proved:
+            points = numrange.numerical_range_boundary(c, 256)
+            assert np.max(numrange.distance_to_D_alpha(points, alpha)) <= TOL_GEO
 
 
 def counting(monkeypatch, module, name):

@@ -362,15 +362,43 @@ def test_jordan_discs_poking_out_of_D_alpha_are_refused(monkeypatch):
 
 
 def test_quasi_sectorial_takes_one_eigvalsh_per_32_angles(monkeypatch):
-    # a disc that pokes out of D(alpha) climbs the whole ladder: 8 eigenvalue
-    # solves for the 16-gon, each giving an angle and its antipode, then the
-    # 8, 16, 32 and 64 new ones of each finer level, 32 at a time
+    # a disc that pokes out of D(alpha) climbs the whole ladder: 2 eigenvalue
+    # solves for the quadrilateral at the tangent normals and 8 for the
+    # 16-gon, each giving an angle and its antipode, then the 8, 16, 32 and
+    # 64 new ones of each finer level, 32 at a time
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     refuse_eigensolves(monkeypatch, "eigh")
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
     assert not numrange.quasi_sectorial(_jordan(0.0, 0.5, 1.0), 0.3)
-    assert [n for n, _, _ in shapes] == [8, 8, 16, 32, 32, 32]
+    assert [n for n, _, _ in shapes] == [2, 8, 8, 16, 32, 32, 32]
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrilateral_runs_only_where_it_is_no_worse_conditioned_than_the_256_gon(monkeypatch):
+    # its vertices divide by sin(alpha) and cos(alpha), the 256-gon's by
+    # sin(pi/256).  At pi/256 the rung alone proves three segments [0.5, 1]
+    # (Hermitian matrices), which reach the vertex 1, and at pi/2 - pi/256,
+    # where its lines are nearly parallel, three small discs; each takes one
+    # (2m, d, d) eigvalsh and raises no warning.  Outside those limits no such
+    # stack is solved, and the ladder alone answers.
+    refuse_eigensolves(monkeypatch, "eigh")
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    segments = np.stack([_normal([0.5, 0.8, 1.0], seed) for seed in range(3)])
+    discs = np.stack([_jordan(x, 1e-3, 1.0) for x in (0.0, 0.3, -0.5)])
+    edge = math.pi / numrange._LADDER[-1]
+    for alpha, stack in ((edge, segments), (math.pi / 2 - edge, discs)):
+        shapes.clear()
+        assert numrange.quasi_sectorial(stack, alpha) == [True] * 3
+        assert shapes == [(6,) + stack.shape[1:]]
+    for alpha in (0.01, 1e-6, math.pi / 2 - 1e-3):
+        for stack in (segments, discs):
+            ladder = [any(flat_polygon_fits(c, alpha, k) for k in numrange._LADDER) for c in stack]
+            shapes.clear()
+            assert numrange.quasi_sectorial(stack, alpha) == ladder
+            assert shapes and all(n != 6 for n, _, _ in shapes)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0, math.nan])
@@ -532,6 +560,29 @@ def flat_polygon_fits(c, alpha, k):
     return bool(fits)
 
 
+def quadrilateral_fits(c, alpha):
+    """Whether the quadrilateral at the normals +-(pi/2 - alpha) and their antipodes fits,
+    each vertex solved as the 2 x 2 system of its two lines; False where the rung does not run."""
+    edge = math.pi / numrange._LADDER[-1]
+    if not edge <= alpha <= math.pi / 2 - edge:
+        return False
+    normal = math.pi / 2 - alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = numrange._support_values(np.asarray(c, dtype=np.complex128)[None], np.array([normal, -normal]))[0]
+        # the normals in increasing order, with their support values
+        lines = [(normal - math.pi, h[1, 0]), (-normal, h[0, 1]), (normal, h[0, 0]), (math.pi - normal, h[1, 1])]
+        vertices = []
+        for (phi, level), (psi, next_level) in zip(lines, lines[1:] + lines[:1]):
+            # Re(e^{i phi} (x + i y)) = x cos(phi) - y sin(phi)
+            rows = [[math.cos(phi), -math.sin(phi)], [math.cos(psi), -math.sin(psi)]]
+            x, y = np.linalg.solve(rows, [level, next_level])
+            vertices.append(complex(x, y))
+        fits = np.all(np.isfinite(vertices)) and (
+            np.max(numrange.distance_to_D_alpha(np.array(vertices), alpha)) <= TOL_GEO / 2
+        )
+    return bool(fits)
+
+
 @settings(deadline=None)
 @given(
     st.sampled_from(("contraction", "step", "jordan")),
@@ -541,9 +592,13 @@ def flat_polygon_fits(c, alpha, k):
     _alpha,
 )
 def test_ladder_answers_as_the_flat_polygon(kind, dim, seeds, scale, alpha):
-    # True exactly when the flat polygon of some level fits
+    # True exactly when the quadrilateral at the tangent normals or the flat
+    # polygon of some level fits
     stack = np.stack([_draw(kind, dim, seed, scale) for seed in seeds])
-    expected = [any(flat_polygon_fits(c, alpha, k) for k in numrange._LADDER) for c in stack]
+    expected = [
+        quadrilateral_fits(c, alpha) or any(flat_polygon_fits(c, alpha, k) for k in numrange._LADDER)
+        for c in stack
+    ]
     assert numrange.quasi_sectorial(stack, alpha) == expected
 
 
@@ -568,9 +623,14 @@ def test_ladder_refines_only_the_matrices_that_do_not_fit(monkeypatch):
 
     monkeypatch.setattr(numrange, "_support_values", spy)
     assert numrange.quasi_sectorial(stack, alpha) == [True, False, True]
-    assert [len(thetas) for thetas in solved] == [16, 128, 8]
-    assert all(len(set(thetas)) == len(thetas) for thetas in solved)  # no pair is solved twice
-    assert sorted(solved[1]) == numrange._sweep_angles(256).tolist()
+    # every member solves the two tangent normals; the third fits there, the
+    # first at the 32-gon, and the second climbs the whole ladder
+    assert [len(thetas) for thetas in solved] == [2 + 16, 2 + 128, 2]
+    tangents = [math.pi / 2 - alpha, alpha - math.pi / 2]
+    assert all(thetas[:2] == tangents for thetas in solved)
+    ladder = [thetas[2:] for thetas in solved]
+    assert all(len(set(thetas)) == len(thetas) for thetas in ladder)  # no pair of the ladder is solved twice
+    assert sorted(ladder[1]) == numrange._sweep_angles(256).tolist()
 
 
 def test_stacked_check_refuses_what_a_matrix_alone_refuses():
