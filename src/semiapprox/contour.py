@@ -9,7 +9,9 @@ The positively oriented contour is traversed vertex -> A -> arc -> B -> vertex:
 Quadrature is composite 16-point Gauss-Legendre.  Arc panels are uniform;
 line panels are geometrically graded toward the vertex, where the resolvent
 may grow while the integrands of interest vanish.  Gauss nodes are interior,
-so the vertex z = 1 itself is never sampled.
+so the vertex z = 1 itself is never sampled: the innermost of k line
+panels ends at cos(alpha') 2^(1 - k), which must be a normal float, as
+below that the edges underflow into panels of length zero at z = 1.
 
 Each function is called once per pass, on the 1-D array of all the pass's
 nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
@@ -52,18 +54,31 @@ panels, widened by _BOUND_MARGIN, bounds each value's truncation error in
 spectral norm.
 
 The bound needs no solve, so it picks the contour before any node is
-solved.  The trials are the contours of _TRIALS, coarsest first: (8, 16),
-(16, 16), (32, 16) and (64, 32) panels (arc, side), that is 640, 768,
-1024 and 2048 nodes.  The first on which every function's bound lies
-below CONTOUR_QUAD_TOL is solved, and its base values are returned.  The
-last grades its sides down to a panel of length cos(alpha') 2^-31 at the
-vertex, against 2^-15 for the others, so it proves draws with an
-eigenvalue of C next to z = 1 that they leave open.  Where no trial is
+solved.  On the sides the resolvent can grow only near the vertex, where
+they come nearest W(C), and l_1 = ``numrange.support_distance`` of the
+outer 32-gon at z = 1 is a lower bound on dist(1, W(C)) known before any
+solve.  The trials are the contours of _TRIALS, coarsest first: (8, k),
+(16, k), (32, k) and (64, 32) panels (arc, side), that is 16 (8 + 2k),
+16 (16 + 2k), 16 (32 + 2k) and 2048 nodes, where k = min(32, max(3, 2 +
+ceil(log2(cos(alpha') / l_1)))), 32 where l_1 <= 0, is the fewest side
+panels whose innermost, [0, cos(alpha') 2^(1 - k)], is at most l_1/2
+long.  For k <= 16, every side node beyond that panel is a node of the 16
+panel side, bit for bit.  At a node within l_1/2 of the vertex, the
+majorant check's U below is at most 2 (1 + 1e-6) / l_1, so both its ratios
+there are at most (1 + 1e-6) sin(alpha' - alpha), which is below 1 unless
+alpha' - alpha is within 1.5e-3 of pi/2: a node that the grading adds or
+drops there decides no verdict.  The first trial on which every
+function's bound lies below CONTOUR_QUAD_TOL is solved, and its base
+values are returned.  The last, the finest, has 64 arc panels and sides
+graded down to cos(alpha') 2^-31 whatever l_1.  Where no trial is
 proved, and without bounds on f, build_contour(alpha')'s (32, 16) contour
 is solved and the node set then doubled until two passes agree to
 CONTOUR_QUAD_TOL, every node of each refinement solved (1024 + 2048 nodes
 when one refinement agrees); a heuristic, as all but the innermost graded
-line panel of a side are the same at every level.  The bound covers truncation only, since refining
+line panel of a side are the same at every level.  The doubling stops
+with ContourTooCloseError before it passes CONTOUR_NODE_CAP nodes, or a
+side's innermost edge would leave the normal floats, after the (1024,
+512) contour at most.  The bound covers truncation only, since refining
 cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
 |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
 2^-53, g the growth factor of LU and kappa_j the condition of z_j - C)
@@ -111,7 +126,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant norms
 _BOUND_MARGIN = 1e-6  # relative widening of the polygon and quadrature bounds, far above their rounding
 _RHOS = 2.0 ** (np.arange(1, 25) / 4.0)  # the Bernstein ellipses E_rho each panel's error bound tries
-_TRIALS = ((8, 16), (16, 16), (32, 16), (64, 32))  # (arc, side) panels of the contours the proof tries, in order
+# (arc, side) panels of the contours the proof tries, in order; None: the side count the draw's l_1 picks
+_TRIALS = ((8, None), (16, None), (32, None), (64, 32))
 
 
 @dataclass
@@ -142,11 +158,21 @@ def _line_edges(length: float, panels: int) -> np.ndarray:
     return edges
 
 
+def _grades_past_normal(alpha_prime: float, k_line: int) -> bool:
+    """Whether the innermost side panel's edge cos(alpha') 2^(1 - k_line) is no positive normal float.
+
+    Deeper than that, the edges underflow into panels of length zero whose
+    nodes sit at the vertex z = 1.
+    """
+    return not math.ldexp(math.cos(alpha_prime), 1 - int(k_line)) >= 2.0**-1022  # the least normal float
+
+
 def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> ContourNodes:
     """Composite quadrature nodes on the boundary of D(alpha').
 
     k_arc and k_line are panel counts (16 Gauss nodes each) for the arc and
-    for each straight side.
+    for each straight side; k_line must keep the innermost side edge
+    cos(alpha') 2^(1 - k_line) a normal float (k_line <= 1022 at most).
     """
     if not 0.0 < alpha_prime < math.pi / 2:
         raise DomainError(f"alpha' must lie in (0, pi/2), got {alpha_prime}")
@@ -154,6 +180,10 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         # bool is an int subclass, but True is no panel count
         if not isinstance(panels, (int, np.integer)) or isinstance(panels, bool) or panels < 8:
             raise InvalidInputError(f"{name} must be an integer >= 8 panels, got {panels!r}")
+    if _grades_past_normal(alpha_prime, k_line):
+        raise InvalidInputError(
+            f"k_line = {k_line} puts the innermost side edge cos(alpha') 2^(1 - k_line) below the normal floats"
+        )
     return _build_contour(alpha_prime, k_arc, k_line)
 
 
@@ -379,13 +409,29 @@ def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> 
     return [float(v) for v in np.sum(per, axis=1) * (1.0 + _BOUND_MARGIN)]
 
 
+def _side_panels(alpha_prime: float, polygon: np.ndarray) -> int:
+    """The side count k of the first three trials, from l_1 = support_distance(polygon, 1) <= dist(1, W(C)).
+
+    k = min(32, max(3, 2 + ceil(log2(cos(alpha') / l_1)))), so that the
+    innermost side panel [0, cos(alpha') 2^(1 - k)] is at most l_1 / 2
+    long; 32 where l_1 <= 0.
+    """
+    length = math.cos(alpha_prime)
+    (ell,) = numrange.support_distance(polygon, 1.0)
+    if not ell > length * 2.0**-30:  # l_1 <= 0, or the formula reaches 32
+        return 32
+    return max(3, 2 + math.ceil(math.log2(length / ell)))
+
+
 def _proved_contour(f_bounds, alpha_prime: float, polygon: np.ndarray) -> ContourNodes | None:
     """The first contour of _TRIALS on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
 
-    None if no trial is proved; nothing is solved.
+    The first three trials grade each side to _side_panels(alpha', polygon)
+    panels.  None if no trial is proved; nothing is solved.
     """
+    sides = _side_panels(alpha_prime, polygon)
     for k_arc, k_line in _TRIALS:
-        trial = _build_contour(alpha_prime, k_arc, k_line)
+        trial = _build_contour(alpha_prime, k_arc, k_line or sides)
         if all(bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, trial, polygon)):
             return trial
     return None
@@ -418,19 +464,22 @@ def riesz_dunford_many(
     radius) returns, for arrays of centers and radii, upper bounds on
     |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
     must be analytic.  Before anything is solved, the proof of the module
-    docstring runs on the contours of _TRIALS in order, (8, 16), (16, 16),
-    (32, 16) and (64, 32) panels.  The first on which the proved truncation
-    error of every value lies below CONTOUR_QUAD_TOL is the base contour,
-    and its base values are returned: 640, 768, 1024 or 2048 solves.
-    Otherwise, and always without f_bounds, the base contour is
-    build_contour(alpha')'s (32, 16), and the node set is doubled until
-    every value agrees with its previous refinement to CONTOUR_QUAD_TOL in
-    spectral norm, and the last refinement's values are returned; each
-    refinement calls every f on its nodes and solves all of them.  Raises
-    InvalidInputError before solving unless 0 <= alpha < alpha' < pi/2, and
-    for an empty fs, f_bounds of another length, or an f whose value is
-    neither a scalar nor one value per node, and ContourTooCloseError when
-    the quadrature takes more than CONTOUR_NODE_CAP nodes.
+    docstring runs on the contours of _TRIALS in order, (8, k), (16, k),
+    (32, k) and (64, 32) panels, k from 3 to 32 side panels graded to half
+    the outer 32-gon's distance from the vertex (``_side_panels``).  The
+    first on which the proved truncation error of every value lies below
+    CONTOUR_QUAD_TOL is the base contour, and its base values are returned:
+    16 (8 + 2k), 16 (16 + 2k), 16 (32 + 2k) or 2048 solves.  Otherwise, and
+    always without f_bounds, the base contour is build_contour(alpha')'s
+    (32, 16), and the node set is doubled until every value agrees with its
+    previous refinement to CONTOUR_QUAD_TOL in spectral norm, and the last
+    refinement's values are returned; each refinement calls every f on its
+    nodes and solves all of them.  Raises InvalidInputError before solving
+    unless 0 <= alpha < alpha' < pi/2, and for an empty fs, f_bounds of
+    another length, or an f whose value is neither a scalar nor one value
+    per node, and ContourTooCloseError when the quadrature would take more
+    than CONTOUR_NODE_CAP nodes, or grade a side's innermost edge below the
+    normal floats.
     """
     if not 0.0 <= alpha < alpha_prime < math.pi / 2:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
@@ -458,10 +507,11 @@ def riesz_dunford_many(
         changes = linalg.op_norms(np.subtract(refined, results))
         if all(change < CONTOUR_QUAD_TOL for change in changes):
             return refined, report
-        if len(fine) * 2 > CONTOUR_NODE_CAP:
+        if len(fine) * 2 > CONTOUR_NODE_CAP or _grades_past_normal(fine.alpha_prime, 2 * fine.k_line):
             raise ContourTooCloseError(
-                f"contour quadrature not within {CONTOUR_QUAD_TOL:g} "
-                f"after {len(fine)} nodes (budget {CONTOUR_NODE_CAP})"
+                f"contour quadrature not within {CONTOUR_QUAD_TOL:g} after {len(fine)} nodes "
+                f"(budget {CONTOUR_NODE_CAP}; {fine.k_line} panels a side, and a side's "
+                "innermost edge must stay a normal float)"
             )
         results = refined
 

@@ -528,6 +528,18 @@ def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
     assert cli.main(argv) == 2
 
 
+def test_a_refinement_past_the_normal_floats_exits_two(monkeypatch, tmp_path, capsys):
+    # a zero tolerance never converges; under the default node budget the
+    # refinement stops where the sides' innermost edge would leave the
+    # normal floats, and verify exits 2 with an error line
+    monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
+    argv = ["verify", "contour_reconstruction", "--dim", "2", "--trials", "1", "--nmax", "2",
+            "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 2
+    assert "after 32768 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
     # at alpha = 1.5 the quadrature proof fails on the trial contours, so
     # the draws fall back to the (32, 16) contour and refine it

@@ -158,6 +158,35 @@ def test_build_contour_validation():
     assert len(contour.build_contour(1.0, np.int64(8), 8)) == 16 * 24
 
 
+@pytest.mark.parametrize("alpha_prime, deepest", [(1.0, 1022), (math.pi / 2 - 0.05, 1018)])
+def test_build_contour_keeps_the_innermost_side_edge_a_normal_float(alpha_prime, deepest):
+    # cos(alpha') 2^(1 - k_line) >= 2^-1022 up to k_line = deepest, and no
+    # node is the vertex; one panel deeper the edge is subnormal, and at
+    # k_line >= 1074 it would underflow into panels of length zero at z = 1
+    nodes = contour.build_contour(alpha_prime, 8, deepest)
+    assert np.min(np.abs(nodes.z - 1.0)) > 0.0 and np.all(nodes.dz_weight != 0.0)
+    for k_line in (deepest + 1, 1074, 2048, np.int64(4096), 10**30):
+        with pytest.raises(InvalidInputError, match="below the normal floats"):
+            contour.build_contour(alpha_prime, 8, k_line)
+
+
+def test_the_refinement_stops_before_the_sides_leave_the_normal_floats(monkeypatch):
+    # a zero tolerance never converges; well under CONTOUR_NODE_CAP, the
+    # refinement of the (32, 16) contour stops at (1024, 512), whose next
+    # k_line = 1024 would put the innermost side edge below 2^-1022, and no
+    # node solved is the vertex
+    monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
+    built, solved = [], []
+    build, solve = contour.build_contour, contour._solve
+    monkeypatch.setattr(contour, "build_contour", lambda *a: built.append(a[1:]) or build(*a))
+    monkeypatch.setattr(contour, "_solve", lambda c, z: solved.append(np.count_nonzero(z == 1.0)) or solve(c, z))
+    c = np.diag([0.2, 0.5]).astype(complex)
+    with pytest.raises(contour.ContourTooCloseError, match="after 32768 nodes"):
+        contour.riesz_dunford_many([lambda z: z], c, 1.0, math.pi / 8)
+    assert built == [(32 << j, 16 << j) for j in range(1, 6)] and 32768 * 2 <= contour.CONTOUR_NODE_CAP
+    assert solved and not any(solved)
+
+
 def test_cauchy_formula_identity():
     c = certified_resolvent(4, math.pi / 8, 1001)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
@@ -325,19 +354,26 @@ def test_default_draws_take_few_exact_norms(monkeypatch):
 
 
 def test_default_draw_counts_its_exact_norms(monkeypatch):
-    # the first default draw, its quadrature error proved on the (8, 16)
-    # trial contour: the polygon bound proves all 640 base nodes, so no
-    # exact norm is taken, each node is solved once, and no refinement runs
+    # the first default draw, its quadrature error proved on the (8, 10)
+    # trial contour (l_1 = 2.8e-3 picks 10 panels a side): the polygon bound
+    # proves all 448 base nodes, so no exact norm is taken, each node is
+    # solved once, and no refinement runs
     config = ExperimentConfig("contour_reconstruction")
     base = contour.build_contour(0.5 * (config.alpha + math.pi / 2))
-    solved_contour = contour.build_contour(base.alpha_prime, 8, 16)
+    solved_contour = contour.build_contour(base.alpha_prime, 8, 10)
     (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
     solved, solve = [], contour._solve
     monkeypatch.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
     _, report, checked, _, rows = _checked(monkeypatch, [lambda z: 1.0], c, base.alpha_prime, config.alpha, [_one])
-    assert (rows, sum(solved), len(checked)) == ([], 640, 640)
+    assert (rows, sum(solved), len(checked)) == ([], 448, 448)
     assert report == bound_first_report(c, solved_contour, config.alpha)
     _assert_bounds_the_exact_check(report, per_node_report(c, solved_contour, config.alpha))
+
+
+def _slot_draw(slot):
+    # the draw of the contour_calc benchmark's first block's slot, and its alpha
+    alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
+    return _pool_draw(slot + 2, alpha, 2_000_000 + slot, t), alpha
 
 
 @pytest.mark.parametrize("slot", range(15))
@@ -347,11 +383,7 @@ def test_contour_calc_slots_report_the_exact_maxima(monkeypatch, slot):
     # the base pass then takes the exact norm of every node from its own
     # rows, in stacks of every size, and the report is the check of exact
     # norms at every node, bit for bit
-    alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
-    config = ExperimentConfig(
-        "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
-    )
-    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    c, alpha = _slot_draw(slot)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     monkeypatch.setattr(numrange, "support_distance", lambda polygon, z, *a: np.full(np.shape(z), -np.inf))
     _, report, _, _, rows = _checked(monkeypatch, [lambda z: 0.0], c, nodes.alpha_prime, alpha)
@@ -385,11 +417,7 @@ def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
     # 2..16: U >= the exact norm at every base node, and the bound proves
     # every node, so the report is the check at U, with the verdict of
     # exact norms and no maximum below theirs
-    alpha, t = (math.pi / 16, math.pi / 8, math.pi / 4)[slot % 3], (0.1, 1.0, 10.0)[slot // 3 % 3]
-    config = ExperimentConfig(
-        "contour_reconstruction", dim=slot + 2, alpha=alpha, seed=2_000_000 + slot, trials=1, ts=(t,)
-    )
-    (_, c, _), *_ = _draws(config, _resolvent, numrange.quasi_sectorial)[0]
+    c, alpha = _slot_draw(slot)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     upper, exact = _polygon_bounds(c, nodes), _exact_norms(c, nodes)
     assert np.all(exact <= upper)
@@ -639,8 +667,8 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
-    # a harness draw whose quadrature error is proved on the (8, 16) trial
-    # contour: one base pass of 640 nodes in stacks of up to 512 at d = 4,
+    # a harness draw whose quadrature error is proved on the (8, 4) trial
+    # contour: one base pass of 256 nodes, one stack of up to 512 at d = 4,
     # and no other solve; nothing calls build_contour, so
     # no refinement is built, and the majorant check solves nothing and
     # gives the summary the solved contour's winding error
@@ -663,9 +691,9 @@ def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     result = run_experiment(config)
     assert result.summary["certification_failures"] == 0
     assert built == []
-    assert blocked == [512, 128]
-    assert solved == [512, 128]
-    winding = contour.winding_number(build(result.summary["alpha_prime"], 8, 16), 0.2)
+    assert blocked == [256]
+    assert solved == [256]
+    winding = contour.winding_number(contour._build_contour(result.summary["alpha_prime"], 8, 4), 0.2)
     assert result.summary["max_winding_error"] == abs(winding - 1.0)
 
 
@@ -706,14 +734,14 @@ def test_resolvent_blow_up_raises_too_close():
 
 def test_each_function_runs_once_per_pass():
     # each function sees every node of a pass at once, as one node array: a
-    # call proved on the (8, 16) trial contour has one base pass of 640
+    # call proved on the (8, 12) trial contour has one base pass of 512
     # nodes, and a call without f_bounds, or whose proof fails, a base pass
     # of the caller's 1024 nodes and one refinement of 2048 nodes after it
     c = certified_resolvent(4, math.pi / 8, 3000)
     nodes = contour.build_contour(0.5 * (math.pi / 8 + math.pi / 2))
     fs = [lambda z: 1.0, lambda z: z**4 - np.exp(4 * (z - 1.0))]
     proved = [_one, lambda z, r: (np.abs(z) + r) ** 4 + np.exp(4 * (z.real + r - 1.0))]
-    for f_bounds, passes in ((proved, [(640,)]), (None, [(1024,), (2048,)]), ([_one, _inf], [(1024,), (2048,)])):
+    for f_bounds, passes in ((proved, [(512,)]), (None, [(1024,), (2048,)]), ([_one, _inf], [(1024,), (2048,)])):
         calls = [[], []]
 
         def counted(j, f):
@@ -745,6 +773,14 @@ _NEAR_LINE = 0.5 + 0.9 * (0.5 - 0.4 * np.exp(-1j))
         ([0.3 + 0.1j, _NEAR_LINE, -0.2, 0.6 - 0.3j], 16, 16, True),
         ([0.3 + 0.1j, 0.1j, -0.2, 0.6 - 0.3j], 16, 16, False),
         ([0.9, -0.2j, 0.1], 16, 16, False),
+        # the side counts the trials take from l_1: 3 and 5 panels far from
+        # W(C), 22 next to an eigenvalue 9.2e-7 from the vertex
+        ([0.3 + 0.1j], 8, 3, False),
+        ([0.99, 0.5], 8, 3, True),
+        ([_NEAR_LINE], 8, 5, True),
+        ([0.9, -0.2j, 0.1], 16, 5, False),
+        ([1.0 - 1e-6 + 2e-7j, 0.5, 0.1j], 16, 22, False),
+        ([_NEAR_LINE], 8, 22, True),
     ],
 )
 def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, k_line, rough):
@@ -752,13 +788,14 @@ def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, 
     # and ||(z - C)^{-1}|| = 1 / min_k |z - lambda_k|.  Each proved bound of the
     # harness families is at least the base pass's error, less the rounding
     # allowance 2^10 d u (S + ||f(C)||), S = sum_j |f(z_j) dz_j| ||(z_j - C)^{-1}|| / 2 pi;
-    # a rough case errs by more than 1e-12, so more than rounding is compared
+    # a rough case errs by more than 1e-12, so more than rounding is compared.
+    # The contours are built as the trials build them, below 8 panels a side too
     lam = np.asarray(lams, dtype=complex)
     rng = np.random.default_rng(lam.size)
     q, _ = np.linalg.qr(rng.standard_normal((lam.size,) * 2) + 1j * rng.standard_normal((lam.size,) * 2))
     q = q if lam.size > 1 else np.eye(1)
     c = (q * lam) @ q.conj().T
-    nodes = contour.build_contour(1.0, k_arc, k_line)
+    nodes = contour._build_contour(1.0, k_arc, k_line)
     fs, f_bounds = _harness_families(monkeypatch, (1, 4, 16))
     got = contour._evaluate_many(contour._weights(fs, nodes), c, nodes)
     proved = contour._quadrature_bounds(f_bounds, nodes, numrange.outer_polygon(c))
@@ -773,12 +810,16 @@ def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, 
     assert max(errors) > 1e-12 if rough else max(proved) < contour.CONTOUR_QUAD_TOL
 
 
-@pytest.mark.parametrize("alpha_prime, k_arc, k_line", [(1.0, 32, 16), (0.3, 8, 8), (1.4, 9, 10)])
+@pytest.mark.parametrize(
+    "alpha_prime, k_arc, k_line",
+    [(1.0, 32, 16), (0.3, 8, 8), (1.4, 9, 10), (1.0, 8, 3), (0.3, 16, 5), (1.4, 8, 22)],
+)
 def test_panel_images_hold_the_bernstein_ellipses_images(alpha_prime, k_arc, k_line):
     # each panel's Gauss nodes are center + h x_j along it, and on the
     # boundary of every E_rho (where |z - center| and |z'| peak) the image
-    # lies in the container and |z'| stays below the bound
-    nodes = contour.build_contour(alpha_prime, k_arc, k_line)
+    # lies in the container and |z'| stays below the bound; the contours are
+    # built as the trials build them, below 8 panels a side too
+    nodes = contour._build_contour(alpha_prime, k_arc, k_line)
     center, d, half, speed, reach, across = contour._panel_images(nodes)
     x = contour._GL_NODES
     line = slice(0, 2 * k_line)
@@ -829,15 +870,21 @@ def _pool_draw(dim, alpha, seed, t):
     return c
 
 
+# the (arc, side) panels of the trial that proves each pool draw below, its
+# side count picked from its l_1 <= dist(1, W(C))
+_PICKED = {2_000_000: (8, 8), 2_000_002: (16, 10), 2_000_111: (16, 21), 2_000_110: (8, 19),
+           2_000_313: (8, 22), 2_000_511: (16, 20), 2_001_414: (16, 19), 2_001_501: (8, 19)}
+
+
 @pytest.mark.parametrize(
     "dim, alpha, seed, t, k_arc",
     [
-        # contour_calc pool calls 0 and 2: proved on the (8, 16) and the
-        # (16, 16) trial contour
+        # contour_calc pool calls 0 and 2: the (8, 16) and the (16, 16)
+        # contour prove them too
         (2, math.pi / 16, 2_000_000, 0.1, 8),
         (4, math.pi / 4, 2_000_002, 0.1, 16),
         # pool calls 26, 25, 58, 86, 224 and 226: C has an eigenvalue within
-        # 1e-5 of the vertex z = 1, and no (k_arc, 16) trial proves them
+        # 1e-5 of the vertex z = 1, and no (k_arc, 16) contour proves them
         (13, math.pi / 4, 2_000_111, 0.1, None),
         (12, math.pi / 8, 2_000_110, 0.1, None),
         (15, math.pi / 8, 2_000_313, 1.0, None),
@@ -849,9 +896,12 @@ def _pool_draw(dim, alpha, seed, t):
 def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha, seed, t, k_arc):
     # the trials run coarsest first, each decided by _quadrature_bounds on
     # its own contour, up to the first whose every bound lies below
-    # CONTOUR_QUAD_TOL: the (k_arc, 16) one, or else the (64, 32) one; that
-    # contour is build_contour's, and nothing is solved
-    shape = (64, 32) if k_arc is None else (k_arc, 16)
+    # CONTOUR_QUAD_TOL; the first three grade the sides to the draw's own
+    # count, and the one picked is _PICKED's, build_contour's nodes (or,
+    # below 8 panels a side, those it would build); nothing is solved.  With
+    # 16 panels a side instead, the first proved arc count is k_arc, or none
+    # of 8, 16 and 32 is proved
+    shape = _PICKED[seed]
     c = _pool_draw(dim, alpha, seed, t)
     alpha_prime = 0.5 * (alpha + math.pi / 2)
     polygon = numrange.outer_polygon(c)
@@ -866,19 +916,24 @@ def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha
         m.setattr(contour, "_quadrature_bounds", lambda *a: tried.append(decide(*a)) or tried[-1])
         picked = contour._proved_contour(f_bounds, alpha_prime, polygon)
     proved = [all(bound < contour.CONTOUR_QUAD_TOL for bound in bounds) for bounds in tried]
-    assert proved == [False] * contour._TRIALS.index(shape) + [True]
-    alone = contour.build_contour(alpha_prime, *shape)
+    trials = [(arcs, sides or shape[1]) for arcs, sides in contour._TRIALS]
+    assert proved == [False] * trials.index(shape) + [True]
+    alone = contour._build_contour(alpha_prime, *shape)
     assert (picked.alpha_prime, picked.k_arc, picked.k_line) == (alpha_prime, *shape)
     assert np.array_equal(picked.z, alone.z) and np.array_equal(picked.dz_weight, alone.dz_weight)
     assert np.array_equal(picked.on_arc, alone.on_arc)
+    sixteen = [arcs for arcs in (8, 16, 32)
+               if max(decide(f_bounds, contour.build_contour(alpha_prime, arcs, 16), polygon)) < contour.CONTOUR_QUAD_TOL]
+    assert (sixteen or [None])[0] == k_arc
 
 
 def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
-    # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1), proved on
-    # the (64, 32) contour: the call solves its 2048 nodes once, its values
-    # are those of the every-node reference, which refines the (32, 16)
-    # contour once, bit for bit, and its report is the check at the 2048
-    # nodes, with the verdict of exact norms
+    # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1), an
+    # eigenvalue 7.5e-7 from the vertex, proved on the (16, 21) contour: the
+    # call solves its 928 nodes once, its values are those of the every-node
+    # reference, which refines the (32, 16) contour once, to rounding, and
+    # so are its records' errors; its report is the check at the 928 nodes,
+    # with the verdict of exact norms
     ns = (1, 2, 4, 8, 16)
     alpha = math.pi / 4
     c = _pool_draw(13, alpha, 2_000_111, 0.1)
@@ -888,25 +943,28 @@ def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
         values, report = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, alpha, f_bounds)
-    assert sum(solved) == 2048
+    assert sum(solved) == 928
     want, _ = _every_node_reference(fs, c, nodes, alpha)
-    assert len(values) == len(want) and all(np.array_equal(g, w) for g, w in zip(values, want))
-    fine = contour.build_contour(nodes.alpha_prime, 64, 32)
-    assert report == bound_first_report(c, fine, alpha)
-    _assert_bounds_the_exact_check(report, per_node_report(c, fine, alpha))
+    assert len(values) == len(want) and all(linalg.op_norm(g - w) <= 1e-15 for g, w in zip(values, want))
+    picked = contour.build_contour(nodes.alpha_prime, 16, 21)
+    assert report == bound_first_report(c, picked, alpha)
+    _assert_bounds_the_exact_check(report, per_node_report(c, picked, alpha))
     errors, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
     with monkeypatch.context() as m:
         m.setattr(contour, "riesz_dunford_many", lambda fs, c, ap, alpha, _: _every_node_reference(fs, c, nodes, alpha))
-        assert harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)[0] == errors
+        refined, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
+    assert [n for n, *_ in refined] == [n for n, *_ in errors]
+    assert np.max(np.abs(np.subtract(refined, errors))) <= 2e-16
 
 
 @pytest.mark.parametrize("vertex, proved", [(1.0 - 9e-7 + 2e-7j, True), (1.0 - 1e-11 + 2e-12j, False)])
 def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, proved):
     # a normal C with an eigenvalue next to the vertex z = 1: at 9.2e-7 from
-    # it the first three trials' bounds are about 20 and the (64, 32)
-    # contour proves it; at 1e-11 no trial does, so the base pass solves the
-    # (32, 16) contour and the refinement the (64, 32) one.  Either way the
-    # values are those of _evaluate_many on the (64, 32) contour bit for
+    # it l_1 = 9.2e-7 picks 22 panels a side, and the (8, 22) contour proves
+    # it (with 16 panels a side the first three trials' bounds are about 20);
+    # at 1e-11 the sides take 32 panels, no trial proves, so the base pass
+    # solves the (32, 16) contour and the refinement the (64, 32) one.  The
+    # values are those of _evaluate_many on the contour solved last bit for
     # bit, and the report is the check at the base nodes, with the verdict
     # of exact norms; the values err by rounding, about 1e-13 with
     # resolvent norms near 1e11
@@ -918,17 +976,24 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
     alpha_prime = 0.5 * (alpha + math.pi / 2)
     fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
     polygon = numrange.outer_polygon(c)
-    bounds = [max(contour._quadrature_bounds(f_bounds, contour.build_contour(alpha_prime, *s), polygon))
-              for s in contour._TRIALS]
-    assert all(20.0 < b < 21.0 for b in bounds[:3]) if proved else bounds == [math.inf] * 4
-    assert (bounds[3] < contour.CONTOUR_QUAD_TOL) == proved
+    sides = contour._side_panels(alpha_prime, polygon)
+    assert sides == (22 if proved else 32)
+    for count in (16, sides):
+        bounds = [max(contour._quadrature_bounds(f_bounds, contour.build_contour(alpha_prime, k, s or count), polygon))
+                  for k, s in contour._TRIALS]
+        if not proved:
+            assert bounds == [math.inf] * 4
+        elif count == 16:
+            assert all(20.0 < b < 21.0 for b in bounds[:3]) and bounds[3] < contour.CONTOUR_QUAD_TOL
+        else:
+            assert bounds[0] < contour.CONTOUR_QUAD_TOL
     passes, evaluate = [], contour._evaluate_many
     with monkeypatch.context() as m:
         m.setattr(contour, "_evaluate_many", lambda w, c, n, visit=None: passes.append(n) or evaluate(w, c, n, visit))
         got, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
     shapes = [(p.k_arc, p.k_line) for p in passes]
-    assert shapes == ([(64, 32)] if proved else [(32, 16), (64, 32)])
-    fine = contour.build_contour(alpha_prime, 64, 32)
+    assert shapes == ([(8, 22)] if proved else [(32, 16), (64, 32)])
+    fine = contour.build_contour(alpha_prime, *shapes[-1])
     want = evaluate(contour._weights(fs, fine), c, fine)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     base = contour.build_contour(alpha_prime, *shapes[0])
@@ -936,6 +1001,82 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
     _assert_bounds_the_exact_check(report, per_node_report(c, base, alpha))
     for f, value in zip(fs, got):
         assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < (1e-15 if proved else 1e-12)
+
+
+@pytest.mark.parametrize("delta, shape", [(0.3, (8, 3)), (1e-3, (8, 12)), (9.2e-7, (8, 22))])
+def test_the_side_count_grades_to_half_the_distance_from_the_vertex(monkeypatch, delta, shape):
+    # item 3's normal family: C = Q diag(lambda) Q^H with the eigenvalues 1 -
+    # delta, 0.5 and 0.1i, so dist(1, W(C)) = delta.  l_1 <= delta, and the
+    # side count of the first three trials is the least whose innermost
+    # panel [0, cos(alpha') 2^(1 - k)] is at most l_1 / 2; nothing is solved
+    # while proving, and the values are Q f(lambda) Q^H to rounding
+    lam = np.array([1.0 - delta, 0.5, 0.1j])
+    rng = np.random.default_rng(lam.size)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    c = (q * lam) @ q.conj().T
+    alpha = math.pi / 8
+    alpha_prime = 0.5 * (alpha + math.pi / 2)
+    polygon = numrange.outer_polygon(c)
+    (ell,) = numrange.support_distance(polygon, 1.0)
+    assert 0.0 < ell <= delta
+    fits = [k for k in range(1, 33) if math.cos(alpha_prime) * 2.0 ** (1 - k) <= ell / 2]
+    assert contour._side_panels(alpha_prime, polygon) == (max(3, fits[0]) if fits else 32) == shape[1]
+    fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
+
+    def no_solves(c, z):
+        raise AssertionError("solved while proving")
+
+    with monkeypatch.context() as m:
+        m.setattr(contour, "_solve", no_solves)
+        picked = contour._proved_contour(f_bounds, alpha_prime, polygon)
+    assert (picked.k_arc, picked.k_line) == shape
+    got, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
+    assert report.passed
+    for f, value in zip(fs, got):
+        assert linalg.op_norm(value - (q * f(lam)) @ q.conj().T) < 1e-15
+
+
+def _sixteen_deep_contour(c, alpha_prime, f_bounds):
+    # the contour every side graded 16 panels deep gives: the first of (8,
+    # 16), (16, 16), (32, 16) and (64, 32) on which all of f_bounds prove
+    # below CONTOUR_QUAD_TOL, or else the (32, 16) one
+    polygon = numrange.outer_polygon(c)
+    for shape in ((8, 16), (16, 16), (32, 16), (64, 32)):
+        nodes = contour.build_contour(alpha_prime, *shape)
+        if max(contour._quadrature_bounds(f_bounds, nodes, polygon)) < contour.CONTOUR_QUAD_TOL:
+            return nodes
+    return contour.build_contour(alpha_prime)
+
+
+def _slot_and_default_draws():
+    # the 15 contour_calc slot draws, and the default draws at alpha = 0 and 1.3
+    yield from (pytest.param(*_slot_draw(slot), id=f"slot{slot}") for slot in range(15))
+    for alpha in (0.0, 1.3):
+        draws, _ = _draws(ExperimentConfig("contour_reconstruction", alpha=alpha), _resolvent, numrange.quasi_sectorial)
+        yield from (pytest.param(c, alpha, id=f"default{i}-{alpha}") for i, c, _ in draws)
+
+
+@pytest.mark.parametrize("c, alpha", _slot_and_default_draws())
+def test_grading_the_sides_by_the_vertex_distance_loses_no_majorant_verdict(monkeypatch, c, alpha):
+    # on the (8, 16) contour every node within l_1 / 2 of the vertex has its
+    # side and distance ratios at U = (1 + 1e-6) / l at most (1 + 1e-6)
+    # sin(alpha' - alpha) < 1, so a node that the draw's own side count adds
+    # or drops near the vertex decides no verdict; and the check on the
+    # contour the call solves has the verdict and the three maxima of the
+    # check on the contour that grading every side 16 panels deep picks
+    alpha_prime = 0.5 * (alpha + math.pi / 2)
+    nodes = contour.build_contour(alpha_prime, 8, 16)
+    (ell,) = numrange.support_distance(numrange.outer_polygon(c), 1.0)
+    near = np.abs(1.0 - nodes.z) <= ell / 2
+    assert np.any(near)
+    dist = numrange.distance_to_D_alpha(nodes.z, alpha)
+    side, far = contour._majorant_ratios(nodes, alpha, dist, _polygon_bounds(c, nodes))
+    most = (1.0 + 1e-6) * math.sin(alpha_prime - alpha)
+    assert np.all(side[near] <= most) and np.all(far[near] <= most) and most < 1.0
+    fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
+    _, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
+    sixteen = bound_first_report(c, _sixteen_deep_contour(c, alpha_prime, f_bounds), alpha)
+    assert (report.passed, _worst(report)) == (sixteen.passed, _worst(sixteen))
 
 
 def test_quadrature_bounds_widen_the_panel_sum_by_the_margin(monkeypatch):

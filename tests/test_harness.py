@@ -252,9 +252,10 @@ def test_contour_majorant_failures_are_counted(monkeypatch):
 
 
 def test_contour_winding_error_is_that_of_the_solved_contours(monkeypatch):
-    # draws proved on the (8, 16) and on the (16, 16) trial contour: each
-    # report carries the winding error of the contour it checked, and the
-    # summary's is the larger of the two
+    # draws proved on the (8, 7), (8, 12) and (16, 5) trial contours (the
+    # side counts from each draw's distance to the vertex): each report
+    # carries the winding error of the contour it checked, and the
+    # summary's is the largest of them
     cfg = small_config("contour_reconstruction", alpha=math.pi / 4, ts=(0.1, 10.0), nmax=4)
     checked, check = [], contour._check_report
 
@@ -266,7 +267,8 @@ def test_contour_winding_error_is_that_of_the_solved_contours(monkeypatch):
     monkeypatch.setattr(contour, "_check_report", spy)
     result = run_experiment(cfg)
     alpha_prime = result.summary["alpha_prime"]
-    errors = {(k, 16): abs(contour.winding_number(contour.build_contour(alpha_prime, k, 16), 0.2) - 1.0) for k in (8, 16)}
+    shapes = ((8, 7), (8, 12), (16, 5))
+    errors = {shape: abs(contour.winding_number(contour._build_contour(alpha_prime, *shape), 0.2) - 1.0) for shape in shapes}
     assert sorted({shape for shape, _ in checked}) == sorted(errors)
     assert all(error == errors[shape] for shape, error in checked)
     assert result.summary["max_winding_error"] == max(errors.values())
