@@ -58,28 +58,29 @@ solved.  On the sides the resolvent can grow only near the vertex, where
 they come nearest W(C), and l_1 = ``numrange.support_distance`` of the
 outer 32-gon at z = 1 is a lower bound on dist(1, W(C)) known before any
 solve.  The trials are the contours of _TRIALS, coarsest first: (8, k),
-(16, k), (32, k) and (64, 32) panels (arc, side), that is 16 (8 + 2k),
-16 (16 + 2k), 16 (32 + 2k) and 2048 nodes, where k = min(32, max(3, 2 +
-ceil(log2(cos(alpha') / l_1)))), 32 where l_1 <= 0, is the fewest side
-panels whose innermost, [0, cos(alpha') 2^(1 - k)], is at most l_1/2
-long.  For k <= 16, every side node beyond that panel is a node of the 16
-panel side, bit for bit.  At a node within l_1/2 of the vertex, the
-majorant check's U below is at most 2 (1 + 1e-6) / l_1, so both its ratios
-there are at most (1 + 1e-6) sin(alpha' - alpha), which is below 1 unless
-alpha' - alpha is within 1.5e-3 of pi/2: a node that the grading adds or
-drops there decides no verdict.  The first trial on which every
-function's bound lies below CONTOUR_QUAD_TOL is solved, and its base
-values are returned.  The last, the finest, has 64 arc panels and sides
-graded down to cos(alpha') 2^-31 whatever l_1.  Where no trial is
-proved, and without bounds on f, build_contour(alpha')'s (32, 16) contour
-is solved and the node set then doubled until two passes agree to
-CONTOUR_QUAD_TOL, every node of each refinement solved (1024 + 2048 nodes
-when one refinement agrees); a heuristic, as all but the innermost graded
-line panel of a side are the same at every level.  The doubling stops
-with ContourTooCloseError before it passes CONTOUR_NODE_CAP nodes, or a
-side's innermost edge would leave the normal floats, after the (1024,
-512) contour at most.  The bound covers truncation only, since refining
-cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
+(16, k), (32, k) and (64, k) panels (arc, side), that is 16 (a + 2k)
+nodes for a arc panels, where k = min(32, max(3, 2 + ceil(log2(cos(alpha')
+/ l_1)))), 32 where l_1 <= 0, is the fewest side panels whose innermost,
+[0, cos(alpha') 2^(1 - k)], is at most l_1/2 long.  A side of k panels
+shares every node beyond that panel, bit for bit, with a side graded
+deeper, P > k panels, so the two differ only at nodes within l_1/2 of the
+vertex.  There the majorant check's U below is at most 2 (1 + 1e-6) /
+l_1, so both its ratios are at most (1 + 1e-6) sin(alpha' - alpha), which
+is below 1 unless alpha' - alpha is within 1.5e-3 of pi/2: against any
+deeper grading, the side count decides no verdict.  Against a shallower
+one (k > P) this proves nothing, as most nodes of the P-panel side's
+innermost panel lie beyond l_1/2; that such draws keep their verdicts is
+measured, not proved.  The first trial on which every function's bound
+lies below CONTOUR_QUAD_TOL is solved, and its base values are returned.
+Where no trial is proved, and without bounds on f, build_contour(alpha')'s
+(32, 16) contour is solved and the node set then doubled until two passes
+agree to CONTOUR_QUAD_TOL, every node of each refinement solved (1024 +
+2048 nodes when one refinement agrees); a heuristic, as all but the
+innermost graded line panel of a side are the same at every level.  The
+doubling stops with ContourTooCloseError before it passes CONTOUR_NODE_CAP
+nodes, or a side's innermost edge would leave the normal floats, after
+the (1024, 512) contour at most.  The bound covers truncation only, since
+refining cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
 |f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
 2^-53, g the growth factor of LU and kappa_j the condition of z_j - C)
 and times (S + N/S) sqrt(d) u for the products of the stacks of S nodes
@@ -126,8 +127,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant norms
 _BOUND_MARGIN = 1e-6  # relative widening of the polygon and quadrature bounds, far above their rounding
 _RHOS = 2.0 ** (np.arange(1, 25) / 4.0)  # the Bernstein ellipses E_rho each panel's error bound tries
-# (arc, side) panels of the contours the proof tries, in order; None: the side count the draw's l_1 picks
-_TRIALS = ((8, None), (16, None), (32, None), (64, 32))
+_TRIALS = (8, 16, 32, 64)  # arc panels of the contours the proof tries, in order; the sides take _side_panels'
 
 
 @dataclass
@@ -410,7 +410,7 @@ def _quadrature_bounds(f_bounds, contour: ContourNodes, polygon: np.ndarray) -> 
 
 
 def _side_panels(alpha_prime: float, polygon: np.ndarray) -> int:
-    """The side count k of the first three trials, from l_1 = support_distance(polygon, 1) <= dist(1, W(C)).
+    """The side count k of every trial, from l_1 = support_distance(polygon, 1) <= dist(1, W(C)).
 
     k = min(32, max(3, 2 + ceil(log2(cos(alpha') / l_1)))), so that the
     innermost side panel [0, cos(alpha') 2^(1 - k)] is at most l_1 / 2
@@ -426,12 +426,12 @@ def _side_panels(alpha_prime: float, polygon: np.ndarray) -> int:
 def _proved_contour(f_bounds, alpha_prime: float, polygon: np.ndarray) -> ContourNodes | None:
     """The first contour of _TRIALS on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
 
-    The first three trials grade each side to _side_panels(alpha', polygon)
-    panels.  None if no trial is proved; nothing is solved.
+    Every trial grades each side to _side_panels(alpha', polygon) panels.
+    None if no trial is proved; nothing is solved.
     """
     sides = _side_panels(alpha_prime, polygon)
-    for k_arc, k_line in _TRIALS:
-        trial = _build_contour(alpha_prime, k_arc, k_line or sides)
+    for k_arc in _TRIALS:
+        trial = _build_contour(alpha_prime, k_arc, sides)
         if all(bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, trial, polygon)):
             return trial
     return None
@@ -465,11 +465,11 @@ def riesz_dunford_many(
     |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
     must be analytic.  Before anything is solved, the proof of the module
     docstring runs on the contours of _TRIALS in order, (8, k), (16, k),
-    (32, k) and (64, 32) panels, k from 3 to 32 side panels graded to half
+    (32, k) and (64, k) panels, k from 3 to 32 side panels graded to half
     the outer 32-gon's distance from the vertex (``_side_panels``).  The
     first on which the proved truncation error of every value lies below
     CONTOUR_QUAD_TOL is the base contour, and its base values are returned:
-    16 (8 + 2k), 16 (16 + 2k), 16 (32 + 2k) or 2048 solves.  Otherwise, and
+    16 (a + 2k) solves for a arc panels, 224 to 2048.  Otherwise, and
     always without f_bounds, the base contour is build_contour(alpha')'s
     (32, 16), and the node set is doubled until every value agrees with its
     previous refinement to CONTOUR_QUAD_TOL in spectral norm, and the last

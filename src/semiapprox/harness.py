@@ -468,8 +468,8 @@ def _contour_sweep(c, alpha_prime, ns, alpha):
     + r) and (|c| + r)^n + e^{n(Re c + r - 1)}, so riesz_dunford_many
     proves the quadrature error before solving: a draw proved below
     CONTOUR_QUAD_TOL on one of its trial contours solves that contour alone
-    (8, 16 or 32 arc panels with sides graded to half the draw's distance
-    from the vertex, 224 to 1536 nodes, or the (64, 32) contour's 2048),
+    (8, 16, 32 or 64 arc panels with sides graded to half the draw's
+    distance from the vertex, 224 to 2048 nodes),
     and any other draw solves the (32, 16) contour and its refinements
     (1024 + 2048 nodes when the first refinement agrees).
     """

@@ -896,11 +896,11 @@ _PICKED = {2_000_000: (8, 8), 2_000_002: (16, 10), 2_000_111: (16, 21), 2_000_11
 def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha, seed, t, k_arc):
     # the trials run coarsest first, each decided by _quadrature_bounds on
     # its own contour, up to the first whose every bound lies below
-    # CONTOUR_QUAD_TOL; the first three grade the sides to the draw's own
-    # count, and the one picked is _PICKED's, build_contour's nodes (or,
-    # below 8 panels a side, those it would build); nothing is solved.  With
-    # 16 panels a side instead, the first proved arc count is k_arc, or none
-    # of 8, 16 and 32 is proved
+    # CONTOUR_QUAD_TOL; each grades the sides to the draw's own count, and
+    # the one picked is _PICKED's, build_contour's nodes (or, below 8 panels
+    # a side, those it would build); nothing is solved.  With 16 panels a
+    # side instead, the first proved arc count is k_arc, or none of 8, 16
+    # and 32 is proved
     shape = _PICKED[seed]
     c = _pool_draw(dim, alpha, seed, t)
     alpha_prime = 0.5 * (alpha + math.pi / 2)
@@ -916,7 +916,7 @@ def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha
         m.setattr(contour, "_quadrature_bounds", lambda *a: tried.append(decide(*a)) or tried[-1])
         picked = contour._proved_contour(f_bounds, alpha_prime, polygon)
     proved = [all(bound < contour.CONTOUR_QUAD_TOL for bound in bounds) for bounds in tried]
-    trials = [(arcs, sides or shape[1]) for arcs, sides in contour._TRIALS]
+    trials = [(arcs, shape[1]) for arcs in contour._TRIALS]
     assert proved == [False] * trials.index(shape) + [True]
     alone = contour._build_contour(alpha_prime, *shape)
     assert (picked.alpha_prime, picked.k_arc, picked.k_line) == (alpha_prime, *shape)
@@ -930,40 +930,46 @@ def test_each_trial_decides_as_its_own_quadrature_bounds(monkeypatch, dim, alpha
 def test_a_draw_proved_next_to_the_vertex_keeps_its_refined_values(monkeypatch):
     # contour_calc pool call 26 (d = 13, alpha = pi/4, t = 0.1), an
     # eigenvalue 7.5e-7 from the vertex, proved on the (16, 21) contour: the
-    # call solves its 928 nodes once, its values are those of the every-node
-    # reference, which refines the (32, 16) contour once, to rounding, and
-    # so are its records' errors; its report is the check at the 928 nodes,
-    # with the verdict of exact norms
+    # call solves its 928 nodes once, its values and its records' errors are
+    # those of the every-node pass on that contour bit for bit, and those of
+    # the every-node reference, which refines the (32, 16) contour once, to
+    # rounding; its report is the check at the 928 nodes, with the verdict
+    # of exact norms
     ns = (1, 2, 4, 8, 16)
     alpha = math.pi / 4
     c = _pool_draw(13, alpha, 2_000_111, 0.1)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
+    picked = contour.build_contour(nodes.alpha_prime, 16, 21)
     fs, f_bounds = _harness_families(monkeypatch, ns)
     solved, solve = [], contour._solve
     with monkeypatch.context() as m:
         m.setattr(contour, "_solve", lambda c, z: solved.append(len(z)) or solve(c, z))
         values, report = contour.riesz_dunford_many(fs, c, nodes.alpha_prime, alpha, f_bounds)
     assert sum(solved) == 928
-    want, _ = _every_node_reference(fs, c, nodes, alpha)
-    assert len(values) == len(want) and all(linalg.op_norm(g - w) <= 1e-15 for g, w in zip(values, want))
-    picked = contour.build_contour(nodes.alpha_prime, 16, 21)
+    want = _every_node_pass(fs, c, picked)
+    assert len(values) == len(want) and all(np.array_equal(g, w) for g, w in zip(values, want))
+    refined, _ = _every_node_reference(fs, c, nodes, alpha)
+    assert all(linalg.op_norm(g - w) <= 1e-15 for g, w in zip(values, refined))
     assert report == bound_first_report(c, picked, alpha)
     _assert_bounds_the_exact_check(report, per_node_report(c, picked, alpha))
     errors, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
     with monkeypatch.context() as m:
+        m.setattr(contour, "riesz_dunford_many", lambda fs, c, ap, alpha, _: (_every_node_pass(fs, c, picked), report))
+        assert harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)[0] == errors
         m.setattr(contour, "riesz_dunford_many", lambda fs, c, ap, alpha, _: _every_node_reference(fs, c, nodes, alpha))
-        refined, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
-    assert [n for n, *_ in refined] == [n for n, *_ in errors]
-    assert np.max(np.abs(np.subtract(refined, errors))) <= 2e-16
+        reference, _ = harness._contour_sweep(c, nodes.alpha_prime, ns, alpha)
+    assert [n for n, *_ in reference] == [n for n, *_ in errors]
+    assert np.max(np.abs(np.subtract(reference, errors))) <= 2e-16
 
 
 @pytest.mark.parametrize("vertex, proved", [(1.0 - 9e-7 + 2e-7j, True), (1.0 - 1e-11 + 2e-12j, False)])
 def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, proved):
     # a normal C with an eigenvalue next to the vertex z = 1: at 9.2e-7 from
     # it l_1 = 9.2e-7 picks 22 panels a side, and the (8, 22) contour proves
-    # it (with 16 panels a side the first three trials' bounds are about 20);
-    # at 1e-11 the sides take 32 panels, no trial proves, so the base pass
-    # solves the (32, 16) contour and the refinement the (64, 32) one.  The
+    # it, where with 16 panels a side every trial's bound is about 20 and
+    # 32 panels a side prove it on 64 arc panels; at 1e-11 the sides take 32
+    # panels, no trial proves, so the base pass solves the (32, 16) contour
+    # and the refinement the (64, 32) one.  The
     # values are those of _evaluate_many on the contour solved last bit for
     # bit, and the report is the check at the base nodes, with the verdict
     # of exact norms; the values err by rounding, about 1e-13 with
@@ -978,13 +984,15 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
     polygon = numrange.outer_polygon(c)
     sides = contour._side_panels(alpha_prime, polygon)
     assert sides == (22 if proved else 32)
-    for count in (16, sides):
-        bounds = [max(contour._quadrature_bounds(f_bounds, contour.build_contour(alpha_prime, k, s or count), polygon))
-                  for k, s in contour._TRIALS]
+    for count in (16, 32, sides):
+        bounds = [max(contour._quadrature_bounds(f_bounds, contour.build_contour(alpha_prime, k, count), polygon))
+                  for k in contour._TRIALS]
         if not proved:
             assert bounds == [math.inf] * 4
         elif count == 16:
-            assert all(20.0 < b < 21.0 for b in bounds[:3]) and bounds[3] < contour.CONTOUR_QUAD_TOL
+            assert all(20.0 < b < 21.0 for b in bounds)
+        elif count == 32:
+            assert bounds[3] < contour.CONTOUR_QUAD_TOL
         else:
             assert bounds[0] < contour.CONTOUR_QUAD_TOL
     passes, evaluate = [], contour._evaluate_many
@@ -1007,7 +1015,7 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
 def test_the_side_count_grades_to_half_the_distance_from_the_vertex(monkeypatch, delta, shape):
     # item 3's normal family: C = Q diag(lambda) Q^H with the eigenvalues 1 -
     # delta, 0.5 and 0.1i, so dist(1, W(C)) = delta.  l_1 <= delta, and the
-    # side count of the first three trials is the least whose innermost
+    # side count of every trial is the least whose innermost
     # panel [0, cos(alpha') 2^(1 - k)] is at most l_1 / 2; nothing is solved
     # while proving, and the values are Q f(lambda) Q^H to rounding
     lam = np.array([1.0 - delta, 0.5, 0.1j])
