@@ -21,7 +21,8 @@ epsilon whose n/eps^2 is not a finite float), a numrange --points that is
 odd or outside 16..65536 (refused before the sweep allocates), a numrange
 matrix whose sweep overflows, a matrix exponential of spectral norm above
 MAX_EXPM_NORM = 1e6 (refused, never clipped), or a numerical failure
-(singular resolvent, unconverged contour quadrature).
+(singular resolvent, or a contour quadrature that no trial contour proves
+within CONTOUR_QUAD_TOL).
 verify leaves draws or steps that fail certification out of the records and
 counts them in the summary; they do not change the exit code, unless no record
 is left: then verify exits 2 with an error line that gives their count.

@@ -30,8 +30,7 @@ contour_calc benchmark's 240 calls are byte-identical under one and two
 threads, while a one-row product, which OpenBLAS runs as a vector-matrix
 product, gave other last bits under each.
 
-The base pass's truncation error is proved when each f comes with a bound
-on discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
+A pass's truncation error is proved from a bound on each f over discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
 the Bernstein ellipse with semi-axes A = (rho + 1/rho)/2 and B = (rho -
 1/rho)/2.  Where the image of E_rho misses W(C), the integrand G(x) = h
 f(z(s)) (z(s) - C)^{-1} z'(s) / (2 pi i) is analytic on E_rho, so its
@@ -71,37 +70,30 @@ deeper grading, the side count decides no verdict.  Against a shallower
 one (k > P) this proves nothing, as most nodes of the P-panel side's
 innermost panel lie beyond l_1/2; that such draws keep their verdicts is
 measured, not proved.  The first trial on which every function's bound
-lies below CONTOUR_QUAD_TOL is solved, and its base values are returned.
-Where no trial is proved, and without bounds on f, build_contour(alpha')'s
-(32, 16) contour is solved and the node set then doubled until two passes
-agree to CONTOUR_QUAD_TOL, every node of each refinement solved (1024 +
-2048 nodes when one refinement agrees); a heuristic, as all but the
-innermost graded line panel of a side are the same at every level.  The
-doubling stops with ContourTooCloseError before it passes CONTOUR_NODE_CAP
-nodes, or a side's innermost edge would leave the normal floats, after
-the (1024, 512) contour at most.  The bound covers truncation only, since
-refining cannot reduce rounding.  The rounding adds, in spectral norm, about sum_j
-|f(z_j) w_j| ||R_j|| / (2 pi) times d g u kappa_j for the solves (u =
-2^-53, g the growth factor of LU and kappa_j the condition of z_j - C)
-and times (S + N/S) sqrt(d) u for the products of the stacks of S nodes
-and their sum over the N nodes.
+lies below CONTOUR_QUAD_TOL is solved, and its values are returned; where
+no trial is proved, ContourTooCloseError is raised before any node is
+solved.  The bound covers truncation only.  The rounding adds, in
+spectral norm, about sum_j |f(z_j) w_j| ||R_j|| / (2 pi) times d g u
+kappa_j for the solves (u = 2^-53, g the growth factor of LU and kappa_j
+the condition of z_j - C) and times (S + N/S) sqrt(d) u for the products
+of the stacks of S nodes and their sum over the N nodes.
 
-The majorant check runs on the contour whose base pass was solved, and
-reports that contour's winding error about 0.2 with it.  It reads one
-value per base node, at least ||(z_j - C)^{-1}||, and takes three maxima:
-of its ratio to the majorant on the arc, the same on the lines, and of
-it times dist(z_j, D(alpha)) at every node.  With h_theta the support
+The majorant check runs on the contour solved, and reports that
+contour's winding error about 0.2 with it.  It reads one value per node,
+at least ||(z_j - C)^{-1}||, and takes three maxima: of its ratio to the
+majorant on the arc, the same on the lines, and of it times dist(z_j,
+D(alpha)) at every node.  With h_theta the support
 values of W(C) at 32 angles, raised by their backward error
 (``numrange.outer_polygon``: one eigvalsh of 16 Hermitian parts a call,
 which the quadrature bound reads too), ``numrange.support_distance``
 gives l_j = max_theta (Re(e^{i theta} z_j) - h_theta), lowered by its
 rounding.  For every unit x, ||(z_j - C) x|| >= |z_j - x* C x| >=
 dist(z_j, W(C)) >= l_j, so ||(z_j - C)^{-1}|| <= 1 / l_j (Trefethen and
-Embree, Spectra and Pseudospectra, 2005, ch. 17).  So before the base
-pass every node gets U_j = (1 + 1e-6) / l_j, or inf where l_j <= 0.  A
-node whose ratios at U_j lie within the check's tolerances is proved and
-reads U_j; at every other node the base pass takes the exact norm (an
-SVD of the stack's own rows), and the node reads that.  Each ratio is
+Embree, Spectra and Pseudospectra, 2005, ch. 17).  So before the pass
+every node gets U_j = (1 + 1e-6) / l_j, or inf where l_j <= 0.  A node
+whose ratios at U_j lie within the check's tolerances is proved and reads
+U_j; at every other node the pass takes the exact norm (an SVD of the
+stack's own rows), and the node reads that.  Each ratio is
 the value times or over positive constants of the node, and correctly
 rounded products and quotients are monotone, so a node's ratio at U_j is
 at least its exact ratio.  The verdict is thus that of exact norms at
@@ -121,7 +113,7 @@ import numpy as np
 
 from . import linalg, numrange
 from .errors import ContourTooCloseError, DomainError, InvalidInputError
-from .tolerances import CONTOUR_NODE_CAP, CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
+from .tolerances import CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant norms
@@ -158,15 +150,6 @@ def _line_edges(length: float, panels: int) -> np.ndarray:
     return edges
 
 
-def _grades_past_normal(alpha_prime: float, k_line: int) -> bool:
-    """Whether the innermost side panel's edge cos(alpha') 2^(1 - k_line) is no positive normal float.
-
-    Deeper than that, the edges underflow into panels of length zero whose
-    nodes sit at the vertex z = 1.
-    """
-    return not math.ldexp(math.cos(alpha_prime), 1 - int(k_line)) >= 2.0**-1022  # the least normal float
-
-
 def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> ContourNodes:
     """Composite quadrature nodes on the boundary of D(alpha').
 
@@ -180,7 +163,7 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
         # bool is an int subclass, but True is no panel count
         if not isinstance(panels, (int, np.integer)) or isinstance(panels, bool) or panels < 8:
             raise InvalidInputError(f"{name} must be an integer >= 8 panels, got {panels!r}")
-    if _grades_past_normal(alpha_prime, k_line):
+    if not math.ldexp(math.cos(alpha_prime), 1 - int(k_line)) >= 2.0**-1022:  # the least normal float
         raise InvalidInputError(
             f"k_line = {k_line} puts the innermost side edge cos(alpha') 2^(1 - k_line) below the normal floats"
         )
@@ -188,11 +171,7 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
 
 
 def _build_contour(alpha_prime: float, k_arc: int, k_line: int) -> ContourNodes:
-    """build_contour without its checks, for the base contours of riesz_dunford_many.
-
-    A base contour is no refinement, and bench/spans.py counts every
-    build_contour call inside riesz_dunford_many as one.
-    """
+    """build_contour without its checks, for the trials of _proved_contour, whose sides may take 3 panels."""
     edges = _line_edges(math.cos(alpha_prime), k_line)
     s, w = _panel_nodes(edges[:-1], edges[1:])
 
@@ -290,7 +269,7 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
     return rows
 
 
-def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
+def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit):
     """One quadrature pass over contour: the sums of weights times resolvents, stack by stack.
 
     values[i] is the sum of weights[i] (a node array of f(z) dz) times
@@ -299,9 +278,8 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     its rows, in stack order.  A lone weight is padded with a zero row, so
     that it is summed by the same product as among others.  The stacks fix
     the bits of every value; the BLAS thread count was measured not to
-    (module docstring).  visit, if given, is called as visit(nodes, rows)
-    on each stack once the pass is done with it, and must not change the
-    rows.
+    (module docstring).  visit(nodes, rows) is called on each stack once
+    the pass is done with it, and must not change the rows.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
@@ -311,8 +289,7 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit=None):
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
     for nodes, r in _resolvent_blocks(c, contour):
         acc += weights[:, nodes] @ r.reshape(len(r), -1)
-        if visit:
-            visit(nodes, r)
+        visit(nodes, r)
     return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi))
 
 
@@ -335,7 +312,7 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
 
 
 def _majorant_norms(contour: ContourNodes, alpha: float, dist, polygon: np.ndarray):
-    """The value per node that _check_report reads, and the base pass's visit that completes it.
+    """The value per node that _check_report reads, and the pass's visit that completes it.
 
     Returns (rnorm, visit).  rnorm starts as the polygon bound U of the
     module docstring, (1 + _BOUND_MARGIN) / l from ``numrange.support_distance``
@@ -423,97 +400,75 @@ def _side_panels(alpha_prime: float, polygon: np.ndarray) -> int:
     return max(3, 2 + math.ceil(math.log2(length / ell)))
 
 
-def _proved_contour(f_bounds, alpha_prime: float, polygon: np.ndarray) -> ContourNodes | None:
+def _proved_contour(f_bounds, alpha_prime: float, polygon: np.ndarray) -> ContourNodes:
     """The first contour of _TRIALS on which every function's _quadrature_bounds lies below CONTOUR_QUAD_TOL.
 
     Every trial grades each side to _side_panels(alpha', polygon) panels.
-    None if no trial is proved; nothing is solved.
+    Nothing is solved; ContourTooCloseError if no trial is proved.
     """
     sides = _side_panels(alpha_prime, polygon)
     for k_arc in _TRIALS:
         trial = _build_contour(alpha_prime, k_arc, sides)
         if all(bound < CONTOUR_QUAD_TOL for bound in _quadrature_bounds(f_bounds, trial, polygon)):
             return trial
-    return None
+    raise ContourTooCloseError(
+        f"contour quadrature not proved within {CONTOUR_QUAD_TOL:g} on any trial contour "
+        f"({_TRIALS[0]} to {_TRIALS[-1]} arc panels, {sides} panels a side)"
+    )
 
 
 def riesz_dunford_many(
-    fs, c, alpha_prime: float, alpha: float, f_bounds=None
+    fs, c, alpha_prime: float, alpha: float, f_bounds
 ) -> tuple[list[np.ndarray], ContourCheckReport]:
     """Evaluate several functions of C on a shared resolvent sweep, and check the majorants.
 
-    Each f in fs is called once per pass with the 1-D complex array of the
-    pass's nodes, and must return an array of that shape or a scalar
-    constant, as a NumPy ufunc does; it is called on the base nodes before
-    any node is solved.  Each stack of resolvents then adds one matrix
-    product of all the functions' weights and its rows.
+    f_bounds holds one bound per function: f_bounds[i](center, radius)
+    returns, for arrays of centers and radii, upper bounds on |fs[i]| over
+    the closed discs |z - center| <= radius, on which fs[i] must be
+    analytic.  Before anything is solved, the proof of the module docstring
+    runs on the contours of _TRIALS in order, (8, k), (16, k), (32, k) and
+    (64, k) panels, k from 3 to 32 side panels graded to half the outer
+    32-gon's distance from the vertex (``_side_panels``).  The first on
+    which the proved truncation error of every value lies below
+    CONTOUR_QUAD_TOL is solved, in one pass: 16 (a + 2k) solves for a arc
+    panels, 224 to 2048.
+
+    Each f in fs is called once, with the 1-D complex array of that
+    contour's nodes, and must return an array of that shape or a scalar
+    constant, as a NumPy ufunc does; it is called before any node is
+    solved.  Each stack of resolvents then adds one matrix product of all
+    the functions' weights and its rows.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` for 0 <= alpha < alpha' on the
-    base contour, the one whose base pass was solved.  Before the base
-    pass, every ||(z_j - C)^{-1}|| is bounded by the outer 32-gon of W(C);
-    a node whose ratios that bound proves within the check's tolerances
-    enters the check with the bound, and the base pass takes the exact norm
-    of every other node from its own rows.  So the verdict is that of exact
-    norms at all nodes, each maximum is a proved bound (or an exact norm
-    where the bound cannot prove), never below the maximum of exact norms,
-    and no node is solved twice; the distances dist(z_j, D(alpha)) are
-    taken once.
-
-    f_bounds, if given, holds one bound per function: f_bounds[i](center,
-    radius) returns, for arrays of centers and radii, upper bounds on
-    |fs[i]| over the closed discs |z - center| <= radius, on which fs[i]
-    must be analytic.  Before anything is solved, the proof of the module
-    docstring runs on the contours of _TRIALS in order, (8, k), (16, k),
-    (32, k) and (64, k) panels, k from 3 to 32 side panels graded to half
-    the outer 32-gon's distance from the vertex (``_side_panels``).  The
-    first on which the proved truncation error of every value lies below
-    CONTOUR_QUAD_TOL is the base contour, and its base values are returned:
-    16 (a + 2k) solves for a arc panels, 224 to 2048.  Otherwise, and
-    always without f_bounds, the base contour is build_contour(alpha')'s
-    (32, 16), and the node set is doubled until every value agrees with its
-    previous refinement to CONTOUR_QUAD_TOL in spectral norm, and the last
-    refinement's values are returned; each refinement calls every f on its
-    nodes and solves all of them.  Raises InvalidInputError before solving
-    unless 0 <= alpha < alpha' < pi/2, and for an empty fs, f_bounds of
-    another length, or an f whose value is neither a scalar nor one value
-    per node, and ContourTooCloseError when the quadrature would take more
-    than CONTOUR_NODE_CAP nodes, or grade a side's innermost edge below the
-    normal floats.
+    contour solved.  Before the pass, every ||(z_j - C)^{-1}|| is bounded
+    by the outer 32-gon of W(C); a node whose ratios that bound proves
+    within the check's tolerances enters the check with the bound, and the
+    pass takes the exact norm of every other node from its own rows.  So
+    the verdict is that of exact norms at all nodes, each maximum is a
+    proved bound (or an exact norm where the bound cannot prove), never
+    below the maximum of exact norms, and no node is solved twice; the
+    distances dist(z_j, D(alpha)) are taken once.  Raises InvalidInputError
+    before solving unless 0 <= alpha < alpha' < pi/2, and for an empty fs,
+    f_bounds of another length, or an f whose value is neither a scalar nor
+    one value per node, and ContourTooCloseError before solving when no
+    trial is proved.
     """
     if not 0.0 <= alpha < alpha_prime < math.pi / 2:
         raise InvalidInputError("need 0 <= alpha < alpha' < pi/2")
-    fs = list(fs)
+    fs, f_bounds = list(fs), list(f_bounds)
     if not fs:
         raise InvalidInputError("fs must hold at least one function")
-    if f_bounds is not None and len(f_bounds := list(f_bounds)) != len(fs):
+    if len(f_bounds) != len(fs):
         raise InvalidInputError(f"f_bounds holds {len(f_bounds)} bounds for {len(fs)} functions")
     a = linalg.as_operator(c)
     polygon = numrange.outer_polygon(a)
-    proved = None if f_bounds is None else _proved_contour(f_bounds, alpha_prime, polygon)
-    base = _build_contour(alpha_prime, 32, 16) if proved is None else proved
+    base = _proved_contour(f_bounds, alpha_prime, polygon)
     weights = _weights(fs, base)
     dist = numrange.distance_to_D_alpha(base.z, alpha)
     rnorm, take_norms = _majorant_norms(base, alpha, dist, polygon)
-    results = _evaluate_many(weights, a, base, visit=take_norms)
-    del weights  # the base pass's weights are not needed again
-    report = _check_report(base, alpha, dist, rnorm)
-    if proved is not None:
-        return results, report
-    fine = base
-    while True:
-        fine = build_contour(fine.alpha_prime, 2 * fine.k_arc, 2 * fine.k_line)
-        refined = _evaluate_many(_weights(fs, fine), a, fine)
-        changes = linalg.op_norms(np.subtract(refined, results))
-        if all(change < CONTOUR_QUAD_TOL for change in changes):
-            return refined, report
-        if len(fine) * 2 > CONTOUR_NODE_CAP or _grades_past_normal(fine.alpha_prime, 2 * fine.k_line):
-            raise ContourTooCloseError(
-                f"contour quadrature not within {CONTOUR_QUAD_TOL:g} after {len(fine)} nodes "
-                f"(budget {CONTOUR_NODE_CAP}; {fine.k_line} panels a side, and a side's "
-                "innermost edge must stay a normal float)"
-            )
-        results = refined
+    results = _evaluate_many(weights, a, base, take_norms)
+    return results, _check_report(base, alpha, dist, rnorm)
 
 
 @dataclass

@@ -424,9 +424,8 @@ def _power_error(steps, ns, refs):
 
 
 def _partner_columns(steps, ns, refs):
-    """e^{n(Phi - 1)} - e^{-tA} and Phi^n - e^{n(Phi - 1)}: dunford_segal."""
-    partners = approximants.chernoff_exp(steps, ns)
-    return partners - refs, approximants.chernoff_power(steps, ns) - partners
+    """e^{n(Phi - 1)} - e^{-tA}: dunford_segal."""
+    return (approximants.chernoff_exp(steps, ns) - refs,)
 
 
 def _product_columns(steps, ns, refs):
@@ -469,9 +468,8 @@ def _contour_sweep(c, alpha_prime, ns, alpha):
     proves the quadrature error before solving: a draw proved below
     CONTOUR_QUAD_TOL on one of its trial contours solves that contour alone
     (8, 16, 32 or 64 arc panels with sides graded to half the draw's
-    distance from the vertex, 224 to 2048 nodes),
-    and any other draw solves the (32, 16) contour and its refinements
-    (1024 + 2048 nodes when the first refinement agrees).
+    distance from the vertex, 224 to 2048 nodes), and a draw that no trial
+    proves raises ContourTooCloseError before any solve.
     """
     eye = np.eye(c.shape[0])
     fs = [(lambda z, n=n: z**n * (1.0 - z)) for n in ns]
@@ -606,18 +604,15 @@ def _run_dunford_segal(config: ExperimentConfig):
     ns = _n_grid(config)
     family = approximants.semigroup_family
     records = []
-    two_step = {f"{rid}/t{t:g}": [] for rid, _, _ in draws for t in config.ts}
     sweep = _pair_sweep(draws, family, config.ts, ns, _partner_columns, config.alpha)
-    for (_, rid, t, n), (emp, gap) in sweep:
+    for (_, rid, t, n), (emp,) in sweep:
         records.append(make_record(rid, n, t, emp, bounds.norm_chernoff_bound(n, config.alpha)))
-        two_step[rid].append((n, gap, emp))
     cos2 = math.cos(config.alpha) ** 2
     return records, {
         "l_alpha": bounds.l_alpha(config.alpha),
         "certification_failures": failures + len(draws) * len(config.ts) * len(ns) - len(records),
         "empirical_N_hat": max([0.0] + [r.n * cos2 * r.empirical for r in records]),
         "rate_fits": _fit_groups(_cells(records), config.fit_min_n),
-        "two_step_terms": two_step,
     }
 
 

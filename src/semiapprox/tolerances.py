@@ -24,9 +24,8 @@ MAX_EXPM_NORM = 1e6
 # Poisson series are truncated once the omitted probability mass is below this.
 POISSON_MASS_TOL = 1e-14
 
-# Contour quadrature refinement target and node budget.
+# Contour quadrature: each value's proved truncation error must lie below this.
 CONTOUR_QUAD_TOL = 1e-8
-CONTOUR_NODE_CAP = 200_000
 
 # Numerical-range sweeps take at most this many angles (an even count).
 MAX_SWEEP_ANGLES = 65536

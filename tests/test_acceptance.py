@@ -352,7 +352,7 @@ def test_criterion_09_dunford_segal(m_sectorial_draws):
         cos2 = math.cos(alpha) ** 2
         cells = {}
         sweep = _pair_sweep([("", a, (a,))], family, TS, NS, _partner_columns, alpha)
-        for (_, rid, _, n), (err, _) in sweep:
+        for (_, rid, _, n), (err,) in sweep:
             if not passes(err, bounds.norm_chernoff_bound(n, alpha)):
                 bad += 1
             n_hat = max(n_hat, n * cos2 * err)

@@ -520,37 +520,23 @@ def test_a_run_with_no_certified_draw_or_step_exits_two_with_the_count(run_main)
 
 
 def test_unconverged_quadrature_exits_two(monkeypatch, tmp_path):
-    # a zero tolerance never converges, so the node budget runs out
-    monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
-    monkeypatch.setattr(contour, "CONTOUR_NODE_CAP", 4096)
-    argv = ["verify", "contour_reconstruction", "--dim", "2", "--trials", "1", "--nmax", "2",
-            "--out", str(tmp_path / "r.csv")]
-    assert cli.main(argv) == 2
-
-
-def test_a_refinement_past_the_normal_floats_exits_two(monkeypatch, tmp_path, capsys):
-    # a zero tolerance never converges; under the default node budget the
-    # refinement stops where the sides' innermost edge would leave the
-    # normal floats, and verify exits 2 with an error line
+    # a zero tolerance proves no trial contour
     monkeypatch.setattr(contour, "CONTOUR_QUAD_TOL", 0.0)
     argv = ["verify", "contour_reconstruction", "--dim", "2", "--trials", "1", "--nmax", "2",
             "--out", str(tmp_path / "r.csv")]
     assert cli.main(argv) == 2
-    assert "after 32768 nodes" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
 
 
-def test_a_draw_no_trial_proves_refines(monkeypatch, tmp_path):
-    # at alpha = 1.5 the quadrature proof fails on the trial contours, so
-    # the draws fall back to the (32, 16) contour and refine it
-    built, build = [], contour.build_contour
-    monkeypatch.setattr(contour, "build_contour", lambda *a: built.append(a) or build(*a))
+def test_a_draw_no_trial_proves_exits_two(run_main, tmp_path):
+    # at alpha = 1.5 the quadrature proof fails on every trial contour, so
+    # verify exits 2 with an error line before it solves the draw, and
+    # writes no report
     out = tmp_path / "r.json"
-    argv = ["verify", "contour_reconstruction", "--alpha", "1.5", "--dim", "4", "--trials", "2",
-            "--format", "json", "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert len(json.loads(out.read_text())["records"]) == 20
-    assert built and built[0][1:] == (64, 32)  # the first refinement of the (32, 16) contour
+    proc = run_main("verify", "contour_reconstruction", "--alpha", "1.5", "--dim", "4", "--trials", "2",
+                    "--format", "json", "--out", str(out))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: contour quadrature not proved within 1e-08 on any trial contour")
+    assert not out.exists()
 
 
 def test_a_failed_majorant_is_counted_and_keeps_exit_code_0(monkeypatch, tmp_path):

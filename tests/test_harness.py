@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiapprox import approximants, contour, linalg, numrange, poisson, report
-from semiapprox.errors import InsufficientDataError, InvalidInputError
+from semiapprox.errors import ContourTooCloseError, InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
@@ -229,7 +229,6 @@ def test_dunford_segal_summary_constants():
     assert result.summary["empirical_N_hat"] > 0.0
     assert math.isfinite(result.summary["empirical_N_hat"])
     assert result.summary["l_alpha"] > 2.0
-    assert result.summary["two_step_terms"]
 
 
 def test_contour_majorant_failures_are_counted(monkeypatch):
@@ -249,6 +248,13 @@ def test_contour_majorant_failures_are_counted(monkeypatch):
     assert failed.summary["majorant_failures"] == 1
     # the verdict is reported in the summary; the records are unchanged
     assert failed.records == result.records
+
+
+def test_a_default_contour_run_at_alpha_1_3_is_refused():
+    # two of the ten default draws at alpha = 1.3 (d005 and d009) are
+    # proved on no trial contour, and the run raises
+    with pytest.raises(ContourTooCloseError, match="not proved within 1e-08 on any trial contour"):
+        run_experiment(ExperimentConfig("contour_reconstruction", alpha=1.3))
 
 
 def test_contour_winding_error_is_that_of_the_solved_contours(monkeypatch):
@@ -449,7 +455,7 @@ def test_dunford_segal_checks_each_chunk_of_the_run_as_one_stack(monkeypatch):
     assert result.records == expected.records and result.summary == expected.summary
     # 3 draws x 2 values of t x the 7 steps of n = 1, 2, ..., 64: one chunk of 42
     assert [c.shape for c in checks] == [(42, 4, 4)]
-    assert [len(stack) for stack in norms] == [84]
+    assert [len(stack) for stack in norms] == [42]  # one norm column
     # 3 x 2 x 70 = 420 steps of n = 1, ..., 70 go in chunks of _NORM_CHUNK = 64
     # steps and the rest, across the (draw, t) edges
     checks.clear()
@@ -457,11 +463,11 @@ def test_dunford_segal_checks_each_chunk_of_the_run_as_one_stack(monkeypatch):
     result = run_experiment(dataclasses.replace(config, nmax=70, n_mode="all"))
     assert [r.n for r in result.records] == list(range(1, 71)) * 6
     assert [c.shape for c in checks] == [(64, 4, 4)] * 6 + [(36, 4, 4)]
-    assert [len(stack) for stack in norms] == [128] * 6 + [72]
+    assert [len(stack) for stack in norms] == [64] * 6 + [36]
 
 
 def test_dunford_segal_keeps_order_and_counts_when_steps_fail(monkeypatch):
-    # fail every third step check: records, failures and two-step terms skip those steps
+    # fail every third step check: records and failures skip those steps
     config = ExperimentConfig("dunford_segal", dim=3, trials=2, nmax=32, ts=(1.0, 3.0))
     check = numrange.quasi_sectorial
     full = run_experiment(config)
@@ -473,10 +479,6 @@ def test_dunford_segal_keeps_order_and_counts_when_steps_fail(monkeypatch):
     kept = [r for j, r in enumerate(full.records) if j % 6 % 3 != 1]
     assert result.records == kept
     assert result.summary["certification_failures"] == 8
-    terms = full.summary["two_step_terms"]
-    assert result.summary["two_step_terms"] == {
-        rid: [cell for j, cell in enumerate(cells) if j % 3 != 1] for rid, cells in terms.items()
-    }
 
 
 def test_resolvent_draws_are_checked_in_one_stack(monkeypatch):
@@ -506,8 +508,9 @@ def test_pair_kinds_take_one_power_stack_per_chunk_of_the_run(monkeypatch, kind)
     assert result.records == expected.records and result.summary == expected.summary
     assert result.summary.get("certification_failures", 0) == 0
     # the 10 draws x 9 steps of n = 1, 2, ..., 256 of a default run: 90 steps
-    # in a chunk of _NORM_CHUNK = 64 and one of the other 26
-    assert [p.shape for p in powers] == [(64, 8, 8), (26, 8, 8)]
+    # in a chunk of _NORM_CHUNK = 64 and one of the other 26; dunford_segal
+    # compares only the partners e^{n(Phi - 1)}, and takes no power
+    assert [p.shape for p in powers] == ([] if kind == "dunford_segal" else [(64, 8, 8), (26, 8, 8)])
 
 
 def test_chernoff_product_takes_one_call_per_kernel_per_chunk_of_the_run(monkeypatch):
@@ -613,7 +616,7 @@ def test_pair_sweep_matches_the_runners(kind):
 
 def test_dunford_segal_keeps_a_draw_and_t_whose_steps_all_fail(monkeypatch):
     # 2 draws x 2 values of t x the 6 steps of n = 1, 2, ..., 32 go in one
-    # chunk; fail the 6 steps of (d001, t = 1): its key stays, with no terms
+    # chunk; fail the 6 steps of (d001, t = 1): the others keep their records
     config = ExperimentConfig("dunford_segal", dim=3, trials=2, nmax=32, ts=(1.0, 3.0))
     full = run_experiment(config)
     check = numrange.quasi_sectorial
@@ -625,9 +628,6 @@ def test_dunford_segal_keeps_a_draw_and_t_whose_steps_all_fail(monkeypatch):
     assert result.summary["certification_failures"] == 6
     rid = "dunford_segal/d001/t1"
     assert result.records == [r for r in full.records if r.experiment_id != rid]
-    terms = result.summary["two_step_terms"]
-    assert terms == {**full.summary["two_step_terms"], rid: []}
-    assert list(terms) == list(full.summary["two_step_terms"])
 
 
 def test_poisson_split_builds_each_window_once():
