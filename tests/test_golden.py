@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` hold the reports of small configs, one per
 kind plus the full n-grid of ``ritt``, ``norm_chernoff`` (dim 3),
 ``dunford_segal`` (dim 3, n <= 80), ``euler`` and ``trotter_product`` (n <= 80)
-and ``contour_reconstruction`` (dim 5), a wider ``contour_reconstruction`` (dim 8, alpha = pi/4), and
+and ``contour_reconstruction`` (dim 5), a wider ``contour_reconstruction`` (dim 8, alpha = pi/4),
+a Hermitian one (alpha = 0, whose majorant check takes exact norms), and
 ``chernoff_product`` at t = 0.  A change to the harness that alters any verdict,
 number, record order or summary key shows up here as a byte difference,
 and the records of each ``.json`` file must equal those of its ``.csv`` twin.
@@ -37,6 +38,8 @@ CASES["ritt_all"] = _config("ritt", dim=3, n_mode="all")
 CASES["norm_chernoff_all"] = _config("norm_chernoff", dim=3, n_mode="all")
 CASES["contour_reconstruction_all"] = _config("contour_reconstruction", dim=5, n_mode="all")
 CASES["contour_reconstruction_wide"] = _config("contour_reconstruction", dim=8, alpha=math.pi / 4)
+# alpha = 0 draws are Hermitian: the polygon bound leaves nodes open, and the majorant check takes their exact norms
+CASES["contour_reconstruction_alpha0"] = _config("contour_reconstruction", alpha=0.0)
 # 80 steps per (draw, t) for each pair kind: no multiple of _NORM_CHUNK = 64
 CASES["dunford_segal_all"] = _config("dunford_segal", dim=3, nmax=80, n_mode="all")
 CASES["euler_all"] = _config("euler", nmax=80, n_mode="all")
