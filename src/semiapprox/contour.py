@@ -15,20 +15,21 @@ below that the edges underflow into panels of length zero at z = 1.
 
 Each function is called once per pass, on the 1-D array of all the pass's
 nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed).  The resolvents are solved in stacks of S = _stack_nodes(d)
-nodes, whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at
-d = 2, 128 at d = 8, 64 from d = 12 up), each with one solve, one blow-up
-check and the exact norms the majorant check below needs.  Each stack
-adds one matrix product of all the functions' weights and its rows to the
-sums, in stack order, and a lone function's weights are padded with a
-zero row.
+allowed).  A pass is one loop over stacks of S = _stack_nodes(d) nodes,
+whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at d = 2,
+128 at d = 8, 64 from d = 12 up): each stack has one solve, one blow-up
+check, one matrix product of all the functions' weights and its rows,
+added to the sums in stack order (a lone function's weights padded with a
+zero row), and the exact norms the majorant check below needs.
 The stacks thus fix the bits of every value: other stack sizes would
-round otherwise.  A function gets the same bits alone as among others,
-and the values do not follow the BLAS thread count.  That is measured,
-not proved: with OpenBLAS 0.3.31 on 2 cores, the reports of the
-contour_calc benchmark's 240 calls are byte-identical under one and two
-threads, while a one-row product, which OpenBLAS runs as a vector-matrix
-product, gave other last bits under each.
+round otherwise.  The values do not follow the BLAS thread count, and on
+OpenBLAS's SkylakeX kernel a function gets the same bits alone as among
+others; under its Haswell kernel (OPENBLAS_CORETYPE=Haswell) a lone
+function's last bits differ from those it gets among 3 or 10 at d = 2, 5,
+16 and 32.  That is measured, not proved: with OpenBLAS 0.3.31 on 2
+cores, the reports of the contour_calc benchmark's 240 calls are
+byte-identical under one and two threads, while a one-row product, which
+OpenBLAS runs as a vector-matrix product, gave other last bits under each.
 
 A pass's truncation error is proved from a bound on each f over discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
 the Bernstein ellipse with semi-axes A = (rho + 1/rho)/2 and B = (rho -
@@ -124,7 +125,12 @@ _TRIALS = (8, 16, 32, 64)  # arc panels of the contours the proof tries, in orde
 
 @dataclass
 class ContourNodes:
-    """Quadrature nodes z with complex dz weights along the contour."""
+    """Quadrature nodes z with complex dz weights along the contour, and its panels.
+
+    The panels are those of the two sides, line_minus then line_plus, each
+    from the vertex out, and then those of the arc: per panel its midpoint
+    z(mu), half-length h in s or t, and the direction of z(s) (1 on the arc).
+    """
 
     alpha_prime: float
     z: np.ndarray
@@ -132,22 +138,18 @@ class ContourNodes:
     on_arc: np.ndarray  # True on the arc, False on the two straight sides
     k_arc: int
     k_line: int
+    panel_center: np.ndarray
+    panel_half: np.ndarray
+    panel_direction: np.ndarray
 
     def __len__(self) -> int:
         return self.z.size
 
 
-def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights of the panels [a_j, b_j], one row per panel."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
-
-
-def _line_edges(length: float, panels: int) -> np.ndarray:
-    # geometric grading toward s = 0 with ratio 2
-    edges = length * 2.0 ** np.arange(-panels, 1.0)
-    edges[0] = 0.0
-    return edges
+def _panel_nodes(edges: np.ndarray):
+    """Midpoints and half-lengths of the panels between edges, and their Gauss nodes and weights, a row each."""
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return mid, half, mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
 def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> ContourNodes:
@@ -172,20 +174,18 @@ def build_contour(alpha_prime: float, k_arc: int = 32, k_line: int = 16) -> Cont
 
 def _build_contour(alpha_prime: float, k_arc: int, k_line: int) -> ContourNodes:
     """build_contour without its checks, for the trials of _proved_contour, whose sides may take 3 panels."""
-    edges = _line_edges(math.cos(alpha_prime), k_line)
-    s, w = _panel_nodes(edges[:-1], edges[1:])
-
-    # vertex -> A
-    out = -np.exp(-1j * alpha_prime)
+    # the side's edges in s, graded toward s = 0 with ratio 2
+    edges = math.cos(alpha_prime) * 2.0 ** np.arange(-k_line, 1.0)
+    edges[0] = 0.0
+    s_mid, s_half, s, w = _panel_nodes(edges)
 
     # A -> B, counterclockwise
     t0, t1 = math.pi / 2 - alpha_prime, 3 * math.pi / 2 + alpha_prime
-    j = np.arange(k_arc)
-    t, w_arc = _panel_nodes(t0 + (t1 - t0) * j / k_arc, t0 + (t1 - t0) * (j + 1) / k_arc)
+    t_mid, t_half, t, w_arc = _panel_nodes(t0 + (t1 - t0) * np.arange(k_arc + 1) / k_arc)
     arc = math.sin(alpha_prime) * np.exp(1j * t)
 
-    # B -> vertex: s runs cos(alpha') -> 0, i.e. minus the 0 -> cos(alpha') integral
-    back = -np.exp(1j * alpha_prime)
+    # vertex -> A; then B -> vertex: s runs cos(alpha') -> 0, i.e. minus the 0 -> cos(alpha') integral
+    out, back = -np.exp(-1j * alpha_prime), -np.exp(1j * alpha_prime)
 
     return ContourNodes(
         alpha_prime=alpha_prime,
@@ -194,6 +194,10 @@ def _build_contour(alpha_prime: float, k_arc: int, k_line: int) -> ContourNodes:
         on_arc=np.repeat([False, True, False], _GL_NODES.size * np.array([k_line, k_arc, k_line])),
         k_arc=k_arc,
         k_line=k_line,
+        panel_center=np.concatenate([1.0 + s_mid * out, 1.0 + s_mid * back,
+                                     math.sin(alpha_prime) * np.exp(1j * t_mid)]),
+        panel_half=np.concatenate([s_half, s_half, t_half]),
+        panel_direction=np.concatenate([np.repeat([out, back], k_line), np.ones(k_arc)]),
     )
 
 
@@ -228,26 +232,6 @@ def _check_blow_up(r: np.ndarray, z: np.ndarray) -> None:
         raise ContourTooCloseError(f"resolvent blow-up at contour node z={z[bad[0]]}")
 
 
-def _resolvent_blocks(c: np.ndarray, contour: ContourNodes):
-    """Yield (nodes, (z - C)^{-1} stacked over them) per stack.
-
-    The stacks cover the nodes in order; each is one stacked solve of up to
-    _stack_nodes(dim) nodes.  A singular node raises with the z range of
-    its whole stack, before any blow-up in it is looked for, and a blow-up
-    names the first node of the stack that blows up.
-    """
-    step = _stack_nodes(c.shape[0])
-    for lo in range(0, len(contour), step):
-        nodes = slice(lo, min(lo + step, len(contour)))
-        z = contour.z[nodes]
-        try:
-            r = _solve(c, z)
-        except np.linalg.LinAlgError as exc:
-            raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
-        _check_blow_up(r, z)
-        yield nodes, r
-
-
 def _weights(fs, contour: ContourNodes) -> np.ndarray:
     """f(z) dz at every node of contour, one row per f in fs, from one call of f on all the nodes.
 
@@ -269,17 +253,22 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
     return rows
 
 
-def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit):
+def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, open_nodes: np.ndarray):
     """One quadrature pass over contour: the sums of weights times resolvents, stack by stack.
 
-    values[i] is the sum of weights[i] (a node array of f(z) dz) times
-    (z - C)^{-1} over the nodes, over 2 pi i; each stack of
-    _stack_nodes(dim) nodes adds one matrix product of all the weights and
-    its rows, in stack order.  A lone weight is padded with a zero row, so
-    that it is summed by the same product as among others.  The stacks fix
-    the bits of every value; the BLAS thread count was measured not to
-    (module docstring).  visit(nodes, rows) is called on each stack once
-    the pass is done with it, and must not change the rows.
+    Each stack of _stack_nodes(dim) nodes, in order, is one stacked solve
+    (_solve); a singular node raises with the z range of its whole stack,
+    before any blow-up in it is looked for, and a blow-up names the first
+    node of the stack that blows up.  The stack then adds one matrix
+    product of all the weights and its rows to the sums, a lone weight
+    padded with a zero row, so that it is summed by the same product as
+    among others, and takes the exact norms of its rows at the nodes the
+    mask open_nodes marks.  The stacks fix the bits of every value; the
+    BLAS thread count was measured not to (module docstring).
+
+    Returns (values, norms): values[i] is the sum of weights[i] (a node
+    array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i, and
+    norms holds ||(z - C)^{-1}|| at the open nodes, in node order.
     """
     dim = c.shape[0]
     weights = np.reshape(weights, (-1, len(contour)))
@@ -287,10 +276,21 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, visit):
     if count == 1:  # a one-row product runs as a vector-matrix product, whose bits follow the BLAS thread count
         weights = np.concatenate([weights, np.zeros_like(weights)])
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
-    for nodes, r in _resolvent_blocks(c, contour):
+    norms = []
+    step = _stack_nodes(dim)
+    for lo in range(0, len(contour), step):
+        nodes = slice(lo, lo + step)
+        z = contour.z[nodes]
+        try:
+            r = _solve(c, z)
+        except np.linalg.LinAlgError as exc:
+            raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
+        _check_blow_up(r, z)
         acc += weights[:, nodes] @ r.reshape(len(r), -1)
-        visit(nodes, r)
-    return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi))
+        at = open_nodes[nodes]
+        if at.any():
+            norms += linalg.op_norms(r[at])
+    return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi)), np.array(norms)
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
@@ -312,52 +312,37 @@ def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):
 
 
 def _majorant_norms(contour: ContourNodes, alpha: float, dist, polygon: np.ndarray):
-    """The value per node that _check_report reads, and the pass's visit that completes it.
+    """The polygon bound on ||(z - C)^{-1}|| at every node, and the nodes it leaves open.
 
-    Returns (rnorm, visit).  rnorm starts as the polygon bound U of the
-    module docstring, (1 + _BOUND_MARGIN) / l from ``numrange.support_distance``
+    Returns (upper, open_nodes).  upper is the bound U of the module
+    docstring, (1 + _BOUND_MARGIN) / l from ``numrange.support_distance``
     of polygon = ``numrange.outer_polygon(C)``, inf where l <= 0.  A node
     whose ratios at U lie within MAJORANT_TOL and MAJORANT_DIST_TOL is
-    proved and keeps U; visit(nodes, rows) writes the exact norm of each
-    other node's row of a stack over its U.
+    proved; open_nodes marks every other node, whose exact norm the pass
+    takes.
     """
     ell = numrange.support_distance(polygon, contour.z)
-    rnorm = np.where(ell > 0.0, (1.0 + _BOUND_MARGIN) / np.where(ell > 0.0, ell, 1.0), np.inf)
-    side, far = _majorant_ratios(contour, alpha, dist, rnorm)
-    open_nodes = ~((side <= 1.0 + MAJORANT_TOL) & (far <= 1.0 + MAJORANT_DIST_TOL))
-
-    def visit(nodes: slice, r: np.ndarray) -> None:
-        at = np.flatnonzero(open_nodes[nodes])
-        if at.size:
-            rnorm[at + nodes.start] = linalg.op_norms(r[at])
-
-    return rnorm, visit
+    upper = np.where(ell > 0.0, (1.0 + _BOUND_MARGIN) / np.where(ell > 0.0, ell, 1.0), np.inf)
+    side, far = _majorant_ratios(contour, alpha, dist, upper)
+    return upper, ~((side <= 1.0 + MAJORANT_TOL) & (far <= 1.0 + MAJORANT_DIST_TOL))
 
 
 def _panel_images(contour: ContourNodes):
     """The images z(E_rho) of contour's panels' Bernstein ellipses, for rho in _RHOS, as the bound reads them.
 
-    The panels are those of the two sides, line_minus then line_plus, and
-    then those of the arc, as build_contour places them.  Returns (center,
-    d, half, speed, reach, across): per panel its midpoint z(mu), the
-    direction d of z(s) (1 on the arc) and its half-length h in s or t;
-    and, with one row per rho and one column per panel, a bound on |z'|
-    over the image and the ellipse about center with semi-axes reach along
-    d and across across it, which holds the image, as does the disc of
-    radius reach about center.
+    Returns (center, d, half, speed, reach, across): per panel, in the
+    order of ContourNodes, its midpoint z(mu), the direction d of z(s) (1
+    on the arc) and its half-length h in s or t; and, with one row per rho
+    and one column per panel, a bound on |z'| over the image and the
+    ellipse about center with semi-axes reach along d and across across
+    it, which holds the image, as does the disc of radius reach about
+    center.
     """
-    ap, k_line, k_arc = contour.alpha_prime, contour.k_line, contour.k_arc
-    edges = _line_edges(math.cos(ap), k_line)
-    t_step = (math.pi + 2.0 * ap) / k_arc
-    t_mid = math.pi / 2 - ap + t_step * (np.arange(k_arc) + 0.5)
-    d = np.concatenate([np.repeat([-np.exp(-1j * ap), -np.exp(1j * ap)], k_line), np.ones(k_arc)])
-    center = np.concatenate([1.0 + np.tile(edges[:-1] + edges[1:], 2) * 0.5 * d[:2 * k_line],
-                             math.sin(ap) * np.exp(1j * t_mid)])
-    half = np.concatenate([np.tile(0.5 * (edges[1:] - edges[:-1]), 2), np.full(k_arc, 0.5 * t_step)])
-    on_arc = np.arange(center.size) >= 2 * k_line
+    center, d, half = contour.panel_center, contour.panel_direction, contour.panel_half
+    on_arc = np.arange(center.size) >= 2 * contour.k_line
     rho = _RHOS[:, None]
     big_a, big_b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
-    speed = np.where(on_arc, math.sin(ap) * np.exp(half * big_b), 1.0)
+    speed = np.where(on_arc, math.sin(contour.alpha_prime) * np.exp(half * big_b), 1.0)
     reach = half * big_a * speed
     across = np.where(on_arc, reach, half * big_b)
     return center, d, half, speed, reach, across
@@ -466,8 +451,9 @@ def riesz_dunford_many(
     base = _proved_contour(f_bounds, alpha_prime, polygon)
     weights = _weights(fs, base)
     dist = numrange.distance_to_D_alpha(base.z, alpha)
-    rnorm, take_norms = _majorant_norms(base, alpha, dist, polygon)
-    results = _evaluate_many(weights, a, base, take_norms)
+    rnorm, open_nodes = _majorant_norms(base, alpha, dist, polygon)
+    results, exact = _evaluate_many(weights, a, base, open_nodes)
+    rnorm[open_nodes] = exact
     return results, _check_report(base, alpha, dist, rnorm)
 
 

@@ -20,9 +20,9 @@ def certified_resolvent(dim, alpha, seed, t=1.0):
     return c
 
 
-def _no_visit(nodes, r):
-    # an _evaluate_many visit that reads nothing
-    pass
+def _none_open(nodes):
+    # an _evaluate_many mask that leaves no node open, so that the pass takes no norm
+    return np.zeros(len(nodes), dtype=bool)
 
 
 def _no_solve(c, z):
@@ -34,8 +34,9 @@ def _pass_on(fs, c, nodes, alpha):
     # proves it: (values of fs, the majorant check)
     a = linalg.as_operator(c)
     dist = numrange.distance_to_D_alpha(nodes.z, alpha)
-    rnorm, visit = contour._majorant_norms(nodes, alpha, dist, numrange.outer_polygon(a))
-    values = contour._evaluate_many(contour._weights(fs, nodes), a, nodes, visit)
+    rnorm, open_nodes = contour._majorant_norms(nodes, alpha, dist, numrange.outer_polygon(a))
+    values, exact = contour._evaluate_many(contour._weights(fs, nodes), a, nodes, open_nodes)
+    rnorm[open_nodes] = exact
     return values, contour._check_report(nodes, alpha, dist, rnorm)
 
 
@@ -82,26 +83,21 @@ def _checked(monkeypatch, run, *args):
     # (values, report, the contour checked, the value of each node, the
     # stack sizes of op_norms calls while the pass takes exact norms)
     seen, rows = [], []
-    check, norms = contour._check_report, contour._majorant_norms
+    check, evaluate = contour._check_report, contour._evaluate_many
 
     def spy_check(nodes, alpha, dist, rnorm):
         seen.append((nodes, rnorm.copy()))
         return check(nodes, alpha, dist, rnorm)
 
-    def spy_norms(*args):
-        rnorm, visit = norms(*args)
-
-        def counted(nodes, r):
-            op_norms = linalg.op_norms
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "op_norms", lambda stack: rows.append(len(stack)) or op_norms(stack))
-                visit(nodes, r)
-
-        return rnorm, counted
+    def spy_pass(*args):
+        op_norms = linalg.op_norms
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "op_norms", lambda stack: rows.append(len(stack)) or op_norms(stack))
+            return evaluate(*args)
 
     with monkeypatch.context() as m:
         m.setattr(contour, "_check_report", spy_check)
-        m.setattr(contour, "_majorant_norms", spy_norms)
+        m.setattr(contour, "_evaluate_many", spy_pass)
         values, report = run(*args)
     (nodes, rnorm), = seen
     return values, report, nodes, rnorm, rows
@@ -273,7 +269,7 @@ def _scaled_resolvent(dim, alpha, seed, t, exponent, nodes):
     c = approximants.resolvent_family(ensembles.random_m_sectorial(dim, alpha, seed))(t)
     if exponent <= 0:
         return 10.0 ** -exponent * c
-    peak = max(np.max(np.linalg.norm(r, axis=(1, 2))) for _, r in contour._resolvent_blocks(c, nodes))
+    peak = np.max(np.linalg.norm(contour._solve(c, nodes.z), axis=(1, 2)))
     d = 10.0 ** np.linspace(0.0, max(exponent - math.log10(peak), 0.0), dim)
     return d[:, None] * c / d
 
@@ -646,10 +642,10 @@ def test_stacked_products_equal_the_per_function_loop(dim):
         acc = np.zeros((len(padded), dim * dim), dtype=complex)
         for start in range(0, len(nodes), step):
             acc += padded[:, start:start + step] @ flat[start:start + step]
-        got = contour._evaluate_many(weights, c, nodes, _no_visit)
+        got, _ = contour._evaluate_many(weights, c, nodes, _none_open(nodes))
         assert np.array_equal(np.array(got), acc[:count].reshape(count, dim, dim) / (2j * math.pi))
         for w, value in zip(weights, got):
-            assert np.array_equal(contour._evaluate_many(w, c, nodes, _no_visit)[0], value)
+            assert np.array_equal(contour._evaluate_many(w, c, nodes, _none_open(nodes))[0][0], value)
 
 
 def test_bad_functions_are_refused_before_solving(monkeypatch):
@@ -669,10 +665,10 @@ def test_bad_functions_are_refused_before_solving(monkeypatch):
 
 
 def test_bad_alpha_is_refused_before_solving(monkeypatch):
-    def no_solves(c, nodes):
+    def no_solves(c, z):
         raise AssertionError("solved before checking alpha")
 
-    monkeypatch.setattr(contour, "_resolvent_blocks", no_solves)
+    monkeypatch.setattr(contour, "_solve", no_solves)
     nodes = contour.build_contour(1.0)
     c = np.diag([0.2, 0.5]).astype(complex)
     for alpha in (-0.1, 1.0, 1.2, math.nan):
@@ -682,22 +678,22 @@ def test_bad_alpha_is_refused_before_solving(monkeypatch):
 
 def test_contour_reconstruction_solves_base_nodes_once(monkeypatch):
     # a harness draw whose quadrature error is proved on the (8, 4) trial
-    # contour: one pass of 256 nodes, one stack of up to 512 at d = 4, and
-    # no other solve; nothing calls build_contour, and the majorant check
-    # solves nothing and gives the summary the solved contour's winding error
+    # contour: one pass of 256 nodes, one stack of up to 512 at d = 4 through
+    # the blow-up check, and no other solve; nothing calls build_contour, and
+    # the majorant check solves nothing and gives the summary the solved
+    # contour's winding error
     solved, blocked, built = [], [], []
-    blocks, solve, build = contour._resolvent_blocks, contour._solve, contour.build_contour
+    blow_up, solve, build = contour._check_blow_up, contour._solve, contour.build_contour
 
-    def counting_blocks(c, nodes):
-        for sl, r in blocks(c, nodes):
-            blocked.append(len(r))
-            yield sl, r
+    def counting_blow_up(r, z):
+        blocked.append(len(r))
+        return blow_up(r, z)
 
     def counting_solve(c, z):
         solved.append(len(z))
         return solve(c, z)
 
-    monkeypatch.setattr(contour, "_resolvent_blocks", counting_blocks)
+    monkeypatch.setattr(contour, "_check_blow_up", counting_blow_up)
     monkeypatch.setattr(contour, "_solve", counting_solve)
     monkeypatch.setattr(contour, "build_contour", lambda *a: built.append(a) or build(*a))
     config = ExperimentConfig("contour_reconstruction", dim=4, trials=1, nmax=4)
@@ -716,7 +712,7 @@ def test_spectrum_on_node_raises_too_close(monkeypatch):
     z0 = complex(_BASE.z[len(_BASE) // 2])
     c = z0 * np.eye(2, dtype=complex)
     with pytest.raises(contour.ContourTooCloseError, match="singular"):
-        contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _no_visit)
+        contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _none_open(_BASE))
     monkeypatch.setattr(contour, "_solve", _no_solve)
     with pytest.raises(contour.ContourTooCloseError, match="not proved"):
         contour.riesz_dunford_many([lambda z: 1.0], c, _AP, 0.0, [_one])
@@ -732,12 +728,15 @@ def test_unconverged_quadrature_raises(monkeypatch):
         contour.riesz_dunford_many([lambda z: z], c, 1.0, math.pi / 8, [lambda z, r: np.abs(z) + r])
 
 
-def test_resolvent_blocks_match_per_node_solves():
-    # the stacked solves round exactly as one solve per node does
+def test_stacked_solves_match_per_node_solves(monkeypatch):
+    # the pass's stacked solves round exactly as one solve per node does
     c = certified_resolvent(3, math.pi / 8, 3000)
     nodes = contour.build_contour(1.0)
     eye = np.eye(3, dtype=complex)
-    got = np.concatenate([r for _, r in contour._resolvent_blocks(c, nodes)])
+    stacks, solve = [], contour._solve
+    monkeypatch.setattr(contour, "_solve", lambda c, z: stacks.append(solve(c, z)) or stacks[-1])
+    contour._evaluate_many(np.ones((1, len(nodes))), c, nodes, _none_open(nodes))
+    got = np.concatenate(stacks)
     want = np.stack([np.linalg.solve(z * eye - c, eye) for z in nodes.z])
     assert np.array_equal(got, want)
 
@@ -748,7 +747,7 @@ def test_resolvent_blow_up_raises_too_close(monkeypatch):
     z0 = complex(_BASE.z[100])
     c = np.diag([z0 + 4e-16, 0.1])
     with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
-        contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _no_visit)
+        contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _none_open(_BASE))
     monkeypatch.setattr(contour, "_solve", _no_solve)
     with pytest.raises(contour.ContourTooCloseError, match="not proved"):
         contour.riesz_dunford_many([lambda z: 1.0], c, _AP, 0.0, [_one])
@@ -821,7 +820,7 @@ def test_quadrature_bounds_hold_where_f_of_c_is_exact(monkeypatch, lams, k_arc, 
     c = (q * lam) @ q.conj().T
     nodes = contour._build_contour(1.0, k_arc, k_line)
     fs, f_bounds = _harness_families(monkeypatch, (1, 4, 16))
-    got = contour._evaluate_many(contour._weights(fs, nodes), c, nodes, _no_visit)
+    got, _ = contour._evaluate_many(contour._weights(fs, nodes), c, nodes, _none_open(nodes))
     proved = contour._quadrature_bounds(f_bounds, nodes, numrange.outer_polygon(c))
     rnorm = 1.0 / np.min(np.abs(nodes.z[:, None] - lam), axis=1)
     errors = []
@@ -1018,7 +1017,7 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
             assert bounds[0] < contour.CONTOUR_QUAD_TOL
     passes, evaluate = [], contour._evaluate_many
     with monkeypatch.context() as m:
-        m.setattr(contour, "_evaluate_many", lambda w, c, n, visit: passes.append(n) or evaluate(w, c, n, visit))
+        m.setattr(contour, "_evaluate_many", lambda w, c, n, open_nodes: passes.append(n) or evaluate(w, c, n, open_nodes))
         if not proved:
             with pytest.raises(contour.ContourTooCloseError, match="32 panels a side"):
                 contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
@@ -1027,7 +1026,7 @@ def test_a_draw_at_the_vertex_solves_the_64_32_contour(monkeypatch, vertex, prov
         got, report = contour.riesz_dunford_many(fs, c, alpha_prime, alpha, f_bounds)
     assert [(p.k_arc, p.k_line) for p in passes] == [(8, 22)]
     solved = contour.build_contour(alpha_prime, 8, 22)
-    want = evaluate(contour._weights(fs, solved), c, solved, _no_visit)
+    want, _ = evaluate(contour._weights(fs, solved), c, solved, _none_open(solved))
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert report == bound_first_report(c, solved, alpha)
     _assert_bounds_the_exact_check(report, per_node_report(c, solved, alpha))
@@ -1281,7 +1280,7 @@ def test_values_and_report_equal_the_every_node_reference(monkeypatch, dim, k_ar
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2), k_arc, k_line)
     if (k_arc, k_line) != (32, 16):
         for n in (nodes, contour.build_contour(nodes.alpha_prime, 2 * k_arc, 2 * k_line)):
-            got = contour._evaluate_many(contour._weights(_FS, n), c, n, _no_visit)
+            got, _ = contour._evaluate_many(contour._weights(_FS, n), c, n, _none_open(n))
             assert all(np.array_equal(g, w) for g, w in zip(got, _every_node_pass(_FS, c, n)))
         assert _pass_on([], c, nodes, alpha)[1] == bound_first_report(c, nodes, alpha)
         return
@@ -1347,5 +1346,5 @@ def test_too_close_errors_keep_the_every_node_order(dim, spectrum):
             _every_node_pass([lambda z: 1.0], c, nodes)
     with pytest.raises(contour.ContourTooCloseError) as raised:
         for nodes in (base, fine):
-            contour._evaluate_many(np.ones((1, len(nodes))), c, nodes, _no_visit)
+            contour._evaluate_many(np.ones((1, len(nodes))), c, nodes, _none_open(nodes))
     assert str(raised.value) == str(want.value)
