@@ -7,7 +7,10 @@ JSON reports hold the record array plus a summary object and are written by
 ``json`` with Python's shortest round-trip float ``repr``, as the ``numrange``
 and ``constants`` commands print; an integral float keeps a fractional part
 (``2.0``) and parses back as a float.  Either spelling reads back as the same
-double, so identical runs produce identical bytes.
+double, so identical runs produce identical bytes.  A non-finite float, in a
+record or in the summary, is written as the string the CSV spells it with
+(``"inf"``, ``"-inf"`` or ``"nan"``), so that every JSON report is RFC 8259
+JSON, and a record's float field reads those strings back.
 
 Parsing is strict: every record field must have its declared type (``n`` an
 integer, ``passed`` ``true``/``false``), and the stored ``ratio`` and
@@ -32,6 +35,18 @@ CSV_HEADER = ",".join(_FIELD_TYPES)
 _CSV_REFUSED = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 # %.17g spells nan, inf, -inf, -0.0 and subnormals as format(x, ".17g") does
 _CSV_ROW = "%s,%d,%.17g,%.17g,%.17g,%.17g,%s"
+_NON_FINITE = ("inf", "-inf", "nan")  # the JSON strings of the non-finite floats
+
+
+def _json_value(value):
+    """value with every non-finite float in it replaced by its CSV spelling, which JSON can carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%.17g" % value
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = None) -> bytes:
@@ -53,10 +68,10 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
         return ("\n".join([CSV_HEADER, *rows]) + "\n").encode()
     if fmt == "json":
         payload = {
-            "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],
-            "summary": summary if summary is not None else summarize(records),
+            "records": [{name: _json_value(getattr(r, name)) for name in _FIELD_TYPES} for r in records],
+            "summary": _json_value(summary if summary is not None else summarize(records)),
         }
-        return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+        return (json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n").encode()
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
@@ -65,14 +80,15 @@ def _field(name: str, value, text: bool):
 
     The value must have the field's type: ``passed`` is ``true``/``false`` in
     CSV and a JSON boolean, ``n`` an integer.  A float field also takes a JSON
-    integer, as reports written before integral floats kept ``.0`` have them.
+    integer, as reports written before integral floats kept ``.0`` have them,
+    and the JSON strings ``"inf"``, ``"-inf"`` and ``"nan"``.
     """
     kind = _FIELD_TYPES[name]
     try:
         if text and kind is bool:
             if value in ("true", "false"):
                 return value == "true"
-        elif text or type(value) is kind or (kind is float and type(value) is int):
+        elif text or type(value) is kind or (kind is float and (type(value) is int or value in _NON_FINITE)):
             return kind(value)
     except (ValueError, OverflowError):
         pass

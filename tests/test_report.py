@@ -54,12 +54,36 @@ def test_json_roundtrip(sample_records):
     assert set(payload) == {"records", "summary"}
 
 
+def _strict_json(data):
+    # RFC 8259 has no Infinity or NaN, which json.loads takes by default, as JSON.parse and jq do not
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(data, parse_constant=refuse)
+
+
 def test_json_handles_infinite_ratio():
     rec = make_record("x", 1, 0.0, 5e-11, 0.0)
     assert math.isinf(rec.ratio)
     data = report.emit_report([rec], "json")
     parsed, _ = report.parse_report(data, "json")
     assert math.isinf(parsed[0].ratio)
+    assert _strict_json(data)["records"][0]["ratio"] == "inf"
+
+
+def test_json_spells_non_finite_floats_as_the_csv_does():
+    recs = [make_record("x", 1, 0.5, math.nan, 1.0), make_record("x", 2, 0.5, 1.0, -math.inf)]
+    data = report.emit_report(recs, "json", summary={"max_ratio": math.inf, "fit": [math.nan, -math.inf, 2.0]})
+    payload = _strict_json(data)
+    assert [r["empirical"] for r in payload["records"]] == ["nan", 1.0]
+    assert [r["bound"] for r in payload["records"]] == [1.0, "-inf"]
+    assert payload["summary"] == {"max_ratio": "inf", "fit": ["nan", "-inf", 2.0]}
+    parsed, _ = report.parse_report(data, "json")
+    assert math.isnan(parsed[0].empirical) and parsed[1].bound == -math.inf
+    assert report.emit_report(parsed, "csv") == report.emit_report(recs, "csv")
+    bad = data.replace(b'"bound":"-inf"', b'"bound":"-Infinity"')
+    with pytest.raises(InvalidInputError, match="'bound' must be a float"):
+        report.parse_report(bad, "json")
 
 
 def test_json_integral_floats_parse_as_floats():
