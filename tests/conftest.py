@@ -2,12 +2,16 @@
 
 Every run names the BLAS kernel and thread count, since the last bits of
 the pinned reports follow the OpenBLAS kernel that numpy picks for the CPU:
-in the header, or, under -q, which hides the header, at the end.
+in the header, or, under -q, which hides the header, at the end.  A golden
+that does not match names the kernel it was written under (``golden/KERNEL``)
+when this run's differs.
 """
 
 import ctypes
 import os
 import pathlib
+
+GOLDEN_KERNEL = pathlib.Path(__file__).parent / "golden" / "KERNEL"
 
 
 def _openblas_corename() -> str:
@@ -24,6 +28,16 @@ def _openblas_corename() -> str:
     except Exception:  # a header line must never fail the run
         pass
     return "unknown"
+
+
+def golden_kernel_note() -> str:
+    """For a golden mismatch: '' under the kernel the goldens were written under, else a note naming both."""
+    try:
+        written = GOLDEN_KERNEL.read_text().strip()
+    except OSError:
+        return ""
+    running = _openblas_corename()
+    return "" if written == running else f"; written under {written}, this run uses {running}"
 
 
 def _blas_line() -> str:

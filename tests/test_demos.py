@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+import conftest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PINNED = {"06_contour_calculus"}  # its majorant lines are the contour check's three maxima, proved bounds
@@ -25,4 +27,5 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     if demo.stem in PINNED:
-        assert proc.stdout == (ROOT / "tests" / "golden" / f"demo_{demo.stem}.txt").read_text()
+        golden = f"demo_{demo.stem}.txt"
+        assert proc.stdout == (ROOT / "tests" / "golden" / golden).read_text(), f"{golden}{conftest.golden_kernel_note()}"

@@ -9,7 +9,9 @@ a Hermitian one (alpha = 0, whose majorant check takes exact norms), and
 number, record order or summary key shows up here as a byte difference,
 and the records of each ``.json`` file must equal those of its ``.csv`` twin.
 Rewrite the files only when a report is meant to change, with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which also writes the
+OpenBLAS kernel it ran under to ``KERNEL``: the last bits follow the
+kernel, and a mismatch under another one says so.
 """
 
 import math
@@ -19,6 +21,7 @@ import sys
 import numpy as np
 import pytest
 
+import conftest
 from semiapprox import harness, linalg, report
 from semiapprox.harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
@@ -59,7 +62,7 @@ def _reports(config):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     for fmt, data in _reports(CASES[name]).items():
-        assert data == (GOLDEN / f"{name}.{fmt}").read_bytes(), f"{name}.{fmt}"
+        assert data == (GOLDEN / f"{name}.{fmt}").read_bytes(), f"{name}.{fmt}{conftest.golden_kernel_note()}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -70,6 +73,14 @@ def test_json_and_csv_goldens_hold_the_same_records(name):
         for fmt in ("csv", "json")
     }
     assert records["json"] == records["csv"]
+
+
+def test_a_mismatch_names_the_kernel_the_goldens_were_written_under(monkeypatch):
+    written = conftest.GOLDEN_KERNEL.read_text().strip()
+    monkeypatch.setattr(conftest, "_openblas_corename", lambda: written)
+    assert conftest.golden_kernel_note() == ""
+    monkeypatch.setattr(conftest, "_openblas_corename", lambda: "Other")
+    assert conftest.golden_kernel_note() == f"; written under {written}, this run uses Other"
 
 
 def test_selfadjoint_full_grid():
@@ -106,6 +117,7 @@ def test_every_kind_takes_its_draws_from_one_call(kind, monkeypatch):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    conftest.GOLDEN_KERNEL.write_text(conftest._openblas_corename() + "\n")
     for name, config in sorted(CASES.items()):
         for fmt, data in _reports(config).items():
             (GOLDEN / f"{name}.{fmt}").write_bytes(data)
