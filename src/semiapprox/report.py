@@ -68,10 +68,14 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
         return ("\n".join([CSV_HEADER, *rows]) + "\n").encode()
     if fmt == "json":
         payload = {
-            "records": [{name: _json_value(getattr(r, name)) for name in _FIELD_TYPES} for r in records],
-            "summary": _json_value(summary if summary is not None else summarize(records)),
+            "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],
+            "summary": summary if summary is not None else summarize(records),
         }
-        return (json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n").encode()
+        try:
+            text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        except ValueError:  # a non-finite float, which JSON cannot carry
+            text = json.dumps(_json_value(payload), separators=(",", ":"), allow_nan=False)
+        return (text + "\n").encode()
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
