@@ -35,7 +35,6 @@ CSV_HEADER = ",".join(_FIELD_TYPES)
 _CSV_REFUSED = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 # %.17g spells nan, inf, -inf, -0.0 and subnormals as format(x, ".17g") does
 _CSV_ROW = "%s,%d,%.17g,%.17g,%.17g,%.17g,%s"
-_NON_FINITE = ("inf", "-inf", "nan")  # the JSON strings of the non-finite floats
 
 
 def _json_value(value):
@@ -92,7 +91,8 @@ def _field(name: str, value, text: bool):
         if text and kind is bool:
             if value in ("true", "false"):
                 return value == "true"
-        elif text or type(value) is kind or (kind is float and (type(value) is int or value in _NON_FINITE)):
+        elif (text or type(value) is kind
+                or (kind is float and (type(value) is int or value in ("inf", "-inf", "nan")))):
             return kind(value)
     except (ValueError, OverflowError):
         pass

@@ -27,5 +27,5 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     if demo.stem in PINNED:
-        golden = f"demo_{demo.stem}.txt"
-        assert proc.stdout == (ROOT / "tests" / "golden" / golden).read_text(), f"{golden}{conftest.golden_kernel_note()}"
+        golden = ROOT / "tests" / "golden" / f"demo_{demo.stem}.txt"
+        assert proc.stdout == golden.read_text(), f"{golden.name}{conftest.golden_kernel_note()}"
