@@ -109,12 +109,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, numrange
 from .errors import ContourTooCloseError, DomainError, InvalidInputError
-from .tolerances import CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL
+from .tolerances import CONTOUR_QUAD_TOL, MAJORANT_DIST_TOL, MAJORANT_TOL, SCHUR_CUT_TOL
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STACK_BYTES = 128 * 1024  # resolvents per stacked solve, product of weights, blow-up check and majorant norms
@@ -206,14 +207,74 @@ def winding_number(contour: ContourNodes, z0: complex) -> complex:
     return complex(np.sum(contour.dz_weight / (contour.z - z0)) / (2j * math.pi))
 
 
-def _solve(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(z_j - C)^{-1} stacked over the nodes z, in one np.linalg.inv.
+class _Schur(NamedTuple):
+    """The reduction of C that a pass solves in: unitary q, and t = q^H C q cut to blocks."""
 
-    np.linalg.inv and np.linalg.solve(., I) make the same LAPACK call on the
-    same matrices, so they round alike; inv does not copy I per node.
+    q: np.ndarray
+    t: np.ndarray  # zero below its diagonal blocks t[a:b, a:b]
+    edges: tuple  # the blocks' edges 0 = e_0 < e_1 < ... < e_m = d
+
+
+def _reduce(c: np.ndarray) -> _Schur:
+    """C = q t q^H, t block upper triangular, from one np.linalg.eig and np.linalg.qr.
+
+    q is the Q factor of C's eigenvectors, so t = q^H C q is upper
+    triangular up to rounding, and to more where eigenvectors are nearly
+    parallel.  Every corner t[k:, :k] whose Frobenius norm is at most
+    SCHUR_CUT_TOL d u ||C||_F (u = 2^-53) is cut to zero; the edges are
+    those k, and the blocks between them are what is left.  The cut moves C
+    by at most sqrt(d - 1) times that in Frobenius norm.  An eig that
+    raises gives one block, q = I and t = C.
     """
-    eye = np.eye(c.shape[0], dtype=np.complex128)
-    return np.linalg.inv(z[:, None, None] * eye - c)
+    dim = c.shape[0]
+    try:
+        _, vectors = np.linalg.eig(c)
+    except np.linalg.LinAlgError:
+        return _Schur(np.eye(dim, dtype=np.complex128), c.copy(), (0, dim))
+    q, _ = np.linalg.qr(vectors)
+    t = q.conj().T @ c @ q
+    # corner[k, k - 1] = ||t[k:, :k]||_F^2, summed from the lower left
+    low = np.abs(np.tril(t, -1)) ** 2
+    corner = np.cumsum(np.cumsum(low[::-1], axis=0)[::-1], axis=1)
+    cut = SCHUR_CUT_TOL * dim * 2.0**-53 * np.linalg.norm(c)
+    inner = [k for k in range(1, dim) if corner[k, k - 1] <= cut * cut]
+    edges = (0, *inner, dim)
+    for a, b in zip(edges[:-1], edges[1:]):
+        t[b:, a:b] = 0.0
+    return _Schur(q, t, edges)
+
+
+def _solve(schur: _Schur, z: np.ndarray) -> np.ndarray:
+    """(z_j - t)^{-1} over the nodes z, in q's basis, node axis last: shape (d, d, S).
+
+    Filled block row by block row from the bottom up.  A 1x1 block is one
+    reciprocal 1/(z - t_ii) a node, a larger one a stacked np.linalg.inv;
+    the rows below enter through one matrix product of the shared t[a:b,
+    b:] and the rows already filled.  Raises np.linalg.LinAlgError where a
+    node equals a 1x1 block's t_ii or makes a larger block singular; an
+    overflow leaves inf or NaN, which _check_blow_up refuses.
+    """
+    t, dim = schur.t, schur.t.shape[0]
+    blocks = list(zip(schur.edges[:-1], schur.edges[1:]))
+    single = [a for a, b in blocks if b - a == 1]
+    gap = z - t[single, single][:, None]
+    if not gap.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    r = np.zeros((dim, dim, z.size), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r[single, single] = 1.0 / gap
+        for a, b in reversed(blocks):
+            if b - a > 1:
+                eye = np.eye(b - a, dtype=np.complex128)
+                r[a:b, a:b] = np.moveaxis(np.linalg.inv(z[:, None, None] * eye - t[a:b, a:b]), 0, -1)
+            if b == dim:
+                continue
+            below = (t[a:b, b:] @ r[b:, b:].reshape(dim - b, -1)).reshape(b - a, dim - b, -1)
+            if b - a == 1:
+                np.multiply(r[a, a], below[0], out=r[a, b:])
+            else:
+                r[a:b, b:] = np.einsum("ijs,jks->iks", r[a:b, a:b], below)
+    return r
 
 
 def _stack_nodes(dim: int) -> int:
@@ -222,10 +283,10 @@ def _stack_nodes(dim: int) -> int:
 
 
 def _check_blow_up(r: np.ndarray, z: np.ndarray) -> None:
-    """Raise at the first of the resolvents r at the nodes z whose Frobenius norm exceeds 1e15."""
-    # np.linalg.norm(r, axis=(1, 2)) to the bit, with one temporary stack, not two
+    """Raise at the first of the resolvents r (node axis last) at the nodes z whose Frobenius norm exceeds 1e15."""
+    # np.linalg.norm(r, axis=(0, 1)) to the bit, with one temporary stack, not two
     sq = np.conj(r)
-    fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(1, 2)))
+    fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(0, 1)))
     # a non-finite resolvent has a NaN or infinite norm, which fails <=
     bad = np.flatnonzero(~(fro <= 1e15))
     if bad.size:
@@ -275,6 +336,7 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, open_nodes: np
     count = len(weights)
     if count == 1:  # a one-row product runs as a vector-matrix product, whose bits follow the BLAS thread count
         weights = np.concatenate([weights, np.zeros_like(weights)])
+    schur = _reduce(c)
     acc = np.zeros((len(weights), dim * dim), dtype=np.complex128)
     norms = []
     step = _stack_nodes(dim)
@@ -282,15 +344,16 @@ def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, open_nodes: np
         nodes = slice(lo, lo + step)
         z = contour.z[nodes]
         try:
-            r = _solve(c, z)
+            r = _solve(schur, z)
         except np.linalg.LinAlgError as exc:
             raise ContourTooCloseError(f"resolvent singular at a contour node in z={z[0]}..{z[-1]}") from exc
         _check_blow_up(r, z)
-        acc += weights[:, nodes] @ r.reshape(len(r), -1)
+        acc += weights[:, nodes] @ r.reshape(dim * dim, -1).T
         at = open_nodes[nodes]
         if at.any():
-            norms += linalg.op_norms(r[at])
-    return list(acc[:count].reshape((count,) + c.shape) / (2j * math.pi)), np.array(norms)
+            norms += linalg.op_norms(np.moveaxis(r[:, :, at], -1, 0))
+    values = schur.q @ acc[:count].reshape((count,) + c.shape) @ schur.q.conj().T
+    return list(values / (2j * math.pi)), np.array(norms)
 
 
 def _majorant_ratios(contour: ContourNodes, alpha: float, dist, norms):

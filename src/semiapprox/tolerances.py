@@ -27,6 +27,11 @@ POISSON_MASS_TOL = 1e-14
 # Contour quadrature: each value's proved truncation error must lie below this.
 CONTOUR_QUAD_TOL = 1e-8
 
+# Contour solves: a corner T[k:, :k] of T = Q^H C Q, Q the unitary factor of C's
+# eigenvectors, is cut to zero where its Frobenius norm is at most this times
+# d u ||C||_F (u = 2^-53), splitting T into the blocks the solves back-substitute.
+SCHUR_CUT_TOL = 16.0
+
 # Numerical-range sweeps take at most this many angles (an even count).
 MAX_SWEEP_ANGLES = 65536
 
