@@ -204,9 +204,9 @@ def contour_reconstruction_bound() -> float:
     """1e-7: the allowed error of a contour reconstruction of f(C) in spectral norm.
 
     That is ten times CONTOUR_QUAD_TOL = 1e-8, the bound the quadrature
-    proves on its truncation error before it solves a contour, or, where
-    no contour is proved, the agreement its fallback asks of two successive
-    node sets before it stops refining.
+    proves on its truncation error before it solves a contour.  A draw that
+    no trial contour proves raises ContourTooCloseError before any node is
+    solved, and ``verify`` exits 2.
     """
     return 1e-7
 

@@ -15,21 +15,40 @@ below that the edges underflow into panels of length zero at z = 1.
 
 Each function is called once per pass, on the 1-D array of all the pass's
 nodes, so it must broadcast like a NumPy ufunc (a scalar constant is
-allowed).  A pass is one loop over stacks of S = _stack_nodes(d) nodes,
-whole multiples of 64 holding up to 128 KiB of rows (2048 nodes at d = 2,
-128 at d = 8, 64 from d = 12 up): each stack has one solve, one blow-up
-check, one matrix product of all the functions' weights and its rows,
-added to the sums in stack order (a lone function's weights padded with a
-zero row), and the exact norms the majorant check below needs.
-The stacks thus fix the bits of every value: other stack sizes would
-round otherwise.  The values do not follow the BLAS thread count, and on
-OpenBLAS's SkylakeX kernel a function gets the same bits alone as among
-others; under its Haswell kernel (OPENBLAS_CORETYPE=Haswell) a lone
-function's last bits differ from those it gets among 3 or 10 at d = 2, 5,
-16 and 32.  That is measured, not proved: with OpenBLAS 0.3.31 on 2
-cores, the reports of the contour_calc benchmark's 240 calls are
-byte-identical under one and two threads, while a one-row product, which
-OpenBLAS runs as a vector-matrix product, gave other last bits under each.
+allowed).  A pass solves in one unitary basis of C, reduced once
+(_reduce): Q is the Q factor of np.linalg.qr of C's eigenvectors
+(np.linalg.eig), so T = Q^H C Q is upper triangular up to rounding, and
+every corner T[k:, :k] whose Frobenius norm is at most SCHUR_CUT_TOL d u
+||C||_F is cut to zero.  That splits T into diagonal blocks: 1x1 blocks
+where the eigenvectors stand apart (every draw of the contour_calc
+benchmark), one larger block for a Jordan-like cluster, whose eigenvectors
+are nearly parallel, and one whole block, Q = I, where eig fails.  A pass
+is then one loop over stacks of S = _stack_nodes(d) nodes, whole
+multiples of 64 holding up to 128 KiB of rows (2048 nodes at d = 2, 128
+at d = 8, 64 from d = 12 up).  A stack holds (z_j - T)^{-1} with the node
+axis last, (d, d, S), filled block row by block row from the bottom up:
+a 1x1 block is one reciprocal 1/(z_j - t_ii), a larger one a stacked
+np.linalg.inv, and the rows below enter through one matrix product of the
+shared T[a:b, b:] a block row.  Each stack then has one blow-up check, one
+matrix product of all the functions' weights and its rows, added to the
+sums in stack order (a lone function's weights padded with a zero row),
+and the exact norms the majorant check below needs; all three read the
+stack in Q's basis, as Frobenius and spectral norms are unitarily
+invariant, and each sum goes back to C's basis once, as Q S Q^H / (2 pi i).
+The reduction and the stacks thus fix the bits of every value: other
+stack sizes would round otherwise.  A node's row has the same bits in
+every stack of a multiple of 4 nodes, so in any stack of whole 16-node
+panels, but not alone (one node to a stack): the products of a 1x1
+block's row are vector-matrix products, whose last bits were measured to
+follow the stack's node count mod 4.  The
+values do not follow the BLAS thread count, and on OpenBLAS's SkylakeX
+kernel a function gets the same bits alone as among others; under its
+Haswell kernel (OPENBLAS_CORETYPE=Haswell) a lone function's last bits
+differ from those it gets among 3 or 10 at d = 2, 5, 16 and 32.  That is
+measured, not proved: with OpenBLAS 0.3.31 on 2 cores, the reports of
+the contour_calc benchmark's 240 calls are byte-identical under one and
+two threads, while a one-row weight product, which OpenBLAS runs as a
+vector-matrix product, gave other last bits under each.
 
 A pass's truncation error is proved from a bound on each f over discs.  Map a panel, s = mu + h x, to x in [-1, 1], and let E_rho be
 the Bernstein ellipse with semi-axes A = (rho + 1/rho)/2 and B = (rho -
@@ -74,10 +93,16 @@ measured, not proved.  The first trial on which every function's bound
 lies below CONTOUR_QUAD_TOL is solved, and its values are returned; where
 no trial is proved, ContourTooCloseError is raised before any node is
 solved.  The bound covers truncation only.  The rounding adds, in
-spectral norm, about sum_j |f(z_j) w_j| ||R_j|| / (2 pi) times d g u
-kappa_j for the solves (u = 2^-53, g the growth factor of LU and kappa_j
-the condition of z_j - C) and times (S + N/S) sqrt(d) u for the products
-of the stacks of S nodes and their sum over the N nodes.
+spectral norm, about sum_j |f(z_j) w_j| ||R_j|| / (2 pi) times kappa_j
+(eta + d u) for the solves (u = 2^-53, kappa_j the condition of z_j - C),
+and times (S + N/S) sqrt(d) u for the products of the stacks of S nodes
+and their sum over the N nodes, and d u ||value|| for Q S Q^H.  eta
+||C||_F bounds the reduction's backward error ||Q T Q^H - C||_F: the cut,
+at most sqrt(d - 1) SCHUR_CUT_TOL d u ||C||_F, and about d u ||C||_F for
+forming T and Q.  d u is the back substitution's: its computed rows solve
+a T + dT with |dT| <= d u |T| entrywise (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 8), so no growth factor enters except
+that of a larger block's own LU, within the block.
 
 The majorant check runs on the contour solved, and reports that
 contour's winding error about 0.2 with it.  It reads one value per node,
@@ -233,10 +258,12 @@ def _reduce(c: np.ndarray) -> _Schur:
         return _Schur(np.eye(dim, dtype=np.complex128), c.copy(), (0, dim))
     q, _ = np.linalg.qr(vectors)
     t = q.conj().T @ c @ q
-    # corner[k, k - 1] = ||t[k:, :k]||_F^2, summed from the lower left
-    low = np.abs(np.tril(t, -1)) ** 2
+    # corner[k, k - 1] = ||t[k:, :k]||_F^2, summed from the lower left, in
+    # units of C's largest entry, so that no square overflows
+    scale = np.max(np.abs(c)) or 1.0
+    low = np.abs(np.tril(t, -1) / scale) ** 2
     corner = np.cumsum(np.cumsum(low[::-1], axis=0)[::-1], axis=1)
-    cut = SCHUR_CUT_TOL * dim * 2.0**-53 * np.linalg.norm(c)
+    cut = SCHUR_CUT_TOL * dim * 2.0**-53 * np.linalg.norm(c / scale)
     inner = [k for k in range(1, dim) if corner[k, k - 1] <= cut * cut]
     edges = (0, *inner, dim)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -286,7 +313,8 @@ def _check_blow_up(r: np.ndarray, z: np.ndarray) -> None:
     """Raise at the first of the resolvents r (node axis last) at the nodes z whose Frobenius norm exceeds 1e15."""
     # np.linalg.norm(r, axis=(0, 1)) to the bit, with one temporary stack, not two
     sq = np.conj(r)
-    fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(0, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a blow-up; inf * inf's NaN part is not read
+        fro = np.sqrt(np.add.reduce(np.multiply(sq, r, out=sq).real, axis=(0, 1)))
     # a non-finite resolvent has a NaN or infinite norm, which fails <=
     bad = np.flatnonzero(~(fro <= 1e15))
     if bad.size:
@@ -317,15 +345,18 @@ def _weights(fs, contour: ContourNodes) -> np.ndarray:
 def _evaluate_many(weights, c: np.ndarray, contour: ContourNodes, open_nodes: np.ndarray):
     """One quadrature pass over contour: the sums of weights times resolvents, stack by stack.
 
-    Each stack of _stack_nodes(dim) nodes, in order, is one stacked solve
-    (_solve); a singular node raises with the z range of its whole stack,
-    before any blow-up in it is looked for, and a blow-up names the first
-    node of the stack that blows up.  The stack then adds one matrix
-    product of all the weights and its rows to the sums, a lone weight
-    padded with a zero row, so that it is summed by the same product as
-    among others, and takes the exact norms of its rows at the nodes the
-    mask open_nodes marks.  The stacks fix the bits of every value; the
-    BLAS thread count was measured not to (module docstring).
+    C is reduced once (_reduce), to T = Q^H C Q in blocks.  Each stack of
+    _stack_nodes(dim) nodes, in order, is one stacked solve in Q's basis
+    (_solve), node axis last; a singular node raises with the z range of
+    its whole stack, before any blow-up in it is looked for, and a blow-up
+    names the first node of the stack that blows up.  The stack then adds
+    one matrix product of all the weights and its rows to the sums, a lone
+    weight padded with a zero row, so that it is summed by the same product
+    as among others, and takes the exact norms of its rows at the nodes the
+    mask open_nodes marks; the check, the product and the norms read the
+    Q-basis rows, and each sum S goes back to C's basis once, as Q S Q^H.
+    The reduction and the stacks fix the bits of every value; the BLAS
+    thread count was measured not to (module docstring).
 
     Returns (values, norms): values[i] is the sum of weights[i] (a node
     array of f(z) dz) times (z - C)^{-1} over the nodes, over 2 pi i, and
@@ -484,8 +515,11 @@ def riesz_dunford_many(
     Each f in fs is called once, with the 1-D complex array of that
     contour's nodes, and must return an array of that shape or a scalar
     constant, as a NumPy ufunc does; it is called before any node is
-    solved.  Each stack of resolvents then adds one matrix product of all
-    the functions' weights and its rows.
+    solved.  The pass reduces C once to T = Q^H C Q, block upper
+    triangular (_reduce), and solves every node by back substitution in
+    Q's basis (_solve), 1x1 blocks without any matrix inverse; each stack
+    of resolvents then adds one matrix product of all the functions'
+    weights and its rows, and each value returns to C's basis once.
 
     Returns (values, report): values[i] approximates fs[i](C), and report is
     the majorant check ``_check_report`` for 0 <= alpha < alpha' on the

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from semiapprox import approximants, contour, ensembles, harness, linalg, numrange
 from semiapprox.errors import DomainError, InvalidInputError
 from semiapprox.harness import ExperimentConfig, _draws, _resolvent, run_experiment
-from semiapprox.tolerances import MAJORANT_DIST_TOL, MAJORANT_TOL
+from semiapprox.tolerances import MAJORANT_DIST_TOL, MAJORANT_TOL, SCHUR_CUT_TOL
 
 
 def certified_resolvent(dim, alpha, seed, t=1.0):
@@ -573,14 +574,18 @@ def test_support_distance_of_ellipses_and_discs():
 def test_a_numerical_range_across_the_contour_gives_the_exact_report():
     # W(J) = |z - 0.3| <= 0.8 crosses both lines: the nodes inside it get no
     # bound and take exact norms, and the maxima sit there, so the report is
-    # the one of exact norms at every node
+    # the one of the pass's exact norms at every node, and has the verdict
+    # and, within _kappa_tol, the maxima of per-node LAPACK norms
     alpha = math.pi / 8
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
     c = np.array([[0.3, 1.6], [0.0, 0.3]], dtype=complex)
     upper = _polygon_bounds(c, nodes)
     assert 0 < np.count_nonzero(np.isinf(upper)) < len(nodes)
     _, report = _pass_on([lambda z: 0.0], c, nodes, alpha)
-    assert dataclasses.astuple(report) == dataclasses.astuple(per_node_report(c, nodes, alpha))
+    assert dataclasses.astuple(report) == dataclasses.astuple(stack_report(c, nodes, alpha))
+    lapack = per_node_report(c, nodes, alpha)
+    assert report.passed == lapack.passed
+    assert _worst(report) == pytest.approx(_worst(lapack), rel=np.max(_kappa_tol(c, nodes.z)), abs=0.0)
     assert report == bound_first_report(c, nodes, alpha)
 
 
@@ -1400,3 +1405,152 @@ def test_too_close_errors_keep_the_every_node_order(dim, spectrum):
         for nodes in (base, fine):
             contour._evaluate_many(np.ones((1, len(nodes))), c, nodes, _none_open(nodes))
     assert str(raised.value) == str(want.value)
+
+
+def _rotated(block, seed):
+    # U block U^H for a random unitary U
+    rng = np.random.default_rng(seed)
+    dim = len(block)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return u @ block @ u.conj().T
+
+
+def _jordan_block(lam, dim, b=0.3):
+    return lam * np.eye(dim) + b * np.eye(dim, k=1)
+
+
+_REDUCTION_CASES = {
+    "jordan": _jordan_block(0.5, 4),
+    "rotated_jordan": _rotated(_jordan_block(0.4 + 0.1j, 6), 2),
+    "two_jordans_one_eigenvalue": _rotated(scipy.linalg.block_diag(_jordan_block(0.3, 3), _jordan_block(0.3, 2)), 1),
+    "hermitian_repeated": _rotated(np.diag([0.2, 0.2, 0.2, 0.7]), 3),
+    "zero": np.zeros((3, 3)),
+    "identity": np.eye(4),
+    "one_by_one": np.array([[0.3 - 0.2j]]),
+    "ginibre32": (lambda rng: (rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))) / 16)(
+        np.random.default_rng(32)
+    ),
+}
+
+
+def _cut(c):
+    # the largest Frobenius norm of a corner that _reduce cuts to zero
+    return SCHUR_CUT_TOL * c.shape[0] * 2.0**-53 * np.linalg.norm(c)
+
+
+def _reduction_tol(c, z):
+    # the allowance between a resolvent from the reduction and from a per-node
+    # LAPACK inverse, relative, as the module docstring's rounding model
+    # gives it: _kappa_tol for the solves and kappa_j eta for the reduction,
+    # eta ||C||_F = sqrt(d - 1) cuts its backward error
+    dim = c.shape[0]
+    resolvent = np.linalg.norm(np.linalg.inv(z[:, None, None] * np.eye(dim) - c), 2, axis=(1, 2))
+    return _kappa_tol(c, z) + math.sqrt(dim - 1) * _cut(c) * resolvent
+
+
+@pytest.mark.parametrize("name", list(_REDUCTION_CASES))
+def test_the_reduction_is_a_unitary_similarity_cut_to_blocks(name):
+    # Q is unitary to rounding, T is exactly zero below its diagonal blocks,
+    # and Q T Q^H is C within the sqrt(d - 1) cut corners plus the rounding
+    # of forming T and Q, 2^4 d u ||C||_F
+    c = _REDUCTION_CASES[name].astype(complex)
+    dim = c.shape[0]
+    schur = contour._reduce(c)
+    u = 2.0**-53
+    assert schur.edges[0] == 0 and schur.edges[-1] == dim and list(schur.edges) == sorted(set(schur.edges))
+    assert np.linalg.norm(schur.q.conj().T @ schur.q - np.eye(dim)) <= 2.0**4 * dim * u
+    for a, b in zip(schur.edges[:-1], schur.edges[1:]):
+        assert np.all(schur.t[b:, a:b] == 0.0)
+    moved = np.linalg.norm(schur.q @ schur.t @ schur.q.conj().T - c)
+    assert moved <= math.sqrt(dim - 1) * _cut(c) + 2.0**4 * dim * u * np.linalg.norm(c)
+
+
+def test_a_rotated_jordan_block_stays_one_block():
+    # eig resolves at most two leading vectors of a rotated Jordan chain to
+    # rounding, and their corners are cut; the rest of the cluster, whose
+    # eigenvectors are nearly parallel, is one block.  Unrotated, the chain
+    # is triangular as it stands, and every block is 1x1
+    dim = 6
+    assert contour._reduce(_REDUCTION_CASES["rotated_jordan"]).edges[-2] <= 2
+    assert contour._reduce(_REDUCTION_CASES["two_jordans_one_eigenvalue"]).edges[-2] <= 2
+    assert contour._reduce(_jordan_block(0.4 + 0.1j, dim).astype(complex)).edges == tuple(range(dim + 1))
+
+
+@pytest.mark.parametrize("name", list(_REDUCTION_CASES))
+def test_the_stacks_are_the_per_node_inverses_within_the_rounding_model(name):
+    # each stack _evaluate_many solves, back in C's basis as Q R Q^H, is the
+    # per-node np.linalg.inv within _reduction_tol in Frobenius norm
+    c = _REDUCTION_CASES[name].astype(complex)
+    dim = c.shape[0]
+    nodes = contour.build_contour(1.0, 8, 8)
+    schur = contour._reduce(c)
+    step = contour._stack_nodes(dim)
+    for lo in range(0, len(nodes), step):
+        z = nodes.z[lo:lo + step]
+        got = schur.q @ np.moveaxis(contour._solve(schur, z), -1, 0) @ schur.q.conj().T
+        want = np.linalg.inv(z[:, None, None] * np.eye(dim) - c)
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(err <= _reduction_tol(c, z) * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("slot", range(15))
+def test_contour_calc_slot_draws_split_into_1x1_blocks(monkeypatch, slot):
+    # the 15 slot draws of the contour_calc benchmark's first block, d =
+    # 2..16: every corner of T is cut, so every block is 1x1, and a call
+    # with the harness families solves its nodes without any np.linalg.inv
+    c, alpha = _slot_draw(slot)
+    assert contour._reduce(c).edges == tuple(range(c.shape[0] + 1))
+    fs, f_bounds = _harness_families(monkeypatch, (1, 2, 4, 8, 16))
+    inverses, inv = [], np.linalg.inv
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+        contour.riesz_dunford_many(fs, c, 0.5 * (alpha + math.pi / 2), alpha, f_bounds)
+    assert inverses == []
+
+
+def test_a_failed_eig_leaves_one_block(monkeypatch):
+    # an eig that raises gives Q = I and T = C, one block, whose stacked
+    # inverse is the per-node one; a node on an eigenvalue of that block
+    # then raises as singular with its stack's z range, and no warning
+    def no_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    c = certified_resolvent(4, math.pi / 8, 3000)
+    schur = contour._reduce(c)
+    assert schur.edges == (0, 4) and np.array_equal(schur.q, np.eye(4)) and np.array_equal(schur.t, c)
+    got, _ = contour._evaluate_many(contour._weights(_FS, _BASE), c, _BASE, _none_open(_BASE))
+    for g, want in zip(got, _reference_many(_FS, c, _BASE)):
+        assert linalg.op_norm(g - want) <= 1e-13 * max(1.0, linalg.op_norm(want))
+    z0 = complex(_BASE.z[100])
+    jordan = np.array([[z0, 1.0], [0.0, z0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(contour.ContourTooCloseError, match=r"resolvent singular at a contour node in z=\("):
+            contour._evaluate_many(np.ones((1, len(_BASE))), jordan, _BASE, _none_open(_BASE))
+
+
+@pytest.mark.parametrize("b", [1e300, 1e200])
+def test_an_overflowing_stack_raises_blow_up_without_a_warning(b):
+    # a Jordan block next to a node with an off-diagonal entry b: b / w^2
+    # overflows where w = z - lambda is 4e-16, and the overflow is a blow-up,
+    # raised with no NumPy RuntimeWarning
+    z0 = complex(_BASE.z[100])
+    c = np.array([[z0 + 4e-16, b], [0.0, z0 + 4e-16]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(contour.ContourTooCloseError, match="blow-up"):
+            contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _none_open(_BASE))
+
+
+def test_a_node_on_a_diagonal_entry_of_t_raises_before_a_blow_up_in_its_stack():
+    # one eigenvalue on node 100 and one 4e-16 from node 50 of the same
+    # stack: the singular node raises, with its stack's z range, first
+    c = _on_nodes(3, _BASE.z[50] + 4e-16, _BASE.z[100])
+    step = contour._stack_nodes(3)
+    z = _BASE.z[:step]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(contour.ContourTooCloseError) as raised:
+            contour._evaluate_many(np.ones((1, len(_BASE))), c, _BASE, _none_open(_BASE))
+    assert str(raised.value) == f"resolvent singular at a contour node in z={z[0]}..{z[-1]}"
