@@ -244,12 +244,13 @@ def _reduce(c: np.ndarray) -> _Schur:
     """C = q t q^H, t block upper triangular, from one np.linalg.eig and np.linalg.qr.
 
     q is the Q factor of C's eigenvectors, so t = q^H C q is upper
-    triangular up to rounding, and to more where eigenvectors are nearly
-    parallel.  Every corner t[k:, :k] whose Frobenius norm is at most
-    SCHUR_CUT_TOL d u ||C||_F (u = 2^-53) is cut to zero; the edges are
-    those k, and the blocks between them are what is left.  The cut moves C
-    by at most sqrt(d - 1) times that in Frobenius norm.  An eig that
-    raises gives one block, q = I and t = C.
+    triangular up to rounding where they stand apart; where they are
+    nearly parallel, a Jordan-like cluster, its lower part is not small.
+    Every corner t[k:, :k] whose Frobenius norm is at most SCHUR_CUT_TOL d
+    u ||C||_F (u = 2^-53) is cut to zero; the edges are those k, and the
+    blocks between them are what is left.  The cut moves C by at most
+    sqrt(d - 1) times that in Frobenius norm.  An eig that raises gives
+    one block, q = I and t = C.
     """
     dim = c.shape[0]
     try:

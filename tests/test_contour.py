@@ -64,11 +64,21 @@ def _stack_norms(c, z):
     return np.asarray(linalg.op_norms(_stack(c, z)))
 
 
+def _cut(c):
+    # the largest Frobenius norm of a corner that contour._reduce cuts to zero
+    return SCHUR_CUT_TOL * c.shape[0] * 2.0**-53 * np.linalg.norm(c)
+
+
 def _kappa_tol(c, z):
     # the allowance between a resolvent from the reduction and from a per-node
-    # LAPACK inverse, relative: 2^6 d u kappa(z_j - C), kappa in spectral norm
-    z = np.atleast_1d(z)
-    return 2.0**6 * c.shape[0] * 2.0**-53 * np.linalg.cond(z[:, None, None] * np.eye(c.shape[0]) - c)
+    # LAPACK inverse, relative, as the module docstring's rounding model
+    # gives it: kappa_j (eta + 2^6 d u), kappa_j the condition of z_j - C in
+    # spectral norm and eta ||C||_F = sqrt(d - 1) cuts the reduction's
+    # backward error
+    z, dim = np.atleast_1d(z), c.shape[0]
+    m = z[:, None, None] * np.eye(dim) - c
+    eta = math.sqrt(dim - 1) * _cut(c) / np.linalg.norm(m, 2, axis=(1, 2))
+    return np.linalg.cond(m) * (eta + 2.0**6 * dim * 2.0**-53)
 
 
 def _assert_near_per_node(c, z, norms):
@@ -437,10 +447,6 @@ def test_contour_calc_slots_report_the_exact_maxima(monkeypatch, slot):
     _assert_bounds_the_exact_check(report, per_node_report(c, nodes, alpha), rel=np.max(_kappa_tol(c, nodes.z)))
 
 
-def _exact_norms(c, nodes):
-    return _stack_norms(c, nodes.z)
-
-
 def _polygon_bounds(c, nodes):
     # the polygon bounds U the check starts from, before the base pass
     # writes any exact norm over them; they do not depend on alpha
@@ -457,7 +463,7 @@ def test_polygon_bounds_hold_on_the_contour_calc_slots(slot):
     # exact norms and no maximum below theirs
     c, alpha = _slot_draw(slot)
     nodes = contour.build_contour(0.5 * (alpha + math.pi / 2))
-    upper, exact = _polygon_bounds(c, nodes), _exact_norms(c, nodes)
+    upper, exact = _polygon_bounds(c, nodes), _stack_norms(c, nodes.z)
     assert np.all(exact <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
     _, report = _pass_on([lambda z: 0.0], c, nodes, alpha)
@@ -476,7 +482,7 @@ def test_polygon_bounds_hold_for_normal_matrices(dim, seed):
     nodes = contour.build_contour(1.0)
     upper = _polygon_bounds(c, nodes)
     exact = 1.0 / np.min(np.abs(nodes.z[:, None] - lam), axis=1)
-    assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
+    assert np.all(exact <= upper) and np.all(_stack_norms(c, nodes.z) <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
 
 
@@ -490,7 +496,7 @@ def test_polygon_bounds_hold_for_jordan_blocks(lam, b):
     assert np.all(numrange.support_distance(numrange.outer_polygon(c), nodes.z) <= w - abs(b) / 2)
     exact = (abs(b) / w**2 + np.sqrt((abs(b) / w**2) ** 2 + 4 / w**2)) / 2
     upper = _polygon_bounds(c, nodes)
-    assert np.all(exact <= upper) and np.all(_exact_norms(c, nodes) <= upper)
+    assert np.all(exact <= upper) and np.all(_stack_norms(c, nodes.z) <= upper)
     assert np.count_nonzero(np.isfinite(upper)) >= 0.8 * len(nodes)
 
 
@@ -534,7 +540,7 @@ def test_polygon_bounds_hold_where_lu_grows_large():
     bounded = np.isfinite(upper)
     assert np.max(growth) > 2.0**30 and np.all(growth[bounded] < 2.0)
     assert 0 < np.count_nonzero(bounded) < len(nodes)
-    exact = _exact_norms(c, nodes)
+    exact = _stack_norms(c, nodes.z)
     assert np.all(exact <= upper)
     report = _pass_on([], c, nodes, alpha)[1]
     assert report == bound_first_report(c, nodes, alpha)
@@ -1433,21 +1439,6 @@ _REDUCTION_CASES = {
 }
 
 
-def _cut(c):
-    # the largest Frobenius norm of a corner that _reduce cuts to zero
-    return SCHUR_CUT_TOL * c.shape[0] * 2.0**-53 * np.linalg.norm(c)
-
-
-def _reduction_tol(c, z):
-    # the allowance between a resolvent from the reduction and from a per-node
-    # LAPACK inverse, relative, as the module docstring's rounding model
-    # gives it: _kappa_tol for the solves and kappa_j eta for the reduction,
-    # eta ||C||_F = sqrt(d - 1) cuts its backward error
-    dim = c.shape[0]
-    resolvent = np.linalg.norm(np.linalg.inv(z[:, None, None] * np.eye(dim) - c), 2, axis=(1, 2))
-    return _kappa_tol(c, z) + math.sqrt(dim - 1) * _cut(c) * resolvent
-
-
 @pytest.mark.parametrize("name", list(_REDUCTION_CASES))
 def test_the_reduction_is_a_unitary_similarity_cut_to_blocks(name):
     # Q is unitary to rounding, T is exactly zero below its diagonal blocks,
@@ -1479,7 +1470,7 @@ def test_a_rotated_jordan_block_stays_one_block():
 @pytest.mark.parametrize("name", list(_REDUCTION_CASES))
 def test_the_stacks_are_the_per_node_inverses_within_the_rounding_model(name):
     # each stack _evaluate_many solves, back in C's basis as Q R Q^H, is the
-    # per-node np.linalg.inv within _reduction_tol in Frobenius norm
+    # per-node np.linalg.inv within _kappa_tol in Frobenius norm
     c = _REDUCTION_CASES[name].astype(complex)
     dim = c.shape[0]
     nodes = contour.build_contour(1.0, 8, 8)
@@ -1490,7 +1481,7 @@ def test_the_stacks_are_the_per_node_inverses_within_the_rounding_model(name):
         got = schur.q @ np.moveaxis(contour._solve(schur, z), -1, 0) @ schur.q.conj().T
         want = np.linalg.inv(z[:, None, None] * np.eye(dim) - c)
         err = np.linalg.norm(got - want, axis=(1, 2))
-        assert np.all(err <= _reduction_tol(c, z) * np.linalg.norm(want, axis=(1, 2)))
+        assert np.all(err <= _kappa_tol(c, z) * np.linalg.norm(want, axis=(1, 2)))
 
 
 @pytest.mark.parametrize("slot", range(15))
