@@ -687,8 +687,8 @@ def test_stacked_products_equal_the_per_function_loop(dim):
     step = contour._stack_nodes(dim)
     assert len(nodes) == 464 and (dim < 5 or len(nodes) % step)
     c = certified_resolvent(dim, math.pi / 8, 8000 + dim)
-    q = contour._reduce(c).q
-    flat = contour._solve(contour._reduce(c), nodes.z).reshape(dim * dim, len(nodes))
+    schur = contour._reduce(c)
+    flat = contour._solve(schur, nodes.z).reshape(dim * dim, len(nodes))
     for count in (1, 2, 3, 10):
         weights = rng.standard_normal((count, len(nodes))) + 1j * rng.standard_normal((count, len(nodes)))
         padded = np.concatenate([weights, np.zeros((int(count == 1), len(nodes)))])
@@ -696,7 +696,7 @@ def test_stacked_products_equal_the_per_function_loop(dim):
         for start in range(0, len(nodes), step):
             acc += padded[:, start:start + step] @ flat[:, start:start + step].T
         got, _ = contour._evaluate_many(weights, c, nodes, _none_open(nodes))
-        want = q @ acc[:count].reshape(count, dim, dim) @ q.conj().T / (2j * math.pi)
+        want = schur.q @ acc[:count].reshape(count, dim, dim) @ schur.q.conj().T / (2j * math.pi)
         assert np.array_equal(np.array(got), want)
         for w, value in zip(weights, got):
             assert np.array_equal(contour._evaluate_many(w, c, nodes, _none_open(nodes))[0][0], value)
