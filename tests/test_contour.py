@@ -72,13 +72,13 @@ def _cut(c):
 def _kappa_tol(c, z):
     # the allowance between a resolvent from the reduction and from a per-node
     # LAPACK inverse, relative, as the module docstring's rounding model
-    # gives it: kappa_j (eta + 2^6 d u), kappa_j the condition of z_j - C in
-    # spectral norm and eta ||C||_F = sqrt(d - 1) cuts the reduction's
-    # backward error
+    # gives it: kappa_j (eta_j + 2^6 d u), kappa_j the condition of z_j - C
+    # in spectral norm and eta_j ||z_j - C|| = sqrt(d - 1) cuts, the
+    # reduction's backward error; that is (2^6 d u ||z_j - C|| + sqrt(d - 1)
+    # cut) / sigma_min(z_j - C)
     z, dim = np.atleast_1d(z), c.shape[0]
-    m = z[:, None, None] * np.eye(dim) - c
-    eta = math.sqrt(dim - 1) * _cut(c) / np.linalg.norm(m, 2, axis=(1, 2))
-    return np.linalg.cond(m) * (eta + 2.0**6 * dim * 2.0**-53)
+    sigma = np.linalg.svd(z[:, None, None] * np.eye(dim) - c, compute_uv=False)
+    return (2.0**6 * dim * 2.0**-53 * sigma[:, 0] + math.sqrt(dim - 1) * _cut(c)) / sigma[:, -1]
 
 
 def _assert_near_per_node(c, z, norms):
