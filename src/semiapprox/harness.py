@@ -12,10 +12,10 @@ in chunks of ``_NORM_CHUNK`` steps across (draw, t) edges, one call per kernel
 per chunk.  One power pass, ``_gap_stacks``, forms C^n - C^(n+1) and
 C^n - e^{n(C-1)} in chunks of ``_NORM_CHUNK`` values of n.  The power kinds
 (ritt, norm_chernoff, selfadjoint) and acceptance criteria 05-07 take its
-norms from ``_ritt_gap_sweep`` and make each chunk's records at once with
-``make_records``; the vector kinds and criteria 01-03 apply its gap column to
-their vectors in ``_vector_sweep``.  ``linalg`` gives a stacked member the
-bits it gets alone, so no record depends on how the run is cut.
+norms from ``_ritt_gap_sweep``; the vector kinds and criteria 01-03 apply its
+gap column to their vectors in ``_vector_sweep``.  ``linalg`` gives a stacked
+member the bits it gets alone, so no record depends on how the run is cut.
+Every record is one ``make_record`` call, and a record is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .errors import InsufficientDataError, InvalidInputError
 from .tolerances import ABS_SLACK, REL_SLACK, passes
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     """One (n, empirical, bound) cell of an experiment."""
 
     experiment_id: str
@@ -64,23 +64,7 @@ def make_record(experiment_id: str, n: int, t: float, empirical: float, bound: f
     return ErrorRecord(experiment_id, int(n), float(t), empirical, bound, ratio, passed)
 
 
-def make_records(experiment_id: str, ns, t: float, empirical, bound) -> list[ErrorRecord]:
-    """The records ``make_record`` gives the cells (n, empirical, bound) of one series, built
-    for a whole chunk at once: ``passes`` takes the columns as arrays, ``_ratio`` each cell,
-    and every field is a Python int, float or bool."""
-    empirical, bound = np.asarray(empirical, dtype=float), np.asarray(bound, dtype=float)
-    passed = passes(empirical, bound).tolist()
-    empirical, bound = empirical.tolist(), bound.tolist()
-    ratios = map(_ratio, empirical, bound)
-    t = float(t)
-    return list(map(
-        ErrorRecord, itertools.repeat(experiment_id), map(int, ns), itertools.repeat(t),
-        empirical, bound, ratios, passed,
-    ))
-
-
-@dataclass(frozen=True)
-class RateEstimate:
+class RateEstimate(NamedTuple):
     """Power-law fit err ~ prefactor * n^(-exponent_p) on a log-log grid."""
 
     exponent_p: float
@@ -305,7 +289,7 @@ def _fit_groups(groups: dict[str, list[tuple[int, float]]], fit_min_n: float) ->
             est = fit_rate(cells, fit_min_n=fit_min_n)
         except InsufficientDataError:
             continue
-        fits[rid] = {**vars(est), "n_range": list(est.n_range)}
+        fits[rid] = {**est._asdict(), "n_range": list(est.n_range)}
     return fits
 
 
@@ -549,8 +533,9 @@ def _run_power_norms(config: ExperimentConfig):
     records = []
     for i, c, t_res in draws:
         rid = f"{config.kind}/d{i:03d}/t{t_res:g}"
-        for ns, (emp,) in _ritt_gap_sweep(c, _n_grid(config), ritt=ritt, gap=not ritt):
-            records += make_records(rid, ns, t_res, emp, [bound(n, config.alpha) for n in ns])
+        for ns, (emps,) in _ritt_gap_sweep(c, _n_grid(config), ritt=ritt, gap=not ritt):
+            for n, emp in zip(ns, emps):
+                records.append(make_record(rid, n, t_res, emp, bound(n, config.alpha)))
     if ritt:
         k_val = bounds.k_alpha(config.alpha).value
         return records, {"k_alpha": k_val, "certification_failures": failures}
@@ -567,11 +552,11 @@ def _run_selfadjoint(config: ExperimentConfig):
     for i, c in _draws(config, _selfadjoint)[0]:
         rid = f"selfadjoint/d{i:03d}"
         for ns, (ritts, gaps) in _ritt_gap_sweep(c, _n_grid(config)):
-            bound = [bounds.selfadjoint_ritt_bound(n) for n in ns]
-            ritts = make_records(f"{rid}/ritt", ns, 0.0, ritts, bound)
-            bound = [bounds.selfadjoint_chernoff_bound(n) for n in ns]
-            gaps = make_records(f"{rid}/chernoff", ns, 0.0, gaps, bound)
-            records += itertools.chain.from_iterable(zip(ritts, gaps))
+            for n, ritt, gap in zip(ns, ritts, gaps):
+                bound = bounds.selfadjoint_ritt_bound(n)
+                records.append(make_record(f"{rid}/ritt", n, 0.0, ritt, bound))
+                bound = bounds.selfadjoint_chernoff_bound(n)
+                records.append(make_record(f"{rid}/chernoff", n, 0.0, gap, bound))
     return records, {}
 
 

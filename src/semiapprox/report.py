@@ -67,7 +67,7 @@ def emit_report(records: list[ErrorRecord], fmt: str, summary: dict | None = Non
         return ("\n".join([CSV_HEADER, *rows]) + "\n").encode()
     if fmt == "json":
         payload = {
-            "records": [{name: getattr(r, name) for name in _FIELD_TYPES} for r in records],
+            "records": [r._asdict() for r in records],
             "summary": summary if summary is not None else summarize(records),
         }
         try:

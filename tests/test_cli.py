@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -318,7 +317,7 @@ def test_report_merge_sums_certification_failures(tmp_path):
 
 
 def _one_record_report(fmt, **fields):
-    rec = dataclasses.replace(harness.make_record("x/d000", 4, 0.5, 0.25, 1.0), **fields)
+    rec = harness.make_record("x/d000", 4, 0.5, 0.25, 1.0)._replace(**fields)
     return report.emit_report([rec], fmt)
 
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from semiapprox import approximants, contour, linalg, numrange, poisson, report
+from semiapprox import approximants, contour, harness, linalg, numrange, poisson, report
 from semiapprox.errors import ContourTooCloseError, InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
     EXPERIMENT_KINDS,
+    ErrorRecord,
     ExperimentConfig,
     _draws,
     _n_grid,
@@ -24,11 +25,11 @@ from semiapprox.harness import (
     _vector_sweep,
     fit_rate,
     make_record,
-    make_records,
     pow2_grid,
     run_experiment,
 )
 from semiapprox.tolerances import TOL_GEO
+from test_golden import CASES
 
 
 def test_registry_covers_every_result():
@@ -69,6 +70,28 @@ def test_make_record_fields_are_python_scalars():
     assert type(r.n) is int and type(r.passed) is bool
     assert all(type(v) is float for v in (r.t, r.empirical, r.bound, r.ratio))
     assert type(make_record("x", 4, 0.0, np.float64(1.0), np.float64(0.0)).ratio) is float
+
+
+def test_a_record_is_an_immutable_hashable_row_built_once_per_cell(monkeypatch):
+    r = make_record("x", 4, 0.5, 0.25, 1.0)
+    with pytest.raises(AttributeError):
+        r.passed = False
+    # a record is a tuple: it equals, and hashes as, the plain tuple of its fields
+    assert r == ("x", 4, 0.5, 0.25, 1.0, 0.25, True)
+    assert hash(r) == hash(("x", 4, 0.5, 0.25, 1.0, 0.25, True))
+    assert ",".join(ErrorRecord._fields) == report.CSV_HEADER
+    # every record of every golden config comes from one make_record call
+    calls = []
+
+    def spy(*cell):
+        calls.append(cell)
+        return make_record(*cell)
+
+    monkeypatch.setattr(harness, "make_record", spy)
+    for name, config in CASES.items():
+        calls.clear()
+        records = run_experiment(config).records
+        assert len(calls) == len(records), name
 
 
 def test_fit_rate_exact_power_laws():
@@ -370,14 +393,16 @@ _NAN, _INF = float("nan"), math.inf
     ],
     ids=["zero-zero", "zero-bound", "nan", "slack-only", "numpy-arrays", "numpy-scalars"],
 )
-def test_make_records_equal_make_record_per_cell(ns, t, empirical, bound, verdicts):
-    got = make_records("x/d000", ns, t, empirical, bound)
-    want = [make_record("x/d000", n, t, e, b) for n, e, b in zip(ns, empirical, bound)]
+def test_make_record_cells_have_python_fields(ns, t, empirical, bound, verdicts):
+    got = [make_record("x/d000", n, t, e, b) for n, e, b in zip(ns, empirical, bound)]
+    # the same cells given as Python scalars
+    want = [make_record("x/d000", int(n), float(t), float(e), float(b))
+            for n, e, b in zip(ns, empirical, bound)]
     # repr, since a NaN field makes == False
     assert repr(got) == repr(want)
     assert repr([(r.ratio, r.passed) for r in got]) == repr(verdicts)
     types = [str, int, float, float, float, float, bool]
-    assert all([type(getattr(r, f.name)) for f in dataclasses.fields(r)] == types for r in got + want)
+    assert all([type(getattr(r, name)) for name in r._fields] == types for r in got + want)
     assert report.emit_report(got, "json") == report.emit_report(want, "json")
     assert report.emit_report(got, "csv") == report.emit_report(want, "csv")
 
