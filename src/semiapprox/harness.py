@@ -13,16 +13,22 @@ per chunk.  One power pass, ``_gap_stacks``, forms C^n - C^(n+1) and
 C^n - e^{n(C-1)} in chunks of ``_NORM_CHUNK`` values of n.  The power kinds
 (ritt, norm_chernoff, selfadjoint) and acceptance criteria 05-07 take its
 norms from ``_ritt_gap_sweep``; the vector kinds and criteria 01-03 apply its
-gap column to their vectors in ``_vector_sweep``.  ``linalg`` gives a stacked
-member the bits it gets alone, so no record depends on how the run is cut.
+gap column to their vectors in ``_vector_sweep``.  From d = 16 on, where the
+process may use more than one CPU, ``_ritt_gap_sweep`` runs its SVDs on one
+worker thread per CPU while the power pass goes on; that pool lives only as
+long as the sweep, and no other sweep starts threads.  ``linalg`` gives a stacked
+member the bits it gets alone, on any thread, so no record depends on how the
+run is cut or where its norms are taken.
 Every record is one ``make_record`` call, and a record is a NamedTuple.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -204,7 +210,10 @@ def _unit_vectors(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-_NORM_CHUNK = 64  # values of n per stack: 3 MB at d = 32 with three norm columns per n
+# values of n per stack: 1 MiB a norm column at d = 32, 3 MiB with three columns per n; a
+# pooled _ritt_gap_sweep keeps up to workers + 1 chunks alive (one per worker, one forming)
+_NORM_CHUNK = 64
+_POOL_MIN_DIM = 16  # below it a chunk's SVDs take under 1 ms, less than the thread hand-offs cost
 
 
 def _norm_rows(*columns):
@@ -348,12 +357,58 @@ def _gap_stacks(c, ns, ritt=True, gap=True):
         yield chunk, diffs
 
 
+def _sweep_workers(dim: int) -> int:
+    """Threads for the SVDs of a d = dim norm sweep: one per CPU the process may use from
+    d = _POOL_MIN_DIM on, else 1 (serial)."""
+    if dim < _POOL_MIN_DIM or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split(norms: list[float], k: int) -> list[list[float]]:
+    """The columns of one chunk's norms: consecutive runs of k."""
+    return [norms[i:i + k] for i in range(0, len(norms), k)]
+
+
 def _ritt_gap_sweep(c, ns, ritt=True, gap=True):
     """Yield (chunk, norms): the spectral norms of the columns of each _gap_stacks chunk,
-    as lists, from one op_norms call per chunk."""
-    for chunk, diffs in _gap_stacks(c, ns, ritt, gap):
-        norms = linalg.op_norms(diffs.reshape(-1, *c.shape))
-        yield chunk, [norms[i:i + len(chunk)] for i in range(0, len(norms), len(chunk))]
+    as lists, from one op_norms call per chunk.
+
+    Where ``_sweep_workers`` gives more than one worker, each chunk's op_norms call runs on a
+    thread pool while this thread forms the next chunks and the caller builds its records; at
+    most one chunk per worker runs ahead, chunks come in grid order, and the pool ends with
+    the sweep, also when the sweep is closed early.  The workers share no data: each chunk's
+    stack is a new array that the power pass does not write again.  A stacked SVD gives the
+    same bits on any thread, so no norm depends on the path, and an error comes after the
+    same chunks as on the serial path: a chunk that cannot be formed is raised only once the
+    chunks before it are out.
+    """
+    stacks = ((chunk, diffs.reshape(-1, *c.shape)) for chunk, diffs in _gap_stacks(c, ns, ritt, gap))
+    workers = _sweep_workers(c.shape[0])
+    if workers == 1:
+        for chunk, stack in stacks:
+            yield chunk, _split(linalg.op_norms(stack), len(chunk))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending, error = collections.deque(), None
+        while True:
+            try:
+                chunk, stack = next(stacks)
+            except StopIteration:
+                break
+            except Exception as exc:  # raised below, after the chunks before it
+                error = exc
+                break
+            pending.append((chunk, pool.submit(linalg.op_norms, stack)))
+            if len(pending) > workers:
+                chunk, norms = pending.popleft()
+                yield chunk, _split(norms.result(), len(chunk))
+        for chunk, norms in pending:
+            yield chunk, _split(norms.result(), len(chunk))
+    if error is not None:
+        raise error
 
 
 def _step_chunks(draws, family, ts, ns):

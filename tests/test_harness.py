@@ -1,10 +1,13 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from semiapprox import approximants, contour, harness, linalg, numrange, poisson, report
+from semiapprox import approximants, contour, ensembles, harness, linalg, numrange, poisson, report
 from semiapprox.errors import ContourTooCloseError, InsufficientDataError, InvalidInputError
 from semiapprox.harness import (
     _NORM_CHUNK,
@@ -12,6 +15,7 @@ from semiapprox.harness import (
     ErrorRecord,
     ExperimentConfig,
     _draws,
+    _gap_stacks,
     _n_grid,
     _pair_sweep,
     _partner_columns,
@@ -370,6 +374,84 @@ def test_ritt_gap_sweep_keeps_order_across_chunks(monkeypatch):
         assert [n for n, _ in got] == [n for n, _ in want] == list(ns)
         assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want)), ns
         assert stack_sizes == [] and list(_vector_sweep(c, xs, [])) == []
+
+
+def _cpus(monkeypatch, count):
+    """Let the sweeps see ``count`` CPUs the process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _recorded_executors(monkeypatch):
+    """The thread pools the sweeps create from now on, in a list."""
+    created = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return created
+
+
+@pytest.mark.parametrize("dim", [4, 16, 32])
+def test_pooled_and_serial_sweeps_yield_the_norms_of_each_gap_stacks_chunk(monkeypatch, dim):
+    assert harness._POOL_MIN_DIM == 16
+    c = ensembles.random_contraction(dim, 5)
+    created = _recorded_executors(monkeypatch)
+    # the full grid to 1024 is 16 chunks; criteria 05-07 take the pooled sweep to 4096
+    for ns in (range(1, 1025), pow2_grid(4096)):
+        for ritt, gap in ((True, True), (True, False), (False, True)):
+            want = []
+            for chunk, diffs in _gap_stacks(c, ns, ritt, gap):
+                norms = linalg.op_norms(diffs.reshape(-1, dim, dim))
+                want.append((chunk, [norms[i:i + len(chunk)] for i in range(0, len(norms), len(chunk))]))
+            for cpus in (2, 1):
+                _cpus(monkeypatch, cpus)
+                assert list(_ritt_gap_sweep(c, ns, ritt, gap)) == want, (ns, ritt, gap, cpus)
+    # one pool per two-CPU sweep from d = 16 on, none on one CPU
+    assert len(created) == (6 if dim >= 16 else 0)
+    assert all(pool._max_workers == 2 for pool in created)
+
+
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_overflowing_sweep_raises_after_the_serial_chunks(monkeypatch, cpus, errstate):
+    # 2^1024 overflows in the 16th chunk (n = 961..1024), at the Ritt step of n = 1023: the
+    # SVD refuses its inf entries, or, where overflow raises, the power pass does.  Either
+    # way the pooled sweep yields the serial sweep's 15 chunks first and joins its workers.
+    _cpus(monkeypatch, cpus)
+    c = 2.0 * np.eye(16, dtype=complex)
+    error = (InvalidInputError, "operator entries must be finite")
+    if errstate == "raise":
+        error = (FloatingPointError, "overflow")
+    before, got = threading.active_count(), []
+    with np.errstate(over=errstate, invalid="ignore"), pytest.raises(error[0], match=error[1]):
+        for chunk, (ritts,) in _ritt_gap_sweep(c, range(1, 4097), gap=False):
+            got.append((chunk, ritts))
+    assert [chunk for chunk, _ in got] == [range(lo, lo + 64) for lo in range(1, 961, 64)]
+    assert got[-1][1][-1] == 2.0 ** 960  # ||2^960 - 2^961||
+    assert threading.active_count() == before
+
+
+def test_closing_a_pooled_sweep_leaves_no_worker_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    created = _recorded_executors(monkeypatch)
+    before = threading.active_count()
+    sweep = _ritt_gap_sweep(ensembles.random_contraction(16, 5), range(1, 4097))
+    chunk, _ = next(sweep)
+    assert chunk == range(1, 65) and threading.active_count() > before
+    sweep.close()
+    assert len(created) == 1 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, dim", [(1, 16), (1, 32), (4, 15), (4, 4)])
+def test_a_serial_sweep_creates_no_executor(monkeypatch, cpus, dim):
+    _cpus(monkeypatch, cpus)
+    created = _recorded_executors(monkeypatch)
+    c = ensembles.random_contraction(dim, 5)
+    assert len(list(_ritt_gap_sweep(c, range(1, 200)))) == 4
+    assert harness._sweep_workers(dim) == 1 and created == []
 
 
 _NAN, _INF = float("nan"), math.inf
